@@ -43,7 +43,7 @@ use std::collections::{HashMap, HashSet};
 
 use haft_ir::cfg::Cfg;
 use haft_ir::function::{Function, InstId, ValueDef, ValueId};
-use haft_ir::inst::{BinOp, InstMeta, Op, Operand};
+use haft_ir::inst::{BinOp, Callee, InstMeta, Op, Operand};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
@@ -109,6 +109,27 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
             (plan.chains >= cfg.min_data_chains as u64).then_some(plan)
         })
         .collect();
+
+    // A covered function runs outside any transaction, so a fallback
+    // function it calls must bracket its own: the local-call TX shape
+    // (conditional split on entry, counter bump on return) would open a
+    // transaction nobody ends, and whatever it still buffers when the
+    // thread exits is lost.
+    let mut called_from_covered = HashSet::new();
+    for (f, _) in m.funcs.iter().zip(&plans).filter(|(_, plan)| plan.is_some()) {
+        for (_, block) in f.iter_blocks() {
+            for &iid in &block.insts {
+                if let Op::Call { callee: Callee::Direct(fid), .. } = &f.inst(iid).op {
+                    called_from_covered.insert(fid.0 as usize);
+                }
+            }
+        }
+    }
+    for i in called_from_covered {
+        if plans[i].is_none() {
+            m.funcs[i].attrs.local = false;
+        }
+    }
 
     // Callee-kind snapshot for the HAFT fallback's TX pass. Covered
     // functions carry no transaction machinery of their own, so a

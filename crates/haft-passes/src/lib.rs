@@ -80,8 +80,6 @@ pub use ilr::IlrConfig;
 pub use manager::{
     harden_runs_for, AbftPass, IlrPass, Pass, PassManager, PassRecord, PassStats, TmrPass, TxPass,
 };
-#[allow(deprecated)]
-pub use pipeline::harden;
 pub use pipeline::{Backend, HardenConfig, OptLevel};
 pub use tmr::TmrConfig;
 pub use tx::TxConfig;

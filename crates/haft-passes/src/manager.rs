@@ -77,12 +77,6 @@ impl PassStats {
         }
     }
 
-    /// Reads a pass-published counter.
-    #[deprecated(note = "use `PassStats::metrics` (the unified registry's `pass.*` names)")]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(k, _)| *k == name).map(|(_, v)| *v)
-    }
-
     /// Publishes the pass-published counters and the pipeline's net
     /// instruction delta into the unified registry: each counter `x`
     /// becomes `pass.x`, plus `pass.added.total`.
@@ -428,12 +422,6 @@ mod tests {
         assert_eq!(m.get("pass.tx.functions"), Some(1.0));
         assert_eq!(m.get("pass.nope"), None);
         assert_eq!(m.get("pass.added.total"), Some(stats.total_added() as f64));
-        // The deprecated accessor stays answer-compatible with the registry.
-        #[allow(deprecated)]
-        {
-            assert_eq!(stats.counter("ilr.functions"), Some(1));
-            assert_eq!(stats.counter("nope"), None);
-        }
     }
 
     #[test]

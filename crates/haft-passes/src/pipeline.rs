@@ -1,7 +1,5 @@
 //! Pass composition: the paper's evaluated configurations.
 
-use haft_ir::module::Module;
-
 use crate::abft::AbftConfig;
 use crate::ilr::IlrConfig;
 use crate::tmr::TmrConfig;
@@ -281,20 +279,6 @@ impl HardenConfig {
         }
         s
     }
-}
-
-/// Applies the configured passes to a copy of `m`.
-///
-/// Compat shim over [`crate::PassManager::from_config`]: it discards the
-/// [`crate::PassStats`] and keeps the pre-`PassManager` signature. New
-/// code should drive `PassManager` directly, or the `Experiment` builder
-/// in the `haft` facade for whole harden-and-run pipelines.
-#[deprecated(
-    since = "0.2.0",
-    note = "use PassManager::from_config(cfg).run_on(m) or haft::Experiment"
-)]
-pub fn harden(m: &Module, cfg: &HardenConfig) -> Module {
-    crate::manager::PassManager::from_config(cfg).run_on(m).0
 }
 
 #[cfg(test)]

@@ -60,7 +60,6 @@
 //! assert!(snapshot::diff(snap, &reparsed).is_empty());
 //! ```
 
-pub mod json;
 pub mod render;
 pub mod section;
 pub mod snapshot;

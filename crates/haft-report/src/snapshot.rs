@@ -10,8 +10,8 @@
 //! silently drifting the documentation — the explicit mechanism replacing
 //! CHANGES.md's hand-copied numbers and their "session variance" caveat.
 
-use crate::json::Json;
 use crate::render::{Series, Table, TableRow, Tolerance};
+use haft_trace::json::Json;
 
 /// Which sweep sizes produced a snapshot. Fast and full runs measure
 /// different grids, so their numbers are not comparable; the mode is

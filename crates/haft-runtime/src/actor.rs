@@ -1,27 +1,24 @@
-//! One shard actor: a hardened VM with its own virtual clock.
+//! One shard actor: the pool-side driver of a [`ShardCore`].
 //!
 //! Each actor owns a private [`BatchRunner`] — its own clone of the
 //! once-hardened module — so batches on different shards really execute
 //! concurrently on different cores. Service time is still priced by the
-//! simulated cost model ([`haft_vm::PhaseCycles::service_cycles`] over
-//! the configured clock), carried on a *per-shard virtual clock*: a batch
-//! starts at `max(shard vclock, latest arrival in the batch)` and the
-//! shard's clock advances to its completion. That keeps latency and
-//! throughput host-independent and comparable with the DES twin, while
-//! host wall-clock is measured separately by the pool.
+//! simulated cost model, by the same [`ShardCore`] the DES steps, on a
+//! *per-shard virtual clock*: a batch starts at `max(shard vclock,
+//! latest arrival in the batch)` and the shard's clock advances to its
+//! completion. That keeps latency and throughput host-independent and
+//! comparable with the DES twin, while host wall-clock is measured
+//! separately by the pool. What lives here is only driver policy: which
+//! queued requests form the next batch, and resolving saga joins.
 
-use haft_apps::{golden_reply, Op};
-use haft_faults::{classify_requests, RequestCounts, RequestOutcome};
+use haft_apps::Op;
+use haft_faults::RequestOutcome;
 use haft_ir::module::Module;
-use haft_ir::rng::Prng;
-use haft_serve::report::{FaultReport, FaultTelemetry, ShardStats};
-use haft_serve::{BatchRunner, ServeConfig, TRACE_PID_SERVE, TRACE_PID_VM_BASE};
-use haft_trace::{TraceBuf, TraceEvent};
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, VmConfig};
+use haft_serve::{BatchRunner, FaultDraw, ServeConfig, ShardCore};
+use haft_vm::{RunSpec, VmConfig};
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use crate::traffic::Req;
 
@@ -37,54 +34,22 @@ pub struct BatchOutput {
     pub freed_vns: Vec<u64>,
 }
 
-/// A shard: private module copy, virtual clock, and local accounting
-/// that the pool merges into the final [`haft_serve::ServiceReport`].
+/// A shard as the pool schedules it: a private module copy, its own
+/// fault stream, and the [`ShardCore`] that prices and accounts its
+/// batches (merged into the final [`haft_serve::ServiceReport`]).
 pub struct ShardActor<'a> {
     runner: BatchRunner<'a>,
-    fault_rng: Option<Prng>,
-    fault_rate: f64,
-    writes_per_req: u64,
+    fault_draw: Option<FaultDraw>,
     batch_cap: usize,
-    clock_ghz: f64,
-    dispatch_ns: u64,
-    restart_ns: u64,
-    /// This shard's virtual clock: completion time of its latest batch.
-    pub vclock_ns: u64,
-    pub stats: ShardStats,
-    /// Per-request latency samples completed *on this shard* (saga joins
-    /// land on whichever shard finished last).
-    pub samples: Vec<u64>,
-    pub counts: RequestCounts,
-    /// Partial fault report (everything except merged counts and the
-    /// clean-batch mean, which the pool derives).
-    pub faults: FaultReport,
-    /// Per-interval outcome telemetry on the shard's virtual clock;
-    /// allocated iff fault load is attached. The pool merges the shards'
-    /// maps — pure counter addition keyed by interval index, so the
-    /// result is independent of worker scheduling.
-    pub telemetry: Option<FaultTelemetry>,
-    pub clean_service_sum: f64,
-    pub clean_batches: u64,
-    /// Saga joins whose latency sample was withheld because a sub-batch
-    /// failed (always counted, traced or not).
-    pub suppressed_joins: u64,
-    idx: usize,
-    /// Event buffer when tracing: virtual-ns timestamps, with the host
-    /// wall clock carried as an argument (the dual-clock rule).
-    pub trace: Option<TraceBuf>,
-    epoch: Option<Instant>,
+    /// Saga joins land on whichever shard's core finished last.
+    pub core: ShardCore,
 }
 
 impl<'a> ShardActor<'a> {
     /// Builds the actor for shard `idx`. `writes_per_req` comes from the
     /// pool's one off-traffic calibration batch (shared by all shards,
-    /// identical to the DES's estimate).
-    ///
-    /// The per-shard fault stream is seeded `FaultLoad::seed ^ idx`: with
-    /// concurrent shards there is no global batch order for a single
-    /// stream to follow, so each shard draws its own. Fault *placement*
-    /// therefore differs from the simulation at equal config — rates and
-    /// aggregate behaviour match, individual hits do not.
+    /// identical to the DES's estimate); the shard draws fault stream
+    /// `idx` (see [`FaultDraw`]).
     pub fn new(
         hardened: &Module,
         spec: RunSpec<'a>,
@@ -95,49 +60,10 @@ impl<'a> ShardActor<'a> {
     ) -> Self {
         ShardActor {
             runner: BatchRunner::new(hardened, spec, vm),
-            fault_rng: cfg.faults.map(|f| Prng::new(f.seed ^ idx as u64)),
-            fault_rate: cfg.faults.map(|f| f.rate_per_request).unwrap_or(0.0),
-            writes_per_req,
-            batch_cap: cfg.batch.clamp(1, haft_apps::SHARD_CAPACITY),
-            clock_ghz: cfg.clock_ghz,
-            dispatch_ns: cfg.dispatch_ns,
-            restart_ns: cfg.restart_ns,
-            vclock_ns: 0,
-            stats: ShardStats::default(),
-            samples: Vec::new(),
-            counts: RequestCounts::default(),
-            faults: FaultReport::default(),
-            telemetry: cfg.faults.map(|_| FaultTelemetry::default()),
-            clean_service_sum: 0.0,
-            clean_batches: 0,
-            suppressed_joins: 0,
-            idx,
-            trace: None,
-            epoch: None,
+            fault_draw: cfg.faults.map(|f| FaultDraw::new(f, idx as u64, writes_per_req)),
+            batch_cap: cfg.batch_cap(),
+            core: ShardCore::new(cfg, idx),
         }
-    }
-
-    /// Turns on event collection for this shard. `epoch` is the pool's
-    /// wall-clock zero, so every virtual-time event can carry the host
-    /// time at which it was recorded.
-    pub fn enable_trace(&mut self, epoch: Instant) {
-        self.trace = Some(TraceBuf::new());
-        self.epoch = Some(epoch);
-    }
-
-    fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        (cycles as f64 / self.clock_ghz) as u64
-    }
-
-    fn draw_fault(&mut self, batch_len: usize) -> Option<FaultPlan> {
-        let rng = self.fault_rng.as_mut()?;
-        let p = (self.fault_rate * batch_len as f64).min(1.0);
-        // Same three-variate discipline as the DES: draw unconditionally
-        // so the plan stream is independent of earlier hit/miss outcomes.
-        let hit = rng.chance(p);
-        let occurrence = rng.below(self.writes_per_req * batch_len as u64);
-        let xor_mask = rng.next_u64();
-        hit.then_some(FaultPlan { occurrence, xor_mask })
     }
 
     /// Takes the next batch from this shard's inbox: the DES batching
@@ -149,7 +75,7 @@ impl<'a> ShardActor<'a> {
     /// batches what is present when a shard goes busy.
     pub fn form_batch(&self, inbox: &mut VecDeque<Req>) -> Vec<Req> {
         let Some(front) = inbox.front() else { return Vec::new() };
-        let t0 = self.vclock_ns.max(front.arrival_vns);
+        let t0 = self.core.vclock_ns().max(front.arrival_vns);
         let mut batch = Vec::new();
         while batch.len() < self.batch_cap {
             match inbox.front() {
@@ -160,119 +86,33 @@ impl<'a> ShardActor<'a> {
         batch
     }
 
-    /// Serves one batch and does all per-request accounting: outcome
-    /// counts, latency samples (saga joins sample once, at the join),
-    /// fault bookkeeping, shard stats, and the virtual-clock advance.
+    /// Serves one batch on the core, starting at `max(shard vclock,
+    /// latest arrival in the batch)`, and resolves its saga joins: a
+    /// multi-key request samples once, at the join, on the shard that
+    /// finished last.
     pub fn run_one_batch(&mut self, batch: Vec<Req>) -> BatchOutput {
-        assert!(!batch.is_empty(), "ran a batch with no requests");
         let ops: Vec<Op> = batch.iter().map(|r| r.op).collect();
-        let start =
-            self.vclock_ns.max(batch.iter().map(|r| r.arrival_vns).max().expect("non-empty"));
-
-        let plan = self.draw_fault(ops.len());
-        let injected = plan.is_some();
-        let mut vm_buf = self.trace.as_ref().map(|_| TraceBuf::new());
-        let run = match vm_buf.as_mut() {
-            Some(buf) => self.runner.run_batch_traced(&ops, plan, buf),
-            None => self.runner.run_batch(&ops, plan),
-        };
-        let service_ns = self.cycles_to_ns(run.phases.service_cycles()) + self.dispatch_ns;
-        let golden: Vec<u64> = ops.iter().map(|&o| golden_reply(o)).collect();
-        let outcomes = classify_requests(&run, &golden);
-        debug_assert!(
-            injected || outcomes.iter().all(|&o| o == RequestOutcome::Served),
-            "undisturbed batch produced non-served outcomes: {outcomes:?}"
-        );
-
-        let crashed = run.outcome != RunOutcome::Completed;
-        let completion = start + service_ns + if crashed { self.restart_ns } else { 0 };
-
-        if let Some(mut buf) = vm_buf {
-            let wall_ns = self.epoch.expect("trace implies epoch").elapsed().as_nanos() as u64;
-            let scale = 1.0 / self.clock_ghz;
-            let tr = self.trace.as_mut().expect("vm buffer implies trace");
-            tr.push(
-                TraceEvent::span("serve", "batch.service", start, service_ns)
-                    .lane(TRACE_PID_SERVE, self.idx as u32)
-                    .arg("requests", ops.len())
-                    .arg("wall_ns", wall_ns),
-            );
-            if crashed {
-                tr.push(
-                    TraceEvent::span("serve", "shard.restart", start + service_ns, self.restart_ns)
-                        .lane(TRACE_PID_SERVE, self.idx as u32),
-                );
-            }
-            // Splice the batch's VM/HTM events (raw cycles) onto the
-            // virtual-ns timeline, one lane per shard.
-            for mut ev in buf.take() {
-                ev.rescale(scale, start);
-                ev.pid = TRACE_PID_VM_BASE + self.idx as u32;
-                tr.push(ev);
-            }
-        }
+        let latest = batch.iter().map(|r| r.arrival_vns).max().expect("ran an empty batch");
+        let start = self.core.vclock_ns().max(latest);
+        let plan = self.fault_draw.as_mut().and_then(|d| d.draw(ops.len()));
+        let arrivals = batch.iter().map(|r| r.saga.is_none().then_some(r.arrival_vns));
+        let served = self.core.serve(&mut self.runner, &ops, arrivals, start, plan);
 
         let mut freed_vns = Vec::with_capacity(batch.len());
-        for (req, &o) in batch.iter().zip(&outcomes) {
-            self.counts.record(o);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.record(completion, o);
+        for (req, &o) in batch.iter().zip(&served.outcomes) {
+            let Some(saga) = &req.saga else {
+                freed_vns.push(served.completion_ns);
+                continue;
+            };
+            if o == RequestOutcome::Failed {
+                saga.failed.store(true, Ordering::Release);
             }
-            match &req.saga {
-                None => {
-                    if o != RequestOutcome::Failed {
-                        self.samples.push(completion - req.arrival_vns);
-                    }
-                    freed_vns.push(completion);
-                }
-                Some(saga) => {
-                    if o == RequestOutcome::Failed {
-                        saga.failed.store(true, Ordering::Release);
-                    }
-                    if let Some(join_vns) = saga.complete_one(completion) {
-                        let suppressed = saga.failed.load(Ordering::Acquire);
-                        if suppressed {
-                            self.suppressed_joins += 1;
-                        } else {
-                            self.samples.push(join_vns - saga.arrival_vns);
-                        }
-                        if let Some(tr) = self.trace.as_mut() {
-                            let name = if suppressed { "join.suppressed" } else { "join" };
-                            tr.push(
-                                TraceEvent::instant("saga", name, join_vns)
-                                    .lane(TRACE_PID_SERVE, self.idx as u32)
-                                    .arg("latency_vns", join_vns - saga.arrival_vns),
-                            );
-                        }
-                        freed_vns.push(join_vns);
-                    }
-                }
+            if let Some(join_vns) = saga.complete_one(served.completion_ns) {
+                let failed = saga.failed.load(Ordering::Acquire);
+                self.core.record_join(join_vns, saga.arrival_vns, failed);
+                freed_vns.push(join_vns);
             }
         }
-
-        if injected {
-            self.faults.injected_batches += 1;
-            if crashed {
-                self.faults.crashed_batches += 1;
-            } else if run.recoveries > 0 || run.corrected_by_vote > 0 {
-                self.faults.corrected_batches += 1;
-                self.faults.max_corrected_service_ns =
-                    self.faults.max_corrected_service_ns.max(service_ns);
-            }
-        } else if !crashed {
-            self.clean_service_sum += service_ns as f64;
-            self.clean_batches += 1;
-        }
-
-        self.stats.batches += 1;
-        self.stats.busy_ns += completion - start;
-        if crashed {
-            self.stats.crashes += 1;
-        } else {
-            self.stats.requests += batch.len() as u64;
-        }
-        self.vclock_ns = completion;
-
         BatchOutput { ops_accounted: batch.len(), freed_vns }
     }
 }
@@ -300,35 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn served_batches_advance_the_clock_and_sample_latency() {
-        let w = kv_shard(KvSync::Atomics);
-        let cfg = ServeConfig::default();
-        let mut a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
-        let mut gen = YcsbGen::new(9, 100);
-        let ops = gen.generate(WorkloadMix::B, 3);
-        let batch: Vec<Req> =
-            ops.iter().map(|&op| Req { op, arrival_vns: 100, saga: None }).collect();
-        let out = a.run_one_batch(batch);
-        assert_eq!(out.ops_accounted, 3);
-        assert_eq!(out.freed_vns.len(), 3);
-        assert_eq!(a.counts.served, 3);
-        assert_eq!(a.samples.len(), 3);
-        assert!(a.vclock_ns > 100, "clock advanced past the arrival");
-        assert_eq!(a.stats.requests, 3);
-        assert_eq!(a.stats.batches, 1);
-        // All requests in one batch complete together.
-        assert!(out.freed_vns.iter().all(|&t| t == a.vclock_ns));
-        assert_eq!(a.samples[0], a.vclock_ns - 100);
-    }
-
-    #[test]
     fn failed_saga_joins_are_counted_not_silently_dropped() {
         use crate::traffic::Saga;
         use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
         use std::sync::Arc;
 
         let w = kv_shard(KvSync::Atomics);
-        let cfg = ServeConfig::default();
+        let cfg = ServeConfig { requests: 2, ..Default::default() };
         let mut a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
         let mut gen = YcsbGen::new(4, 100);
         let ops = gen.generate(WorkloadMix::B, 2);
@@ -354,8 +172,9 @@ mod tests {
             Req { op: ops[1], arrival_vns: 10, saga: Some(clean) },
         ];
         let out = a.run_one_batch(batch);
-        assert_eq!(a.suppressed_joins, 1, "the failed join must be counted");
-        assert_eq!(a.samples.len(), 1, "only the clean join samples latency");
         assert_eq!(out.freed_vns.len(), 2, "both joins free their clients");
+        let r = haft_serve::ServiceReport::assemble("t".into(), &cfg, vec![a.core], None);
+        assert_eq!(r.suppressed_joins, 1, "the failed join must be counted");
+        assert_eq!(r.latency.count, 1, "only the clean join samples latency");
     }
 }

@@ -294,7 +294,7 @@ impl<'a> Pool<'a> {
             }
         }
 
-        let vclock_vns = actor.vclock_ns;
+        let vclock_vns = actor.core.vclock_ns();
         drop(actor);
         if let (Some(r), Some(t0)) = (ring.as_mut(), t_start) {
             // The RUNNING window on the wall clock, with the actor's

@@ -10,7 +10,7 @@
 //! narrow races actually surface.
 
 use haft_apps::{kv_shard, KvSync};
-use haft_runtime::{run_native_opts, NativeOpts};
+use haft_runtime::{run_native, NativeOpts};
 use haft_serve::{FaultLoad, SagaLoad, ServeConfig};
 use haft_vm::VmConfig;
 
@@ -26,13 +26,14 @@ fn shaken_interleavings_preserve_the_accounting_invariants() {
             seed: 0x57E5 ^ (seed << 8),
             ..Default::default()
         };
-        let r = run_native_opts(
+        let r = run_native(
             &w.module,
             w.run_spec(),
             VmConfig::default(),
             "shake",
             &cfg,
             NativeOpts { workers: 4, shake_seed: Some(seed) },
+            None,
         );
         assert_eq!(r.requests_offered, 400, "seed {seed}");
         assert_eq!(r.requests_served, 400, "seed {seed}");
@@ -54,13 +55,14 @@ fn shaken_interleavings_hold_under_fault_injection() {
             faults: Some(FaultLoad { rate_per_request: 0.03, seed: 0xFA ^ seed }),
             ..Default::default()
         };
-        let r = run_native_opts(
+        let r = run_native(
             &w.module,
             w.run_spec(),
             VmConfig::default(),
             "shake-faults",
             &cfg,
             NativeOpts { workers: 3, shake_seed: Some(0xABCD ^ seed) },
+            None,
         );
         let f = r.faults.expect("fault load attached");
         assert_eq!(f.counts.total(), 300, "every request classified exactly once, seed {seed}");

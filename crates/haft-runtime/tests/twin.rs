@@ -80,6 +80,52 @@ fn single_worker_native_is_deterministic_up_to_wall_clock() {
     assert_eq!(a, b, "one worker serializes every scheduling decision");
 }
 
+/// Where both drivers make the same batch-start decisions, one worker
+/// must reproduce the simulation *exactly* — the whole report, not a
+/// band. That region is: open loop without sagas (every arrival is
+/// seeded up front, so "what has arrived by `t0`" is the same set in
+/// both drivers) at any shard/batch shape when fault-free, and at one
+/// shard with faults (one shard ⇒ the per-shard stream `seed ^ 0` *is*
+/// the global stream); closed loop only at one shard and batch 1, where
+/// coalescing cannot differ. Outside it the DES starts an idle shard's
+/// batch on the first arrival alone while the actor coalesces everything
+/// present, which is driver policy, not accounting.
+#[test]
+fn single_worker_native_equals_sim_exactly() {
+    let w = kv_shard(KvSync::Atomics);
+    let open = ArrivalMode::OpenLoop { rate_rps: 200_000.0 };
+    let closed = ArrivalMode::ClosedLoop { clients: 8, think_ns: 0 };
+    let faults = Some(FaultLoad { rate_per_request: 0.05, seed: 77 });
+    let mut region = Vec::new();
+    for shards in [1usize, 3] {
+        for batch in [1usize, 8] {
+            region.push((open, shards, batch, None));
+        }
+    }
+    for batch in [1usize, 8] {
+        region.push((open, 1, batch, faults));
+    }
+    region.push((closed, 1, 1, None));
+    region.push((closed, 1, 1, faults));
+
+    for hc in [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr()] {
+        let exp = Experiment::workload(&w).harden(hc.clone());
+        for &(arrival, shards, batch, faults) in &region {
+            let cfg =
+                ServeConfig { requests: 300, arrival, shards, batch, faults, ..Default::default() };
+            let sim = exp.serve_in(ServeMode::Sim, &cfg);
+            let mut nat = exp.serve_in(ServeMode::Native { workers: 1 }, &cfg);
+            assert!(nat.wall.take().is_some() && sim.wall.is_none());
+            assert_eq!(
+                nat,
+                sim,
+                "{}: {arrival:?}, {shards} shard(s), batch {batch}, faults {faults:?}",
+                hc.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn serve_sweep_hardens_exactly_once_per_config() {
     // The counter is process-global and keyed by module name; rename the

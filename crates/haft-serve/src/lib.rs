@@ -12,7 +12,10 @@
 //!
 //! # Model
 //!
-//! The harness is a deterministic discrete-event simulation:
+//! What happens to one batch — run, price, classify, account — is
+//! [`ShardCore`], shared with the real-thread `haft-runtime`. This
+//! crate's own driver of it is a deterministic discrete-event
+//! simulation:
 //!
 //! * **Shards** — N independent single-core VM instances of one hardened
 //!   [`haft_apps::kv_shard`] module (shard-per-core; the module is
@@ -43,12 +46,10 @@ pub mod shard;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use haft_apps::{golden_reply, Op, WorkloadMix, YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
-use haft_faults::{classify_requests, RequestCounts, RequestOutcome};
+use haft_apps::{Op, WorkloadMix, YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
 use haft_ir::module::Module;
-use haft_ir::rng::Prng;
-use haft_trace::{TraceBuf, TraceEvent};
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, VmConfig};
+use haft_trace::TraceBuf;
+use haft_vm::{RunSpec, VmConfig};
 
 pub use arrival::{ArrivalMode, PoissonArrivals};
 pub use latency::LatencyStats;
@@ -56,7 +57,7 @@ pub use report::{
     FaultReport, FaultTelemetry, IntervalCounts, ServiceReport, ShardStats, WallReport,
 };
 pub use router::RouterPolicy;
-pub use shard::BatchRunner;
+pub use shard::{calibrate_writes_per_req, BatchRunner, FaultDraw, Served, ShardCore};
 
 /// How a service experiment executes: the deterministic discrete-event
 /// simulation, or the real-thread runtime in `haft-runtime`.
@@ -182,6 +183,27 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// The effective batch limit: `batch` clamped to what a shard's
+    /// request buffer holds.
+    pub fn batch_cap(&self) -> usize {
+        self.batch.clamp(1, SHARD_CAPACITY)
+    }
+
+    /// Rejects degenerate configurations, for either driver.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero requests or shards, a non-positive clock, or a
+    /// `spec` without the serve/fini entry points.
+    pub fn validate(&self, spec: RunSpec<'_>) {
+        assert!(self.requests > 0, "a service run needs at least one request");
+        assert!(self.shards > 0, "a service run needs at least one shard");
+        assert!(spec.worker.is_some() && spec.fini.is_some(), "shard spec needs worker and fini");
+        assert!(self.clock_ghz > 0.0, "clock must be positive");
+    }
+}
+
 /// Simulation event. The heap orders on `(time, sequence)`; the derives
 /// only exist so tuples containing an `Ev` are comparable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -195,39 +217,23 @@ enum Ev {
 struct ShardSim {
     queue: VecDeque<usize>,
     busy: bool,
-    stats: ShardStats,
+    core: ShardCore,
 }
 
-/// The discrete-event simulation state for one service run.
+/// The discrete-event driver: an event heap deciding when each shard's
+/// next batch starts, one global fault stream, and one [`BatchRunner`]
+/// shared by every shard (batches never overlap in host time).
 struct Sim<'m, 'c> {
     cfg: &'c ServeConfig,
     runner: BatchRunner<'m>,
     gen: YcsbGen,
-    fault_rng: Option<Prng>,
-    /// Estimated register-writing instructions per request (the fault
-    /// occurrence population), from the calibration batch.
-    writes_per_req: u64,
-    batch_cap: usize,
-    n_shards: usize,
-    total: usize,
-    issued: usize,
+    fault_draw: Option<FaultDraw>,
     heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
     tick: u64,
     /// Request ledger, indexed by sequence number.
     ops: Vec<Op>,
     arrivals_ns: Vec<u64>,
     shards: Vec<ShardSim>,
-    samples: Vec<u64>,
-    counts: RequestCounts,
-    faults: FaultReport,
-    /// Per-interval outcome telemetry; allocated iff fault load attached.
-    telemetry: Option<FaultTelemetry>,
-    clean_service_sum: f64,
-    clean_batches: u64,
-    batches: u64,
-    duration_ns: u64,
-    /// Event buffer when tracing; timestamps are virtual nanoseconds.
-    trace: Option<TraceBuf>,
 }
 
 /// Trace lane (Chrome `pid`) for service-layer events; shards are `tid`s.
@@ -240,10 +246,6 @@ pub const TRACE_PID_POOL: u32 = 2;
 pub const TRACE_PID_VM_BASE: u32 = 10;
 
 impl Sim<'_, '_> {
-    fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        (cycles as f64 / self.cfg.clock_ghz) as u64
-    }
-
     fn push_event(&mut self, at_ns: u64, ev: Ev) {
         self.tick += 1;
         self.heap.push(Reverse((at_ns, self.tick, ev)));
@@ -251,124 +253,35 @@ impl Sim<'_, '_> {
 
     /// Issues one fresh request into the router at `at_ns`.
     fn issue(&mut self, at_ns: u64) {
-        debug_assert!(self.issued < self.total);
+        debug_assert!(self.ops.len() < self.cfg.requests);
         let seq = self.ops.len();
         self.ops.push(self.gen.generate(self.cfg.mix, 1)[0]);
         self.arrivals_ns.push(at_ns);
-        self.issued += 1;
         self.push_event(at_ns, Ev::Arrive { seq });
     }
 
-    /// Draws this batch's injection plan, if fault load is attached.
-    fn draw_fault(&mut self, batch_len: usize) -> Option<FaultPlan> {
-        let rng = self.fault_rng.as_mut()?;
-        let rate = self.cfg.faults.expect("rng implies config").rate_per_request;
-        let p = (rate * batch_len as f64).min(1.0);
-        // Draw all three variates unconditionally so the plan stream is
-        // independent of earlier hit/miss outcomes.
-        let hit = rng.chance(p);
-        let occurrence = rng.below(self.writes_per_req * batch_len as u64);
-        let xor_mask = rng.next_u64();
-        hit.then_some(FaultPlan { occurrence, xor_mask })
-    }
-
-    /// Runs one batch on shard `s` starting at `now_ns`: executes the
-    /// VM, accounts latency and outcomes, schedules the completion
-    /// event, and (closed loop) re-issues the freed clients.
+    /// Starts a batch on shard `s` at `now_ns` from whatever is queued
+    /// (up to the batch limit), schedules its completion event, and
+    /// (closed loop) re-issues the freed clients.
     fn start_batch(&mut self, s: usize, now_ns: u64) {
-        let take = self.shards[s].queue.len().min(self.batch_cap);
-        debug_assert!(take > 0, "started a batch on an empty queue");
+        let take = self.shards[s].queue.len().min(self.cfg.batch_cap());
         let seqs: Vec<usize> = self.shards[s].queue.drain(..take).collect();
         let batch_ops: Vec<Op> = seqs.iter().map(|&q| self.ops[q]).collect();
-
-        let plan = self.draw_fault(batch_ops.len());
-        let injected = plan.is_some();
-        let mut vm_buf = self.trace.as_ref().map(|_| TraceBuf::new());
-        let run = match vm_buf.as_mut() {
-            Some(buf) => self.runner.run_batch_traced(&batch_ops, plan, buf),
-            None => self.runner.run_batch(&batch_ops, plan),
-        };
-        let service_ns = self.cycles_to_ns(run.phases.service_cycles()) + self.cfg.dispatch_ns;
-        let golden: Vec<u64> = batch_ops.iter().map(|&o| golden_reply(o)).collect();
-        let outcomes = classify_requests(&run, &golden);
-        debug_assert!(
-            injected || outcomes.iter().all(|&o| o == RequestOutcome::Served),
-            "undisturbed batch produced non-served outcomes: {outcomes:?}"
-        );
-
-        let crashed = run.outcome != RunOutcome::Completed;
-        let completion = now_ns + service_ns + if crashed { self.cfg.restart_ns } else { 0 };
-        for (&seq, &o) in seqs.iter().zip(&outcomes) {
-            self.counts.record(o);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.record(completion, o);
-            }
-            if o != RequestOutcome::Failed {
-                self.samples.push(completion - self.arrivals_ns[seq]);
-            }
-        }
-
-        if let Some(tr) = self.trace.as_mut() {
-            let scale = 1.0 / self.cfg.clock_ghz;
-            tr.push(
-                TraceEvent::span("serve", "batch.service", now_ns, service_ns)
-                    .lane(TRACE_PID_SERVE, s as u32)
-                    .arg("requests", seqs.len())
-                    .arg("shard", s),
-            );
-            if crashed {
-                tr.push(
-                    TraceEvent::span(
-                        "serve",
-                        "shard.restart",
-                        now_ns + service_ns,
-                        self.cfg.restart_ns,
-                    )
-                    .lane(TRACE_PID_SERVE, s as u32),
-                );
-            }
-            // Splice the batch's VM/HTM events (stamped in raw cycles)
-            // onto the virtual-nanosecond timeline, one lane per shard.
-            for mut ev in vm_buf.expect("trace implies vm buffer").take() {
-                ev.rescale(scale, now_ns);
-                ev.pid = TRACE_PID_VM_BASE + s as u32;
-                tr.push(ev);
-            }
-        }
-
-        if injected {
-            self.faults.injected_batches += 1;
-            if crashed {
-                self.faults.crashed_batches += 1;
-            } else if run.recoveries > 0 || run.corrected_by_vote > 0 {
-                self.faults.corrected_batches += 1;
-                self.faults.max_corrected_service_ns =
-                    self.faults.max_corrected_service_ns.max(service_ns);
-            }
-        } else if !crashed {
-            self.clean_service_sum += service_ns as f64;
-            self.clean_batches += 1;
-        }
-
-        self.batches += 1;
-        let st = &mut self.shards[s].stats;
-        st.batches += 1;
-        st.busy_ns += completion - now_ns;
-        if crashed {
-            st.crashes += 1;
-        } else {
-            st.requests += seqs.len() as u64;
-        }
+        let plan = self.fault_draw.as_mut().and_then(|d| d.draw(take));
+        let arrivals = seqs.iter().map(|&q| Some(self.arrivals_ns[q]));
+        let completion = self.shards[s]
+            .core
+            .serve(&mut self.runner, &batch_ops, arrivals, now_ns, plan)
+            .completion_ns;
         self.shards[s].busy = true;
-        self.duration_ns = self.duration_ns.max(completion);
         self.push_event(completion, Ev::Complete { shard: s });
 
         // Closed loop: each request in the batch frees its client at
         // completion (crashed batches error out to the client, which
         // retries with a fresh request after the same think time).
         if let ArrivalMode::ClosedLoop { think_ns, .. } = self.cfg.arrival {
-            for _ in 0..seqs.len() {
-                if self.issued < self.total {
+            for _ in 0..take {
+                if self.ops.len() < self.cfg.requests {
                     self.issue(completion + think_ns);
                 }
             }
@@ -380,7 +293,7 @@ impl Sim<'_, '_> {
         while let Some(Reverse((t, _, ev))) = self.heap.pop() {
             match ev {
                 Ev::Arrive { seq } => {
-                    let s = self.cfg.router.route(self.ops[seq], seq as u64, self.n_shards);
+                    let s = self.cfg.router.route(self.ops[seq], seq as u64, self.shards.len());
                     self.shards[s].queue.push_back(seq);
                     if !self.shards[s].busy {
                         self.start_batch(s, t);
@@ -404,41 +317,18 @@ impl Sim<'_, '_> {
 /// `vm` supplies the cost model and HTM/transaction parameters; the
 /// harness pins it to one simulated thread per shard and sizes its
 /// memory arena to the module. `label` names the backend in the report.
+/// With `trace` attached, every batch-service span, shard restart, and
+/// spliced VM/HTM event lands in it, timestamped in virtual nanoseconds.
 ///
-/// Deterministic: same module, config, and seeds ⇒ same report.
+/// Deterministic: same module, config, and seeds ⇒ same report, traced
+/// or not.
 ///
 /// # Panics
 ///
 /// Panics if `module` was not built by [`haft_apps::kv_shard`] (the
-/// request-buffer globals are missing), the spec lacks the serve/fini
-/// entry points, or the configuration is degenerate (zero requests or
-/// shards, non-positive clock or open-loop rate).
+/// request-buffer globals are missing) or the configuration is
+/// degenerate ([`ServeConfig::validate`], non-positive open-loop rate).
 pub fn run_service(
-    module: &Module,
-    spec: RunSpec<'_>,
-    vm: VmConfig,
-    label: impl Into<String>,
-    cfg: &ServeConfig,
-) -> ServiceReport {
-    run_service_impl(module, spec, vm, label, cfg, None)
-}
-
-/// [`run_service`] with trace collection: every batch-service span, shard
-/// restart, and spliced VM/HTM event lands in `buf`, timestamped in
-/// virtual nanoseconds. The returned report is bit-identical to an
-/// untraced run of the same configuration.
-pub fn run_service_traced(
-    module: &Module,
-    spec: RunSpec<'_>,
-    vm: VmConfig,
-    label: impl Into<String>,
-    cfg: &ServeConfig,
-    buf: &mut TraceBuf,
-) -> ServiceReport {
-    run_service_impl(module, spec, vm, label, cfg, Some(buf))
-}
-
-fn run_service_impl(
     module: &Module,
     spec: RunSpec<'_>,
     vm: VmConfig,
@@ -446,54 +336,29 @@ fn run_service_impl(
     cfg: &ServeConfig,
     trace: Option<&mut TraceBuf>,
 ) -> ServiceReport {
-    assert!(cfg.requests > 0, "a service run needs at least one request");
-    assert!(cfg.shards > 0, "a service run needs at least one shard");
-    assert!(spec.worker.is_some() && spec.fini.is_some(), "shard spec needs worker and fini");
-    assert!(cfg.clock_ghz > 0.0, "clock must be positive");
+    cfg.validate(spec);
     let total = cfg.requests;
-    let batch_cap = cfg.batch.clamp(1, SHARD_CAPACITY);
-
     let mut runner = BatchRunner::new(module, spec, vm);
-
-    // Fault planning: estimate the per-request register-write population
-    // from one off-traffic calibration batch, so injection occurrences
-    // can be drawn uniformly over a batch's dynamic trace.
-    let writes_per_req = if cfg.faults.is_some() {
-        let mut cal_gen = YcsbGen::new(cfg.seed ^ 0xCA11_B007, KV_KEYSPACE);
-        let cal_ops = cal_gen.generate(cfg.mix, batch_cap);
-        let cal = runner.run_batch(&cal_ops, None);
-        assert_eq!(cal.outcome, RunOutcome::Completed, "calibration batch must complete");
-        (cal.register_writes / batch_cap as u64).max(1)
-    } else {
-        1
-    };
-
+    let fault_draw =
+        cfg.faults.map(|f| FaultDraw::new(f, 0, calibrate_writes_per_req(&mut runner, cfg)));
     let mut sim = Sim {
         cfg,
         runner,
         gen: YcsbGen::new(cfg.seed, KV_KEYSPACE),
-        fault_rng: cfg.faults.map(|f| Prng::new(f.seed)),
-        writes_per_req,
-        batch_cap,
-        n_shards: cfg.shards,
-        total,
-        issued: 0,
+        fault_draw,
         heap: BinaryHeap::new(),
         tick: 0,
         ops: Vec::with_capacity(total),
         arrivals_ns: Vec::with_capacity(total),
         shards: (0..cfg.shards)
-            .map(|_| ShardSim { queue: VecDeque::new(), busy: false, stats: ShardStats::default() })
+            .map(|s| {
+                let mut core = ShardCore::new(cfg, s);
+                if trace.is_some() {
+                    core.enable_trace(None);
+                }
+                ShardSim { queue: VecDeque::new(), busy: false, core }
+            })
             .collect(),
-        samples: Vec::with_capacity(total),
-        counts: RequestCounts::default(),
-        faults: FaultReport::default(),
-        telemetry: cfg.faults.map(|_| FaultTelemetry::default()),
-        clean_service_sum: 0.0,
-        clean_batches: 0,
-        batches: 0,
-        duration_ns: 0,
-        trace: trace.as_ref().map(|_| TraceBuf::new()),
     };
 
     // Seed the arrival process.
@@ -513,38 +378,8 @@ fn run_service_impl(
     }
     sim.run();
 
-    assert_eq!(
-        sim.counts.total(),
-        total as u64,
-        "per-request outcome counts must sum to the offered request total"
-    );
-    let served = sim.counts.total() - sim.counts.failed;
-    let achieved_rps =
-        if sim.duration_ns == 0 { 0.0 } else { served as f64 * 1e9 / sim.duration_ns as f64 };
-    sim.faults.counts = sim.counts;
-    sim.faults.mean_clean_service_ns =
-        if sim.clean_batches == 0 { 0.0 } else { sim.clean_service_sum / sim.clean_batches as f64 };
-    if let (Some(out), Some(mut collected)) = (trace, sim.trace.take()) {
-        out.events.append(&mut collected.events);
-    }
-    ServiceReport {
-        label: label.into(),
-        requests_offered: sim.counts.total(),
-        requests_served: served,
-        duration_ns: sim.duration_ns,
-        offered_rps: match cfg.arrival {
-            ArrivalMode::OpenLoop { rate_rps } => Some(rate_rps),
-            ArrivalMode::ClosedLoop { .. } => None,
-        },
-        achieved_rps,
-        latency: LatencyStats::from_samples(sim.samples),
-        batches: sim.batches,
-        shards: sim.shards.into_iter().map(|s| s.stats).collect(),
-        faults: cfg.faults.map(|_| sim.faults),
-        fault_telemetry: sim.telemetry.take(),
-        // The DES serves saga sub-operations as independent requests
-        // (joins are a runtime-layer concept), so nothing to suppress.
-        suppressed_joins: 0,
-        wall: None,
-    }
+    // The DES serves saga sub-operations as independent requests (joins
+    // are a runtime-layer concept), so `suppressed_joins` stays 0.
+    let cores = sim.shards.into_iter().map(|s| s.core).collect();
+    ServiceReport::assemble(label.into(), cfg, cores, trace)
 }

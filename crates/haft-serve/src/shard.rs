@@ -1,16 +1,32 @@
-//! One shard: a hardened VM serving request batches.
+//! One shard: a hardened VM serving request batches, and the service
+//! core that prices and accounts them.
+//!
+//! [`ShardCore`] is the one copy of "run the VM → price on
+//! [`haft_vm::PhaseCycles`] → classify per request → bucket telemetry →
+//! fault bookkeeping → shard stats → trace splice". The discrete-event
+//! simulation and the `haft-runtime` actor pool are *drivers* of it: they
+//! decide when a batch starts and what is in it, and nothing else.
 
-use haft_apps::{patch_requests, Op};
+use std::time::Instant;
+
+use haft_apps::{golden_reply, patch_requests, Op, YcsbGen, KV_KEYSPACE};
+use haft_faults::{classify_requests, RequestCounts, RequestOutcome};
 use haft_ir::module::Module;
-use haft_trace::TraceBuf;
-use haft_vm::{FaultPlan, RunResult, RunSpec, Vm, VmConfig};
+use haft_ir::rng::Prng;
+use haft_trace::{TraceBuf, TraceEvent};
+use haft_vm::{FaultPlan, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
+
+use crate::report::{FaultReport, FaultTelemetry, ServiceReport, ShardStats};
+use crate::{
+    ArrivalMode, FaultLoad, LatencyStats, ServeConfig, TRACE_PID_SERVE, TRACE_PID_VM_BASE,
+};
 
 /// Runs request batches against an already-hardened shard module.
 ///
-/// Shards model independent cores, but the harness simulation itself is
-/// sequential discrete-event, so a single runner — and a single patchable
-/// module copy — serves every shard: batches never overlap in host time,
-/// only in *simulated* time.
+/// A runner is one patchable module copy. The simulation is sequential —
+/// batches overlap only in *simulated* time — so a single runner serves
+/// every shard there; the real-thread runtime gives each shard actor its
+/// own so batches really execute concurrently.
 pub struct BatchRunner<'a> {
     module: Module,
     spec: RunSpec<'a>,
@@ -41,28 +57,330 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Serves one batch, optionally with a single-event upset injected
-    /// into this batch's execution.
-    pub fn run_batch(&mut self, ops: &[Op], fault: Option<FaultPlan>) -> RunResult {
-        patch_requests(&mut self.module, ops);
-        let mut vm = self.vm.clone();
-        vm.fault = fault;
-        Vm::run(&self.module, vm, self.spec)
-    }
-
-    /// [`Self::run_batch`] with VM/HTM trace events appended to `buf`
-    /// (timestamped in raw virtual cycles; the caller rescales them onto
-    /// its own timeline). The returned result is bit-identical to what
-    /// `run_batch` would produce.
-    pub fn run_batch_traced(
+    /// into this batch's execution. With `trace` attached, VM/HTM events
+    /// are appended to it timestamped in raw virtual cycles (the caller
+    /// rescales them onto its own timeline); the returned result is
+    /// bit-identical either way.
+    pub fn run_batch(
         &mut self,
         ops: &[Op],
         fault: Option<FaultPlan>,
-        buf: &mut TraceBuf,
+        trace: Option<&mut TraceBuf>,
     ) -> RunResult {
         patch_requests(&mut self.module, ops);
         let mut vm = self.vm.clone();
         vm.fault = fault;
-        Vm::run_traced(&self.module, vm, self.spec, buf)
+        match trace {
+            Some(buf) => Vm::run_traced(&self.module, vm, self.spec, buf),
+            None => Vm::run(&self.module, vm, self.spec),
+        }
+    }
+}
+
+/// Estimates the register-writing instructions per request (the fault
+/// occurrence population) from one off-traffic calibration batch, so
+/// injection occurrences can be drawn uniformly over a batch's dynamic
+/// trace.
+pub fn calibrate_writes_per_req(runner: &mut BatchRunner<'_>, cfg: &ServeConfig) -> u64 {
+    let batch_cap = cfg.batch_cap();
+    let mut cal_gen = YcsbGen::new(cfg.seed ^ 0xCA11_B007, KV_KEYSPACE);
+    let cal = runner.run_batch(&cal_gen.generate(cfg.mix, batch_cap), None, None);
+    assert_eq!(cal.outcome, RunOutcome::Completed, "calibration batch must complete");
+    (cal.register_writes / batch_cap as u64).max(1)
+}
+
+/// One stream of per-batch injection plans.
+///
+/// The simulation draws every batch from stream 0 (one global batch
+/// order); the runtime gives shard `i` stream `i`, because concurrent
+/// shards have no global order for a single stream to follow. Fault
+/// *placement* therefore differs between the drivers once there is more
+/// than one shard — rates and aggregate behaviour match, individual hits
+/// do not.
+pub struct FaultDraw {
+    rng: Prng,
+    rate_per_request: f64,
+    writes_per_req: u64,
+}
+
+impl FaultDraw {
+    /// Stream `stream` of `load`, seeded `load.seed ^ stream`.
+    pub fn new(load: FaultLoad, stream: u64, writes_per_req: u64) -> Self {
+        FaultDraw {
+            rng: Prng::new(load.seed ^ stream),
+            rate_per_request: load.rate_per_request,
+            writes_per_req,
+        }
+    }
+
+    /// Draws the injection plan for a batch of `batch_len` requests.
+    pub fn draw(&mut self, batch_len: usize) -> Option<FaultPlan> {
+        let p = (self.rate_per_request * batch_len as f64).min(1.0);
+        // Draw all three variates unconditionally so the plan stream is
+        // independent of earlier hit/miss outcomes.
+        let hit = self.rng.chance(p);
+        let occurrence = self.rng.below(self.writes_per_req * batch_len as u64);
+        let xor_mask = self.rng.next_u64();
+        hit.then_some(FaultPlan { occurrence, xor_mask })
+    }
+}
+
+/// What [`ShardCore::serve`] tells its driver about one batch.
+pub struct Served {
+    /// When every request in the batch completes (a crashed batch
+    /// completes after the restart stall), virtual ns.
+    pub completion_ns: u64,
+    /// Per-request outcome, in batch order.
+    pub outcomes: Vec<RequestOutcome>,
+}
+
+/// Pricing and accounting for one shard, stepped by whichever driver
+/// owns it. Everything here is on the virtual clock.
+pub struct ShardCore {
+    idx: usize,
+    clock_ghz: f64,
+    dispatch_ns: u64,
+    restart_ns: u64,
+    /// Completion time of this shard's latest batch.
+    vclock_ns: u64,
+    stats: ShardStats,
+    samples: Vec<u64>,
+    counts: RequestCounts,
+    /// Partial fault report: [`ServiceReport::assemble`] fills the merged
+    /// counts and the clean-batch mean.
+    ///
+    /// [`ServiceReport::assemble`]: crate::ServiceReport::assemble
+    faults: FaultReport,
+    /// Per-interval outcome telemetry; allocated iff fault load attached.
+    telemetry: Option<FaultTelemetry>,
+    clean_service_sum: f64,
+    clean_batches: u64,
+    suppressed_joins: u64,
+    /// Event buffer when tracing: virtual-ns timestamps.
+    trace: Option<TraceBuf>,
+    /// Host wall-clock zero; when set, batch spans carry the host time
+    /// they were recorded at as an argument (the dual-clock rule).
+    epoch: Option<Instant>,
+}
+
+impl ShardCore {
+    /// The core for shard `idx` of a `cfg` fleet.
+    pub fn new(cfg: &ServeConfig, idx: usize) -> Self {
+        ShardCore {
+            idx,
+            clock_ghz: cfg.clock_ghz,
+            dispatch_ns: cfg.dispatch_ns,
+            restart_ns: cfg.restart_ns,
+            vclock_ns: 0,
+            stats: ShardStats::default(),
+            samples: Vec::new(),
+            counts: RequestCounts::default(),
+            faults: FaultReport::default(),
+            telemetry: cfg.faults.map(|_| FaultTelemetry::default()),
+            clean_service_sum: 0.0,
+            clean_batches: 0,
+            suppressed_joins: 0,
+            trace: None,
+            epoch: None,
+        }
+    }
+
+    /// Turns on event collection. `epoch` is the driver's host wall-clock
+    /// zero, if it has one.
+    pub fn enable_trace(&mut self, epoch: Option<Instant>) {
+        self.trace = Some(TraceBuf::new());
+        self.epoch = epoch;
+    }
+
+    /// This shard's virtual clock: completion time of its latest batch.
+    pub fn vclock_ns(&self) -> u64 {
+        self.vclock_ns
+    }
+
+    fn cycles_to_ns(&self, cycles: u64) -> u64 {
+        (cycles as f64 / self.clock_ghz) as u64
+    }
+
+    /// Serves `ops` as one batch starting at `start_ns` and does all the
+    /// per-batch accounting. `arrivals` yields, per op, the time to
+    /// sample its latency from — `None` for an op whose latency is
+    /// sampled elsewhere (a saga sub-operation; see
+    /// [`Self::record_join`]). Failed requests are never sampled.
+    pub fn serve(
+        &mut self,
+        runner: &mut BatchRunner<'_>,
+        ops: &[Op],
+        arrivals: impl Iterator<Item = Option<u64>>,
+        start_ns: u64,
+        plan: Option<FaultPlan>,
+    ) -> Served {
+        assert!(!ops.is_empty(), "ran a batch with no requests");
+        let injected = plan.is_some();
+        let mut vm_buf = self.trace.as_ref().map(|_| TraceBuf::new());
+        let run = runner.run_batch(ops, plan, vm_buf.as_mut());
+        let service_ns = self.cycles_to_ns(run.phases.service_cycles()) + self.dispatch_ns;
+        let golden: Vec<u64> = ops.iter().map(|&o| golden_reply(o)).collect();
+        let outcomes = classify_requests(&run, &golden);
+        debug_assert!(
+            injected || outcomes.iter().all(|&o| o == RequestOutcome::Served),
+            "undisturbed batch produced non-served outcomes: {outcomes:?}"
+        );
+
+        let crashed = run.outcome != RunOutcome::Completed;
+        let completion_ns = start_ns + service_ns + if crashed { self.restart_ns } else { 0 };
+        for (arrival, &o) in arrivals.zip(&outcomes) {
+            self.counts.record(o);
+            if let Some(t) = self.telemetry.as_mut() {
+                t.record(completion_ns, o);
+            }
+            if let Some(at) = arrival.filter(|_| o != RequestOutcome::Failed) {
+                self.samples.push(completion_ns - at);
+            }
+        }
+
+        if let (Some(tr), Some(mut buf)) = (self.trace.as_mut(), vm_buf) {
+            let lane = self.idx as u32;
+            let mut span = TraceEvent::span("serve", "batch.service", start_ns, service_ns)
+                .lane(TRACE_PID_SERVE, lane)
+                .arg("requests", ops.len())
+                .arg("shard", self.idx);
+            if let Some(epoch) = self.epoch {
+                span = span.arg("wall_ns", epoch.elapsed().as_nanos() as u64);
+            }
+            tr.push(span);
+            if crashed {
+                let at = start_ns + service_ns;
+                tr.push(
+                    TraceEvent::span("serve", "shard.restart", at, self.restart_ns)
+                        .lane(TRACE_PID_SERVE, lane),
+                );
+            }
+            // Splice the batch's VM/HTM events (stamped in raw cycles)
+            // onto the virtual-nanosecond timeline, one lane per shard.
+            for mut ev in buf.take() {
+                ev.rescale(1.0 / self.clock_ghz, start_ns);
+                ev.pid = TRACE_PID_VM_BASE + lane;
+                tr.push(ev);
+            }
+        }
+
+        if injected {
+            self.faults.injected_batches += 1;
+            if crashed {
+                self.faults.crashed_batches += 1;
+            } else if run.recoveries > 0 || run.corrected_by_vote > 0 {
+                self.faults.corrected_batches += 1;
+                self.faults.max_corrected_service_ns =
+                    self.faults.max_corrected_service_ns.max(service_ns);
+            }
+        } else if !crashed {
+            self.clean_service_sum += service_ns as f64;
+            self.clean_batches += 1;
+        }
+
+        self.stats.batches += 1;
+        self.stats.busy_ns += completion_ns - start_ns;
+        if crashed {
+            self.stats.crashes += 1;
+        } else {
+            self.stats.requests += ops.len() as u64;
+        }
+        self.vclock_ns = completion_ns;
+        Served { completion_ns, outcomes }
+    }
+
+    /// Accounts one joined multi-key request that completed on this
+    /// shard at `join_ns`: one latency sample measured from `arrival_ns`,
+    /// or — when a sub-operation died with a crashed batch (`failed`) —
+    /// a counted suppression, because a latency measured against a lost
+    /// reply would be fiction.
+    pub fn record_join(&mut self, join_ns: u64, arrival_ns: u64, failed: bool) {
+        if failed {
+            self.suppressed_joins += 1;
+        } else {
+            self.samples.push(join_ns - arrival_ns);
+        }
+        if let Some(tr) = self.trace.as_mut() {
+            let name = if failed { "join.suppressed" } else { "join" };
+            tr.push(
+                TraceEvent::instant("saga", name, join_ns)
+                    .lane(TRACE_PID_SERVE, self.idx as u32)
+                    .arg("latency_vns", join_ns - arrival_ns),
+            );
+        }
+    }
+}
+
+impl ServiceReport {
+    /// Merges the per-shard cores of one finished run into the report
+    /// (`wall` is left for the driver to fill), moving the cores' trace
+    /// events into `trace`.
+    pub fn assemble(
+        label: String,
+        cfg: &ServeConfig,
+        cores: Vec<ShardCore>,
+        mut trace: Option<&mut TraceBuf>,
+    ) -> Self {
+        let mut counts = RequestCounts::default();
+        let mut samples = Vec::with_capacity(cfg.requests);
+        let mut shards = Vec::with_capacity(cores.len());
+        let mut faults = FaultReport::default();
+        let mut telemetry: Option<FaultTelemetry> = None;
+        let mut clean_sum = 0.0;
+        let mut clean_batches = 0u64;
+        let mut duration_ns = 0u64;
+        let mut suppressed_joins = 0u64;
+        for mut c in cores {
+            counts.merge(&c.counts);
+            samples.append(&mut c.samples);
+            duration_ns = duration_ns.max(c.vclock_ns);
+            shards.push(c.stats);
+            faults.injected_batches += c.faults.injected_batches;
+            faults.crashed_batches += c.faults.crashed_batches;
+            faults.corrected_batches += c.faults.corrected_batches;
+            faults.max_corrected_service_ns =
+                faults.max_corrected_service_ns.max(c.faults.max_corrected_service_ns);
+            clean_sum += c.clean_service_sum;
+            clean_batches += c.clean_batches;
+            suppressed_joins += c.suppressed_joins;
+            if let Some(t) = &c.telemetry {
+                telemetry.get_or_insert_with(Default::default).merge(t);
+            }
+            if let (Some(out), Some(mut t)) = (trace.as_deref_mut(), c.trace) {
+                out.events.append(&mut t.events);
+            }
+        }
+        assert_eq!(
+            counts.total(),
+            cfg.requests as u64,
+            "per-request outcome counts must sum to the offered request total"
+        );
+        let served = counts.total() - counts.failed;
+        faults.counts = counts;
+        faults.mean_clean_service_ns =
+            if clean_batches == 0 { 0.0 } else { clean_sum / clean_batches as f64 };
+        ServiceReport {
+            label,
+            requests_offered: counts.total(),
+            requests_served: served,
+            duration_ns,
+            offered_rps: match cfg.arrival {
+                ArrivalMode::OpenLoop { rate_rps } => Some(rate_rps),
+                ArrivalMode::ClosedLoop { .. } => None,
+            },
+            achieved_rps: if duration_ns == 0 {
+                0.0
+            } else {
+                served as f64 * 1e9 / duration_ns as f64
+            },
+            latency: LatencyStats::from_samples(samples),
+            batches: shards.iter().map(|s| s.batches).sum(),
+            shards,
+            faults: cfg.faults.map(|_| faults),
+            fault_telemetry: telemetry,
+            suppressed_joins,
+            wall: None,
+        }
     }
 }
 
@@ -79,7 +397,7 @@ mod tests {
         let mut gen = YcsbGen::new(1, 1000);
         for n in [1usize, 7, 32] {
             let ops = gen.generate(WorkloadMix::B, n);
-            let r = runner.run_batch(&ops, None);
+            let r = runner.run_batch(&ops, None, None);
             assert_eq!(r.outcome, RunOutcome::Completed);
             assert_eq!(
                 r.output,
@@ -95,5 +413,47 @@ mod tests {
     fn non_shard_module_is_rejected() {
         let m = Module::new("empty");
         BatchRunner::new(&m, RunSpec::default(), VmConfig::default());
+    }
+
+    #[test]
+    fn served_batches_advance_the_clock_and_sample_latency() {
+        let w = kv_shard(KvSync::Atomics);
+        let cfg = ServeConfig::default();
+        let mut runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
+        let mut core = ShardCore::new(&cfg, 0);
+        let ops = YcsbGen::new(9, 100).generate(WorkloadMix::B, 3);
+        // The middle op's latency is sampled elsewhere (a saga sub-op).
+        let arrivals = [Some(100), None, Some(40)];
+        let served = core.serve(&mut runner, &ops, arrivals.into_iter(), 100, None);
+        assert_eq!(served.outcomes, vec![RequestOutcome::Served; 3]);
+        assert!(served.completion_ns > 100, "clock advanced past the start");
+        assert_eq!(core.vclock_ns(), served.completion_ns);
+        assert_eq!(core.counts.served, 3);
+        // All requests in one batch complete together.
+        assert_eq!(core.samples, vec![served.completion_ns - 100, served.completion_ns - 40]);
+        assert_eq!(
+            core.stats,
+            ShardStats { requests: 3, batches: 1, busy_ns: served.completion_ns - 100, crashes: 0 }
+        );
+        assert_eq!(core.clean_batches, 1);
+
+        core.record_join(served.completion_ns, 10, true);
+        core.record_join(served.completion_ns, 10, false);
+        assert_eq!(core.suppressed_joins, 1, "a failed join is counted, not sampled");
+        assert_eq!(core.samples.len(), 3);
+    }
+
+    #[test]
+    fn fault_streams_differ_per_shard_and_draw_independently_of_hits() {
+        let load = FaultLoad { rate_per_request: 0.5, seed: 7 };
+        let plans = |stream| {
+            let mut d = FaultDraw::new(load, stream, 100);
+            (0..64).map(|_| d.draw(1)).collect::<Vec<_>>()
+        };
+        assert_eq!(plans(0), plans(0));
+        assert_ne!(plans(0), plans(1));
+        let hits = plans(0).iter().flatten().count();
+        assert!((16..=48).contains(&hits), "rate 0.5 over 64 draws hit {hits} times");
+        assert!(plans(0).iter().flatten().all(|p| p.occurrence < 100));
     }
 }

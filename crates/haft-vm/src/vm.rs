@@ -411,14 +411,6 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Decode-time fusion statistics for `module` under `cfg` — a
-    /// diagnostic for benchmarks and docs; does not run anything.
-    #[deprecated(note = "use `Vm::fusion_metrics` (the unified registry's `vm.fuse.*` names)")]
-    pub fn fusion_stats(module: &Module, cfg: &VmConfig) -> fuse::FuseStats {
-        let mem = Memory::new(module, cfg.mem_bytes);
-        decode::Decoded::decode(module, &mem, &cfg.cost).stats
-    }
-
     /// Decode-time fusion statistics exported through the unified
     /// metrics registry (`vm.fuse.*` names); does not run anything.
     pub fn fusion_metrics(module: &Module, cfg: &VmConfig) -> MetricsSnapshot {

@@ -304,27 +304,20 @@ impl<'a> Experiment<'a> {
         let mut vm = self.vm.clone();
         vm.fault = None;
         let label = self.cfg.label();
-        match (&self.trace_path, mode) {
-            (None, ServeMode::Sim) => haft_serve::run_service(module, self.spec, vm, label, cfg),
-            (None, ServeMode::Native { workers }) => {
-                haft_runtime::run_native(module, self.spec, vm, label, cfg, workers)
+        let mut buf = self.trace_path.as_ref().map(|_| TraceBuf::new());
+        let report = match mode {
+            ServeMode::Sim => {
+                haft_serve::run_service(module, self.spec, vm, label, cfg, buf.as_mut())
             }
-            (Some(path), ServeMode::Sim) => {
-                let mut buf = TraceBuf::new();
-                let r = haft_serve::run_service_traced(module, self.spec, vm, label, cfg, &mut buf);
-                write_trace(path, &buf);
-                r
+            ServeMode::Native { workers } => {
+                let opts = haft_runtime::NativeOpts { workers, shake_seed: None };
+                haft_runtime::run_native(module, self.spec, vm, label, cfg, opts, buf.as_mut())
             }
-            (Some(path), ServeMode::Native { workers }) => {
-                let mut buf = TraceBuf::new();
-                let opts = haft_runtime::NativeOpts { workers: workers.max(1), shake_seed: None };
-                let r = haft_runtime::run_native_traced(
-                    module, self.spec, vm, label, cfg, opts, &mut buf,
-                );
-                write_trace(path, &buf);
-                r
-            }
+        };
+        if let (Some(path), Some(buf)) = (&self.trace_path, &buf) {
+            write_trace(path, buf);
         }
+        report
     }
 
     /// Runs the native baseline plus every configuration in `configs`

@@ -68,28 +68,6 @@
 //! assert!(report.overhead("HAFT").unwrap() > 1.0, "redundancy is not free");
 //! ```
 //!
-//! # Migrating from `harden` + `Vm::run`
-//!
-//! Pre-`Experiment` code wired the stages by hand:
-//!
-//! ```text
-//! let hardened = harden(&m, &HardenConfig::haft());          // deprecated shim
-//! let r = Vm::run(&hardened, VmConfig::default(), spec);
-//! let rep = run_campaign(&hardened, spec, &campaign_cfg);
-//! ```
-//!
-//! The one-front-door equivalents:
-//!
-//! ```text
-//! let exp = Experiment::new(&m).harden(HardenConfig::haft()).spec(spec);
-//! let v = exp.run();                       // v.run is the old RunResult
-//! let c = exp.campaign(campaign_cfg);      // c.campaign has the histogram
-//! ```
-//!
-//! Direct pass application (`harden`) remains available as a compat shim
-//! over [`passes::PassManager`], which is also the extension point for
-//! custom [`passes::Pass`] sequences.
-//!
 //! # Hardening backends
 //!
 //! Two strategies plug into the same pipeline via
@@ -135,8 +113,6 @@ pub mod prelude {
     pub use haft_ir::types::Ty;
     pub use haft_ir::verify::verify_module;
     pub use haft_model::{HaftChain, SystemKind};
-    #[allow(deprecated)]
-    pub use haft_passes::harden;
     pub use haft_passes::{
         Backend, HardenConfig, IlrConfig, OptLevel, Pass, PassManager, PassStats, TmrConfig,
         TxConfig,

@@ -8,9 +8,8 @@ use haft::prelude::*;
 /// configuration the evaluation uses — one `compare` per benchmark.
 #[test]
 fn every_config_preserves_semantics_on_sample_benchmarks() {
-    let spec_names = ["histogram", "linearreg", "dedup"];
-    for name in spec_names {
-        let w = workload_by_name(name, Scale::Small).unwrap();
+    for w in all_workloads(Scale::Small) {
+        let name = w.name;
         let report = Experiment::workload(&w).threads(2).compare(&[
             HardenConfig::ilr_only(),
             HardenConfig::tx_only(),
@@ -20,8 +19,11 @@ fn every_config_preserves_semantics_on_sample_benchmarks() {
             HardenConfig::at_opt_level(OptLevel::ControlFlow),
             HardenConfig::at_opt_level(OptLevel::LocalCalls),
             HardenConfig::at_opt_level(OptLevel::FaultProp),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+            HardenConfig::abft_fallback_heavy(),
         ]);
-        assert_eq!(report.variants.len(), 9, "{name}: baseline + 8 variants");
+        assert_eq!(report.variants.len(), 12, "{name}: baseline + 11 variants");
         assert!(report.outputs_agree(), "{name}:\n{}", report.summary());
         // Every hardened variant pays a nonzero instruction cost.
         for v in &report.variants[1..] {

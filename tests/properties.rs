@@ -328,11 +328,7 @@ proptest! {
             [variant]
             .clone();
         let v = Experiment::new(&m).harden(hc.clone()).spec(fini_spec()).run();
-        // The one intentional use of the deprecated `harden` shim left in
-        // the tree: this test pins the shim and `Experiment` to the same
-        // semantics, so it must keep calling the shim itself.
-        #[allow(deprecated)]
-        let hardened = harden(&m, &hc);
+        let hardened = PassManager::from_config(&hc).run_on(&m).0;
         let manual = Vm::run(&hardened, VmConfig::default(), fini_spec());
         prop_assert_eq!(&v.run, &manual);
         prop_assert_eq!(
