@@ -3,7 +3,7 @@
 //! adaptive-transaction-sizing extension (the paper's §7 future work).
 
 use haft::Experiment;
-use haft_bench::{experiment, recommended_threshold, vm_config};
+use haft_bench::experiment;
 use haft_passes::{HardenConfig, IlrConfig, TxConfig};
 use haft_workloads::{all_workloads, workload_by_name, Scale};
 
@@ -39,8 +39,8 @@ fn main() {
 
     println!("\n=== Ablation: TX begin/end peephole ===");
     println!("{:<16}{:>14}{:>14}{:>10}", "benchmark", "insts(on)", "insts(off)", "saved");
-    for name in ["dedup", "apache-like: see fig12", "vips"] {
-        let Some(w) = workload_by_name(name, Scale::Small) else { continue };
+    for name in ["dedup", "vips"] {
+        let w = workload_by_name(name, Scale::Small).unwrap();
         let a = inst_count(&w, HardenConfig::haft());
         let b = inst_count(
             &w,
@@ -74,7 +74,7 @@ fn main() {
             .harden(HardenConfig::haft())
             .run()
             .expect_completed(w.name);
-        let mut acfg = vm_config(threads, 5000);
+        let mut acfg = haft::eval::perf_vm(threads, 5000);
         acfg.adaptive_threshold = true;
         let adaptive = Experiment::workload(&w)
             .vm(acfg)
@@ -91,6 +91,5 @@ fn main() {
             fixed.htm.coverage_pct(),
             adaptive.htm.coverage_pct(),
         );
-        let _ = recommended_threshold(w.name);
     }
 }

@@ -3,7 +3,6 @@
 
 use haft::Experiment;
 use haft_apps::{memcached, KvSync, WorkloadMix};
-use haft_bench::vm_config;
 use haft_passes::HardenConfig;
 use haft_vm::RunResult;
 use haft_workloads::Scale;
@@ -24,7 +23,7 @@ fn cell(
 ) -> RunResult {
     let w = memcached(mix, sync, Scale::Large);
     Experiment::workload(&w)
-        .vm(vm_config(threads, 3000))
+        .vm(haft::eval::perf_vm(threads, 3000))
         .harden(hc)
         .lock_elision(elide)
         .run()

@@ -1,7 +1,7 @@
 //! Table 2: ILR-only / TX-only / HAFT overheads, hyper-threading abort
 //! increase, and code coverage.
 
-use haft_bench::{experiment, header, overhead, recommended_threshold, row, vm_config};
+use haft_bench::{experiment, header, overhead, recommended_threshold, row};
 use haft_htm::HtmConfig;
 use haft_passes::HardenConfig;
 use haft_workloads::{all_workloads, Scale};
@@ -19,7 +19,7 @@ fn main() {
         let (tx, _) = overhead(w, &HardenConfig::tx_only(), threads);
         let (haft, r) = overhead(w, &HardenConfig::haft(), threads);
         // Hyper-threading: same logical thread count on half the cores.
-        let mut smt_cfg = vm_config(threads, recommended_threshold(w.name));
+        let mut smt_cfg = haft::eval::perf_vm(threads, recommended_threshold(w.name));
         smt_cfg.htm = HtmConfig { smt: true, ..HtmConfig::default() };
         let smt = experiment(w, threads, recommended_threshold(w.name))
             .vm(smt_cfg)

@@ -3,7 +3,9 @@
 //! Each `benches/<id>.rs` target reproduces one table or figure of the
 //! paper's evaluation; `cargo bench --workspace` runs them all and prints
 //! the same rows/series the paper reports. `REPRODUCTION.md` (generated
-//! by `haft-report`) is the durable, checked form of the same numbers.
+//! by `haft-report`) is the durable, checked form of the simulated
+//! numbers, and host time is measured by the repository benchmark
+//! (`benchmark/`), not here.
 //!
 //! All measurement goes through the facade's [`Experiment`] pipeline.
 //! Methodology defaults (per-benchmark transaction thresholds, the
@@ -14,7 +16,7 @@
 
 use haft::Experiment;
 use haft_passes::HardenConfig;
-use haft_vm::{RunResult, VmConfig};
+use haft_vm::RunResult;
 use haft_workloads::Workload;
 
 pub use haft::eval::recommended_threshold;
@@ -24,16 +26,11 @@ pub fn fast_mode() -> bool {
     std::env::var("HAFT_BENCH_FAST").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Builds a VM configuration for a perf run ([`haft::eval::perf_vm`]).
-pub fn vm_config(threads: usize, threshold: u64) -> VmConfig {
-    haft::eval::perf_vm(threads, threshold)
-}
-
 /// An [`Experiment`] over one workload, pre-wired with the bench VM
 /// configuration. Callers chain `.harden(..)`/`.vm(..)` and a terminal
 /// op.
 pub fn experiment(w: &Workload, threads: usize, threshold: u64) -> Experiment<'_> {
-    Experiment::workload(w).vm(vm_config(threads, threshold))
+    Experiment::workload(w).vm(haft::eval::perf_vm(threads, threshold))
 }
 
 /// Measures normalized runtime of `hc` over native for one workload,
@@ -65,7 +62,6 @@ mod tests {
         // The paper examples, via the deduped `haft::eval` definition.
         assert_eq!(recommended_threshold("kmeans"), 1000);
         assert_eq!(recommended_threshold("blackscholes"), 5000);
-        assert_eq!(vm_config(4, 1000).tx_threshold, 1000);
     }
 
     #[test]

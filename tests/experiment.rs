@@ -118,6 +118,11 @@ fn compare_races_haft_against_tmr() {
         0,
         "no rollback machinery in the TMR backend"
     );
+    assert_eq!(
+        campaign.counts.get(&Outcome::ChecksumCorrected).copied().unwrap_or(0),
+        0,
+        "checksum fired without a checksum backend"
+    );
     assert_eq!(v.run.htm.commits, 0);
     assert_eq!(v.run.recoveries, 0);
 }
