@@ -1,10 +1,22 @@
-//! Campaign driver: plan, inject, classify — in parallel.
+//! Campaign driver: plan, inject, classify — sharing every run's
+//! fault-free prefix.
+//!
+//! An injection run is, by construction, the reference run up to the
+//! flipped register write. So the driver executes that prefix once: a
+//! fault-free *pilot* VM visits the planned occurrences in ascending
+//! order, is [forked](Vm::fork) just short of each, and only the fork —
+//! the suffix from the flip on — runs per injection. A campaign of `n`
+//! injections costs about `n/(n+1)` of a run for the pilot plus `n/2`
+//! for the suffixes, instead of `n` runs.
+
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::Mutex;
 
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Forensics, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
 
-use crate::classify::classify;
+use crate::classify::{classify, Outcome};
 use crate::report::CampaignReport;
 
 /// Campaign parameters.
@@ -15,9 +27,13 @@ pub struct CampaignConfig {
     pub injections: u64,
     /// Seed for fault planning.
     pub seed: u64,
-    /// OS threads to spread the runs over. A value of `0` is clamped to
-    /// `1` by [`run_campaign`] (serial execution) rather than treated as
-    /// an error.
+    /// OS threads the campaign may keep busy: the calling thread, which
+    /// advances the pilot and runs a fork itself whenever no worker is
+    /// free, plus `parallelism − 1` workers that run forks. `0` is
+    /// clamped to `1` (no workers, everything on the calling thread)
+    /// rather than treated as an error. Results are folded in plan order
+    /// whichever thread produced them, so the report is identical at
+    /// every value.
     pub parallelism: usize,
     /// VM configuration for every run (simulated thread count, HTM
     /// parameters, ...). The fault plan and forensics fields are
@@ -57,6 +73,9 @@ pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) ->
     run_campaign_from(module, spec, cfg, &golden)
 }
 
+/// What one injection run contributes to the report.
+type Verdict = (Outcome, Option<Forensics>);
+
 /// Like [`run_campaign`], but reuses a `golden` reference run the caller
 /// has already performed (with `cfg.vm` and no fault) instead of
 /// re-executing it. Used by the `haft` facade's `Experiment`, which needs
@@ -78,38 +97,68 @@ pub fn run_campaign_from(
     // XOR masks — the paper's weighted-random selection).
     let plans = plan_injections(cfg.seed, cfg.injections, population);
 
-    // Step 3: execute and classify, fanned out over OS threads.
-    // `parallelism: 0` clamps to serial execution; outcome counts are
-    // identical at any worker count (each run is independent).
-    let workers = cfg.parallelism.max(1);
-    let chunk = plans.len().div_ceil(workers);
-    let mut report = CampaignReport::default();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for piece in plans.chunks(chunk.max(1)) {
-            let vm_cfg = cfg.vm.clone();
-            let golden_out = &golden.output;
-            let forensics = cfg.forensics;
-            handles.push(scope.spawn(move || {
-                let mut local = CampaignReport::default();
-                for plan in piece {
-                    let mut c = vm_cfg.clone();
-                    c.fault = Some(*plan);
-                    c.forensics = forensics;
-                    let r = Vm::run(module, c, spec);
-                    let o = classify(&r, golden_out);
-                    local.record(o);
-                    if let Some(fx) = &r.forensics {
-                        local.record_forensics(o, fx);
+    // Step 3: execute and classify. The pilot visits the plans in
+    // occurrence order (ties in plan order) and hands each fork to a free
+    // worker, or runs it itself when there is none.
+    let mut visit: Vec<usize> = (0..plans.len()).collect();
+    visit.sort_by_key(|&i| plans[i].occurrence);
+    let pilot_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
+    let prepared = Prepared::new(module, &pilot_cfg);
+    let mut pilot = Vm::start(module, &prepared, pilot_cfg, spec);
+    let conclude = |fork: Vm<'_>| -> Verdict {
+        let r = fork.run_to_end();
+        (classify(&r, &golden.output), r.forensics)
+    };
+
+    let workers = cfg.parallelism.max(1) - 1;
+    // One fork queued per worker keeps them fed while the pilot is busy
+    // with a fork of its own; with no workers the channel has no room and
+    // no receiver ever waits, so every `try_send` hands the fork back.
+    let (forks, queue) = sync_channel::<(usize, Vm<'_>)>(workers);
+    let queue = Mutex::new(queue);
+    let mut verdicts: Vec<(usize, Verdict)> = std::thread::scope(|scope| {
+        // Owned by this closure so that a panic on the pilot's side
+        // closes the channel and lets the workers (and the scope) finish.
+        let forks = forks;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let job = queue.lock().expect("a campaign worker panicked").recv();
+                        let Ok((i, fork)) = job else { return done };
+                        done.push((i, conclude(fork)));
                     }
+                })
+            })
+            .collect();
+        let mut done = Vec::new();
+        for i in visit {
+            pilot.advance_to(plans[i].occurrence);
+            match forks.try_send((i, pilot.fork(plans[i], cfg.forensics))) {
+                Ok(()) => {}
+                Err(TrySendError::Full((i, fork)) | TrySendError::Disconnected((i, fork))) => {
+                    done.push((i, conclude(fork)))
                 }
-                local
-            }));
+            }
         }
+        drop(forks);
         for h in handles {
-            report.merge(&h.join().expect("campaign worker panicked"));
+            done.extend(h.join().expect("campaign worker panicked"));
         }
+        done
     });
+
+    // Fold in plan order, whichever thread ran what.
+    verdicts.sort_by_key(|&(i, _)| i);
+    assert_eq!(verdicts.len(), plans.len(), "every plan is run exactly once");
+    let mut report = CampaignReport::default();
+    for (_, (o, fx)) in &verdicts {
+        report.record(*o);
+        if let Some(fx) = fx {
+            report.record_forensics(*o, fx);
+        }
+    }
     report
 }
 
@@ -192,6 +241,25 @@ mod tests {
         }
     }
 
+    /// The campaign as the methodology states it, and as the driver ran
+    /// it before prefix sharing: every plan is its own from-scratch
+    /// `Vm::run`, serially, in plan order. The driver must report exactly
+    /// this.
+    fn reference_campaign(m: &Module, cfg: &CampaignConfig) -> CampaignReport {
+        let golden = Vm::run(m, VmConfig { fault: None, ..cfg.vm.clone() }, spec());
+        let mut report = CampaignReport::default();
+        for plan in plan_injections(cfg.seed, cfg.injections, golden.register_writes.max(1)) {
+            let vm = VmConfig { fault: Some(plan), forensics: cfg.forensics, ..cfg.vm.clone() };
+            let r = Vm::run(m, vm, spec());
+            let o = classify(&r, &golden.output);
+            report.record(o);
+            if let Some(fx) = &r.forensics {
+                report.record_forensics(o, fx);
+            }
+        }
+        report
+    }
+
     #[test]
     fn campaign_is_deterministic() {
         let m = program();
@@ -199,6 +267,16 @@ mod tests {
         let b = run_campaign(&m, spec(), &campaign(60));
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.runs, 60);
+        // The whole report — counts, runs, forensics aggregate — is the
+        // per-plan reference loop's, on real worker threads and without.
+        assert_eq!(a, reference_campaign(&m, &campaign(60)));
+        let hardened = harden(&m, &HardenConfig::haft());
+        for parallelism in [1, 2, 3] {
+            let cfg = CampaignConfig { parallelism, forensics: true, ..campaign(60) };
+            let want = reference_campaign(&hardened, &cfg);
+            assert!(want.forensics.as_ref().is_some_and(|s| s.fired > 0));
+            assert_eq!(run_campaign(&hardened, spec(), &cfg), want, "parallelism {parallelism}");
+        }
     }
 
     #[test]
@@ -213,6 +291,9 @@ mod tests {
         let b = run_campaign(&m, spec(), &campaign(40));
         assert_eq!(a.runs, 40);
         assert_eq!(a.counts, b.counts);
+        zero.forensics = true;
+        let hardened = harden(&m, &HardenConfig::haft());
+        assert_eq!(run_campaign(&hardened, spec(), &zero), reference_campaign(&hardened, &zero));
     }
 
     #[test]

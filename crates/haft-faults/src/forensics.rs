@@ -133,8 +133,9 @@ impl SiteStats {
     }
 }
 
-/// Campaign-level forensics aggregate. Built per worker and merged
-/// order-independently (all fields are counters).
+/// Campaign-level forensics aggregate. All fields are counters, so
+/// records fold in, and aggregates of several campaigns merge, in any
+/// order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ForensicsSummary {
     /// Injection runs whose fault actually fired and produced a record.

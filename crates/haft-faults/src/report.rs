@@ -9,7 +9,7 @@ use crate::classify::{Group, Outcome};
 use crate::forensics::ForensicsSummary;
 
 /// Aggregated results of one injection campaign.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignReport {
     pub counts: BTreeMap<Outcome, u64>,
     pub runs: u64,
@@ -51,7 +51,8 @@ impl CampaignReport {
         100.0 - self.pct(Outcome::Sdc)
     }
 
-    /// Merges another report (for parallel workers).
+    /// Merges another report in (one campaign per program into a suite
+    /// total, say).
     pub fn merge(&mut self, other: &CampaignReport) {
         for (o, n) in &other.counts {
             *self.counts.entry(*o).or_insert(0) += n;

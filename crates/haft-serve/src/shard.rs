@@ -14,7 +14,7 @@ use haft_faults::{classify_requests, RequestCounts, RequestOutcome};
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
 use haft_trace::{TraceBuf, TraceEvent};
-use haft_vm::{FaultPlan, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
 
 use crate::report::{FaultReport, FaultTelemetry, ServiceReport, ShardStats};
 use crate::{
@@ -27,10 +27,19 @@ use crate::{
 /// batches overlap only in *simulated* time — so a single runner serves
 /// every shard there; the real-thread runtime gives each shard actor its
 /// own so batches really execute concurrently.
+///
+/// The module is decoded once, here, not once per batch: the
+/// [`Prepared`] handle depends on the module's functions, its global
+/// *layout* (each global's size) and the VM's cost model, all fixed for
+/// the runner's lifetime. [`patch_requests`] rewrites the initial *bytes*
+/// of two globals and nothing else, so it cannot invalidate the handle;
+/// every batch still gets a fresh `Vm` (memory, HTM, threads) built from
+/// the patched module.
 pub struct BatchRunner<'a> {
     module: Module,
     spec: RunSpec<'a>,
     vm: VmConfig,
+    prepared: Prepared,
 }
 
 impl<'a> BatchRunner<'a> {
@@ -53,7 +62,8 @@ impl<'a> BatchRunner<'a> {
         // Size the arena to the module plus heap slack instead.
         let needed: u64 = hardened.globals.iter().map(|g| g.size + 64).sum::<u64>() + (1 << 16);
         vm.mem_bytes = vm.mem_bytes.min(needed.next_power_of_two().max(1 << 17));
-        BatchRunner { module: hardened.clone(), spec, vm }
+        let prepared = Prepared::new(hardened, &vm);
+        BatchRunner { module: hardened.clone(), spec, vm, prepared }
     }
 
     /// Serves one batch, optionally with a single-event upset injected
@@ -70,10 +80,7 @@ impl<'a> BatchRunner<'a> {
         patch_requests(&mut self.module, ops);
         let mut vm = self.vm.clone();
         vm.fault = fault;
-        match trace {
-            Some(buf) => Vm::run_traced(&self.module, vm, self.spec, buf),
-            None => Vm::run(&self.module, vm, self.spec),
-        }
+        Vm::run_prepared(&self.module, &self.prepared, vm, self.spec, trace)
     }
 }
 

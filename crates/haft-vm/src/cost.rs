@@ -180,25 +180,28 @@ pub struct Scoreboard {
 
 impl Default for Scoreboard {
     fn default() -> Self {
-        Scoreboard {
-            issued: 0,
-            clock: 0,
-            floor: 0,
-            rob: 192,
-            ring: vec![0; 192],
-            q: 0,
-            r: 0,
-            div_width: 0,
-            slot: 0,
-        }
+        Scoreboard::with_rob(192)
     }
 }
 
 impl Scoreboard {
-    /// Creates a scoreboard with an explicit reorder-window depth.
+    /// Time zero over an all-zero `ring` of `rob` entries.
+    fn at_zero(rob: usize, ring: Vec<u64>) -> Self {
+        Scoreboard { issued: 0, clock: 0, floor: 0, rob, ring, q: 0, r: 0, div_width: 0, slot: 0 }
+    }
+
+    /// Creates a scoreboard with an explicit reorder-window depth. The
+    /// only place a ring is allocated.
     pub fn with_rob(rob: usize) -> Self {
         let rob = rob.max(1);
-        Scoreboard { rob, ring: vec![0; rob], ..Default::default() }
+        Self::at_zero(rob, vec![0; rob])
+    }
+
+    /// Back to the just-constructed state, keeping the ring allocation.
+    pub fn reset(&mut self) {
+        let mut ring = std::mem::take(&mut self.ring);
+        ring.fill(0);
+        *self = Self::at_zero(self.rob, ring);
     }
 
     /// `issued / width.max(1)`, via the incrementally maintained pair.

@@ -26,8 +26,8 @@ pub use cost::CostConfig;
 pub use fault::FaultPlan;
 pub use mem::{Memory, Trap};
 pub use vm::{
-    CycleProfile, Engine, FaultDetector, FaultSite, Forensics, FuseStats, PhaseCycles, ProfileCell,
-    ProfileOpClass, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
+    CycleProfile, Engine, FaultDetector, FaultSite, Forensics, FuseStats, PhaseCycles, Prepared,
+    ProfileCell, ProfileOpClass, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
 };
 
 // The `haft-runtime` pool runs one VM per shard actor across OS threads,
@@ -43,4 +43,8 @@ const _: () = {
     assert_send_sync::<RunResult>();
     assert_send_sync::<CostConfig>();
     assert_send_sync::<FaultPlan>();
+    // Campaign workers share one `Prepared` and take forked `Vm`s over a
+    // channel.
+    assert_send_sync::<Prepared>();
+    assert_send_sync::<Vm<'static>>();
 };

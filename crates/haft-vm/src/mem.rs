@@ -64,26 +64,34 @@ impl Memory {
     ///
     /// Panics if the globals do not fit.
     pub fn new(m: &Module, size: u64) -> Self {
-        let mut next = 64u64;
-        let mut global_bases = Vec::with_capacity(m.globals.len());
-        for g in &m.globals {
-            let base = next;
+        let (global_bases, next) = Self::layout(m);
+        let mut bytes = vec![0u8; (next as usize).min(size as usize)];
+        for (g, &base) in m.globals.iter().zip(&global_bases) {
             assert!(
                 base + g.size <= size,
                 "globals exceed memory: need {} have {}",
                 base + g.size,
                 size
             );
-            global_bases.push(base);
-            next = (base + g.size + 63) & !63;
-        }
-        let mut bytes = vec![0u8; (next as usize).min(size as usize)];
-        for (g, &base) in m.globals.iter().zip(&global_bases) {
             if let GlobalInit::Bytes(init) = &g.init {
                 bytes[base as usize..base as usize + init.len()].copy_from_slice(init);
             }
         }
         Memory { bytes, size, heap_next: next, global_bases }
+    }
+
+    /// Where [`Memory::new`] places the module's globals: the base
+    /// address of each, indexed by `GlobalId`, and the first address past
+    /// them. A function of the globals' *sizes* only — neither their
+    /// initial bytes nor the memory size move a base.
+    pub fn layout(m: &Module) -> (Vec<u64>, u64) {
+        let mut next = 64u64;
+        let mut global_bases = Vec::with_capacity(m.globals.len());
+        for g in &m.globals {
+            global_bases.push(next);
+            next = (next + g.size + 63) & !63;
+        }
+        (global_bases, next)
     }
 
     /// Total mapped size in bytes.

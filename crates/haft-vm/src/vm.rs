@@ -58,7 +58,10 @@ pub struct VmConfig {
     pub lock_elision: bool,
     /// Core cost model.
     pub cost: CostConfig,
-    /// Scheduler quantum in instructions (jittered per slice).
+    /// Scheduler window in simulated *cycles*, not instructions: every
+    /// ready thread runs until its clock reaches a common horizon of
+    /// `min ready clock + quantum/2 + jitter`, jitter uniform in
+    /// `[0, quantum)` and redrawn per window (values below 2 act as 2).
     pub quantum: u64,
     /// Seed for schedule jitter, spontaneous aborts, etc.
     pub seed: u64,
@@ -248,7 +251,7 @@ struct TxSnapshot {
     counter: u64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Thread {
     frames: Vec<Frame>,
     state: ThreadState,
@@ -288,11 +291,11 @@ struct Thread {
 }
 
 impl Thread {
-    fn new(_id: usize) -> Self {
+    fn new(rob: usize) -> Self {
         Thread {
             frames: Vec::new(),
             state: ThreadState::Done,
-            sb: Scoreboard::default(),
+            sb: Scoreboard::with_rob(rob),
             counter: 0,
             threshold: 0,
             store_done: HashMap::new(),
@@ -326,12 +329,84 @@ enum Flow {
     ThreadDone,
     /// This thread is blocked on a lock; retry the same instruction later.
     Blocked(u64),
+    /// The run reached its pause point ([`Vm::advance_to`]) before this
+    /// op; nothing was executed.
+    Pause,
+}
+
+/// Where a suspended run is, in the terms `run_phases`, `run_phase` and
+/// `schedule` would otherwise keep on the Rust stack. Re-entering with an
+/// unchanged cursor continues exactly where the run stopped: between two
+/// ops, so nothing is ever executed twice or skipped.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    /// Phase in progress: 0 `init`, 1 `worker`, 2 `fini`, 3 past the end.
+    phase: usize,
+    /// The phase's threads are reset and running; re-entry must not
+    /// reset them again.
+    started: bool,
+    /// `wall_cycles` when the phase started.
+    before: u64,
+    /// The scheduler window the run stopped inside: its horizon and the
+    /// thread whose turn it was. `None` between windows.
+    window: Option<(u64, usize)>,
+    /// How the run ended, once it has.
+    ended: Option<RunOutcome>,
+}
+
+/// Everything about a run that depends only on the module's functions,
+/// its global *layout* and the cost model: the fused engine's decoded
+/// code and the pause slack. Build it once ([`Prepared::new`]) and run
+/// any number of VMs against it — [`Vm::run_prepared`], [`Vm::start`] —
+/// as long as those three stay the same; global initial *bytes*, seeds,
+/// thread counts, fault plans and every other [`VmConfig`] field may
+/// differ from run to run.
+#[derive(Debug)]
+pub struct Prepared {
+    /// `None` under [`Engine::Interp`], which walks the IR directly.
+    decoded: Option<decode::Decoded>,
+    /// The layout `decoded`'s constants were resolved against.
+    global_bases: Vec<u64>,
+    /// Most register writes one op can make: the largest group of phis
+    /// at the head of any block (every CFG edge into it moves at most
+    /// that many), at least 1. [`Vm::advance_to`] stops this far short of
+    /// its target so the op boundary it finds is never past it.
+    pause_slack: u64,
+}
+
+impl Prepared {
+    /// Decodes and fuses `module` for `cfg.engine` under `cfg.cost`.
+    pub fn new(module: &Module, cfg: &VmConfig) -> Self {
+        let (global_bases, _) = Memory::layout(module);
+        let decoded = match cfg.engine {
+            Engine::Interp => None,
+            Engine::Fused => Some(decode::Decoded::decode(module, &global_bases, &cfg.cost)),
+        };
+        let pause_slack = module
+            .funcs
+            .iter()
+            .flat_map(|f| f.blocks.iter().map(move |b| decode::lead_phis(f, b)))
+            .max()
+            .unwrap_or(0)
+            .max(1) as u64;
+        Prepared { decoded, global_bases, pause_slack }
+    }
 }
 
 /// The virtual machine for one run.
 pub struct Vm<'m> {
     m: &'m Module,
     cfg: VmConfig,
+    spec: RunSpec<'m>,
+    /// The fused engine's code ([`Prepared`]); `None` runs the
+    /// interpreter.
+    dc: Option<&'m decode::Decoded>,
+    /// [`Prepared::pause_slack`].
+    pause_slack: u64,
+    /// The run suspends at the first op boundary with `occ >= pause_at`;
+    /// `u64::MAX` (never) except while [`Vm::advance_to`] runs.
+    pause_at: u64,
+    cursor: Cursor,
     mem: Memory,
     htm: Htm,
     threads: Vec<Thread>,
@@ -378,13 +453,18 @@ impl<'m> Vm<'m> {
         let htm = Htm::new(cfg.htm.clone(), cfg.n_threads.max(1));
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
-        let threads = (0..n_threads).map(Thread::new).collect();
+        let threads = (0..n_threads).map(|_| Thread::new(cfg.cost.rob)).collect();
         let fault = cfg.fault;
         let forensics = (cfg.forensics && fault.is_some())
             .then(|| Box::new(forensics::ForensicsState::new(n_threads)));
         Vm {
             m: module,
             cfg,
+            spec: RunSpec::default(),
+            dc: None,
+            pause_slack: 1,
+            pause_at: u64::MAX,
+            cursor: Cursor::default(),
             mem,
             htm,
             threads,
@@ -415,7 +495,7 @@ impl<'m> Vm<'m> {
     /// metrics registry (`vm.fuse.*` names); does not run anything.
     pub fn fusion_metrics(module: &Module, cfg: &VmConfig) -> MetricsSnapshot {
         let mem = Memory::new(module, cfg.mem_bytes);
-        let stats = decode::Decoded::decode(module, &mem, &cfg.cost).stats;
+        let stats = decode::Decoded::decode(module, &mem.global_bases, &cfg.cost).stats;
         let mut m = MetricsSnapshot::new();
         m.set("vm.fuse.alu_pairs", stats.alu_pairs as f64);
         m.set("vm.fuse.cmp_br", stats.cmp_br as f64);
@@ -434,7 +514,27 @@ impl<'m> Vm<'m> {
 
     /// Executes all phases of `spec` and returns the measurements.
     pub fn run(module: &'m Module, cfg: VmConfig, spec: RunSpec<'_>) -> RunResult {
-        Self::run_instrumented(module, cfg, spec, None, false).0
+        let prepared = Prepared::new(module, &cfg);
+        Self::run_instrumented(module, &prepared, cfg, spec, None, false).0
+    }
+
+    /// [`Vm::run`] against a [`Prepared`] handle built earlier for the
+    /// same functions, global layout and cost model, so that many runs
+    /// decode once; with `trace` attached it is [`Vm::run_traced`]. The
+    /// result is bit-identical to the from-scratch call either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` does not fit `module` and `cfg` (see
+    /// [`Vm::start`]).
+    pub fn run_prepared(
+        module: &Module,
+        prepared: &Prepared,
+        cfg: VmConfig,
+        spec: RunSpec<'_>,
+        trace: Option<&mut TraceBuf>,
+    ) -> RunResult {
+        Vm::run_instrumented(module, prepared, cfg, spec, trace, false).0
     }
 
     /// [`Vm::run`] with tracing attached: phase/transaction spans and
@@ -448,10 +548,8 @@ impl<'m> Vm<'m> {
         spec: RunSpec<'_>,
         buf: &mut TraceBuf,
     ) -> RunResult {
-        let (result, trace, _) =
-            Self::run_instrumented(module, cfg, spec, Some(std::mem::take(buf)), false);
-        *buf = trace.expect("trace buffer attached for the whole run");
-        result
+        let prepared = Prepared::new(module, &cfg);
+        Vm::run_prepared(module, &prepared, cfg, spec, Some(buf))
     }
 
     /// [`Vm::run`] with cycle-attribution profiling attached. The
@@ -462,7 +560,8 @@ impl<'m> Vm<'m> {
         cfg: VmConfig,
         spec: RunSpec<'_>,
     ) -> (RunResult, CycleProfile) {
-        let (result, _, profile) = Self::run_instrumented(module, cfg, spec, None, true);
+        let prepared = Prepared::new(module, &cfg);
+        let (result, profile) = Self::run_instrumented(module, &prepared, cfg, spec, None, true);
         (result, profile.expect("profiler attached for the whole run"))
     }
 
@@ -471,66 +570,182 @@ impl<'m> Vm<'m> {
     /// the hot path, so the untraced run executes the same code either
     /// way.
     fn run_instrumented(
-        module: &'m Module,
+        module: &Module,
+        prepared: &Prepared,
         cfg: VmConfig,
         spec: RunSpec<'_>,
-        trace: Option<TraceBuf>,
+        mut trace: Option<&mut TraceBuf>,
         profiled: bool,
-    ) -> (RunResult, Option<TraceBuf>, Option<CycleProfile>) {
-        let mut vm = Vm::new(module, cfg);
-        vm.trace = trace;
+    ) -> (RunResult, Option<CycleProfile>) {
+        let mut vm = Vm::start(module, prepared, cfg, spec);
+        vm.trace = trace.as_deref_mut().map(std::mem::take);
         if profiled {
             vm.profiler = Some(Profiler::new(vm.threads.len()));
         }
-        let decoded = match vm.cfg.engine {
-            Engine::Interp => None,
-            Engine::Fused => {
-                let d = decode::Decoded::decode(module, &vm.mem, &vm.cfg.cost);
-                for t in &mut vm.threads {
-                    t.bp_dense = vec![0u8; d.n_condbrs.max(1)];
-                }
-                Some(d)
-            }
-        };
-        let outcome = vm.run_phases(spec, decoded.as_ref());
-        let trace = vm.trace.take();
+        let outcome = vm.resume().expect("no pause point is set");
+        if let Some(buf) = trace {
+            *buf = vm.trace.take().expect("trace buffer attached for the whole run");
+        }
         let profile =
             vm.profiler.take().map(|p| p.into_profile(|fid| vm.m.func(FuncId(fid)).name.clone()));
-        (vm.finish(outcome), trace, profile)
+        (vm.into_result(outcome), profile)
     }
 
-    fn run_phases(&mut self, spec: RunSpec<'_>, dc: Option<&decode::Decoded>) -> RunOutcome {
-        if let Some(name) = spec.init {
-            let before = self.wall_cycles;
-            let out = self.run_serial(name, dc);
-            self.phases.init = self.wall_cycles - before;
-            self.trace_phase("phase.init", before);
-            match out {
-                RunOutcome::Completed => {}
-                other => return other,
+    /// A VM at the start of `spec`, about to run against `prepared`;
+    /// nothing has executed yet. [`Vm::run_to_end`] makes it
+    /// [`Vm::run_prepared`]; [`Vm::advance_to`] and [`Vm::fork`] make it
+    /// the fault-free *pilot* that injection runs branch off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` was built for another engine, function count
+    /// or global layout than `module` and `cfg` have. (A different cost
+    /// model or different function *bodies* cannot be told apart here;
+    /// keeping those fixed is the caller's side of the contract.)
+    pub fn start(
+        module: &'m Module,
+        prepared: &'m Prepared,
+        cfg: VmConfig,
+        spec: RunSpec<'m>,
+    ) -> Self {
+        let mut vm = Vm::new(module, cfg);
+        assert!(
+            prepared.decoded.is_some() == (vm.cfg.engine == Engine::Fused)
+                && prepared.decoded.as_ref().is_none_or(|d| d.funcs.len() == module.funcs.len())
+                && prepared.global_bases == vm.mem.global_bases,
+            "{}: prepared for another engine, function list or global layout",
+            module.name
+        );
+        if let Some(d) = &prepared.decoded {
+            for t in &mut vm.threads {
+                t.bp_dense = vec![0u8; d.n_condbrs.max(1)];
             }
         }
-        if let Some(name) = spec.worker {
-            let before = self.wall_cycles;
-            let out = self.run_parallel(name, dc);
-            self.phases.worker = self.wall_cycles - before;
-            self.trace_phase("phase.worker", before);
-            match out {
-                RunOutcome::Completed => {}
-                other => return other,
-            }
+        vm.spec = spec;
+        vm.dc = prepared.decoded.as_ref();
+        vm.pause_slack = prepared.pause_slack;
+        vm
+    }
+
+    /// Dynamic register writes retired so far (the fault-injection
+    /// stream position); [`RunResult::register_writes`] once the run ends.
+    pub fn register_writes(&self) -> u64 {
+        self.occ
+    }
+
+    /// Runs until the next op would start at or past register write
+    /// `occurrence − slack` — an op boundary that is never past
+    /// `occurrence` itself, because `slack` is the most writes one op can
+    /// make — or until the run ends, whichever comes first. A later call
+    /// with a larger `occurrence` continues from there; one with a
+    /// smaller or equal one returns at once.
+    pub fn advance_to(&mut self, occurrence: u64) {
+        self.pause_at = occurrence.saturating_sub(self.pause_slack);
+        self.resume();
+        self.pause_at = u64::MAX;
+    }
+
+    /// A copy of this suspended, fault-free run with `plan` armed: run to
+    /// its end, it returns exactly what a from-scratch run with
+    /// `cfg.fault = Some(plan)` and `cfg.forensics = forensics` returns.
+    ///
+    /// Every piece of state a later op can read is copied — memory, the
+    /// HTM model, each thread, the scheduler's random stream and window,
+    /// all counters. That is enough because a run's prefix does not
+    /// depend on its plan: `fault` is read only by the register-write
+    /// hook, which does nothing before write number `plan.occurrence`.
+    /// Forensics state starts fresh for the same reason: it is inert
+    /// until the flip seeds it. The register-window pool and the scratch
+    /// vectors are allocation caches and start empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this run was started with a fault plan, is traced or
+    /// profiled (forks carry no instrumentation), or is already past
+    /// `plan.occurrence` — the fork would run fault-free and read as
+    /// "masked".
+    pub fn fork(&self, plan: FaultPlan, forensics: bool) -> Vm<'m> {
+        assert!(
+            self.cfg.fault.is_none() && self.trace.is_none() && self.profiler.is_none(),
+            "fork needs a fault-free, uninstrumented pilot"
+        );
+        assert!(
+            self.occ <= plan.occurrence,
+            "fork at register write {} is past the planned occurrence {}",
+            self.occ,
+            plan.occurrence
+        );
+        let n_threads = self.threads.len();
+        Vm {
+            m: self.m,
+            cfg: VmConfig { fault: Some(plan), forensics, ..self.cfg.clone() },
+            spec: self.spec,
+            dc: self.dc,
+            pause_slack: self.pause_slack,
+            pause_at: u64::MAX,
+            cursor: self.cursor,
+            mem: self.mem.clone(),
+            htm: self.htm.clone(),
+            threads: self.threads.clone(),
+            rng: self.rng.clone(),
+            lock_release_clock: self.lock_release_clock.clone(),
+            occ: self.occ,
+            instructions: self.instructions,
+            detections: self.detections,
+            recoveries: self.recoveries,
+            corrected_by_vote: self.corrected_by_vote,
+            corrected_by_checksum: self.corrected_by_checksum,
+            mispredicts: self.mispredicts,
+            fault: Some(plan),
+            wall_cycles: self.wall_cycles,
+            cpu_cycles: self.cpu_cycles,
+            phases: self.phases,
+            fused_retired: self.fused_retired,
+            pool: Vec::new(),
+            phi_scratch: Vec::new(),
+            arg_scratch: Vec::new(),
+            trace: None,
+            profiler: None,
+            forensics: forensics.then(|| Box::new(forensics::ForensicsState::new(n_threads))),
         }
-        if let Some(name) = spec.fini {
-            let before = self.wall_cycles;
-            let out = self.run_serial(name, dc);
-            self.phases.fini = self.wall_cycles - before;
-            self.trace_phase("phase.fini", before);
-            match out {
-                RunOutcome::Completed => {}
-                other => return other,
-            }
+    }
+
+    /// Runs (the rest of) the run and returns the measurements.
+    pub fn run_to_end(mut self) -> RunResult {
+        let outcome = self.resume().expect("no pause point is set");
+        self.into_result(outcome)
+    }
+
+    /// Runs, or re-enters a suspended run, until it ends (`Some`) or
+    /// reaches the pause point (`None`; `cursor` holds the position).
+    fn resume(&mut self) -> Option<RunOutcome> {
+        if self.cursor.ended.is_none() {
+            self.cursor.ended = Some(self.run_phases()?);
         }
-        RunOutcome::Completed
+        self.cursor.ended
+    }
+
+    fn run_phases(&mut self) -> Option<RunOutcome> {
+        const SPANS: [&str; 3] = ["phase.init", "phase.worker", "phase.fini"];
+        let entries = [self.spec.init, self.spec.worker, self.spec.fini];
+        while let Some(&entry) = entries.get(self.cursor.phase) {
+            if let Some(name) = entry {
+                let out = self.run_phase(name, self.cursor.phase == 1)?;
+                let before = self.cursor.before;
+                let cycles = self.wall_cycles - before;
+                match self.cursor.phase {
+                    0 => self.phases.init = cycles,
+                    1 => self.phases.worker = cycles,
+                    _ => self.phases.fini = cycles,
+                }
+                self.trace_phase(SPANS[self.cursor.phase], before);
+                if out != RunOutcome::Completed {
+                    return Some(out);
+                }
+            }
+            self.cursor.phase += 1;
+        }
+        Some(RunOutcome::Completed)
     }
 
     /// Emits one phase span covering `[before, wall_cycles)` (raw cycles).
@@ -541,7 +756,17 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn finish(mut self, outcome: RunOutcome) -> RunResult {
+    fn into_result(mut self, outcome: RunOutcome) -> RunResult {
+        // A plan still armed must lie beyond the stream; one the stream
+        // has passed means the run skipped its flip (a fork taken late).
+        if let Some(plan) = self.fault {
+            assert!(
+                plan.occurrence >= self.occ,
+                "run ended at register write {} with the fault planned at {} never applied",
+                self.occ,
+                plan.occurrence
+            );
+        }
         let forensics = self.conclude_forensics(outcome);
         // Account an open transaction's cycles (e.g. stopped mid-tx).
         for t in &mut self.threads {
@@ -589,11 +814,10 @@ impl<'m> Vm<'m> {
 
     fn reset_thread_for(&mut self, tid: usize, fid: FuncId, args: &[u64]) {
         let frame = self.make_frame(fid, args, None);
-        let rob = self.cfg.cost.rob;
         let t = &mut self.threads[tid];
         t.frames = vec![frame];
         t.state = ThreadState::Ready;
-        t.sb = Scoreboard::with_rob(rob);
+        t.sb.reset();
         t.counter = 0;
         t.threshold = self.cfg.tx_threshold;
         t.store_done.clear();
@@ -613,45 +837,40 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn run_serial(&mut self, name: &str, dc: Option<&decode::Decoded>) -> RunOutcome {
-        let fid = self.func_id(name);
-        assert!(self.m.func(fid).params.is_empty(), "serial phase {name} must take no params");
-        self.reset_thread_for(0, fid, &[]);
-        if let Some(p) = self.profiler.as_mut() {
-            p.phase_start(0);
-        }
-        let out = self.schedule(&[0], dc);
-        let clk = self.threads[0].sb.clock;
-        if let Some(p) = self.profiler.as_mut() {
-            p.flush(0, clk);
-        }
-        self.wall_cycles += clk;
-        self.cpu_cycles += clk;
-        out
-    }
-
-    fn run_parallel(&mut self, name: &str, dc: Option<&decode::Decoded>) -> RunOutcome {
-        let fid = self.func_id(name);
-        assert_eq!(self.m.func(fid).params.len(), 2, "worker {name} must take (tid, n)");
-        let n = self.cfg.n_threads.max(1);
-        for tid in 0..n {
-            self.reset_thread_for(tid, fid, &[tid as u64, n as u64]);
-            if let Some(p) = self.profiler.as_mut() {
-                p.phase_start(tid);
+    /// One phase: `name` on thread 0 alone (a serial phase, `fn()`), or
+    /// on every thread as `name(tid, n)` (the parallel phase).
+    fn run_phase(&mut self, name: &str, parallel: bool) -> Option<RunOutcome> {
+        let n = if parallel { self.cfg.n_threads.max(1) } else { 1 };
+        if !self.cursor.started {
+            self.cursor.before = self.wall_cycles;
+            let fid = self.func_id(name);
+            let n_params = self.m.func(fid).params.len();
+            if parallel {
+                assert_eq!(n_params, 2, "worker {name} must take (tid, n)");
+            } else {
+                assert!(n_params == 0, "serial phase {name} must take no params");
             }
+            for tid in 0..n {
+                let args = [tid as u64, n as u64];
+                self.reset_thread_for(tid, fid, &args[..n_params]);
+                if let Some(p) = self.profiler.as_mut() {
+                    p.phase_start(tid);
+                }
+            }
+            self.cursor.started = true;
         }
-        let tids: Vec<usize> = (0..n).collect();
-        let out = self.schedule(&tids, dc);
+        let out = self.schedule(n)?;
+        self.cursor.started = false;
         if let Some(p) = self.profiler.as_mut() {
-            for &tid in &tids {
+            for tid in 0..n {
                 p.flush(tid, self.threads[tid].sb.clock);
             }
         }
-        let wall = tids.iter().map(|&t| self.threads[t].sb.clock).max().unwrap_or(0);
-        let cpu: u64 = tids.iter().map(|&t| self.threads[t].sb.clock).sum();
-        self.wall_cycles += wall;
-        self.cpu_cycles += cpu;
-        out
+        // Serial phases have one thread, so slowest == sum == its clock.
+        let clocks = self.threads[..n].iter().map(|t| t.sb.clock);
+        self.wall_cycles += clocks.clone().max().unwrap_or(0);
+        self.cpu_cycles += clocks.sum::<u64>();
+        Some(out)
     }
 
     /// Clock-windowed scheduler: conservative discrete-event execution.
@@ -664,82 +883,86 @@ impl<'m> Vm<'m> {
     /// round-robin quantum scheduler leaves transactions open across
     /// other threads' entire quanta and inflates conflict rates by an
     /// order of magnitude).
-    fn schedule(&mut self, tids: &[usize], dc: Option<&decode::Decoded>) -> RunOutcome {
+    ///
+    /// Runs threads `0..n`; `None` means the run suspended inside a
+    /// window, which the next call re-opens where it stopped.
+    fn schedule(&mut self, n: usize) -> Option<RunOutcome> {
+        let dc = self.dc;
         loop {
-            // Unblock pass: threads whose lock was released become ready.
-            let mut all_done = true;
-            for &tid in tids {
-                match self.threads[tid].state {
-                    ThreadState::Done => {}
-                    ThreadState::Blocked { lock } => {
-                        all_done = false;
-                        if self.mem.load(lock, 8).map(|v| v == 0).unwrap_or(false) {
-                            self.threads[tid].state = ThreadState::Ready;
+            let (horizon, first) = match self.cursor.window.take() {
+                Some(open) => open,
+                None => {
+                    // Unblock pass: threads whose lock was released
+                    // become ready.
+                    let mut all_done = true;
+                    for tid in 0..n {
+                        match self.threads[tid].state {
+                            ThreadState::Done => {}
+                            ThreadState::Blocked { lock } => {
+                                all_done = false;
+                                if self.mem.load(lock, 8).map(|v| v == 0).unwrap_or(false) {
+                                    self.threads[tid].state = ThreadState::Ready;
+                                }
+                            }
+                            ThreadState::Ready => all_done = false,
                         }
                     }
-                    ThreadState::Ready => all_done = false,
-                }
-            }
-            if all_done {
-                return RunOutcome::Completed;
-            }
+                    if all_done {
+                        return Some(RunOutcome::Completed);
+                    }
 
-            // Horizon: smallest ready clock plus one jittered window.
-            let window = self.cfg.quantum.max(2);
-            let min_clock = tids
-                .iter()
-                .filter(|&&t| self.threads[t].state == ThreadState::Ready)
-                .map(|&t| self.threads[t].sb.clock)
-                .min();
-            let Some(min_clock) = min_clock else {
-                // Live threads exist but all are blocked and nobody can
-                // release a lock: deadlock, surfacing as a hang.
-                return RunOutcome::Hang;
+                    // Horizon: smallest ready clock plus one jittered
+                    // window.
+                    let window = self.cfg.quantum.max(2);
+                    let min_clock = self.threads[..n]
+                        .iter()
+                        .filter(|t| t.state == ThreadState::Ready)
+                        .map(|t| t.sb.clock)
+                        .min();
+                    let Some(min_clock) = min_clock else {
+                        // Live threads exist but all are blocked and
+                        // nobody can release a lock: deadlock, surfacing
+                        // as a hang.
+                        return Some(RunOutcome::Hang);
+                    };
+                    (min_clock + window / 2 + self.rng.below(window), 0)
+                }
             };
-            let horizon = min_clock + window / 2 + self.rng.below(window);
 
             // The two engines share this exact window protocol: per
-            // micro-op the order is [horizon check, budget check, step].
-            // Fused super-instructions replicate the same checks between
-            // their constituents, so the streams stay aligned.
-            for &tid in tids {
+            // micro-op the order is [horizon check, budget check, pause
+            // check, step]. Fused super-instructions replicate the same
+            // checks between their constituents, so the streams stay
+            // aligned. The pause check sits where both other checks have
+            // just passed, so re-entering the window repeats them with
+            // the same answers and changes nothing.
+            for tid in first..n {
                 if self.threads[tid].state != ThreadState::Ready {
                     continue;
                 }
-                if let Some(d) = dc {
-                    while self.threads[tid].sb.clock < horizon {
-                        if self.instructions >= self.cfg.max_instructions {
-                            return RunOutcome::Hang;
-                        }
-                        match self.step_fused(tid, horizon, d) {
-                            Flow::Continue => {}
-                            Flow::Stop(o) => return o,
-                            Flow::ThreadDone => {
-                                self.threads[tid].state = ThreadState::Done;
-                                break;
-                            }
-                            Flow::Blocked(lock) => {
-                                self.threads[tid].state = ThreadState::Blocked { lock };
-                                break;
-                            }
-                        }
+                while self.threads[tid].sb.clock < horizon {
+                    if self.instructions >= self.cfg.max_instructions {
+                        return Some(RunOutcome::Hang);
                     }
-                } else {
-                    while self.threads[tid].sb.clock < horizon {
-                        if self.instructions >= self.cfg.max_instructions {
-                            return RunOutcome::Hang;
+                    let flow = match dc {
+                        Some(d) => self.step_fused(tid, horizon, d),
+                        None if self.occ >= self.pause_at => Flow::Pause,
+                        None => self.step(tid),
+                    };
+                    match flow {
+                        Flow::Continue => {}
+                        Flow::Stop(o) => return Some(o),
+                        Flow::ThreadDone => {
+                            self.threads[tid].state = ThreadState::Done;
+                            break;
                         }
-                        match self.step(tid) {
-                            Flow::Continue => {}
-                            Flow::Stop(o) => return o,
-                            Flow::ThreadDone => {
-                                self.threads[tid].state = ThreadState::Done;
-                                break;
-                            }
-                            Flow::Blocked(lock) => {
-                                self.threads[tid].state = ThreadState::Blocked { lock };
-                                break;
-                            }
+                        Flow::Blocked(lock) => {
+                            self.threads[tid].state = ThreadState::Blocked { lock };
+                            break;
+                        }
+                        Flow::Pause => {
+                            self.cursor.window = Some((horizon, tid));
+                            return None;
                         }
                     }
                 }

@@ -19,14 +19,13 @@
 //! decode to [`DOp::TrapMalformed`]: reaching one through straight-line
 //! execution is exactly the interpreter's malformed-IR trap.
 
-use haft_ir::function::{BlockId, Function};
+use haft_ir::function::{Block, BlockId, Function};
 use haft_ir::inst::{AbortCode, BinOp, Callee, CastKind, CmpOp, Op, Operand, RmwOp, UnOp};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
 use super::{fuse, FUNC_BASE};
 use crate::cost::CostConfig;
-use crate::mem::Memory;
 
 /// A pre-resolved operand: a register slot in the current frame, or a
 /// constant whose value is fully known at decode time.
@@ -236,14 +235,19 @@ pub(crate) struct Decoded {
     pub stats: fuse::FuseStats,
 }
 
-fn lower(o: &Operand, mem: &Memory) -> Src {
+fn lower(o: &Operand, global_bases: &[u64]) -> Src {
     match o {
         Operand::Value(v) => Src::Slot(v.0),
         Operand::Imm(v, ty) => Src::Const((*v as u64) & ty.mask()),
         Operand::F64Bits(b) => Src::Const(*b),
-        Operand::GlobalAddr(g) => Src::Const(mem.global_bases[g.0 as usize]),
+        Operand::GlobalAddr(g) => Src::Const(global_bases[g.0 as usize]),
         Operand::FuncAddr(f) => Src::Const(FUNC_BASE + f.0 as u64),
     }
+}
+
+/// Number of phis at the head of `b`: what any one edge into it moves.
+pub(crate) fn lead_phis(f: &Function, b: &Block) -> usize {
+    b.insts.iter().take_while(|&&i| f.inst(i).op.is_phi()).count()
 }
 
 /// Builds the edge `from → to`, appending its phi moves to `moves`.
@@ -254,7 +258,7 @@ fn make_edge(
     block_start: &[usize],
     lead_phis: &[usize],
     moves: &mut Vec<PhiMove>,
-    mem: &Memory,
+    global_bases: &[u64],
 ) -> Edge {
     let at = moves.len() as u32;
     let tb = &f.blocks[to.0 as usize];
@@ -265,7 +269,7 @@ fn make_edge(
             if let Some((val, _)) = incomings.iter().find(|(_, b)| b.0 == from) {
                 moves.push(PhiMove {
                     dst: f.inst_result(iid).expect("phi has result").0,
-                    src: lower(val, mem),
+                    src: lower(val, global_bases),
                     ty: *ty,
                 });
             }
@@ -282,7 +286,7 @@ impl Decoded {
     /// Lowers every function of `m`. Pure function of the module, the
     /// global layout, and the cost table — safe to share across threads
     /// and runs.
-    pub(crate) fn decode(m: &Module, mem: &Memory, cost: &CostConfig) -> Decoded {
+    pub(crate) fn decode(m: &Module, global_bases: &[u64], cost: &CostConfig) -> Decoded {
         let mut moves = Vec::new();
         let mut args: Vec<Src> = Vec::new();
         let mut n_condbrs = 0usize;
@@ -296,11 +300,7 @@ impl Decoded {
                 block_start.push(pc);
                 pc += b.insts.len();
             }
-            let lead_phis: Vec<usize> = f
-                .blocks
-                .iter()
-                .map(|b| b.insts.iter().take_while(|&&i| f.inst(i).op.is_phi()).count())
-                .collect();
+            let lead_phis: Vec<usize> = f.blocks.iter().map(|b| lead_phis(f, b)).collect();
 
             // Pass 2: lower each instruction.
             let mut code = Vec::with_capacity(pc);
@@ -314,47 +314,47 @@ impl Decoded {
                         Op::Bin { op, ty, a, b } => DOp::Bin {
                             op: *op,
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
+                            a: lower(a, global_bases),
+                            b: lower(b, global_bases),
                             dst: dst.expect("bin has result"),
                             lat: cost.compute_latency(&inst.op),
                         },
                         Op::Un { op, ty, a } => DOp::Un {
                             op: *op,
                             ty: *ty,
-                            a: lower(a, mem),
+                            a: lower(a, global_bases),
                             dst: dst.expect("un has result"),
                             lat: cost.compute_latency(&inst.op),
                         },
                         Op::Cmp { op, ty, a, b } => DOp::Cmp {
                             op: *op,
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
+                            a: lower(a, global_bases),
+                            b: lower(b, global_bases),
                             dst: dst.expect("cmp has result"),
                         },
                         Op::Move { ty, a } => DOp::MoveV {
                             ty: *ty,
-                            a: lower(a, mem),
+                            a: lower(a, global_bases),
                             dst: dst.expect("move has result"),
                         },
                         Op::Cast { kind, to, a } => DOp::Cast {
                             kind: *kind,
                             from: f.operand_ty(a),
                             to: *to,
-                            a: lower(a, mem),
+                            a: lower(a, global_bases),
                             dst: dst.expect("cast has result"),
                         },
                         Op::Select { ty, c, t, f: fv } => DOp::Select {
                             ty: *ty,
-                            c: lower(c, mem),
-                            t: lower(t, mem),
-                            f: lower(fv, mem),
+                            c: lower(c, global_bases),
+                            t: lower(t, global_bases),
+                            f: lower(fv, global_bases),
                             dst: dst.expect("select has result"),
                         },
                         Op::Gep { base, index, scale, offset } => DOp::Gep {
-                            base: lower(base, mem),
-                            index: lower(index, mem),
+                            base: lower(base, global_bases),
+                            index: lower(index, global_bases),
                             scale: *scale as i64,
                             offset: *offset as u64,
                             dst: dst.expect("gep has result"),
@@ -362,32 +362,32 @@ impl Decoded {
                         Op::Phi { .. } => DOp::TrapMalformed,
                         Op::Load { ty, addr, atomic } => DOp::Load {
                             ty: *ty,
-                            addr: lower(addr, mem),
+                            addr: lower(addr, global_bases),
                             atomic: *atomic,
                             dst: dst.expect("load has result"),
                         },
                         Op::Store { ty, val, addr, atomic } => DOp::Store {
                             ty: *ty,
-                            val: lower(val, mem),
-                            addr: lower(addr, mem),
+                            val: lower(val, global_bases),
+                            addr: lower(addr, global_bases),
                             atomic: *atomic,
                         },
                         Op::Rmw { op, ty, addr, val } => DOp::Rmw {
                             op: *op,
                             ty: *ty,
-                            addr: lower(addr, mem),
-                            val: lower(val, mem),
+                            addr: lower(addr, global_bases),
+                            val: lower(val, global_bases),
                             dst: dst.expect("rmw has result"),
                         },
                         Op::CmpXchg { ty, addr, expected, new } => DOp::CmpXchg {
                             ty: *ty,
-                            addr: lower(addr, mem),
-                            expected: lower(expected, mem),
-                            new: lower(new, mem),
+                            addr: lower(addr, global_bases),
+                            expected: lower(expected, global_bases),
+                            new: lower(new, global_bases),
                             dst: dst.expect("cmpxchg has result"),
                         },
                         Op::Alloc { size } => DOp::Alloc {
-                            size: lower(size, mem),
+                            size: lower(size, global_bases),
                             dst: dst.expect("alloc has result"),
                         },
                         Op::Br { dest } => DOp::Br {
@@ -398,14 +398,14 @@ impl Decoded {
                                 &block_start,
                                 &lead_phis,
                                 &mut moves,
-                                mem,
+                                global_bases,
                             ),
                         },
                         Op::CondBr { cond, t, f: fb } => {
                             let bp = n_condbrs as u32;
                             n_condbrs += 1;
                             DOp::CondBr {
-                                cond: lower(cond, mem),
+                                cond: lower(cond, global_bases),
                                 t: make_edge(
                                     f,
                                     bi as u32,
@@ -413,7 +413,7 @@ impl Decoded {
                                     &block_start,
                                     &lead_phis,
                                     &mut moves,
-                                    mem,
+                                    global_bases,
                                 ),
                                 f: make_edge(
                                     f,
@@ -422,7 +422,7 @@ impl Decoded {
                                     &block_start,
                                     &lead_phis,
                                     &mut moves,
-                                    mem,
+                                    global_bases,
                                 ),
                                 bp,
                             }
@@ -430,7 +430,7 @@ impl Decoded {
                         Op::Call { callee, args: call_args, ret_ty: _ } => {
                             let at = args.len() as u32;
                             for a in call_args {
-                                args.push(lower(a, mem));
+                                args.push(lower(a, global_bases));
                             }
                             let n = call_args.len() as u32;
                             match callee {
@@ -442,14 +442,16 @@ impl Decoded {
                                     arity_ok: m.func(*t).params.len() == call_args.len(),
                                 },
                                 Callee::Indirect(o) => DOp::CallInd {
-                                    callee: lower(o, mem),
+                                    callee: lower(o, global_bases),
                                     args_at: at,
                                     args_n: n,
                                     dst,
                                 },
                             }
                         }
-                        Op::Ret { val } => DOp::Ret { val: val.as_ref().map(|v| lower(v, mem)) },
+                        Op::Ret { val } => {
+                            DOp::Ret { val: val.as_ref().map(|v| lower(v, global_bases)) }
+                        }
                         Op::TxBegin => DOp::TxBegin,
                         Op::TxEnd => DOp::TxEnd,
                         Op::TxCondSplit => DOp::TxCondSplit,
@@ -460,21 +462,21 @@ impl Decoded {
                         },
                         Op::Vote { ty, a, b, c } => DOp::Vote {
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
-                            c: lower(c, mem),
+                            a: lower(a, global_bases),
+                            b: lower(b, global_bases),
+                            c: lower(c, global_bases),
                             dst: dst.expect("vote has result"),
                         },
                         Op::ChkCorrect { ty, a, b, c } => DOp::ChkCorrect {
                             ty: *ty,
-                            a: lower(a, mem),
-                            b: lower(b, mem),
-                            c: lower(c, mem),
+                            a: lower(a, global_bases),
+                            b: lower(b, global_bases),
+                            c: lower(c, global_bases),
                             dst: dst.expect("chk_correct has result"),
                         },
-                        Op::Lock { addr } => DOp::Lock { addr: lower(addr, mem) },
-                        Op::Unlock { addr } => DOp::Unlock { addr: lower(addr, mem) },
-                        Op::Emit { ty: _, val } => DOp::Emit { val: lower(val, mem) },
+                        Op::Lock { addr } => DOp::Lock { addr: lower(addr, global_bases) },
+                        Op::Unlock { addr } => DOp::Unlock { addr: lower(addr, global_bases) },
+                        Op::Emit { ty: _, val } => DOp::Emit { val: lower(val, global_bases) },
                         Op::ThreadId => DOp::ThreadIdD { dst: dst.expect("thread_id has result") },
                         Op::NumThreads => {
                             DOp::NumThreadsD { dst: dst.expect("num_threads has result") }
@@ -502,11 +504,11 @@ impl Decoded {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::Memory;
     use haft_ir::function::ValueId;
 
     fn decode_module(m: &Module) -> Decoded {
-        let mem = Memory::new(m, 1 << 16);
-        Decoded::decode(m, &mem, &CostConfig::default())
+        Decoded::decode(m, &Memory::layout(m).0, &CostConfig::default())
     }
 
     /// Builds `fn f() { b0: br b1; b1: phi [(7, b0)]; ret phi }`.
@@ -572,7 +574,7 @@ mod tests {
         f.push_to_block(f.entry(), ret);
         m.push_func(f);
         let mem = Memory::new(&m, 1 << 16);
-        let d = Decoded::decode(&m, &mem, &CostConfig::default());
+        let d = Decoded::decode(&m, &mem.global_bases, &CostConfig::default());
         let DOp::Load { addr, .. } = d.funcs[0].code[0] else { panic!() };
         assert_eq!(addr, Src::Const(mem.global_bases[0]));
         let DOp::Bin { b, a, .. } = d.funcs[0].code[1] else { panic!() };

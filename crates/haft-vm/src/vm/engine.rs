@@ -100,6 +100,12 @@ impl<'m> Vm<'m> {
     /// scheduler bounce, `df` staying hot.
     pub(super) fn step_fused(&mut self, tid: usize, horizon: u64, d: &Decoded) -> Flow {
         loop {
+            // Pause point: an op boundary at which the horizon and budget
+            // checks have just passed (in the scheduler on entry, at the
+            // bottom of this loop afterwards), mid-chain included.
+            if self.occ >= self.pause_at {
+                return Flow::Pause;
+            }
             let t = &mut self.threads[tid];
             // Deliver pending asynchronous aborts first (same as `step`).
             let doomed = if t.in_tx() { self.htm.doomed(tid) } else { None };
@@ -847,7 +853,7 @@ fn cell_hash(key: u64, shift: u32) -> usize {
 /// identical to the interpreter's byte-keyed `HashMap<u64, u8>` overlay
 /// (same buffered bytes, same read-through merge, same flush result) at
 /// one probe per cell instead of one SipHash per byte.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct FastOverlay {
     /// `(cell + 1, data word, byte mask)`; key 0 marks an empty slot.
     slots: Vec<(u64, u64, u8)>,
@@ -977,7 +983,7 @@ impl FastOverlay {
 }
 
 /// Open-addressed `cell → u64` map for store→load forwarding times.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(super) struct CellMap {
     /// `(cell + 1, value)`; key 0 marks an empty slot.
     slots: Vec<(u64, u64)>,

@@ -437,6 +437,35 @@ fn fault_injection_corrupts_exactly_one_register() {
     assert_eq!(faulty2.output, vec![26]);
 }
 
+/// A fork taken after its occurrence would run fault-free and read as
+/// "masked": refused, for both engines.
+#[test]
+fn fork_past_its_occurrence_is_refused() {
+    let m = fini_module(|fb| {
+        fb.counted_loop(fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, 50), |b, i| {
+            b.add(Ty::I64, i, i);
+        });
+        fb.ret(None);
+    });
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    for engine in [Engine::Interp, Engine::Fused] {
+        let cfg = VmConfig { engine, ..Default::default() };
+        let prepared = Prepared::new(&m, &cfg);
+        let mut pilot = Vm::start(&m, &prepared, cfg, spec);
+        pilot.advance_to(40);
+        let at = pilot.register_writes();
+        assert!((30..=40).contains(&at), "{engine:?}: paused at {at}");
+        let late = FaultPlan { occurrence: at - 1, xor_mask: 1 };
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pilot.fork(late, false);
+        }));
+        assert!(refused.is_err(), "{engine:?}: forked past the occurrence");
+        // At the occurrence itself the flip is still ahead.
+        let r = pilot.fork(FaultPlan { occurrence: at, xor_mask: 1 }, true).run_to_end();
+        assert_eq!(r.forensics.expect("the flip fired").site.occurrence, at);
+    }
+}
+
 #[test]
 fn vote_resolves_two_of_three_majority() {
     // vote(a, b, c) with agreeing copies is the identity and counts

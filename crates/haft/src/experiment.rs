@@ -244,6 +244,14 @@ impl<'a> Experiment<'a> {
     /// The returned report's `run` is the reference run and `campaign`
     /// holds the Table 1 outcome histogram.
     ///
+    /// Cost: the injection runs share their fault-free prefix — one pilot
+    /// VM is advanced to each planned occurrence and forked there
+    /// ([`haft_faults::run_campaign_from`]) — so `n` injections cost
+    /// about the reference run, plus the pilot up to the last occurrence,
+    /// plus the sum of the suffixes: roughly `1 + n/(n+1) + n/2`
+    /// run-equivalents instead of `1 + n`. The report is identical to
+    /// running every plan from scratch.
+    ///
     /// # Panics
     ///
     /// Panics if the reference run does not complete (the program under

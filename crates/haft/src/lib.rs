@@ -123,8 +123,8 @@ pub mod prelude {
     };
     pub use haft_trace::{validate_chrome_trace, MetricsSnapshot, TraceBuf, TraceEvent};
     pub use haft_vm::{
-        CycleProfile, Engine, FaultDetector, FaultPlan, FaultSite, Forensics, ProfileCell,
-        RunOutcome, RunResult, RunSpec, Vm, VmConfig,
+        CycleProfile, Engine, FaultDetector, FaultPlan, FaultSite, Forensics, Prepared,
+        ProfileCell, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
     };
     pub use haft_workloads::{all_workloads, workload_by_name, Scale, Workload};
 }

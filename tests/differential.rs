@@ -11,6 +11,12 @@
 //! grid of generated programs, hardening backends, transaction
 //! thresholds, and fault injections. Any divergence — one cycle, one
 //! abort, one vote, one checksum correction — fails.
+//!
+//! The third axis pins *forked* injection runs to from-scratch ones: a
+//! fault-free pilot VM advanced to just short of an occurrence, copied,
+//! armed and run to its end ([`Vm::advance_to`], [`Vm::fork`] — what the
+//! campaign driver does per plan) must return the whole `RunResult`,
+//! forensics record included, that `Experiment::run_with_fault` returns.
 
 use std::collections::BTreeMap;
 
@@ -103,6 +109,53 @@ fn fini_spec() -> RunSpec<'static> {
     RunSpec { fini: Some("fini"), ..Default::default() }
 }
 
+/// Engine × forensics, ordered so that the first two cells alone still
+/// cover both engines and both forensics settings.
+const FORK_CELLS: [(Engine, bool); 4] = [
+    (Engine::Interp, false),
+    (Engine::Fused, true),
+    (Engine::Interp, true),
+    (Engine::Fused, false),
+];
+
+/// The fork axis, for one already-hardened module: per cell, one pilot
+/// visits ascending occurrences — the first and last register writes and
+/// a repeated one included — and every fork must equal the from-scratch
+/// faulted run. The pilot, run on to its end once nothing more is forked,
+/// must equal the fault-free run.
+fn assert_forks_match_scratch_runs(
+    hardened: &Module,
+    spec: RunSpec<'_>,
+    threads: usize,
+    mask: u64,
+    cells: &[(Engine, bool)],
+    what: &str,
+) {
+    for &(engine, forensics) in cells {
+        let what = format!("{what} engine={engine:?} forensics={forensics}");
+        let vm = VmConfig { n_threads: threads, engine, forensics, ..Default::default() };
+        let exp = Experiment::new(hardened).spec(spec).vm(vm.clone());
+        let clean = exp.run().run;
+        let last = clean.register_writes.saturating_sub(1);
+        let prepared = Prepared::new(hardened, &vm);
+        let mut pilot = Vm::start(hardened, &prepared, vm, spec);
+        for occurrence in [0, last / 2, last / 2, last] {
+            let plan = FaultPlan { occurrence, xor_mask: mask };
+            pilot.advance_to(occurrence);
+            let at = pilot.register_writes();
+            assert!(
+                at <= occurrence && occurrence - at <= 256,
+                "{what}: asked for {occurrence}, pilot stopped at {at}"
+            );
+            let forked = pilot.fork(plan, forensics).run_to_end();
+            let scratch = exp.run_with_fault(plan).run;
+            assert_eq!(forked, scratch, "{what}: fork diverges at occurrence {occurrence}");
+            assert_eq!(forked.forensics.is_some(), forensics && clean.register_writes > 0);
+        }
+        assert_eq!(pilot.run_to_end(), clean, "{what}: pilot diverges from the clean run");
+    }
+}
+
 /// Runs the experiment under both engines and returns the two results.
 fn run_both(exp: &Experiment<'_>) -> (RunResult, RunResult) {
     let interp = exp.clone().engine(Engine::Interp).run().run;
@@ -167,6 +220,27 @@ proptest! {
             prop_assert_eq!(&fi, &ff, "{}: faulted runs diverge at occurrence {}", label, occurrence);
         }
     }
+
+    /// Forked runs equal from-scratch runs on generated programs under
+    /// every backend, engine and forensics setting.
+    #[test]
+    fn forks_agree_with_scratch_runs_on_generated_programs(
+        steps in proptest::collection::vec(step_strategy(), 1..24),
+        mask in 1u64..,
+    ) {
+        let m = build_program(&steps);
+        let configs = [
+            HardenConfig::native(),
+            HardenConfig::haft(),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+        ];
+        for hc in configs {
+            let (hardened, _) = Experiment::new(&m).harden(hc.clone()).build();
+            let label = hc.label();
+            assert_forks_match_scratch_runs(&hardened, fini_spec(), 1, mask, &FORK_CELLS, &label);
+        }
+    }
 }
 
 /// The named-workload grid: real benchmark programs (parallel worker
@@ -194,6 +268,32 @@ fn engines_agree_on_workloads() {
                     hc.label()
                 );
             }
+        }
+    }
+}
+
+/// The fork axis on the named grid, two simulated threads: the pilot
+/// pauses inside `init`, inside multi-thread scheduler windows of the
+/// parallel phase and inside `fini`, crossing both phase boundaries in
+/// between; `wordcount` adds lock traffic (blocked threads, release
+/// clocks) to the state a fork has to carry. The smallest program takes
+/// the full engine × forensics cross, the other two its diagonal (the
+/// cross itself is the generated-program property above).
+#[test]
+fn forks_agree_with_scratch_runs_on_workloads() {
+    for name in ["linearreg", "histogram", "wordcount"] {
+        let cells = if name == "linearreg" { &FORK_CELLS[..] } else { &FORK_CELLS[..2] };
+        let w = workload_by_name(name, Scale::Small).unwrap();
+        let configs = [
+            HardenConfig::native(),
+            HardenConfig::haft(),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+        ];
+        for hc in configs {
+            let (hardened, _) = Experiment::workload(&w).harden(hc.clone()).build();
+            let what = format!("workload={name} backend={}", hc.label());
+            assert_forks_match_scratch_runs(&hardened, w.run_spec(), 2, 0x40, cells, &what);
         }
     }
 }
