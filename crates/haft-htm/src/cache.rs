@@ -21,19 +21,19 @@ impl L1Model {
         L1Model { sets: vec![Vec::with_capacity(ways); n_sets], ways }
     }
 
-    /// Records an access to `line` mapping to `set`; returns the evicted
-    /// line, if the access forced one out.
-    pub fn touch(&mut self, set: usize, line: u64) -> Option<u64> {
+    /// Records an access to `line` mapping to `set`, in one pass over the
+    /// set; returns whether the line was resident before the access and
+    /// the evicted line, if the access forced one out.
+    pub fn touch(&mut self, set: usize, line: u64) -> (bool, Option<u64>) {
         let s = &mut self.sets[set];
         if let Some(pos) = s.iter().position(|&l| l == line) {
             // MRU promotion.
-            let l = s.remove(pos);
-            s.push(l);
-            return None;
+            s[pos..].rotate_left(1);
+            return (true, None);
         }
         let evicted = if s.len() == self.ways { Some(s.remove(0)) } else { None };
         s.push(line);
-        evicted
+        (false, evicted)
     }
 
     /// Returns true if `line` is currently resident in `set`.
@@ -61,8 +61,8 @@ mod tests {
     #[test]
     fn fills_up_to_ways_without_eviction() {
         let mut l1 = L1Model::new(4, 2);
-        assert_eq!(l1.touch(0, 10), None);
-        assert_eq!(l1.touch(0, 20), None);
+        assert_eq!(l1.touch(0, 10), (false, None));
+        assert_eq!(l1.touch(0, 20), (false, None));
         assert_eq!(l1.occupancy(0), 2);
         assert!(l1.resident(0, 10));
     }
@@ -73,7 +73,7 @@ mod tests {
         l1.touch(0, 10);
         l1.touch(0, 20);
         // 10 is LRU; a third line evicts it.
-        assert_eq!(l1.touch(0, 30), Some(10));
+        assert_eq!(l1.touch(0, 30), (false, Some(10)));
         assert!(!l1.resident(0, 10));
         assert!(l1.resident(0, 20));
         assert!(l1.resident(0, 30));
@@ -84,16 +84,16 @@ mod tests {
         let mut l1 = L1Model::new(4, 2);
         l1.touch(0, 10);
         l1.touch(0, 20);
-        l1.touch(0, 10); // Promote 10; now 20 is LRU.
-        assert_eq!(l1.touch(0, 30), Some(20));
+        assert_eq!(l1.touch(0, 10), (true, None)); // Promote 10; now 20 is LRU.
+        assert_eq!(l1.touch(0, 30), (false, Some(20)));
     }
 
     #[test]
     fn sets_are_independent() {
         let mut l1 = L1Model::new(4, 1);
-        assert_eq!(l1.touch(0, 10), None);
-        assert_eq!(l1.touch(1, 20), None);
-        assert_eq!(l1.touch(0, 30), Some(10));
+        assert_eq!(l1.touch(0, 10), (false, None));
+        assert_eq!(l1.touch(1, 20), (false, None));
+        assert_eq!(l1.touch(0, 30), (false, Some(10)));
         assert!(l1.resident(1, 20));
     }
 

@@ -40,7 +40,29 @@ impl Default for HtmConfig {
 }
 
 impl HtmConfig {
-    /// Returns the cache line containing `addr`.
+    /// Checks the cache geometry: `line_bytes` and `l1_sets` must be
+    /// non-zero powers of two (the system indexes lines and sets by shift
+    /// and mask), `l1_ways` non-zero. The error names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!(
+                "line_bytes must be a non-zero power of two, got {}",
+                self.line_bytes
+            ));
+        }
+        if !self.l1_sets.is_power_of_two() {
+            return Err(format!("l1_sets must be a non-zero power of two, got {}", self.l1_sets));
+        }
+        if self.l1_ways == 0 {
+            return Err("l1_ways must be non-zero".to_string());
+        }
+        Ok(())
+    }
+
+    /// Returns the cache line containing `addr`. With
+    /// [`HtmConfig::set_of`] and [`HtmConfig::lines_of_range`] this is the
+    /// reference arithmetic; [`crate::Htm`] computes the same values by
+    /// shift and mask, and the property tests hold the two equal.
     pub fn line_of(&self, addr: u64) -> u64 {
         addr / self.line_bytes
     }
@@ -96,6 +118,46 @@ mod tests {
         assert_eq!(one, vec![0]);
         let zero_len: Vec<u64> = c.lines_of_range(128, 0).collect();
         assert_eq!(zero_len, vec![2]);
+    }
+
+    #[test]
+    fn validate_accepts_every_in_tree_geometry() {
+        for (line_bytes, l1_sets, l1_ways) in
+            [(64, 64, 8), (64, 1, 2), (64, 4, 4), (64, 1 << 14, 8), (32, 4, 1)]
+        {
+            let c = HtmConfig { line_bytes, l1_sets, l1_ways, ..Default::default() };
+            assert_eq!(c.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_line_bytes() {
+        let err = HtmConfig { line_bytes: 0, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("line_bytes"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_line_bytes() {
+        let err = HtmConfig { line_bytes: 48, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("line_bytes") && err.contains("48"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_sets() {
+        let err = HtmConfig { l1_sets: 0, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("l1_sets"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_sets() {
+        let err = HtmConfig { l1_sets: 48, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("l1_sets") && err.contains("48"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_zero_ways() {
+        let err = HtmConfig { l1_ways: 0, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("l1_ways"), "{err}");
     }
 
     #[test]

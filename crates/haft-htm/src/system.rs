@@ -42,6 +42,10 @@ struct LineUsers {
 #[derive(Clone, Debug)]
 pub struct Htm {
     cfg: HtmConfig,
+    /// `log2(cfg.line_bytes)` and `cfg.l1_sets - 1`: line and set indices
+    /// by shift and mask (both are powers of two, [`HtmConfig::validate`]).
+    line_shift: u32,
+    set_mask: u64,
     threads: Vec<ThreadTx>,
     cores: Vec<L1Model>,
     line_users: FxHashMap<u64, LineUsers>,
@@ -61,10 +65,19 @@ pub struct Htm {
 
 impl Htm {
     /// Creates a system for `n_threads` logical threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache geometry fails [`HtmConfig::validate`].
     pub fn new(cfg: HtmConfig, n_threads: usize) -> Self {
         assert!(n_threads <= 64, "thread bitmasks are u64");
+        if let Err(why) = cfg.validate() {
+            panic!("invalid HtmConfig: {why}");
+        }
         let n_cores = if cfg.smt { n_threads.div_ceil(2) } else { n_threads };
         Htm {
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: cfg.l1_sets as u64 - 1,
             threads: vec![ThreadTx::default(); n_threads],
             cores: (0..n_cores.max(1)).map(|_| L1Model::new(cfg.l1_sets, cfg.l1_ways)).collect(),
             line_users: FxHashMap::default(),
@@ -170,11 +183,10 @@ impl Htm {
     /// Returns true if every touched line was already L1-resident (the VM
     /// uses this to pick hit vs. miss latency).
     pub fn access(&mut self, tid: usize, addr: u64, len: u64, kind: AccessKind) -> bool {
-        // Inline `lines_of_range` so the iterator does not borrow `cfg`
-        // across the mutations below (which would force a per-access
-        // collect into a heap `Vec` — this is the VM's hottest call).
-        let first = addr / self.cfg.line_bytes;
-        let last = (addr + len.max(1) - 1) / self.cfg.line_bytes;
+        // `HtmConfig::lines_of_range`, by shift instead of division
+        // (this is the VM's hottest call).
+        let first = addr >> self.line_shift;
+        let last = (addr + len.max(1) - 1) >> self.line_shift;
         // Exact repeat of the previous access: every effect is already
         // applied and the lines were just made resident.
         if self.last_access == Some((tid, first, last, kind)) {
@@ -186,11 +198,7 @@ impl Htm {
             // tracking, no eviction dooms. Only the cache model advances.
             let mut all_hit = true;
             for line in first..=last {
-                let set = self.cfg.set_of(line);
-                if !self.cores[core].resident(set, line) {
-                    all_hit = false;
-                }
-                self.cores[core].touch(set, line);
+                all_hit &= self.cores[core].touch((line & self.set_mask) as usize, line).0;
             }
             self.last_access = Some((tid, first, last, kind));
             return all_hit;
@@ -198,9 +206,6 @@ impl Htm {
         let self_bit = 1u64 << tid;
         let mut all_hit = true;
         for line in first..=last {
-            if !self.cores[core].resident(self.cfg.set_of(line), line) {
-                all_hit = false;
-            }
             // Conflict detection against other transactions.
             let users = self.line_users.get(&line).copied().unwrap_or_default();
             let others = match kind {
@@ -235,7 +240,9 @@ impl Htm {
             // L1 pressure: every access touches the core's cache; an
             // evicted line aborts any resident transaction holding it in
             // its *write* set (read lines may spill, as in TSX).
-            if let Some(evicted) = self.cores[core].touch(self.cfg.set_of(line), line) {
+            let (hit, evicted) = self.cores[core].touch((line & self.set_mask) as usize, line);
+            all_hit &= hit;
+            if let Some(evicted) = evicted {
                 let (peers, n) =
                     if self.cfg.smt { ([core * 2, core * 2 + 1], 2) } else { ([core, 0], 1) };
                 for &peer in peers.iter().take(n) {

@@ -1,7 +1,11 @@
 //! Property tests on the HTM system's accounting and isolation
-//! invariants under random access sequences.
+//! invariants under random access sequences, and on the cache model and
+//! the shift/mask line arithmetic against their references.
 
-use haft_htm::{AccessKind, Htm, HtmConfig};
+use std::collections::BTreeSet;
+
+use haft_htm::cache::L1Model;
+use haft_htm::{AbortCause, AccessKind, Htm, HtmConfig};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -23,8 +27,234 @@ fn act_strategy(threads: u8) -> impl Strategy<Value = Act> {
     ]
 }
 
+/// The cache model as it was before the single pass: `resident`, then a
+/// remove/push `touch`. Kept here as the reference.
+struct RefL1 {
+    sets: Vec<Vec<u64>>,
+    ways: usize,
+}
+
+impl RefL1 {
+    fn new(n_sets: usize, ways: usize) -> Self {
+        RefL1 { sets: vec![Vec::new(); n_sets], ways }
+    }
+
+    fn resident(&self, set: usize, line: u64) -> bool {
+        self.sets[set].contains(&line)
+    }
+
+    fn touch(&mut self, set: usize, line: u64) -> Option<u64> {
+        let s = &mut self.sets[set];
+        if let Some(pos) = s.iter().position(|&l| l == line) {
+            let l = s.remove(pos);
+            s.push(l);
+            return None;
+        }
+        let evicted = if s.len() == self.ways { Some(s.remove(0)) } else { None };
+        s.push(line);
+        evicted
+    }
+}
+
+#[derive(Clone, Default)]
+struct RefTx {
+    active: bool,
+    doomed: Option<AbortCause>,
+    reads: BTreeSet<u64>,
+    writes: BTreeSet<u64>,
+}
+
+/// The HTM system written the slow way: lines and sets from
+/// [`HtmConfig::lines_of_range`] and [`HtmConfig::set_of`] (division and
+/// remainder), conflicts found by scanning every other thread's sets,
+/// residency asked before the touch, no repeat-access or no-transaction
+/// shortcut.
+struct RefHtm {
+    cfg: HtmConfig,
+    threads: Vec<RefTx>,
+    cores: Vec<RefL1>,
+}
+
+impl RefHtm {
+    fn new(cfg: HtmConfig, n_threads: usize) -> Self {
+        let n_cores = if cfg.smt { n_threads.div_ceil(2) } else { n_threads };
+        RefHtm {
+            threads: vec![RefTx::default(); n_threads],
+            cores: (0..n_cores).map(|_| RefL1::new(cfg.l1_sets, cfg.l1_ways)).collect(),
+            cfg,
+        }
+    }
+
+    fn doom(&mut self, tid: usize, cause: AbortCause) {
+        let t = &mut self.threads[tid];
+        if t.active && t.doomed.is_none() {
+            t.doomed = Some(cause);
+        }
+    }
+
+    fn begin(&mut self, tid: usize) {
+        self.threads[tid] = RefTx { active: true, ..Default::default() };
+    }
+
+    /// Commit and abort alike: the transaction ends and its lines go.
+    fn end(&mut self, tid: usize) {
+        self.threads[tid] = RefTx::default();
+    }
+
+    fn access(&mut self, tid: usize, addr: u64, len: u64, kind: AccessKind) -> bool {
+        let core = self.cfg.core_of(tid);
+        let lines: Vec<u64> = self.cfg.lines_of_range(addr, len).collect();
+        let mut all_hit = true;
+        for line in lines {
+            let set = self.cfg.set_of(line);
+            all_hit &= self.cores[core].resident(set, line);
+            for other in (0..self.threads.len()).filter(|&o| o != tid) {
+                let t = &self.threads[other];
+                let clash = match kind {
+                    AccessKind::Write => t.reads.contains(&line) || t.writes.contains(&line),
+                    AccessKind::Read => t.writes.contains(&line),
+                };
+                if clash {
+                    self.doom(other, AbortCause::Conflict);
+                }
+            }
+            let me = &mut self.threads[tid];
+            if me.active && me.doomed.is_none() {
+                match kind {
+                    AccessKind::Read => me.reads.insert(line),
+                    AccessKind::Write => me.writes.insert(line),
+                };
+                if me.reads.len() > self.cfg.read_set_lines {
+                    self.doom(tid, AbortCause::Capacity);
+                }
+            }
+            if let Some(evicted) = self.cores[core].touch(set, line) {
+                for peer in 0..self.threads.len() {
+                    if self.cfg.core_of(peer) == core
+                        && self.threads[peer].writes.contains(&evicted)
+                    {
+                        self.doom(peer, AbortCause::Capacity);
+                    }
+                }
+            }
+        }
+        all_hit
+    }
+}
+
+/// One step of the reference comparison.
+#[derive(Clone, Debug)]
+enum RefAct {
+    Begin(u8),
+    Commit(u8),
+    Abort(u8),
+    /// Thread, address seed, log2 of the length in bytes, and whether it
+    /// writes. Addresses are unaligned, so an access may straddle a line.
+    Access(u8, u16, u8, bool),
+}
+
+fn ref_act_strategy(threads: u8) -> impl Strategy<Value = RefAct> {
+    prop_oneof![
+        (0..threads).prop_map(RefAct::Begin),
+        (0..threads).prop_map(RefAct::Commit),
+        (0..threads).prop_map(RefAct::Abort),
+        // Twice, so that two acts in five are accesses.
+        (0..threads, any::<u16>(), 0u8..4, any::<bool>())
+            .prop_map(|(t, a, l, w)| RefAct::Access(t, a, l, w)),
+        (0..threads, any::<u16>(), 0u8..4, any::<bool>())
+            .prop_map(|(t, a, l, w)| RefAct::Access(t, a, l, w)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The single-pass cache step equals `resident` followed by the
+    /// remove/push `touch`, for every associativity in use.
+    #[test]
+    fn single_pass_touch_equals_resident_then_touch(
+        lines in proptest::collection::vec(0u64..48, 1..400),
+    ) {
+        for ways in [1usize, 2, 8] {
+            let mut l1 = L1Model::new(4, ways);
+            let mut reference = RefL1::new(4, ways);
+            for &line in &lines {
+                let set = (line % 4) as usize;
+                let expected = (reference.resident(set, line), reference.touch(set, line));
+                prop_assert_eq!(l1.touch(set, line), expected, "ways {} line {}", ways, line);
+                prop_assert_eq!(l1.occupancy(set), reference.sets[set].len());
+            }
+        }
+    }
+
+    /// `Htm::access` by shift and mask equals the reference by division:
+    /// same hit/miss answer, same dooms in the same order (first cause
+    /// sticks), same read- and write-set sizes, on every geometry in use,
+    /// hyper-threading on and off, including accesses that straddle a line.
+    #[test]
+    fn access_equals_the_division_reference(
+        acts in proptest::collection::vec(ref_act_strategy(4), 1..300),
+        ways_pick in 0usize..3,
+        small_read_set in any::<bool>(),
+    ) {
+        for (line_bytes, l1_sets) in [(64u64, 64usize), (32, 4), (64, 1), (64, 1 << 14)] {
+            for smt in [false, true] {
+                let cfg = HtmConfig {
+                    line_bytes,
+                    l1_sets,
+                    l1_ways: [1, 2, 8][ways_pick],
+                    read_set_lines: if small_read_set { 4 } else { 16 * 1024 },
+                    smt,
+                    ..Default::default()
+                };
+                // Twice the cache, so sets fill and evict.
+                let span = (line_bytes * l1_sets as u64 * cfg.l1_ways as u64 * 2).min(1 << 16);
+                let mut htm = Htm::new(cfg.clone(), 4);
+                let mut reference = RefHtm::new(cfg, 4);
+                for act in &acts {
+                    match *act {
+                        RefAct::Begin(t) => {
+                            let t = t as usize;
+                            if !htm.in_tx(t) {
+                                htm.begin(t, 0);
+                                reference.begin(t);
+                            }
+                        }
+                        RefAct::Commit(t) => {
+                            let t = t as usize;
+                            if htm.in_tx(t) {
+                                let doomed = reference.threads[t].doomed.is_some();
+                                prop_assert_eq!(htm.commit(t), !doomed);
+                                reference.end(t);
+                            }
+                        }
+                        RefAct::Abort(t) => {
+                            let t = t as usize;
+                            if htm.in_tx(t) {
+                                htm.abort(t, AbortCause::Explicit);
+                                reference.end(t);
+                            }
+                        }
+                        RefAct::Access(t, seed, len_log2, write) => {
+                            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                            let (addr, len) = (seed as u64 % span, 1u64 << len_log2);
+                            prop_assert_eq!(
+                                htm.access(t as usize, addr, len, kind),
+                                reference.access(t as usize, addr, len, kind),
+                                "hit/miss of {:?} at {} len {} ({} B x {} sets, smt {})",
+                                kind, addr, len, line_bytes, l1_sets, smt
+                            );
+                        }
+                    }
+                    for t in 0..4 {
+                        let r = &reference.threads[t];
+                        prop_assert_eq!(htm.doomed(t), r.doomed, "doom of thread {}", t);
+                        prop_assert_eq!(htm.set_sizes(t), (r.reads.len(), r.writes.len()));
+                    }
+                }
+            }
+        }
+    }
 
     /// Every started transaction ends exactly once: started == commits +
     /// aborts, and no thread is left with a pending doom after its

@@ -31,6 +31,7 @@ impl Ty {
     /// Returns the size of a value of this type in bytes as stored in memory.
     ///
     /// `I1` occupies a full byte, as it would after an `i1` store in LLVM.
+    #[inline]
     pub fn size_bytes(self) -> u32 {
         match self {
             Ty::I1 | Ty::I8 => 1,
@@ -52,6 +53,7 @@ impl Ty {
 
     /// Returns the mask selecting the valid low bits of a register holding
     /// a value of this type.
+    #[inline]
     pub fn mask(self) -> u64 {
         match self {
             Ty::I1 => 0x1,
@@ -63,6 +65,7 @@ impl Ty {
     }
 
     /// Returns the number of valid bits in a register of this type.
+    #[inline]
     pub fn bits(self) -> u32 {
         match self {
             Ty::I1 => 1,
@@ -74,6 +77,7 @@ impl Ty {
     }
 
     /// Sign-extends the masked `bits` of this type to a full `i64`.
+    #[inline]
     pub fn sext(self, raw: u64) -> i64 {
         let masked = raw & self.mask();
         match self {

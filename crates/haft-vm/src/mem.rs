@@ -120,7 +120,10 @@ impl Memory {
         Ok(base)
     }
 
-    fn check(&self, addr: u64, len: u64) -> Result<(), Trap> {
+    /// The bounds check every access starts with: what [`Memory::load`]
+    /// and [`Memory::store`] of `len` bytes at `addr` would refuse.
+    #[inline]
+    pub(crate) fn check(&self, addr: u64, len: u64) -> Result<(), Trap> {
         // Address 0..64 is the unmapped "null page".
         if addr < 64 || addr.saturating_add(len) > self.size() {
             return Err(Trap::OutOfBounds { addr, len });
@@ -129,6 +132,7 @@ impl Memory {
     }
 
     /// Loads `len` bytes (1, 2, 4, or 8) little-endian.
+    #[inline]
     pub fn load(&self, addr: u64, len: u32) -> Result<u64, Trap> {
         self.check(addr, len as u64)?;
         let a = addr as usize;
@@ -163,6 +167,7 @@ impl Memory {
     }
 
     /// Stores the low `len` bytes of `val` little-endian.
+    #[inline]
     pub fn store(&mut self, addr: u64, len: u32, val: u64) -> Result<(), Trap> {
         self.check(addr, len as u64)?;
         let a = addr as usize;

@@ -931,11 +931,12 @@ impl<'m> Vm<'m> {
 
             // The two engines share this exact window protocol: per
             // micro-op the order is [horizon check, budget check, pause
-            // check, step]. Fused super-instructions replicate the same
-            // checks between their constituents, so the streams stay
-            // aligned. The pause check sits where both other checks have
-            // just passed, so re-entering the window repeats them with
-            // the same answers and changes nothing.
+            // check, step]. The fused engine's register-only runs end
+            // wherever one of those checks would fire and replay them in
+            // this order, so the streams stay aligned. The pause check
+            // sits where both other checks have just passed, so
+            // re-entering the window repeats them with the same answers
+            // and changes nothing.
             for tid in first..n {
                 if self.threads[tid].state != ThreadState::Ready {
                     continue;
@@ -1890,44 +1891,26 @@ fn eval_bin(op: BinOp, ty: Ty, a: u64, b: u64) -> Result<u64, Trap> {
         };
         return Ok(r.to_bits());
     }
-    let sa = ty.sext(a);
-    let sb = ty.sext(b);
     let ua = a & ty.mask();
     let ub = b & ty.mask();
+    // Shift counts wrap at the type's width, a power of two.
+    let count = || (ub & (ty.bits() as u64 - 1)) as u32;
     let v = match op {
         Add => ua.wrapping_add(ub),
         Sub => ua.wrapping_sub(ub),
         Mul => ua.wrapping_mul(ub),
-        SDiv => {
-            if sb == 0 {
-                return Err(Trap::DivByZero);
-            }
-            sa.wrapping_div(sb) as u64
-        }
-        UDiv => {
-            if ub == 0 {
-                return Err(Trap::DivByZero);
-            }
-            ua / ub
-        }
-        SRem => {
-            if sb == 0 {
-                return Err(Trap::DivByZero);
-            }
-            sa.wrapping_rem(sb) as u64
-        }
-        URem => {
-            if ub == 0 {
-                return Err(Trap::DivByZero);
-            }
-            ua % ub
-        }
+        // A sign-extended value is zero exactly when its masked bits are.
+        SDiv | UDiv | SRem | URem if ub == 0 => return Err(Trap::DivByZero),
+        SDiv => ty.sext(a).wrapping_div(ty.sext(b)) as u64,
+        UDiv => ua / ub,
+        SRem => ty.sext(a).wrapping_rem(ty.sext(b)) as u64,
+        URem => ua % ub,
         And => ua & ub,
         Or => ua | ub,
         Xor => ua ^ ub,
-        Shl => ua.wrapping_shl((ub % ty.bits() as u64) as u32),
-        LShr => ua.wrapping_shr((ub % ty.bits() as u64) as u32),
-        AShr => (sa >> (ub % ty.bits() as u64)) as u64,
+        Shl => ua.wrapping_shl(count()),
+        LShr => ua.wrapping_shr(count()),
+        AShr => (ty.sext(a) >> count()) as u64,
         FAdd | FSub | FMul | FDiv => unreachable!(),
     };
     Ok(v & ty.mask())

@@ -9,100 +9,409 @@
 //! transactional write buffer use open-addressed cell maps instead of
 //! `std::collections::HashMap` (whose SipHash per byte dominated the
 //! interpreter's profile), and call frames recycle register windows from
-//! a pool instead of allocating. Each opcode arm borrows its thread
-//! exactly once and splits field borrows from there, so the dispatch
-//! loop carries no repeated `threads[tid]` re-indexing.
+//! a pool instead of allocating.
 //!
-//! Fused chains: when `fuse[pc]` is set and the op completed cleanly
-//! ([`EFlow::Norm`]), the dispatch loop continues straight into the next
-//! constituent. Between constituents it replays the exact inter-op
-//! protocol the scheduler applies between `step` calls — async-abort
-//! poll, horizon check, budget check, doomed check — so a run is
-//! bit-identical whether a pair fused or not; a mid-chain bail leaves
-//! the pc on the next constituent and the scheduler resumes there.
+//! Register-only runs: straight-line ops — ALU, branches with their phi
+//! moves, agreeing votes, counter bookkeeping, loads and stores — touch
+//! only the live frame's register window, the thread's scoreboard and a
+//! handful of `Vm` fields, and cannot change frame, function or
+//! transaction state. [`RunCtx`] borrows exactly that state once and
+//! [`Vm::register_run`] executes consecutive such ops against it, with
+//! the pc and the instruction count in locals. After each op the whole
+//! inter-op protocol the scheduler applies between `step` calls —
+//! async-abort poll, horizon check, budget check, pause check, doomed
+//! check — collapses to compares on locals, because inside a run nothing
+//! else can change those answers; when one fires (or the next op is not
+//! run-eligible, would trap, or is a divergent vote) the run writes its
+//! locals back with nothing of that op done, and `step_fused` replays the
+//! protocol in the scheduler's order, or executes the op through
+//! [`Vm::exec_dop`]. A run is therefore bit-identical to stepping one op
+//! at a time — which is what profiled and forensics runs still do, each
+//! op between its hooks, reaching an eligible op through the same
+//! [`RunCtx::exec`] body.
 
-use haft_htm::{AbortCause, AccessKind};
+use haft_htm::{AbortCause, AccessKind, Htm};
 use haft_ir::function::{BlockId, ValueId};
 use haft_ir::inst::RmwOp;
 use haft_ir::module::FuncId;
 use haft_ir::types::Ty;
+use haft_trace::TraceEvent;
 
 use super::decode::{DOp, Decoded, Edge, Src};
-use super::forensics::ForensicsState;
+use super::forensics::{FaultDetector, ForensicsState};
+use super::profile::OpClass;
 use super::{
-    eval_bin, eval_cast, eval_cmp, eval_un, Flow, Frame, RunOutcome, Thread, Vm, FUNC_BASE,
-    MAX_CALL_DEPTH,
+    eval_bin, eval_cast, eval_cmp, eval_un, Flow, Frame, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
 };
+use crate::cost::{CostConfig, Scoreboard};
 use crate::fault::FaultPlan;
 use crate::mem::{Memory, Trap};
 
-/// Outcome of one fused-engine op.
-pub(super) enum EFlow {
-    /// Clean straight-line completion at `pc + 1`: eligible to continue
-    /// a fused chain. Never returned after a control transfer, a trap,
-    /// or a transactional rollback.
-    Norm,
-    /// Everything else; carries the interpreter-visible flow signal.
-    Flow(Flow),
+/// What [`RunCtx::exec`] did with an op.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Ran {
+    /// Nothing, and no state changed: the op is not run-eligible, would
+    /// trap, or is a vote whose copies diverge. [`Vm::exec_dop`] runs it.
+    Refused,
+    /// Executed.
+    Done,
+    /// Executed, and it was a load or store: inside a transaction, the
+    /// one op of a run that can doom the thread's own transaction.
+    Mem,
 }
 
-/// Reads a decoded operand against a frame.
-#[inline(always)]
-fn rd(fr: &Frame, s: Src) -> (u64, u64) {
-    match s {
-        Src::Slot(i) => (fr.regs[i as usize], fr.ready[i as usize]),
-        Src::Const(v) => (v, 0),
+/// Everything a run-eligible op can touch, borrowed once: the live
+/// frame's register window, the thread's cost and memory-ordering state,
+/// and the `Vm` fields behind register writes and memory accesses. While
+/// it is held the thread stays in one frame of one function, in or out of
+/// one transaction, so those facts are plain copies.
+struct RunCtx<'a> {
+    /// Next op of the live frame: `Frame::idx`, written back by whoever
+    /// built the context.
+    pc: usize,
+    regs: &'a mut [u64],
+    ready: &'a mut [u64],
+    sb: &'a mut Scoreboard,
+    counter: &'a mut u64,
+    bp_dense: &'a mut [u8],
+    fovl: &'a mut FastOverlay,
+    store_done: &'a mut CellMap,
+    occ: &'a mut u64,
+    fault: &'a mut Option<FaultPlan>,
+    mispredicts: &'a mut u64,
+    phi_scratch: &'a mut Vec<(u32, u64, u64, Ty)>,
+    htm: &'a mut Htm,
+    mem: &'a mut Memory,
+    cost: &'a CostConfig,
+    d: &'a Decoded,
+    /// Forensics sink and the live frame's coordinates, read only by the
+    /// register write the fault lands on.
+    fx: &'a mut Option<Box<ForensicsState>>,
+    func: FuncId,
+    depth: usize,
+    tid: usize,
+    n_threads: u64,
+    in_tx: bool,
+    /// Counter value at which `tx_cond_split` splits: the thread's
+    /// threshold, or never while a lock is elided.
+    split_at: u64,
+}
+
+impl RunCtx<'_> {
+    /// Reads a decoded operand: `(value, ready time)`.
+    #[inline(always)]
+    fn rd(&self, s: Src) -> (u64, u64) {
+        match s {
+            Src::Slot(i) => (self.regs[i as usize], self.ready[i as usize]),
+            Src::Const(v) => (v, 0),
+        }
     }
-}
 
-/// Register write on an already-borrowed thread: exactly `Vm::write_reg`
-/// (same masking, same occurrence counting, same fault hook), taking the
-/// disjoint `Vm` fields it needs so the caller's thread borrow can stay
-/// live.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // each is a disjoint `Vm` field borrow
-fn wreg(
-    t: &mut Thread,
-    occ: &mut u64,
-    fault: &mut Option<FaultPlan>,
-    fx: &mut Option<Box<ForensicsState>>,
-    dst: u32,
-    val: u64,
-    ready: u64,
-    ty: Ty,
-) {
-    let fr = t.frames.last_mut().expect("live frame");
-    fr.regs[dst as usize] = val & ty.mask();
-    fr.ready[dst as usize] = ready;
-    *occ += 1;
-    if let Some(plan) = *fault {
-        if *occ - 1 == plan.occurrence {
-            let mask = plan.effective_mask(ty);
-            fr.regs[dst as usize] ^= mask;
-            *fault = None;
-            if let Some(fx) = fx.as_deref_mut() {
-                let func = fr.func;
-                fx.seed(func, t.frames.len(), dst, mask, plan.occurrence);
+    /// Register write: exactly `Vm::write_reg` (same masking, same
+    /// occurrence counting, same fault hook).
+    #[inline(always)]
+    fn wreg(&mut self, dst: u32, val: u64, ready: u64, ty: Ty) {
+        self.regs[dst as usize] = val & ty.mask();
+        self.ready[dst as usize] = ready;
+        *self.occ += 1;
+        if let Some(plan) = *self.fault {
+            if *self.occ - 1 == plan.occurrence {
+                let mask = plan.effective_mask(ty);
+                self.regs[dst as usize] ^= mask;
+                *self.fault = None;
+                if let Some(fx) = self.fx.as_deref_mut() {
+                    fx.seed(self.func, self.depth, dst, mask, plan.occurrence);
+                }
             }
         }
+    }
+
+    /// Issues a vote over operands ready at `ready` and forwards its
+    /// result: not part of the fault-injection occurrence stream (mirrors
+    /// `write_reg_forwarded`).
+    #[inline(always)]
+    fn forward(&mut self, dst: u32, val: u64, ready: u64, ty: Ty) {
+        let done = self.sb.issue(self.cost.width, ready, self.cost.lat_vote);
+        self.regs[dst as usize] = val & ty.mask();
+        self.ready[dst as usize] = done;
+    }
+
+    /// Takes a decoded CFG edge: parallel phi moves, then the pc jump.
+    #[inline(always)]
+    fn take_edge(&mut self, edge: Edge) {
+        let d = self.d;
+        let at = edge.moves_at as usize;
+        let moves = &d.moves[at..at + edge.moves_n as usize];
+        if let [mv] = moves {
+            // Single move: parallel semantics are trivial, skip the
+            // scratch buffer.
+            let (v, r) = self.rd(mv.src);
+            self.wreg(mv.dst, v, r, mv.ty);
+        } else if !moves.is_empty() {
+            // Parallel semantics: read every source before any write.
+            self.phi_scratch.clear();
+            for mv in moves {
+                let (v, r) = self.rd(mv.src);
+                self.phi_scratch.push((mv.dst, v, r, mv.ty));
+            }
+            for i in 0..self.phi_scratch.len() {
+                let (dst, v, r, ty) = self.phi_scratch[i];
+                self.wreg(dst, v, r, ty);
+            }
+        }
+        self.pc = edge.target as usize;
+    }
+
+    /// Executes `op` if it is run-eligible and completes cleanly; each
+    /// arm mirrors the corresponding `Op` arm in `Vm::step` exactly.
+    /// Every refusal is decided before the first state change.
+    #[inline(always)]
+    fn exec(&mut self, op: &DOp) -> Ran {
+        let width = self.cost.width;
+        match *op {
+            // --- compute -----------------------------------------------------
+            DOp::Bin { op, ty, a, b, dst, lat } => {
+                let (av, ar) = self.rd(a);
+                let (bv, br) = self.rd(b);
+                let Ok(v) = eval_bin(op, ty, av, bv) else { return Ran::Refused };
+                let done = self.sb.issue(width, ar.max(br), lat);
+                self.wreg(dst, v, done, ty);
+            }
+            DOp::Un { op, ty, a, dst, lat } => {
+                let (av, ar) = self.rd(a);
+                let done = self.sb.issue(width, ar, lat);
+                self.wreg(dst, eval_un(op, ty, av), done, ty);
+            }
+            DOp::Cmp { op, ty, a, b, dst } => {
+                let (av, ar) = self.rd(a);
+                let (bv, br) = self.rd(b);
+                let done = self.sb.issue(width, ar.max(br), self.cost.lat_int);
+                self.wreg(dst, eval_cmp(op, ty, av, bv) as u64, done, Ty::I1);
+            }
+            DOp::MoveV { ty, a, dst } => {
+                let (av, ar) = self.rd(a);
+                let done = self.sb.issue(width, ar, self.cost.lat_int);
+                self.wreg(dst, av, done, ty);
+            }
+            DOp::Cast { kind, from, to, a, dst } => {
+                let (av, ar) = self.rd(a);
+                let done = self.sb.issue(width, ar, self.cost.lat_int);
+                self.wreg(dst, eval_cast(kind, from, to, av), done, to);
+            }
+            DOp::Select { ty, c, t, f, dst } => {
+                let (cv, cr) = self.rd(c);
+                let (tv, tr) = self.rd(t);
+                let (fv, fr) = self.rd(f);
+                let done = self.sb.issue(width, cr.max(tr).max(fr), self.cost.lat_int);
+                self.wreg(dst, if cv & 1 != 0 { tv } else { fv }, done, ty);
+            }
+            DOp::Gep { base, index, scale, offset, dst } => {
+                let (bv, br) = self.rd(base);
+                let (iv, ir) = self.rd(index);
+                let v =
+                    bv.wrapping_add((iv as i64).wrapping_mul(scale) as u64).wrapping_add(offset);
+                let done = self.sb.issue(width, br.max(ir), self.cost.lat_int);
+                self.wreg(dst, v, done, Ty::Ptr);
+            }
+
+            // --- memory -----------------------------------------------------
+            // `Vm::step` performs the HTM access first and traps after it.
+            // Here an access memory would refuse is refused before the
+            // HTM hears of it (the bounds check has no side effect), and
+            // `exec_dop` performs access-then-trap in that order.
+            DOp::Load { ty, addr, atomic, dst } => {
+                let (av, ar) = self.rd(addr);
+                let len = ty.size_bytes();
+                let Ok(mut v) = self.mem.load(av, len) else { return Ran::Refused };
+                let hit = self.htm.access(self.tid, av, len as u64, AccessKind::Read);
+                if self.in_tx && !self.fovl.is_empty() {
+                    v = self.fovl.merge(av, len, v);
+                }
+                let lat = if atomic {
+                    self.cost.lat_atomic
+                } else if hit {
+                    self.cost.lat_load_hit
+                } else {
+                    self.cost.lat_load_miss
+                };
+                let dep = self.store_done.ready(av, len);
+                let done = self.sb.issue(width, ar.max(dep), lat);
+                self.wreg(dst, v, done, ty);
+                return Ran::Mem;
+            }
+            DOp::Store { ty, val, addr, atomic } => {
+                let (vv, vr) = self.rd(val);
+                let (av, ar) = self.rd(addr);
+                let len = ty.size_bytes();
+                if self.mem.check(av, len as u64).is_err() {
+                    return Ran::Refused;
+                }
+                self.htm.access(self.tid, av, len as u64, AccessKind::Write);
+                if self.in_tx {
+                    self.fovl.buffer_store(av, len, vv);
+                } else {
+                    self.mem.store(av, len, vv).expect("bounds checked above");
+                }
+                let lat = if atomic { self.cost.lat_atomic } else { self.cost.lat_store };
+                let done = self.sb.issue(width, vr.max(ar), lat);
+                self.store_done.note(av, len, done);
+                return Ran::Mem;
+            }
+
+            // --- control ----------------------------------------------------
+            DOp::Br { edge } => {
+                self.sb.issue(width, 0, self.cost.lat_branch);
+                self.take_edge(edge);
+            }
+            DOp::CondBr { cond, t, f, bp } => {
+                let (cv, cr) = self.rd(cond);
+                let taken = cv & 1 != 0;
+                let done = self.sb.issue(width, cr, self.cost.lat_branch);
+                // Dense 1-bit predictor: 0 unknown, 1 not-taken, 2 taken.
+                let prev = std::mem::replace(&mut self.bp_dense[bp as usize], 1 + taken as u8);
+                if prev != 0 && (prev == 2) != taken {
+                    *self.mispredicts += 1;
+                    self.sb.flush_to(done + self.cost.mispredict_penalty);
+                }
+                self.take_edge(if taken { t } else { f });
+            }
+
+            // --- HAFT runtime intrinsics -----------------------------------------
+            DOp::TxCondSplit => {
+                if *self.counter >= self.split_at {
+                    return Ran::Refused;
+                }
+                self.sb.issue(width, 0, self.cost.lat_tx_split_check);
+            }
+            DOp::TxCounterInc { amount } => {
+                *self.counter += amount;
+                self.sb.issue(width, 0, self.cost.lat_counter_inc);
+            }
+            DOp::Vote { ty, a, b, c, dst } | DOp::ChkCorrect { ty, a, b, c, dst } => {
+                let (av, ar) = self.rd(a);
+                let (bv, br) = self.rd(b);
+                let (cv, cr) = self.rd(c);
+                if av != bv || av != cv {
+                    return Ran::Refused;
+                }
+                self.forward(dst, av, ar.max(br).max(cr), ty);
+            }
+            DOp::ThreadIdD { dst } => {
+                let done = self.sb.issue(width, 0, self.cost.lat_int);
+                self.wreg(dst, self.tid as u64, done, Ty::I64);
+            }
+            DOp::NumThreadsD { dst } => {
+                let done = self.sb.issue(width, 0, self.cost.lat_int);
+                self.wreg(dst, self.n_threads, done, Ty::I64);
+            }
+            DOp::Nop => {}
+            _ => return Ran::Refused,
+        }
+        Ran::Done
     }
 }
 
 impl<'m> Vm<'m> {
+    /// Borrows, once, what the run-eligible ops of thread `tid`'s live
+    /// frame can touch.
+    fn run_ctx<'a>(&'a mut self, tid: usize, d: &'a Decoded) -> RunCtx<'a> {
+        let t = &mut self.threads[tid];
+        let depth = t.frames.len();
+        let fr = t.frames.last_mut().expect("live frame");
+        RunCtx {
+            pc: fr.idx,
+            regs: &mut fr.regs,
+            ready: &mut fr.ready,
+            sb: &mut t.sb,
+            counter: &mut t.counter,
+            bp_dense: &mut t.bp_dense,
+            fovl: &mut t.fovl,
+            store_done: &mut t.store_done_fast,
+            occ: &mut self.occ,
+            fault: &mut self.fault,
+            mispredicts: &mut self.mispredicts,
+            phi_scratch: &mut self.phi_scratch,
+            htm: &mut self.htm,
+            mem: &mut self.mem,
+            cost: &self.cfg.cost,
+            d,
+            fx: &mut self.forensics,
+            func: fr.func,
+            depth,
+            tid,
+            n_threads: self.cfg.n_threads.max(1) as u64,
+            in_tx: t.tx_depth > 0,
+            split_at: if t.elided.is_empty() { t.threshold } else { u64::MAX },
+        }
+    }
+
+    /// A register-only run: executes consecutive ops of thread `tid`'s
+    /// live frame through one [`RunCtx`] for as long as they are accepted
+    /// and no exit condition fires, then writes the pc and the counters
+    /// back. Entered where `step_fused`'s loop-top checks have just
+    /// passed. Returns true if it stopped in front of an op it refused
+    /// (after which nothing is pending: the gap after the last executed
+    /// op was empty), false if an exit condition fired and `step_fused`
+    /// must replay the inter-op gap.
+    ///
+    /// The exit conditions are the gap and the loop top, read off locals:
+    /// the thread's clock reaching the horizon or (in a transaction) the
+    /// next poll, the instruction budget, the pause point, and — after a
+    /// transactional memory access, the only op of a run that can set it
+    /// — the thread's own doomed flag. Nothing else those checks read can
+    /// change inside a run: `in_tx`, `tx_depth` and `last_poll_clock` move
+    /// only in ops a run refuses, other threads do not execute, and a
+    /// poll ends the run.
+    fn register_run(&mut self, tid: usize, horizon: u64, d: &Decoded) -> bool {
+        let budget = self.cfg.max_instructions - self.instructions;
+        let pause_at = self.pause_at;
+        let t = &self.threads[tid];
+        let stop_clock = if t.in_tx() { horizon.min(t.last_poll_clock + 257) } else { horizon };
+        let df = &d.funcs[t.frames.last().expect("live frame").func.0 as usize];
+        let mut cx = self.run_ctx(tid, d);
+        let (mut retired, mut fused) = (0u64, 0u64);
+        let refused = loop {
+            let pc = cx.pc;
+            cx.pc = pc + 1;
+            let ran = cx.exec(&df.code[pc]);
+            if ran == Ran::Refused {
+                cx.pc = pc;
+                break true;
+            }
+            retired += 1;
+            fused += df.fuse[pc] as u64;
+            if cx.sb.clock >= stop_clock
+                || retired >= budget
+                || *cx.occ >= pause_at
+                || (ran == Ran::Mem && cx.in_tx && cx.htm.doomed(tid).is_some())
+            {
+                break false;
+            }
+        };
+        let pc = cx.pc;
+        self.threads[tid].frames.last_mut().expect("live frame").idx = pc;
+        self.instructions += retired;
+        self.fused_retired += fused;
+        refused
+    }
+
     /// Advances thread `tid` direct-threaded until its clock reaches
     /// `horizon` (or control leaves the straight-line fast path).
     ///
     /// Between ops it replays the scheduler's exact inter-step protocol
-    /// — poll, horizon check, budget check, doomed check, in that order
-    /// — so the op stream is bit-identical to `step` driven one op at a
-    /// time from `schedule`. Fused chains are the payoff: a `fuse[pc]`
-    /// pair retires both constituents in consecutive iterations with no
-    /// scheduler bounce, `df` staying hot.
+    /// — poll, horizon check, budget check, pause check, doomed check, in
+    /// that order — so the op stream is bit-identical to `step` driven
+    /// one op at a time from `schedule`. Uninstrumented, the protocol
+    /// runs per *run boundary or refused op*: [`Vm::register_run`] covers
+    /// every stretch in between. With a profiler or forensics attached
+    /// every op takes the one-op path below, between its hooks.
     pub(super) fn step_fused(&mut self, tid: usize, horizon: u64, d: &Decoded) -> Flow {
+        let instrumented = self.profiler.is_some() || self.forensics.is_some();
         loop {
             // Pause point: an op boundary at which the horizon and budget
             // checks have just passed (in the scheduler on entry, at the
-            // bottom of this loop afterwards), mid-chain included.
+            // bottom of this loop afterwards); a run that reaches it ends
+            // and falls through that bottom to here.
             if self.occ >= self.pause_at {
                 return Flow::Pause;
             }
@@ -111,42 +420,44 @@ impl<'m> Vm<'m> {
             let doomed = if t.in_tx() { self.htm.doomed(tid) } else { None };
             if let Some(cause) = doomed {
                 self.tx_abort(tid, cause);
-            } else {
-                // Fetch and pre-advance in one frame borrow; control flow
-                // overwrites the pc, `Blocked` rewinds it.
-                let fr = t.frames.last_mut().expect("live frame");
+            } else if instrumented || self.register_run(tid, horizon, d) {
+                // One op: the one a run stopped in front of, or each op
+                // of an instrumented run. Fetch and pre-advance in one
+                // frame borrow; control flow overwrites the pc, `Blocked`
+                // rewinds it.
+                let fr = self.threads[tid].frames.last_mut().expect("live frame");
                 let fid = fr.func.0 as usize;
                 let pc = fr.idx;
                 fr.idx = pc + 1;
                 self.instructions += 1;
                 let df = &d.funcs[fid];
                 self.fused_retired += df.fuse[pc] as u64;
+                let op = &df.code[pc];
                 if let Some(p) = self.profiler.as_mut() {
-                    let class = super::profile::OpClass::of_dop(&df.code[pc]);
-                    p.fetch(tid, self.threads[tid].sb.clock, fid as u32, class);
+                    p.fetch(tid, self.threads[tid].sb.clock, fid as u32, OpClass::of_dop(op));
                 }
                 if self.forensics.is_some() {
                     // Pre-execute taint transfer, mirroring `step`.
-                    self.forensics_transfer_fused(tid, &df.code[pc], d);
+                    self.forensics_transfer_fused(tid, op, d);
                 }
-
-                let ef = self.exec_dop(tid, &df.code[pc], d);
+                // An instrumented step reaches an eligible op through the
+                // body a run uses; uninstrumented, the run just refused it.
+                let flow = if instrumented && self.exec_eligible(tid, op, d) {
+                    Flow::Continue
+                } else {
+                    self.exec_dop(tid, op, d)
+                };
                 if self.forensics.is_some() {
-                    let class = super::profile::OpClass::of_dop(&df.code[pc]);
-                    self.forensics_seed_complete(tid, class);
+                    self.forensics_seed_complete(tid, OpClass::of_dop(op));
                 }
-                match ef {
-                    EFlow::Norm => {}
-                    EFlow::Flow(Flow::Continue) => {}
-                    EFlow::Flow(flow) => {
-                        if let Flow::Blocked(_) = flow {
-                            let fr = self.threads[tid].frames.last_mut().expect("live frame");
-                            fr.idx -= 1;
-                            self.instructions -= 1;
-                        }
-                        self.poll_tx(tid);
-                        return flow;
+                if !matches!(flow, Flow::Continue) {
+                    if let Flow::Blocked(_) = flow {
+                        let fr = self.threads[tid].frames.last_mut().expect("live frame");
+                        fr.idx -= 1;
+                        self.instructions -= 1;
                     }
+                    self.poll_tx(tid);
+                    return flow;
                 }
             }
 
@@ -155,22 +466,23 @@ impl<'m> Vm<'m> {
             // the abort path above the poll condition is always false —
             // `tx_abort` resets `last_poll_clock` to the current clock —
             // so sharing this tail with it changes nothing.)
-            let t = &mut self.threads[tid];
-            if t.in_tx() {
-                let now = t.sb.clock;
-                if now > t.last_poll_clock + 256 {
-                    let delta = now - t.last_poll_clock;
-                    t.last_poll_clock = now;
-                    self.htm.poll_async(tid, now, delta, &mut self.rng);
-                }
-            }
-            if t.sb.clock >= horizon {
+            self.poll_tx(tid);
+            if self.threads[tid].sb.clock >= horizon {
                 return Flow::Continue;
             }
             if self.instructions >= self.cfg.max_instructions {
                 return Flow::Stop(RunOutcome::Hang);
             }
         }
+    }
+
+    /// One pre-advanced op through [`RunCtx::exec`]; false if refused.
+    fn exec_eligible(&mut self, tid: usize, op: &DOp, d: &Decoded) -> bool {
+        let mut cx = self.run_ctx(tid, d);
+        let ran = cx.exec(op);
+        let pc = cx.pc;
+        self.threads[tid].frames.last_mut().expect("live frame").idx = pc;
+        ran != Ran::Refused
     }
 
     /// Time-based asynchronous abort poll, run after every op exactly as
@@ -185,25 +497,6 @@ impl<'m> Vm<'m> {
                 t.last_poll_clock = now;
                 self.htm.poll_async(tid, now, delta, &mut self.rng);
             }
-        }
-    }
-
-    /// Ready time contributed by earlier stores (fused-engine cell map).
-    fn mem_ready_f(&self, tid: usize, addr: u64, len: u32) -> u64 {
-        let t = &self.threads[tid];
-        let mut ready = 0;
-        for cell in (addr >> 3)..=((addr + len as u64 - 1) >> 3) {
-            if let Some(d) = t.store_done_fast.get(cell) {
-                ready = ready.max(d);
-            }
-        }
-        ready
-    }
-
-    fn note_store_f(&mut self, tid: usize, addr: u64, len: u32, done: u64) {
-        let t = &mut self.threads[tid];
-        for cell in (addr >> 3)..=((addr + len as u64 - 1) >> 3) {
-            t.store_done_fast.insert(cell, done);
         }
     }
 
@@ -246,194 +539,112 @@ impl<'m> Vm<'m> {
         args_at: u32,
         args_n: u32,
         dst: Option<u32>,
-    ) -> EFlow {
-        let width = self.cfg.cost.width;
+    ) -> Flow {
         let mut vals = std::mem::take(&mut self.arg_scratch);
         vals.clear();
         let mut ready = 0;
-        let fr = self.threads[tid].frames.last().expect("live frame");
+        let cx = self.run_ctx(tid, d);
         for s in &d.args[args_at as usize..(args_at + args_n) as usize] {
-            let (v, r) = rd(fr, *s);
+            let (v, r) = cx.rd(*s);
             vals.push(v);
             ready = ready.max(r);
         }
-        self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_call);
+        cx.sb.issue(cx.cost.width, ready, cx.cost.lat_call);
         let frame = self.make_frame_fused(d, target, &vals, dst.map(ValueId));
         self.arg_scratch = vals;
         self.threads[tid].frames.push(frame);
-        EFlow::Flow(Flow::Continue)
+        Flow::Continue
     }
 
-    /// Takes a decoded CFG edge: parallel phi moves, then the pc jump.
-    fn take_edge_fused(&mut self, tid: usize, d: &Decoded, edge: Edge) {
-        if edge.moves_n == 1 {
-            // Single move: parallel semantics are trivial, skip the
-            // scratch buffer.
-            let mv = &d.moves[edge.moves_at as usize];
-            let t = &mut self.threads[tid];
-            let (v, r) = rd(t.frames.last().expect("live frame"), mv.src);
-            wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, mv.dst, v, r, mv.ty);
-            t.frames.last_mut().expect("live frame").idx = edge.target as usize;
-        } else if edge.moves_n > 0 {
-            let mut scratch = std::mem::take(&mut self.phi_scratch);
-            scratch.clear();
-            let at = edge.moves_at as usize;
-            let t = &mut self.threads[tid];
-            let fr = t.frames.last().expect("live frame");
-            // Parallel semantics: read every source before any write.
-            for mv in &d.moves[at..at + edge.moves_n as usize] {
-                let (v, r) = rd(fr, mv.src);
-                scratch.push((mv.dst, v, r, mv.ty));
-            }
-            for &(dst, v, r, ty) in &scratch {
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, v, r, ty);
-            }
-            t.frames.last_mut().expect("live frame").idx = edge.target as usize;
-            self.phi_scratch = scratch;
-        } else {
-            self.threads[tid].frames.last_mut().expect("live frame").idx = edge.target as usize;
-        }
-    }
-
-    /// Executes one decoded op. Every arm mirrors the corresponding
-    /// `Op` arm in `Vm::step` exactly.
-    fn exec_dop(&mut self, tid: usize, op: &DOp, d: &Decoded) -> EFlow {
+    /// Executes one decoded op that a run refuses: the ops that are not
+    /// run-eligible, each arm mirroring the corresponding `Op` arm in
+    /// `Vm::step` exactly, and — of the eligible ones, whose body is
+    /// [`RunCtx::exec`] — only the case it refused (trap, divergence,
+    /// split). Operand reads and register writes go through a short-lived
+    /// [`RunCtx`] of the live frame.
+    fn exec_dop(&mut self, tid: usize, op: &DOp, d: &Decoded) -> Flow {
         let width = self.cfg.cost.width;
         match *op {
-            // --- compute -----------------------------------------------------
-            DOp::Bin { op, ty, a, b, dst, lat } => {
-                let t = &mut self.threads[tid];
-                let fr = t.frames.last().expect("live frame");
-                let (av, ar) = rd(fr, a);
-                let (bv, br) = rd(fr, b);
-                match eval_bin(op, ty, av, bv) {
-                    Ok(v) => {
-                        let done = t.sb.issue(width, ar.max(br), lat);
-                        wreg(
-                            t,
-                            &mut self.occ,
-                            &mut self.fault,
-                            &mut self.forensics,
-                            dst,
-                            v,
-                            done,
-                            ty,
-                        );
-                        EFlow::Norm
-                    }
-                    Err(trap) => EFlow::Flow(self.trap(tid, trap)),
+            // --- refused by a run ---------------------------------------------
+            // The only trap `eval_bin` raises.
+            DOp::Bin { .. } => self.trap(tid, Trap::DivByZero),
+            DOp::Load { ty, addr, .. } | DOp::Store { ty, addr, .. } => {
+                // Out of bounds: the HTM still sees the access before the
+                // trap (which aborts, inside a transaction).
+                let (av, _) = self.run_ctx(tid, d).rd(addr);
+                let len = ty.size_bytes() as u64;
+                let kind = if matches!(op, DOp::Load { .. }) {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                self.htm.access(tid, av, len, kind);
+                let trap = self.mem.check(av, len).expect_err("a run refuses no access in bounds");
+                self.trap(tid, trap)
+            }
+            DOp::Vote { ty, a, b, c, dst } | DOp::ChkCorrect { ty, a, b, c, dst } => {
+                // The copies diverge: a single bad one is outvoted and
+                // counted, three different ones are an ILR detection.
+                let cx = self.run_ctx(tid, d);
+                let ((av, ar), (bv, br), (cv, cr)) = (cx.rd(a), cx.rd(b), cx.rd(c));
+                let now = cx.sb.clock + self.wall_cycles;
+                let v = if av == bv || av == cv {
+                    av
+                } else if bv == cv {
+                    bv
+                } else {
+                    return self.ilr_detect(tid);
+                };
+                let (event, detector) = if matches!(op, DOp::Vote { .. }) {
+                    self.corrected_by_vote += 1;
+                    ("vote.correct", FaultDetector::Vote)
+                } else {
+                    self.corrected_by_checksum += 1;
+                    ("abft.correct", FaultDetector::Checksum)
+                };
+                if let Some(tr) = self.trace.as_mut() {
+                    tr.push(TraceEvent::instant("vm", event, now).lane(0, tid as u32));
                 }
+                if let Some(fx) = self.forensics.as_deref_mut() {
+                    // Same pre-issue timestamp as the interpreter's hook.
+                    fx.detect(detector, self.instructions, now);
+                }
+                self.run_ctx(tid, d).forward(dst, v, ar.max(br).max(cr), ty);
+                Flow::Continue
             }
-            DOp::Un { op, ty, a, dst, lat } => {
-                let t = &mut self.threads[tid];
-                let (av, ar) = rd(t.frames.last().expect("live frame"), a);
-                let v = eval_un(op, ty, av);
-                let done = t.sb.issue(width, ar, lat);
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, v, done, ty);
-                EFlow::Norm
+            DOp::TxCondSplit => {
+                // At the threshold with no lock elided: commit and reopen.
+                self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
+                if self.threads[tid].in_tx() {
+                    self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
+                    if let Err(cause) = self.tx_commit(tid) {
+                        self.tx_abort(tid, cause);
+                        return Flow::Continue;
+                    }
+                }
+                let begin = self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
+                self.tx_begin(tid, begin);
+                Flow::Continue
             }
-            DOp::Cmp { op, ty, a, b, dst } => {
-                let t = &mut self.threads[tid];
-                let fr = t.frames.last().expect("live frame");
-                let (av, ar) = rd(fr, a);
-                let (bv, br) = rd(fr, b);
-                let v = eval_cmp(op, ty, av, bv) as u64;
-                let done = t.sb.issue(width, ar.max(br), self.cfg.cost.lat_int);
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, v, done, Ty::I1);
-                EFlow::Norm
-            }
-            DOp::MoveV { ty, a, dst } => {
-                let t = &mut self.threads[tid];
-                let (av, ar) = rd(t.frames.last().expect("live frame"), a);
-                let done = t.sb.issue(width, ar, self.cfg.cost.lat_int);
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, av, done, ty);
-                EFlow::Norm
-            }
-            DOp::Cast { kind, from, to, a, dst } => {
-                let t = &mut self.threads[tid];
-                let (av, ar) = rd(t.frames.last().expect("live frame"), a);
-                let v = eval_cast(kind, from, to, av);
-                let done = t.sb.issue(width, ar, self.cfg.cost.lat_int);
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, v, done, to);
-                EFlow::Norm
-            }
-            DOp::Select { ty, c, t, f, dst } => {
-                let th = &mut self.threads[tid];
-                let fr = th.frames.last().expect("live frame");
-                let (cv, cr) = rd(fr, c);
-                let (tv, tr) = rd(fr, t);
-                let (fv, fr2) = rd(fr, f);
-                let v = if cv & 1 != 0 { tv } else { fv };
-                let done = th.sb.issue(width, cr.max(tr).max(fr2), self.cfg.cost.lat_int);
-                wreg(th, &mut self.occ, &mut self.fault, &mut self.forensics, dst, v, done, ty);
-                EFlow::Norm
-            }
-            DOp::Gep { base, index, scale, offset, dst } => {
-                let t = &mut self.threads[tid];
-                let fr = t.frames.last().expect("live frame");
-                let (bv, br) = rd(fr, base);
-                let (iv, ir) = rd(fr, index);
-                let v =
-                    bv.wrapping_add((iv as i64).wrapping_mul(scale) as u64).wrapping_add(offset);
-                let done = t.sb.issue(width, br.max(ir), self.cfg.cost.lat_int);
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, v, done, Ty::Ptr);
-                EFlow::Norm
-            }
-            DOp::TrapMalformed => EFlow::Flow(self.trap(tid, Trap::MalformedIr)),
+            DOp::Un { .. }
+            | DOp::Cmp { .. }
+            | DOp::MoveV { .. }
+            | DOp::Cast { .. }
+            | DOp::Select { .. }
+            | DOp::Gep { .. }
+            | DOp::Br { .. }
+            | DOp::CondBr { .. }
+            | DOp::TxCounterInc { .. }
+            | DOp::ThreadIdD { .. }
+            | DOp::NumThreadsD { .. }
+            | DOp::Nop => unreachable!("a run never refuses {op:?}"),
+
+            DOp::TrapMalformed => self.trap(tid, Trap::MalformedIr),
 
             // --- memory -----------------------------------------------------
-            DOp::Load { ty, addr, atomic, dst } => {
-                let (av, ar) = rd(self.threads[tid].frames.last().expect("live frame"), addr);
-                let len = ty.size_bytes();
-                let hit = self.htm.access(tid, av, len as u64, AccessKind::Read);
-                match self.mem_load(tid, av, len) {
-                    Ok(v) => {
-                        let lat = if atomic {
-                            self.cfg.cost.lat_atomic
-                        } else if hit {
-                            self.cfg.cost.lat_load_hit
-                        } else {
-                            self.cfg.cost.lat_load_miss
-                        };
-                        let dep = self.mem_ready_f(tid, av, len);
-                        let t = &mut self.threads[tid];
-                        let done = t.sb.issue(width, ar.max(dep), lat);
-                        wreg(
-                            t,
-                            &mut self.occ,
-                            &mut self.fault,
-                            &mut self.forensics,
-                            dst,
-                            v,
-                            done,
-                            ty,
-                        );
-                        EFlow::Norm
-                    }
-                    Err(trap) => EFlow::Flow(self.trap(tid, trap)),
-                }
-            }
-            DOp::Store { ty, val, addr, atomic } => {
-                let fr = self.threads[tid].frames.last().expect("live frame");
-                let (vv, vr) = rd(fr, val);
-                let (av, ar) = rd(fr, addr);
-                let len = ty.size_bytes();
-                self.htm.access(tid, av, len as u64, AccessKind::Write);
-                match self.mem_store_f(tid, av, len, vv) {
-                    Ok(()) => {
-                        let lat =
-                            if atomic { self.cfg.cost.lat_atomic } else { self.cfg.cost.lat_store };
-                        let done = self.threads[tid].sb.issue(width, vr.max(ar), lat);
-                        self.note_store_f(tid, av, len, done);
-                        EFlow::Norm
-                    }
-                    Err(trap) => EFlow::Flow(self.trap(tid, trap)),
-                }
-            }
             DOp::Rmw { op, ty, addr, val, dst } => {
-                let fr = self.threads[tid].frames.last().expect("live frame");
-                let (av, ar) = rd(fr, addr);
-                let (vv, vr) = rd(fr, val);
+                let cx = self.run_ctx(tid, d);
+                let ((av, ar), (vv, vr)) = (cx.rd(addr), cx.rd(val));
                 let len = ty.size_bytes();
                 self.htm.access(tid, av, len as u64, AccessKind::Write);
                 match self.mem_load(tid, av, len) {
@@ -444,38 +655,23 @@ impl<'m> Vm<'m> {
                         };
                         match self.mem_store_f(tid, av, len, new) {
                             Ok(()) => {
-                                let dep = self.mem_ready_f(tid, av, len);
-                                let t = &mut self.threads[tid];
-                                let done = t.sb.issue(
-                                    width,
-                                    ar.max(vr).max(dep),
-                                    self.cfg.cost.lat_atomic,
-                                );
-                                self.note_store_f(tid, av, len, done);
-                                let t = &mut self.threads[tid];
-                                wreg(
-                                    t,
-                                    &mut self.occ,
-                                    &mut self.fault,
-                                    &mut self.forensics,
-                                    dst,
-                                    old,
-                                    done,
-                                    ty,
-                                );
-                                EFlow::Norm
+                                let mut cx = self.run_ctx(tid, d);
+                                let dep = cx.store_done.ready(av, len);
+                                let done =
+                                    cx.sb.issue(width, ar.max(vr).max(dep), cx.cost.lat_atomic);
+                                cx.store_done.note(av, len, done);
+                                cx.wreg(dst, old, done, ty);
+                                Flow::Continue
                             }
-                            Err(trap) => EFlow::Flow(self.trap(tid, trap)),
+                            Err(trap) => self.trap(tid, trap),
                         }
                     }
-                    Err(trap) => EFlow::Flow(self.trap(tid, trap)),
+                    Err(trap) => self.trap(tid, trap),
                 }
             }
             DOp::CmpXchg { ty, addr, expected, new, dst } => {
-                let fr = self.threads[tid].frames.last().expect("live frame");
-                let (av, ar) = rd(fr, addr);
-                let (ev, er) = rd(fr, expected);
-                let (nv, nr) = rd(fr, new);
+                let cx = self.run_ctx(tid, d);
+                let ((av, ar), (ev, er), (nv, nr)) = (cx.rd(addr), cx.rd(expected), cx.rd(new));
                 let len = ty.size_bytes();
                 self.htm.access(tid, av, len as u64, AccessKind::Write);
                 match self.mem_load(tid, av, len) {
@@ -484,338 +680,126 @@ impl<'m> Vm<'m> {
                             if old == ev { self.mem_store_f(tid, av, len, nv) } else { Ok(()) };
                         match res {
                             Ok(()) => {
-                                let dep = self.mem_ready_f(tid, av, len);
+                                let mut cx = self.run_ctx(tid, d);
+                                let dep = cx.store_done.ready(av, len);
                                 let ready = ar.max(er).max(nr).max(dep);
-                                let t = &mut self.threads[tid];
-                                let done = t.sb.issue(width, ready, self.cfg.cost.lat_atomic);
-                                self.note_store_f(tid, av, len, done);
-                                let t = &mut self.threads[tid];
-                                wreg(
-                                    t,
-                                    &mut self.occ,
-                                    &mut self.fault,
-                                    &mut self.forensics,
-                                    dst,
-                                    old,
-                                    done,
-                                    ty,
-                                );
-                                EFlow::Norm
+                                let done = cx.sb.issue(width, ready, cx.cost.lat_atomic);
+                                cx.store_done.note(av, len, done);
+                                cx.wreg(dst, old, done, ty);
+                                Flow::Continue
                             }
-                            Err(trap) => EFlow::Flow(self.trap(tid, trap)),
+                            Err(trap) => self.trap(tid, trap),
                         }
                     }
-                    Err(trap) => EFlow::Flow(self.trap(tid, trap)),
+                    Err(trap) => self.trap(tid, trap),
                 }
             }
             DOp::Alloc { size, dst } => {
-                let (sv, sr) = rd(self.threads[tid].frames.last().expect("live frame"), size);
+                let (sv, sr) = self.run_ctx(tid, d).rd(size);
                 match self.mem.alloc(sv) {
                     Ok(base) => {
-                        let t = &mut self.threads[tid];
-                        let done = t.sb.issue(width, sr, self.cfg.cost.lat_alloc);
-                        wreg(
-                            t,
-                            &mut self.occ,
-                            &mut self.fault,
-                            &mut self.forensics,
-                            dst,
-                            base,
-                            done,
-                            Ty::Ptr,
-                        );
-                        EFlow::Norm
+                        let mut cx = self.run_ctx(tid, d);
+                        let done = cx.sb.issue(width, sr, cx.cost.lat_alloc);
+                        cx.wreg(dst, base, done, Ty::Ptr);
+                        Flow::Continue
                     }
-                    Err(trap) => EFlow::Flow(self.trap(tid, trap)),
+                    Err(trap) => self.trap(tid, trap),
                 }
             }
 
             // --- control ----------------------------------------------------
-            DOp::Br { edge } => {
-                self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_branch);
-                self.take_edge_fused(tid, d, edge);
-                EFlow::Flow(Flow::Continue)
-            }
-            DOp::CondBr { cond, t, f, bp } => {
-                let th = &mut self.threads[tid];
-                let (cv, cr) = rd(th.frames.last().expect("live frame"), cond);
-                let taken = cv & 1 != 0;
-                let done = th.sb.issue(width, cr, self.cfg.cost.lat_branch);
-                // Dense 1-bit predictor: 0 unknown, 1 not-taken, 2 taken.
-                let prev = th.bp_dense[bp as usize];
-                th.bp_dense[bp as usize] = 1 + taken as u8;
-                if prev != 0 && (prev == 2) != taken {
-                    self.mispredicts += 1;
-                    th.sb.flush_to(done + self.cfg.cost.mispredict_penalty);
-                }
-                let edge = if taken { t } else { f };
-                self.take_edge_fused(tid, d, edge);
-                EFlow::Flow(Flow::Continue)
-            }
             DOp::CallDirect { target, args_at, args_n, dst, arity_ok } => {
                 if self.threads[tid].frames.len() >= MAX_CALL_DEPTH {
-                    return EFlow::Flow(self.trap(tid, Trap::StackOverflow));
+                    return self.trap(tid, Trap::StackOverflow);
                 }
                 if !arity_ok {
-                    return EFlow::Flow(self.trap(tid, Trap::MalformedIr));
+                    return self.trap(tid, Trap::MalformedIr);
                 }
                 self.do_call(tid, d, target, args_at, args_n, dst)
             }
             DOp::CallInd { callee, args_at, args_n, dst } => {
-                let (v, _) = rd(self.threads[tid].frames.last().expect("live frame"), callee);
+                let (v, _) = self.run_ctx(tid, d).rd(callee);
                 let idx = v.wrapping_sub(FUNC_BASE);
                 if v < FUNC_BASE || (idx as usize) >= d.funcs.len() {
-                    return EFlow::Flow(self.trap(tid, Trap::BadIndirectCall { target: v }));
+                    return self.trap(tid, Trap::BadIndirectCall { target: v });
                 }
                 let target = idx as u32;
                 if self.threads[tid].frames.len() >= MAX_CALL_DEPTH {
-                    return EFlow::Flow(self.trap(tid, Trap::StackOverflow));
+                    return self.trap(tid, Trap::StackOverflow);
                 }
                 if d.funcs[target as usize].n_params != args_n as usize {
-                    return EFlow::Flow(self.trap(tid, Trap::MalformedIr));
+                    return self.trap(tid, Trap::MalformedIr);
                 }
                 self.do_call(tid, d, target, args_at, args_n, dst)
             }
             DOp::Ret { val } => {
+                let cx = self.run_ctx(tid, d);
+                let rv = val.map(|s| cx.rd(s));
+                let done = cx.sb.issue(width, rv.map(|(_, r)| r).unwrap_or(0), cx.cost.lat_call);
                 let t = &mut self.threads[tid];
-                let rv = val.map(|s| rd(t.frames.last().expect("live frame"), s));
-                let done =
-                    t.sb.issue(width, rv.map(|(_, r)| r).unwrap_or(0), self.cfg.cost.lat_call);
                 let frame = t.frames.pop().expect("live frame");
                 if t.frames.is_empty() {
                     self.pool.push((frame.regs, frame.ready));
-                    return EFlow::Flow(Flow::ThreadDone);
+                    return Flow::ThreadDone;
                 }
                 if let (Some(dst), Some((v, _))) = (frame.return_to, rv) {
+                    // The caller's frame is the live one now.
                     let ty = d.funcs[frame.func.0 as usize].ret_ty;
-                    wreg(
-                        t,
-                        &mut self.occ,
-                        &mut self.fault,
-                        &mut self.forensics,
-                        dst.0,
-                        v,
-                        done,
-                        ty,
-                    );
+                    self.run_ctx(tid, d).wreg(dst.0, v, done, ty);
                 }
                 // Donate the retired register window back to the pool.
                 self.pool.push((frame.regs, frame.ready));
-                EFlow::Flow(Flow::Continue)
+                Flow::Continue
             }
 
             // --- HAFT runtime intrinsics -----------------------------------------
             DOp::TxBegin => {
                 let done = self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
                 self.tx_begin(tid, done);
-                EFlow::Norm
+                Flow::Continue
             }
             DOp::TxEnd => {
                 if self.threads[tid].tx_depth > 1 {
                     self.threads[tid].tx_depth -= 1;
                     self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
-                    EFlow::Norm
                 } else if self.threads[tid].in_tx() {
                     self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
-                    match self.tx_commit(tid) {
-                        Ok(()) => EFlow::Norm,
-                        Err(cause) => {
-                            self.tx_abort(tid, cause);
-                            EFlow::Flow(Flow::Continue)
-                        }
+                    if let Err(cause) = self.tx_commit(tid) {
+                        self.tx_abort(tid, cause);
                     }
                 } else {
                     self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
-                    EFlow::Norm
                 }
+                Flow::Continue
             }
-            DOp::TxCondSplit => {
-                self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
-                if self.threads[tid].counter >= self.threads[tid].threshold
-                    && self.threads[tid].elided.is_empty()
-                {
-                    if self.threads[tid].in_tx() {
-                        self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
-                        match self.tx_commit(tid) {
-                            Ok(()) => {
-                                let begin = self.threads[tid]
-                                    .sb
-                                    .issue_serial(width, self.cfg.cost.lat_tx_begin);
-                                self.tx_begin(tid, begin);
-                                EFlow::Norm
-                            }
-                            Err(cause) => {
-                                self.tx_abort(tid, cause);
-                                EFlow::Flow(Flow::Continue)
-                            }
-                        }
-                    } else {
-                        let begin =
-                            self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
-                        self.tx_begin(tid, begin);
-                        EFlow::Norm
-                    }
-                } else {
-                    EFlow::Norm
-                }
-            }
-            DOp::TxCounterInc { amount } => {
-                let lat = self.cfg.cost.lat_counter_inc;
-                let t = &mut self.threads[tid];
-                t.counter += amount;
-                t.sb.issue(width, 0, lat);
-                EFlow::Norm
-            }
-            DOp::TxAbortIlr => EFlow::Flow(self.ilr_detect(tid)),
+            DOp::TxAbortIlr => self.ilr_detect(tid),
             DOp::TxAbortExplicit => {
                 if self.threads[tid].in_tx() {
                     self.tx_abort(tid, AbortCause::Explicit);
-                    EFlow::Flow(Flow::Continue)
+                    Flow::Continue
                 } else {
-                    EFlow::Flow(Flow::Stop(RunOutcome::Detected))
-                }
-            }
-            DOp::Vote { ty, a, b, c, dst } => {
-                let t = &mut self.threads[tid];
-                let fr = t.frames.last().expect("live frame");
-                let (av, ar) = rd(fr, a);
-                let (bv, br) = rd(fr, b);
-                let (cv, cr) = rd(fr, c);
-                let majority = if av == bv || av == cv {
-                    Some(av)
-                } else if bv == cv {
-                    Some(bv)
-                } else {
-                    None
-                };
-                match majority {
-                    Some(v) => {
-                        if !(av == bv && av == cv) {
-                            self.corrected_by_vote += 1;
-                            // `t` stays borrowed; `trace`/`wall_cycles` are
-                            // disjoint `Vm` fields.
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.push(
-                                    haft_trace::TraceEvent::instant(
-                                        "vm",
-                                        "vote.correct",
-                                        self.wall_cycles + t.sb.clock,
-                                    )
-                                    .lane(0, tid as u32),
-                                );
-                            }
-                            if let Some(fx) = self.forensics.as_deref_mut() {
-                                // Same pre-issue timestamp as the
-                                // interpreter's vote hook.
-                                fx.detect(
-                                    super::forensics::FaultDetector::Vote,
-                                    self.instructions,
-                                    self.wall_cycles + t.sb.clock,
-                                );
-                            }
-                        }
-                        let done = t.sb.issue(width, ar.max(br).max(cr), self.cfg.cost.lat_vote);
-                        // Forwarded write: not part of the fault-injection
-                        // occurrence stream (mirrors `write_reg_forwarded`).
-                        let fr = t.frames.last_mut().expect("live frame");
-                        fr.regs[dst as usize] = v & ty.mask();
-                        fr.ready[dst as usize] = done;
-                        EFlow::Norm
-                    }
-                    None => EFlow::Flow(self.ilr_detect(tid)),
-                }
-            }
-            DOp::ChkCorrect { ty, a, b, c, dst } => {
-                let t = &mut self.threads[tid];
-                let fr = t.frames.last().expect("live frame");
-                let (av, ar) = rd(fr, a);
-                let (bv, br) = rd(fr, b);
-                let (cv, cr) = rd(fr, c);
-                let majority = if av == bv || av == cv {
-                    Some(av)
-                } else if bv == cv {
-                    Some(bv)
-                } else {
-                    None
-                };
-                match majority {
-                    Some(v) => {
-                        if !(av == bv && av == cv) {
-                            self.corrected_by_checksum += 1;
-                            if let Some(tr) = self.trace.as_mut() {
-                                tr.push(
-                                    haft_trace::TraceEvent::instant(
-                                        "vm",
-                                        "abft.correct",
-                                        self.wall_cycles + t.sb.clock,
-                                    )
-                                    .lane(0, tid as u32),
-                                );
-                            }
-                            if let Some(fx) = self.forensics.as_deref_mut() {
-                                // Same pre-issue timestamp as the
-                                // interpreter's hook.
-                                fx.detect(
-                                    super::forensics::FaultDetector::Checksum,
-                                    self.instructions,
-                                    self.wall_cycles + t.sb.clock,
-                                );
-                            }
-                        }
-                        let done = t.sb.issue(width, ar.max(br).max(cr), self.cfg.cost.lat_vote);
-                        // Forwarded write: not part of the fault-injection
-                        // occurrence stream (mirrors `write_reg_forwarded`).
-                        let fr = t.frames.last_mut().expect("live frame");
-                        fr.regs[dst as usize] = v & ty.mask();
-                        fr.ready[dst as usize] = done;
-                        EFlow::Norm
-                    }
-                    None => EFlow::Flow(self.ilr_detect(tid)),
+                    Flow::Stop(RunOutcome::Detected)
                 }
             }
             DOp::Lock { addr } => {
-                let (av, ar) = rd(self.threads[tid].frames.last().expect("live frame"), addr);
-                EFlow::Flow(self.exec_lock(tid, av, ar))
+                let (av, ar) = self.run_ctx(tid, d).rd(addr);
+                self.exec_lock(tid, av, ar)
             }
             DOp::Unlock { addr } => {
-                let (av, ar) = rd(self.threads[tid].frames.last().expect("live frame"), addr);
-                EFlow::Flow(self.exec_unlock(tid, av, ar))
+                let (av, ar) = self.run_ctx(tid, d).rd(addr);
+                self.exec_unlock(tid, av, ar)
             }
             DOp::Emit { val } => {
                 if self.threads[tid].in_tx() {
                     self.tx_abort(tid, AbortCause::Unfriendly);
-                    EFlow::Flow(Flow::Continue)
                 } else {
+                    let (v, _) = self.run_ctx(tid, d).rd(val);
                     let t = &mut self.threads[tid];
-                    let (v, _) = rd(t.frames.last().expect("live frame"), val);
                     t.sb.issue_serial(width, self.cfg.cost.lat_emit);
                     t.emitted.push(v);
-                    EFlow::Norm
                 }
+                Flow::Continue
             }
-            DOp::ThreadIdD { dst } => {
-                let t = &mut self.threads[tid];
-                let done = t.sb.issue(width, 0, self.cfg.cost.lat_int);
-                wreg(
-                    t,
-                    &mut self.occ,
-                    &mut self.fault,
-                    &mut self.forensics,
-                    dst,
-                    tid as u64,
-                    done,
-                    Ty::I64,
-                );
-                EFlow::Norm
-            }
-            DOp::NumThreadsD { dst } => {
-                let n = self.cfg.n_threads.max(1) as u64;
-                let t = &mut self.threads[tid];
-                let done = t.sb.issue(width, 0, self.cfg.cost.lat_int);
-                wreg(t, &mut self.occ, &mut self.fault, &mut self.forensics, dst, n, done, Ty::I64);
-                EFlow::Norm
-            }
-            DOp::Nop => EFlow::Norm,
         }
     }
 }
@@ -1040,6 +1024,27 @@ impl CellMap {
         let slot = self.slot_for(cell);
         let (k, v) = self.slots[slot];
         (k != 0).then_some(v)
+    }
+
+    /// Ready time contributed by earlier stores covering
+    /// `[addr, addr + len)`.
+    #[inline]
+    pub fn ready(&self, addr: u64, len: u32) -> u64 {
+        let mut ready = 0;
+        for cell in (addr >> 3)..=((addr + len as u64 - 1) >> 3) {
+            if let Some(d) = self.get(cell) {
+                ready = ready.max(d);
+            }
+        }
+        ready
+    }
+
+    /// Records a store completing at `done` over `[addr, addr + len)`.
+    #[inline]
+    pub fn note(&mut self, addr: u64, len: u32, done: u64) {
+        for cell in (addr >> 3)..=((addr + len as u64 - 1) >> 3) {
+            self.insert(cell, done);
+        }
     }
 
     pub fn insert(&mut self, cell: u64, val: u64) {

@@ -372,7 +372,7 @@ fn op_val(frame: &Frame, mem: &Memory, o: &Operand) -> u64 {
     }
 }
 
-/// Decoded-operand value against a frame (mirror of `engine::rd`).
+/// Decoded-operand value against a frame (mirror of `RunCtx::rd`).
 fn src_val(frame: &Frame, s: Src) -> u64 {
     match s {
         Src::Slot(i) => frame.regs[i as usize],

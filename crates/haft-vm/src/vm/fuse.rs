@@ -10,6 +10,12 @@
 //! the win comes from: a hardened block's master/shadow straight-line
 //! run executes as one long dispatch.
 //!
+//! Since the engine's register-only runs (`engine.rs`) the dispatch loop
+//! continues through *every* run-eligible op, flagged or not, so the
+//! flags no longer steer dispatch: they are the static census of the hot
+//! idioms ([`FuseStats`], `vm.fuse.*`) and the dynamic
+//! `Vm::fused_retired` count.
+//!
 //! What fuses (the hot harden idioms):
 //!
 //! * **ILR shadow pairs** (`alu_pairs`): compute→compute, and

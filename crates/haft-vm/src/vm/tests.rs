@@ -412,6 +412,38 @@ fn lock_elision_keeps_critical_section_transactional() {
     assert_eq!(r.htm.total_aborts(), 0);
 }
 
+/// A split that comes due while a lock is elided waits for the unlock:
+/// committing inside the critical section would drop the elision record
+/// and make the unlock an unfriendly instruction. Both engines.
+#[test]
+fn cond_split_waits_while_a_lock_is_elided() {
+    let mut m = Module::new("t");
+    m.add_global("lock", 8);
+    m.add_global("x", 8);
+    let lock = Operand::GlobalAddr(GlobalId(0));
+    let g = Operand::GlobalAddr(GlobalId(1));
+    let mut fb = FunctionBuilder::new("fini", &[], None);
+    fb.set_non_local();
+    fb.emit_op(Op::TxBegin);
+    fb.lock(lock);
+    fb.emit_op(Op::TxCounterInc { amount: 500 });
+    fb.emit_op(Op::TxCondSplit);
+    fb.store(Ty::I64, fb.iconst(Ty::I64, 5), g);
+    fb.unlock(lock);
+    fb.emit_op(Op::TxCondSplit);
+    fb.emit_op(Op::TxEnd);
+    fb.ret(None);
+    m.push_func(fb.finish());
+
+    for engine in [Engine::Interp, Engine::Fused] {
+        let cfg = VmConfig { lock_elision: true, tx_threshold: 100, engine, ..Default::default() };
+        let r = run(&m, cfg, RunSpec { fini: Some("fini"), ..Default::default() });
+        assert_eq!(r.outcome, RunOutcome::Completed);
+        assert_eq!(r.htm.total_aborts(), 0, "{engine:?}: the unlock found its elision record");
+        assert_eq!(r.htm.commits, 2, "{engine:?}: one split, after the unlock, and the end");
+    }
+}
+
 #[test]
 fn fault_injection_corrupts_exactly_one_register() {
     let build = |fault: Option<FaultPlan>| {

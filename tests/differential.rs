@@ -12,6 +12,14 @@
 //! thresholds, and fault injections. Any divergence — one cycle, one
 //! abort, one vote, one checksum correction — fails.
 //!
+//! The fused engine executes straight-line stretches as register-only
+//! runs and re-joins the scheduler's per-op protocol only where a run
+//! ends. Everything that can end one is therefore an axis here: the
+//! horizon (`quantum`), the instruction budget, polls that doom a
+//! transaction, and — in the generated programs — ops that trap in the
+//! middle of a stretch (a division by zero, a load or store out of
+//! bounds), inside and outside transactions.
+//!
 //! The third axis pins *forked* injection runs to from-scratch ones: a
 //! fault-free pilot VM advanced to just short of an occurrence, copied,
 //! armed and run to its end ([`Vm::advance_to`], [`Vm::fork`] — what the
@@ -25,7 +33,7 @@ use proptest::prelude::*;
 
 /// A tiny random program description (the same shape `properties.rs`
 /// uses: enough to exercise ALU chains, memory, and branches — the op
-/// mix the fuser targets).
+/// mix the fuser targets), plus two steps that can trap.
 #[derive(Clone, Debug)]
 enum Step {
     Add(u8, u8),
@@ -33,6 +41,13 @@ enum Step {
     Xor(u8, u8),
     StoreLoad(u8),
     Branchy(u8),
+    /// `x / (y & k)`, signed or unsigned: the divisor is zero whenever
+    /// `y` has none of `k`'s bits (always, for `k == 0`).
+    Div(u8, u8, u8, bool),
+    /// A store (or a load) at `scratch + (x & (k << 17 | 24))`: up to
+    /// 32 MiB away in a 16 MiB memory, so far lines and other sets when
+    /// in bounds, a trap after the HTM access when not.
+    Wild(u8, u8, bool),
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -42,6 +57,9 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Step::Xor(a, b)),
         any::<u8>().prop_map(Step::StoreLoad),
         any::<u8>().prop_map(Step::Branchy),
+        (any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>())
+            .prop_map(|(a, b, k, signed)| Step::Div(a, b, k, signed)),
+        (any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(a, k, store)| Step::Wild(a, k, store)),
     ]
 }
 
@@ -74,6 +92,22 @@ fn build_program(steps: &[Step]) -> Module {
                 let slot = f.bin(BinOp::And, Ty::I64, x, f.iconst(Ty::I64, 24));
                 let addr = f.add(Ty::I64, g, slot);
                 f.store(Ty::I64, x, addr);
+                f.load(Ty::I64, addr)
+            }
+            Step::Div(a, b, k, signed) => {
+                let (x, y) = (pick(&vals, *a), pick(&vals, *b));
+                let divisor = f.bin(BinOp::And, Ty::I64, y, f.iconst(Ty::I64, *k as i64));
+                let op = if *signed { BinOp::SDiv } else { BinOp::UDiv };
+                f.bin(op, Ty::I64, x, divisor)
+            }
+            Step::Wild(a, k, store) => {
+                let x = pick(&vals, *a);
+                let reach = f.iconst(Ty::I64, (*k as i64) << 17 | 24);
+                let off = f.bin(BinOp::And, Ty::I64, x, reach);
+                let addr = f.add(Ty::I64, g, off);
+                if *store {
+                    f.store(Ty::I64, x, addr);
+                }
                 f.load(Ty::I64, addr)
             }
             Step::Branchy(a) => {
@@ -270,6 +304,119 @@ fn engines_agree_on_workloads() {
             }
         }
     }
+}
+
+/// What ends a register-only run, as a grid of its own: the horizon
+/// (`quantum` from one cycle to longer than any phase), the instruction
+/// budget (a `Hang` must land on the same instruction: a third of the way
+/// in, one short of the end, exactly the end, never), polls that doom
+/// transactions mid-stretch (a spontaneous-abort rate and a timer budget
+/// that fire within a few hundred cycles), and a thread's own accesses
+/// dooming its transaction (an L1 of eight lines). Two threads, every
+/// backend; whole `RunResult`s, per cell. One test per program (320 cells
+/// each) so that the harness can run them side by side; `wordcount` adds
+/// lock traffic.
+fn assert_engines_agree_on_every_run_exit_condition(name: &str) {
+    use haft::htm::HtmConfig;
+    let htms = [
+        HtmConfig::default(),
+        HtmConfig { spontaneous_per_kcycle: 0.5, ..Default::default() },
+        HtmConfig { cycle_budget: 300, ..Default::default() },
+        HtmConfig { l1_sets: 4, l1_ways: 2, ..Default::default() },
+    ];
+    let unlimited = VmConfig::default().max_instructions;
+    let w = workload_by_name(name, Scale::Small).unwrap();
+    let configs =
+        [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr(), HardenConfig::abft()];
+    for hc in configs {
+        let (hardened, _) = Experiment::workload(&w).harden(hc.clone()).build();
+        for quantum in [1, 2, 7, 64, 5000] {
+            for htm in &htms {
+                let run = |max_instructions: u64| {
+                    let vm = VmConfig {
+                        n_threads: 2,
+                        quantum,
+                        max_instructions,
+                        htm: htm.clone(),
+                        ..Default::default()
+                    };
+                    let exp = Experiment::new(&hardened).spec(w.run_spec()).vm(vm);
+                    let (interp, fused) = run_both(&exp);
+                    assert_eq!(
+                        interp,
+                        fused,
+                        "engines diverge: workload={name} backend={} quantum={quantum} \
+                         max_instructions={max_instructions} htm={htm:?}",
+                        hc.label()
+                    );
+                    fused
+                };
+                let clean = run(unlimited);
+                assert_eq!(clean.outcome, RunOutcome::Completed);
+                for budget in [clean.instructions / 3, clean.instructions - 1] {
+                    let cut = run(budget);
+                    assert_eq!(
+                        (cut.outcome, cut.instructions),
+                        (RunOutcome::Hang, budget),
+                        "{name}: a budget of {budget} must stop the run exactly there"
+                    );
+                }
+                assert_eq!(run(clean.instructions), clean, "{name}: the exact budget suffices");
+            }
+        }
+    }
+}
+
+#[test]
+fn engines_agree_on_every_run_exit_condition_linearreg() {
+    assert_engines_agree_on_every_run_exit_condition("linearreg");
+}
+
+#[test]
+fn engines_agree_on_every_run_exit_condition_histogram() {
+    assert_engines_agree_on_every_run_exit_condition("histogram");
+}
+
+#[test]
+fn engines_agree_on_every_run_exit_condition_wordcount() {
+    assert_engines_agree_on_every_run_exit_condition("wordcount");
+}
+
+/// A load the memory refuses still reaches the HTM model before it traps
+/// (`Vm::step`'s order), although a register-only run refuses the op
+/// before touching anything. Observable inside a transaction, where the
+/// trap is an abort and the retry re-executes: with a one-line L1 the
+/// wild access has evicted `a`, so every retry's reload misses.
+#[test]
+fn refused_access_reaches_the_htm_before_it_traps() {
+    let mut m = Module::new("oob");
+    let a = Operand::GlobalAddr(m.add_global("a", 8));
+    let mut f = FunctionBuilder::new("fini", &[], None);
+    f.set_non_local();
+    f.emit_op(Op::TxBegin);
+    f.load(Ty::I64, a);
+    let wild = f.add(Ty::I64, a, f.iconst(Ty::I64, 1 << 24));
+    f.load(Ty::I64, wild);
+    f.emit_op(Op::TxEnd);
+    f.ret(None);
+    m.push_func(f.finish());
+
+    let run = |l1_ways: usize| {
+        let htm = haft::htm::HtmConfig { l1_sets: 1, l1_ways, ..Default::default() };
+        let exp = Experiment::new(&m).spec(fini_spec()).vm(VmConfig { htm, ..Default::default() });
+        let (interp, fused) = run_both(&exp);
+        assert_eq!(interp, fused, "engines diverge with a {l1_ways}-line L1");
+        assert!(matches!(fused.outcome, RunOutcome::Trapped(_)), "{:?}", fused.outcome);
+        fused
+    };
+    let (one_line, two_lines) = (run(1), run(2));
+    assert_eq!(one_line.htm.aborts, two_lines.htm.aborts, "same retries either way");
+    assert!(
+        one_line.wall_cycles > two_lines.wall_cycles,
+        "the wild access must evict `a`: {} vs {} cycles",
+        one_line.wall_cycles,
+        two_lines.wall_cycles
+    );
 }
 
 /// The fork axis on the named grid, two simulated threads: the pilot
