@@ -43,11 +43,12 @@ use std::collections::{HashMap, HashSet};
 
 use haft_ir::cfg::Cfg;
 use haft_ir::function::{Function, InstId, ValueDef, ValueId};
-use haft_ir::inst::{BinOp, Callee, InstMeta, Op, Operand};
+use haft_ir::inst::{BinOp, Callee, Op, Operand};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
 use crate::ilr::{run_ilr, IlrConfig};
+use crate::replicate::Lanes;
 use crate::tx::{run_tx, CalleeKind, TxConfig};
 
 /// ABFT configuration: how aggressively the pass claims functions.
@@ -188,14 +189,10 @@ fn chain_ty(ty: Ty) -> bool {
 /// across its chains so a slice shared by two chains is replicated once.
 #[derive(Default)]
 struct Plan {
-    /// Carrier phis of register accumulation chains.
-    phis: HashSet<InstId>,
-    /// Carrier loads of memory-cell chains (re-loaded per lane).
-    loads: HashSet<InstId>,
-    /// Stores closing memory-cell chains (value verified-and-corrected).
-    stores: HashSet<InstId>,
-    /// Arithmetic slices to replicate per lane.
-    slices: HashSet<InstId>,
+    /// Chain state to replicate per lane: the carrier phis of register
+    /// accumulation chains, the carrier loads of memory-cell chains, and
+    /// the arithmetic slices that close either.
+    state: HashSet<InstId>,
     /// Recognized data chains.
     chains: u64,
 }
@@ -300,8 +297,8 @@ fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
                 }
             }
             if !slice.is_empty() && is_data_chain(f, &slice, p) {
-                plan.phis.insert(iid);
-                plan.slices.extend(slice.iter().copied());
+                plan.state.insert(iid);
+                plan.state.extend(slice.iter().copied());
                 plan.chains += 1;
             }
         }
@@ -313,11 +310,11 @@ fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
                 continue;
             };
             let (ty, v, addr) = (*ty, *v, *addr);
-            if !chain_ty(ty) || plan.stores.contains(&sid) {
+            if !chain_ty(ty) {
                 continue;
             }
             for &lid in &block.insts[..j] {
-                if plan.loads.contains(&lid) {
+                if plan.state.contains(&lid) {
                     continue;
                 }
                 let Op::Load { ty: lty, addr: laddr, atomic: false } = &f.inst(lid).op else {
@@ -331,9 +328,8 @@ fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
                 if !is_data_chain(f, &slice, carrier) {
                     continue;
                 }
-                plan.loads.insert(lid);
-                plan.stores.insert(sid);
-                plan.slices.extend(slice.iter().copied());
+                plan.state.insert(lid);
+                plan.state.extend(slice.iter().copied());
                 plan.chains += 1;
                 break;
             }
@@ -345,141 +341,80 @@ fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
 /// Applies the checksum-lane instrumentation for one covered function;
 /// returns the number of `chk_correct` instructions inserted.
 fn instrument(f: &mut Function, plan: &Plan) -> u64 {
-    let mut st = Abft { map: HashMap::new(), phi_tris: Vec::new(), corrections: 0 };
-    let order = Cfg::compute(f).rpo.clone();
-    for &b in &order {
-        st.rewrite_block(f, b, plan);
-    }
-    st.fill_lane_phis(f);
+    let mut st = Abft::default();
+    st.run(f, plan);
     st.corrections
 }
 
+#[derive(Default)]
 struct Abft {
-    /// Protected master value -> its two checksum-lane twins.
-    map: HashMap<ValueId, [ValueId; 2]>,
-    /// (master phi, lane phi, lane phi) to fill after rewriting (the
-    /// carried incoming only acquires lanes once its block has run).
-    phi_tris: Vec<(InstId, InstId, InstId)>,
+    /// The two checksum lanes of the protected chain state.
+    lanes: Lanes<2>,
     corrections: u64,
 }
 
 impl Abft {
-    fn lane_of(&self, lane: usize, o: &Operand) -> Operand {
-        match o {
-            Operand::Value(v) => self.map.get(v).map(|l| Operand::Value(l[lane])).unwrap_or(*o),
-            other => *other,
+    fn run(&mut self, f: &mut Function, plan: &Plan) {
+        let order = Cfg::compute(f).rpo.clone();
+        for &b in &order {
+            self.rewrite_block(f, b, plan);
         }
+        self.lanes.fill_phis(f);
+    }
+
+    /// ABFT's reconcile policy: emits `chk_correct ty v, lane1, lane2` and
+    /// returns the verified-and-corrected value to use instead of `v`.
+    fn corrected(
+        &mut self,
+        f: &mut Function,
+        insts: &mut Vec<InstId>,
+        (v, [l1, l2]): (ValueId, [ValueId; 2]),
+        ty: Ty,
+    ) -> ValueId {
+        let (cid, cres) =
+            f.create_inst(Op::ChkCorrect { ty, a: v.into(), b: l1.into(), c: l2.into() });
+        insts.push(cid);
+        self.corrections += 1;
+        cres.expect("chk_correct result")
     }
 
     fn rewrite_block(&mut self, f: &mut Function, b: haft_ir::function::BlockId, plan: &Plan) {
         let old = std::mem::take(&mut f.blocks[b.0 as usize].insts);
         let mut insts: Vec<InstId> = Vec::with_capacity(old.len() + 8);
-        let meta = InstMeta { shadow: true, ..Default::default() };
 
         for iid in old {
-            if plan.phis.contains(&iid) {
-                // Carrier phi: two lane phis ride directly behind it so
-                // phis stay contiguous at the block head.
-                let ty = f.inst(iid).op.result_ty().expect("phi has a type");
-                insts.push(iid);
-                let (p1, r1) = f.create_inst_meta(Op::Phi { ty, incomings: Vec::new() }, meta);
-                let (p2, r2) = f.create_inst_meta(Op::Phi { ty, incomings: Vec::new() }, meta);
-                insts.push(p1);
-                insts.push(p2);
-                let master = f.inst_result(iid).expect("phi has result");
-                self.map.insert(master, [r1.expect("phi result"), r2.expect("phi result")]);
-                self.phi_tris.push((iid, p1, p2));
-            } else if plan.loads.contains(&iid) {
-                // Carrier load: each lane re-reads the (race-free) cell
-                // so the three lanes hold independently loaded state.
-                let Op::Load { ty, addr, .. } = &f.inst(iid).op else {
-                    unreachable!("plan load is a load")
-                };
-                let (ty, addr) = (*ty, *addr);
-                insts.push(iid);
-                let mut lanes = [None, None];
-                for slot in lanes.iter_mut() {
-                    let (cid, cres) =
-                        f.create_inst_meta(Op::Load { ty, addr, atomic: false }, meta);
-                    insts.push(cid);
-                    *slot = cres;
-                }
-                let master = f.inst_result(iid).expect("load has result");
-                self.map.insert(
-                    master,
-                    [lanes[0].expect("load result"), lanes[1].expect("load result")],
-                );
-            } else if plan.slices.contains(&iid) {
-                // Chain arithmetic: replicate per lane, carried operands
-                // swapped for the lane twins, external contributions
-                // shared with the master.
-                insts.push(iid);
-                let mut lanes = [None, None];
-                for (lane, slot) in lanes.iter_mut().enumerate() {
-                    let mut cop = f.inst(iid).op.clone();
-                    cop.map_operands(|o| *o = self.lane_of(lane, o));
-                    let (cid, cres) = f.create_inst_meta(cop, meta);
-                    insts.push(cid);
-                    *slot = cres;
-                }
-                if let Some(master) = f.inst_result(iid) {
-                    self.map.insert(
-                        master,
-                        [lanes[0].expect("slice result"), lanes[1].expect("slice result")],
-                    );
-                }
-            } else if plan.stores.contains(&iid) {
-                // Chain store: the written-back state is the observable
-                // — verify and correct it on the way out.
-                let Op::Store { ty, val, .. } = &f.inst(iid).op else {
-                    unreachable!("plan store is a store")
-                };
-                let (ty, val) = (*ty, *val);
-                if let Operand::Value(v) = val {
-                    if let Some(l) = self.map.get(&v).copied() {
-                        let (cid, cres) = f.create_inst(Op::ChkCorrect {
-                            ty,
-                            a: val,
-                            b: Operand::Value(l[0]),
-                            c: Operand::Value(l[1]),
-                        });
-                        insts.push(cid);
-                        let corrected = Operand::Value(cres.expect("chk_correct result"));
-                        if let Op::Store { val, .. } = &mut f.inst_mut(iid).op {
-                            *val = corrected;
-                        }
-                        self.corrections += 1;
-                    }
-                }
-                insts.push(iid);
+            if plan.state.contains(&iid) {
+                // Chain state, three lanes of it. A carrier phi's lane
+                // phis ride directly behind it (phis stay contiguous at
+                // the block head) and carry the lane flow, shared initial
+                // incomings staying the master's; a carrier load is
+                // re-read per lane from the (race-free) cell; chain
+                // arithmetic is replicated with carried operands swapped
+                // for the lane twins and external contributions shared
+                // with the master.
+                self.lanes.replicate(f, &mut insts, iid);
             } else {
-                // Any other use of protected state externalizes it:
-                // verify-and-correct each such operand first. Phis keep
-                // their master incomings (the lane phis carry the lane
-                // flow; a correction cannot precede a phi anyway).
+                // Any other use of protected state externalizes it — the
+                // store that closes a memory-cell chain first of all:
+                // verify-and-correct each such operand on the way out.
+                // Phis keep their master incomings (the lane phis carry
+                // the lane flow; a correction cannot precede a phi
+                // anyway).
                 if !f.inst(iid).op.is_phi() {
                     let mut planned: Vec<(ValueId, [ValueId; 2])> = Vec::new();
                     f.inst(iid).op.for_each_operand(|o| {
-                        if let Operand::Value(v) = o {
-                            if let Some(l) = self.map.get(v) {
-                                if !planned.iter().any(|(pv, _)| pv == v) {
-                                    planned.push((*v, *l));
+                        if let Some(v) = o.as_value() {
+                            if let Some(l) = self.lanes.of(v) {
+                                if !planned.iter().any(|(pv, _)| *pv == v) {
+                                    planned.push((v, l));
                                 }
                             }
                         }
                     });
                     let mut subs: Vec<(ValueId, ValueId)> = Vec::new();
-                    for (v, l) in planned {
-                        let ty = f.value_ty(v);
-                        let (cid, cres) = f.create_inst(Op::ChkCorrect {
-                            ty,
-                            a: Operand::Value(v),
-                            b: Operand::Value(l[0]),
-                            c: Operand::Value(l[1]),
-                        });
-                        insts.push(cid);
-                        subs.push((v, cres.expect("chk_correct result")));
-                        self.corrections += 1;
+                    for p in planned {
+                        let ty = f.value_ty(p.0);
+                        subs.push((p.0, self.corrected(f, &mut insts, p, ty)));
                     }
                     if !subs.is_empty() {
                         f.inst_mut(iid).op.map_operands(|o| {
@@ -495,25 +430,6 @@ impl Abft {
             }
         }
         f.blocks[b.0 as usize].insts = insts;
-    }
-
-    /// Fills the lane phis' incomings once every block has been
-    /// rewritten: the carried incoming maps to its lane twin, shared
-    /// (initial) incomings stay the master's.
-    fn fill_lane_phis(&mut self, f: &mut Function) {
-        for (master, p1, p2) in self.phi_tris.clone() {
-            let incomings = match &f.inst(master).op {
-                Op::Phi { incomings, .. } => incomings.clone(),
-                _ => unreachable!("phi triple holds phis"),
-            };
-            for (lane, copy) in [(0, p1), (1, p2)] {
-                let mapped: Vec<_> =
-                    incomings.iter().map(|(v, b)| (self.lane_of(lane, v), *b)).collect();
-                if let Op::Phi { incomings, .. } = &mut f.inst_mut(copy).op {
-                    *incomings = mapped;
-                }
-            }
-        }
     }
 }
 

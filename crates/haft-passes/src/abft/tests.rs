@@ -94,9 +94,21 @@ fn memcell_module() -> Module {
     m
 }
 
+/// Instruments `m`'s covered `fini` again, keeping the lane map: no lane
+/// clone of a carrier phi, carrier load or chain slice may read a master
+/// (or the other lane's) operand.
+fn assert_lane_isolation(m: &Module) {
+    let mut f = m.funcs[1].clone();
+    let plan = find_chains(&f, &AbftConfig::default());
+    let mut st = Abft::default();
+    st.run(&mut f, &plan);
+    st.lanes.assert_isolated(&f);
+}
+
 #[test]
 fn register_accumulation_chain_is_recognized_and_instrumented() {
     let mut m = reduction_module();
+    assert_lane_isolation(&m);
     let phis_before = count_ops(&m.funcs[1], |o| matches!(o, Op::Phi { .. }));
     let stats = run_abft_module(&mut m, &AbftConfig::default());
     verify_module(&m).unwrap_or_else(|e| panic!("{e:?}"));
@@ -117,6 +129,7 @@ fn register_accumulation_chain_is_recognized_and_instrumented() {
 #[test]
 fn memory_cell_chain_triplicates_the_carrier_load() {
     let mut m = memcell_module();
+    assert_lane_isolation(&m);
     let stats = run_abft_module(&mut m, &AbftConfig::default());
     verify_module(&m).unwrap_or_else(|e| panic!("{e:?}"));
     assert_eq!(stats.functions_covered, 1, "{stats:?}");

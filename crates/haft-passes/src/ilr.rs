@@ -19,6 +19,8 @@ use haft_ir::loops::LoopForest;
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
+use crate::replicate::{map_sync_operands, passes_through, Lanes, LANE_META};
+
 /// ILR configuration; each flag corresponds to one of the paper's
 /// optimizations (§3.3, evaluated cumulatively in Figure 7).
 #[derive(Clone, Debug)]
@@ -70,26 +72,16 @@ pub fn run_ilr_module(m: &mut Module, cfg: &IlrConfig) {
 
 /// Applies ILR to one function in place.
 pub fn run_ilr(f: &mut Function, cfg: &IlrConfig) {
-    let mut pass = IlrPass {
-        cfg: cfg.clone(),
-        shadow: HashMap::new(),
-        detect: None,
-        edge_fix: HashMap::new(),
-        phi_pairs: Vec::new(),
-        new_lists: Vec::new(),
-    };
-    pass.run(f);
+    IlrPass::new(cfg).run(f);
 }
 
 struct IlrPass {
     cfg: IlrConfig,
-    /// Master value -> shadow operand.
-    shadow: HashMap<ValueId, Operand>,
+    /// The one shadow lane.
+    lanes: Lanes<1>,
     detect: Option<BlockId>,
     /// (successor, original pred) -> actual pred after transformation.
     edge_fix: HashMap<(BlockId, BlockId), BlockId>,
-    /// (master phi, shadow phi) pairs to fill after edge fixing.
-    phi_pairs: Vec<(InstId, InstId)>,
     new_lists: Vec<(BlockId, Vec<InstId>)>,
 }
 
@@ -97,11 +89,19 @@ struct IlrPass {
 struct Seg {
     block: BlockId,
     insts: Vec<InstId>,
-    /// Master operand and its just-created shadow copy, for check elision.
-    last_move: Option<(Operand, ValueId)>,
 }
 
 impl IlrPass {
+    fn new(cfg: &IlrConfig) -> Self {
+        IlrPass {
+            cfg: cfg.clone(),
+            lanes: Lanes::default(),
+            detect: None,
+            edge_fix: HashMap::new(),
+            new_lists: Vec::new(),
+        }
+    }
+
     fn run(&mut self, f: &mut Function) {
         let order = Cfg::compute(f).rpo.clone();
         for &b in &order {
@@ -112,7 +112,7 @@ impl IlrPass {
             f.blocks[b.0 as usize].insts = insts;
         }
         self.apply_edge_fixes(f);
-        self.fill_shadow_phis(f);
+        self.lanes.fill_phis(f);
         if self.cfg.fault_prop_check {
             self.insert_fault_propagation_checks(f);
         }
@@ -129,45 +129,16 @@ impl IlrPass {
         d
     }
 
-    fn shadow_of(&self, o: &Operand) -> Operand {
-        match o {
-            Operand::Value(v) => self.shadow.get(v).copied().unwrap_or(*o),
-            other => *other,
-        }
-    }
-
-    fn set_shadow(&mut self, master: Option<ValueId>, shadow: Option<ValueId>) {
-        if let (Some(m), Some(s)) = (master, shadow) {
-            self.shadow.insert(m, Operand::Value(s));
-        }
-    }
-
-    /// Emits `v2 = move v` as the shadow copy of a non-replicated result.
-    fn shadow_move(&mut self, f: &mut Function, seg: &mut Seg, master: ValueId) {
-        let ty = f.value_ty(master);
-        let (mv, res) = f.create_inst_meta(
-            Op::Move { ty, a: Operand::Value(master) },
-            InstMeta { shadow: true, ..Default::default() },
-        );
-        seg.insts.push(mv);
-        self.set_shadow(Some(master), res);
-        seg.last_move = Some((Operand::Value(master), res.expect("move has result")));
-    }
-
-    /// Inserts `cmp ne a, b; condbr -> detect | continuation`, splitting the
-    /// current segment.
+    /// ILR's reconcile policy: `cmp ne a, b; condbr -> detect |
+    /// continuation`, splitting the current segment.
     fn emit_check(&mut self, f: &mut Function, seg: &mut Seg, a: Operand, b: Operand, ty: Ty) {
         if a == b {
             return; // Tautological (constant operands share their shadow).
         }
-        if self.cfg.check_elision {
-            if let Some((m, s)) = seg.last_move {
-                if m == a && b == Operand::Value(s) {
-                    // The shadow was copied from the master by the previous
-                    // instruction; the check cannot fire (paper peephole).
-                    return;
-                }
-            }
+        if self.cfg.check_elision && self.lanes.is_fresh(&a) {
+            // The shadow was copied from the master by the previous
+            // instruction; the check cannot fire (paper peephole).
+            return;
         }
         let detect = self.detect_block(f);
         let meta = InstMeta { ilr_check: true, ..Default::default() };
@@ -179,208 +150,93 @@ impl IlrPass {
             meta,
         );
         seg.insts.push(cbr);
-        let finished =
-            std::mem::replace(seg, Seg { block: cont, insts: Vec::new(), last_move: None });
+        let finished = std::mem::replace(seg, Seg { block: cont, insts: Vec::new() });
         self.new_lists.push((finished.block, finished.insts));
+        self.lanes.forget_fresh();
     }
 
     fn rewrite_block(&mut self, f: &mut Function, b: BlockId) {
         let old = std::mem::take(&mut f.blocks[b.0 as usize].insts);
-        let mut seg = Seg { block: b, insts: Vec::new(), last_move: None };
+        let mut seg = Seg { block: b, insts: Vec::new() };
 
-        // Replicate function arguments on entry (register-to-register
-        // moves, as the paper does for non-replicated value sources).
+        // Replicate function arguments on entry.
         if b == f.entry() {
             for i in 0..f.params.len() {
                 let p = f.param_value(i);
-                self.shadow_move(f, &mut seg, p);
+                self.lanes.replicate_by_moves(f, &mut seg.insts, p);
             }
-            seg.last_move = None;
         }
+        self.lanes.forget_fresh();
 
         for iid in old {
-            let inst = f.inst(iid).clone();
-            let result = f.inst_result(iid);
-            match &inst.op {
-                // --- replicable compute ------------------------------------
-                Op::Phi { ty, .. } => {
+            let op = f.inst(iid).op.clone();
+            match &op {
+                op if op.is_replicable() => self.lanes.replicate(f, &mut seg.insts, iid),
+                // Figure 3b: duplicate the load through the shadow address;
+                // data-race freedom guarantees both copies read the same
+                // value in the error-free case.
+                Op::Load { atomic: false, .. } if self.cfg.shared_mem_opt => {
+                    self.lanes.replicate(f, &mut seg.insts, iid);
+                }
+                // Figure 3b: store first, then verify through the shadow
+                // address (store-buffer forwarding makes the re-load cheap
+                // on real hardware).
+                Op::Store { ty, val, addr, atomic: false } if self.cfg.shared_mem_opt => {
                     seg.insts.push(iid);
-                    let (sp, sres) = f.create_inst_meta(
-                        Op::Phi { ty: *ty, incomings: Vec::new() },
-                        InstMeta { shadow: true, ..Default::default() },
+                    let (tmp, tres) = f.create_inst_meta(
+                        Op::Load { ty: *ty, addr: self.lanes.lane(0, addr), atomic: false },
+                        LANE_META,
                     );
-                    seg.insts.push(sp);
-                    self.set_shadow(result, sres);
-                    self.phi_pairs.push((iid, sp));
-                    seg.last_move = None;
+                    seg.insts.push(tmp);
+                    let reloaded = Operand::Value(tres.expect("load result"));
+                    self.emit_check(f, &mut seg, reloaded, self.lanes.lane(0, val), *ty);
                 }
-                op if op.is_replicable() => {
+                Op::CondBr { t, f: fb, .. } if t == fb => {
+                    // Degenerate branch: rewrite as an unconditional one.
+                    let (br, _) = f.create_inst(Op::Br { dest: *t });
+                    seg.insts.push(br);
+                    self.edge_fix.insert((*t, b), seg.block);
+                }
+                Op::CondBr { cond, t, f: fb } if self.cfg.control_flow_protection => {
+                    // Figure 4b: route through shadow blocks that
+                    // re-evaluate the shadow condition, so a fault in
+                    // the "flags" between check and branch is caught.
+                    let scond = self.lanes.lane(0, cond);
+                    let detect = self.detect_block(f);
+                    let st = f.add_block();
+                    let sf = f.add_block();
+                    let meta = InstMeta { ilr_check: true, ..LANE_META };
+                    let (cbr, _) = f.create_inst(Op::CondBr { cond: *cond, t: st, f: sf });
+                    seg.insts.push(cbr);
+                    let (tb, _) =
+                        f.create_inst_meta(Op::CondBr { cond: scond, t: *t, f: detect }, meta);
+                    f.blocks[st.0 as usize].insts.push(tb);
+                    let (fb2, _) =
+                        f.create_inst_meta(Op::CondBr { cond: scond, t: detect, f: *fb }, meta);
+                    f.blocks[sf.0 as usize].insts.push(fb2);
+                    self.edge_fix.insert((*t, b), st);
+                    self.edge_fix.insert((*fb, b), sf);
+                }
+                op if passes_through(op) => {
                     seg.insts.push(iid);
-                    let mut sop = op.clone();
-                    sop.map_operands(|o| *o = self.shadow_of(o));
-                    let (sid, sres) =
-                        f.create_inst_meta(sop, InstMeta { shadow: true, ..Default::default() });
-                    seg.insts.push(sid);
-                    self.set_shadow(result, sres);
-                    seg.last_move = None;
+                    self.lanes.forget_fresh();
                 }
-
-                // --- memory -------------------------------------------------
-                Op::Load { ty, addr, atomic } => {
-                    if !*atomic && self.cfg.shared_mem_opt {
-                        // Figure 3b: duplicate the load through the shadow
-                        // address; data-race freedom guarantees both copies
-                        // read the same value in the error-free case.
-                        seg.insts.push(iid);
-                        let saddr = self.shadow_of(addr);
-                        let (sl, sres) = f.create_inst_meta(
-                            Op::Load { ty: *ty, addr: saddr, atomic: false },
-                            InstMeta { shadow: true, ..Default::default() },
-                        );
-                        seg.insts.push(sl);
-                        self.set_shadow(result, sres);
-                        seg.last_move = None;
-                    } else {
-                        // Figure 3a: check the address, then replicate the
-                        // loaded value with a move.
-                        let saddr = self.shadow_of(addr);
-                        self.emit_check(f, &mut seg, *addr, saddr, Ty::Ptr);
-                        seg.insts.push(iid);
-                        self.shadow_move(f, &mut seg, result.expect("load result"));
+                // Everything else is a synchronization point or a value
+                // source (Figure 3a, Figure 4a, calls, atomics, ...): all
+                // checks up front — the event is irreversible — then the
+                // instruction, then a shadow copy of whatever it produced.
+                op => {
+                    map_sync_operands(&mut op.clone(), |o, ty| {
+                        let ty = ty.unwrap_or_else(|| f.operand_ty(o));
+                        self.emit_check(f, &mut seg, *o, self.lanes.lane(0, o), ty);
+                    });
+                    seg.insts.push(iid);
+                    if let Some(r) = f.inst_result(iid) {
+                        self.lanes.replicate_by_moves(f, &mut seg.insts, r);
                     }
-                }
-                Op::Store { ty, val, addr, atomic } => {
-                    if !*atomic && self.cfg.shared_mem_opt {
-                        // Figure 3b: store first, then verify through the
-                        // shadow address (store-buffer forwarding makes the
-                        // re-load cheap on real hardware).
-                        seg.insts.push(iid);
-                        let saddr = self.shadow_of(addr);
-                        let sval = self.shadow_of(val);
-                        let (tmp, tres) = f.create_inst_meta(
-                            Op::Load { ty: *ty, addr: saddr, atomic: false },
-                            InstMeta { shadow: true, ..Default::default() },
-                        );
-                        seg.insts.push(tmp);
-                        self.emit_check(
-                            f,
-                            &mut seg,
-                            Operand::Value(tres.expect("load result")),
-                            sval,
-                            *ty,
-                        );
-                    } else {
-                        // Figure 3a: atomic stores are irreversible
-                        // externalization events — all checks up front.
-                        let sval = self.shadow_of(val);
-                        let saddr = self.shadow_of(addr);
-                        self.emit_check(f, &mut seg, *val, sval, *ty);
-                        self.emit_check(f, &mut seg, *addr, saddr, Ty::Ptr);
-                        seg.insts.push(iid);
+                    for succ in op.successors() {
+                        self.edge_fix.insert((succ, b), seg.block);
                     }
-                }
-                Op::Rmw { ty, addr, val, .. } => {
-                    let saddr = self.shadow_of(addr);
-                    let sval = self.shadow_of(val);
-                    self.emit_check(f, &mut seg, *addr, saddr, Ty::Ptr);
-                    self.emit_check(f, &mut seg, *val, sval, *ty);
-                    seg.insts.push(iid);
-                    self.shadow_move(f, &mut seg, result.expect("rmw result"));
-                }
-                Op::CmpXchg { ty, addr, expected, new } => {
-                    let saddr = self.shadow_of(addr);
-                    let sexp = self.shadow_of(expected);
-                    let snew = self.shadow_of(new);
-                    self.emit_check(f, &mut seg, *addr, saddr, Ty::Ptr);
-                    self.emit_check(f, &mut seg, *expected, sexp, *ty);
-                    self.emit_check(f, &mut seg, *new, snew, *ty);
-                    seg.insts.push(iid);
-                    self.shadow_move(f, &mut seg, result.expect("cmpxchg result"));
-                }
-                Op::Alloc { .. } => {
-                    seg.insts.push(iid);
-                    self.shadow_move(f, &mut seg, result.expect("alloc result"));
-                }
-
-                // --- control ------------------------------------------------
-                Op::Call { args, .. } => {
-                    let checks: Vec<(Operand, Operand, Ty)> =
-                        args.iter().map(|a| (*a, self.shadow_of(a), f.operand_ty(a))).collect();
-                    for (a, s, ty) in checks {
-                        self.emit_check(f, &mut seg, a, s, ty);
-                    }
-                    seg.insts.push(iid);
-                    if let Some(r) = result {
-                        self.shadow_move(f, &mut seg, r);
-                    }
-                }
-                Op::Ret { val } => {
-                    if let Some(v) = val {
-                        let sv = self.shadow_of(v);
-                        let ty = f.operand_ty(v);
-                        self.emit_check(f, &mut seg, *v, sv, ty);
-                    }
-                    seg.insts.push(iid);
-                }
-                Op::Br { dest } => {
-                    seg.insts.push(iid);
-                    self.edge_fix.insert((*dest, b), seg.block);
-                }
-                Op::CondBr { cond, t, f: fb } => {
-                    if t == fb {
-                        // Degenerate branch: rewrite as an unconditional one.
-                        let (br, _) = f.create_inst(Op::Br { dest: *t });
-                        seg.insts.push(br);
-                        self.edge_fix.insert((*t, b), seg.block);
-                    } else if self.cfg.control_flow_protection {
-                        // Figure 4b: route through shadow blocks that
-                        // re-evaluate the shadow condition, so a fault in
-                        // the "flags" between check and branch is caught.
-                        let scond = self.shadow_of(cond);
-                        let detect = self.detect_block(f);
-                        let st = f.add_block();
-                        let sf = f.add_block();
-                        let meta = InstMeta { shadow: true, ilr_check: true, ..Default::default() };
-                        let (cbr, _) = f.create_inst(Op::CondBr { cond: *cond, t: st, f: sf });
-                        seg.insts.push(cbr);
-                        let (tb, _) =
-                            f.create_inst_meta(Op::CondBr { cond: scond, t: *t, f: detect }, meta);
-                        f.blocks[st.0 as usize].insts.push(tb);
-                        let (fb2, _) =
-                            f.create_inst_meta(Op::CondBr { cond: scond, t: detect, f: *fb }, meta);
-                        f.blocks[sf.0 as usize].insts.push(fb2);
-                        self.edge_fix.insert((*t, b), st);
-                        self.edge_fix.insert((*fb, b), sf);
-                    } else {
-                        // Figure 4a: naive pre-branch check on the condition.
-                        let scond = self.shadow_of(cond);
-                        self.emit_check(f, &mut seg, *cond, scond, Ty::I1);
-                        seg.insts.push(iid);
-                        self.edge_fix.insert((*t, b), seg.block);
-                        self.edge_fix.insert((*fb, b), seg.block);
-                    }
-                }
-
-                // --- externalization and intrinsics ----------------------------
-                Op::Emit { ty, val } => {
-                    let sv = self.shadow_of(val);
-                    self.emit_check(f, &mut seg, *val, sv, *ty);
-                    seg.insts.push(iid);
-                }
-                Op::Lock { addr } | Op::Unlock { addr } => {
-                    let sa = self.shadow_of(addr);
-                    self.emit_check(f, &mut seg, *addr, sa, Ty::Ptr);
-                    seg.insts.push(iid);
-                }
-                Op::ThreadId | Op::NumThreads => {
-                    seg.insts.push(iid);
-                    self.shadow_move(f, &mut seg, result.expect("intrinsic result"));
-                }
-                // Tx intrinsics (robustness: ILR normally runs first) and
-                // terminally-aborting or inert instructions pass through.
-                _ => {
-                    seg.insts.push(iid);
-                    seg.last_move = None;
                 }
             }
         }
@@ -406,20 +262,6 @@ impl IlrPass {
         }
     }
 
-    fn fill_shadow_phis(&mut self, f: &mut Function) {
-        for (master, shadow) in self.phi_pairs.clone() {
-            let incomings = match &f.inst(master).op {
-                Op::Phi { incomings, .. } => incomings.clone(),
-                _ => unreachable!("phi pair holds phis"),
-            };
-            let mapped: Vec<(Operand, BlockId)> =
-                incomings.into_iter().map(|(v, b)| (self.shadow_of(&v), b)).collect();
-            if let Op::Phi { incomings, .. } = &mut f.inst_mut(shadow).op {
-                *incomings = mapped;
-            }
-        }
-    }
-
     /// Paper §3.3 "fault propagation check": loop induction variables that
     /// are not covered by any in-loop check get an explicit check at the
     /// loop header, marked so TX hoists it into the conditional split.
@@ -427,7 +269,7 @@ impl IlrPass {
         let cfg = Cfg::compute(f);
         let dom = DomTree::compute(f, &cfg);
         let forest = LoopForest::compute(f, &cfg, &dom);
-        let mut plans: Vec<(BlockId, ValueId, Operand, Ty)> = Vec::new();
+        let mut plans: Vec<(BlockId, ValueId, ValueId, Ty)> = Vec::new();
         for (i, l) in forest.loops.iter().enumerate() {
             if !forest.is_innermost(i) {
                 continue;
@@ -452,14 +294,10 @@ impl IlrPass {
                     continue;
                 }
                 let Some(res) = f.inst_result(iid) else { continue };
-                let Some(shadow) = self.shadow.get(&res).copied() else { continue };
-                if shadow == Operand::Value(res) {
-                    continue;
-                }
+                let Some([shadow]) = self.lanes.of(res) else { continue };
                 // "Covered" means either copy of the variable feeds a check
                 // somewhere in the body.
-                let shadow_checked = matches!(shadow, Operand::Value(s) if checked.contains(&s));
-                if checked.contains(&res) || shadow_checked {
+                if checked.contains(&res) || checked.contains(&shadow) {
                     continue;
                 }
                 let ty = f.value_ty(res);
@@ -478,7 +316,7 @@ impl IlrPass {
         f: &mut Function,
         header: BlockId,
         master: ValueId,
-        shadow: Operand,
+        shadow: ValueId,
         ty: Ty,
     ) {
         let insts = f.blocks[header.0 as usize].insts.clone();
@@ -486,7 +324,7 @@ impl IlrPass {
         let detect = self.detect_block(f);
         let meta = InstMeta { ilr_check: true, fprop_check: true, ..Default::default() };
         let (cmp, d) = f.create_inst_meta(
-            Op::Cmp { op: CmpOp::Ne, ty, a: Operand::Value(master), b: shadow },
+            Op::Cmp { op: CmpOp::Ne, ty, a: master.into(), b: shadow.into() },
             meta,
         );
         let cont = f.add_block();

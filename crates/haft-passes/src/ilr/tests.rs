@@ -34,9 +34,21 @@ fn simple_module() -> Module {
     m
 }
 
+/// Re-runs the pass function by function, keeping its lane map, and
+/// checks that no shadow clone reads a master operand.
+fn assert_lane_isolation(m: &Module, cfg: &IlrConfig) {
+    for f in m.funcs.iter().filter(|f| !f.attrs.external) {
+        let mut f = f.clone();
+        let mut pass = IlrPass::new(cfg);
+        pass.run(&mut f);
+        pass.lanes.assert_isolated(&f);
+    }
+}
+
 #[test]
 fn replication_creates_shadow_flow_and_verifies() {
     let mut m = simple_module();
+    assert_lane_isolation(&m, &IlrConfig::default());
     run_ilr_module(&mut m, &IlrConfig::default());
     verify_module(&m).unwrap_or_else(|e| panic!("{e:?}"));
     let f = &m.funcs[0];
@@ -75,6 +87,7 @@ fn store_checks_flow_in_both_modes() {
     // Optimized: check after the store; unoptimized: checks before.
     for (cfg, loads) in [(IlrConfig::default(), 3), (IlrConfig::unoptimized(), 1)] {
         let mut m = simple_module();
+        assert_lane_isolation(&m, &cfg);
         run_ilr_module(&mut m, &cfg);
         verify_module(&m).unwrap_or_else(|e| panic!("{e:?}"));
         let f = &m.funcs[0];
@@ -279,6 +292,7 @@ fn ilr_preserves_program_semantics() {
     assert_eq!(base.outcome, RunOutcome::Completed);
 
     for cfg in [IlrConfig::default(), IlrConfig::unoptimized()] {
+        assert_lane_isolation(&native, &cfg);
         let mut hardened = native.clone();
         run_ilr_module(&mut hardened, &cfg);
         verify_module(&hardened).unwrap_or_else(|e| panic!("{e:?}"));

@@ -72,6 +72,7 @@ pub mod abft;
 pub mod ilr;
 pub mod manager;
 pub mod pipeline;
+mod replicate;
 pub mod tmr;
 pub mod tx;
 

@@ -210,8 +210,9 @@ impl PassManager {
     }
 
     /// The pipeline for one evaluated variant, selected by the config's
-    /// [`crate::pipeline::Backend`]: the paper's ILR-then-TX sequence, or
-    /// the Elzar-style TMR pass.
+    /// [`crate::pipeline::Backend`]: the paper's ILR-then-TX sequence, the
+    /// Elzar-style TMR pass, or the ABFT pass (which hardens the
+    /// functions it cannot cover with its own default ILR-then-TX).
     ///
     /// Debug-asserts that no pass config belonging to the *other* backend
     /// is set: silently dropping it would let a benchmark sweep report a

@@ -16,13 +16,13 @@
 //! instructions (the VM resolves the majority), so the CFG is preserved
 //! exactly.
 
-use std::collections::HashMap;
-
 use haft_ir::cfg::Cfg;
-use haft_ir::function::{Function, InstId, ValueId};
-use haft_ir::inst::{InstMeta, Op, Operand};
+use haft_ir::function::{Function, InstId};
+use haft_ir::inst::{Op, Operand};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
+
+use crate::replicate::{map_sync_operands, passes_through, Lanes};
 
 /// TMR configuration; each flag is one masking/overhead tradeoff knob.
 #[derive(Clone, Debug)]
@@ -68,75 +68,46 @@ pub fn run_tmr_module(m: &mut Module, cfg: &TmrConfig) -> u64 {
 
 /// Applies TMR to one function in place; returns the vote count.
 pub fn run_tmr(f: &mut Function, cfg: &TmrConfig) -> u64 {
-    let mut pass = Tmr {
-        cfg: cfg.clone(),
-        copies: HashMap::new(),
-        phi_tris: Vec::new(),
-        last_copies: None,
-        votes: 0,
-    };
+    let mut pass = Tmr::new(cfg);
     pass.run(f);
     pass.votes
 }
 
 struct Tmr {
     cfg: TmrConfig,
-    /// Master value -> its two copy-flow operands.
-    copies: HashMap<ValueId, [Operand; 2]>,
-    /// (master phi, copy phi, copy phi) triples to fill after rewriting.
-    phi_tris: Vec<(InstId, InstId, InstId)>,
-    /// Master operand and its just-created copy pair, for vote elision.
-    last_copies: Option<(Operand, ValueId, ValueId)>,
+    /// The two copy flows.
+    lanes: Lanes<2>,
     votes: u64,
 }
 
 impl Tmr {
+    fn new(cfg: &TmrConfig) -> Self {
+        Tmr { cfg: cfg.clone(), lanes: Lanes::default(), votes: 0 }
+    }
+
     fn run(&mut self, f: &mut Function) {
         let order = Cfg::compute(f).rpo.clone();
         for &b in &order {
             self.rewrite_block(f, b);
         }
-        self.fill_copy_phis(f);
+        self.lanes.fill_phis(f);
     }
 
-    fn copy_of(&self, lane: usize, o: &Operand) -> Operand {
-        match o {
-            Operand::Value(v) => self.copies.get(v).map(|c| c[lane]).unwrap_or(*o),
-            other => *other,
-        }
-    }
-
-    /// Emits the two `move` copies of a non-replicated result.
-    fn copy_pair(&mut self, f: &mut Function, insts: &mut Vec<InstId>, master: ValueId) {
-        let ty = f.value_ty(master);
-        let meta = InstMeta { shadow: true, ..Default::default() };
-        let (m1, r1) = f.create_inst_meta(Op::Move { ty, a: Operand::Value(master) }, meta);
-        let (m2, r2) = f.create_inst_meta(Op::Move { ty, a: Operand::Value(master) }, meta);
-        insts.push(m1);
-        insts.push(m2);
-        let (r1, r2) = (r1.expect("move has result"), r2.expect("move has result"));
-        self.copies.insert(master, [Operand::Value(r1), Operand::Value(r2)]);
-        self.last_copies = Some((Operand::Value(master), r1, r2));
-    }
-
-    /// Emits `vote ty o, copy1, copy2` before a synchronization point and
-    /// returns the operand the sync instruction should use instead of `o`.
-    /// Tautological votes (constant operands, or copies created by the
-    /// immediately preceding moves under vote elision) are skipped.
+    /// TMR's reconcile policy: emits `vote ty o, copy1, copy2` before a
+    /// synchronization point and returns the operand the sync instruction
+    /// should use instead of `o`. Tautological votes (constant operands,
+    /// or copies created by the immediately preceding moves under vote
+    /// elision) are skipped.
     fn voted(&mut self, f: &mut Function, insts: &mut Vec<InstId>, o: Operand, ty: Ty) -> Operand {
-        let c1 = self.copy_of(0, &o);
-        let c2 = self.copy_of(1, &o);
+        let c1 = self.lanes.lane(0, &o);
+        let c2 = self.lanes.lane(1, &o);
         if c1 == o && c2 == o {
             return o; // Constants are their own copies.
         }
-        if self.cfg.vote_elision {
-            if let Some((m, a, b)) = self.last_copies {
-                if m == o && c1 == Operand::Value(a) && c2 == Operand::Value(b) {
-                    // The copies were just made from the master; the vote
-                    // cannot observe a divergence (peephole).
-                    return o;
-                }
-            }
+        if self.cfg.vote_elision && self.lanes.is_fresh(&o) {
+            // The copies were just made from the master; the vote cannot
+            // observe a divergence (peephole).
+            return o;
         }
         let (v, res) = f.create_inst(Op::Vote { ty, a: o, b: c1, c: c2 });
         insts.push(v);
@@ -144,218 +115,63 @@ impl Tmr {
         Operand::Value(res.expect("vote has result"))
     }
 
-    fn set_copies(&mut self, master: Option<ValueId>, c1: Option<ValueId>, c2: Option<ValueId>) {
-        if let (Some(m), Some(a), Some(b)) = (master, c1, c2) {
-            self.copies.insert(m, [Operand::Value(a), Operand::Value(b)]);
-        }
-    }
-
     fn rewrite_block(&mut self, f: &mut Function, b: haft_ir::function::BlockId) {
         let old = std::mem::take(&mut f.blocks[b.0 as usize].insts);
         let mut insts: Vec<InstId> = Vec::with_capacity(old.len() * 3);
-        self.last_copies = None;
 
         // Replicate function arguments on entry.
         if b == f.entry() {
             for i in 0..f.params.len() {
                 let p = f.param_value(i);
-                self.copy_pair(f, &mut insts, p);
+                self.lanes.replicate_by_moves(f, &mut insts, p);
             }
-            self.last_copies = None;
         }
+        self.lanes.forget_fresh();
 
         for iid in old {
-            let inst = f.inst(iid).clone();
-            let result = f.inst_result(iid);
-            match &inst.op {
-                // --- triplicated compute -----------------------------------
-                Op::Phi { ty, .. } => {
+            let mut op = f.inst(iid).op.clone();
+            if op.is_replicable() {
+                self.lanes.replicate(f, &mut insts, iid);
+            } else if passes_through(&op) || matches!(&op, Op::CondBr { t, f, .. } if t == f) {
+                insts.push(iid);
+                self.lanes.forget_fresh();
+            } else {
+                // A synchronization point or a value source: the
+                // instruction runs on the majority of every protected
+                // operand. A load's address is among them — a corrupted
+                // copy must be outvoted *before* it reaches the memory
+                // unit, because a wild access traps and, with no
+                // transaction to roll back, a trap is fatal (Elzar votes
+                // load/store addresses for exactly this reason).
+                map_sync_operands(&mut op, |o, ty| {
+                    let ty = ty.unwrap_or_else(|| f.operand_ty(o));
+                    *o = self.voted(f, &mut insts, *o, ty);
+                });
+                let race_free_load = matches!(op, Op::Load { atomic: false, .. });
+                let is_store = matches!(op, Op::Store { .. });
+                f.inst_mut(iid).op = op;
+                if race_free_load && self.cfg.triplicate_loads {
+                    // Re-load twice through the voted address so each
+                    // lane holds an independently written copy of the
+                    // value: a fault in any single loaded value stays
+                    // maskable.
+                    self.lanes.replicate(f, &mut insts, iid);
+                } else {
+                    // Atomics, calls, intrinsics (and loads in the
+                    // unoptimized mode, which matches Elzar's actual
+                    // load-once-and-broadcast): the result is replicated
+                    // by moves, leaving it as a window of vulnerability.
                     insts.push(iid);
-                    let meta = InstMeta { shadow: true, ..Default::default() };
-                    let (p1, r1) =
-                        f.create_inst_meta(Op::Phi { ty: *ty, incomings: Vec::new() }, meta);
-                    let (p2, r2) =
-                        f.create_inst_meta(Op::Phi { ty: *ty, incomings: Vec::new() }, meta);
-                    insts.push(p1);
-                    insts.push(p2);
-                    self.set_copies(result, r1, r2);
-                    self.phi_tris.push((iid, p1, p2));
-                    self.last_copies = None;
-                }
-                op if op.is_replicable() => {
-                    insts.push(iid);
-                    let meta = InstMeta { shadow: true, ..Default::default() };
-                    let mut ids = [None, None];
-                    for (lane, slot) in ids.iter_mut().enumerate() {
-                        let mut cop = op.clone();
-                        cop.map_operands(|o| *o = self.copy_of(lane, o));
-                        let (cid, cres) = f.create_inst_meta(cop, meta);
-                        insts.push(cid);
-                        *slot = cres;
-                    }
-                    self.set_copies(result, ids[0], ids[1]);
-                    self.last_copies = None;
-                }
-
-                // --- memory ------------------------------------------------
-                Op::Load { ty, addr, atomic } => {
-                    // The address is always voted first: a corrupted copy
-                    // of an address must be outvoted *before* it reaches
-                    // the memory unit, because a wild load traps and —
-                    // with no transaction to roll back — a trap is fatal
-                    // (Elzar votes load/store addresses for exactly this
-                    // reason).
-                    let ty = *ty;
-                    let atomic = *atomic;
-                    let va = self.voted(f, &mut insts, *addr, Ty::Ptr);
-                    if let Op::Load { addr, .. } = &mut f.inst_mut(iid).op {
-                        *addr = va;
-                    }
-                    insts.push(iid);
-                    if !atomic && self.cfg.triplicate_loads {
-                        // Re-load twice through the voted address so each
-                        // lane holds an independently written copy of the
-                        // value: a fault in any single loaded value stays
-                        // maskable.
-                        let meta = InstMeta { shadow: true, ..Default::default() };
-                        let mut ids = [None, None];
-                        for slot in ids.iter_mut() {
-                            let (cid, cres) =
-                                f.create_inst_meta(Op::Load { ty, addr: va, atomic: false }, meta);
-                            insts.push(cid);
-                            *slot = cres;
-                        }
-                        self.set_copies(result, ids[0], ids[1]);
-                        self.last_copies = None;
-                    } else {
-                        // Atomics (and the unoptimized mode, which matches
-                        // Elzar's actual load-once-and-broadcast): the
-                        // loaded value is replicated by moves, leaving it
-                        // as a window of vulnerability.
-                        self.copy_pair(f, &mut insts, result.expect("load result"));
+                    if let Some(r) = f.inst_result(iid) {
+                        self.lanes.replicate_by_moves(f, &mut insts, r);
                     }
                 }
-                Op::Store { ty, val, addr, .. } => {
-                    let ty = *ty;
-                    let vv = self.voted(f, &mut insts, *val, ty);
-                    let va = self.voted(f, &mut insts, *addr, Ty::Ptr);
-                    if let Op::Store { val, addr, .. } = &mut f.inst_mut(iid).op {
-                        *val = vv;
-                        *addr = va;
-                    }
-                    insts.push(iid);
-                    self.last_copies = None;
-                }
-                Op::Rmw { ty, addr, val, .. } => {
-                    let ty = *ty;
-                    let va = self.voted(f, &mut insts, *addr, Ty::Ptr);
-                    let vv = self.voted(f, &mut insts, *val, ty);
-                    if let Op::Rmw { addr, val, .. } = &mut f.inst_mut(iid).op {
-                        *addr = va;
-                        *val = vv;
-                    }
-                    insts.push(iid);
-                    self.copy_pair(f, &mut insts, result.expect("rmw result"));
-                }
-                Op::CmpXchg { ty, addr, expected, new } => {
-                    let ty = *ty;
-                    let va = self.voted(f, &mut insts, *addr, Ty::Ptr);
-                    let ve = self.voted(f, &mut insts, *expected, ty);
-                    let vn = self.voted(f, &mut insts, *new, ty);
-                    if let Op::CmpXchg { addr, expected, new, .. } = &mut f.inst_mut(iid).op {
-                        *addr = va;
-                        *expected = ve;
-                        *new = vn;
-                    }
-                    insts.push(iid);
-                    self.copy_pair(f, &mut insts, result.expect("cmpxchg result"));
-                }
-                Op::Alloc { .. } => {
-                    insts.push(iid);
-                    self.copy_pair(f, &mut insts, result.expect("alloc result"));
-                }
-
-                // --- control -----------------------------------------------
-                Op::Call { args, .. } => {
-                    let planned: Vec<(Operand, Ty)> =
-                        args.iter().map(|a| (*a, f.operand_ty(a))).collect();
-                    let voted: Vec<Operand> = planned
-                        .into_iter()
-                        .map(|(a, ty)| self.voted(f, &mut insts, a, ty))
-                        .collect();
-                    if let Op::Call { args, .. } = &mut f.inst_mut(iid).op {
-                        args.clone_from(&voted);
-                    }
-                    insts.push(iid);
-                    if let Some(r) = result {
-                        self.copy_pair(f, &mut insts, r);
-                    }
-                }
-                Op::Ret { val: Some(v) } => {
-                    let ty = f.operand_ty(v);
-                    let vv = self.voted(f, &mut insts, *v, ty);
-                    if let Op::Ret { val: Some(val) } = &mut f.inst_mut(iid).op {
-                        *val = vv;
-                    }
-                    insts.push(iid);
-                }
-                Op::CondBr { cond, t, f: fb } if t != fb => {
-                    let vc = self.voted(f, &mut insts, *cond, Ty::I1);
-                    if let Op::CondBr { cond, .. } = &mut f.inst_mut(iid).op {
-                        *cond = vc;
-                    }
-                    insts.push(iid);
-                }
-
-                // --- externalization and intrinsics ------------------------
-                Op::Emit { ty, val } => {
-                    let ty = *ty;
-                    let vv = self.voted(f, &mut insts, *val, ty);
-                    if let Op::Emit { val, .. } = &mut f.inst_mut(iid).op {
-                        *val = vv;
-                    }
-                    insts.push(iid);
-                }
-                Op::Lock { addr } | Op::Unlock { addr } => {
-                    let va = self.voted(f, &mut insts, *addr, Ty::Ptr);
-                    match &mut f.inst_mut(iid).op {
-                        Op::Lock { addr } | Op::Unlock { addr } => *addr = va,
-                        _ => unreachable!("op shape checked above"),
-                    }
-                    insts.push(iid);
-                }
-                Op::ThreadId | Op::NumThreads => {
-                    insts.push(iid);
-                    self.copy_pair(f, &mut insts, result.expect("intrinsic result"));
-                }
-
-                // Degenerate condbr, plain br, ret-void, tx intrinsics
-                // (robustness: TMR modules normally carry none), nops.
-                _ => {
-                    insts.push(iid);
-                    self.last_copies = None;
+                if is_store {
+                    self.lanes.forget_fresh();
                 }
             }
         }
         f.blocks[b.0 as usize].insts = insts;
-    }
-
-    /// Fills the copy phis' incomings once every block has been rewritten
-    /// (back-edge values only acquire copies after their block runs).
-    fn fill_copy_phis(&mut self, f: &mut Function) {
-        for (master, p1, p2) in self.phi_tris.clone() {
-            let incomings = match &f.inst(master).op {
-                Op::Phi { incomings, .. } => incomings.clone(),
-                _ => unreachable!("phi triple holds phis"),
-            };
-            for (lane, copy) in [(0, p1), (1, p2)] {
-                let mapped: Vec<_> =
-                    incomings.iter().map(|(v, b)| (self.copy_of(lane, v), *b)).collect();
-                if let Op::Phi { incomings, .. } = &mut f.inst_mut(copy).op {
-                    *incomings = mapped;
-                }
-            }
-        }
     }
 }
 

@@ -34,9 +34,22 @@ fn simple_module() -> Module {
     m
 }
 
+/// Re-runs the pass function by function, keeping its lane map, and
+/// checks that no copy-flow clone reads a master (or the other flow's)
+/// operand.
+fn assert_lane_isolation(m: &Module, cfg: &TmrConfig) {
+    for f in m.funcs.iter().filter(|f| !f.attrs.external) {
+        let mut f = f.clone();
+        let mut pass = Tmr::new(cfg);
+        pass.run(&mut f);
+        pass.lanes.assert_isolated(&f);
+    }
+}
+
 #[test]
 fn triplication_creates_two_copy_flows_and_verifies() {
     let mut m = simple_module();
+    assert_lane_isolation(&m, &TmrConfig::default());
     let votes = run_tmr_module(&mut m, &TmrConfig::default());
     verify_module(&m).unwrap_or_else(|e| panic!("{e:?}"));
     let f = &m.funcs[0];
@@ -234,6 +247,7 @@ fn tmr_preserves_program_semantics() {
     assert_eq!(base.outcome, RunOutcome::Completed);
 
     for cfg in [TmrConfig::default(), TmrConfig::unoptimized()] {
+        assert_lane_isolation(&native, &cfg);
         let mut hardened = native.clone();
         run_tmr_module(&mut hardened, &cfg);
         verify_module(&hardened).unwrap_or_else(|e| panic!("{e:?}"));

@@ -206,8 +206,8 @@ impl RunResult {
     /// Exports the run's counters through the unified metrics registry:
     /// `vm.cycles.{init,worker,fini,wall,cpu}`, `vm.instructions`,
     /// `vm.register_writes`, `vm.detections`, `vm.recoveries`,
-    /// `vm.corrected_by_vote`, `vm.mispredicts`, plus the `htm.*` family
-    /// from [`HtmStats`].
+    /// `vm.corrected_by_vote`, `vm.corrected_by_checksum`,
+    /// `vm.mispredicts`, plus the `htm.*` family from [`HtmStats`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = MetricsSnapshot::new();
         m.set("vm.cycles.init", self.phases.init as f64);
