@@ -169,7 +169,7 @@ impl IlrPass {
         self.lanes.forget_fresh();
 
         for iid in old {
-            let op = f.inst(iid).op.clone();
+            let mut op = f.inst(iid).op.clone();
             match &op {
                 op if op.is_replicable() => self.lanes.replicate(f, &mut seg.insts, iid),
                 // Figure 3b: duplicate the load through the shadow address;
@@ -225,8 +225,8 @@ impl IlrPass {
                 // source (Figure 3a, Figure 4a, calls, atomics, ...): all
                 // checks up front — the event is irreversible — then the
                 // instruction, then a shadow copy of whatever it produced.
-                op => {
-                    map_sync_operands(&mut op.clone(), |o, ty| {
+                _ => {
+                    map_sync_operands(&mut op, |o, ty| {
                         let ty = ty.unwrap_or_else(|| f.operand_ty(o));
                         self.emit_check(f, &mut seg, *o, self.lanes.lane(0, o), ty);
                     });

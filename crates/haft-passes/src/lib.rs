@@ -34,6 +34,14 @@
 //!   three-way divergence. Functions with no recognizable chains fall
 //!   back to the full HAFT pipeline, per function.
 //!
+//! The three replicating passes share one private core, `replicate`:
+//! the master → lane-twin map with "clone into every lane", "replicate
+//! by moves", the fresh-copy record of the elision peepholes and the
+//! deferred phi fill, plus the single table of synchronization operands.
+//! Each pass keeps only its block walker and its reconcile policy
+//! (check → detect block, vote → substitute, verify-and-correct →
+//! substitute).
+//!
 //! * [`manager`] — the trait-based pass pipeline: [`Pass`] is the unit of
 //!   composition, [`PassManager`] owns ordering, per-pass instruction
 //!   deltas ([`PassStats`]), and debug-build IR verification at every

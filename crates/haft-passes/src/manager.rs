@@ -433,6 +433,58 @@ mod tests {
         assert!(stats.records.is_empty());
     }
 
+    /// `fini` picks one of two functions by a loaded flag and calls it
+    /// through the pointer: `emit (flag == 1 ? hundred : two_hundred)()`.
+    fn dispatch_module() -> Module {
+        use haft_ir::inst::{CmpOp, Operand};
+        let mut m = Module::new("dispatch");
+        let flag = m.add_global_init("flag", 1u64.to_le_bytes().to_vec());
+        let mut ids = Vec::new();
+        for (name, v) in [("hundred", 100), ("two_hundred", 200)] {
+            let mut fb = FunctionBuilder::new(name, &[], Some(Ty::I64));
+            fb.ret(Some(fb.iconst(Ty::I64, v)));
+            ids.push(m.push_func(fb.finish()));
+        }
+        let mut fb = FunctionBuilder::new("fini", &[], None);
+        fb.set_non_local();
+        let c = fb.load(Ty::I64, Operand::GlobalAddr(flag));
+        let is_one = fb.cmp(CmpOp::Eq, Ty::I64, c, fb.iconst(Ty::I64, 1));
+        let fp = fb.select(Ty::Ptr, is_one, Operand::FuncAddr(ids[0]), Operand::FuncAddr(ids[1]));
+        let r = fb.call_indirect(fp, &[], Some(Ty::I64)).expect("call result");
+        fb.emit_out(Ty::I64, r);
+        fb.ret(None);
+        m.push_func(fb.finish());
+        m
+    }
+
+    #[test]
+    fn a_corrupted_function_pointer_never_calls_the_other_function() {
+        // The callee of an indirect call is a synchronization operand:
+        // every register write x masks {1, 2, 3} (mask 1 turns one
+        // function's address into the other's), and no run may complete
+        // with the other function's result. Wrong outputs of any *other*
+        // value are not asserted on: a flip of the returned value before
+        // its replication move is the known open window.
+        use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+        let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+        for cfg in [HardenConfig::haft(), HardenConfig::tmr()] {
+            let (hardened, _) = PassManager::from_config(&cfg).run_on(&dispatch_module());
+            let clean = Vm::run(&hardened, VmConfig::default(), spec);
+            assert_eq!((clean.outcome, &clean.output[..]), (RunOutcome::Completed, &[100][..]));
+            for occurrence in 0..clean.register_writes {
+                for xor_mask in [1, 2, 3] {
+                    let fault = Some(FaultPlan { occurrence, xor_mask });
+                    let r = Vm::run(&hardened, VmConfig { fault, ..Default::default() }, spec);
+                    assert!(
+                        r.outcome != RunOutcome::Completed || r.output != [200],
+                        "{}: write {occurrence} ^ {xor_mask} called the wrong function",
+                        cfg.label()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "module invalid after pass `breaker`")]
     fn boundary_verification_names_the_offending_pass() {

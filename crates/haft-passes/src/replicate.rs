@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use haft_ir::function::{Function, InstId, ValueId};
-use haft_ir::inst::{InstMeta, Op, Operand};
+use haft_ir::inst::{Callee, InstMeta, Op, Operand};
 use haft_ir::types::Ty;
 
 /// Metadata of every instruction in a redundant lane.
@@ -53,11 +53,14 @@ impl<const N: usize> Lanes<N> {
     pub fn replicate(&mut self, f: &mut Function, insts: &mut Vec<InstId>, iid: InstId) {
         insts.push(iid);
         let clones: [InstId; N] = std::array::from_fn(|k| {
-            let mut op = f.inst(iid).op.clone();
-            match &mut op {
-                Op::Phi { incomings, .. } => incomings.clear(),
-                op => op.map_operands(|o| *o = self.lane(k, o)),
-            }
+            let op = match &f.inst(iid).op {
+                Op::Phi { ty, .. } => Op::Phi { ty: *ty, incomings: Vec::new() },
+                op => {
+                    let mut op = op.clone();
+                    op.map_operands(|o| *o = self.lane(k, o));
+                    op
+                }
+            };
             let (cid, _) = f.create_inst_meta(op, LANE_META);
             insts.push(cid);
             cid
@@ -145,7 +148,12 @@ pub(crate) fn map_sync_operands(op: &mut Op, mut f: impl FnMut(&mut Operand, Opt
             f(expected, Some(*ty));
             f(new, Some(*ty));
         }
-        Op::Call { args, .. } => {
+        Op::Call { callee, args, .. } => {
+            // A corrupted function pointer runs the wrong callee with
+            // perfectly good arguments.
+            if let Callee::Indirect(target) = callee {
+                f(target, None);
+            }
             for a in args {
                 f(a, None);
             }

@@ -166,6 +166,9 @@ impl Tmr {
                         self.lanes.replicate_by_moves(f, &mut insts, r);
                     }
                 }
+                // A store closes the fresh-copy window; the other
+                // result-less sync points (emit, lock words, void calls)
+                // leave it open, as they always have.
                 if is_store {
                     self.lanes.forget_fresh();
                 }

@@ -71,9 +71,10 @@ fn main() {
         eprintln!("presets: {}", presets().iter().map(|p| &*p.0).collect::<Vec<_>>().join(" "));
         std::process::exit(2);
     };
+    let presets = presets();
     let mut printed = 0;
     for (pname, module) in programs().iter().filter(|(n, _)| selects(program, n)) {
-        for (cname, cfg) in presets().iter().filter(|(n, _)| preset == "all" || preset == n) {
+        for (cname, cfg) in presets.iter().filter(|(n, _)| preset == "all" || preset == n) {
             let (hardened, stats) = PassManager::from_config(cfg).run_on(module);
             println!("; === {pname} {cname} ===");
             for r in &stats.records {
