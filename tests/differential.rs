@@ -143,6 +143,12 @@ fn fini_spec() -> RunSpec<'static> {
     RunSpec { fini: Some("fini"), ..Default::default() }
 }
 
+/// Faulted runs under this carry their forensics record, which makes the
+/// taint transfer part of `RunResult` equality across engines.
+fn forensics_vm() -> VmConfig {
+    VmConfig { forensics: true, ..Default::default() }
+}
+
 /// Engine × forensics, ordered so that the first two cells alone still
 /// cover both engines and both forensics settings.
 const FORK_CELLS: [(Engine, bool); 4] = [
@@ -234,7 +240,9 @@ proptest! {
     /// Fault injections land on the same dynamic register write in both
     /// engines, so the whole faulted result — not just the outcome —
     /// must match too. Runs under both HAFT and ABFT so the checksum
-    /// verify-and-correct path is differentially pinned too.
+    /// verify-and-correct path is differentially pinned too, and with
+    /// forensics on, so the taint trajectory (`RunResult::forensics`) is
+    /// part of the equality.
     #[test]
     fn engines_agree_under_fault_injection(
         steps in proptest::collection::vec(step_strategy(), 1..24),
@@ -244,7 +252,7 @@ proptest! {
         let m = build_program(&steps);
         for hc in [HardenConfig::haft(), HardenConfig::abft()] {
             let label = hc.label();
-            let exp = Experiment::new(&m).harden(hc).spec(fini_spec());
+            let exp = Experiment::new(&m).harden(hc).spec(fini_spec()).vm(forensics_vm());
             let (clean_i, clean_f) = run_both(&exp);
             prop_assert_eq!(&clean_i, &clean_f, "{}: clean runs diverge", label);
             let occurrence = occ_seed % clean_i.register_writes.max(1);
@@ -252,6 +260,8 @@ proptest! {
             let fi = exp.clone().engine(Engine::Interp).run_with_fault(plan).run;
             let ff = exp.clone().engine(Engine::Fused).run_with_fault(plan).run;
             prop_assert_eq!(&fi, &ff, "{}: faulted runs diverge at occurrence {}", label, occurrence);
+            // Every program writes a register, so the flip always lands.
+            prop_assert!(fi.forensics.is_some(), "{}: no forensics record", label);
         }
     }
 
@@ -446,21 +456,22 @@ fn forks_agree_with_scratch_runs_on_workloads() {
 }
 
 /// The 23-point fault sweep from `quickstart_smoke.rs`, run under both
-/// engines and both recovery backends (HAFT rollback, ABFT checksum):
-/// every injection point must produce the *same* result, and therefore
-/// the same Table 1 outcome histogram.
+/// engines and both recovery backends (HAFT rollback, ABFT checksum),
+/// forensics on: every injection point must produce the *same* result —
+/// forensics record included — and therefore the same Table 1 outcome
+/// histogram.
 #[test]
 fn fault_sweep_outcome_histograms_match() {
     let w = workload_by_name("linearreg", Scale::Small).unwrap();
     for hc in [HardenConfig::haft(), HardenConfig::abft()] {
         let label = hc.label();
-        let exp = Experiment::workload(&w).harden(hc).threads(2);
+        let exp = Experiment::workload(&w).harden(hc).vm(forensics_vm()).threads(2);
         let (clean_i, clean_f) = run_both(&exp);
         assert_eq!(clean_i, clean_f, "{label}: clean runs diverge");
 
         let mut histogram_i: BTreeMap<String, u64> = BTreeMap::new();
         let mut histogram_f: BTreeMap<String, u64> = BTreeMap::new();
-        let mut corrected = 0;
+        let (mut corrected, mut records) = (0, 0);
         let step = (clean_i.register_writes / 23).max(1);
         for occurrence in (0..clean_i.register_writes).step_by(step as usize) {
             let plan = FaultPlan { occurrence, xor_mask: 0x40 };
@@ -468,6 +479,7 @@ fn fault_sweep_outcome_histograms_match() {
             let rf = exp.clone().engine(Engine::Fused).run_with_fault(plan).run;
             assert_eq!(ri, rf, "{label}: faulted runs diverge at occurrence {occurrence}");
             corrected += ri.corrected_by_checksum;
+            records += ri.forensics.is_some() as u64;
             *histogram_i.entry(format!("{:?}", ri.outcome)).or_default() += 1;
             *histogram_f.entry(format!("{:?}", rf.outcome)).or_default() += 1;
         }
@@ -476,6 +488,7 @@ fn fault_sweep_outcome_histograms_match() {
         // histograms.
         assert_eq!(histogram_i, histogram_f, "{label}: outcome histograms diverge");
         assert!(histogram_i.values().sum::<u64>() >= 23, "{label}: sweep must cover 23 points");
+        assert!(records >= 23, "{label}: only {records} runs carried a forensics record");
         if label == "HAFT" {
             assert_eq!(corrected, 0, "rollback backend must never fire a checksum");
         }

@@ -40,15 +40,17 @@ fn traced_vm_run_is_bit_identical() {
 /// `Vm::run_profiled` must also be bit-identical, and the profile's
 /// cell total must equal the run's `cpu_cycles` *exactly* — the
 /// telescoping attribution leaves no cycle unaccounted and counts none
-/// twice. Pinned on both engines so the fused fetch path prices
-/// identically to the interpreter.
+/// twice. Pinned on both engines, whose histograms must also be equal
+/// cell for cell: the fused fetch path prices identically to the
+/// interpreter.
 #[test]
 fn profile_attribution_sums_exactly_to_cpu_cycles() {
     let w = workload_by_name("histogram", Scale::Small).unwrap();
-    for engine in [Engine::Interp, Engine::Fused] {
-        for cfg in [HardenConfig::haft(), HardenConfig::tmr()] {
-            let label = cfg.label();
-            let exp = Experiment::workload(&w).harden(cfg).engine(engine).threads(2);
+    for cfg in [HardenConfig::haft(), HardenConfig::tmr()] {
+        let label = cfg.label();
+        let mut profiles = Vec::new();
+        for engine in [Engine::Interp, Engine::Fused] {
+            let exp = Experiment::workload(&w).harden(cfg.clone()).engine(engine).threads(2);
             let plain = exp.run();
             let (profiled, profile) = exp.run_profiled();
             assert_eq!(plain.run, profiled.run, "{engine:?}/{label}: profiling changed the run");
@@ -58,7 +60,9 @@ fn profile_attribution_sums_exactly_to_cpu_cycles() {
                 "{engine:?}/{label}: attribution must sum exactly"
             );
             assert!(!profile.by_function().is_empty());
+            profiles.push(profile);
         }
+        assert_eq!(profiles[0], profiles[1], "{label}: the engines' profiles differ");
     }
 }
 
