@@ -355,16 +355,17 @@ struct Cursor {
 }
 
 /// Everything about a run that depends only on the module's functions,
-/// its global *layout* and the cost model: the fused engine's decoded
-/// code and the pause slack. Build it once ([`Prepared::new`]) and run
-/// any number of VMs against it — [`Vm::run_prepared`], [`Vm::start`] —
-/// as long as those three stay the same; global initial *bytes*, seeds,
-/// thread counts, fault plans and every other [`VmConfig`] field may
+/// its global *layout* and the cost model: the decoded code and the pause
+/// slack. Build it once ([`Prepared::new`]) and run any number of VMs
+/// against it — [`Vm::run_prepared`], [`Vm::start`] — as long as those
+/// three stay the same; global initial *bytes*, seeds, thread counts,
+/// fault plans, the [`Engine`] and every other [`VmConfig`] field may
 /// differ from run to run.
 #[derive(Debug)]
 pub struct Prepared {
-    /// `None` under [`Engine::Interp`], which walks the IR directly.
-    decoded: Option<decode::Decoded>,
+    /// What [`Engine::Fused`] executes, and the vocabulary in which both
+    /// engines name an op to the profiler and forensics hooks.
+    decoded: decode::Decoded,
     /// The layout `decoded`'s constants were resolved against.
     global_bases: Vec<u64>,
     /// Most register writes one op can make: the largest group of phis
@@ -375,13 +376,10 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Decodes and fuses `module` for `cfg.engine` under `cfg.cost`.
+    /// Decodes and fuses `module` under `cfg.cost`.
     pub fn new(module: &Module, cfg: &VmConfig) -> Self {
         let (global_bases, _) = Memory::layout(module);
-        let decoded = match cfg.engine {
-            Engine::Interp => None,
-            Engine::Fused => Some(decode::Decoded::decode(module, &global_bases, &cfg.cost)),
-        };
+        let decoded = decode::Decoded::decode(module, &global_bases, &cfg.cost);
         let pause_slack = module
             .funcs
             .iter()
@@ -398,8 +396,8 @@ pub struct Vm<'m> {
     m: &'m Module,
     cfg: VmConfig,
     spec: RunSpec<'m>,
-    /// The fused engine's code ([`Prepared`]); `None` runs the
-    /// interpreter.
+    /// The decoded code ([`Prepared`]), attached by [`Vm::start`]. A bare
+    /// [`Vm::new`] has none, and an empty spec: it never executes an op.
     dc: Option<&'m decode::Decoded>,
     /// [`Prepared::pause_slack`].
     pause_slack: u64,
@@ -598,8 +596,8 @@ impl<'m> Vm<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if `prepared` was built for another engine, function count
-    /// or global layout than `module` and `cfg` have. (A different cost
+    /// Panics if `prepared` was built for another function count or
+    /// global layout than `module` and `cfg` have. (A different cost
     /// model or different function *bodies* cannot be told apart here;
     /// keeping those fixed is the caller's side of the contract.)
     pub fn start(
@@ -610,19 +608,18 @@ impl<'m> Vm<'m> {
     ) -> Self {
         let mut vm = Vm::new(module, cfg);
         assert!(
-            prepared.decoded.is_some() == (vm.cfg.engine == Engine::Fused)
-                && prepared.decoded.as_ref().is_none_or(|d| d.funcs.len() == module.funcs.len())
+            prepared.decoded.funcs.len() == module.funcs.len()
                 && prepared.global_bases == vm.mem.global_bases,
-            "{}: prepared for another engine, function list or global layout",
+            "{}: prepared for another function list or global layout",
             module.name
         );
-        if let Some(d) = &prepared.decoded {
+        if vm.cfg.engine == Engine::Fused {
             for t in &mut vm.threads {
-                t.bp_dense = vec![0u8; d.n_condbrs.max(1)];
+                t.bp_dense = vec![0u8; prepared.decoded.n_condbrs.max(1)];
             }
         }
         vm.spec = spec;
-        vm.dc = prepared.decoded.as_ref();
+        vm.dc = Some(&prepared.decoded);
         vm.pause_slack = prepared.pause_slack;
         vm
     }
@@ -801,15 +798,26 @@ impl<'m> Vm<'m> {
         self.m.func_by_name(name).unwrap_or_else(|| panic!("no function named {name}"))
     }
 
-    fn make_frame(&self, fid: FuncId, args: &[u64], return_to: Option<ValueId>) -> Frame {
-        let f = self.m.func(fid);
-        assert_eq!(f.params.len(), args.len(), "arity mismatch calling {}", f.name);
-        let mut regs = vec![0u64; f.values.len()];
-        let ready = vec![0u64; f.values.len()];
+    fn code(&self) -> &'m decode::Decoded {
+        self.dc.expect("Vm::start attaches the decoded code")
+    }
+
+    /// A frame at the entry of `fid`, its parameters set to `args`. The
+    /// register window comes from the pool when a returned call has
+    /// donated one (the fused engine's `Ret` does; the reference
+    /// interpreter's does not, and always allocates).
+    fn make_frame(&mut self, fid: FuncId, args: &[u64], return_to: Option<ValueId>) -> Frame {
+        let df = &self.code().funcs[fid.0 as usize];
+        assert_eq!(df.n_params, args.len(), "arity mismatch calling {}", self.m.func(fid).name);
+        let (mut regs, mut ready) = self.pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(df.n_values, 0);
+        ready.clear();
+        ready.resize(df.n_values, 0);
         for (i, a) in args.iter().enumerate() {
-            regs[i] = a & f.params[i].mask();
+            regs[i] = a & df.param_masks[i];
         }
-        Frame { func: fid, block: f.entry(), idx: 0, regs, ready, return_to }
+        Frame { func: fid, block: BlockId(0), idx: 0, regs, ready, return_to }
     }
 
     fn reset_thread_for(&mut self, tid: usize, fid: FuncId, args: &[u64]) {
@@ -887,7 +895,8 @@ impl<'m> Vm<'m> {
     /// Runs threads `0..n`; `None` means the run suspended inside a
     /// window, which the next call re-opens where it stopped.
     fn schedule(&mut self, n: usize) -> Option<RunOutcome> {
-        let dc = self.dc;
+        let d = self.code();
+        let fused = self.cfg.engine == Engine::Fused;
         loop {
             let (horizon, first) = match self.cursor.window.take() {
                 Some(open) => open,
@@ -945,10 +954,12 @@ impl<'m> Vm<'m> {
                     if self.instructions >= self.cfg.max_instructions {
                         return Some(RunOutcome::Hang);
                     }
-                    let flow = match dc {
-                        Some(d) => self.step_fused(tid, horizon, d),
-                        None if self.occ >= self.pause_at => Flow::Pause,
-                        None => self.step(tid),
+                    let flow = if fused {
+                        self.step_fused(tid, horizon, d)
+                    } else if self.occ >= self.pause_at {
+                        Flow::Pause
+                    } else {
+                        self.step(tid, d)
                     };
                     match flow {
                         Flow::Continue => {}
@@ -1248,7 +1259,7 @@ impl<'m> Vm<'m> {
     // --- the interpreter --------------------------------------------------------
 
     /// Executes one instruction of thread `tid`.
-    fn step(&mut self, tid: usize) -> Flow {
+    fn step(&mut self, tid: usize, d: &decode::Decoded) -> Flow {
         // Deliver pending asynchronous aborts first.
         if self.threads[tid].in_tx() {
             if let Some(cause) = self.htm.doomed(tid) {
@@ -1265,20 +1276,17 @@ impl<'m> Vm<'m> {
         let block = &f.blocks[bid.0 as usize];
         debug_assert!(idx < block.insts.len(), "fell off block without terminator");
         let iid = block.insts[idx];
-        let inst = f.inst(iid).clone();
+        let inst = f.inst(iid);
         let result = f.inst_result(iid);
+        // The same op as the observation hooks know it: the lowering is
+        // 1:1, a block's slots in order from its start pc.
+        let df = &d.funcs[fid.0 as usize];
+        let dop = &df.code[df.block_start[bid.0 as usize] + idx];
 
         // Pre-advance the pc; control flow overwrites it.
         self.threads[tid].frames.last_mut().expect("live frame").idx += 1;
         self.instructions += 1;
-        if let Some(p) = self.profiler.as_mut() {
-            p.fetch(tid, self.threads[tid].sb.clock, fid.0, OpClass::of_op(&inst.op));
-        }
-        if self.forensics.is_some() {
-            // Taint transfer runs *before* execution: control ops (Ret,
-            // Br) invalidate operand reads afterwards.
-            self.forensics_transfer_interp(tid, fid, bid, &inst.op, result);
-        }
+        self.before_op(tid, fid.0, dop, d);
 
         let width = self.cfg.cost.width;
         let flow = match &inst.op {
@@ -1542,61 +1550,20 @@ impl<'m> Vm<'m> {
             }
 
             // --- HAFT runtime intrinsics -----------------------------------------
-            Op::TxBegin => {
-                // XBEGIN drains the pipeline: the checkpoint covers all
-                // earlier work, and speculation starts after it.
-                let done = self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
-                self.tx_begin(tid, done);
-                Flow::Continue
-            }
-            Op::TxEnd => {
-                if self.threads[tid].tx_depth > 1 {
-                    self.threads[tid].tx_depth -= 1;
-                    self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
-                    Flow::Continue
-                } else if self.threads[tid].in_tx() {
-                    self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
-                    match self.tx_commit(tid) {
-                        Ok(()) => Flow::Continue,
-                        Err(cause) => {
-                            self.tx_abort(tid, cause);
-                            Flow::Continue
-                        }
-                    }
-                } else {
-                    // Fallback mode: nothing to commit.
-                    self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
-                    Flow::Continue
-                }
-            }
+            Op::TxBegin => self.exec_tx_begin(tid),
+            Op::TxEnd => self.exec_tx_end(tid),
             Op::TxCondSplit => {
-                self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
+                let t = &mut self.threads[tid];
+                t.sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
                 // A split must not commit while a lock is elided: the
                 // critical section would lose its atomicity (and the
                 // matching unlock its elision record). Defer until the
                 // elision stack drains.
-                if self.threads[tid].counter >= self.threads[tid].threshold
-                    && self.threads[tid].elided.is_empty()
-                {
-                    if self.threads[tid].in_tx() {
-                        self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
-                        match self.tx_commit(tid) {
-                            Ok(()) => {
-                                let begin = self.threads[tid]
-                                    .sb
-                                    .issue_serial(width, self.cfg.cost.lat_tx_begin);
-                                self.tx_begin(tid, begin);
-                            }
-                            Err(cause) => self.tx_abort(tid, cause),
-                        }
-                    } else {
-                        // Re-enter transactional mode after a fallback.
-                        let begin =
-                            self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
-                        self.tx_begin(tid, begin);
-                    }
+                if t.counter >= t.threshold && t.elided.is_empty() {
+                    self.exec_tx_split(tid)
+                } else {
+                    Flow::Continue
                 }
-                Flow::Continue
             }
             Op::TxCounterInc { amount } => {
                 let t = &mut self.threads[tid];
@@ -1606,104 +1573,20 @@ impl<'m> Vm<'m> {
             }
             Op::TxAbort { code } => match code {
                 AbortCode::IlrDetected => self.ilr_detect(tid),
-                AbortCode::Explicit => {
-                    if self.threads[tid].in_tx() {
-                        self.tx_abort(tid, AbortCause::Explicit);
-                        Flow::Continue
-                    } else {
-                        Flow::Stop(RunOutcome::Detected)
-                    }
-                }
+                AbortCode::Explicit => self.exec_abort_explicit(tid),
             },
-            Op::Vote { ty, a, b, c } => {
+            Op::Vote { ty, a, b, c } | Op::ChkCorrect { ty, a, b, c } => {
                 let (av, ar) = self.operand(tid, a);
                 let (bv, br) = self.operand(tid, b);
                 let (cv, cr) = self.operand(tid, c);
-                // Two-of-three majority: a single corrupted copy is masked
-                // in place and execution continues (Elzar's `vote()`).
-                let majority = if av == bv || av == cv {
-                    Some(av)
-                } else if bv == cv {
-                    Some(bv)
-                } else {
-                    None
-                };
-                match majority {
+                let checksum = matches!(inst.op, Op::ChkCorrect { .. });
+                match self.majority(tid, checksum, [av, bv, cv]) {
                     Some(v) => {
-                        if !(av == bv && av == cv) {
-                            self.corrected_by_vote += 1;
-                            if let Some(tr) = self.trace.as_mut() {
-                                let ts = self.wall_cycles + self.threads[tid].sb.clock;
-                                tr.push(
-                                    TraceEvent::instant("vm", "vote.correct", ts)
-                                        .lane(0, tid as u32),
-                                );
-                            }
-                            if self.forensics.is_some() {
-                                let now = self.wall_cycles + self.threads[tid].sb.clock;
-                                let insts = self.instructions;
-                                self.forensics.as_deref_mut().unwrap().detect(
-                                    forensics::FaultDetector::Vote,
-                                    insts,
-                                    now,
-                                );
-                            }
-                        }
                         let ready = ar.max(br).max(cr);
                         let done = self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_vote);
                         self.write_reg_forwarded(tid, result.unwrap(), v, done, *ty);
                         Flow::Continue
                     }
-                    // All three copies disagree: unrecoverable divergence,
-                    // handled exactly like a failed ILR check (rollback
-                    // inside a transaction, fail-stop outside).
-                    None => self.ilr_detect(tid),
-                }
-            }
-            Op::ChkCorrect { ty, a, b, c } => {
-                let (av, ar) = self.operand(tid, a);
-                let (bv, br) = self.operand(tid, b);
-                let (cv, cr) = self.operand(tid, c);
-                // Checksum verify-and-correct: the three redundant lanes
-                // agree in a fault-free run; a single divergent lane is
-                // reconstructed from the other two (the row×column
-                // intersection pinpoints exactly one element).
-                let majority = if av == bv || av == cv {
-                    Some(av)
-                } else if bv == cv {
-                    Some(bv)
-                } else {
-                    None
-                };
-                match majority {
-                    Some(v) => {
-                        if !(av == bv && av == cv) {
-                            self.corrected_by_checksum += 1;
-                            if let Some(tr) = self.trace.as_mut() {
-                                let ts = self.wall_cycles + self.threads[tid].sb.clock;
-                                tr.push(
-                                    TraceEvent::instant("vm", "abft.correct", ts)
-                                        .lane(0, tid as u32),
-                                );
-                            }
-                            if self.forensics.is_some() {
-                                let now = self.wall_cycles + self.threads[tid].sb.clock;
-                                let insts = self.instructions;
-                                self.forensics.as_deref_mut().unwrap().detect(
-                                    forensics::FaultDetector::Checksum,
-                                    insts,
-                                    now,
-                                );
-                            }
-                        }
-                        let ready = ar.max(br).max(cr);
-                        let done = self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_vote);
-                        self.write_reg_forwarded(tid, result.unwrap(), v, done, *ty);
-                        Flow::Continue
-                    }
-                    // More than one lane corrupted: the checksum can
-                    // detect but not correct — fail-stop through the
-                    // existing detect path.
                     None => self.ilr_detect(tid),
                 }
             }
@@ -1716,18 +1599,8 @@ impl<'m> Vm<'m> {
                 self.exec_unlock(tid, av, ar)
             }
             Op::Emit { ty: _, val } => {
-                if self.threads[tid].in_tx() {
-                    // Externalization cannot happen speculatively: abort
-                    // first (TSX: unfriendly instruction), and emit only
-                    // once we are executing non-transactionally.
-                    self.tx_abort(tid, AbortCause::Unfriendly);
-                    Flow::Continue
-                } else {
-                    let (v, _) = self.operand(tid, val);
-                    self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_emit);
-                    self.threads[tid].emitted.push(v);
-                    Flow::Continue
-                }
+                let (v, _) = self.operand(tid, val);
+                self.exec_emit(tid, v)
             }
             Op::ThreadId => {
                 let done = self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
@@ -1748,30 +1621,7 @@ impl<'m> Vm<'m> {
             Op::Nop => Flow::Continue,
         };
 
-        if self.forensics.is_some() {
-            // If this instruction's register write was the flip, the seed
-            // completes now that its op class and timing are known.
-            self.forensics_seed_complete(tid, OpClass::of_op(&inst.op));
-        }
-
-        // A blocked lock acquisition must be retried: rewind the pc and
-        // undo the instruction count.
-        if let Flow::Blocked(_) = flow {
-            let frame = self.threads[tid].frames.last_mut().expect("live frame");
-            frame.idx -= 1;
-            self.instructions -= 1;
-        }
-
-        // Time-based asynchronous aborts.
-        if self.threads[tid].in_tx() {
-            let now = self.threads[tid].sb.clock;
-            let last = self.threads[tid].last_poll_clock;
-            if now > last + 256 {
-                self.htm.poll_async(tid, now, now - last, &mut self.rng);
-                self.threads[tid].last_poll_clock = now;
-            }
-        }
-        flow
+        self.after_op(tid, dop, flow)
     }
 
     /// Takes a CFG edge: evaluates the target's phis and repositions the pc.
@@ -1800,6 +1650,165 @@ impl<'m> Vm<'m> {
         let frame = self.threads[tid].frames.last_mut().expect("live frame");
         frame.block = to;
         frame.idx = n_phis;
+    }
+
+    // --- per-op hooks ------------------------------------------------------------
+    //
+    // Execution is written twice, observation once: each engine fetches
+    // and pre-advances in its own pc format, names the op as a `DOp`, and
+    // brackets its execution with this pair.
+
+    /// Before an op executes: the profiler's fetch, then the taint
+    /// transfer (which must see the operands before control ops — `Ret`,
+    /// `Br` — invalidate them).
+    #[inline(always)]
+    fn before_op(&mut self, tid: usize, fid: u32, op: &decode::DOp, d: &decode::Decoded) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.fetch(tid, self.threads[tid].sb.clock, fid, OpClass::of(op));
+        }
+        if self.forensics.is_some() {
+            self.forensics_transfer(tid, op, d);
+        }
+    }
+
+    /// After an op executed with `flow`, which it passes on.
+    #[inline(always)]
+    fn after_op(&mut self, tid: usize, op: &decode::DOp, flow: Flow) -> Flow {
+        if self.forensics.is_some() {
+            // If this op's register write was the flip, the seed
+            // completes now that its op class and timing are known.
+            self.forensics_seed_complete(tid, OpClass::of(op));
+        }
+        // A blocked lock acquisition must be retried: rewind the pc and
+        // undo the instruction count.
+        if let Flow::Blocked(_) = flow {
+            self.threads[tid].frames.last_mut().expect("live frame").idx -= 1;
+            self.instructions -= 1;
+        }
+        self.poll_tx(tid);
+        flow
+    }
+
+    /// Time-based asynchronous aborts: polled after every op.
+    #[inline(always)]
+    fn poll_tx(&mut self, tid: usize) {
+        let t = &mut self.threads[tid];
+        if t.in_tx() {
+            let now = t.sb.clock;
+            if now > t.last_poll_clock + 256 {
+                let delta = now - t.last_poll_clock;
+                t.last_poll_clock = now;
+                self.htm.poll_async(tid, now, delta, &mut self.rng);
+            }
+        }
+    }
+
+    // --- intrinsics with one body --------------------------------------------------
+    //
+    // The HAFT runtime ops that read no operand, or whose effect starts
+    // once the engine has read its own.
+
+    fn exec_tx_begin(&mut self, tid: usize) -> Flow {
+        // XBEGIN drains the pipeline: the checkpoint covers all earlier
+        // work, and speculation starts after it.
+        let cost = &self.cfg.cost;
+        let done = self.threads[tid].sb.issue_serial(cost.width, cost.lat_tx_begin);
+        self.tx_begin(tid, done);
+        Flow::Continue
+    }
+
+    fn exec_tx_end(&mut self, tid: usize) -> Flow {
+        let cost = &self.cfg.cost;
+        let t = &mut self.threads[tid];
+        if t.tx_depth > 1 {
+            t.tx_depth -= 1;
+            t.sb.issue(cost.width, 0, cost.lat_int);
+        } else if t.in_tx() {
+            t.sb.issue_serial(cost.width, cost.lat_tx_end);
+            if let Err(cause) = self.tx_commit(tid) {
+                self.tx_abort(tid, cause);
+            }
+        } else {
+            // Fallback mode: nothing to commit.
+            t.sb.issue(cost.width, 0, cost.lat_int);
+        }
+        Flow::Continue
+    }
+
+    /// A `tx_cond_split` that is due — counter at the threshold, no lock
+    /// elided — once its check has issued: commit and reopen, or re-enter
+    /// transactional mode after a fallback.
+    fn exec_tx_split(&mut self, tid: usize) -> Flow {
+        let cost = &self.cfg.cost;
+        let t = &mut self.threads[tid];
+        if t.in_tx() {
+            t.sb.issue_serial(cost.width, cost.lat_tx_end);
+            if let Err(cause) = self.tx_commit(tid) {
+                self.tx_abort(tid, cause);
+                return Flow::Continue;
+            }
+        }
+        self.exec_tx_begin(tid)
+    }
+
+    fn exec_abort_explicit(&mut self, tid: usize) -> Flow {
+        if self.threads[tid].in_tx() {
+            self.tx_abort(tid, AbortCause::Explicit);
+            Flow::Continue
+        } else {
+            Flow::Stop(RunOutcome::Detected)
+        }
+    }
+
+    fn exec_emit(&mut self, tid: usize, val: u64) -> Flow {
+        if self.threads[tid].in_tx() {
+            // Externalization cannot happen speculatively: abort first
+            // (TSX: unfriendly instruction), and emit only once we are
+            // executing non-transactionally.
+            self.tx_abort(tid, AbortCause::Unfriendly);
+        } else {
+            let t = &mut self.threads[tid];
+            t.sb.issue_serial(self.cfg.cost.width, self.cfg.cost.lat_emit);
+            t.emitted.push(val);
+        }
+        Flow::Continue
+    }
+
+    /// The decision of a three-way synchronization point over the copies
+    /// `[a, b, c]`: a TMR `vote` (Elzar's `vote()`), or with `checksum` an
+    /// ABFT `chk_correct`, whose three redundant lanes likewise agree in a
+    /// fault-free run (the row×column intersection pinpoints exactly one
+    /// element). A single divergent copy is outvoted — masked in place,
+    /// counted, and execution continues with the majority value. `None`
+    /// if all three differ: the point can detect but not correct, and the
+    /// caller takes [`Vm::ilr_detect`] (rollback inside a transaction,
+    /// fail-stop outside).
+    fn majority(&mut self, tid: usize, checksum: bool, [a, b, c]: [u64; 3]) -> Option<u64> {
+        let v = if a == b || a == c {
+            a
+        } else if b == c {
+            b
+        } else {
+            return None;
+        };
+        if a != b || a != c {
+            let (event, detector) = if checksum {
+                self.corrected_by_checksum += 1;
+                ("abft.correct", FaultDetector::Checksum)
+            } else {
+                self.corrected_by_vote += 1;
+                ("vote.correct", FaultDetector::Vote)
+            };
+            // Stamped before the point itself issues.
+            let now = self.wall_cycles + self.threads[tid].sb.clock;
+            if let Some(tr) = self.trace.as_mut() {
+                tr.push(TraceEvent::instant("vm", event, now).lane(0, tid as u32));
+            }
+            if let Some(fx) = self.forensics.as_deref_mut() {
+                fx.detect(detector, self.instructions, now);
+            }
+        }
+        Some(v)
     }
 
     fn exec_lock(&mut self, tid: usize, addr: u64, ready: u64) -> Flow {

@@ -210,6 +210,10 @@ pub(crate) enum DOp {
 #[derive(Debug)]
 pub(crate) struct DFunc {
     pub code: Vec<DOp>,
+    /// `block_start[b]` — pc of block `b`'s first slot. The lowering is
+    /// 1:1, so the reference interpreter's `(block, idx)` names
+    /// `code[block_start[block] + idx]`.
+    pub block_start: Vec<usize>,
     /// `fuse[pc]` — after `code[pc]` completes cleanly, execution may
     /// chain straight into `code[pc + 1]` within one dispatch.
     pub fuse: Vec<bool>,
@@ -490,6 +494,7 @@ impl Decoded {
             let fuse = fuse::compute(&code, &ranges, &mut stats);
             funcs.push(DFunc {
                 code,
+                block_start,
                 fuse,
                 n_values: f.values.len(),
                 n_params: f.params.len(),

@@ -30,18 +30,16 @@
 //! op between its hooks, reaching an eligible op through the same
 //! [`RunCtx::exec`] body.
 
-use haft_htm::{AbortCause, AccessKind, Htm};
-use haft_ir::function::{BlockId, ValueId};
+use haft_htm::{AccessKind, Htm};
+use haft_ir::function::ValueId;
 use haft_ir::inst::RmwOp;
 use haft_ir::module::FuncId;
 use haft_ir::types::Ty;
-use haft_trace::TraceEvent;
 
 use super::decode::{DOp, Decoded, Edge, Src};
-use super::forensics::{FaultDetector, ForensicsState};
-use super::profile::OpClass;
+use super::forensics::ForensicsState;
 use super::{
-    eval_bin, eval_cast, eval_cmp, eval_un, Flow, Frame, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
+    eval_bin, eval_cast, eval_cmp, eval_un, Flow, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
 };
 use crate::cost::{CostConfig, Scoreboard};
 use crate::fault::FaultPlan;
@@ -419,12 +417,15 @@ impl<'m> Vm<'m> {
             // Deliver pending asynchronous aborts first (same as `step`).
             let doomed = if t.in_tx() { self.htm.doomed(tid) } else { None };
             if let Some(cause) = doomed {
+                // No poll is owed after this: `tx_abort` leaves
+                // `last_poll_clock` at the current clock, or the thread
+                // outside a transaction.
                 self.tx_abort(tid, cause);
             } else if instrumented || self.register_run(tid, horizon, d) {
                 // One op: the one a run stopped in front of, or each op
                 // of an instrumented run. Fetch and pre-advance in one
                 // frame borrow; control flow overwrites the pc, `Blocked`
-                // rewinds it.
+                // rewinds it (in `after_op`, which also polls).
                 let fr = self.threads[tid].frames.last_mut().expect("live frame");
                 let fid = fr.func.0 as usize;
                 let pc = fr.idx;
@@ -433,13 +434,7 @@ impl<'m> Vm<'m> {
                 let df = &d.funcs[fid];
                 self.fused_retired += df.fuse[pc] as u64;
                 let op = &df.code[pc];
-                if let Some(p) = self.profiler.as_mut() {
-                    p.fetch(tid, self.threads[tid].sb.clock, fid as u32, OpClass::of_dop(op));
-                }
-                if self.forensics.is_some() {
-                    // Pre-execute taint transfer, mirroring `step`.
-                    self.forensics_transfer_fused(tid, op, d);
-                }
+                self.before_op(tid, fid as u32, op, d);
                 // An instrumented step reaches an eligible op through the
                 // body a run uses; uninstrumented, the run just refused it.
                 let flow = if instrumented && self.exec_eligible(tid, op, d) {
@@ -447,26 +442,18 @@ impl<'m> Vm<'m> {
                 } else {
                     self.exec_dop(tid, op, d)
                 };
-                if self.forensics.is_some() {
-                    self.forensics_seed_complete(tid, OpClass::of_dop(op));
-                }
+                let flow = self.after_op(tid, op, flow);
                 if !matches!(flow, Flow::Continue) {
-                    if let Flow::Blocked(_) = flow {
-                        let fr = self.threads[tid].frames.last_mut().expect("live frame");
-                        fr.idx -= 1;
-                        self.instructions -= 1;
-                    }
-                    self.poll_tx(tid);
                     return flow;
                 }
+            } else {
+                // A run ended on an exit condition: the gap after its last
+                // op starts with that op's poll.
+                self.poll_tx(tid);
             }
 
-            // Inter-op gap: poll, then the same horizon and budget checks
-            // the scheduler loop performs between unfused steps. (After
-            // the abort path above the poll condition is always false —
-            // `tx_abort` resets `last_poll_clock` to the current clock —
-            // so sharing this tail with it changes nothing.)
-            self.poll_tx(tid);
+            // Inter-op gap, after the poll: the same horizon and budget
+            // checks the scheduler loop performs between unfused steps.
             if self.threads[tid].sb.clock >= horizon {
                 return Flow::Continue;
             }
@@ -485,21 +472,6 @@ impl<'m> Vm<'m> {
         ran != Ran::Refused
     }
 
-    /// Time-based asynchronous abort poll, run after every op exactly as
-    /// the interpreter does at the end of `step`.
-    #[inline(always)]
-    fn poll_tx(&mut self, tid: usize) {
-        let t = &mut self.threads[tid];
-        if t.in_tx() {
-            let now = t.sb.clock;
-            if now > t.last_poll_clock + 256 {
-                let delta = now - t.last_poll_clock;
-                t.last_poll_clock = now;
-                self.htm.poll_async(tid, now, delta, &mut self.rng);
-            }
-        }
-    }
-
     /// Transactional store through the fused write buffer. Same contract
     /// as `mem_store`: bounds-check eagerly so wild stores trap now.
     fn mem_store_f(&mut self, tid: usize, addr: u64, len: u32, val: u64) -> Result<(), Trap> {
@@ -510,25 +482,6 @@ impl<'m> Vm<'m> {
         } else {
             self.mem.store(addr, len, val)
         }
-    }
-
-    fn make_frame_fused(
-        &mut self,
-        d: &Decoded,
-        target: u32,
-        args: &[u64],
-        return_to: Option<ValueId>,
-    ) -> Frame {
-        let df = &d.funcs[target as usize];
-        let (mut regs, mut ready) = self.pool.pop().unwrap_or_default();
-        regs.clear();
-        regs.resize(df.n_values, 0);
-        ready.clear();
-        ready.resize(df.n_values, 0);
-        for (i, a) in args.iter().enumerate() {
-            regs[i] = a & df.param_masks[i];
-        }
-        Frame { func: FuncId(target), block: BlockId(0), idx: 0, regs, ready, return_to }
     }
 
     fn do_call(
@@ -550,7 +503,7 @@ impl<'m> Vm<'m> {
             ready = ready.max(r);
         }
         cx.sb.issue(cx.cost.width, ready, cx.cost.lat_call);
-        let frame = self.make_frame_fused(d, target, &vals, dst.map(ValueId));
+        let frame = self.make_frame(FuncId(target), &vals, dst.map(ValueId));
         self.arg_scratch = vals;
         self.threads[tid].frames.push(frame);
         Flow::Continue
@@ -587,44 +540,19 @@ impl<'m> Vm<'m> {
                 // counted, three different ones are an ILR detection.
                 let cx = self.run_ctx(tid, d);
                 let ((av, ar), (bv, br), (cv, cr)) = (cx.rd(a), cx.rd(b), cx.rd(c));
-                let now = cx.sb.clock + self.wall_cycles;
-                let v = if av == bv || av == cv {
-                    av
-                } else if bv == cv {
-                    bv
-                } else {
-                    return self.ilr_detect(tid);
-                };
-                let (event, detector) = if matches!(op, DOp::Vote { .. }) {
-                    self.corrected_by_vote += 1;
-                    ("vote.correct", FaultDetector::Vote)
-                } else {
-                    self.corrected_by_checksum += 1;
-                    ("abft.correct", FaultDetector::Checksum)
-                };
-                if let Some(tr) = self.trace.as_mut() {
-                    tr.push(TraceEvent::instant("vm", event, now).lane(0, tid as u32));
+                let checksum = matches!(op, DOp::ChkCorrect { .. });
+                match self.majority(tid, checksum, [av, bv, cv]) {
+                    Some(v) => {
+                        self.run_ctx(tid, d).forward(dst, v, ar.max(br).max(cr), ty);
+                        Flow::Continue
+                    }
+                    None => self.ilr_detect(tid),
                 }
-                if let Some(fx) = self.forensics.as_deref_mut() {
-                    // Same pre-issue timestamp as the interpreter's hook.
-                    fx.detect(detector, self.instructions, now);
-                }
-                self.run_ctx(tid, d).forward(dst, v, ar.max(br).max(cr), ty);
-                Flow::Continue
             }
             DOp::TxCondSplit => {
                 // At the threshold with no lock elided: commit and reopen.
                 self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
-                if self.threads[tid].in_tx() {
-                    self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
-                    if let Err(cause) = self.tx_commit(tid) {
-                        self.tx_abort(tid, cause);
-                        return Flow::Continue;
-                    }
-                }
-                let begin = self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
-                self.tx_begin(tid, begin);
-                Flow::Continue
+                self.exec_tx_split(tid)
             }
             DOp::Un { .. }
             | DOp::Cmp { .. }
@@ -753,34 +681,10 @@ impl<'m> Vm<'m> {
             }
 
             // --- HAFT runtime intrinsics -----------------------------------------
-            DOp::TxBegin => {
-                let done = self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_begin);
-                self.tx_begin(tid, done);
-                Flow::Continue
-            }
-            DOp::TxEnd => {
-                if self.threads[tid].tx_depth > 1 {
-                    self.threads[tid].tx_depth -= 1;
-                    self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
-                } else if self.threads[tid].in_tx() {
-                    self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_tx_end);
-                    if let Err(cause) = self.tx_commit(tid) {
-                        self.tx_abort(tid, cause);
-                    }
-                } else {
-                    self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
-                }
-                Flow::Continue
-            }
+            DOp::TxBegin => self.exec_tx_begin(tid),
+            DOp::TxEnd => self.exec_tx_end(tid),
             DOp::TxAbortIlr => self.ilr_detect(tid),
-            DOp::TxAbortExplicit => {
-                if self.threads[tid].in_tx() {
-                    self.tx_abort(tid, AbortCause::Explicit);
-                    Flow::Continue
-                } else {
-                    Flow::Stop(RunOutcome::Detected)
-                }
-            }
+            DOp::TxAbortExplicit => self.exec_abort_explicit(tid),
             DOp::Lock { addr } => {
                 let (av, ar) = self.run_ctx(tid, d).rd(addr);
                 self.exec_lock(tid, av, ar)
@@ -790,15 +694,8 @@ impl<'m> Vm<'m> {
                 self.exec_unlock(tid, av, ar)
             }
             DOp::Emit { val } => {
-                if self.threads[tid].in_tx() {
-                    self.tx_abort(tid, AbortCause::Unfriendly);
-                } else {
-                    let (v, _) = self.run_ctx(tid, d).rd(val);
-                    let t = &mut self.threads[tid];
-                    t.sb.issue_serial(width, self.cfg.cost.lat_emit);
-                    t.emitted.push(v);
-                }
-                Flow::Continue
+                let (v, _) = self.run_ctx(tid, d).rd(val);
+                self.exec_emit(tid, v)
             }
         }
     }

@@ -35,15 +35,13 @@
 
 use std::collections::HashSet;
 
-use haft_ir::function::{BlockId, Function, ValueId};
-use haft_ir::inst::{Callee, Op, Operand};
+use haft_ir::function::{Function, ValueId};
 use haft_ir::module::FuncId;
 use haft_trace::TraceEvent;
 
 use super::decode::{DOp, Decoded, Src};
 use super::profile::OpClass;
 use super::{Frame, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH};
-use crate::mem::Memory;
 
 /// Which mechanism closed (or failed to close) the window of
 /// vulnerability. Ordered roughly best to worst.
@@ -361,18 +359,7 @@ impl ForensicsState {
     }
 }
 
-/// Operand value against a frame (mirror of `Vm::operand`, value only).
-fn op_val(frame: &Frame, mem: &Memory, o: &Operand) -> u64 {
-    match o {
-        Operand::Value(v) => frame.regs[v.0 as usize],
-        Operand::Imm(v, ty) => (*v as u64) & ty.mask(),
-        Operand::F64Bits(b) => *b,
-        Operand::GlobalAddr(g) => mem.global_bases[g.0 as usize],
-        Operand::FuncAddr(f) => FUNC_BASE + f.0 as u64,
-    }
-}
-
-/// Decoded-operand value against a frame (mirror of `RunCtx::rd`).
+/// Operand value against a frame (value half of `RunCtx::rd`).
 fn src_val(frame: &Frame, s: Src) -> u64 {
     match s {
         Src::Slot(i) => frame.regs[i as usize],
@@ -381,159 +368,12 @@ fn src_val(frame: &Frame, s: Src) -> u64 {
 }
 
 impl<'m> Vm<'m> {
-    /// Pre-execute taint transfer, interpreter side. Runs before the op
-    /// executes because control ops (Ret, Br) invalidate operand reads
-    /// afterwards; the transfer models the writes the op is about to
-    /// perform. The fused twin is [`Vm::forensics_transfer_fused`] —
-    /// the two must stay rule-for-rule identical.
-    pub(super) fn forensics_transfer_interp(
-        &mut self,
-        tid: usize,
-        fid: FuncId,
-        bid: BlockId,
-        op: &Op,
-        result: Option<ValueId>,
-    ) {
-        let Some(fx) = self.forensics.as_deref_mut() else { return };
-        if !fx.tracking() {
-            return;
-        }
-        let t = &self.threads[tid];
-        let frame = t.frames.last().expect("live frame");
-        let depth = t.frames.len() as u32;
-        let in_tx = t.in_tx();
-        let mem = &self.mem;
-        let opt = |fx: &ForensicsState, o: &Operand| match o.as_value() {
-            Some(v) => fx.reg_tainted(tid, depth, v.0),
-            None => false,
-        };
-        match op {
-            // Pure ops: destination tainted iff any register source is
-            // (a clean result overwrites — and thus clears — the slot).
-            Op::Bin { .. }
-            | Op::Un { .. }
-            | Op::Cmp { .. }
-            | Op::Move { .. }
-            | Op::Cast { .. }
-            | Op::Select { .. }
-            | Op::Gep { .. }
-            | Op::ThreadId
-            | Op::NumThreads => {
-                let mut any = false;
-                op.for_each_operand(|o| any |= opt(fx, o));
-                fx.set_reg(tid, in_tx, depth, result.expect("pure op has result").0, any);
-            }
-            Op::Alloc { size } => {
-                let any = opt(fx, size);
-                fx.set_reg(tid, in_tx, depth, result.expect("alloc has result").0, any);
-            }
-            Op::Load { ty, addr, .. } => {
-                let av = op_val(frame, mem, addr);
-                let any = opt(fx, addr) || fx.mem_tainted(av, ty.size_bytes());
-                fx.set_reg(tid, in_tx, depth, result.expect("load has result").0, any);
-            }
-            Op::Store { ty, val, addr, .. } => {
-                // A tainted address corrupts wherever the store lands; a
-                // tainted value corrupts the addressed bytes.
-                let any = opt(fx, val) || opt(fx, addr);
-                let av = op_val(frame, mem, addr);
-                fx.set_mem(tid, in_tx, av, ty.size_bytes(), any);
-            }
-            Op::Rmw { ty, addr, val, .. } => {
-                let av = op_val(frame, mem, addr);
-                let any = opt(fx, addr) || opt(fx, val) || fx.mem_tainted(av, ty.size_bytes());
-                fx.set_reg(tid, in_tx, depth, result.expect("rmw has result").0, any);
-                fx.set_mem(tid, in_tx, av, ty.size_bytes(), any);
-            }
-            Op::CmpXchg { ty, addr, expected, new } => {
-                let av = op_val(frame, mem, addr);
-                let any = opt(fx, addr)
-                    || opt(fx, expected)
-                    || opt(fx, new)
-                    || fx.mem_tainted(av, ty.size_bytes());
-                fx.set_reg(tid, in_tx, depth, result.expect("cmpxchg has result").0, any);
-                fx.set_mem(tid, in_tx, av, ty.size_bytes(), any);
-            }
-            Op::Br { dest } => {
-                phi_taint_interp(fx, tid, in_tx, depth, self.m.func(fid), bid, *dest);
-            }
-            Op::CondBr { cond, t: tb, f: fb } => {
-                if opt(fx, cond) {
-                    fx.control_tainted = true;
-                }
-                let taken = op_val(frame, mem, cond) & 1 != 0;
-                let dest = if taken { *tb } else { *fb };
-                phi_taint_interp(fx, tid, in_tx, depth, self.m.func(fid), bid, dest);
-            }
-            Op::Call { callee, args, .. } => {
-                let target = match callee {
-                    Callee::Direct(f) => Some(*f),
-                    Callee::Indirect(o) => {
-                        if opt(fx, o) {
-                            fx.control_tainted = true;
-                        }
-                        let v = op_val(frame, mem, o);
-                        let idx = v.wrapping_sub(FUNC_BASE);
-                        if v >= FUNC_BASE && (idx as usize) < self.m.funcs.len() {
-                            Some(FuncId(idx as u32))
-                        } else {
-                            None
-                        }
-                    }
-                };
-                // Mirror the trap guards: a call that traps creates no
-                // frame, so no taint may flow to depth + 1.
-                let Some(target) = target else { return };
-                if t.frames.len() >= MAX_CALL_DEPTH
-                    || self.m.func(target).params.len() != args.len()
-                {
-                    return;
-                }
-                for (i, a) in args.iter().enumerate() {
-                    let at = opt(fx, a);
-                    fx.set_reg(tid, in_tx, depth + 1, i as u32, at);
-                }
-            }
-            Op::Ret { val } => {
-                let rt = val.as_ref().map(|o| opt(fx, o)).unwrap_or(false);
-                fx.purge_depth(tid, in_tx, depth);
-                if t.frames.len() > 1 {
-                    if let (Some(dst), Some(_)) = (frame.return_to, val) {
-                        fx.set_reg(tid, in_tx, depth - 1, dst.0, rt);
-                    }
-                }
-            }
-            Op::Vote { a, b, c, .. } | Op::ChkCorrect { a, b, c, .. } => {
-                // Two-of-three majority masks a single tainted copy: the
-                // result is corrupt only if at least two inputs are.
-                let n = [a, b, c].into_iter().filter(|o| opt(fx, o)).count();
-                fx.set_reg(tid, in_tx, depth, result.expect("vote has result").0, n >= 2);
-            }
-            Op::Emit { val, .. } => {
-                // Externalizing a tainted value outside a transaction is
-                // the definitive escape. Inside one, the emit aborts
-                // first and re-runs non-transactionally.
-                if !in_tx && opt(fx, val) {
-                    let now = self.wall_cycles + t.sb.clock;
-                    fx.detect(FaultDetector::Escaped, self.instructions, now);
-                }
-            }
-            Op::Phi { .. }
-            | Op::TxBegin
-            | Op::TxEnd
-            | Op::TxCondSplit
-            | Op::TxCounterInc { .. }
-            | Op::TxAbort { .. }
-            | Op::Lock { .. }
-            | Op::Unlock { .. }
-            | Op::Nop => {}
-        }
-        fx.try_drain(self.instructions, self.wall_cycles + t.sb.clock);
-    }
-
-    /// Pre-execute taint transfer, fused side — rule-for-rule the twin
-    /// of [`Vm::forensics_transfer_interp`] over decoded operands.
-    pub(super) fn forensics_transfer_fused(&mut self, tid: usize, op: &DOp, d: &Decoded) {
+    /// Pre-execute taint transfer for the op thread `tid` is about to
+    /// execute — the one set of rules, called by both engines
+    /// ([`Vm::before_op`]). Runs before the op executes because control
+    /// ops (Ret, Br) invalidate operand reads afterwards; the transfer
+    /// models the writes the op is about to perform.
+    pub(super) fn forensics_transfer(&mut self, tid: usize, op: &DOp, d: &Decoded) {
         let Some(fx) = self.forensics.as_deref_mut() else { return };
         if !fx.tracking() {
             return;
@@ -596,14 +436,14 @@ impl<'m> Vm<'m> {
                 fx.set_mem(tid, in_tx, av, ty.size_bytes(), any);
             }
             DOp::Br { edge } => {
-                phi_taint_fused(fx, tid, in_tx, depth, d, edge);
+                phi_taint(fx, tid, in_tx, depth, d, edge);
             }
             DOp::CondBr { cond, t: te, f: fe, .. } => {
                 if st(fx, cond) {
                     fx.control_tainted = true;
                 }
                 let taken = src_val(frame, cond) & 1 != 0;
-                phi_taint_fused(fx, tid, in_tx, depth, d, if taken { te } else { fe });
+                phi_taint(fx, tid, in_tx, depth, d, if taken { te } else { fe });
             }
             DOp::CallDirect { target, args_at, args_n, arity_ok, .. } => {
                 if t.frames.len() >= MAX_CALL_DEPTH || !arity_ok {
@@ -760,40 +600,10 @@ impl<'m> Vm<'m> {
     }
 }
 
-/// Parallel phi-move taint transfer for an interpreter CFG edge —
-/// mirrors `Vm::take_edge`: read every source's taint, then write.
-fn phi_taint_interp(
-    fx: &mut ForensicsState,
-    tid: usize,
-    in_tx: bool,
-    depth: u32,
-    f: &Function,
-    from: BlockId,
-    to: BlockId,
-) {
-    let block = &f.blocks[to.0 as usize];
-    let mut updates: Vec<(u32, bool)> = Vec::new();
-    for &iid in &block.insts {
-        let inst = f.inst(iid);
-        if let Op::Phi { incomings, .. } = &inst.op {
-            if let Some((val, _)) = incomings.iter().find(|(_, b)| *b == from) {
-                let tainted =
-                    val.as_value().map(|v| fx.reg_tainted(tid, depth, v.0)).unwrap_or(false);
-                let dst = f.inst_result(iid).expect("phi has result");
-                updates.push((dst.0, tainted));
-            }
-        } else {
-            break;
-        }
-    }
-    for (slot, tainted) in updates {
-        fx.set_reg(tid, in_tx, depth, slot, tainted);
-    }
-}
-
-/// Parallel phi-move taint transfer for a decoded edge — mirrors
-/// `Vm::take_edge_fused` over the edge's move list.
-fn phi_taint_fused(
+/// Parallel phi-move taint transfer for a CFG edge — mirrors the
+/// engines' `take_edge`s over the edge's move list: read every source's
+/// taint, then write.
+fn phi_taint(
     fx: &mut ForensicsState,
     tid: usize,
     in_tx: bool,

@@ -15,8 +15,6 @@
 
 use std::collections::HashMap;
 
-use haft_ir::inst::Op;
-
 use super::decode::DOp;
 
 /// Synthetic function id for cycles not attributable to any fetched op.
@@ -69,32 +67,9 @@ impl OpClass {
         }
     }
 
-    /// Classifies an interpreter op.
-    pub fn of_op(op: &Op) -> OpClass {
-        match op {
-            Op::Bin { .. }
-            | Op::Un { .. }
-            | Op::Cmp { .. }
-            | Op::Move { .. }
-            | Op::Cast { .. }
-            | Op::Select { .. }
-            | Op::Gep { .. }
-            | Op::Phi { .. } => OpClass::Alu,
-            Op::Load { .. } | Op::Store { .. } | Op::Alloc { .. } => OpClass::Mem,
-            Op::Rmw { .. } | Op::CmpXchg { .. } => OpClass::Atomic,
-            Op::Br { .. } | Op::CondBr { .. } => OpClass::Branch,
-            Op::Call { .. } | Op::Ret { .. } => OpClass::Call,
-            Op::TxBegin | Op::TxEnd | Op::TxCondSplit | Op::TxCounterInc { .. } => OpClass::Tx,
-            Op::TxAbort { .. } => OpClass::Tx,
-            Op::Vote { .. } | Op::ChkCorrect { .. } => OpClass::Vote,
-            Op::Lock { .. } | Op::Unlock { .. } => OpClass::Sync,
-            Op::Emit { .. } => OpClass::Emit,
-            Op::ThreadId | Op::NumThreads | Op::Nop => OpClass::Other,
-        }
-    }
-
-    /// Classifies a decoded (fused-engine) op, mirroring [`Self::of_op`].
-    pub(crate) fn of_dop(op: &DOp) -> OpClass {
+    /// Classifies an op. Both engines name the op they are about to
+    /// execute as a [`DOp`], so this is the only classifier.
+    pub(crate) fn of(op: &DOp) -> OpClass {
         match op {
             DOp::Bin { .. }
             | DOp::Un { .. }

@@ -66,6 +66,44 @@ fn profile_attribution_sums_exactly_to_cpu_cycles() {
     }
 }
 
+/// A phi slot reached by straight-line execution — the entry block
+/// opens with one, or one sits after a non-phi — is malformed IR that
+/// `verify` rejects and the VM must trap on. Both engines classify the
+/// slot through the one `OpClass::of`, so their profiles are equal too;
+/// inside a transaction the trap is an abort, whose penalty lands in
+/// the `tx-abort` class on every retry before the fallback traps.
+#[test]
+fn phi_slot_traps_as_malformed_ir_with_equal_profiles() {
+    let entry_phi = r#"module "phi-entry"
+func "fini" () nonlocal {
+b0:
+  %0 = phi i64 [1:i64, b0]
+  ret
+}
+"#;
+    let phi_in_tx = r#"module "phi-in-tx"
+func "fini" () nonlocal {
+b0:
+  tx_begin
+  %0 = phi i64 [1:i64, b0]
+  ret
+}
+"#;
+    for (text, aborts) in [(entry_phi, 0), (phi_in_tx, 4)] {
+        let m = haft::ir::parser::parse_module(text).unwrap();
+        assert!(verify_module(&m).is_err(), "{}: the verifier must reject it", m.name);
+        let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+        let run = |engine| Vm::run_profiled(&m, VmConfig { engine, ..Default::default() }, spec);
+        let (interp, interp_profile) = run(Engine::Interp);
+        let (fused, fused_profile) = run(Engine::Fused);
+        assert_eq!(interp, fused, "{}: engines diverge", m.name);
+        assert_eq!(interp_profile, fused_profile, "{}: the engines' profiles differ", m.name);
+        assert_eq!(fused.outcome, RunOutcome::Trapped(haft::vm::Trap::MalformedIr));
+        assert_eq!(fused.htm.total_aborts(), aborts, "{}: retries before the fallback", m.name);
+        assert_eq!(fused_profile.total(), fused.cpu_cycles);
+    }
+}
+
 /// A traced DES serve run must return a `ServiceReport` equal to the
 /// untraced one — full structural equality, including latency
 /// percentiles, per-shard stats, and fault accounting.
