@@ -30,11 +30,13 @@ const MAX_CALL_DEPTH: usize = 128;
 /// function into a dense dispatch form (resolved jump targets and
 /// operands, fused super-instructions for the hot harden idioms, pooled
 /// register windows) and exists purely to make simulation wall-clock
-/// faster; `Interp` walks the IR directly and is kept as the executable
-/// reference the differential test harness pins `Fused` against.
+/// faster; `Interp` executes straight from the IR and is kept as the
+/// executable reference the differential test harness pins `Fused`
+/// against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Reference interpreter: per-op IR walk, no pre-decoding.
+    /// Reference interpreter: per-op IR walk; it consults the decoded
+    /// form only to name each op to the profiler and forensics hooks.
     Interp,
     /// Pre-decoded direct dispatch with fused super-instructions.
     #[default]
@@ -280,7 +282,10 @@ struct Thread {
     emitted: Vec<u64>,
     /// Fused-engine speculative write buffer: word-granular overlay with
     /// per-byte masks. Same contents as `overlay`, cheaper to probe; only
-    /// one of the two is ever populated (per [`Engine`]).
+    /// one of the two is ever populated (per [`Engine`]). Both exist —
+    /// like `store_done`/`store_done_fast` and `bp`/`bp_dense` — because
+    /// the byte-keyed `HashMap`s are the reference interpreter's spec
+    /// that the open-addressed structures are differentially held to.
     fovl: engine::FastOverlay,
     /// Fused-engine `store_done` (open-addressed cell → completion time).
     store_done_fast: engine::CellMap,

@@ -13,11 +13,13 @@
 //! each static conditional branch owns a dense predictor index.
 //!
 //! The lowering is 1:1 — one `DOp` per placed instruction, blocks laid
-//! out in order — so a flat pc maps back to the interpreter's
-//! `(block, idx)` pair and the pre-advance/rewind protocol (`idx += 1`
-//! then `idx -= 1` on a blocked lock) carries over unchanged. Phi slots
-//! decode to [`DOp::TrapMalformed`]: reaching one through straight-line
-//! execution is exactly the interpreter's malformed-IR trap.
+//! out in order — so the interpreter's `(block, idx)` pair names the flat
+//! pc `DFunc::block_start[block] + idx` (how it finds the `DOp` it shows
+//! the profiler and forensics hooks) and the pre-advance/rewind protocol
+//! (`idx += 1` then `idx -= 1` on a blocked lock) carries over unchanged.
+//! Phi slots decode to [`DOp::TrapMalformed`]: reaching one through
+//! straight-line execution is exactly the interpreter's malformed-IR
+//! trap.
 
 use haft_ir::function::{Block, BlockId, Function};
 use haft_ir::inst::{AbortCode, BinOp, Callee, CastKind, CmpOp, Op, Operand, RmwOp, UnOp};
@@ -210,9 +212,7 @@ pub(crate) enum DOp {
 #[derive(Debug)]
 pub(crate) struct DFunc {
     pub code: Vec<DOp>,
-    /// `block_start[b]` — pc of block `b`'s first slot. The lowering is
-    /// 1:1, so the reference interpreter's `(block, idx)` names
-    /// `code[block_start[block] + idx]`.
+    /// `block_start[b]` — pc of block `b`'s first slot.
     pub block_start: Vec<usize>,
     /// `fuse[pc]` — after `code[pc]` completes cleanly, execution may
     /// chain straight into `code[pc + 1]` within one dispatch.

@@ -1,15 +1,19 @@
 //! The fused execution engine: dense dispatch over decoded code.
 //!
-//! `step_fused` is the `Fused` counterpart of `Vm::step` and mirrors it
-//! micro-op for micro-op — same HTM access order, same scoreboard calls,
-//! same trap and abort paths, same register-write (fault-injection)
-//! stream. What changes is purely the mechanics: the frame's `idx` is a
-//! flat pc into `DFunc::code`, branch prediction uses a dense per-site
-//! table instead of a hash map, store→load forwarding and the
-//! transactional write buffer use open-addressed cell maps instead of
-//! `std::collections::HashMap` (whose SipHash per byte dominated the
-//! interpreter's profile), and call frames recycle register windows from
-//! a pool instead of allocating.
+//! `step_fused` is the `Fused` counterpart of `Vm::step`
+//! (`reference.rs`, the spec) and mirrors it micro-op for micro-op —
+//! same HTM access order, same scoreboard calls, same trap and abort
+//! paths, same register-write (fault-injection) stream. Compute, memory,
+//! branch, call and return ops are written here a second time on
+//! purpose (the differential tests compare the two); the per-op hooks
+//! and the runtime intrinsics that read no operand are the one copy in
+//! `vm.rs`, called from both. What changes is purely the mechanics: the
+//! frame's `idx` is a flat pc into `DFunc::code`, branch prediction uses
+//! a dense per-site table instead of a hash map, store→load forwarding
+//! and the transactional write buffer use open-addressed cell maps
+//! instead of `std::collections::HashMap` (whose SipHash per byte
+//! dominated the interpreter's profile), and returning calls donate
+//! their register windows to the pool `make_frame` draws from.
 //!
 //! Register-only runs: straight-line ops — ALU, branches with their phi
 //! moves, agreeing votes, counter bookkeeping, loads and stores — touch
@@ -510,8 +514,9 @@ impl<'m> Vm<'m> {
     }
 
     /// Executes one decoded op that a run refuses: the ops that are not
-    /// run-eligible, each arm mirroring the corresponding `Op` arm in
-    /// `Vm::step` exactly, and — of the eligible ones, whose body is
+    /// run-eligible, each arm mirroring the corresponding `Op` arm of
+    /// `Vm::step` (`reference.rs`) exactly or calling the body in `vm.rs`
+    /// that arm calls too, and — of the eligible ones, whose body is
     /// [`RunCtx::exec`] — only the case it refused (trap, divergence,
     /// split). Operand reads and register writes go through a short-lived
     /// [`RunCtx`] of the live frame.

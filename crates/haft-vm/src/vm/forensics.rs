@@ -19,10 +19,13 @@
 //! Zero cost when off: the state is an `Option<Box<..>>` allocated only
 //! when `cfg.forensics` is set *and* a fault plan is present, so clean
 //! runs pay exactly one `None` branch per instruction and fault-free
-//! results are bit-identical with the flag unused. Both engines drive
-//! the same transfer rules over engine-invariant keys (a fused `Slot`
-//! index equals the interpreter's `ValueId`), so forensics, like every
-//! other observable, is pinned identical across `Interp` and `Fused`.
+//! results are bit-identical with the flag unused. Both engines call the
+//! same transfer function ([`Vm::forensics_transfer`], over the `DOp` of
+//! the op about to execute) with engine-invariant keys (a decoded `Slot`
+//! index equals the interpreter's `ValueId`), and the record is part of
+//! the `RunResult` equality `tests/differential.rs` holds across
+//! `Interp` and `Fused` (`engines_agree_under_fault_injection`,
+//! `fault_sweep_outcome_histograms_match`).
 //!
 //! Attribution limits (also in ARCHITECTURE.md): control-flow divergence
 //! caused by a tainted branch condition is recorded as a sticky flag —
@@ -136,8 +139,8 @@ pub struct Forensics {
 }
 
 /// Shadow-set key. Register keys are positional — `(thread, call depth,
-/// slot)` — which is engine-invariant: the fused engine's flat slot index
-/// is the interpreter's `ValueId` by construction (see `decode::lower`).
+/// slot)` — which is engine-invariant: a decoded flat slot index is the
+/// interpreter's `ValueId` by construction (see `decode::lower`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum TaintKey {
     Reg { tid: u32, depth: u32, slot: u32 },
@@ -445,11 +448,10 @@ impl<'m> Vm<'m> {
                 let taken = src_val(frame, cond) & 1 != 0;
                 phi_taint(fx, tid, in_tx, depth, d, if taken { te } else { fe });
             }
-            DOp::CallDirect { target, args_at, args_n, arity_ok, .. } => {
+            DOp::CallDirect { args_at, args_n, arity_ok, .. } => {
                 if t.frames.len() >= MAX_CALL_DEPTH || !arity_ok {
                     return;
                 }
-                let _ = target;
                 for (i, s) in
                     d.args[args_at as usize..(args_at + args_n) as usize].iter().enumerate()
                 {

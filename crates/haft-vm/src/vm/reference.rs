@@ -1,3 +1,20 @@
+//! The reference interpreter: the executable spec of the testbed.
+//!
+//! `Vm::step` executes one IR instruction of one thread straight from the
+//! [`haft_ir`] `Function` — no decoded operands, a byte-keyed `HashMap`
+//! write buffer, a hash-map branch predictor, an edge walk that re-scans
+//! the target block's phis. It is written for reading: every semantic
+//! question about the testbed should be answered here. It is also the
+//! oracle: `tests/differential.rs` holds the fused engine (`engine.rs`)
+//! equal to it on whole `RunResult`s, which is why every compute, memory,
+//! branch, call and return arm below has an independently written twin
+//! there and must not be merged with it.
+//!
+//! What is *not* here is what both engines share (`vm.rs`): the
+//! scheduler, the transaction runtime, the `before_op`/`after_op` hooks
+//! around each op, and the intrinsics that read no operand. The decoded
+//! form appears only as `dop`, the name the hooks know the current op by.
+
 use haft_htm::AccessKind;
 use haft_ir::function::{BlockId, ValueId};
 use haft_ir::inst::{AbortCode, Callee, Op, Operand, RmwOp};
