@@ -201,12 +201,16 @@ fn emit_kv_handler(
     b.load(Ty::I64, found_cell)
 }
 
-/// Builds the memcached-like workload.
-///
-/// `scale` controls the operation count (the paper uses 1 M queries; the
-/// simulator uses proportionally smaller streams).
+/// Queries one [`memcached`] run serves at `scale` — the unit of its
+/// throughput (the paper uses 1 M; the simulator uses proportionally
+/// smaller streams).
+pub fn memcached_ops(scale: Scale) -> i64 {
+    scale.pick(2_000, 24_000)
+}
+
+/// Builds the memcached-like workload over [`memcached_ops`] queries.
 pub fn memcached(mix: WorkloadMix, sync: KvSync, scale: Scale) -> Workload {
-    let n_ops = scale.pick(2_000, 24_000);
+    let n_ops = memcached_ops(scale);
     let name = match (sync, mix) {
         (KvSync::Lock, WorkloadMix::A) => "memcached-lock-A",
         (KvSync::Lock, WorkloadMix::B) => "memcached-lock-B",

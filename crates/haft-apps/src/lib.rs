@@ -27,7 +27,7 @@ pub mod others;
 pub mod ycsb;
 
 pub use kvstore::{
-    golden_reply, kv_shard, memcached, patch_requests, value_of, KvSync, KV_KEYSPACE,
-    SHARD_CAPACITY,
+    golden_reply, kv_shard, memcached, memcached_ops, patch_requests, value_of, KvSync,
+    KV_KEYSPACE, SHARD_CAPACITY,
 };
 pub use ycsb::{Op, WorkloadMix, YcsbGen};

@@ -11,13 +11,19 @@ use haft_workloads::{Scale, Workload};
 
 use crate::ycsb::{WorkloadMix, YcsbGen};
 
+/// Log appends one [`logcabin`] run performs at `scale` — the unit of its
+/// throughput.
+pub fn logcabin_ops(scale: Scale) -> i64 {
+    scale.pick(800, 6_000)
+}
+
 /// `logcabin`: RAFT-style replicated-log appends.
 ///
 /// Client threads append values to a shared log under a lock, chaining a
 /// checksum (the entry hash RAFT stores) and "fsyncing" (externalizing)
 /// every 64 entries. Paper profile: well-behaved, 25–35 % overhead.
 pub fn logcabin(scale: Scale) -> Workload {
-    let n = scale.pick(800, 6_000);
+    let n = logcabin_ops(scale);
     let mut m = Module::new("logcabin");
     let values =
         m.add_global_init("values", haft_workloads::data::random_i64s(90, n as usize, 1 << 30));
@@ -73,13 +79,19 @@ pub fn logcabin(scale: Scale) -> Workload {
     Workload::new("logcabin", m, None, Some("worker"), Some("fini"))
 }
 
+/// Requests one [`apache`] run performs at `scale` — the unit of its
+/// throughput.
+pub fn apache_ops(scale: Scale) -> i64 {
+    scale.pick(200, 1_500)
+}
+
 /// `apache`: static-page serving dominated by unprotected library code.
 ///
 /// Each request parses a small header, then copies the 1 KB page through
 /// an external (never-instrumented) routine — the paper's explanation for
 /// Apache's mere ~10 % overhead and low coverage.
 pub fn apache(scale: Scale) -> Workload {
-    let requests = scale.pick(200, 1_500);
+    let requests = apache_ops(scale);
     const PAGE: i64 = 1024;
     let mut m = Module::new("apache");
     let page = m.add_global_init("page", haft_workloads::data::random_bytes(91, PAGE as usize));
@@ -143,10 +155,16 @@ pub fn apache(scale: Scale) -> Workload {
     Workload::new("apache", m, None, Some("worker"), Some("fini"))
 }
 
+/// Operations one [`leveldb`] run performs at `scale` — the unit of its
+/// throughput.
+pub fn leveldb_ops(scale: Scale) -> i64 {
+    scale.pick(1_500, 12_000)
+}
+
 /// `leveldb`: reads binary-search a sorted table; writes append to
 /// per-thread memtables. Paper profile: well-behaved (25–35 %).
 pub fn leveldb(mix: WorkloadMix, scale: Scale) -> Workload {
-    let n_ops = scale.pick(1_500, 12_000);
+    let n_ops = leveldb_ops(scale);
     const TABLE: i64 = 4096;
     let name = match mix {
         WorkloadMix::A => "leveldb-A",
@@ -234,13 +252,19 @@ pub fn leveldb(mix: WorkloadMix, scale: Scale) -> Workload {
     Workload::new(name, m, None, Some("worker"), Some("fini"))
 }
 
+/// Operations one [`sqlite`] run performs at `scale` — the unit of its
+/// throughput.
+pub fn sqlite_ops(scale: Scale) -> i64 {
+    scale.pick(1_200, 9_000)
+}
+
 /// `sqlite`: every operation dispatched through a function pointer.
 ///
 /// HAFT cannot see through indirect calls, so TX pessimistically ends the
 /// transaction before and begins after each one — the paper's explanation
 /// for SQLite's 3–4× worst-case overhead.
 pub fn sqlite(mix: WorkloadMix, scale: Scale) -> Workload {
-    let n_ops = scale.pick(1_200, 9_000);
+    let n_ops = sqlite_ops(scale);
     const ROWS: i64 = 2048;
     let name = match mix {
         WorkloadMix::A => "sqlite-A",

@@ -23,7 +23,8 @@ use crate::report::CampaignReport;
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Number of injection runs (the paper uses 2,500 per program; the
-    /// in-repo default campaigns are smaller, see the bench harness).
+    /// report's campaigns are smaller — 100–150 in full mode, see the
+    /// `haft-report` sections).
     pub injections: u64,
     /// Seed for fault planning.
     pub seed: u64,

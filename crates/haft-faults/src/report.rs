@@ -83,7 +83,7 @@ impl CampaignReport {
         m
     }
 
-    /// One-line summary used by the bench harness.
+    /// One-line summary: the run count and every outcome's share.
     pub fn summary(&self) -> String {
         let cols: Vec<String> =
             Outcome::ALL.iter().map(|o| format!("{} {:5.1}%", o.label(), self.pct(*o))).collect();

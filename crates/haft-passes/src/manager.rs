@@ -2,7 +2,7 @@
 //!
 //! The paper's pipeline is a fixed two-pass sequence (ILR then TX), but
 //! everything downstream — the `Experiment` API in the `haft` facade, the
-//! bench harness, ablations — wants to compose, reorder, and instrument
+//! report sections, ablations — wants to compose, reorder, and instrument
 //! passes uniformly. [`Pass`] is the unit of composition; [`PassManager`]
 //! owns ordering, optional IR verification at every pass boundary, and
 //! per-pass instruction-delta accounting in [`PassStats`].

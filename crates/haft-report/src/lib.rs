@@ -2,11 +2,11 @@
 //!
 //! The workspace can regenerate every evaluation surface of the paper —
 //! batch overheads, Table 1 fault histograms, the transactification
-//! sweep, the Elzar comparison, the serving harness — but bench stdout
-//! scrolls away and hand-copied numbers drift. This crate closes the
-//! loop: `cargo run -p haft-report --release [-- --fast]` drives the
-//! `haft::Experiment` facade through every registered [`Section`] and
-//! writes
+//! sweep, the Elzar comparison, the serving harness, the case studies —
+//! but stdout scrolls away and hand-copied numbers drift. This crate
+//! closes the loop: `cargo run -p haft-report --release [-- --fast]`
+//! drives the `haft::Experiment` facade through every registered
+//! [`Section`] and writes
 //!
 //! * `REPRODUCTION.md` — the paper's tables and figures (as Markdown
 //!   tables and sparklines) with *this machine's* numbers, and
@@ -20,9 +20,9 @@
 //! reviewed diff. The simulator is deterministic: same code, same mode,
 //! same numbers — bands only come into play when code changes.
 //!
-//! Sections implement the [`Section`] trait and register in
-//! [`all_sections`]; everything else (rendering, snapshots, the diff) is
-//! section-agnostic:
+//! A section is anything that implements [`Section`]; the built-in ones
+//! are the entries of [`all_sections`]. Everything else (rendering,
+//! snapshots, the diff) is section-agnostic:
 //!
 //! ```
 //! use haft_report::render::Table;
@@ -74,6 +74,27 @@ pub struct GeneratedSection {
     pub title: String,
     pub paper_ref: String,
     pub result: SectionResult,
+}
+
+impl GeneratedSection {
+    /// The section as Markdown, from its title (the text of its heading)
+    /// to its last series — what `--section` prints and what
+    /// [`Report::to_markdown`] numbers and concatenates.
+    pub fn to_markdown(&self) -> String {
+        let mut md = format!("{}\n\n*Reproduces:* {}.\n", self.title, self.paper_ref);
+        for note in &self.result.notes {
+            md.push_str(&format!("\n{note}\n"));
+        }
+        for table in &self.result.tables {
+            md.push('\n');
+            md.push_str(&table.to_markdown());
+        }
+        for series in &self.result.series {
+            md.push('\n');
+            md.push_str(&series.to_markdown());
+        }
+        md
+    }
 }
 
 /// A fully generated report, ready to render and snapshot.
@@ -137,19 +158,7 @@ impl Report {
             ));
         }
         for (i, s) in self.sections.iter().enumerate() {
-            md.push_str(&format!("\n## {}. {}\n\n", i + 1, s.title));
-            md.push_str(&format!("*Reproduces:* {}.\n", s.paper_ref));
-            for note in &s.result.notes {
-                md.push_str(&format!("\n{note}\n"));
-            }
-            for table in &s.result.tables {
-                md.push('\n');
-                md.push_str(&table.to_markdown());
-            }
-            for series in &s.result.series {
-                md.push('\n');
-                md.push_str(&series.to_markdown());
-            }
+            md.push_str(&format!("\n## {}. {}", i + 1, s.to_markdown()));
         }
         md
     }

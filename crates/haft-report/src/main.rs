@@ -17,8 +17,9 @@ usage: cargo run -p haft-report --release [--] [FLAGS]
                     outside its pinned tolerance band
   --out DIR         output root (default: the repository root); writes
                     DIR/REPRODUCTION.md and DIR/report/<section>.json
-  --section NAME    run only this section (repeatable); skips
-                    REPRODUCTION.md, which needs the full registry
+  --section NAME    run only this section (repeatable); prints its
+                    Markdown to stdout and leaves REPRODUCTION.md, which
+                    needs the full registry, alone
   --list            list registered sections and exit
   --help            this text";
 
@@ -78,23 +79,24 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let selected: Vec<Box<dyn Section>> = if args.sections.is_empty() {
-        registry
-    } else {
-        let mut picked = Vec::new();
-        for name in &args.sections {
-            match registry.iter().position(|s| s.name() == name) {
-                Some(_) => picked.push(name.clone()),
-                None => {
-                    let known: Vec<&str> = registry.iter().map(|s| s.name()).collect();
-                    eprintln!("error: unknown section `{name}` (known: {})", known.join(", "));
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        all_sections().into_iter().filter(|s| picked.contains(&s.name().to_string())).collect()
-    };
-    let full_registry = selected.len() == all_sections().len();
+    if let Some(name) = args.sections.iter().find(|n| !registry.iter().any(|s| s.name() == *n)) {
+        let known: Vec<&str> = registry.iter().map(|s| s.name()).collect();
+        eprintln!("error: unknown section `{name}` (known: {})", known.join(", "));
+        return ExitCode::from(2);
+    }
+    let registered = registry.len();
+    let selected: Vec<Box<dyn Section>> = registry
+        .into_iter()
+        .filter(|s| args.sections.is_empty() || args.sections.iter().any(|n| n == s.name()))
+        .collect();
+    let full_registry = selected.len() == registered;
+
+    // Before the minutes of measurement, not after.
+    let report_dir = args.out.join("report");
+    if let Err(e) = std::fs::create_dir_all(&report_dir) {
+        eprintln!("error: creating {}: {e}", report_dir.display());
+        return ExitCode::from(2);
+    }
 
     let cfg = ReportConfig { fast: args.fast };
     let mut report =
@@ -111,9 +113,22 @@ fn main() -> ExitCode {
         eprintln!(" done in {:.1}s", start.elapsed().as_secs_f64());
     }
 
-    let report_dir = args.out.join("report");
-    let md_path = args.out.join("REPRODUCTION.md");
     let snapshots = report.snapshots();
+    // The Markdown is derived output. A full run rewrites REPRODUCTION.md
+    // — under --check too, so CI can archive what this run measured; a
+    // partial run cannot, and prints its sections instead.
+    if full_registry {
+        let md_path = args.out.join("REPRODUCTION.md");
+        if let Err(e) = std::fs::write(&md_path, report.to_markdown()) {
+            eprintln!("error: writing {}: {e}", md_path.display());
+            return ExitCode::from(2);
+        }
+        println!("wrote {}", md_path.display());
+    } else {
+        for s in &report.sections {
+            println!("## {}", s.to_markdown());
+        }
+    }
 
     if args.check {
         let mut violations = Vec::new();
@@ -152,15 +167,6 @@ fn main() -> ExitCode {
                 )),
             }
         }
-        // The Markdown is derived output, refreshed even under --check so
-        // CI can archive what this run actually measured.
-        if full_registry {
-            if let Err(e) = std::fs::write(&md_path, report.to_markdown()) {
-                eprintln!("error: writing {}: {e}", md_path.display());
-                return ExitCode::from(2);
-            }
-            println!("wrote {}", md_path.display());
-        }
         if violations.is_empty() {
             let values: usize = snapshots
                 .iter()
@@ -187,10 +193,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     } else {
-        if let Err(e) = std::fs::create_dir_all(&report_dir) {
-            eprintln!("error: creating {}: {e}", report_dir.display());
-            return ExitCode::from(2);
-        }
         for snap in &snapshots {
             let path = report_dir.join(format!("{}.json", snap.section));
             if let Err(e) = std::fs::write(&path, snap.render()) {
@@ -198,15 +200,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
             println!("wrote {}", path.display());
-        }
-        if full_registry {
-            if let Err(e) = std::fs::write(&md_path, report.to_markdown()) {
-                eprintln!("error: writing {}: {e}", md_path.display());
-                return ExitCode::from(2);
-            }
-            println!("wrote {}", md_path.display());
-        } else {
-            println!("partial section set: REPRODUCTION.md not rewritten");
         }
         ExitCode::SUCCESS
     }

@@ -1,7 +1,6 @@
 //! The report's data model and its renderings: numeric tables and series
 //! with pinned tolerance bands, rendered as Markdown (for
-//! `REPRODUCTION.md`), fixed-width console text (reused by the bench
-//! harness), and unicode sparklines.
+//! `REPRODUCTION.md` and `--section`) and unicode sparklines.
 
 /// How far a regenerated value may drift from its pinned snapshot before
 /// `--check` flags it.
@@ -27,8 +26,7 @@ pub enum Tolerance {
     /// could meaningfully pin. `--check` always passes these cells, and
     /// the Markdown rendering shows the table *structure* but replaces
     /// every value with `·` so `REPRODUCTION.md` stays byte-stable
-    /// across hosts — the real numbers live in the JSON snapshot and
-    /// the bench output.
+    /// across hosts — the real numbers live in the JSON snapshot.
     Info,
 }
 
@@ -49,10 +47,10 @@ impl Tolerance {
         matches!(self, Tolerance::Info)
     }
 
-    /// Short human description, e.g. `±15% rel` or `±5.0 abs`.
+    /// Short human description, e.g. `±15% rel`, `±0.1% rel` or `±5 abs`.
     pub fn describe(&self) -> String {
         match *self {
-            Tolerance::Rel(frac) => format!("±{:.0}% rel", frac * 100.0),
+            Tolerance::Rel(frac) => format!("±{}% rel", (frac * 1e4).round() / 100.0),
             Tolerance::Abs(abs) => format!("±{abs} abs"),
             Tolerance::Info => "informational, not pinned".to_string(),
         }
@@ -85,11 +83,11 @@ pub struct Table {
 
 impl Table {
     /// An empty table with 2-decimal cells and a ±15% relative band.
-    pub fn new(id: &str, title: &str, columns: &[&str]) -> Self {
+    pub fn new(id: &str, title: &str, columns: &[impl AsRef<str>]) -> Self {
         Table {
             id: id.to_string(),
             title: title.to_string(),
-            columns: columns.iter().map(|c| c.to_string()).collect(),
+            columns: columns.iter().map(|c| c.as_ref().to_string()).collect(),
             rows: Vec::new(),
             precision: 2,
             tolerance: Tolerance::Rel(0.15),
@@ -141,18 +139,6 @@ impl Table {
                 row.values.iter().map(|v| format!("{v:.*}", self.precision)).collect()
             };
             s.push_str(&format!("| {} | {} |\n", esc(&row.label), cells.join(" | ")));
-        }
-        s
-    }
-
-    /// Fixed-width console rendering (the bench harness's table shape).
-    pub fn to_console(&self) -> String {
-        let mut s = console_header(
-            &self.columns[1..].iter().map(String::as_str).collect::<Vec<_>>(),
-            &self.columns[0],
-        );
-        for row in &self.rows {
-            s.push_str(&console_row(&row.label, &row.values));
         }
         s
     }
@@ -213,19 +199,6 @@ impl Series {
     }
 }
 
-/// Console table header: a row-label column plus right-aligned value
-/// columns, with an underline.
-pub fn console_header(cols: &[&str], label_header: &str) -> String {
-    let row: Vec<String> = cols.iter().map(|c| format!("{c:>12}")).collect();
-    format!("{label_header:<16}{}\n{}\n", row.join(""), "-".repeat(16 + 12 * cols.len()))
-}
-
-/// One console table row matching [`console_header`]'s widths.
-pub fn console_row(name: &str, vals: &[f64]) -> String {
-    let cells: Vec<String> = vals.iter().map(|v| format!("{v:>12.2}")).collect();
-    format!("{name:<16}{}\n", cells.join(""))
-}
-
 /// Unicode block sparkline, min-to-max normalized. A flat (or singleton)
 /// series renders at mid height.
 pub fn sparkline(values: &[f64]) -> String {
@@ -266,6 +239,7 @@ mod tests {
         assert!(Tolerance::Abs(5.0).allows(97.0, 100.0));
         assert!(!Tolerance::Abs(5.0).allows(97.0, 91.0));
         assert_eq!(Tolerance::Rel(0.15).describe(), "±15% rel");
+        assert_eq!(Tolerance::Rel(0.001).describe(), "±0.1% rel");
         assert_eq!(Tolerance::Abs(5.0).describe(), "±5 abs");
         // Info allows anything — it is not a band at all.
         assert!(Tolerance::Info.allows(0.0, 1e12));
@@ -326,16 +300,5 @@ mod tests {
         assert!(md.contains("p99 vs load"));
         assert!(md.contains("30%: 6.00"));
         assert!(md.contains("max 18.50"));
-    }
-
-    #[test]
-    fn console_rendering_matches_bench_shape() {
-        let mut t = Table::new("t", "T", &["benchmark", "HAFT"]);
-        t.push_row("histogram", vec![1.5]);
-        let c = t.to_console();
-        assert!(c.contains("benchmark"));
-        assert!(c.contains("histogram"));
-        assert!(c.contains("1.50"));
-        assert!(c.contains("----"));
     }
 }

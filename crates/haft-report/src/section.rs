@@ -6,25 +6,30 @@
 //! subset can run via `--section`) and every section honors
 //! [`ReportConfig::fast`] with a CI-sized sweep.
 
-use crate::render::{Series, Table};
+use haft::eval::{perf_vm, recommended_threshold};
+use haft::Experiment;
+use haft_faults::{CampaignConfig, CampaignReport, Group, Outcome};
+use haft_passes::HardenConfig;
+use haft_vm::VmConfig;
+use haft_workloads::{workload_by_name, Scale, Workload, WORKLOAD_NAMES};
+
+use crate::render::{Series, Table, Tolerance};
 
 mod abft;
+mod ablations;
+mod casestudies;
 mod faults;
 mod forensics;
+mod htm;
+mod model;
+mod optlevels;
 mod overheads;
 mod profile;
+mod serviceload;
 mod serving;
+mod threads;
 mod tradeoff;
 mod txsweep;
-
-pub use abft::AbftFrontier;
-pub use faults::FaultHistograms;
-pub use forensics::ForensicsSection;
-pub use overheads::Overheads;
-pub use profile::Profile;
-pub use serving::Serving;
-pub use tradeoff::HaftVsElzar;
-pub use txsweep::TxSweep;
 
 /// How big a sweep the sections run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -58,18 +63,228 @@ pub trait Section {
     fn run(&self, cfg: &ReportConfig) -> SectionResult;
 }
 
-/// Every registered section, in `REPRODUCTION.md` order.
+/// A built-in section: its identity is data, its measurement a function.
+struct Builtin {
+    name: &'static str,
+    title: &'static str,
+    paper_ref: &'static str,
+    run: fn(&ReportConfig) -> SectionResult,
+}
+
+impl Section for Builtin {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn title(&self) -> &'static str {
+        self.title
+    }
+
+    fn paper_ref(&self) -> &'static str {
+        self.paper_ref
+    }
+
+    fn run(&self, cfg: &ReportConfig) -> SectionResult {
+        (self.run)(cfg)
+    }
+}
+
+/// Every registered section, in `REPRODUCTION.md` order: slug, heading,
+/// the paper artifact it reproduces, and the function that measures it.
 pub fn all_sections() -> Vec<Box<dyn Section>> {
     vec![
-        Box::new(Overheads),
-        Box::new(FaultHistograms),
-        Box::new(ForensicsSection),
-        Box::new(TxSweep),
-        Box::new(Serving),
-        Box::new(HaftVsElzar),
-        Box::new(AbftFrontier),
-        Box::new(Profile),
+        Box::new(Builtin {
+            name: "overheads",
+            title: "Performance overheads: native / ILR / TX / HAFT / TMR",
+            paper_ref: "HAFT Fig. 6 and Table 2 (normalized runtime, Phoenix + PARSEC); \
+                        TMR column from the Elzar comparison (DSN'16, arXiv:1604.00500)",
+            run: overheads::run,
+        }),
+        Box::new(Builtin {
+            name: "fault-histograms",
+            title: "Fault-injection outcome histograms (Table 1 classes)",
+            paper_ref: "HAFT Table 1 / Fig. 9 (outcome distribution per hardening variant); \
+                        the vote-corrected class extends it to the TMR backend",
+            run: faults::run,
+        }),
+        Box::new(Builtin {
+            name: "forensics",
+            title: "Fault forensics: detection latency and the vulnerability map",
+            paper_ref: "HAFT §4.2 windows of vulnerability, instrumented: how many dynamic \
+                        instructions a flip survives before each detector fires, and which \
+                        (function × op-class) sites convert flips into user-visible damage",
+            run: forensics::run,
+        }),
+        Box::new(Builtin {
+            name: "tx-sweep",
+            title: "Transactification sweep: overhead and HTM aborts vs tx_threshold",
+            paper_ref: "HAFT Fig. 8 (normalized runtime and abort rate vs transaction size) \
+                        and Table 3 (abort causes)",
+            run: txsweep::run,
+        }),
+        Box::new(Builtin {
+            name: "serving",
+            title: "Serving under live traffic: shard scaling, tail latency, availability",
+            paper_ref: "the service-level view behind HAFT §6.1 / Fig. 11-12 (memcached + YCSB): \
+                        throughput, p50/p99/p999, and availability under a 1% per-request SEU load",
+            run: serving::run,
+        }),
+        Box::new(Builtin {
+            name: "haft-vs-elzar",
+            title: "The trade-off: HAFT (rollback) vs Elzar-style TMR (masking)",
+            paper_ref: "Elzar (Kuvaiskii et al., DSN'16, arXiv:1604.00500) against HAFT: \
+                        mean overhead, recovery mechanism split, and the recovery-latency spike",
+            run: tradeoff::run,
+        }),
+        Box::new(Builtin {
+            name: "abft-frontier",
+            title: "The ABFT frontier: checksum lanes vs duplication vs triplication",
+            paper_ref: "Algorithm-based fault tolerance (Huang & Abraham '84) as a third point \
+                        against HAFT §6 overheads and Table 1: checksum-maintainable matrix \
+                        kernels correct single upsets in place at a fraction of the replication \
+                        cost, trading blanket coverage for it",
+            run: abft::run,
+        }),
+        Box::new(Builtin {
+            name: "profile",
+            title: "Cycle-attribution profile: where hardening cycles go",
+            paper_ref: "HAFT §6.2 (sources of overhead: ILR shadow data flow vs TX \
+                        begin/commit bookkeeping) and the Elzar voting-cost discussion",
+            run: profile::run,
+        }),
+        Box::new(Builtin {
+            name: "thread-scaling",
+            title: "Thread scaling: HAFT normalized runtime vs thread count",
+            paper_ref:
+                "HAFT Fig. 6 (normalized runtime at 1-14 threads, incl. `vips-nc` and the mean)",
+            run: threads::run,
+        }),
+        Box::new(Builtin {
+            name: "opt-levels",
+            title: "Optimization levels: overhead and fault outcomes from N to F",
+            paper_ref: "HAFT Fig. 7 (overhead by cumulative optimization level) and Fig. 9 right \
+                        (their impact on reliability, linearreg and canneal)",
+            run: optlevels::run,
+        }),
+        Box::new(Builtin {
+            name: "htm-aborts",
+            title: "HTM aborts: causes, the hyper-threading factor, coverage",
+            paper_ref: "HAFT Table 3 (abort rate and cause split at transaction size 5000) and \
+                        Table 2's hyper-threading abort factor and transactional coverage columns",
+            run: htm::run,
+        }),
+        Box::new(Builtin {
+            name: "availability-model",
+            title: "Availability model: measured fault probabilities and the curves they draw",
+            paper_ref:
+                "HAFT Table 4 (fault probabilities per variant) and Fig. 10 (availability and \
+                 corruption over one hour vs fault rate, from the Fig. 5 Markov chain)",
+            run: model::run,
+        }),
+        Box::new(Builtin {
+            name: "case-studies",
+            title: "Case studies: memcached, LogCabin, Apache, LevelDB, SQLite throughput",
+            paper_ref:
+                "HAFT Fig. 11 (memcached under YCSB A and D, lock elision on/off, and the SEI \
+                 comparison), Fig. 12 (LogCabin, Apache, LevelDB, SQLite) and the §6.1 memcached \
+                 fault-injection campaign",
+            run: casestudies::run,
+        }),
+        Box::new(Builtin {
+            name: "ablations",
+            title: "Ablations: the two peepholes and adaptive transaction sizing",
+            paper_ref:
+                "beyond the paper: the ILR check-elision and TX begin/end peepholes switched off, \
+                 and the adaptive transaction sizing HAFT §7 leaves as future work",
+            run: ablations::run,
+        }),
+        Box::new(Builtin {
+            name: "service-load",
+            title: "Service under load: YCSB A capacity and the open-loop latency sweep",
+            paper_ref:
+                "beyond the paper: HAFT §6.1's memcached + YCSB A as a sharded service, the p99 \
+                 of every closed-loop cell, and latency vs offered load past saturation",
+            run: serviceload::run,
+        }),
     ]
+}
+
+/// Workloads that keep the fast sweeps representative: two Phoenix (low-
+/// and mid-IPC) and two PARSEC (wide-pipeline and capacity-bound).
+const FAST_WORKLOADS: [&str; 4] = ["histogram", "linearreg", "blackscholes", "swaptions"];
+
+/// The performance grid of the per-workload tables: names, input scale
+/// and the default simulated thread count.
+fn perf_grid(cfg: &ReportConfig) -> (&'static [&'static str], Scale, usize) {
+    if cfg.fast {
+        (&FAST_WORKLOADS, Scale::Small, 2)
+    } else {
+        (&WORKLOAD_NAMES, Scale::Large, 8)
+    }
+}
+
+/// A table with one row per workload — `cells` measures the value
+/// columns named by `columns` — closed by their `mean` row.
+fn workload_table(
+    id: &str,
+    title: &str,
+    columns: &[impl AsRef<str>],
+    names: &[&str],
+    scale: Scale,
+    mut cells: impl FnMut(&Workload) -> Vec<f64>,
+) -> Table {
+    let mut headers = vec!["workload"];
+    headers.extend(columns.iter().map(AsRef::as_ref));
+    let mut table = Table::new(id, title, &headers);
+    let mut sums = vec![0.0; columns.len()];
+    for name in names {
+        let w = workload_by_name(name, scale).expect("registered workload");
+        let row = cells(&w);
+        for (sum, v) in sums.iter_mut().zip(&row) {
+            *sum += v;
+        }
+        table.push_row(name, row);
+    }
+    let n = names.len() as f64;
+    table.push_row("mean", sums.iter().map(|s| s / n).collect());
+    table
+}
+
+/// Normalized runtime of each config over one shared native run, at the
+/// workload's recommended transaction threshold (paper §5.3), every
+/// variant's output verified against native.
+fn overheads_vs_native(w: &Workload, threads: usize, configs: &[HardenConfig]) -> Vec<f64> {
+    let report = Experiment::workload(w)
+        .vm(perf_vm(threads, recommended_threshold(w.name)))
+        .compare(configs);
+    assert!(report.outputs_agree(), "{}: output diverged or run failed", w.name);
+    report.variants[1..].iter().map(|v| v.overhead_vs_native.expect("compared")).collect()
+}
+
+/// One fault-injection campaign in the paper's §4.2 shape: 2 threads,
+/// uniform draw over the reference run's register-writing instructions.
+fn campaign(w: &Workload, hc: HardenConfig, injections: u64, seed: u64) -> CampaignReport {
+    Experiment::workload(w)
+        .harden(hc)
+        .vm(VmConfig { n_threads: 2, max_instructions: 100_000_000, ..VmConfig::default() })
+        .campaign(CampaignConfig { injections, seed, ..Default::default() })
+        .campaign
+        .expect("campaign terminal op attaches a report")
+}
+
+/// An empty Table 1 histogram: one column per outcome class plus the
+/// correct-group sum; [`outcome_row`] fills its rows.
+fn outcome_table(id: &str, title: &str) -> Table {
+    let mut columns = vec!["workload · variant"];
+    columns.extend(Outcome::ALL.iter().map(|o| o.label()));
+    columns.push("correct Σ");
+    Table::new(id, title, &columns).precision(1).tolerance(Tolerance::Abs(10.0))
+}
+
+fn outcome_row(report: &CampaignReport) -> Vec<f64> {
+    let mut row: Vec<f64> = Outcome::ALL.iter().map(|o| report.pct(*o)).collect();
+    row.push(report.group_pct(Group::Correct));
+    row
 }
 
 #[cfg(test)]
@@ -90,7 +305,14 @@ mod tests {
                 "serving",
                 "haft-vs-elzar",
                 "abft-frontier",
-                "profile"
+                "profile",
+                "thread-scaling",
+                "opt-levels",
+                "htm-aborts",
+                "availability-model",
+                "case-studies",
+                "ablations",
+                "service-load"
             ]
         );
         for s in &sections {

@@ -1,103 +1,64 @@
 //! Section 2: the Table 1 fault-injection outcome histograms.
 
-use haft::Experiment;
-use haft_faults::{CampaignConfig, Group, Outcome};
+use haft_faults::Outcome;
 use haft_passes::HardenConfig;
-use haft_vm::VmConfig;
-use haft_workloads::{workload_by_name, Scale, PHOENIX_BASE_NAMES};
+use haft_workloads::{workload_by_name, Scale, WORKLOAD_NAMES};
 
-use crate::render::{Series, Table, Tolerance};
-use crate::section::{ReportConfig, Section, SectionResult};
+use crate::render::{Series, Tolerance};
+use crate::section::{campaign, outcome_row, outcome_table, ReportConfig, SectionResult};
 
 const SEED: u64 = 0x0F19;
 
-pub struct FaultHistograms;
+pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
+    let (names, injections): (&[&str], u64) =
+        if cfg.fast { (&["histogram", "linearreg"], 24) } else { (&WORKLOAD_NAMES, 150) };
+    let variants: [(&str, HardenConfig); 4] = [
+        ("native", HardenConfig::native()),
+        ("ILR", HardenConfig::ilr_only()),
+        ("HAFT", HardenConfig::haft()),
+        ("TMR", HardenConfig::tmr()),
+    ];
 
-impl Section for FaultHistograms {
-    fn name(&self) -> &'static str {
-        "fault-histograms"
-    }
+    let mut table =
+        outcome_table("outcome-histogram", "Outcome distribution per injection campaign (%)");
 
-    fn title(&self) -> &'static str {
-        "Fault-injection outcome histograms (Table 1 classes)"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "HAFT Table 1 / Fig. 9 (outcome distribution per hardening variant); \
-         the vote-corrected class extends it to the TMR backend"
-    }
-
-    fn run(&self, cfg: &ReportConfig) -> SectionResult {
-        let (names, injections): (&[&str], u64) =
-            if cfg.fast { (&["histogram", "linearreg"], 24) } else { (&PHOENIX_BASE_NAMES, 150) };
-        let variants: [(&str, HardenConfig); 4] = [
-            ("native", HardenConfig::native()),
-            ("ILR", HardenConfig::ilr_only()),
-            ("HAFT", HardenConfig::haft()),
-            ("TMR", HardenConfig::tmr()),
-        ];
-
-        let mut columns = vec!["workload · variant"];
-        columns.extend(Outcome::ALL.iter().map(|o| o.label()));
-        columns.push("correct Σ");
-        let mut table = Table::new(
-            "outcome-histogram",
-            "Outcome distribution per injection campaign (%)",
-            &columns,
-        )
-        .precision(1)
+    let mut native_sdc =
+        Series::new("native-sdc", "native SDC % across workloads").tolerance(Tolerance::Abs(10.0));
+    let mut haft_corrected =
+        Series::new("haft-corrected", "HAFT rollback-corrected % across workloads")
+            .tolerance(Tolerance::Abs(10.0));
+    let mut tmr_corrected = Series::new("tmr-corrected", "TMR vote-corrected % across workloads")
         .tolerance(Tolerance::Abs(10.0));
 
-        let mut native_sdc = Series::new("native-sdc", "native SDC % across workloads")
-            .tolerance(Tolerance::Abs(10.0));
-        let mut haft_corrected =
-            Series::new("haft-corrected", "HAFT rollback-corrected % across workloads")
-                .tolerance(Tolerance::Abs(10.0));
-        let mut tmr_corrected =
-            Series::new("tmr-corrected", "TMR vote-corrected % across workloads")
-                .tolerance(Tolerance::Abs(10.0));
-
-        for name in names {
-            let w = workload_by_name(name, Scale::Small).expect("registered workload");
-            for (label, hc) in &variants {
-                let report = Experiment::workload(&w)
-                    .harden(hc.clone())
-                    .vm(VmConfig {
-                        n_threads: 2,
-                        max_instructions: 100_000_000,
-                        ..VmConfig::default()
-                    })
-                    .campaign(CampaignConfig { injections, seed: SEED, ..Default::default() })
-                    .campaign
-                    .expect("campaign terminal op attaches a report");
-                let mut row: Vec<f64> = Outcome::ALL.iter().map(|o| report.pct(*o)).collect();
-                row.push(report.group_pct(Group::Correct));
-                table.push_row(&format!("{name} · {label}"), row);
-                match *label {
-                    "native" => native_sdc.push(name, report.pct(Outcome::Sdc)),
-                    "HAFT" => haft_corrected.push(name, report.pct(Outcome::HaftCorrected)),
-                    "TMR" => tmr_corrected.push(name, report.pct(Outcome::VoteCorrected)),
-                    _ => {}
-                }
+    for name in names {
+        let w = workload_by_name(name, Scale::Small).expect("registered workload");
+        for (label, hc) in &variants {
+            let report = campaign(&w, hc.clone(), injections, SEED);
+            table.push_row(&format!("{name} · {label}"), outcome_row(&report));
+            match *label {
+                "native" => native_sdc.push(name, report.pct(Outcome::Sdc)),
+                "HAFT" => haft_corrected.push(name, report.pct(Outcome::HaftCorrected)),
+                "TMR" => tmr_corrected.push(name, report.pct(Outcome::VoteCorrected)),
+                _ => {}
             }
         }
+    }
 
-        SectionResult {
-            notes: vec![
-                format!(
-                    "{injections} injections per variant (seed {SEED:#x}), Small inputs, \
-                     2 threads — the paper's campaign shape (§4.2): uniform draw over the \
-                     reference run's register-writing instructions, random XOR mask, outcome \
-                     classified against the golden output."
-                ),
-                "Reading the classes: native converts faults into SDC and crashes; ILR \
-                 converts SDC into fail-stops (ilr-detected); HAFT converts fail-stops into \
-                 rollback corrections (haft-corrected); TMR masks in place (vote-corrected) \
-                 with no transactional machinery."
-                    .to_string(),
-            ],
-            tables: vec![table],
-            series: vec![native_sdc, haft_corrected, tmr_corrected],
-        }
+    SectionResult {
+        notes: vec![
+            format!(
+                "{injections} injections per variant (seed {SEED:#x}), Small inputs, \
+                 2 threads — the paper's campaign shape (§4.2): uniform draw over the \
+                 reference run's register-writing instructions, random XOR mask, outcome \
+                 classified against the golden output."
+            ),
+            "Reading the classes: native converts faults into SDC and crashes; ILR \
+             converts SDC into fail-stops (ilr-detected); HAFT converts fail-stops into \
+             rollback corrections (haft-corrected); TMR masks in place (vote-corrected) \
+             with no transactional machinery."
+                .to_string(),
+        ],
+        tables: vec![table],
+        series: vec![native_sdc, haft_corrected, tmr_corrected],
     }
 }

@@ -1,89 +1,49 @@
 //! Section 1: normalized runtime of every backend across the suites.
 
-use haft::eval::{hardened_variants, perf_vm, recommended_threshold};
-use haft::Experiment;
-use haft_workloads::{workload_by_name, Scale, WORKLOAD_NAMES};
+use haft::eval::hardened_variants;
 
-use crate::render::{Series, Table, Tolerance};
-use crate::section::{ReportConfig, Section, SectionResult};
+use crate::render::{Series, Tolerance};
+use crate::section::{overheads_vs_native, perf_grid, workload_table, ReportConfig, SectionResult};
 
-/// Workloads that keep the fast sweep representative: two Phoenix (low-
-/// and mid-IPC) and two PARSEC (wide-pipeline and capacity-bound).
-const FAST_WORKLOADS: [&str; 4] = ["histogram", "linearreg", "blackscholes", "swaptions"];
+pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
+    let (names, scale, threads) = perf_grid(cfg);
+    let (labels, configs): (Vec<&str>, Vec<_>) = hardened_variants().into_iter().unzip();
 
-pub struct Overheads;
-
-impl Section for Overheads {
-    fn name(&self) -> &'static str {
-        "overheads"
-    }
-
-    fn title(&self) -> &'static str {
-        "Performance overheads: native / ILR / TX / HAFT / TMR"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "HAFT Fig. 6 and Table 2 (normalized runtime, Phoenix + PARSEC); \
-         TMR column from the Elzar comparison (DSN'16, arXiv:1604.00500)"
-    }
-
-    fn run(&self, cfg: &ReportConfig) -> SectionResult {
-        let (names, scale, threads): (&[&str], Scale, usize) = if cfg.fast {
-            (&FAST_WORKLOADS, Scale::Small, 2)
-        } else {
-            (&WORKLOAD_NAMES, Scale::Large, 8)
-        };
-        let variants = hardened_variants();
-        let labels: Vec<&str> = variants.iter().map(|(l, _)| *l).collect();
-        let configs: Vec<_> = variants.iter().map(|(_, hc)| hc.clone()).collect();
-
-        let mut columns = vec!["workload"];
-        columns.extend(&labels);
-        let mut table = Table::new(
-            "normalized-runtime",
-            "Normalized runtime vs native (lower is better)",
-            &columns,
-        )
-        .tolerance(Tolerance::Rel(0.15));
-        let mut haft_series = Series::new("haft-overhead", "HAFT overhead across workloads");
-        let mut tmr_series = Series::new("tmr-overhead", "TMR overhead across workloads");
-
-        let mut sums = vec![0.0; labels.len()];
-        for name in names {
-            let w = workload_by_name(name, scale).expect("registered workload");
-            let report = Experiment::workload(&w)
-                .vm(perf_vm(threads, recommended_threshold(name)))
-                .compare(&configs);
-            assert!(report.outputs_agree(), "{name}: output diverged or run failed");
-            let overheads: Vec<f64> =
-                labels.iter().map(|l| report.overhead(l).expect("variant present")).collect();
-            for (sum, oh) in sums.iter_mut().zip(&overheads) {
-                *sum += oh;
-            }
-            haft_series.push(name, report.overhead("HAFT").unwrap());
-            tmr_series.push(name, report.overhead("TMR").unwrap());
-            table.push_row(name, overheads);
+    let table = workload_table(
+        "normalized-runtime",
+        "Normalized runtime vs native (lower is better)",
+        &labels,
+        names,
+        scale,
+        |w| overheads_vs_native(w, threads, &configs),
+    )
+    .tolerance(Tolerance::Rel(0.15));
+    let series = |id: &str, label: &str| {
+        let col = labels.iter().position(|l| *l == label).expect("standard variant");
+        let mut s = Series::new(id, &format!("{label} overhead across workloads"));
+        for row in &table.rows[..names.len()] {
+            s.push(&row.label, row.values[col]);
         }
-        let n = names.len() as f64;
-        table.push_row("mean", sums.iter().map(|s| s / n).collect());
+        s
+    };
+    let series = vec![series("haft-overhead", "HAFT"), series("tmr-overhead", "TMR")];
 
-        SectionResult {
-            notes: vec![
-                format!(
-                    "{} workloads at {:?} scale, {threads} simulated threads, per-workload \
-                     transaction thresholds per the paper's §5.3 methodology \
-                     (`haft::eval::recommended_threshold`). Every variant's output is verified \
-                     bit-identical to native before its overhead is reported.",
-                    names.len(),
-                    scale
-                ),
-                "ILR pays for the duplicated data flow, TX for transaction begin/commit and \
-                 aborts, HAFT for both, and TMR for a tripled stream plus votes — the spread \
-                 across workloads tracks native IPC (see ARCHITECTURE.md)."
-                    .to_string(),
-            ],
-            tables: vec![table],
-            series: vec![haft_series, tmr_series],
-        }
+    SectionResult {
+        notes: vec![
+            format!(
+                "{} workloads at {:?} scale, {threads} simulated threads, per-workload \
+                 transaction thresholds per the paper's §5.3 methodology \
+                 (`haft::eval::recommended_threshold`). Every variant's output is verified \
+                 bit-identical to native before its overhead is reported.",
+                names.len(),
+                scale
+            ),
+            "ILR pays for the duplicated data flow, TX for transaction begin/commit and \
+             aborts, HAFT for both, and TMR for a tripled stream plus votes — the spread \
+             across workloads tracks native IPC (see ARCHITECTURE.md)."
+                .to_string(),
+        ],
+        tables: vec![table],
+        series,
     }
 }

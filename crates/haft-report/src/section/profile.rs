@@ -8,107 +8,87 @@ use haft_passes::HardenConfig;
 use haft_workloads::{workload_by_name, Scale};
 
 use crate::render::{Table, Tolerance};
-use crate::section::{ReportConfig, Section, SectionResult};
+use crate::section::{ReportConfig, SectionResult};
 
 /// Fixed column order for the per-class breakdown. Light classes
 /// (atomic, sync, emit, nops) fold into `other` so the table stays
 /// stable across backends and workloads.
 const CLASSES: [&str; 7] = ["alu", "branch", "mem", "call", "tx", "tx-abort", "vote"];
 
-pub struct Profile;
+pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
+    let (names, scale, threads): (&[&str], Scale, usize) = if cfg.fast {
+        (&["histogram", "swaptions"], Scale::Small, 2)
+    } else {
+        (&["histogram", "kmeans", "swaptions", "blackscholes"], Scale::Large, 4)
+    };
+    let backends: [(&str, HardenConfig); 3] = [
+        ("native", HardenConfig::native()),
+        ("HAFT", HardenConfig::haft()),
+        ("TMR", HardenConfig::tmr()),
+    ];
 
-impl Section for Profile {
-    fn name(&self) -> &'static str {
-        "profile"
-    }
+    let mut columns = vec!["run"];
+    columns.extend(CLASSES);
+    columns.push("other");
+    // Informational: the attribution shares shift with any cost-model
+    // change; what is *pinned* is the exactness invariant below,
+    // asserted on every run (a violation aborts report generation).
+    let mut by_class =
+        Table::new("cycles-by-class-pct", "Share of attributed cycles per op class (%)", &columns)
+            .precision(1)
+            .tolerance(Tolerance::Info);
+    let mut top_funcs = Vec::new();
 
-    fn title(&self) -> &'static str {
-        "Cycle-attribution profile: where hardening cycles go"
-    }
+    for name in names {
+        let w = workload_by_name(name, scale).expect("registered workload");
+        for (label, hc) in &backends {
+            let (variant, profile) = Experiment::workload(&w)
+                .harden(hc.clone())
+                .vm(perf_vm(threads, 1000))
+                .run_profiled();
+            let run = variant.expect_completed(name);
+            assert_eq!(
+                profile.total(),
+                run.cpu_cycles,
+                "{name}/{label}: attribution must sum exactly to cpu_cycles"
+            );
+            let total = profile.total().max(1) as f64;
+            let mut row = Vec::new();
+            let mut accounted = 0u64;
+            for class in CLASSES {
+                let cycles =
+                    profile.by_class().iter().find(|(c, _)| *c == class).map_or(0, |(_, n)| *n);
+                accounted += cycles;
+                row.push(100.0 * cycles as f64 / total);
+            }
+            row.push(100.0 * (profile.total() - accounted) as f64 / total);
+            by_class.push_row(&format!("{name}/{label}"), row);
 
-    fn paper_ref(&self) -> &'static str {
-        "HAFT §6.2 (sources of overhead: ILR shadow data flow vs TX \
-         begin/commit bookkeeping) and the Elzar voting-cost discussion"
-    }
-
-    fn run(&self, cfg: &ReportConfig) -> SectionResult {
-        let (names, scale, threads): (&[&str], Scale, usize) = if cfg.fast {
-            (&["histogram", "swaptions"], Scale::Small, 2)
-        } else {
-            (&["histogram", "kmeans", "swaptions", "blackscholes"], Scale::Large, 4)
-        };
-        let backends: [(&str, HardenConfig); 3] = [
-            ("native", HardenConfig::native()),
-            ("HAFT", HardenConfig::haft()),
-            ("TMR", HardenConfig::tmr()),
-        ];
-
-        let mut columns = vec!["run"];
-        columns.extend(CLASSES);
-        columns.push("other");
-        // Informational: the attribution shares shift with any cost-model
-        // change; what is *pinned* is the exactness invariant below,
-        // asserted on every run (a violation aborts report generation).
-        let mut by_class = Table::new(
-            "cycles-by-class-pct",
-            "Share of attributed cycles per op class (%)",
-            &columns,
-        )
-        .precision(1)
-        .tolerance(Tolerance::Info);
-        let mut top_funcs = Vec::new();
-
-        for name in names {
-            let w = workload_by_name(name, scale).expect("registered workload");
-            for (label, hc) in &backends {
-                let (variant, profile) = Experiment::workload(&w)
-                    .harden(hc.clone())
-                    .vm(perf_vm(threads, 1000))
-                    .run_profiled();
-                let run = variant.expect_completed(name);
-                assert_eq!(
+            if let Some((func, cycles)) = profile.by_function().first() {
+                top_funcs.push(format!(
+                    "{name}/{label}: hottest function `{func}` holds {:.1}% of {} cycles",
+                    100.0 * *cycles as f64 / total,
                     profile.total(),
-                    run.cpu_cycles,
-                    "{name}/{label}: attribution must sum exactly to cpu_cycles"
-                );
-                let total = profile.total().max(1) as f64;
-                let mut row = Vec::new();
-                let mut accounted = 0u64;
-                for class in CLASSES {
-                    let cycles =
-                        profile.by_class().iter().find(|(c, _)| *c == class).map_or(0, |(_, n)| *n);
-                    accounted += cycles;
-                    row.push(100.0 * cycles as f64 / total);
-                }
-                row.push(100.0 * (profile.total() - accounted) as f64 / total);
-                by_class.push_row(&format!("{name}/{label}"), row);
-
-                if let Some((func, cycles)) = profile.by_function().first() {
-                    top_funcs.push(format!(
-                        "{name}/{label}: hottest function `{func}` holds {:.1}% of {} cycles",
-                        100.0 * *cycles as f64 / total,
-                        profile.total(),
-                    ));
-                }
+                ));
             }
         }
-
-        let mut notes = vec![
-            format!(
-                "Per-function × op-class virtual-cycle histograms at {scale:?} scale, \
-                 {threads} threads, threshold 1000, via `Experiment::run_profiled`. \
-                 Attribution is telescoping off `Scoreboard::issue`, so each run's cell \
-                 total equals its `cpu_cycles` *exactly* — asserted here, not merely \
-                 tabulated."
-            ),
-            "The paper's overhead story, localized: under HAFT the ILR shadow data flow \
-             inflates `alu`/`mem` and transactification adds `tx` (+ `tx-abort` wasted \
-             re-execution); under TMR the `vote` column replaces both transaction \
-             columns."
-                .to_string(),
-        ];
-        notes.extend(top_funcs);
-
-        SectionResult { notes, tables: vec![by_class], series: Vec::new() }
     }
+
+    let mut notes = vec![
+        format!(
+            "Per-function × op-class virtual-cycle histograms at {scale:?} scale, \
+             {threads} threads, threshold 1000, via `Experiment::run_profiled`. \
+             Attribution is telescoping off `Scoreboard::issue`, so each run's cell \
+             total equals its `cpu_cycles` *exactly* — asserted here, not merely \
+             tabulated."
+        ),
+        "The paper's overhead story, localized: under HAFT the ILR shadow data flow \
+         inflates `alu`/`mem` and transactification adds `tx` (+ `tx-abort` wasted \
+         re-execution); under TMR the `vote` column replaces both transaction \
+         columns."
+            .to_string(),
+    ];
+    notes.extend(top_funcs);
+
+    SectionResult { notes, tables: vec![by_class], series: Vec::new() }
 }

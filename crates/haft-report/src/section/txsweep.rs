@@ -4,107 +4,84 @@
 use haft::eval::perf_vm;
 use haft::Experiment;
 use haft_passes::HardenConfig;
-use haft_workloads::{workload_by_name, Scale};
+use haft_workloads::{workload_by_name, Scale, WORKLOAD_NAMES};
 
 use crate::render::{Series, Table, Tolerance};
-use crate::section::{ReportConfig, Section, SectionResult};
+use crate::section::{ReportConfig, SectionResult};
 
-pub struct TxSweep;
+pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
+    // kmeans aborts on conflicts (true sharing), swaptions on
+    // capacity; the full sweep is Fig. 8's: every workload.
+    let (names, thresholds, scale, threads): (&[&str], &[u64], Scale, usize) = if cfg.fast {
+        (&["kmeans", "swaptions"], &[250, 1000, 5000], Scale::Small, 2)
+    } else {
+        (&WORKLOAD_NAMES, &[250, 500, 1000, 3000, 5000], Scale::Large, 8)
+    };
 
-impl Section for TxSweep {
-    fn name(&self) -> &'static str {
-        "tx-sweep"
-    }
+    let threshold_cols: Vec<String> = thresholds.iter().map(|t| t.to_string()).collect();
+    let mut columns = vec!["workload"];
+    columns.extend(threshold_cols.iter().map(String::as_str));
+    let mut runtime = Table::new(
+        "runtime-vs-threshold",
+        "HAFT normalized runtime vs transaction-size threshold",
+        &columns,
+    )
+    .tolerance(Tolerance::Rel(0.15));
+    let mut aborts = Table::new(
+        "abort-rate-vs-threshold",
+        "HTM abort rate (%) vs transaction-size threshold",
+        &columns,
+    )
+    .precision(1)
+    .tolerance(Tolerance::Abs(5.0));
+    let mut series = Vec::new();
 
-    fn title(&self) -> &'static str {
-        "Transactification sweep: overhead and HTM aborts vs tx_threshold"
-    }
-
-    fn paper_ref(&self) -> &'static str {
-        "HAFT Fig. 8 (normalized runtime and abort rate vs transaction size) \
-         and Table 3 (abort causes)"
-    }
-
-    fn run(&self, cfg: &ReportConfig) -> SectionResult {
-        // kmeans aborts on conflicts (true sharing), swaptions on
-        // capacity; the full sweep adds a false-sharing and a
-        // low-coverage workload.
-        let (names, thresholds, scale, threads): (&[&str], &[u64], Scale, usize) = if cfg.fast {
-            (&["kmeans", "swaptions"], &[250, 1000, 5000], Scale::Small, 2)
-        } else {
-            (
-                &["histogram", "kmeans", "wordcount", "swaptions", "ferret", "matrixmul"],
-                &[250, 500, 1000, 3000, 5000],
-                Scale::Large,
-                8,
-            )
-        };
-
-        let threshold_cols: Vec<String> = thresholds.iter().map(|t| t.to_string()).collect();
-        let mut columns = vec!["workload"];
-        columns.extend(threshold_cols.iter().map(String::as_str));
-        let mut runtime = Table::new(
-            "runtime-vs-threshold",
-            "HAFT normalized runtime vs transaction-size threshold",
-            &columns,
+    for name in names {
+        let w = workload_by_name(name, scale).expect("registered workload");
+        let native = Experiment::workload(&w)
+            .vm(perf_vm(threads, thresholds[0]))
+            .run()
+            .expect_completed(name);
+        // One experiment across the sweep: the hardened module is
+        // built once and cached; only the VM threshold changes.
+        let mut exp = Experiment::workload(&w)
+            .harden(HardenConfig::haft())
+            .vm(perf_vm(threads, thresholds[0]));
+        let mut ohs = Vec::new();
+        let mut abs = Vec::new();
+        for &t in thresholds {
+            exp = exp.tx_threshold(t);
+            let run = exp.run().expect_completed(name);
+            ohs.push(run.wall_cycles as f64 / native.wall_cycles as f64);
+            abs.push(run.htm.abort_rate_pct());
+        }
+        let mut s = Series::new(
+            &format!("abort-rate-{name}"),
+            &format!("{name}: abort % as transactions grow"),
         )
-        .tolerance(Tolerance::Rel(0.15));
-        let mut aborts = Table::new(
-            "abort-rate-vs-threshold",
-            "HTM abort rate (%) vs transaction-size threshold",
-            &columns,
-        )
-        .precision(1)
         .tolerance(Tolerance::Abs(5.0));
-        let mut series = Vec::new();
-
-        for name in names {
-            let w = workload_by_name(name, scale).expect("registered workload");
-            let native = Experiment::workload(&w)
-                .vm(perf_vm(threads, thresholds[0]))
-                .run()
-                .expect_completed(name);
-            // One experiment across the sweep: the hardened module is
-            // built once and cached; only the VM threshold changes.
-            let mut exp = Experiment::workload(&w)
-                .harden(HardenConfig::haft())
-                .vm(perf_vm(threads, thresholds[0]));
-            let mut ohs = Vec::new();
-            let mut abs = Vec::new();
-            for &t in thresholds {
-                exp = exp.tx_threshold(t);
-                let run = exp.run().expect_completed(name);
-                ohs.push(run.wall_cycles as f64 / native.wall_cycles as f64);
-                abs.push(run.htm.abort_rate_pct());
-            }
-            let mut s = Series::new(
-                &format!("abort-rate-{name}"),
-                &format!("{name}: abort % as transactions grow"),
-            )
-            .tolerance(Tolerance::Abs(5.0));
-            for (t, a) in threshold_cols.iter().zip(&abs) {
-                s.push(t, *a);
-            }
-            series.push(s);
-            runtime.push_row(name, ohs);
-            aborts.push_row(name, abs);
+        for (t, a) in threshold_cols.iter().zip(&abs) {
+            s.push(t, *a);
         }
+        series.push(s);
+        runtime.push_row(name, ohs);
+        aborts.push_row(name, abs);
+    }
 
-        SectionResult {
-            notes: vec![
-                format!(
-                    "HAFT at {:?} scale, {threads} threads; the same hardened module runs at \
-                     every threshold (the split decision is the VM's run-time counter, \
-                     paper §5.3/Fig. 8).",
-                    scale
-                ),
-                "The tension the paper tunes per benchmark: small transactions abort rarely \
-                 but pay begin/commit often; large ones amortize commits until capacity and \
-                 conflict aborts — and their wasted re-execution — dominate."
-                    .to_string(),
-            ],
-            tables: vec![runtime, aborts],
-            series,
-        }
+    SectionResult {
+        notes: vec![
+            format!(
+                "HAFT at {:?} scale, {threads} threads; the same hardened module runs at \
+                 every threshold (the split decision is the VM's run-time counter, \
+                 paper §5.3/Fig. 8).",
+                scale
+            ),
+            "The tension the paper tunes per benchmark: small transactions abort rarely \
+             but pay begin/commit often; large ones amortize commits until capacity and \
+             conflict aborts — and their wasted re-execution — dominate."
+                .to_string(),
+        ],
+        tables: vec![runtime, aborts],
+        series,
     }
 }

@@ -66,6 +66,72 @@ fn fast_report_renders_checks_and_round_trips() {
         tradeoff.rows.iter().find(|r| r.label.contains("HTM commits")).expect("commits row");
     assert_eq!(commits_row.values[1], 0.0, "TMR must not transactify");
 
+    // The paper-figure sections, same spirit. A table is looked up by
+    // section and id, a cell by its column header.
+    let table = |section: &str, id: &str| {
+        let s = report.sections.iter().find(|s| s.name == section).expect(section);
+        s.result.tables.iter().find(|t| t.id == id).unwrap_or_else(|| panic!("{section}/{id}"))
+    };
+    let cell = |t: &haft_report::render::Table, row: usize, col: &str| {
+        let idx = t.columns.iter().position(|c| c == col).unwrap_or_else(|| panic!("{col}"));
+        t.rows[row].values[idx - 1]
+    };
+    for (section, id) in
+        [("thread-scaling", "haft-runtime-vs-threads"), ("opt-levels", "overhead-by-level")]
+    {
+        for row in &table(section, id).rows {
+            assert!(row.values.iter().all(|&v| v >= 1.0), "{section}/{}: {:?}", row.label, row);
+        }
+    }
+    // Table 3: wherever anything aborted, the three causes are all of it.
+    let causes = table("htm-aborts", "abort-causes");
+    assert!(causes.rows.iter().any(|r| r.values[0] > 0.0), "no workload aborts at 5000");
+    for row in causes.rows.iter().filter(|r| r.label != "mean" && r.values[0] > 0.0) {
+        let split: f64 = row.values[1..].iter().sum();
+        assert!((split - 100.0).abs() < 1e-6, "abort-causes/{}: causes sum to {split}", row.label);
+    }
+    // Fig. 10, from the paper's parameters and from ours: HAFT is never
+    // less available nor more corrupted than native.
+    for id in ["fig10-paper", "fig10-measured"] {
+        let t = table("availability-model", id);
+        for (i, row) in t.rows.iter().enumerate() {
+            let (n, h) = (cell(t, i, "native available %"), cell(t, i, "HAFT available %"));
+            assert!(h >= n, "{id} @{}: HAFT {h} < native {n} available", row.label);
+            let (n, h) = (cell(t, i, "native corrupted %"), cell(t, i, "HAFT corrupted %"));
+            assert!(h <= n, "{id} @{}: HAFT {h} > native {n} corrupted", row.label);
+        }
+    }
+    // Hardening costs throughput wherever the hardened line has a native
+    // twin (`HAFT-lock` has none: it elides the locks native takes).
+    for id in ["memcached-ycsb-a", "memcached-ycsb-d"] {
+        let t = table("case-studies", id);
+        for (i, row) in t.rows.iter().enumerate() {
+            for (hardened, native) in
+                [("HAFT-atom", "native-atom"), ("HAFT-lock-noel", "native-lock")]
+            {
+                assert!(
+                    cell(t, i, hardened) < cell(t, i, native),
+                    "{id} @{} threads: {hardened} not below {native}",
+                    row.label
+                );
+            }
+        }
+    }
+    for row in &table("case-studies", "app-throughput").rows {
+        for pair in row.values.chunks(2) {
+            assert!(
+                pair[1] < pair[0],
+                "{}: HAFT {} not below native {}",
+                row.label,
+                pair[1],
+                pair[0]
+            );
+        }
+    }
+    for row in &table("ablations", "peephole-savings").rows {
+        assert!(row.values[2] >= 0.0, "{}: a peephole added instructions", row.label);
+    }
+
     // The rendered REPRODUCTION.md carries every section, table, and a
     // sparkline for every series.
     let md = report.to_markdown();

@@ -2,10 +2,10 @@
 //! transaction thresholds, and the perf-run VM shape.
 //!
 //! The paper's evaluation sweeps one grid — {native, ILR, TX, HAFT} (+
-//! the Elzar-style TMR foil) × workloads × thresholds — and both the
-//! bench harness (`haft-bench`) and the report generator (`haft-report`)
-//! walk it. This module is the single definition of that grid, so the
-//! two cannot drift apart on methodology defaults.
+//! the Elzar-style TMR foil) × workloads × thresholds — and the report
+//! generator (`haft-report`), the repository benchmark and the tests all
+//! walk it. This module is the single definition of that grid, so they
+//! cannot drift apart on methodology defaults.
 
 use haft_passes::HardenConfig;
 use haft_vm::VmConfig;
@@ -32,9 +32,9 @@ pub fn hardened_variants() -> [(&'static str, HardenConfig); 4] {
 }
 
 /// The serving-experiment variant grid: the unprotected baseline plus
-/// the two full-strength hardening backends. Shared by the
-/// `service_scaling` bench and the report's serving section so the two
-/// measure the same thing.
+/// the two full-strength hardening backends. Shared by the report's
+/// `serving` and `service-load` sections so the two measure the same
+/// thing.
 pub fn serving_variants() -> [(&'static str, HardenConfig); 3] {
     [
         ("native", HardenConfig::native()),

@@ -402,7 +402,7 @@ impl VariantReport {
     }
 
     /// The run, asserted completed — the common "this experiment must
-    /// work" pattern in tests and benches.
+    /// work" pattern in tests and report sections.
     ///
     /// # Panics
     ///
