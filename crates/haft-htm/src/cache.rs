@@ -8,49 +8,64 @@
 //! reports which line — if any — was evicted. The HTM system then checks
 //! the victim line against the resident transactions' write sets.
 
-/// Per-core L1 occupancy tracker.
+/// Per-core L1 occupancy tracker: one flat `sets × ways` tag array, each
+/// set's resident lines packed at the front of its row in LRU → MRU
+/// order.
 #[derive(Clone, Debug)]
 pub struct L1Model {
-    sets: Vec<Vec<u64>>,
+    tags: Vec<u64>,
+    /// Resident lines per set.
+    fill: Vec<u32>,
     ways: usize,
 }
 
 impl L1Model {
     /// Creates an empty L1 with `n_sets` sets of `ways` ways.
     pub fn new(n_sets: usize, ways: usize) -> Self {
-        L1Model { sets: vec![Vec::with_capacity(ways); n_sets], ways }
+        L1Model { tags: vec![0; n_sets * ways], fill: vec![0; n_sets], ways }
     }
 
     /// Records an access to `line` mapping to `set`, in one pass over the
     /// set; returns whether the line was resident before the access and
     /// the evicted line, if the access forced one out.
+    #[inline]
     pub fn touch(&mut self, set: usize, line: u64) -> (bool, Option<u64>) {
-        let s = &mut self.sets[set];
-        if let Some(pos) = s.iter().position(|&l| l == line) {
-            // MRU promotion.
-            s[pos..].rotate_left(1);
+        let n = self.fill[set] as usize;
+        let row = &mut self.tags[set * self.ways..][..self.ways];
+        // Already MRU (a loop walking one line): nothing moves.
+        if n > 0 && row[n - 1] == line {
             return (true, None);
         }
-        let evicted = if s.len() == self.ways { Some(s.remove(0)) } else { None };
-        s.push(line);
-        (false, evicted)
+        if let Some(pos) = row[..n].iter().position(|&l| l == line) {
+            // MRU promotion.
+            row.copy_within(pos + 1..n, pos);
+            row[n - 1] = line;
+            return (true, None);
+        }
+        if n < row.len() {
+            row[n] = line;
+            self.fill[set] += 1;
+            return (false, None);
+        }
+        let evicted = row[0];
+        row.copy_within(1.., 0);
+        row[n - 1] = line;
+        (false, Some(evicted))
     }
 
     /// Returns true if `line` is currently resident in `set`.
     pub fn resident(&self, set: usize, line: u64) -> bool {
-        self.sets[set].contains(&line)
+        self.tags[set * self.ways..][..self.fill[set] as usize].contains(&line)
     }
 
     /// Number of resident lines in `set`.
     pub fn occupancy(&self, set: usize) -> usize {
-        self.sets[set].len()
+        self.fill[set] as usize
     }
 
     /// Drops all resident lines (e.g. between independent experiments).
     pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.fill.fill(0);
     }
 }
 

@@ -25,9 +25,9 @@
 pub mod abort;
 pub mod cache;
 pub mod config;
-pub mod fxhash;
 pub mod stats;
 pub mod system;
+pub mod table;
 
 pub use abort::AbortCause;
 pub use config::HtmConfig;

@@ -5,8 +5,8 @@ use haft_ir::rng::Prng;
 use crate::abort::AbortCause;
 use crate::cache::L1Model;
 use crate::config::HtmConfig;
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::stats::HtmStats;
+use crate::table::OpenTable;
 
 /// Whether an access reads or writes memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,13 +15,17 @@ pub enum AccessKind {
     Write,
 }
 
-/// Per-thread transactional state.
+/// Per-thread transactional state. The read and write *sets* are this
+/// thread's bits in the system's line table; the thread itself keeps only
+/// the keys to find them again and how many of each it holds.
 #[derive(Clone, Debug, Default)]
 struct ThreadTx {
     active: bool,
     doomed: Option<AbortCause>,
-    read_lines: FxHashSet<u64>,
-    write_lines: FxHashSet<u64>,
+    /// Every line carrying one of this thread's bits, once each.
+    lines: Vec<u64>,
+    n_read: usize,
+    n_written: usize,
     start_cycle: u64,
 }
 
@@ -39,6 +43,13 @@ struct LineUsers {
 /// asynchronously through a per-thread `doomed` flag, the way a real core
 /// learns of a conflict from a coherence message: the victim discovers the
 /// abort at its next instruction boundary.
+///
+/// All read and write sets live in one `line → {readers, writers}` table
+/// ([`OpenTable`] with deletion), so a transactional access costs one
+/// probe: the entry answers the conflict check, takes the requester's
+/// bit, and says whether the line is new to its set. A line leaves the
+/// table with the last transaction that holds it, so the table tracks the
+/// live sets, not the program's footprint.
 #[derive(Clone, Debug)]
 pub struct Htm {
     cfg: HtmConfig,
@@ -48,7 +59,7 @@ pub struct Htm {
     set_mask: u64,
     threads: Vec<ThreadTx>,
     cores: Vec<L1Model>,
-    line_users: FxHashMap<u64, LineUsers>,
+    lines: OpenTable<LineUsers, false>,
     /// The immediately preceding `access` call, if nothing else mutated
     /// the system since. An identical repeat — the common case under ILR,
     /// where master and shadow touch the same line back to back — is
@@ -80,7 +91,7 @@ impl Htm {
             set_mask: cfg.l1_sets as u64 - 1,
             threads: vec![ThreadTx::default(); n_threads],
             cores: (0..n_cores.max(1)).map(|_| L1Model::new(cfg.l1_sets, cfg.l1_ways)).collect(),
-            line_users: FxHashMap::default(),
+            lines: OpenTable::new(),
             last_access: None,
             active_count: 0,
             stats: HtmStats::default(),
@@ -99,6 +110,7 @@ impl Htm {
     }
 
     /// Returns the pending asynchronous abort for `tid`, if any.
+    #[inline]
     pub fn doomed(&self, tid: usize) -> Option<AbortCause> {
         self.threads[tid].doomed
     }
@@ -131,10 +143,6 @@ impl Htm {
             return false;
         }
         self.release_lines(tid);
-        let t = &mut self.threads[tid];
-        t.active = false;
-        t.doomed = None;
-        self.active_count -= 1;
         self.stats.commits += 1;
         true
     }
@@ -143,10 +151,6 @@ impl Htm {
     /// the delivery of a pending asynchronous abort).
     pub fn abort(&mut self, tid: usize, cause: AbortCause) {
         self.release_lines(tid);
-        let t = &mut self.threads[tid];
-        t.active = false;
-        t.doomed = None;
-        self.active_count -= 1;
         self.stats.record_abort(cause);
     }
 
@@ -156,21 +160,26 @@ impl Htm {
         self.stats.fallbacks += 1;
     }
 
+    /// Ends the transaction of `tid`: its bits leave the line table, and
+    /// a line nobody else holds leaves with them.
     fn release_lines(&mut self, tid: usize) {
         // Released lines leave the tracking sets, so a repeated access is
         // no longer a no-op.
         self.last_access = None;
         let mask = !(1u64 << tid);
         let t = &mut self.threads[tid];
-        for line in t.read_lines.drain().chain(t.write_lines.drain()) {
-            if let Some(u) = self.line_users.get_mut(&line) {
-                u.readers &= mask;
-                u.writers &= mask;
-                if u.readers == 0 && u.writers == 0 {
-                    self.line_users.remove(&line);
-                }
+        for line in t.lines.drain(..) {
+            let u = self.lines.get_mut(line).expect("a listed line is in the table");
+            u.readers &= mask;
+            u.writers &= mask;
+            if u.readers | u.writers == 0 {
+                self.lines.remove(line);
             }
         }
+        (t.n_read, t.n_written) = (0, 0);
+        t.active = false;
+        t.doomed = None;
+        self.active_count -= 1;
     }
 
     /// Registers a memory access by `tid` over `[addr, addr + len)`.
@@ -182,6 +191,7 @@ impl Htm {
     ///
     /// Returns true if every touched line was already L1-resident (the VM
     /// uses this to pick hit vs. miss latency).
+    #[inline]
     pub fn access(&mut self, tid: usize, addr: u64, len: u64, kind: AccessKind) -> bool {
         // `HtmConfig::lines_of_range`, by shift instead of division
         // (this is the VM's hottest call).
@@ -192,49 +202,51 @@ impl Htm {
         if self.last_access == Some((tid, first, last, kind)) {
             return true;
         }
+        self.access_lines(tid, first, last, kind)
+    }
+
+    /// [`Htm::access`] past its inlined front: lines `first..=last`, not
+    /// a repeat of the previous call.
+    #[inline(never)]
+    fn access_lines(&mut self, tid: usize, first: u64, last: u64, kind: AccessKind) -> bool {
+        self.last_access = Some((tid, first, last, kind));
         let core = self.cfg.core_of(tid);
+        let mut all_hit = true;
         if self.active_count == 0 {
             // No transaction live anywhere: no conflict scan, no set
             // tracking, no eviction dooms. Only the cache model advances.
-            let mut all_hit = true;
             for line in first..=last {
                 all_hit &= self.cores[core].touch((line & self.set_mask) as usize, line).0;
             }
-            self.last_access = Some((tid, first, last, kind));
             return all_hit;
         }
         let self_bit = 1u64 << tid;
-        let mut all_hit = true;
         for line in first..=last {
-            // Conflict detection against other transactions.
-            let users = self.line_users.get(&line).copied().unwrap_or_default();
-            let others = match kind {
-                AccessKind::Write => (users.readers | users.writers) & !self_bit,
-                AccessKind::Read => users.writers & !self_bit,
-            };
-            if others != 0 {
-                for victim in iter_bits(others) {
-                    self.doom(victim, AbortCause::Conflict);
-                }
-            }
-
-            // Track in our own sets.
-            let active = self.threads[tid].active && self.threads[tid].doomed.is_none();
-            if active {
-                let entry = self.line_users.entry(line).or_default();
+            let me = &self.threads[tid];
+            if me.active && me.doomed.is_none() {
+                // One probe: conflict check, then our own bit.
+                let users = self.lines.entry(line);
+                let held = *users;
                 match kind {
-                    AccessKind::Read => {
-                        entry.readers |= self_bit;
-                        self.threads[tid].read_lines.insert(line);
-                    }
-                    AccessKind::Write => {
-                        entry.writers |= self_bit;
-                        self.threads[tid].write_lines.insert(line);
-                    }
+                    AccessKind::Read => users.readers |= self_bit,
+                    AccessKind::Write => users.writers |= self_bit,
                 }
-                if self.threads[tid].read_lines.len() > self.cfg.read_set_lines {
+                self.doom_others(held, self_bit, kind);
+                let me = &mut self.threads[tid];
+                if (held.readers | held.writers) & self_bit == 0 {
+                    me.lines.push(line);
+                }
+                match kind {
+                    AccessKind::Read => me.n_read += (held.readers & self_bit == 0) as usize,
+                    AccessKind::Write => me.n_written += (held.writers & self_bit == 0) as usize,
+                }
+                if me.n_read > self.cfg.read_set_lines {
                     self.doom(tid, AbortCause::Capacity);
                 }
+            } else if let Some(held) = self.lines.get(line) {
+                // Not tracking (no transaction of our own, or it is
+                // doomed already): conflict detection only.
+                self.doom_others(held, self_bit, kind);
             }
 
             // L1 pressure: every access touches the core's cache; an
@@ -242,21 +254,27 @@ impl Htm {
             // its *write* set (read lines may spill, as in TSX).
             let (hit, evicted) = self.cores[core].touch((line & self.set_mask) as usize, line);
             all_hit &= hit;
-            if let Some(evicted) = evicted {
-                let (peers, n) =
-                    if self.cfg.smt { ([core * 2, core * 2 + 1], 2) } else { ([core, 0], 1) };
-                for &peer in peers.iter().take(n) {
-                    if peer < self.threads.len()
-                        && self.threads[peer].active
-                        && self.threads[peer].write_lines.contains(&evicted)
-                    {
-                        self.doom(peer, AbortCause::Capacity);
-                    }
+            if let Some(writers) = evicted.and_then(|e| self.lines.get(e)).map(|u| u.writers) {
+                let peers = if self.cfg.smt { 0b11 << (core * 2) } else { 1 << core };
+                for peer in iter_bits(writers & peers) {
+                    self.doom(peer, AbortCause::Capacity);
                 }
             }
         }
-        self.last_access = Some((tid, first, last, kind));
         all_hit
+    }
+
+    /// Requester wins: dooms every other transaction that holds a line
+    /// (`held`) in a set a `kind` access conflicts with.
+    #[inline]
+    fn doom_others(&mut self, held: LineUsers, self_bit: u64, kind: AccessKind) {
+        let others = match kind {
+            AccessKind::Write => (held.readers | held.writers) & !self_bit,
+            AccessKind::Read => held.writers & !self_bit,
+        };
+        for victim in iter_bits(others) {
+            self.doom(victim, AbortCause::Conflict);
+        }
     }
 
     fn doom(&mut self, tid: usize, cause: AbortCause) {
@@ -291,7 +309,7 @@ impl Htm {
 
     /// Current read/write-set sizes in lines (for tests and diagnostics).
     pub fn set_sizes(&self, tid: usize) -> (usize, usize) {
-        (self.threads[tid].read_lines.len(), self.threads[tid].write_lines.len())
+        (self.threads[tid].n_read, self.threads[tid].n_written)
     }
 }
 

@@ -1,10 +1,12 @@
 //! Property tests on the HTM system's accounting and isolation
-//! invariants under random access sequences, and on the cache model and
-//! the shift/mask line arithmetic against their references.
+//! invariants under random access sequences, and on the cache model, the
+//! line table and the shift/mask line arithmetic against their
+//! references.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use haft_htm::cache::L1Model;
+use haft_htm::table::OpenTable;
 use haft_htm::{AbortCause, AccessKind, Htm, HtmConfig};
 use proptest::prelude::*;
 
@@ -166,15 +168,131 @@ fn ref_act_strategy(threads: u8) -> impl Strategy<Value = RefAct> {
     ]
 }
 
+/// A stretch of cache touches: one line, the same line several times
+/// over (the MRU early-out), or more distinct lines of one set than any
+/// associativity in use holds (fill it, then evict all the way round).
+#[derive(Clone, Debug)]
+enum Touches {
+    One(u64),
+    Repeat(u64, u8),
+    Sweep(u64, u64),
+}
+
+fn touches_strategy() -> impl Strategy<Value = Touches> {
+    prop_oneof![
+        (0u64..48).prop_map(Touches::One),
+        (0u64..48).prop_map(Touches::One),
+        (0u64..48, 2u8..5).prop_map(|(l, n)| Touches::Repeat(l, n)),
+        (0u64..4, 0u64..6).prop_map(|(set, from)| Touches::Sweep(set, from)),
+    ]
+}
+
+/// One step against the line table, keyed like `Htm` keys it.
+#[derive(Clone, Debug)]
+enum LineOp {
+    /// Set reader and writer bits of a line (at least one).
+    Set(u64, u64, u64),
+    /// Clear bits of a line; it leaves the table with its last bit.
+    Clear(u64, u64),
+    Lookup(u64),
+}
+
+/// Keys whose home slot, at the table's first capacity of 64, is one of
+/// the last three: their probe chains run off the end and wrap.
+fn tail_keys() -> Vec<u64> {
+    (0u64..4096).filter(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 >= 61).collect()
+}
+
+fn line_op_strategy() -> impl Strategy<Value = LineOp> {
+    // Narrow (long chains, deletions in their middle), tail (chains that
+    // wrap), wide (growth).
+    let key = || {
+        prop_oneof![
+            0u64..40,
+            (0usize..24).prop_map(|i| tail_keys()[i]),
+            (0usize..24).prop_map(|i| tail_keys()[i]),
+            0u64..4096,
+        ]
+    };
+    prop_oneof![
+        (key(), any::<u64>(), any::<u64>()).prop_map(|(k, r, w)| LineOp::Set(k, r | 1, w)),
+        (key(), any::<u64>(), any::<u64>()).prop_map(|(k, r, w)| LineOp::Set(k, r, w | 2)),
+        // Often every bit at once: that is how a line leaves.
+        (key(), any::<u64>(), any::<bool>())
+            .prop_map(|(k, m, all)| LineOp::Clear(k, if all { u64::MAX } else { m })),
+        key().prop_map(|k| LineOp::Clear(k, u64::MAX)),
+        key().prop_map(LineOp::Lookup),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// The open-addressed line table equals a `HashMap` under set-bits,
+    /// clear-bits (with removal of an all-zero line) and lookups: after
+    /// every step the touched key reads the same and the sizes agree;
+    /// at the end every key does, and the table is no larger than twice
+    /// the most lines ever live at once calls for.
+    #[test]
+    fn line_table_equals_a_hash_map(
+        ops in proptest::collection::vec(line_op_strategy(), 1..1500),
+    ) {
+        let mut table: OpenTable<(u64, u64), false> = OpenTable::new();
+        let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut peak = 0;
+        for op in &ops {
+            let key = match *op {
+                LineOp::Set(k, r, w) => {
+                    let (e, m) = (table.entry(k), model.entry(k).or_default());
+                    (e.0, e.1, m.0, m.1) = (e.0 | r, e.1 | w, m.0 | r, m.1 | w);
+                    k
+                }
+                LineOp::Clear(k, mask) => {
+                    if let Some(m) = model.get_mut(&k) {
+                        let e = table.get_mut(k).expect("the model has the key");
+                        (e.0, e.1, m.0, m.1) = (e.0 & !mask, e.1 & !mask, m.0 & !mask, m.1 & !mask);
+                        if *m == (0, 0) {
+                            model.remove(&k);
+                            table.remove(k);
+                        }
+                    } else {
+                        prop_assert!(table.get_mut(k).is_none());
+                        table.remove(k);
+                    }
+                    k
+                }
+                LineOp::Lookup(k) => k,
+            };
+            prop_assert_eq!(table.get(key), model.get(&key).copied(), "key {} after {:?}", key, op);
+            prop_assert_eq!(table.len(), model.len());
+            peak = peak.max(model.len());
+        }
+        for k in (0..4096).chain(tail_keys()) {
+            prop_assert_eq!(table.get(k), model.get(&k).copied(), "key {} at the end", k);
+        }
+        prop_assert!(table.capacity() <= (2 * (peak + 1)).next_power_of_two().max(64),
+            "{} slots for a peak of {} lines", table.capacity(), peak);
+    }
+
     /// The single-pass cache step equals `resident` followed by the
-    /// remove/push `touch`, for every associativity in use.
+    /// remove/push `touch`, for every associativity in use — through
+    /// MRU repeats and whole-set evictions too.
     #[test]
     fn single_pass_touch_equals_resident_then_touch(
-        lines in proptest::collection::vec(0u64..48, 1..400),
+        touches in proptest::collection::vec(touches_strategy(), 1..300),
     ) {
+        let lines: Vec<u64> = touches
+            .iter()
+            .flat_map(|t| match *t {
+                Touches::One(line) => vec![line],
+                Touches::Repeat(line, n) => vec![line; n as usize],
+                // Nine lines of one set, then the first again: evicted
+                // by now at every associativity.
+                Touches::Sweep(set, from) => {
+                    (from..from + 9).chain([from]).map(|i| set + 4 * i).collect()
+                }
+            })
+            .collect();
         for ways in [1usize, 2, 8] {
             let mut l1 = L1Model::new(4, ways);
             let mut reference = RefL1::new(4, ways);

@@ -121,6 +121,19 @@ impl Default for CostConfig {
 }
 
 impl CostConfig {
+    /// Checks the two parameters the scoreboard is built from: `width`
+    /// and `rob` must be at least 1 (a core that issues nothing, or holds
+    /// nothing in flight, has no timeline). The error names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.width == 0 {
+            return Err("width must be at least 1".to_string());
+        }
+        if self.rob == 0 {
+            return Err("rob must be at least 1".to_string());
+        }
+        Ok(())
+    }
+
     /// Latency of a compute opcode (memory, control, and intrinsics are
     /// priced by the VM, which has the required context).
     pub fn compute_latency(&self, op: &Op) -> u64 {
@@ -152,7 +165,8 @@ impl CostConfig {
     }
 }
 
-/// Per-thread issue/completion clock.
+/// Per-thread issue/completion clock of a `width`-wide core with a
+/// `rob`-deep reorder window, both fixed at construction.
 #[derive(Clone, Debug)]
 pub struct Scoreboard {
     /// Instructions issued so far.
@@ -162,91 +176,76 @@ pub struct Scoreboard {
     /// Earliest time the next instruction may start (set by pipeline
     /// flushes: mispredicts, aborts, blocking).
     pub floor: u64,
-    /// Reorder-window depth.
-    rob: usize,
-    /// Completion times of the last `rob` instructions (ring buffer).
-    ring: Vec<u64>,
-    /// `issued / div_width` and `issued % div_width`, maintained
-    /// incrementally so the hot issue path avoids two integer divisions
-    /// (`structural` and the ring slot). `div_width` caches the width the
-    /// pair was computed against; a width change (possible only if a
-    /// caller varies `CostConfig::width` mid-run) recomputes from scratch.
+    width: u64,
+    /// `issued / width` (the structural issue time) and `issued % width`,
+    /// maintained incrementally so the issue path divides nothing.
     q: u64,
     r: u64,
-    div_width: u64,
-    /// `issued % rob` (the ring slot), maintained incrementally.
-    slot: usize,
+    /// Completion times of the last `rob` instructions: a ring of the next
+    /// power of two, so instruction `n` lives at `n & (len - 1)` and the
+    /// one issued `rob` earlier at `(n + len - rob) & (len - 1)` — no wrap
+    /// branch, and an index the compiler can see is in bounds.
+    ring: Vec<u64>,
+    /// `ring.len() - rob`.
+    back: usize,
 }
 
 impl Default for Scoreboard {
     fn default() -> Self {
-        Scoreboard::with_rob(192)
+        let c = CostConfig::default();
+        Scoreboard::new(c.width, c.rob)
     }
 }
 
 impl Scoreboard {
-    /// Time zero over an all-zero `ring` of `rob` entries.
-    fn at_zero(rob: usize, ring: Vec<u64>) -> Self {
-        Scoreboard { issued: 0, clock: 0, floor: 0, rob, ring, q: 0, r: 0, div_width: 0, slot: 0 }
-    }
-
-    /// Creates a scoreboard with an explicit reorder-window depth. The
-    /// only place a ring is allocated.
-    pub fn with_rob(rob: usize) -> Self {
-        let rob = rob.max(1);
-        Self::at_zero(rob, vec![0; rob])
+    /// A scoreboard at time zero. The only place a ring is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` or `rob` is zero ([`CostConfig::validate`]).
+    pub fn new(width: u64, rob: usize) -> Self {
+        assert!(width >= 1 && rob >= 1, "a core issues and holds at least one instruction");
+        let len = rob.next_power_of_two();
+        let back = len - rob;
+        Scoreboard { issued: 0, clock: 0, floor: 0, width, q: 0, r: 0, ring: vec![0; len], back }
     }
 
     /// Back to the just-constructed state, keeping the ring allocation.
     pub fn reset(&mut self) {
-        let mut ring = std::mem::take(&mut self.ring);
-        ring.fill(0);
-        *self = Self::at_zero(self.rob, ring);
+        self.ring.fill(0);
+        (self.issued, self.clock, self.floor, self.q, self.r) = (0, 0, 0, 0, 0);
     }
 
-    /// `issued / width.max(1)`, via the incrementally maintained pair.
-    #[inline]
-    fn structural(&mut self, width: u64) -> u64 {
-        let w = width.max(1);
-        if w != self.div_width {
-            self.div_width = w;
-            self.q = self.issued / w;
-            self.r = self.issued % w;
-        }
-        self.q
-    }
-
-    /// Advances `issued` and the derived quotient/remainder/slot.
-    #[inline]
-    fn advance_issued(&mut self) {
-        self.issued += 1;
+    /// Takes the next issue slot: its structural issue time, the ring
+    /// entry that receives this instruction's completion time, and the
+    /// completion time of the instruction `rob` slots back (zero while the
+    /// window has never filled: the ring starts all-zero, so there is no
+    /// emptiness branch).
+    #[inline(always)]
+    fn slot(&mut self) -> (u64, &mut u64, u64) {
+        let structural = self.q;
         self.r += 1;
-        if self.r == self.div_width {
+        if self.r == self.width {
             self.r = 0;
             self.q += 1;
         }
-        self.slot += 1;
-        if self.slot == self.rob {
-            self.slot = 0;
-        }
+        let mask = self.ring.len() - 1;
+        let n = self.issued as usize;
+        self.issued += 1;
+        let rob_ready = self.ring[(n + self.back) & mask];
+        (structural, &mut self.ring[n & mask], rob_ready)
     }
 
     /// Issues one instruction whose operands are ready at `ready` and that
     /// takes `latency` cycles; returns its completion time.
     #[inline(always)]
-    pub fn issue(&mut self, width: u64, ready: u64, latency: u64) -> u64 {
-        let structural = self.structural(width);
+    pub fn issue(&mut self, ready: u64, latency: u64) -> u64 {
+        let floor = self.floor;
+        let (structural, slot, rob_ready) = self.slot();
         // Reorder-window constraint: wait for the instruction issued
         // `rob` slots ago to complete.
-        let slot = self.slot;
-        // The ring starts pre-filled with zeros, so `ring[slot]` is the
-        // completion time of the op issued `rob` slots ago (or zero while
-        // the window has never filled) with no emptiness branch.
-        let rob_ready = self.ring[slot];
-        self.advance_issued();
-        let start = structural.max(ready).max(self.floor).max(rob_ready);
-        let done = start + latency;
-        self.ring[slot] = done;
+        let done = structural.max(ready).max(floor).max(rob_ready) + latency;
+        *slot = done;
         self.clock = self.clock.max(done);
         done
     }
@@ -261,13 +260,11 @@ impl Scoreboard {
     /// Issues a fully serializing instruction: it waits for *all* earlier
     /// work to complete (pipeline drain) and nothing later starts before
     /// it finishes. Models `XBEGIN`/`XEND`, syscalls, and lock operations.
-    pub fn issue_serial(&mut self, width: u64, latency: u64) -> u64 {
-        let structural = self.structural(width);
-        let slot = self.slot;
-        self.advance_issued();
-        let start = structural.max(self.clock).max(self.floor);
-        let done = start + latency;
-        self.ring[slot] = done;
+    pub fn issue_serial(&mut self, latency: u64) -> u64 {
+        let (clock, floor) = (self.clock, self.floor);
+        let (structural, slot, _) = self.slot();
+        let done = structural.max(clock).max(floor) + latency;
+        *slot = done;
         self.clock = done;
         self.floor = done;
         done
@@ -286,7 +283,7 @@ mod tests {
         // 30 independent 1-cycle ops on a 3-wide machine: ~10 cycles.
         let mut last = 0;
         for _ in 0..30 {
-            last = sb.issue(3, 0, 1);
+            last = sb.issue(0, 1);
         }
         assert_eq!(last, 10);
         assert_eq!(sb.clock, 10);
@@ -298,7 +295,7 @@ mod tests {
         // Chain of 10 ops, each 5 cycles, each depending on the previous.
         let mut ready = 0;
         for _ in 0..10 {
-            ready = sb.issue(3, ready, 5);
+            ready = sb.issue(ready, 5);
         }
         assert_eq!(ready, 50);
     }
@@ -311,8 +308,8 @@ mod tests {
         let mut sb = Scoreboard::default();
         let (mut m_ready, mut s_ready) = (0, 0);
         for _ in 0..10 {
-            m_ready = sb.issue(3, m_ready, 5);
-            s_ready = sb.issue(3, s_ready, 5);
+            m_ready = sb.issue(m_ready, 5);
+            s_ready = sb.issue(s_ready, 5);
         }
         assert!(sb.clock <= 56, "clock = {}", sb.clock);
     }
@@ -322,11 +319,11 @@ mod tests {
         // 300 independent ops at width 3 = 100 cycles; 600 = 200 cycles.
         let mut a = Scoreboard::default();
         for _ in 0..300 {
-            a.issue(3, 0, 1);
+            a.issue(0, 1);
         }
         let mut b = Scoreboard::default();
         for _ in 0..600 {
-            b.issue(3, 0, 1);
+            b.issue(0, 1);
         }
         assert!(b.clock >= 2 * a.clock - 2);
     }
@@ -334,10 +331,93 @@ mod tests {
     #[test]
     fn floor_delays_subsequent_issues() {
         let mut sb = Scoreboard::default();
-        sb.issue(3, 0, 1);
+        sb.issue(0, 1);
         sb.flush_to(100);
-        let done = sb.issue(3, 0, 1);
+        let done = sb.issue(0, 1);
         assert_eq!(done, 101);
+    }
+
+    /// The scoreboard written the obvious way: a division for the
+    /// structural time, a `VecDeque` of the last `rob` completions.
+    struct NaiveSb {
+        width: u64,
+        rob: usize,
+        issued: u64,
+        clock: u64,
+        floor: u64,
+        window: std::collections::VecDeque<u64>,
+    }
+
+    impl NaiveSb {
+        /// `(structural issue time, completion of the op `rob` back)`.
+        fn slot(&mut self) -> (u64, u64) {
+            let structural = self.issued / self.width;
+            self.issued += 1;
+            let full = self.window.len() == self.rob;
+            (structural, if full { self.window.pop_front().unwrap() } else { 0 })
+        }
+
+        fn issue(&mut self, ready: u64, latency: u64) -> u64 {
+            let (structural, rob_ready) = self.slot();
+            let done = structural.max(ready).max(self.floor).max(rob_ready) + latency;
+            self.window.push_back(done);
+            self.clock = self.clock.max(done);
+            done
+        }
+
+        fn issue_serial(&mut self, latency: u64) -> u64 {
+            let (structural, _) = self.slot();
+            let done = structural.max(self.clock).max(self.floor) + latency;
+            self.window.push_back(done);
+            (self.clock, self.floor) = (done, done);
+            done
+        }
+    }
+
+    #[test]
+    fn ring_equals_the_naive_window_for_every_geometry() {
+        let mut rng = haft_ir::rng::Prng::new(0x5B);
+        for rob in [1usize, 2, 3, 192, 256] {
+            for width in [1u64, 3, 4] {
+                let mut sb = Scoreboard::new(width, rob);
+                // Two lives of one scoreboard: `reset` must forget the first.
+                for life in 0..2 {
+                    let window = std::collections::VecDeque::new();
+                    let mut naive = NaiveSb { width, rob, issued: 0, clock: 0, floor: 0, window };
+                    for step in 0..2000 {
+                        let at = format!("rob {rob} width {width} life {life} step {step}");
+                        match rng.below(16) {
+                            0 => assert_eq!(sb.issue_serial(7), naive.issue_serial(7), "{at}"),
+                            1 => {
+                                let t = naive.clock + rng.below(40);
+                                sb.flush_to(t);
+                                naive.floor = naive.floor.max(t);
+                                naive.clock = naive.clock.max(t);
+                            }
+                            _ => {
+                                // Ready times around the clock, so every
+                                // term of the `max` gets to win.
+                                let ready = (naive.clock + rng.below(24)).saturating_sub(12);
+                                let lat = 1 + rng.below(30);
+                                assert_eq!(sb.issue(ready, lat), naive.issue(ready, lat), "{at}");
+                            }
+                        }
+                        let state = (sb.issued, sb.clock, sb.floor);
+                        assert_eq!(state, (naive.issued, naive.clock, naive.floor), "{at}");
+                    }
+                    sb.reset();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_names_the_zero_parameter() {
+        assert_eq!(CostConfig::default().validate(), Ok(()));
+        let err = CostConfig { width: 0, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("width"), "{err}");
+        let err = CostConfig { rob: 0, ..Default::default() }.validate().unwrap_err();
+        assert!(err.contains("rob"), "{err}");
     }
 
     #[test]

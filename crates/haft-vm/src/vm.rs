@@ -28,8 +28,9 @@ const MAX_CALL_DEPTH: usize = 128;
 /// dynamic register-write stream, so a [`FaultPlan`] occurrence lands on
 /// the same logical micro-op either way. `Fused` pre-decodes each
 /// function into a dense dispatch form (resolved jump targets and
-/// operands, fused super-instructions for the hot harden idioms, pooled
-/// register windows) and exists purely to make simulation wall-clock
+/// operands, opcodes of their own for the hot ALU pairs, pooled register
+/// windows, straight-line stretches run on borrows taken once) and
+/// exists purely to make simulation wall-clock
 /// faster; `Interp` executes straight from the IR and is kept as the
 /// executable reference the differential test harness pins `Fused`
 /// against.
@@ -38,7 +39,7 @@ pub enum Engine {
     /// Reference interpreter: per-op IR walk; it consults the decoded
     /// form only to name each op to the profiler and forensics hooks.
     Interp,
-    /// Pre-decoded direct dispatch with fused super-instructions.
+    /// Pre-decoded direct dispatch in register-only runs.
     #[default]
     Fused,
 }
@@ -229,13 +230,23 @@ impl RunResult {
     }
 }
 
+/// One virtual register: its value and the cycle the value is ready.
+/// Interleaved so that an operand read is one bounds check and one cache
+/// line, and a frame owns one allocation.
+#[derive(Clone, Copy, Debug, Default)]
+struct Reg {
+    val: u64,
+    ready: u64,
+}
+
+/// One activation: where it executes and its register window, one
+/// [`Reg`] per IR value of the function.
 #[derive(Clone, Debug)]
 struct Frame {
     func: FuncId,
     block: BlockId,
     idx: usize,
-    regs: Vec<u64>,
-    ready: Vec<u64>,
+    regs: Vec<Reg>,
     /// Caller register to receive our return value.
     return_to: Option<ValueId>,
 }
@@ -253,6 +264,9 @@ struct TxSnapshot {
     counter: u64,
 }
 
+/// One simulated thread: its frame stack, its [`Scoreboard`] (built once
+/// from the run's `CostConfig` width and window, reset per phase), its
+/// transaction state, and each engine's memory-ordering side structures.
 #[derive(Clone, Debug)]
 struct Thread {
     frames: Vec<Frame>,
@@ -296,11 +310,11 @@ struct Thread {
 }
 
 impl Thread {
-    fn new(rob: usize) -> Self {
+    fn new(cost: &CostConfig) -> Self {
         Thread {
             frames: Vec::new(),
             state: ThreadState::Done,
-            sb: Scoreboard::with_rob(rob),
+            sb: Scoreboard::new(cost.width, cost.rob),
             counter: 0,
             threshold: 0,
             store_done: HashMap::new(),
@@ -381,7 +395,7 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Decodes and fuses `module` under `cfg.cost`.
+    /// Decodes `module` (and takes its fuse census) under `cfg.cost`.
     pub fn new(module: &Module, cfg: &VmConfig) -> Self {
         let (global_bases, _) = Memory::layout(module);
         let decoded = decode::Decoded::decode(module, &global_bases, &cfg.cost);
@@ -426,12 +440,9 @@ pub struct Vm<'m> {
     wall_cycles: u64,
     cpu_cycles: u64,
     phases: PhaseCycles,
-    /// Ops retired at the head of a fused super-instruction (diagnostic;
-    /// see [`Vm::fused_retired`]).
-    fused_retired: u64,
     /// Register-window pool for the fused engine: retired call frames
-    /// donate their `(regs, ready)` vectors so calls stop allocating.
-    pool: Vec<(Vec<u64>, Vec<u64>)>,
+    /// donate their windows so calls stop allocating.
+    pool: Vec<Vec<Reg>>,
     /// Scratch for parallel phi-move evaluation (fused engine).
     phi_scratch: Vec<(u32, u64, u64, Ty)>,
     /// Scratch for call-argument evaluation (fused engine).
@@ -451,12 +462,20 @@ pub struct Vm<'m> {
 
 impl<'m> Vm<'m> {
     /// Creates a VM over `module`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.cost` fails [`CostConfig::validate`] or `cfg.htm`
+    /// fails [`HtmConfig::validate`].
     pub fn new(module: &'m Module, cfg: VmConfig) -> Self {
+        if let Err(why) = cfg.cost.validate() {
+            panic!("invalid CostConfig: {why}");
+        }
         let mem = Memory::new(module, cfg.mem_bytes);
         let htm = Htm::new(cfg.htm.clone(), cfg.n_threads.max(1));
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
-        let threads = (0..n_threads).map(|_| Thread::new(cfg.cost.rob)).collect();
+        let threads = (0..n_threads).map(|_| Thread::new(&cfg.cost)).collect();
         let fault = cfg.fault;
         let forensics = (cfg.forensics && fault.is_some())
             .then(|| Box::new(forensics::ForensicsState::new(n_threads)));
@@ -484,7 +503,6 @@ impl<'m> Vm<'m> {
             wall_cycles: 0,
             cpu_cycles: 0,
             phases: PhaseCycles::default(),
-            fused_retired: 0,
             pool: Vec::new(),
             phi_scratch: Vec::new(),
             arg_scratch: Vec::new(),
@@ -506,13 +524,6 @@ impl<'m> Vm<'m> {
         m.set("vm.fuse.vote_mem", stats.vote_mem as f64);
         m.set("vm.fuse.total", stats.total() as f64);
         m
-    }
-
-    /// Ops retired so far at the head of a fused super-instruction
-    /// (always zero under [`Engine::Interp`]). A diagnostic counter —
-    /// deliberately not part of [`RunResult`], which is engine-invariant.
-    pub fn fused_retired(&self) -> u64 {
-        self.fused_retired
     }
 
     /// Executes all phases of `spec` and returns the measurements.
@@ -702,7 +713,6 @@ impl<'m> Vm<'m> {
             wall_cycles: self.wall_cycles,
             cpu_cycles: self.cpu_cycles,
             phases: self.phases,
-            fused_retired: self.fused_retired,
             pool: Vec::new(),
             phi_scratch: Vec::new(),
             arg_scratch: Vec::new(),
@@ -814,15 +824,13 @@ impl<'m> Vm<'m> {
     fn make_frame(&mut self, fid: FuncId, args: &[u64], return_to: Option<ValueId>) -> Frame {
         let df = &self.code().funcs[fid.0 as usize];
         assert_eq!(df.n_params, args.len(), "arity mismatch calling {}", self.m.func(fid).name);
-        let (mut regs, mut ready) = self.pool.pop().unwrap_or_default();
+        let mut regs = self.pool.pop().unwrap_or_default();
         regs.clear();
-        regs.resize(df.n_values, 0);
-        ready.clear();
-        ready.resize(df.n_values, 0);
+        regs.resize(df.n_values, Reg::default());
         for (i, a) in args.iter().enumerate() {
-            regs[i] = a & df.param_masks[i];
+            regs[i].val = a & df.param_masks[i];
         }
-        Frame { func: fid, block: BlockId(0), idx: 0, regs, ready, return_to }
+        Frame { func: fid, block: BlockId(0), idx: 0, regs, return_to }
     }
 
     fn reset_thread_for(&mut self, tid: usize, fid: FuncId, args: &[u64]) {
@@ -1237,7 +1245,7 @@ impl<'m> Vm<'m> {
         // XBEGIN drains the pipeline: the checkpoint covers all earlier
         // work, and speculation starts after it.
         let cost = &self.cfg.cost;
-        let done = self.threads[tid].sb.issue_serial(cost.width, cost.lat_tx_begin);
+        let done = self.threads[tid].sb.issue_serial(cost.lat_tx_begin);
         self.tx_begin(tid, done);
         Flow::Continue
     }
@@ -1247,15 +1255,15 @@ impl<'m> Vm<'m> {
         let t = &mut self.threads[tid];
         if t.tx_depth > 1 {
             t.tx_depth -= 1;
-            t.sb.issue(cost.width, 0, cost.lat_int);
+            t.sb.issue(0, cost.lat_int);
         } else if t.in_tx() {
-            t.sb.issue_serial(cost.width, cost.lat_tx_end);
+            t.sb.issue_serial(cost.lat_tx_end);
             if let Err(cause) = self.tx_commit(tid) {
                 self.tx_abort(tid, cause);
             }
         } else {
             // Fallback mode: nothing to commit.
-            t.sb.issue(cost.width, 0, cost.lat_int);
+            t.sb.issue(0, cost.lat_int);
         }
         Flow::Continue
     }
@@ -1267,7 +1275,7 @@ impl<'m> Vm<'m> {
         let cost = &self.cfg.cost;
         let t = &mut self.threads[tid];
         if t.in_tx() {
-            t.sb.issue_serial(cost.width, cost.lat_tx_end);
+            t.sb.issue_serial(cost.lat_tx_end);
             if let Err(cause) = self.tx_commit(tid) {
                 self.tx_abort(tid, cause);
                 return Flow::Continue;
@@ -1293,7 +1301,7 @@ impl<'m> Vm<'m> {
             self.tx_abort(tid, AbortCause::Unfriendly);
         } else {
             let t = &mut self.threads[tid];
-            t.sb.issue_serial(self.cfg.cost.width, self.cfg.cost.lat_emit);
+            t.sb.issue_serial(self.cfg.cost.lat_emit);
             t.emitted.push(val);
         }
         Flow::Continue
@@ -1337,7 +1345,6 @@ impl<'m> Vm<'m> {
     }
 
     fn exec_lock(&mut self, tid: usize, addr: u64, ready: u64) -> Flow {
-        let width = self.cfg.cost.width;
         if self.threads[tid].in_tx() {
             if self.cfg.lock_elision {
                 // Elide: read the lock word into the read set; any real
@@ -1345,7 +1352,7 @@ impl<'m> Vm<'m> {
                 self.htm.access(tid, addr, 8, AccessKind::Read);
                 match self.mem_load(tid, addr, 8) {
                     Ok(0) => {
-                        self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_load_hit);
+                        self.threads[tid].sb.issue(ready, self.cfg.cost.lat_load_hit);
                         self.threads[tid].elided.push(addr);
                         Flow::Continue
                     }
@@ -1374,7 +1381,7 @@ impl<'m> Vm<'m> {
                     let release = self.lock_release_clock.get(&addr).copied().unwrap_or(0);
                     let t = &mut self.threads[tid];
                     t.sb.flush_to(release);
-                    t.sb.issue_serial(width, self.cfg.cost.lat_lock);
+                    t.sb.issue_serial(self.cfg.cost.lat_lock);
                     Flow::Continue
                 }
                 Ok(_) => Flow::Blocked(addr),
@@ -1384,10 +1391,9 @@ impl<'m> Vm<'m> {
     }
 
     fn exec_unlock(&mut self, tid: usize, addr: u64, ready: u64) -> Flow {
-        let width = self.cfg.cost.width;
         if self.threads[tid].elided.last() == Some(&addr) {
             self.threads[tid].elided.pop();
-            self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_int);
+            self.threads[tid].sb.issue(ready, self.cfg.cost.lat_int);
             return Flow::Continue;
         }
         if self.threads[tid].in_tx() {
@@ -1399,7 +1405,7 @@ impl<'m> Vm<'m> {
         let _ = ready;
         match self.mem.store(addr, 8, 0) {
             Ok(()) => {
-                let done = self.threads[tid].sb.issue_serial(width, self.cfg.cost.lat_unlock);
+                let done = self.threads[tid].sb.issue_serial(self.cfg.cost.lat_unlock);
                 self.lock_release_clock.insert(addr, done);
                 Flow::Continue
             }

@@ -58,10 +58,34 @@ pub(crate) struct PhiMove {
     pub ty: Ty,
 }
 
+/// Operands of a decode-resolved two-input ALU opcode: sources,
+/// destination, latency. Operator and type are the opcode itself.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Alu2 {
+    pub a: Src,
+    pub b: Src,
+    pub dst: u32,
+    pub lat: u64,
+}
+
 /// A decoded instruction. Mirrors [`Op`] arm for arm, with every
 /// decode-time-computable quantity already computed.
+///
+/// The `…64` opcodes are `Bin`/`Cmp` with operator and type resolved at
+/// decode — the pairs that dominate the dynamic census, on 64-bit
+/// integers (`I64` or `Ptr`), where operand masking is the identity — so
+/// the engine spends one dispatch on them instead of dispatch, float
+/// test, operator jump and mask lookups. Only the engine's executor
+/// matches on them; everything that *observes* ops (profiler classes,
+/// taint transfer, the fuse census) sees [`DOp::generic`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum DOp {
+    Add64(Alu2),
+    Mul64(Alu2),
+    And64(Alu2),
+    CmpEq64(Alu2),
+    CmpNe64(Alu2),
+    CmpSlt64(Alu2),
     Bin {
         op: BinOp,
         ty: Ty,
@@ -207,16 +231,46 @@ pub(crate) enum DOp {
     TrapMalformed,
 }
 
-/// One decoded function: flat code, fuse flags, and the frame-layout
-/// facts the executor needs without touching the IR.
+/// Pattern matching every decode-resolved opcode: the arm an exhaustive
+/// match over a [`DOp::generic`] form declares unreachable.
+macro_rules! resolved {
+    () => {
+        DOp::Add64(_)
+            | DOp::Mul64(_)
+            | DOp::And64(_)
+            | DOp::CmpEq64(_)
+            | DOp::CmpNe64(_)
+            | DOp::CmpSlt64(_)
+    };
+}
+pub(crate) use resolved;
+
+impl DOp {
+    /// The `Bin`/`Cmp` a decode-resolved opcode stands for (any other op
+    /// is returned as it is). The type reads `I64` where the IR may have
+    /// said `Ptr`: the same 64-bit word, and no observer reads it.
+    pub(crate) fn generic(self) -> DOp {
+        let bin = |op, Alu2 { a, b, dst, lat }| DOp::Bin { op, ty: Ty::I64, a, b, dst, lat };
+        let cmp = |op, Alu2 { a, b, dst, .. }| DOp::Cmp { op, ty: Ty::I64, a, b, dst };
+        match self {
+            DOp::Add64(x) => bin(BinOp::Add, x),
+            DOp::Mul64(x) => bin(BinOp::Mul, x),
+            DOp::And64(x) => bin(BinOp::And, x),
+            DOp::CmpEq64(x) => cmp(CmpOp::Eq, x),
+            DOp::CmpNe64(x) => cmp(CmpOp::Ne, x),
+            DOp::CmpSlt64(x) => cmp(CmpOp::SLt, x),
+            other => other,
+        }
+    }
+}
+
+/// One decoded function: flat code and the frame-layout facts the
+/// executor needs without touching the IR.
 #[derive(Debug)]
 pub(crate) struct DFunc {
     pub code: Vec<DOp>,
     /// `block_start[b]` — pc of block `b`'s first slot.
     pub block_start: Vec<usize>,
-    /// `fuse[pc]` — after `code[pc]` completes cleanly, execution may
-    /// chain straight into `code[pc + 1]` within one dispatch.
-    pub fuse: Vec<bool>,
     pub n_values: usize,
     pub n_params: usize,
     pub param_masks: Vec<u64>,
@@ -315,14 +369,23 @@ impl Decoded {
                     let inst = f.inst(iid);
                     let dst = f.inst_result(iid).map(|v| v.0);
                     let dop = match &inst.op {
-                        Op::Bin { op, ty, a, b } => DOp::Bin {
-                            op: *op,
-                            ty: *ty,
-                            a: lower(a, global_bases),
-                            b: lower(b, global_bases),
-                            dst: dst.expect("bin has result"),
-                            lat: cost.compute_latency(&inst.op),
-                        },
+                        Op::Bin { op, ty, a, b } => {
+                            let x = Alu2 {
+                                a: lower(a, global_bases),
+                                b: lower(b, global_bases),
+                                dst: dst.expect("bin has result"),
+                                lat: cost.compute_latency(&inst.op),
+                            };
+                            match (op, ty) {
+                                (BinOp::Add, Ty::I64 | Ty::Ptr) => DOp::Add64(x),
+                                (BinOp::Mul, Ty::I64 | Ty::Ptr) => DOp::Mul64(x),
+                                (BinOp::And, Ty::I64 | Ty::Ptr) => DOp::And64(x),
+                                _ => {
+                                    let Alu2 { a, b, dst, lat } = x;
+                                    DOp::Bin { op: *op, ty: *ty, a, b, dst, lat }
+                                }
+                            }
+                        }
                         Op::Un { op, ty, a } => DOp::Un {
                             op: *op,
                             ty: *ty,
@@ -330,13 +393,20 @@ impl Decoded {
                             dst: dst.expect("un has result"),
                             lat: cost.compute_latency(&inst.op),
                         },
-                        Op::Cmp { op, ty, a, b } => DOp::Cmp {
-                            op: *op,
-                            ty: *ty,
-                            a: lower(a, global_bases),
-                            b: lower(b, global_bases),
-                            dst: dst.expect("cmp has result"),
-                        },
+                        Op::Cmp { op, ty, a, b } => {
+                            let x = Alu2 {
+                                a: lower(a, global_bases),
+                                b: lower(b, global_bases),
+                                dst: dst.expect("cmp has result"),
+                                lat: cost.lat_int,
+                            };
+                            match (op, ty) {
+                                (CmpOp::Eq, Ty::I64 | Ty::Ptr) => DOp::CmpEq64(x),
+                                (CmpOp::Ne, Ty::I64 | Ty::Ptr) => DOp::CmpNe64(x),
+                                (CmpOp::SLt, Ty::I64 | Ty::Ptr) => DOp::CmpSlt64(x),
+                                _ => DOp::Cmp { op: *op, ty: *ty, a: x.a, b: x.b, dst: x.dst },
+                            }
+                        }
                         Op::Move { ty, a } => DOp::MoveV {
                             ty: *ty,
                             a: lower(a, global_bases),
@@ -491,11 +561,10 @@ impl Decoded {
                 }
                 ranges.push((start, code.len()));
             }
-            let fuse = fuse::compute(&code, &ranges, &mut stats);
+            fuse::census(&code, &ranges, &mut stats);
             funcs.push(DFunc {
                 code,
                 block_start,
-                fuse,
                 n_values: f.values.len(),
                 n_params: f.params.len(),
                 param_masks: f.params.iter().map(|p| p.mask()).collect(),
@@ -582,7 +651,7 @@ mod tests {
         let d = Decoded::decode(&m, &mem.global_bases, &CostConfig::default());
         let DOp::Load { addr, .. } = d.funcs[0].code[0] else { panic!() };
         assert_eq!(addr, Src::Const(mem.global_bases[0]));
-        let DOp::Bin { b, a, .. } = d.funcs[0].code[1] else { panic!() };
+        let DOp::Bin { b, a, .. } = d.funcs[0].code[1] else { panic!("an i8 add stays generic") };
         assert_eq!(b, Src::Const(0xff), "imm pre-masked to its type");
         assert_eq!(a, Src::Slot(lv.unwrap().0));
     }

@@ -34,16 +34,17 @@
 //! op between its hooks, reaching an eligible op through the same
 //! [`RunCtx::exec`] body.
 
+use haft_htm::table::OpenTable;
 use haft_htm::{AccessKind, Htm};
 use haft_ir::function::ValueId;
 use haft_ir::inst::RmwOp;
 use haft_ir::module::FuncId;
 use haft_ir::types::Ty;
 
-use super::decode::{DOp, Decoded, Edge, Src};
+use super::decode::{resolved, Alu2, DOp, Decoded, Edge, Src};
 use super::forensics::ForensicsState;
 use super::{
-    eval_bin, eval_cast, eval_cmp, eval_un, Flow, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
+    eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
 };
 use crate::cost::{CostConfig, Scoreboard};
 use crate::fault::FaultPlan;
@@ -71,8 +72,7 @@ struct RunCtx<'a> {
     /// Next op of the live frame: `Frame::idx`, written back by whoever
     /// built the context.
     pc: usize,
-    regs: &'a mut [u64],
-    ready: &'a mut [u64],
+    regs: &'a mut [Reg],
     sb: &'a mut Scoreboard,
     counter: &'a mut u64,
     bp_dense: &'a mut [u8],
@@ -80,6 +80,9 @@ struct RunCtx<'a> {
     store_done: &'a mut CellMap,
     occ: &'a mut u64,
     fault: &'a mut Option<FaultPlan>,
+    /// `fault`'s occurrence, `u64::MAX` (never reached) with none armed:
+    /// the register write's whole fault hook is one compare against it.
+    fault_at: u64,
     mispredicts: &'a mut u64,
     phi_scratch: &'a mut Vec<(u32, u64, u64, Ty)>,
     htm: &'a mut Htm,
@@ -104,7 +107,10 @@ impl RunCtx<'_> {
     #[inline(always)]
     fn rd(&self, s: Src) -> (u64, u64) {
         match s {
-            Src::Slot(i) => (self.regs[i as usize], self.ready[i as usize]),
+            Src::Slot(i) => {
+                let r = self.regs[i as usize];
+                (r.val, r.ready)
+            }
             Src::Const(v) => (v, 0),
         }
     }
@@ -113,19 +119,25 @@ impl RunCtx<'_> {
     /// occurrence counting, same fault hook).
     #[inline(always)]
     fn wreg(&mut self, dst: u32, val: u64, ready: u64, ty: Ty) {
-        self.regs[dst as usize] = val & ty.mask();
-        self.ready[dst as usize] = ready;
-        *self.occ += 1;
-        if let Some(plan) = *self.fault {
-            if *self.occ - 1 == plan.occurrence {
-                let mask = plan.effective_mask(ty);
-                self.regs[dst as usize] ^= mask;
-                *self.fault = None;
-                if let Some(fx) = self.fx.as_deref_mut() {
-                    fx.seed(self.func, self.depth, dst, mask, plan.occurrence);
-                }
-            }
+        self.regs[dst as usize] = Reg { val: val & ty.mask(), ready };
+        let occ = *self.occ;
+        *self.occ = occ + 1;
+        if occ == self.fault_at {
+            self.fault_at = u64::MAX;
+            let at = (self.func, self.depth, dst);
+            flip(&mut self.regs[dst as usize], self.fault, self.fx, at, ty);
         }
+    }
+
+    /// A two-input ALU op: operand reads → issue → register write of
+    /// `f(a, b)` as a `ty`. The one body behind `Cmp` and every
+    /// decode-resolved opcode.
+    #[inline(always)]
+    fn alu2(&mut self, x: Alu2, ty: Ty, f: impl FnOnce(u64, u64) -> u64) {
+        let (av, ar) = self.rd(x.a);
+        let (bv, br) = self.rd(x.b);
+        let done = self.sb.issue(ar.max(br), x.lat);
+        self.wreg(x.dst, f(av, bv), done, ty);
     }
 
     /// Issues a vote over operands ready at `ready` and forwards its
@@ -133,9 +145,8 @@ impl RunCtx<'_> {
     /// `write_reg_forwarded`).
     #[inline(always)]
     fn forward(&mut self, dst: u32, val: u64, ready: u64, ty: Ty) {
-        let done = self.sb.issue(self.cost.width, ready, self.cost.lat_vote);
-        self.regs[dst as usize] = val & ty.mask();
-        self.ready[dst as usize] = done;
+        let done = self.sb.issue(ready, self.cost.lat_vote);
+        self.regs[dst as usize] = Reg { val: val & ty.mask(), ready: done };
     }
 
     /// Takes a decoded CFG edge: parallel phi moves, then the pc jump.
@@ -169,42 +180,47 @@ impl RunCtx<'_> {
     /// Every refusal is decided before the first state change.
     #[inline(always)]
     fn exec(&mut self, op: &DOp) -> Ran {
-        let width = self.cost.width;
         match *op {
             // --- compute -----------------------------------------------------
+            // Decode-resolved: 64-bit operands, so no masking, and the
+            // compares write an `I1` like `Cmp` does.
+            DOp::Add64(x) => self.alu2(x, Ty::I64, u64::wrapping_add),
+            DOp::Mul64(x) => self.alu2(x, Ty::I64, u64::wrapping_mul),
+            DOp::And64(x) => self.alu2(x, Ty::I64, |a, b| a & b),
+            DOp::CmpEq64(x) => self.alu2(x, Ty::I1, |a, b| (a == b) as u64),
+            DOp::CmpNe64(x) => self.alu2(x, Ty::I1, |a, b| (a != b) as u64),
+            DOp::CmpSlt64(x) => self.alu2(x, Ty::I1, |a, b| ((a as i64) < (b as i64)) as u64),
             DOp::Bin { op, ty, a, b, dst, lat } => {
                 let (av, ar) = self.rd(a);
                 let (bv, br) = self.rd(b);
                 let Ok(v) = eval_bin(op, ty, av, bv) else { return Ran::Refused };
-                let done = self.sb.issue(width, ar.max(br), lat);
+                let done = self.sb.issue(ar.max(br), lat);
                 self.wreg(dst, v, done, ty);
             }
             DOp::Un { op, ty, a, dst, lat } => {
                 let (av, ar) = self.rd(a);
-                let done = self.sb.issue(width, ar, lat);
+                let done = self.sb.issue(ar, lat);
                 self.wreg(dst, eval_un(op, ty, av), done, ty);
             }
             DOp::Cmp { op, ty, a, b, dst } => {
-                let (av, ar) = self.rd(a);
-                let (bv, br) = self.rd(b);
-                let done = self.sb.issue(width, ar.max(br), self.cost.lat_int);
-                self.wreg(dst, eval_cmp(op, ty, av, bv) as u64, done, Ty::I1);
+                let x = Alu2 { a, b, dst, lat: self.cost.lat_int };
+                self.alu2(x, Ty::I1, |av, bv| eval_cmp(op, ty, av, bv) as u64);
             }
             DOp::MoveV { ty, a, dst } => {
                 let (av, ar) = self.rd(a);
-                let done = self.sb.issue(width, ar, self.cost.lat_int);
+                let done = self.sb.issue(ar, self.cost.lat_int);
                 self.wreg(dst, av, done, ty);
             }
             DOp::Cast { kind, from, to, a, dst } => {
                 let (av, ar) = self.rd(a);
-                let done = self.sb.issue(width, ar, self.cost.lat_int);
+                let done = self.sb.issue(ar, self.cost.lat_int);
                 self.wreg(dst, eval_cast(kind, from, to, av), done, to);
             }
             DOp::Select { ty, c, t, f, dst } => {
                 let (cv, cr) = self.rd(c);
                 let (tv, tr) = self.rd(t);
                 let (fv, fr) = self.rd(f);
-                let done = self.sb.issue(width, cr.max(tr).max(fr), self.cost.lat_int);
+                let done = self.sb.issue(cr.max(tr).max(fr), self.cost.lat_int);
                 self.wreg(dst, if cv & 1 != 0 { tv } else { fv }, done, ty);
             }
             DOp::Gep { base, index, scale, offset, dst } => {
@@ -212,7 +228,7 @@ impl RunCtx<'_> {
                 let (iv, ir) = self.rd(index);
                 let v =
                     bv.wrapping_add((iv as i64).wrapping_mul(scale) as u64).wrapping_add(offset);
-                let done = self.sb.issue(width, br.max(ir), self.cost.lat_int);
+                let done = self.sb.issue(br.max(ir), self.cost.lat_int);
                 self.wreg(dst, v, done, Ty::Ptr);
             }
 
@@ -237,7 +253,7 @@ impl RunCtx<'_> {
                     self.cost.lat_load_miss
                 };
                 let dep = self.store_done.ready(av, len);
-                let done = self.sb.issue(width, ar.max(dep), lat);
+                let done = self.sb.issue(ar.max(dep), lat);
                 self.wreg(dst, v, done, ty);
                 return Ran::Mem;
             }
@@ -255,20 +271,20 @@ impl RunCtx<'_> {
                     self.mem.store(av, len, vv).expect("bounds checked above");
                 }
                 let lat = if atomic { self.cost.lat_atomic } else { self.cost.lat_store };
-                let done = self.sb.issue(width, vr.max(ar), lat);
+                let done = self.sb.issue(vr.max(ar), lat);
                 self.store_done.note(av, len, done);
                 return Ran::Mem;
             }
 
             // --- control ----------------------------------------------------
             DOp::Br { edge } => {
-                self.sb.issue(width, 0, self.cost.lat_branch);
+                self.sb.issue(0, self.cost.lat_branch);
                 self.take_edge(edge);
             }
             DOp::CondBr { cond, t, f, bp } => {
                 let (cv, cr) = self.rd(cond);
                 let taken = cv & 1 != 0;
-                let done = self.sb.issue(width, cr, self.cost.lat_branch);
+                let done = self.sb.issue(cr, self.cost.lat_branch);
                 // Dense 1-bit predictor: 0 unknown, 1 not-taken, 2 taken.
                 let prev = std::mem::replace(&mut self.bp_dense[bp as usize], 1 + taken as u8);
                 if prev != 0 && (prev == 2) != taken {
@@ -283,11 +299,11 @@ impl RunCtx<'_> {
                 if *self.counter >= self.split_at {
                     return Ran::Refused;
                 }
-                self.sb.issue(width, 0, self.cost.lat_tx_split_check);
+                self.sb.issue(0, self.cost.lat_tx_split_check);
             }
             DOp::TxCounterInc { amount } => {
                 *self.counter += amount;
-                self.sb.issue(width, 0, self.cost.lat_counter_inc);
+                self.sb.issue(0, self.cost.lat_counter_inc);
             }
             DOp::Vote { ty, a, b, c, dst } | DOp::ChkCorrect { ty, a, b, c, dst } => {
                 let (av, ar) = self.rd(a);
@@ -299,17 +315,39 @@ impl RunCtx<'_> {
                 self.forward(dst, av, ar.max(br).max(cr), ty);
             }
             DOp::ThreadIdD { dst } => {
-                let done = self.sb.issue(width, 0, self.cost.lat_int);
+                let done = self.sb.issue(0, self.cost.lat_int);
                 self.wreg(dst, self.tid as u64, done, Ty::I64);
             }
             DOp::NumThreadsD { dst } => {
-                let done = self.sb.issue(width, 0, self.cost.lat_int);
+                let done = self.sb.issue(0, self.cost.lat_int);
                 self.wreg(dst, self.n_threads, done, Ty::I64);
             }
             DOp::Nop => {}
             _ => return Ran::Refused,
         }
         Ran::Done
+    }
+}
+
+/// The planned upset lands on the register write just made: `reg`, which
+/// is register `at.2` of the frame at depth `at.1` running `at.0`. Out of
+/// line, and over exactly what it touches rather than `&mut RunCtx`: a
+/// context whose address escapes at every register write stays in memory
+/// instead of registers (as a method this cost 4 % of `batch-exec`).
+#[cold]
+#[inline(never)]
+fn flip(
+    reg: &mut Reg,
+    fault: &mut Option<FaultPlan>,
+    fx: &mut Option<Box<ForensicsState>>,
+    at: (FuncId, usize, u32),
+    ty: Ty,
+) {
+    let plan = fault.take().expect("fault_at is the armed plan's occurrence");
+    let mask = plan.effective_mask(ty);
+    reg.val ^= mask;
+    if let Some(fx) = fx.as_deref_mut() {
+        fx.seed(at.0, at.1, at.2, mask, plan.occurrence);
     }
 }
 
@@ -323,13 +361,13 @@ impl<'m> Vm<'m> {
         RunCtx {
             pc: fr.idx,
             regs: &mut fr.regs,
-            ready: &mut fr.ready,
             sb: &mut t.sb,
             counter: &mut t.counter,
             bp_dense: &mut t.bp_dense,
             fovl: &mut t.fovl,
             store_done: &mut t.store_done_fast,
             occ: &mut self.occ,
+            fault_at: self.fault.map_or(u64::MAX, |plan| plan.occurrence),
             fault: &mut self.fault,
             mispredicts: &mut self.mispredicts,
             phi_scratch: &mut self.phi_scratch,
@@ -371,7 +409,7 @@ impl<'m> Vm<'m> {
         let stop_clock = if t.in_tx() { horizon.min(t.last_poll_clock + 257) } else { horizon };
         let df = &d.funcs[t.frames.last().expect("live frame").func.0 as usize];
         let mut cx = self.run_ctx(tid, d);
-        let (mut retired, mut fused) = (0u64, 0u64);
+        let mut retired = 0u64;
         let refused = loop {
             let pc = cx.pc;
             cx.pc = pc + 1;
@@ -381,7 +419,6 @@ impl<'m> Vm<'m> {
                 break true;
             }
             retired += 1;
-            fused += df.fuse[pc] as u64;
             if cx.sb.clock >= stop_clock
                 || retired >= budget
                 || *cx.occ >= pause_at
@@ -393,7 +430,6 @@ impl<'m> Vm<'m> {
         let pc = cx.pc;
         self.threads[tid].frames.last_mut().expect("live frame").idx = pc;
         self.instructions += retired;
-        self.fused_retired += fused;
         refused
     }
 
@@ -436,7 +472,6 @@ impl<'m> Vm<'m> {
                 fr.idx = pc + 1;
                 self.instructions += 1;
                 let df = &d.funcs[fid];
-                self.fused_retired += df.fuse[pc] as u64;
                 let op = &df.code[pc];
                 self.before_op(tid, fid as u32, op, d);
                 // An instrumented step reaches an eligible op through the
@@ -506,7 +541,7 @@ impl<'m> Vm<'m> {
             vals.push(v);
             ready = ready.max(r);
         }
-        cx.sb.issue(cx.cost.width, ready, cx.cost.lat_call);
+        cx.sb.issue(ready, cx.cost.lat_call);
         let frame = self.make_frame(FuncId(target), &vals, dst.map(ValueId));
         self.arg_scratch = vals;
         self.threads[tid].frames.push(frame);
@@ -521,7 +556,6 @@ impl<'m> Vm<'m> {
     /// split). Operand reads and register writes go through a short-lived
     /// [`RunCtx`] of the live frame.
     fn exec_dop(&mut self, tid: usize, op: &DOp, d: &Decoded) -> Flow {
-        let width = self.cfg.cost.width;
         match *op {
             // --- refused by a run ---------------------------------------------
             // The only trap `eval_bin` raises.
@@ -556,10 +590,11 @@ impl<'m> Vm<'m> {
             }
             DOp::TxCondSplit => {
                 // At the threshold with no lock elided: commit and reopen.
-                self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
+                self.threads[tid].sb.issue(0, self.cfg.cost.lat_tx_split_check);
                 self.exec_tx_split(tid)
             }
-            DOp::Un { .. }
+            resolved!()
+            | DOp::Un { .. }
             | DOp::Cmp { .. }
             | DOp::MoveV { .. }
             | DOp::Cast { .. }
@@ -590,8 +625,7 @@ impl<'m> Vm<'m> {
                             Ok(()) => {
                                 let mut cx = self.run_ctx(tid, d);
                                 let dep = cx.store_done.ready(av, len);
-                                let done =
-                                    cx.sb.issue(width, ar.max(vr).max(dep), cx.cost.lat_atomic);
+                                let done = cx.sb.issue(ar.max(vr).max(dep), cx.cost.lat_atomic);
                                 cx.store_done.note(av, len, done);
                                 cx.wreg(dst, old, done, ty);
                                 Flow::Continue
@@ -616,7 +650,7 @@ impl<'m> Vm<'m> {
                                 let mut cx = self.run_ctx(tid, d);
                                 let dep = cx.store_done.ready(av, len);
                                 let ready = ar.max(er).max(nr).max(dep);
-                                let done = cx.sb.issue(width, ready, cx.cost.lat_atomic);
+                                let done = cx.sb.issue(ready, cx.cost.lat_atomic);
                                 cx.store_done.note(av, len, done);
                                 cx.wreg(dst, old, done, ty);
                                 Flow::Continue
@@ -632,7 +666,7 @@ impl<'m> Vm<'m> {
                 match self.mem.alloc(sv) {
                     Ok(base) => {
                         let mut cx = self.run_ctx(tid, d);
-                        let done = cx.sb.issue(width, sr, cx.cost.lat_alloc);
+                        let done = cx.sb.issue(sr, cx.cost.lat_alloc);
                         cx.wreg(dst, base, done, Ty::Ptr);
                         Flow::Continue
                     }
@@ -668,11 +702,11 @@ impl<'m> Vm<'m> {
             DOp::Ret { val } => {
                 let cx = self.run_ctx(tid, d);
                 let rv = val.map(|s| cx.rd(s));
-                let done = cx.sb.issue(width, rv.map(|(_, r)| r).unwrap_or(0), cx.cost.lat_call);
+                let done = cx.sb.issue(rv.map(|(_, r)| r).unwrap_or(0), cx.cost.lat_call);
                 let t = &mut self.threads[tid];
                 let frame = t.frames.pop().expect("live frame");
                 if t.frames.is_empty() {
-                    self.pool.push((frame.regs, frame.ready));
+                    self.pool.push(frame.regs);
                     return Flow::ThreadDone;
                 }
                 if let (Some(dst), Some((v, _))) = (frame.return_to, rv) {
@@ -681,7 +715,7 @@ impl<'m> Vm<'m> {
                     self.run_ctx(tid, d).wreg(dst.0, v, done, ty);
                 }
                 // Donate the retired register window back to the pool.
-                self.pool.push((frame.regs, frame.ready));
+                self.pool.push(frame.regs);
                 Flow::Continue
             }
 
@@ -727,13 +761,6 @@ const LANES: [u64; 256] = {
     t
 };
 
-#[inline]
-fn cell_hash(key: u64, shift: u32) -> usize {
-    // Fibonacci hashing: cells are sequential, so multiply-shift spreads
-    // them across the table with no clustering.
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
-}
-
 /// The fused engine's speculative write buffer: a word-granular overlay
 /// keyed by 8-byte cell, with a per-byte validity mask. Semantically
 /// identical to the interpreter's byte-keyed `HashMap<u64, u8>` overlay
@@ -741,11 +768,8 @@ fn cell_hash(key: u64, shift: u32) -> usize {
 /// one probe per cell instead of one SipHash per byte.
 #[derive(Clone, Debug, Default)]
 pub(super) struct FastOverlay {
-    /// `(cell + 1, data word, byte mask)`; key 0 marks an empty slot.
-    slots: Vec<(u64, u64, u8)>,
-    /// Occupied slot indices, for O(used) clear and flush.
-    used: Vec<u32>,
-    shift: u32,
+    /// `cell → (data word, byte mask)`.
+    cells: OpenTable<(u64, u8), true>,
 }
 
 impl FastOverlay {
@@ -754,96 +778,59 @@ impl FastOverlay {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.used.is_empty()
+        self.cells.is_empty()
     }
 
     pub fn clear(&mut self) {
-        for &s in &self.used {
-            self.slots[s as usize].0 = 0;
-        }
-        self.used.clear();
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(64);
-        let mut next = FastOverlay {
-            slots: vec![(0, 0, 0); cap],
-            used: Vec::with_capacity(self.used.len() + 1),
-            shift: 64 - cap.trailing_zeros(),
-        };
-        for &s in &self.used {
-            let (k, w, m) = self.slots[s as usize];
-            let slot = next.slot_for(k - 1);
-            next.slots[slot] = (k, w, m);
-            next.used.push(slot as u32);
-        }
-        *self = next;
-    }
-
-    /// Index of the slot holding `cell`, or of the empty slot where it
-    /// would be inserted.
-    #[inline]
-    fn slot_for(&self, cell: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = cell_hash(cell, self.shift) & mask;
-        loop {
-            let k = self.slots[i].0;
-            if k == 0 || k == cell + 1 {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
+        self.cells.clear();
     }
 
     /// Buffers the low `len` bytes of `val` at `addr` (little-endian),
     /// overwriting previously buffered bytes in the range.
     pub fn buffer_store(&mut self, addr: u64, len: u32, val: u64) {
-        // Keep load factor at or below one half.
-        if (self.used.len() + 2) * 2 > self.slots.len() {
-            self.grow();
-        }
         let mut i = 0u32;
         while i < len {
             let a = addr + i as u64;
-            let cell = a >> 3;
             let off = (a & 7) as u32;
             let n = (8 - off).min(len - i);
             let byte_mask = (((1u16 << n) - 1) as u8) << off;
             let lanes = LANES[byte_mask as usize];
             let part = ((val >> (8 * i)) << (8 * off)) & lanes;
-            let slot = self.slot_for(cell);
-            let entry = &mut self.slots[slot];
-            if entry.0 == 0 {
-                *entry = (cell + 1, part, byte_mask);
-                self.used.push(slot as u32);
-            } else {
-                entry.1 = (entry.1 & !lanes) | part;
-                entry.2 |= byte_mask;
-            }
+            let (word, mask) = self.cells.entry(a >> 3);
+            *word = (*word & !lanes) | part;
+            *mask |= byte_mask;
             i += n;
         }
     }
 
+    /// `v` with its bytes `at..at + n` replaced by what is buffered of
+    /// `[a, a + n)`, a range inside one cell.
+    #[inline(always)]
+    fn merge_cell(&self, a: u64, n: u32, at: u32, v: u64) -> u64 {
+        let Some((word, mask)) = self.cells.get(a >> 3) else { return v };
+        let off = (a & 7) as u32;
+        let lanes = LANES[((mask >> off) & (((1u16 << n) - 1) as u8)) as usize];
+        (v & !(lanes << (8 * at))) | (((word >> (8 * off)) & lanes) << (8 * at))
+    }
+
     /// Read-through merge: `base` is the value loaded from memory at
     /// `addr`/`len`; buffered bytes replace the corresponding lanes.
+    #[inline]
     pub fn merge(&self, addr: u64, len: u32, base: u64) -> u64 {
-        let mut v = base;
-        let mut i = 0u32;
+        if (addr & 7) as u32 + len <= 8 {
+            // One cell: every aligned access.
+            return self.merge_cell(addr, len, 0, base);
+        }
+        self.merge_spanning(addr, len, base)
+    }
+
+    #[inline(never)]
+    fn merge_spanning(&self, addr: u64, len: u32, base: u64) -> u64 {
+        let (mut v, mut i) = (base, 0u32);
         while i < len {
             let a = addr + i as u64;
-            let cell = a >> 3;
-            let off = (a & 7) as u32;
-            let n = (8 - off).min(len - i);
-            let slot = self.slot_for(cell);
-            let (k, word, mask) = self.slots[slot];
-            if k != 0 {
-                let sub = (mask >> off) & (((1u16 << n) - 1) as u8);
-                if sub != 0 {
-                    let lanes = LANES[sub as usize];
-                    let data = (word >> (8 * off)) & lanes;
-                    v = (v & !(lanes << (8 * i))) | (data << (8 * i));
-                }
-            }
+            let n = (8 - (a & 7) as u32).min(len - i);
+            v = self.merge_cell(a, n, i, v);
             i += n;
         }
         v
@@ -853,28 +840,20 @@ impl FastOverlay {
     /// Byte addresses are unique, so write order is immaterial — exactly
     /// like the interpreter's hash-order overlay drain.
     pub fn flush_into(&mut self, mem: &mut Memory) {
-        for &s in &self.used {
-            let (k, word, mask) = self.slots[s as usize];
-            self.slots[s as usize].0 = 0;
-            let base = (k - 1) << 3;
-            for b in 0..8 {
-                if mask & (1 << b) != 0 {
-                    // Bounds were checked when buffering.
-                    let _ = mem.store_byte(base + b as u64, (word >> (8 * b)) as u8);
-                }
+        self.cells.drain(|cell, (word, mask)| {
+            for b in (0..8).filter(|b| mask & (1 << b) != 0) {
+                // Bounds were checked when buffering.
+                let _ = mem.store_byte((cell << 3) + b, (word >> (8 * b)) as u8);
             }
-        }
-        self.used.clear();
+        });
     }
 }
 
-/// Open-addressed `cell → u64` map for store→load forwarding times.
+/// Store→load forwarding times: completion time of the last store per
+/// 8-byte cell.
 #[derive(Clone, Debug, Default)]
 pub(super) struct CellMap {
-    /// `(cell + 1, value)`; key 0 marks an empty slot.
-    slots: Vec<(u64, u64)>,
-    used: Vec<u32>,
-    shift: u32,
+    cells: OpenTable<u64, true>,
 }
 
 impl CellMap {
@@ -883,83 +862,40 @@ impl CellMap {
     }
 
     pub fn clear(&mut self) {
-        for &s in &self.used {
-            self.slots[s as usize].0 = 0;
-        }
-        self.used.clear();
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(64);
-        let mut next = CellMap {
-            slots: vec![(0, 0); cap],
-            used: Vec::with_capacity(self.used.len() + 1),
-            shift: 64 - cap.trailing_zeros(),
-        };
-        for &s in &self.used {
-            let (k, v) = self.slots[s as usize];
-            let slot = next.slot_for(k - 1);
-            next.slots[slot] = (k, v);
-            next.used.push(slot as u32);
-        }
-        *self = next;
-    }
-
-    #[inline]
-    fn slot_for(&self, cell: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = cell_hash(cell, self.shift) & mask;
-        loop {
-            let k = self.slots[i].0;
-            if k == 0 || k == cell + 1 {
-                return i;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    #[inline]
-    pub fn get(&self, cell: u64) -> Option<u64> {
-        if self.used.is_empty() {
-            return None;
-        }
-        let slot = self.slot_for(cell);
-        let (k, v) = self.slots[slot];
-        (k != 0).then_some(v)
+        self.cells.clear();
     }
 
     /// Ready time contributed by earlier stores covering
     /// `[addr, addr + len)`.
     #[inline]
     pub fn ready(&self, addr: u64, len: u32) -> u64 {
-        let mut ready = 0;
-        for cell in (addr >> 3)..=((addr + len as u64 - 1) >> 3) {
-            if let Some(d) = self.get(cell) {
-                ready = ready.max(d);
-            }
+        let (first, last) = (addr >> 3, (addr + len as u64 - 1) >> 3);
+        if first == last {
+            // One cell: every aligned access.
+            return self.cells.get(first).unwrap_or(0);
         }
-        ready
+        self.ready_spanning(first, last)
+    }
+
+    #[inline(never)]
+    fn ready_spanning(&self, first: u64, last: u64) -> u64 {
+        (first..=last).filter_map(|cell| self.cells.get(cell)).max().unwrap_or(0)
     }
 
     /// Records a store completing at `done` over `[addr, addr + len)`.
     #[inline]
     pub fn note(&mut self, addr: u64, len: u32, done: u64) {
-        for cell in (addr >> 3)..=((addr + len as u64 - 1) >> 3) {
-            self.insert(cell, done);
+        let (first, last) = (addr >> 3, (addr + len as u64 - 1) >> 3);
+        *self.cells.entry(first) = done;
+        if first != last {
+            self.note_spanning(first + 1, last, done);
         }
     }
 
-    pub fn insert(&mut self, cell: u64, val: u64) {
-        if (self.used.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let slot = self.slot_for(cell);
-        let entry = &mut self.slots[slot];
-        if entry.0 == 0 {
-            *entry = (cell + 1, val);
-            self.used.push(slot as u32);
-        } else {
-            entry.1 = val;
+    #[inline(never)]
+    fn note_spanning(&mut self, first: u64, last: u64, done: u64) {
+        for cell in first..=last {
+            *self.cells.entry(cell) = done;
         }
     }
 }
@@ -1029,18 +965,23 @@ mod tests {
     #[test]
     fn cell_map_inserts_overwrites_and_clears() {
         let mut cm = CellMap::new();
-        assert_eq!(cm.get(5), None);
-        cm.insert(5, 100);
-        cm.insert(5, 200);
-        assert_eq!(cm.get(5), Some(200));
+        assert_eq!(cm.ready(40, 8), 0);
+        cm.note(40, 8, 100);
+        cm.note(44, 4, 200);
+        assert_eq!(cm.ready(40, 1), 200, "one time per cell: the last store's");
         for i in 0..300 {
-            cm.insert(i, i * 2);
+            cm.note(i * 8, 8, i * 2);
         }
         for i in 0..300 {
-            assert_eq!(cm.get(i), Some(i * 2));
+            assert_eq!(cm.ready(i * 8 + 3, 2), i * 2);
         }
+        // A spanning store marks, and a spanning load reads, every cell.
+        cm.note(13, 8, 900);
+        assert_eq!((cm.ready(8, 1), cm.ready(23, 1), cm.ready(24, 8)), (900, 900, 6));
+        assert_eq!(cm.ready(20, 8), 900);
+        assert_eq!(cm.ready(28, 8), 8, "cells 3 and 4");
         cm.clear();
-        assert_eq!(cm.get(5), None);
+        assert_eq!(cm.ready(40, 8), 0);
     }
 
     #[test]

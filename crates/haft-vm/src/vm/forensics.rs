@@ -42,7 +42,7 @@ use haft_ir::function::{Function, ValueId};
 use haft_ir::module::FuncId;
 use haft_trace::TraceEvent;
 
-use super::decode::{DOp, Decoded, Src};
+use super::decode::{resolved, DOp, Decoded, Src};
 use super::profile::OpClass;
 use super::{Frame, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH};
 
@@ -365,7 +365,7 @@ impl ForensicsState {
 /// Operand value against a frame (value half of `RunCtx::rd`).
 fn src_val(frame: &Frame, s: Src) -> u64 {
     match s {
-        Src::Slot(i) => frame.regs[i as usize],
+        Src::Slot(i) => frame.regs[i as usize].val,
         Src::Const(v) => v,
     }
 }
@@ -389,7 +389,7 @@ impl<'m> Vm<'m> {
             Src::Slot(i) => fx.reg_tainted(tid, depth, i),
             Src::Const(_) => false,
         };
-        match *op {
+        match op.generic() {
             DOp::Bin { a, b, dst, .. } | DOp::Cmp { a, b, dst, .. } => {
                 let any = st(fx, a) || st(fx, b);
                 fx.set_reg(tid, in_tx, depth, dst, any);
@@ -508,6 +508,7 @@ impl<'m> Vm<'m> {
             | DOp::Unlock { .. }
             | DOp::Nop
             | DOp::TrapMalformed => {}
+            resolved!() => unreachable!("taint moves by the generic form"),
         }
         fx.try_drain(self.instructions, self.wall_cycles + t.sb.clock);
     }

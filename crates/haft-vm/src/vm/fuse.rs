@@ -1,22 +1,17 @@
-//! Super-instruction fusion over decoded code.
+//! The fuse census: how often the hot harden idioms occur in decoded
+//! code.
 //!
-//! Fusion is expressed as a per-pc flag rather than as merged opcodes:
-//! `fuse[pc] = true` lets the dispatch loop execute `code[pc + 1]` in the
-//! same dispatch when `code[pc]` completed cleanly. Every constituent
-//! stays a standalone [`DOp`] at its own pc, so a mid-chain bail (window
-//! horizon, instruction budget, trap, abort, blocked lock) simply leaves
-//! the pc at the next constituent and resumes later — no un-fusing, no
-//! special rollback. Adjacent flags compose into chains, which is where
-//! the win comes from: a hardened block's master/shadow straight-line
-//! run executes as one long dispatch.
+//! Earlier engines dispatched on a per-pc "fuse" flag — execute
+//! `code[pc + 1]` in the same dispatch when `code[pc]` completed cleanly.
+//! Since register-only runs (`engine.rs`) the dispatch loop continues
+//! through *every* run-eligible op, so no flag steers anything and none
+//! is stored: what remains is the static count of adjacent pairs, by
+//! pattern ([`FuseStats`], exported as `vm.fuse.*`), which says how much
+//! of a hardened module is the idioms the engine is tuned for. Ops are
+//! matched in their generic form ([`DOp::generic`]), so a decode-resolved
+//! opcode counts exactly like the `Bin`/`Cmp` it stands for.
 //!
-//! Since the engine's register-only runs (`engine.rs`) the dispatch loop
-//! continues through *every* run-eligible op, flagged or not, so the
-//! flags no longer steer dispatch: they are the static census of the hot
-//! idioms ([`FuseStats`], `vm.fuse.*`) and the dynamic
-//! `Vm::fused_retired` count.
-//!
-//! What fuses (the hot harden idioms):
+//! The patterns:
 //!
 //! * **ILR shadow pairs** (`alu_pairs`): compute→compute, and
 //!   load→compute for the load-then-shadow-move idiom — ILR emits the
@@ -31,14 +26,8 @@
 //!   is the address of the next load/store (votes guard exactly the
 //!   sync points, so this adjacency is the common case).
 //!
-//! What must not fuse: anything that transfers control (`CondBr` and
-//! friends are chain *enders*, never continuers — the flag at their pc
-//! stays false because a chain may only run within one block), anything
-//! that can block (`Lock`), and frame-changing ops (`Call`/`Ret`), whose
-//! successor pc is not `pc + 1`. Cycle accounting is untouched by
-//! construction: each constituent still issues on the scoreboard with
-//! its own latency, so a fused chain charges exactly the sum of its
-//! constituents' costs.
+//! A pair never spans a block boundary, and nothing that transfers
+//! control, can block, or changes frames heads one.
 
 use super::decode::{DOp, Src};
 
@@ -62,8 +51,7 @@ impl FuseStats {
     }
 }
 
-/// Straight-line register compute: always completes at `pc + 1` (modulo
-/// traps, which end the chain through the bail path).
+/// Straight-line register compute, in generic form.
 fn is_compute(op: &DOp) -> bool {
     matches!(
         op,
@@ -77,39 +65,28 @@ fn is_compute(op: &DOp) -> bool {
     )
 }
 
-/// Computes the fuse flags for one function's code, given its block
-/// ranges (`[start, end)` pcs). Pairs never span a block boundary.
-pub(crate) fn compute(code: &[DOp], blocks: &[(usize, usize)], stats: &mut FuseStats) -> Vec<bool> {
-    let mut fuse = vec![false; code.len()];
+/// Counts the pairs of one function's code into `stats`, given its block
+/// ranges (`[start, end)` pcs).
+pub(crate) fn census(code: &[DOp], blocks: &[(usize, usize)], stats: &mut FuseStats) {
     for &(start, end) in blocks {
         for p in start..end.saturating_sub(1) {
-            let (a, b) = (&code[p], &code[p + 1]);
-            let fused = match (a, b) {
+            let (a, b) = (code[p].generic(), code[p + 1].generic());
+            match (&a, &b) {
                 (DOp::Cmp { dst, .. }, DOp::CondBr { cond: Src::Slot(c), .. }) if c == dst => {
                     stats.cmp_br += 1;
-                    true
                 }
-                (DOp::TxCounterInc { .. }, DOp::TxCondSplit) => {
-                    stats.tx_brackets += 1;
-                    true
-                }
+                (DOp::TxCounterInc { .. }, DOp::TxCondSplit) => stats.tx_brackets += 1,
                 (
                     DOp::Vote { dst, .. },
                     DOp::Load { addr: Src::Slot(s), .. } | DOp::Store { addr: Src::Slot(s), .. },
-                ) if s == dst => {
-                    stats.vote_mem += 1;
-                    true
-                }
-                _ if (is_compute(a) || matches!(a, DOp::Load { .. })) && is_compute(b) => {
+                ) if s == dst => stats.vote_mem += 1,
+                _ if (is_compute(&a) || matches!(a, DOp::Load { .. })) && is_compute(&b) => {
                     stats.alu_pairs += 1;
-                    true
                 }
-                _ => false,
-            };
-            fuse[p] = fused;
+                _ => {}
+            }
         }
     }
-    fuse
 }
 
 #[cfg(test)]
@@ -118,46 +95,45 @@ mod tests {
     use haft_ir::inst::{BinOp, CmpOp};
     use haft_ir::types::Ty;
 
-    use super::super::decode::Edge;
+    use super::super::decode::{Alu2, Edge};
 
     fn bin(dst: u32) -> DOp {
-        DOp::Bin { op: BinOp::Add, ty: Ty::I64, a: Src::Slot(0), b: Src::Slot(1), dst, lat: 1 }
+        DOp::Bin { op: BinOp::Sub, ty: Ty::I64, a: Src::Slot(0), b: Src::Slot(1), dst, lat: 1 }
+    }
+
+    fn alu2(dst: u32) -> Alu2 {
+        Alu2 { a: Src::Slot(0), b: Src::Slot(1), dst, lat: 1 }
     }
 
     fn edge() -> Edge {
         Edge { target: 0, moves_at: 0, moves_n: 0 }
     }
 
+    fn count(code: &[DOp], blocks: &[(usize, usize)]) -> FuseStats {
+        let mut stats = FuseStats::default();
+        census(code, blocks, &mut stats);
+        stats
+    }
+
     #[test]
     fn compute_pairs_chain_across_a_block() {
-        let code = [bin(2), bin(3), bin(4), DOp::Ret { val: None }];
-        let mut stats = FuseStats::default();
-        let fuse = compute(&code, &[(0, 4)], &mut stats);
-        // bin→bin, bin→bin fuse; bin→ret does not; ret is last.
-        assert_eq!(fuse, vec![true, true, false, false]);
-        assert_eq!(stats.alu_pairs, 2);
+        // bin→add64, add64→bin pair up; bin→ret does not; ret is last.
+        let code = [bin(2), DOp::Add64(alu2(3)), bin(4), DOp::Ret { val: None }];
+        assert_eq!(count(&code, &[(0, 4)]), FuseStats { alu_pairs: 2, ..Default::default() });
     }
 
     #[test]
     fn cmp_feeding_its_branch_fuses() {
-        let code = [
-            DOp::Cmp { op: CmpOp::Eq, ty: Ty::I64, a: Src::Slot(0), b: Src::Slot(1), dst: 2 },
-            DOp::CondBr { cond: Src::Slot(2), t: edge(), f: edge(), bp: 0 },
-        ];
-        let mut stats = FuseStats::default();
-        let fuse = compute(&code, &[(0, 2)], &mut stats);
-        assert_eq!(fuse, vec![true, false]);
-        assert_eq!(stats.cmp_br, 1);
-        assert_eq!(stats.alu_pairs, 0);
-
-        // A branch on a different value does not fuse with the compare.
-        let code = [
-            DOp::Cmp { op: CmpOp::Eq, ty: Ty::I64, a: Src::Slot(0), b: Src::Slot(1), dst: 2 },
-            DOp::CondBr { cond: Src::Slot(9), t: edge(), f: edge(), bp: 0 },
-        ];
-        let mut stats = FuseStats::default();
-        let fuse = compute(&code, &[(0, 2)], &mut stats);
-        assert_eq!(fuse, vec![false, false]);
+        let br = |c| DOp::CondBr { cond: Src::Slot(c), t: edge(), f: edge(), bp: 0 };
+        let cmp =
+            DOp::Cmp { op: CmpOp::ULt, ty: Ty::I64, a: Src::Slot(0), b: Src::Slot(1), dst: 2 };
+        // The generic compare and a decode-resolved one count alike.
+        for cmp in [cmp, DOp::CmpEq64(alu2(2)), DOp::CmpSlt64(alu2(2))] {
+            let stats = count(&[cmp, br(2)], &[(0, 2)]);
+            assert_eq!(stats, FuseStats { cmp_br: 1, ..Default::default() });
+            // A branch on a different value does not pair with the compare.
+            assert_eq!(count(&[cmp, br(9)], &[(0, 2)]).total(), 0);
+        }
     }
 
     #[test]
@@ -168,24 +144,17 @@ mod tests {
             DOp::Vote { ty: Ty::Ptr, a: Src::Slot(0), b: Src::Slot(1), c: Src::Slot(2), dst: 3 },
             DOp::Load { ty: Ty::I64, addr: Src::Slot(3), atomic: false, dst: 4 },
         ];
-        let mut stats = FuseStats::default();
-        let fuse = compute(&code, &[(0, 4)], &mut stats);
-        assert_eq!(stats.tx_brackets, 1);
-        assert_eq!(stats.vote_mem, 1);
-        assert!(fuse[0] && fuse[2]);
         // tx_cond_split → vote is not a pattern.
-        assert!(!fuse[1]);
-        assert_eq!(stats.total(), 2);
+        let want = FuseStats { tx_brackets: 1, vote_mem: 1, ..Default::default() };
+        assert_eq!(count(&code, &[(0, 4)]), want);
+        assert_eq!(want.total(), 2);
     }
 
     #[test]
     fn pairs_never_span_blocks() {
-        let code = [bin(2), bin(3)];
-        let mut stats = FuseStats::default();
         // Same ops, but a block boundary between them.
-        let fuse = compute(&code, &[(0, 1), (1, 2)], &mut stats);
-        assert_eq!(fuse, vec![false, false]);
-        assert_eq!(stats.total(), 0);
+        assert_eq!(count(&[bin(2), bin(3)], &[(0, 2)]).total(), 1);
+        assert_eq!(count(&[bin(2), bin(3)], &[(0, 1), (1, 2)]).total(), 0);
     }
 
     #[test]
@@ -194,9 +163,6 @@ mod tests {
             DOp::Load { ty: Ty::I64, addr: Src::Slot(0), atomic: false, dst: 1 },
             DOp::MoveV { ty: Ty::I64, a: Src::Slot(1), dst: 2 },
         ];
-        let mut stats = FuseStats::default();
-        let fuse = compute(&code, &[(0, 2)], &mut stats);
-        assert_eq!(fuse, vec![true, false]);
-        assert_eq!(stats.alu_pairs, 1);
+        assert_eq!(count(&code, &[(0, 2)]), FuseStats { alu_pairs: 1, ..Default::default() });
     }
 }

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use super::decode::DOp;
+use super::decode::{resolved, DOp};
 
 /// Synthetic function id for cycles not attributable to any fetched op.
 const SCHED_FUNC: u32 = u32::MAX;
@@ -70,7 +70,7 @@ impl OpClass {
     /// Classifies an op. Both engines name the op they are about to
     /// execute as a [`DOp`], so this is the only classifier.
     pub(crate) fn of(op: &DOp) -> OpClass {
-        match op {
+        match op.generic() {
             DOp::Bin { .. }
             | DOp::Un { .. }
             | DOp::Cmp { .. }
@@ -90,6 +90,7 @@ impl OpClass {
             DOp::ThreadIdD { .. } | DOp::NumThreadsD { .. } | DOp::Nop | DOp::TrapMalformed => {
                 OpClass::Other
             }
+            resolved!() => unreachable!("classified in generic form"),
         }
     }
 }

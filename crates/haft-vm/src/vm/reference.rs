@@ -21,7 +21,9 @@ use haft_ir::inst::{AbortCode, Callee, Op, Operand, RmwOp};
 use haft_ir::module::FuncId;
 use haft_ir::types::Ty;
 
-use super::{decode, eval_bin, eval_cast, eval_cmp, eval_un, Flow, Vm, FUNC_BASE, MAX_CALL_DEPTH};
+use super::{
+    decode, eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, Vm, FUNC_BASE, MAX_CALL_DEPTH,
+};
 use crate::mem::Trap;
 
 impl<'m> Vm<'m> {
@@ -30,7 +32,10 @@ impl<'m> Vm<'m> {
     fn operand(&self, tid: usize, o: &Operand) -> (u64, u64) {
         let frame = self.threads[tid].frames.last().expect("live frame");
         match o {
-            Operand::Value(v) => (frame.regs[v.0 as usize], frame.ready[v.0 as usize]),
+            Operand::Value(v) => {
+                let r = frame.regs[v.0 as usize];
+                (r.val, r.ready)
+            }
             Operand::Imm(v, ty) => ((*v as u64) & ty.mask(), 0),
             Operand::F64Bits(b) => (*b, 0),
             Operand::GlobalAddr(g) => (self.mem.global_bases[g.0 as usize], 0),
@@ -41,8 +46,7 @@ impl<'m> Vm<'m> {
     fn write_reg(&mut self, tid: usize, v: ValueId, val: u64, ready: u64, ty: Ty) {
         let masked = val & ty.mask();
         let frame = self.threads[tid].frames.last_mut().expect("live frame");
-        frame.regs[v.0 as usize] = masked;
-        frame.ready[v.0 as usize] = ready;
+        frame.regs[v.0 as usize] = Reg { val: masked, ready };
         // Fault-injection hook: this is the paper's "register-writing
         // instruction" stream.
         self.occ += 1;
@@ -50,7 +54,7 @@ impl<'m> Vm<'m> {
             if self.occ - 1 == plan.occurrence {
                 let mask = plan.effective_mask(ty);
                 let frame = self.threads[tid].frames.last_mut().expect("live frame");
-                frame.regs[v.0 as usize] ^= mask;
+                frame.regs[v.0 as usize].val ^= mask;
                 self.fault = None;
                 if let Some(fx) = self.forensics.as_deref_mut() {
                     let t = &self.threads[tid];
@@ -69,8 +73,7 @@ impl<'m> Vm<'m> {
     /// the synchronization point it protects.
     fn write_reg_forwarded(&mut self, tid: usize, v: ValueId, val: u64, ready: u64, ty: Ty) {
         let frame = self.threads[tid].frames.last_mut().expect("live frame");
-        frame.regs[v.0 as usize] = val & ty.mask();
-        frame.ready[v.0 as usize] = ready;
+        frame.regs[v.0 as usize] = Reg { val: val & ty.mask(), ready };
     }
 
     // --- memory dependency tracking -----------------------------------------------
@@ -141,7 +144,6 @@ impl<'m> Vm<'m> {
         self.instructions += 1;
         self.before_op(tid, fid.0, dop, d);
 
-        let width = self.cfg.cost.width;
         let flow = match &inst.op {
             // --- compute -----------------------------------------------------
             Op::Bin { op, ty, a, b } => {
@@ -150,7 +152,7 @@ impl<'m> Vm<'m> {
                 let lat = self.cfg.cost.compute_latency(&inst.op);
                 match eval_bin(*op, *ty, av, bv) {
                     Ok(v) => {
-                        let done = self.threads[tid].sb.issue(width, ar.max(br), lat);
+                        let done = self.threads[tid].sb.issue(ar.max(br), lat);
                         self.write_reg(tid, result.unwrap(), v, done, *ty);
                         Flow::Continue
                     }
@@ -161,7 +163,7 @@ impl<'m> Vm<'m> {
                 let (av, ar) = self.operand(tid, a);
                 let lat = self.cfg.cost.compute_latency(&inst.op);
                 let v = eval_un(*op, *ty, av);
-                let done = self.threads[tid].sb.issue(width, ar, lat);
+                let done = self.threads[tid].sb.issue(ar, lat);
                 self.write_reg(tid, result.unwrap(), v, done, *ty);
                 Flow::Continue
             }
@@ -169,13 +171,13 @@ impl<'m> Vm<'m> {
                 let (av, ar) = self.operand(tid, a);
                 let (bv, br) = self.operand(tid, b);
                 let v = eval_cmp(*op, *ty, av, bv) as u64;
-                let done = self.threads[tid].sb.issue(width, ar.max(br), self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ar.max(br), self.cfg.cost.lat_int);
                 self.write_reg(tid, result.unwrap(), v, done, Ty::I1);
                 Flow::Continue
             }
             Op::Move { ty, a } => {
                 let (av, ar) = self.operand(tid, a);
-                let done = self.threads[tid].sb.issue(width, ar, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ar, self.cfg.cost.lat_int);
                 self.write_reg(tid, result.unwrap(), av, done, *ty);
                 Flow::Continue
             }
@@ -183,7 +185,7 @@ impl<'m> Vm<'m> {
                 let (av, ar) = self.operand(tid, a);
                 let from = f.operand_ty(a);
                 let v = eval_cast(*kind, from, *to, av);
-                let done = self.threads[tid].sb.issue(width, ar, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ar, self.cfg.cost.lat_int);
                 self.write_reg(tid, result.unwrap(), v, done, *to);
                 Flow::Continue
             }
@@ -193,7 +195,7 @@ impl<'m> Vm<'m> {
                 let (fvv, fr) = self.operand(tid, fv);
                 let v = if cv & 1 != 0 { tv } else { fvv };
                 let ready = cr.max(tr).max(fr);
-                let done = self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ready, self.cfg.cost.lat_int);
                 self.write_reg(tid, result.unwrap(), v, done, *ty);
                 Flow::Continue
             }
@@ -203,7 +205,7 @@ impl<'m> Vm<'m> {
                 let v = bv
                     .wrapping_add((iv as i64).wrapping_mul(*scale as i64) as u64)
                     .wrapping_add(*offset as u64);
-                let done = self.threads[tid].sb.issue(width, br.max(ir), self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(br.max(ir), self.cfg.cost.lat_int);
                 self.write_reg(tid, result.unwrap(), v, done, Ty::Ptr);
                 Flow::Continue
             }
@@ -227,7 +229,7 @@ impl<'m> Vm<'m> {
                             self.cfg.cost.lat_load_miss
                         };
                         let dep = self.mem_ready(tid, av, ty.size_bytes());
-                        let done = self.threads[tid].sb.issue(width, ar.max(dep), lat);
+                        let done = self.threads[tid].sb.issue(ar.max(dep), lat);
                         self.write_reg(tid, result.unwrap(), v, done, *ty);
                         Flow::Continue
                     }
@@ -245,7 +247,7 @@ impl<'m> Vm<'m> {
                         } else {
                             self.cfg.cost.lat_store
                         };
-                        let done = self.threads[tid].sb.issue(width, vr.max(ar), lat);
+                        let done = self.threads[tid].sb.issue(vr.max(ar), lat);
                         self.note_store(tid, av, ty.size_bytes(), done);
                         Flow::Continue
                     }
@@ -265,11 +267,9 @@ impl<'m> Vm<'m> {
                         match self.mem_store(tid, av, ty.size_bytes(), new) {
                             Ok(()) => {
                                 let dep = self.mem_ready(tid, av, ty.size_bytes());
-                                let done = self.threads[tid].sb.issue(
-                                    width,
-                                    ar.max(vr).max(dep),
-                                    self.cfg.cost.lat_atomic,
-                                );
+                                let done = self.threads[tid]
+                                    .sb
+                                    .issue(ar.max(vr).max(dep), self.cfg.cost.lat_atomic);
                                 self.note_store(tid, av, ty.size_bytes(), done);
                                 self.write_reg(tid, result.unwrap(), old, done, *ty);
                                 Flow::Continue
@@ -296,11 +296,8 @@ impl<'m> Vm<'m> {
                             Ok(()) => {
                                 let dep = self.mem_ready(tid, av, ty.size_bytes());
                                 let ready = ar.max(er).max(nr).max(dep);
-                                let done = self.threads[tid].sb.issue(
-                                    width,
-                                    ready,
-                                    self.cfg.cost.lat_atomic,
-                                );
+                                let done =
+                                    self.threads[tid].sb.issue(ready, self.cfg.cost.lat_atomic);
                                 self.note_store(tid, av, ty.size_bytes(), done);
                                 self.write_reg(tid, result.unwrap(), old, done, *ty);
                                 Flow::Continue
@@ -315,7 +312,7 @@ impl<'m> Vm<'m> {
                 let (sv, sr) = self.operand(tid, size);
                 match self.mem.alloc(sv) {
                     Ok(base) => {
-                        let done = self.threads[tid].sb.issue(width, sr, self.cfg.cost.lat_alloc);
+                        let done = self.threads[tid].sb.issue(sr, self.cfg.cost.lat_alloc);
                         self.write_reg(tid, result.unwrap(), base, done, Ty::Ptr);
                         Flow::Continue
                     }
@@ -325,14 +322,14 @@ impl<'m> Vm<'m> {
 
             // --- control ----------------------------------------------------
             Op::Br { dest } => {
-                self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_branch);
+                self.threads[tid].sb.issue(0, self.cfg.cost.lat_branch);
                 self.take_edge(tid, fid, bid, *dest);
                 Flow::Continue
             }
             Op::CondBr { cond, t, f: fb } => {
                 let (cv, cr) = self.operand(tid, cond);
                 let taken = cv & 1 != 0;
-                let done = self.threads[tid].sb.issue(width, cr, self.cfg.cost.lat_branch);
+                let done = self.threads[tid].sb.issue(cr, self.cfg.cost.lat_branch);
                 // 1-bit predictor keyed by instruction identity.
                 let key = ((fid.0 as u64) << 32) | iid.0 as u64;
                 let predicted = self.threads[tid].bp.insert(key, taken);
@@ -379,18 +376,16 @@ impl<'m> Vm<'m> {
                     vals.push(v);
                     ready = ready.max(r);
                 }
-                self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_call);
+                self.threads[tid].sb.issue(ready, self.cfg.cost.lat_call);
                 let new_frame = self.make_frame(target, &vals, result);
                 self.threads[tid].frames.push(new_frame);
                 Flow::Continue
             }
             Op::Ret { val } => {
                 let rv = val.as_ref().map(|v| self.operand(tid, v));
-                let done = self.threads[tid].sb.issue(
-                    width,
-                    rv.map(|(_, r)| r).unwrap_or(0),
-                    self.cfg.cost.lat_call,
-                );
+                let done = self.threads[tid]
+                    .sb
+                    .issue(rv.map(|(_, r)| r).unwrap_or(0), self.cfg.cost.lat_call);
                 let frame = self.threads[tid].frames.pop().expect("live frame");
                 if self.threads[tid].frames.is_empty() {
                     return Flow::ThreadDone;
@@ -407,7 +402,7 @@ impl<'m> Vm<'m> {
             Op::TxEnd => self.exec_tx_end(tid),
             Op::TxCondSplit => {
                 let t = &mut self.threads[tid];
-                t.sb.issue(width, 0, self.cfg.cost.lat_tx_split_check);
+                t.sb.issue(0, self.cfg.cost.lat_tx_split_check);
                 // A split must not commit while a lock is elided: the
                 // critical section would lose its atomicity (and the
                 // matching unlock its elision record). Defer until the
@@ -421,7 +416,7 @@ impl<'m> Vm<'m> {
             Op::TxCounterInc { amount } => {
                 let t = &mut self.threads[tid];
                 t.counter += *amount as u64;
-                t.sb.issue(width, 0, self.cfg.cost.lat_counter_inc);
+                t.sb.issue(0, self.cfg.cost.lat_counter_inc);
                 Flow::Continue
             }
             Op::TxAbort { code } => match code {
@@ -436,7 +431,7 @@ impl<'m> Vm<'m> {
                 match self.majority(tid, checksum, [av, bv, cv]) {
                     Some(v) => {
                         let ready = ar.max(br).max(cr);
-                        let done = self.threads[tid].sb.issue(width, ready, self.cfg.cost.lat_vote);
+                        let done = self.threads[tid].sb.issue(ready, self.cfg.cost.lat_vote);
                         self.write_reg_forwarded(tid, result.unwrap(), v, done, *ty);
                         Flow::Continue
                     }
@@ -456,12 +451,12 @@ impl<'m> Vm<'m> {
                 self.exec_emit(tid, v)
             }
             Op::ThreadId => {
-                let done = self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(0, self.cfg.cost.lat_int);
                 self.write_reg(tid, result.unwrap(), tid as u64, done, Ty::I64);
                 Flow::Continue
             }
             Op::NumThreads => {
-                let done = self.threads[tid].sb.issue(width, 0, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(0, self.cfg.cost.lat_int);
                 self.write_reg(
                     tid,
                     result.unwrap(),

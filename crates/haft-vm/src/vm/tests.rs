@@ -858,3 +858,111 @@ fn phase_cycles_partition_wall_cycles() {
     assert_eq!(no_init.phases.init, 0);
     assert_eq!(no_init.phases.fini, no_init.wall_cycles);
 }
+
+/// Every decode-resolved opcode computes what `eval_bin`/`eval_cmp`
+/// compute for the `(op, type)` pair it stands for — on the edge values,
+/// on random ones, with the second operand in a register and as a
+/// constant — and decode really does resolve the pair, for `I64` and for
+/// `Ptr`.
+#[test]
+fn decode_resolved_opcodes_equal_the_generic_evaluators() {
+    use decode::DOp;
+    let mut vals = vec![0, 1, 2, u64::MAX, i64::MIN as u64, i64::MAX as u64];
+    let mut rng = Prng::new(0xD0);
+    vals.extend((0..10).map(|_| rng.next_u64()));
+    let pairs: Vec<(u64, u64)> =
+        vals.iter().flat_map(|&a| vals.iter().map(move |&b| (a, b))).collect();
+
+    type Resolved = fn(&DOp) -> bool;
+    let bins: [(BinOp, Resolved); 3] = [
+        (BinOp::Add, |op| matches!(op, DOp::Add64(_))),
+        (BinOp::Mul, |op| matches!(op, DOp::Mul64(_))),
+        (BinOp::And, |op| matches!(op, DOp::And64(_))),
+    ];
+    let cmps: [(CmpOp, Resolved); 3] = [
+        (CmpOp::Eq, |op| matches!(op, DOp::CmpEq64(_))),
+        (CmpOp::Ne, |op| matches!(op, DOp::CmpNe64(_))),
+        (CmpOp::SLt, |op| matches!(op, DOp::CmpSlt64(_))),
+    ];
+    // One program per opcode: both operand forms of every pair, emitted.
+    let check = |ty: Ty,
+                 out_ty: Ty,
+                 resolved: Resolved,
+                 want: &dyn Fn(u64, u64) -> u64,
+                 emit: &dyn Fn(&mut FunctionBuilder, ValueId, Operand) -> ValueId| {
+        let m = fini_module(|fb| {
+            for &(a, b) in &pairs {
+                let x = fb.mov(ty, Operand::imm(a as i64, ty));
+                let y = fb.mov(ty, Operand::imm(b as i64, ty));
+                for second in [Operand::from(y), Operand::imm(b as i64, ty)] {
+                    let r = emit(fb, x, second);
+                    fb.emit_out(out_ty, r);
+                }
+            }
+            fb.ret(None);
+        });
+        let cfg = VmConfig::default();
+        let code = &Prepared::new(&m, &cfg).decoded.funcs[0].code;
+        assert_eq!(code.iter().filter(|op| resolved(op)).count(), 2 * pairs.len(), "{ty:?}");
+        let expected: Vec<u64> = pairs.iter().flat_map(|&(a, b)| [want(a, b); 2]).collect();
+        assert_eq!(run_fini(&m).output, expected, "{ty:?}");
+    };
+    for ty in [Ty::I64, Ty::Ptr] {
+        for (op, resolved) in bins {
+            let want = |a, b| eval_bin(op, ty, a, b).expect("no division");
+            check(ty, ty, resolved, &want, &|fb, x, y| fb.bin(op, ty, x, y));
+        }
+        for (op, resolved) in cmps {
+            let want = |a, b| eval_cmp(op, ty, a, b) as u64;
+            check(ty, Ty::I1, resolved, &want, &|fb, x, y| fb.cmp(op, ty, x, y));
+        }
+    }
+}
+
+/// The fault hook is one compare of the write counter against the plan:
+/// a fault planned at occurrence `k` flips exactly the `k`-th register
+/// write — first, second and last of the run — on both engines.
+#[test]
+fn fault_lands_on_exactly_the_planned_register_write() {
+    const WRITES: u64 = 6;
+    let m = fini_module(|fb| {
+        for i in 0..WRITES as i64 {
+            let v = fb.add(Ty::I64, fb.iconst(Ty::I64, i), fb.iconst(Ty::I64, 100));
+            fb.emit_out(Ty::I64, v);
+        }
+        fb.ret(None);
+    });
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    for engine in [Engine::Interp, Engine::Fused] {
+        let clean = run(&m, VmConfig { engine, ..Default::default() }, spec);
+        assert_eq!(clean.register_writes, WRITES);
+        for k in [0, 1, WRITES - 1] {
+            let fault = Some(FaultPlan { occurrence: k, xor_mask: 0x8000_0000_0000_0400 });
+            let r = run(&m, VmConfig { engine, fault, ..Default::default() }, spec);
+            let mut want = clean.output.clone();
+            want[k as usize] ^= 0x8000_0000_0000_0400;
+            assert_eq!(r.output, want, "{engine:?}, occurrence {k}");
+            assert_eq!(r.register_writes, WRITES);
+        }
+        // One past the last write: armed, never reached, nothing flips.
+        let fault = Some(FaultPlan { occurrence: WRITES, xor_mask: 1 });
+        let r = run(&m, VmConfig { engine, fault, ..Default::default() }, spec);
+        assert_eq!(r.output, clean.output, "{engine:?}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "invalid CostConfig: width")]
+fn zero_issue_width_is_refused_at_construction() {
+    let m = fini_module(|fb| fb.ret(None));
+    let cost = CostConfig { width: 0, ..Default::default() };
+    Vm::new(&m, VmConfig { cost, ..Default::default() });
+}
+
+#[test]
+#[should_panic(expected = "invalid CostConfig: rob")]
+fn zero_reorder_window_is_refused_at_construction() {
+    let m = fini_module(|fb| fb.ret(None));
+    let cost = CostConfig { rob: 0, ..Default::default() };
+    Vm::new(&m, VmConfig { cost, ..Default::default() });
+}
