@@ -67,11 +67,12 @@ impl Default for CampaignConfig {
 /// Panics if the fault-free reference run does not complete — the program
 /// under test must be correct before injecting faults into it.
 pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) -> CampaignReport {
-    // Step 1: reference run — trace size and golden output.
-    let mut ref_cfg = cfg.vm.clone();
-    ref_cfg.fault = None;
-    let golden = Vm::run(module, ref_cfg, spec);
-    run_campaign_from(module, spec, cfg, &golden)
+    // Step 1: reference run — trace size and golden output — against the
+    // decoded code every run of the campaign shares.
+    let ref_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
+    let prepared = Prepared::new(module, &ref_cfg);
+    let golden = Vm::run_prepared(module, &prepared, ref_cfg, spec, None);
+    run_campaign_from(module, spec, cfg, &prepared, &golden)
 }
 
 /// What one injection run contributes to the report.
@@ -79,16 +80,20 @@ type Verdict = (Outcome, Option<Forensics>);
 
 /// Like [`run_campaign`], but reuses a `golden` reference run the caller
 /// has already performed (with `cfg.vm` and no fault) instead of
-/// re-executing it. Used by the `haft` facade's `Experiment`, which needs
-/// the reference [`haft_vm::RunResult`] for its own report anyway.
+/// re-executing it, and the `prepared` handle that run decoded: the pilot
+/// and its forks run against it too, so a campaign decodes once. Used by
+/// the `haft` facade's `Experiment`, which needs the reference
+/// [`haft_vm::RunResult`] for its own report anyway.
 ///
 /// # Panics
 ///
-/// Panics if `golden` is not a completed run.
+/// Panics if `golden` is not a completed run, or `prepared` does not fit
+/// `module` and `cfg.vm` (see [`Vm::start`]).
 pub fn run_campaign_from(
     module: &Module,
     spec: RunSpec<'_>,
     cfg: &CampaignConfig,
+    prepared: &Prepared,
     golden: &haft_vm::RunResult,
 ) -> CampaignReport {
     assert_eq!(golden.outcome, RunOutcome::Completed, "reference run must complete cleanly");
@@ -104,8 +109,7 @@ pub fn run_campaign_from(
     let mut visit: Vec<usize> = (0..plans.len()).collect();
     visit.sort_by_key(|&i| plans[i].occurrence);
     let pilot_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
-    let prepared = Prepared::new(module, &pilot_cfg);
-    let mut pilot = Vm::start(module, &prepared, pilot_cfg, spec);
+    let mut pilot = Vm::start(module, prepared, pilot_cfg, spec);
     let conclude = |fork: Vm<'_>| -> Verdict {
         let r = fork.run_to_end();
         (classify(&r, &golden.output), r.forensics)

@@ -1,6 +1,7 @@
 //! One open-addressed `u64 → V` table for every per-access map of the
 //! simulator: the HTM's line table here, and the fused engine's
-//! store-forwarding map and speculative write buffer in `haft-vm`.
+//! store-forwarding map and speculative write buffer and the forensics
+//! shadow set in `haft-vm`.
 //!
 //! Keys are dense small integers (cache lines, 8-byte cells), so the home
 //! slot is a Fibonacci multiply-shift — sequential keys spread with no
@@ -88,6 +89,17 @@ impl<V: Copy + Default, const LOG: bool> OpenTable<V, LOG> {
         (k != 0).then_some(v)
     }
 
+    /// The value of `key` for update in place, if present.
+    #[inline]
+    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        if self.live == 0 {
+            return None;
+        }
+        let i = self.slot_for(key);
+        let slot = &mut self.slots[i];
+        (slot.0 != 0).then_some(&mut slot.1)
+    }
+
     /// The value of `key`, inserted as `V::default()` if absent.
     #[inline]
     pub fn entry(&mut self, key: u64) -> &mut V {
@@ -128,6 +140,14 @@ impl<V: Copy + Default> OpenTable<V, true> {
         self.drain(|_, _| {});
     }
 
+    /// Hands every key and its value, for update in place, to `each`.
+    pub fn for_each_mut(&mut self, mut each: impl FnMut(u64, &mut V)) {
+        for &i in &self.used {
+            let (k, v) = &mut self.slots[i as usize];
+            each(*k - 1, v);
+        }
+    }
+
     /// Empties the table, handing every `(key, value)` to `each` in
     /// insertion order (unless the table grew in between).
     pub fn drain(&mut self, mut each: impl FnMut(u64, V)) {
@@ -141,17 +161,6 @@ impl<V: Copy + Default> OpenTable<V, true> {
 }
 
 impl<V: Copy + Default> OpenTable<V, false> {
-    /// The value of `key` for update in place, if present.
-    #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        if self.live == 0 {
-            return None;
-        }
-        let i = self.slot_for(key);
-        let slot = &mut self.slots[i];
-        (slot.0 != 0).then_some(&mut slot.1)
-    }
-
     /// Removes `key` if present, closing the hole by backward shift: each
     /// later entry of the probe chain moves up unless that would put it
     /// before its home slot, so every remaining key is still found by a
@@ -211,6 +220,12 @@ mod tests {
         for i in 0..100u64 {
             *t.entry(i * 7) += i;
         }
+        // In place: every pair is visited once, `get_mut` reaches one.
+        t.for_each_mut(|k, v| *v += k);
+        assert_eq!(t.get_mut(7), Some(&mut 8));
+        assert_eq!(t.get_mut(8), None);
+        assert!((0..100u64).all(|i| t.get(i * 7) == Some(i * 8)));
+        t.for_each_mut(|k, v| *v -= k);
         let mut seen = Vec::new();
         t.drain(|k, v| seen.push((k, v)));
         seen.sort_unstable();

@@ -456,7 +456,8 @@ pub struct Vm<'m> {
     profiler: Option<Profiler>,
     /// Taint-trajectory state, allocated only when `cfg.forensics` is
     /// set *and* a fault plan is armed — clean runs pay one `None`
-    /// branch per instruction and nothing else.
+    /// branch per register-only run (per instruction in the reference
+    /// interpreter) and nothing else.
     forensics: Option<Box<forensics::ForensicsState>>,
 }
 
@@ -594,7 +595,7 @@ impl<'m> Vm<'m> {
         let mut vm = Vm::start(module, prepared, cfg, spec);
         vm.trace = trace.as_deref_mut().map(std::mem::take);
         if profiled {
-            vm.profiler = Some(Profiler::new(vm.threads.len()));
+            vm.profiler = Some(Profiler::new(vm.threads.len(), module.funcs.len()));
         }
         let outcome = vm.resume().expect("no pause point is set");
         if let Some(buf) = trace {
@@ -1189,7 +1190,10 @@ impl<'m> Vm<'m> {
     //
     // Execution is written twice, observation once: each engine fetches
     // and pre-advances in its own pc format, names the op as a `DOp`, and
-    // brackets its execution with this pair.
+    // brackets its execution with this pair — the reference interpreter
+    // every op, the fused engine the ops it steps singly (`engine.rs`: a
+    // run settles its profile at its exit and is never taken while the
+    // taint transfer has anything to see).
 
     /// Before an op executes: the profiler's fetch, then the taint
     /// transfer (which must see the operands before control ops — `Ret`,

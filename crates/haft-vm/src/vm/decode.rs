@@ -26,6 +26,7 @@ use haft_ir::inst::{AbortCode, BinOp, Callee, CastKind, CmpOp, Op, Operand, RmwO
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
+use super::profile::OpClass;
 use super::{fuse, FUNC_BASE};
 use crate::cost::CostConfig;
 
@@ -269,6 +270,9 @@ impl DOp {
 #[derive(Debug)]
 pub(crate) struct DFunc {
     pub code: Vec<DOp>,
+    /// `class[pc]` — [`OpClass::of`]`(&code[pc])`, so that a profiled run
+    /// charges an op by one byte load.
+    pub class: Vec<OpClass>,
     /// `block_start[b]` — pc of block `b`'s first slot.
     pub block_start: Vec<usize>,
     pub n_values: usize,
@@ -563,6 +567,7 @@ impl Decoded {
             }
             fuse::census(&code, &ranges, &mut stats);
             funcs.push(DFunc {
+                class: code.iter().map(OpClass::of).collect(),
                 code,
                 block_start,
                 n_values: f.values.len(),

@@ -30,9 +30,25 @@
 //! locals back with nothing of that op done, and `step_fused` replays the
 //! protocol in the scheduler's order, or executes the op through
 //! [`Vm::exec_dop`]. A run is therefore bit-identical to stepping one op
-//! at a time — which is what profiled and forensics runs still do, each
-//! op between its hooks, reaching an eligible op through the same
-//! [`RunCtx::exec`] body.
+//! at a time.
+//!
+//! Observation rides the runs. The window rule: **the one-op arm of
+//! `step_fused` — each op between `before_op` and `after_op`, an
+//! eligible one through the same [`RunCtx::exec`] body a run uses — is
+//! taken for an op a run refused, and for every op while a forensics
+//! taint window is open; everything else an observer needs is
+//! accumulated inside [`Vm::register_run`] and settled at its exit.**
+//! Forensics state is inert before the flip and after its window has
+//! closed, so those stretches are runs. The protocol at the flip: a
+//! run's pause compare also ends it `pause_slack` register writes (the
+//! most one op makes) short of the planned occurrence, from where
+//! [`Vm::observed`] holds and ops step singly — so the op that takes the
+//! flip executes between its hooks, `after_op` completes the seed with
+//! that op's class, the written-back instruction count and the post-op
+//! clock, and the stepping goes on until a detector closes the window.
+//! A profiled run keeps the thread's last fetch in locals and charges
+//! each op's clock delta to a per-class row (`profile.rs` says why its
+//! first fetch, and only that one, goes through the profiler).
 
 use haft_htm::table::OpenTable;
 use haft_htm::{AccessKind, Htm};
@@ -43,6 +59,7 @@ use haft_ir::types::Ty;
 
 use super::decode::{resolved, Alu2, DOp, Decoded, Edge, Src};
 use super::forensics::ForensicsState;
+use super::profile::{OpClass, N_CLASSES};
 use super::{
     eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
 };
@@ -401,17 +418,44 @@ impl<'m> Vm<'m> {
     /// — the thread's own doomed flag. Nothing else those checks read can
     /// change inside a run: `in_tx`, `tx_depth` and `last_poll_clock` move
     /// only in ops a run refuses, other threads do not execute, and a
-    /// poll ends the run.
-    fn register_run(&mut self, tid: usize, horizon: u64, d: &Decoded) -> bool {
+    /// poll ends the run. With forensics attached the pause compare also
+    /// ends the run where [`Vm::observed`] turns true.
+    ///
+    /// `PROFILED` charges each op's clock delta to a per-class
+    /// accumulator in locals: the first fetch goes through
+    /// [`Profiler::fetch`](super::profile::Profiler::fetch), which settles
+    /// whatever cell the thread carried in, and the exit hands the row and
+    /// the last fetch back ([`Profiler::settle_run`]).
+    fn register_run<const PROFILED: bool>(
+        &mut self,
+        tid: usize,
+        horizon: u64,
+        d: &Decoded,
+    ) -> bool {
         let budget = self.cfg.max_instructions - self.instructions;
-        let pause_at = self.pause_at;
+        let (pause_at, slack) = (self.pause_at, self.pause_slack);
         let t = &self.threads[tid];
         let stop_clock = if t.in_tx() { horizon.min(t.last_poll_clock + 257) } else { horizon };
-        let df = &d.funcs[t.frames.last().expect("live frame").func.0 as usize];
+        let fr = t.frames.last().expect("live frame");
+        let fid = fr.func.0;
+        let df = &d.funcs[fid as usize];
+        let (mut last, mut pending, mut charged) = (t.sb.clock, OpClass::Other, [0u64; N_CLASSES]);
+        if PROFILED {
+            pending = df.class[fr.idx];
+            self.profiler.as_mut().expect("a profiled run").fetch(tid, last, fid, pending);
+        }
         let mut cx = self.run_ctx(tid, d);
+        // An observed run also ends where the op that takes the flip may be next.
+        let stop_occ = pause_at.min(cx.fault_at.saturating_sub(slack - 1));
         let mut retired = 0u64;
         let refused = loop {
             let pc = cx.pc;
+            if PROFILED {
+                // The fetch of `Vm::before_op`; a no-op for the first op.
+                let clock = cx.sb.clock;
+                charged[pending as usize] += clock - last;
+                (last, pending) = (clock, df.class[pc]);
+            }
             cx.pc = pc + 1;
             let ran = cx.exec(&df.code[pc]);
             if ran == Ran::Refused {
@@ -421,7 +465,7 @@ impl<'m> Vm<'m> {
             retired += 1;
             if cx.sb.clock >= stop_clock
                 || retired >= budget
-                || *cx.occ >= pause_at
+                || *cx.occ >= stop_occ
                 || (ran == Ran::Mem && cx.in_tx && cx.htm.doomed(tid).is_some())
             {
                 break false;
@@ -430,6 +474,10 @@ impl<'m> Vm<'m> {
         let pc = cx.pc;
         self.threads[tid].frames.last_mut().expect("live frame").idx = pc;
         self.instructions += retired;
+        if PROFILED {
+            let p = self.profiler.as_mut().expect("a profiled run");
+            p.settle_run(tid, fid, &charged, last, pending);
+        }
         refused
     }
 
@@ -439,12 +487,13 @@ impl<'m> Vm<'m> {
     /// Between ops it replays the scheduler's exact inter-step protocol
     /// — poll, horizon check, budget check, pause check, doomed check, in
     /// that order — so the op stream is bit-identical to `step` driven
-    /// one op at a time from `schedule`. Uninstrumented, the protocol
-    /// runs per *run boundary or refused op*: [`Vm::register_run`] covers
-    /// every stretch in between. With a profiler or forensics attached
-    /// every op takes the one-op path below, between its hooks.
+    /// one op at a time from `schedule`. The protocol runs per *run
+    /// boundary or refused op*: [`Vm::register_run`] covers every stretch
+    /// in between, profiled or not. Only while a forensics taint window
+    /// is open does every op take the one-op path below, between its
+    /// hooks.
     pub(super) fn step_fused(&mut self, tid: usize, horizon: u64, d: &Decoded) -> Flow {
-        let instrumented = self.profiler.is_some() || self.forensics.is_some();
+        let profiled = self.profiler.is_some();
         loop {
             // Pause point: an op boundary at which the horizon and budget
             // checks have just passed (in the scheduler on entry, at the
@@ -456,16 +505,24 @@ impl<'m> Vm<'m> {
             let t = &mut self.threads[tid];
             // Deliver pending asynchronous aborts first (same as `step`).
             let doomed = if t.in_tx() { self.htm.doomed(tid) } else { None };
+            let window = self.observed();
             if let Some(cause) = doomed {
                 // No poll is owed after this: `tx_abort` leaves
                 // `last_poll_clock` at the current clock, or the thread
                 // outside a transaction.
                 self.tx_abort(tid, cause);
-            } else if instrumented || self.register_run(tid, horizon, d) {
+            } else if window
+                || if profiled {
+                    self.register_run::<true>(tid, horizon, d)
+                } else {
+                    self.register_run::<false>(tid, horizon, d)
+                }
+            {
                 // One op: the one a run stopped in front of, or each op
-                // of an instrumented run. Fetch and pre-advance in one
+                // inside a taint window. Fetch and pre-advance in one
                 // frame borrow; control flow overwrites the pc, `Blocked`
                 // rewinds it (in `after_op`, which also polls).
+                count_arm_op();
                 let fr = self.threads[tid].frames.last_mut().expect("live frame");
                 let fid = fr.func.0 as usize;
                 let pc = fr.idx;
@@ -474,9 +531,9 @@ impl<'m> Vm<'m> {
                 let df = &d.funcs[fid];
                 let op = &df.code[pc];
                 self.before_op(tid, fid as u32, op, d);
-                // An instrumented step reaches an eligible op through the
-                // body a run uses; uninstrumented, the run just refused it.
-                let flow = if instrumented && self.exec_eligible(tid, op, d) {
+                // Inside a window an eligible op goes through the body a
+                // run uses; outside, the run just refused this op.
+                let flow = if window && self.exec_eligible(tid, op, d) {
                     Flow::Continue
                 } else {
                     self.exec_dop(tid, op, d)
@@ -502,7 +559,19 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// True while the forensics hooks have something to see, and ops go
+    /// one at a time between them: from where the next op may be the one
+    /// that takes the planned flip (an armed plan with forensics attached
+    /// is one that has not fired) until the taint window it opens closes.
+    fn observed(&self) -> bool {
+        let Some(fx) = self.forensics.as_deref() else { return false };
+        fx.tracking()
+            || self.fault.is_some_and(|plan| self.occ + self.pause_slack > plan.occurrence)
+    }
+
     /// One pre-advanced op through [`RunCtx::exec`]; false if refused.
+    /// Only ops inside an open taint window come this way, one context
+    /// per op, so that each executes between its forensics hooks.
     fn exec_eligible(&mut self, tid: usize, op: &DOp, d: &Decoded) -> bool {
         let mut cx = self.run_ctx(tid, d);
         let ran = cx.exec(op);
@@ -898,6 +967,22 @@ impl CellMap {
             *self.cells.entry(cell) = done;
         }
     }
+}
+
+/// Counts an op taken through `step_fused`'s one-op arm (tests only).
+#[cfg(not(test))]
+#[inline(always)]
+fn count_arm_op() {}
+
+#[cfg(test)]
+thread_local! {
+    /// Ops this thread's VMs took through `step_fused`'s one-op arm.
+    pub(super) static ARM_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count_arm_op() {
+    ARM_OPS.with(|n| n.set(n.get() + 1));
 }
 
 #[cfg(test)]

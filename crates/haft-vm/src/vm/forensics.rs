@@ -18,13 +18,19 @@
 //!
 //! Zero cost when off: the state is an `Option<Box<..>>` allocated only
 //! when `cfg.forensics` is set *and* a fault plan is present, so clean
-//! runs pay exactly one `None` branch per instruction and fault-free
-//! results are bit-identical with the flag unused. Both engines call the
-//! same transfer function ([`Vm::forensics_transfer`], over the `DOp` of
-//! the op about to execute) with engine-invariant keys (a decoded `Slot`
-//! index equals the interpreter's `ValueId`), and the record is part of
-//! the `RunResult` equality `tests/differential.rs` holds across
-//! `Interp` and `Fused` (`engines_agree_under_fault_injection`,
+//! runs pay exactly one `None` branch per register-only run of the fused
+//! engine (per instruction in the reference interpreter) and fault-free
+//! results are bit-identical with the flag unused. Nearly free outside
+//! the window as well: the state is inert before the flip and after a
+//! detector has fired, so the fused engine executes those stretches as
+//! runs and steps op by op between the hooks only from just short of the
+//! planned register write until the window closes (`Vm::observed`,
+//! `engine.rs`). Both engines call the same transfer function
+//! ([`Vm::forensics_transfer`], over the `DOp` of the op about to
+//! execute) with engine-invariant keys (a decoded `Slot` index equals the
+//! interpreter's `ValueId`), and the record is part of the `RunResult`
+//! equality `tests/differential.rs` holds across `Interp` and `Fused`
+//! (`engines_agree_under_fault_injection`,
 //! `fault_sweep_outcome_histograms_match`).
 //!
 //! Attribution limits (also in ARCHITECTURE.md): control-flow divergence
@@ -36,8 +42,7 @@
 //! overwritten later). Cross-thread propagation is tracked through
 //! memory only.
 
-use std::collections::HashSet;
-
+use haft_htm::table::OpenTable;
 use haft_ir::function::{Function, ValueId};
 use haft_ir::module::FuncId;
 use haft_trace::TraceEvent;
@@ -138,13 +143,29 @@ pub struct Forensics {
     pub escaped_to_memory: bool,
 }
 
-/// Shadow-set key. Register keys are positional — `(thread, call depth,
+/// Tag bit of a register's shadow-set key.
+const REG: u64 = 1 << 63;
+
+/// Shadow-set key of a register. Positional — `(thread, call depth,
 /// slot)` — which is engine-invariant: a decoded flat slot index is the
-/// interpreter's `ValueId` by construction (see `decode::lower`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum TaintKey {
-    Reg { tid: u32, depth: u32, slot: u32 },
-    Mem { addr: u64 },
+/// interpreter's `ValueId` by construction (see `decode::lower`). The
+/// other keys of the set are memory cells, `addr >> 3` (tag bit clear);
+/// a key's value is the mask of its tainted bytes (bit 0 for a register).
+fn reg_key(tid: usize, depth: u32, slot: u32) -> u64 {
+    REG | (tid as u64) << 48 | (depth as u64) << 32 | slot as u64
+}
+
+/// Calls `each(cell key, byte mask)` for the one or two 8-byte cells that
+/// `[addr, addr + len)` covers (`len <= 8`; wraps like the address does).
+fn for_cells(addr: u64, len: u32, mut each: impl FnMut(u64, u8)) {
+    let mut i = 0;
+    while i < len {
+        let a = addr.wrapping_add(i as u64);
+        let off = (a & 7) as u32;
+        let n = (8 - off).min(len - i);
+        each(a >> 3, (((1u16 << n) - 1) as u8) << off);
+        i += n;
+    }
 }
 
 /// Tracking phases. `Pending` exists because the flip happens *inside*
@@ -173,12 +194,18 @@ pub(super) struct ForensicsState {
     /// `Vm::instructions` / absolute virtual time at the flip.
     seed_insts: u64,
     seed_cycles: u64,
-    taint: HashSet<TaintKey>,
-    /// Per-thread transactional undo log: `(key, was_present)` for every
-    /// shadow-set mutation made while that thread was transactional. An
-    /// abort replays its log in reverse so the shadow set rolls back
-    /// exactly with the architectural state it mirrors.
-    undo: Vec<Vec<(TaintKey, bool)>>,
+    /// The shadow set: key → mask of tainted bytes. Keys stay once
+    /// inserted; a zero mask is an absent key.
+    taint: OpenTable<u8, true>,
+    /// Size of the set: tainted `[memory bytes, registers]`.
+    live: [u64; 2],
+    /// Per-thread transactional undo log: `(key, bytes, were_present)`
+    /// for every shadow-set mutation made while that thread was
+    /// transactional. An abort replays its log in reverse so the shadow
+    /// set rolls back exactly with the architectural state it mirrors.
+    undo: Vec<Vec<(u64, u8, bool)>>,
+    /// Scratch for [`phi_taint`]'s read-all-then-write.
+    phi: Vec<(u32, bool)>,
     peak: u64,
     /// A tainted value decided a branch (or an indirect call target):
     /// control flow may have diverged, so a drained taint set no longer
@@ -192,6 +219,7 @@ pub(super) struct ForensicsState {
 
 impl ForensicsState {
     pub(super) fn new(n_threads: usize) -> Self {
+        assert!(n_threads <= 1 << 15, "thread ids must fit a register key");
         ForensicsState {
             phase: Phase::Idle,
             site_func: FuncId(0),
@@ -200,8 +228,10 @@ impl ForensicsState {
             applied_mask: 0,
             seed_insts: 0,
             seed_cycles: 0,
-            taint: HashSet::new(),
+            taint: OpenTable::new(),
+            live: [0; 2],
             undo: vec![Vec::new(); n_threads],
+            phi: Vec::new(),
             peak: 0,
             control_tainted: false,
             escaped_to_memory: false,
@@ -220,8 +250,17 @@ impl ForensicsState {
         }
     }
 
-    fn tracking(&self) -> bool {
+    /// The window is open: the flip has landed, its seed is complete and
+    /// no detector has fired. The only time the hook before an op does
+    /// anything.
+    pub(super) fn tracking(&self) -> bool {
         matches!(self.phase, Phase::Tracking)
+    }
+
+    /// Nothing is tainted and no undo log could resurrect a key on a
+    /// future abort.
+    fn drained(&self) -> bool {
+        self.live == [0; 2] && !self.control_tainted && self.undo.iter().all(|u| u.is_empty())
     }
 
     /// Freezes the measurements. Any detector other than masked-at-site
@@ -247,85 +286,85 @@ impl ForensicsState {
         }
     }
 
-    /// Masked-by-drain check: the set is empty *and* no undo log could
-    /// resurrect a key on a future abort.
+    /// Masked-by-drain check.
     fn try_drain(&mut self, insts_now: u64, cycles_now: u64) {
-        if self.tracking()
-            && self.taint.is_empty()
-            && !self.control_tainted
-            && self.undo.iter().all(|u| u.is_empty())
-        {
+        if self.tracking() && self.drained() {
             self.done(FaultDetector::Masked, insts_now, cycles_now);
         }
     }
 
-    fn taint_insert(&mut self, tid: usize, in_tx: bool, key: TaintKey) {
-        if self.taint.insert(key) {
-            if in_tx {
-                self.undo[tid].push((key, false));
-            }
-            self.peak = self.peak.max(self.taint.len() as u64);
+    /// Taints or clears `bytes` of `key`; returns those that changed.
+    fn apply(&mut self, key: u64, bytes: u8, tainted: bool) -> u8 {
+        let n = &mut self.live[(key >> 63) as usize];
+        if tainted {
+            let mask = self.taint.entry(key);
+            let new = bytes & !*mask;
+            *mask |= bytes;
+            *n += new.count_ones() as u64;
+            new
+        } else {
+            let Some(mask) = self.taint.get_mut(key) else { return 0 };
+            let gone = *mask & bytes;
+            *mask &= !bytes;
+            *n -= gone.count_ones() as u64;
+            gone
         }
     }
 
-    fn taint_remove(&mut self, tid: usize, in_tx: bool, key: TaintKey) {
-        if self.taint.remove(&key) && in_tx {
-            self.undo[tid].push((key, true));
+    /// [`Self::apply`] as an op's transfer: logged for undo while `tid`
+    /// is transactional, and growth counted towards the peak.
+    fn set(&mut self, tid: usize, in_tx: bool, key: u64, bytes: u8, tainted: bool) {
+        let changed = self.apply(key, bytes, tainted);
+        if changed != 0 && in_tx {
+            self.undo[tid].push((key, changed, !tainted));
+        }
+        if changed != 0 && tainted {
+            self.peak = self.peak.max(self.live[0] + self.live[1]);
         }
     }
 
     fn reg_tainted(&self, tid: usize, depth: u32, slot: u32) -> bool {
-        self.taint.contains(&TaintKey::Reg { tid: tid as u32, depth, slot })
+        self.taint.get(reg_key(tid, depth, slot)).unwrap_or(0) != 0
     }
 
     fn set_reg(&mut self, tid: usize, in_tx: bool, depth: u32, slot: u32, tainted: bool) {
-        let key = TaintKey::Reg { tid: tid as u32, depth, slot };
-        if tainted {
-            self.taint_insert(tid, in_tx, key);
-        } else {
-            self.taint_remove(tid, in_tx, key);
-        }
+        self.set(tid, in_tx, reg_key(tid, depth, slot), 1, tainted);
     }
 
     fn mem_tainted(&self, addr: u64, len: u32) -> bool {
-        (0..len as u64).any(|i| self.taint.contains(&TaintKey::Mem { addr: addr.wrapping_add(i) }))
+        let mut any = false;
+        for_cells(addr, len, |cell, bytes| any |= self.taint.get(cell).unwrap_or(0) & bytes != 0);
+        any
     }
 
     fn set_mem(&mut self, tid: usize, in_tx: bool, addr: u64, len: u32, tainted: bool) {
-        for i in 0..len as u64 {
-            let key = TaintKey::Mem { addr: addr.wrapping_add(i) };
-            if tainted {
-                self.taint_insert(tid, in_tx, key);
-            } else {
-                self.taint_remove(tid, in_tx, key);
-            }
-        }
+        for_cells(addr, len, |cell, bytes| self.set(tid, in_tx, cell, bytes, tainted));
         if tainted && !in_tx {
             self.escaped_to_memory = true;
         }
     }
 
-    /// `Ret` transfer: the popping frame's registers cease to exist.
-    fn purge_depth(&mut self, tid: usize, in_tx: bool, depth: u32) {
-        let dead: Vec<TaintKey> = self
-            .taint
-            .iter()
-            .copied()
-            .filter(|k| {
-                matches!(k, TaintKey::Reg { tid: t, depth: d, .. }
-                if *t == tid as u32 && *d == depth)
-            })
-            .collect();
-        for key in dead {
-            self.taint_remove(tid, in_tx, key);
-        }
+    /// Clears every register key `k` with `k >> shift == prefix`: a
+    /// popped frame's (`Ret` transfer — its registers cease to exist) or
+    /// a whole thread's.
+    fn purge(&mut self, tid: usize, in_tx: bool, shift: u32, prefix: u64) {
+        let (live, undo) = (&mut self.live[1], &mut self.undo[tid]);
+        self.taint.for_each_mut(|key, mask| {
+            if key >> shift == prefix && *mask != 0 {
+                *mask = 0;
+                *live -= 1;
+                if in_tx {
+                    undo.push((key, 1, true));
+                }
+            }
+        });
     }
 
     /// Phase boundary: the thread gets a fresh frame stack (and is never
     /// transactional here), so its register taint and undo log are moot.
     /// Memory taint persists across phases.
     pub(super) fn purge_thread(&mut self, tid: usize) {
-        self.taint.retain(|k| !matches!(k, TaintKey::Reg { tid: t, .. } if *t == tid as u32));
+        self.purge(tid, false, 48, reg_key(tid, 0, 0) >> 48);
         self.undo[tid].clear();
     }
 
@@ -335,7 +374,7 @@ impl ForensicsState {
             return;
         }
         self.undo[tid].clear();
-        if self.taint.iter().any(|k| matches!(k, TaintKey::Mem { .. })) {
+        if self.live[0] > 0 {
             self.escaped_to_memory = true;
         }
     }
@@ -347,16 +386,12 @@ impl ForensicsState {
         if !self.tracking() {
             return;
         }
-        let log: Vec<(TaintKey, bool)> = self.undo[tid].drain(..).collect();
-        for (key, was_present) in log.into_iter().rev() {
-            if was_present {
-                self.taint.insert(key);
-            } else {
-                self.taint.remove(&key);
-            }
+        let mut log = std::mem::take(&mut self.undo[tid]);
+        for (key, bytes, were_present) in log.drain(..).rev() {
+            self.apply(key, bytes, were_present);
         }
-        if self.taint.is_empty() && !self.control_tainted && self.undo.iter().all(|u| u.is_empty())
-        {
+        self.undo[tid] = log;
+        if self.drained() {
             self.done(FaultDetector::HtmAbort, insts_now, cycles_now);
         }
     }
@@ -481,7 +516,7 @@ impl<'m> Vm<'m> {
             }
             DOp::Ret { val } => {
                 let rt = val.map(|s| st(fx, s)).unwrap_or(false);
-                fx.purge_depth(tid, in_tx, depth);
+                fx.purge(tid, in_tx, 32, reg_key(tid, depth, 0) >> 32);
                 if t.frames.len() > 1 {
                     if let (Some(dst), Some(_)) = (frame.return_to, val) {
                         fx.set_reg(tid, in_tx, depth - 1, dst.0, rt);
@@ -532,7 +567,7 @@ impl<'m> Vm<'m> {
         if value_has_uses(self.m.func(func), ValueId(slot)) {
             fx.phase = Phase::Tracking;
             let in_tx = self.threads[tid].in_tx();
-            fx.taint_insert(tid, in_tx, TaintKey::Reg { tid: tid as u32, depth, slot });
+            fx.set_reg(tid, in_tx, depth, slot, true);
         } else {
             fx.done(FaultDetector::MaskedAtSite, self.instructions, now);
         }
@@ -572,7 +607,7 @@ impl<'m> Vm<'m> {
                 // abort path outside a transaction.
                 RunOutcome::Detected => FaultDetector::Ilr,
                 RunOutcome::Completed => {
-                    if fx.taint.is_empty() && !fx.control_tainted {
+                    if fx.live == [0; 2] && !fx.control_tainted {
                         FaultDetector::Masked
                     } else {
                         FaultDetector::Escaped
@@ -616,19 +651,16 @@ fn phi_taint(
 ) {
     let at = edge.moves_at as usize;
     let moves = &d.moves[at..at + edge.moves_n as usize];
-    let updates: Vec<(u32, bool)> = moves
-        .iter()
-        .map(|mv| {
-            let tainted = match mv.src {
-                Src::Slot(i) => fx.reg_tainted(tid, depth, i),
-                Src::Const(_) => false,
-            };
-            (mv.dst, tainted)
-        })
-        .collect();
-    for (slot, tainted) in updates {
+    let mut updates = std::mem::take(&mut fx.phi);
+    updates.clear();
+    updates.extend(moves.iter().map(|mv| match mv.src {
+        Src::Slot(i) => (mv.dst, fx.reg_tainted(tid, depth, i)),
+        Src::Const(_) => (mv.dst, false),
+    }));
+    for &(slot, tainted) in &updates {
         fx.set_reg(tid, in_tx, depth, slot, tainted);
     }
+    fx.phi = updates;
 }
 
 /// True if any instruction in `f` reads `v` (phi incomings included).
@@ -647,4 +679,127 @@ fn value_has_uses(f: &Function, v: ValueId) -> bool {
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// The shadow set as it was kept before the packed table: one hashed
+    /// key per register and per memory byte, one undo entry per key.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Key {
+        Reg { tid: usize, depth: u32, slot: u32 },
+        Mem { addr: u64 },
+    }
+
+    #[derive(Default)]
+    struct Model {
+        taint: HashSet<Key>,
+        undo: [Vec<(Key, bool)>; 2],
+        peak: usize,
+        escaped: bool,
+    }
+
+    impl Model {
+        fn set(&mut self, tid: usize, in_tx: bool, key: Key, tainted: bool) {
+            let changed = if tainted { self.taint.insert(key) } else { self.taint.remove(&key) };
+            if changed && in_tx {
+                self.undo[tid].push((key, !tainted));
+            }
+            self.peak = self.peak.max(self.taint.len());
+        }
+
+        fn set_mem(&mut self, tid: usize, in_tx: bool, addr: u64, len: u32, tainted: bool) {
+            for i in 0..len as u64 {
+                self.set(tid, in_tx, Key::Mem { addr: addr.wrapping_add(i) }, tainted);
+            }
+            self.escaped |= tainted && !in_tx;
+        }
+
+        fn purge(&mut self, tid: usize, in_tx: bool, dead: impl Fn(&Key) -> bool) {
+            let keys: Vec<Key> = self.taint.iter().copied().filter(dead).collect();
+            for key in keys {
+                self.set(tid, in_tx, key, false);
+            }
+        }
+
+        fn abort(&mut self, tid: usize) {
+            for (key, was_present) in std::mem::take(&mut self.undo[tid]).into_iter().rev() {
+                if was_present {
+                    self.taint.insert(key);
+                } else {
+                    self.taint.remove(&key);
+                }
+            }
+        }
+
+        fn mem_bytes(&self) -> usize {
+            self.taint.iter().filter(|k| matches!(k, Key::Mem { .. })).count()
+        }
+    }
+
+    /// Random transfers, purges, commits and aborts of two threads, over
+    /// a few registers and a few dozen bytes — around address zero, so
+    /// that ranges wrap, straddle cells and overlap — leave the packed
+    /// table and the hashed set with the same contents, sizes, peak,
+    /// undo-log emptiness and escape flag after every step.
+    #[test]
+    fn packed_shadow_set_equals_the_hashed_set() {
+        let mut rng = haft_ir::rng::Prng::new(11);
+        let (mut fx, mut model) = (ForensicsState::new(2), Model::default());
+        fx.phase = Phase::Tracking;
+        for step in 0..20_000 {
+            let (tid, in_tx) = (rng.below(2) as usize, rng.chance(0.5));
+            let (depth, slot) = (1 + rng.below(3) as u32, rng.below(4) as u32);
+            let (addr, len) = (rng.below(40).wrapping_sub(12), 1 << rng.below(4));
+            let tainted = rng.chance(0.4);
+            match rng.below(16) {
+                0..=5 => {
+                    fx.set_reg(tid, in_tx, depth, slot, tainted);
+                    model.set(tid, in_tx, Key::Reg { tid, depth, slot }, tainted);
+                }
+                6..=11 => {
+                    fx.set_mem(tid, in_tx, addr, len, tainted);
+                    model.set_mem(tid, in_tx, addr, len, tainted);
+                }
+                12 => {
+                    fx.purge(tid, in_tx, 32, reg_key(tid, depth, 0) >> 32);
+                    let dead = |k: &Key| matches!(k, Key::Reg { tid: t, depth: d, .. } if (*t, *d) == (tid, depth));
+                    model.purge(tid, in_tx, dead);
+                }
+                13 => {
+                    fx.purge_thread(tid);
+                    model.purge(tid, false, |k| matches!(k, Key::Reg { tid: t, .. } if *t == tid));
+                    model.undo[tid].clear();
+                }
+                14 => {
+                    fx.on_commit(tid);
+                    model.undo[tid].clear();
+                    model.escaped |= model.mem_bytes() > 0;
+                }
+                _ => {
+                    fx.on_abort(tid, 0, 0);
+                    model.abort(tid);
+                    let drained = model.taint.is_empty() && model.undo.iter().all(|u| u.is_empty());
+                    assert_eq!(matches!(fx.phase, Phase::Done), drained, "step {step}");
+                    fx.phase = Phase::Tracking;
+                }
+            }
+            let sizes = [model.mem_bytes(), model.taint.len() - model.mem_bytes()];
+            assert_eq!(fx.live.map(|n| n as usize), sizes, "step {step}");
+            assert_eq!((fx.peak as usize, fx.escaped_to_memory), (model.peak, model.escaped));
+            for t in 0..2 {
+                assert_eq!(fx.undo[t].is_empty(), model.undo[t].is_empty(), "step {step}");
+            }
+            let reg = Key::Reg { tid, depth, slot };
+            assert_eq!(fx.reg_tainted(tid, depth, slot), model.taint.contains(&reg), "step {step}");
+            let bytes =
+                |a: u64, n: u32| (0..n as u64).map(move |i| Key::Mem { addr: a.wrapping_add(i) });
+            let any = bytes(addr, len).any(|k| model.taint.contains(&k));
+            assert_eq!(fx.mem_tainted(addr, len), any, "step {step}: [{addr:#x}; {len}]");
+        }
+        assert!(model.peak > 20 && model.escaped, "the walk must get somewhere: {}", model.peak);
+    }
 }

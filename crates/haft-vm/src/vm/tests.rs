@@ -966,3 +966,158 @@ fn zero_reorder_window_is_refused_at_construction() {
     let cost = CostConfig { rob: 0, ..Default::default() };
     Vm::new(&m, VmConfig { cost, ..Default::default() });
 }
+
+// --- observation at run speed ---------------------------------------------------
+
+/// A hand-hardened loop that has every place a flip can land: `leaf`'s
+/// value arrives through a `Ret`'s caller-side write, the do-while
+/// back-edge is a `condbr` with two phi moves, the sum is computed twice
+/// and checked inside a transaction (a flip between the copies is an ILR
+/// rollback), and the store goes through a pointer computed inside it (a
+/// flip there is a wild store: a trap, which aborts and re-executes).
+fn observed_program(iterations: i64) -> Module {
+    use haft_ir::inst::AbortCode;
+    let mut m = Module::new("observed");
+    let acc = Operand::GlobalAddr(m.add_global("acc", 8));
+    let mut leaf = FunctionBuilder::new("leaf", &[Ty::I64], Some(Ty::I64));
+    let y = leaf.mul(Ty::I64, leaf.param(0), leaf.iconst(Ty::I64, 3));
+    let z = leaf.add(Ty::I64, y, leaf.iconst(Ty::I64, 1));
+    leaf.ret(Some(z.into()));
+    let leaf = m.push_func(leaf.finish());
+
+    let mut fb = FunctionBuilder::new("fini", &[], None);
+    fb.set_non_local();
+    let pre = fb.current_block();
+    let (body, detect, ok, exit) = (fb.new_block(), fb.new_block(), fb.new_block(), fb.new_block());
+    fb.br(body);
+    fb.switch_to(body);
+    let (i, sum) = (fb.phi(Ty::I64), fb.phi(Ty::I64));
+    fb.phi_incoming(i, fb.iconst(Ty::I64, 0), pre);
+    fb.phi_incoming(sum, fb.iconst(Ty::I64, 0), pre);
+    fb.emit_op(Op::TxBegin);
+    let r = fb.call(leaf, &[i.into()], Some(Ty::I64)).unwrap();
+    let (master, shadow) = (fb.add(Ty::I64, sum, r), fb.add(Ty::I64, sum, r));
+    let diverged = fb.cmp(CmpOp::Ne, Ty::I64, master, shadow);
+    fb.condbr(diverged, detect, ok);
+    fb.switch_to(detect);
+    fb.emit_op(Op::TxAbort { code: AbortCode::IlrDetected });
+    fb.switch_to(ok);
+    let p = fb.add(Ty::Ptr, acc, fb.iconst(Ty::I64, 0));
+    fb.store(Ty::I64, master, p);
+    fb.emit_op(Op::TxEnd);
+    let next = fb.add(Ty::I64, i, fb.iconst(Ty::I64, 1));
+    let more = fb.cmp(CmpOp::SLt, Ty::I64, next, fb.iconst(Ty::I64, iterations));
+    fb.phi_incoming(i, next, ok);
+    fb.phi_incoming(sum, master, ok);
+    fb.condbr(more, body, exit);
+    fb.switch_to(exit);
+    let v = fb.load(Ty::I64, acc);
+    fb.emit_out(Ty::I64, v);
+    fb.ret(None);
+    m.push_func(fb.finish());
+    verify_module(&m).expect("the observed program verifies");
+    m
+}
+
+const FINI: RunSpec<'static> = RunSpec { init: None, worker: None, fini: Some("fini") };
+
+/// Ops `run` sends through `step_fused`'s one-op arm on this thread.
+fn arm_ops<R>(run: impl FnOnce() -> R) -> (R, u64) {
+    engine::ARM_OPS.with(|n| n.set(0));
+    let r = run();
+    (r, engine::ARM_OPS.with(|n| n.get()))
+}
+
+/// Every place a flip can land, exhaustively: at each register write of
+/// the run — the first, both moves of the two-phi `condbr` edge, the
+/// caller-side write of `leaf`'s `Ret`, the last — and one past the last,
+/// the fused engine returns the reference interpreter's whole result,
+/// forensics record included, from scratch and forked off a pilot.
+#[test]
+fn a_flip_anywhere_gives_the_same_record_on_both_engines() {
+    let m = observed_program(5);
+    let cfg = |engine, fault| VmConfig { engine, fault, forensics: true, ..Default::default() };
+    let writes = run(&m, cfg(Engine::Interp, None), FINI).register_writes;
+    let prepared = Prepared::new(&m, &cfg(Engine::Fused, None));
+    let mut pilot = Vm::start(&m, &prepared, cfg(Engine::Fused, None), FINI);
+    let mut classes = Vec::new();
+    for k in 0..=writes {
+        let plan = FaultPlan { occurrence: k, xor_mask: 1 << 40 };
+        let want = run(&m, cfg(Engine::Interp, Some(plan)), FINI);
+        assert_eq!(run(&m, cfg(Engine::Fused, Some(plan)), FINI), want, "from scratch, write {k}");
+        pilot.advance_to(k);
+        assert_eq!(pilot.fork(plan, true).run_to_end(), want, "forked, write {k}");
+        assert_eq!(want.forensics.is_some(), k < writes, "write {k} of {writes}");
+        classes.extend(want.forensics.map(|fx| (fx.site.op_class, fx.detector)));
+    }
+    let sites: Vec<&str> = classes.iter().map(|c| c.0).collect();
+    assert!(sites.windows(2).any(|w| w == ["branch", "branch"]), "both phi moves: {sites:?}");
+    assert!(sites.contains(&"call"), "the `Ret`'s caller-side write: {sites:?}");
+    for det in [FaultDetector::Ilr, FaultDetector::HtmAbort, FaultDetector::Escaped] {
+        assert!(classes.iter().any(|c| c.1 == det), "no flip ended as {det:?}");
+    }
+}
+
+/// The one-op arm is for open taint windows only. A forensics run steps
+/// from where the flip may be next (`pause_slack` register writes short
+/// of it; every op but four of this loop's body writes one) to the op
+/// that closes the window, `detect_latency_insts` later; everything else
+/// rides runs, so beyond that the arm sees only what it sees unobserved,
+/// the ops a run refuses. A profiled run has no window: exactly the
+/// refused ops.
+#[test]
+fn the_one_op_arm_runs_only_while_a_taint_window_is_open() {
+    const BODY_OPS: usize = 16;
+    let m = observed_program(300);
+    let cfg = |fault, forensics| VmConfig { fault, forensics, ..Default::default() };
+    let slack = Prepared::new(&m, &cfg(None, false)).pause_slack;
+    assert_eq!(slack, 2, "the two phis of the loop body");
+    let (clean, refused) = arm_ops(|| run(&m, cfg(None, false), FINI));
+    assert!(refused * 2 < clean.instructions, "{refused} of {} ops", clean.instructions);
+    let (profiled, arm) = arm_ops(|| Vm::run_profiled(&m, cfg(None, false), FINI));
+    assert_eq!((profiled.0, arm), (clean.clone(), refused), "profiled");
+
+    let mut closed_by = Vec::new();
+    for k in (clean.register_writes / 2..).take(2 * BODY_OPS) {
+        let fault = Some(FaultPlan { occurrence: k, xor_mask: 1 << 40 });
+        let (plain, refused) = arm_ops(|| run(&m, cfg(fault, false), FINI));
+        let (observed, arm) = arm_ops(|| run(&m, cfg(fault, true), FINI));
+        let fx = observed.forensics.clone().expect("the flip fired");
+        assert_eq!(RunResult { forensics: None, ..observed }, plain, "write {k}");
+        if matches!(fx.detector, FaultDetector::Ilr | FaultDetector::HtmAbort) {
+            let bound = fx.detect_latency_insts + slack + refused;
+            assert!(arm <= bound, "write {k}: {arm} ops through the arm, bound {bound}, {fx:?}");
+            assert!(arm >= refused, "write {k}: {arm} < {refused}");
+            closed_by.push(fx.detector);
+        }
+    }
+    assert!(
+        closed_by.contains(&FaultDetector::Ilr) && closed_by.contains(&FaultDetector::HtmAbort)
+    );
+}
+
+/// A profiled run suspended and re-entered at arbitrary op boundaries
+/// (`advance_to`, every seven register writes) telescopes to the same
+/// cells: a run's exit leaves the thread's lane exactly as a fetch would.
+#[test]
+fn profile_survives_pauses() {
+    let m = observed_program(40);
+    for engine in [Engine::Interp, Engine::Fused] {
+        let cfg = VmConfig { engine, ..Default::default() };
+        let (want, want_profile) = Vm::run_profiled(&m, cfg.clone(), FINI);
+        let prepared = Prepared::new(&m, &cfg);
+        let mut vm = Vm::start(&m, &prepared, cfg, FINI);
+        vm.profiler = Some(Profiler::new(1, m.funcs.len()));
+        let mut pauses = 0;
+        while vm.cursor.ended.is_none() {
+            pauses += 1;
+            vm.advance_to(7 * pauses);
+        }
+        assert!(pauses > 40, "{engine:?}: paused {pauses} times");
+        let profiler = vm.profiler.take().expect("attached above");
+        let profile = profiler.into_profile(|fid| m.func(FuncId(fid)).name.clone());
+        assert_eq!(profile, want_profile, "{engine:?}");
+        assert_eq!(vm.run_to_end(), want, "{engine:?}");
+        assert_eq!(profile.total(), want.cpu_cycles, "{engine:?}");
+    }
+}

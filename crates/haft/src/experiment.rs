@@ -27,7 +27,7 @@ use haft_ir::module::Module;
 use haft_passes::{Backend, HardenConfig, PassManager, PassStats};
 use haft_serve::{ServeConfig, ServeMode, ServiceReport};
 use haft_trace::TraceBuf;
-use haft_vm::{CycleProfile, FaultPlan, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
+use haft_vm::{CycleProfile, FaultPlan, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
 use haft_workloads::Workload;
 
 /// One harden-and-run pipeline over a borrowed module.
@@ -249,8 +249,8 @@ impl<'a> Experiment<'a> {
     /// ([`haft_faults::run_campaign_from`]) — so `n` injections cost
     /// about the reference run, plus the pilot up to the last occurrence,
     /// plus the sum of the suffixes: roughly `1 + n/(n+1) + n/2`
-    /// run-equivalents instead of `1 + n`. The report is identical to
-    /// running every plan from scratch.
+    /// run-equivalents instead of `1 + n`, all against one decode of the
+    /// module. The report is identical to running every plan from scratch.
     ///
     /// # Panics
     ///
@@ -261,9 +261,10 @@ impl<'a> Experiment<'a> {
         let (module, stats) = self.built();
         let mut vm = self.vm.clone();
         vm.fault = None;
-        let golden = Vm::run(module, vm.clone(), self.spec);
+        let prepared = Prepared::new(module, &vm);
+        let golden = Vm::run_prepared(module, &prepared, vm.clone(), self.spec, None);
         let campaign_cfg = CampaignConfig { vm, ..cfg };
-        let report = run_campaign_from(module, self.spec, &campaign_cfg, &golden);
+        let report = run_campaign_from(module, self.spec, &campaign_cfg, &prepared, &golden);
         VariantReport {
             label: self.cfg.label(),
             backend: self.cfg.backend,

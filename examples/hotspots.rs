@@ -11,7 +11,12 @@
 //!   cell (the quiet-host estimate of one benchmark pass);
 //! * where the samples fell, through `addr2line -f -i`: by *outer frame*
 //!   (the real function whose code was executing) and by *innermost
-//!   inline* (the source function that code was inlined from).
+//!   inline* (the source function that code was inlined from);
+//! * the observed paths, unsampled, each beside its plain figure: two of
+//!   the cells under `run_profiled`, and a six-injection fork-driven
+//!   campaign over one HAFT and one native `Scale::Small` program with
+//!   forensics on and off (the same simulated work either way, so the
+//!   ratio of the times is the ratio of ns per instruction).
 //!
 //! Run with: `cargo run --release --example hotspots -- [seconds]`
 //! (default 10; release builds carry the line tables, `debug = true`).
@@ -228,6 +233,52 @@ fn main() {
         total_insts as f64 / 1e6
     );
     report::print(&samples);
+
+    // The observed paths, best of five, unsampled.
+    fn best_ms<R>(mut run: impl FnMut() -> R) -> f64 {
+        let times = (0..5).map(|_| {
+            let t = Instant::now();
+            run();
+            t.elapsed().as_secs_f64() * 1e3
+        });
+        times.fold(f64::INFINITY, f64::min)
+    }
+    println!("\nobserved paths (best of 5, beside the plain figure)");
+    for (name, exp, plain, insts) in &cells {
+        if name == "linearreg.haft" || name == "histogram.native" {
+            let ms = best_ms(|| exp.run_profiled());
+            let per_inst = |ms: f64| ms * 1e6 / *insts as f64;
+            println!(
+                "  {name:<18} profiled            {ms:8.2} ms  {:6.2} ns/inst, plain {:6.2}  x{:.2}",
+                per_inst(ms),
+                per_inst(plain * 1e3),
+                ms / (plain * 1e3)
+            );
+        }
+    }
+    let small = workload_by_name("linearreg", Scale::Small).expect("a Phoenix workload");
+    for (label, cfg) in &configs[..2] {
+        let exp = Experiment::workload(&small)
+            .vm(perf_vm(2, recommended_threshold(small.name)))
+            .seed(1)
+            .harden(cfg.clone());
+        let campaign = |forensics| {
+            let cfg = CampaignConfig {
+                injections: 6,
+                seed: 1,
+                parallelism: 1,
+                forensics,
+                ..Default::default()
+            };
+            best_ms(|| exp.campaign(cfg.clone()))
+        };
+        let (off, on) = (campaign(false), campaign(true));
+        let name = format!("{}.{label}", small.name);
+        println!(
+            "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}",
+            on / off
+        );
+    }
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]

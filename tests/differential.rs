@@ -455,42 +455,117 @@ fn forks_agree_with_scratch_runs_on_workloads() {
     }
 }
 
-/// The 23-point fault sweep from `quickstart_smoke.rs`, run under both
-/// engines and both recovery backends (HAFT rollback, ABFT checksum),
-/// forensics on: every injection point must produce the *same* result —
-/// forensics record included — and therefore the same Table 1 outcome
-/// histogram.
+/// A loop with a dead flow beside the live one: `u` is never read, so a
+/// flip there is masked at the site, and `t` is read only by `u`, so a
+/// flip there is masked when the next iteration overwrites both.
+fn dead_flow_program() -> Module {
+    let mut m = Module::new("dead-flow");
+    let acc = Operand::GlobalAddr(m.add_global("acc", 8));
+    let mut f = FunctionBuilder::new("fini", &[], None);
+    f.set_non_local();
+    f.counted_loop(f.iconst(Ty::I64, 0), f.iconst(Ty::I64, 12), |b, i| {
+        let cur = b.load(Ty::I64, acc);
+        let next = b.add(Ty::I64, cur, i);
+        b.store(Ty::I64, next, acc);
+        let t = b.mul(Ty::I64, i, b.iconst(Ty::I64, 2));
+        let _u = b.add(Ty::I64, t, b.iconst(Ty::I64, 1));
+    });
+    let v = f.load(Ty::I64, acc);
+    f.emit_out(Ty::I64, v);
+    f.ret(None);
+    m.push_func(f.finish());
+    m
+}
+
+/// One fault sweep over the register writes `points` (ascending) of an
+/// already-hardened module, forensics on. The reference interpreter's
+/// from-scratch run is the oracle; the fused from-scratch run and both
+/// engines' forks — one pilot per engine, advanced from point to point as
+/// the campaign driver does — must return its whole `RunResult`, record
+/// included. Returns the oracle's results.
+fn sweep_faults(
+    hardened: &Module,
+    spec: RunSpec<'_>,
+    threads: usize,
+    mask: u64,
+    points: &[u64],
+    what: &str,
+) -> Vec<RunResult> {
+    let vm = |engine| VmConfig { n_threads: threads, engine, ..forensics_vm() };
+    let prepared = Prepared::new(hardened, &vm(Engine::Fused));
+    let mut pilots =
+        [Engine::Interp, Engine::Fused].map(|e| Vm::start(hardened, &prepared, vm(e), spec));
+    let sweep = points.iter().map(|&occurrence| {
+        let plan = FaultPlan { occurrence, xor_mask: mask };
+        let scratch =
+            |engine| Experiment::new(hardened).spec(spec).vm(vm(engine)).run_with_fault(plan).run;
+        let want = scratch(Engine::Interp);
+        assert_eq!(scratch(Engine::Fused), want, "{what}: fused run diverges at {occurrence}");
+        for pilot in &mut pilots {
+            pilot.advance_to(occurrence);
+            let forked = pilot.fork(plan, true).run_to_end();
+            assert_eq!(forked, want, "{what}: a fork diverges at {occurrence}");
+        }
+        want
+    });
+    sweep.collect()
+}
+
+/// The 23-point fault sweep from `quickstart_smoke.rs` under both
+/// recovery backends (HAFT rollback, ABFT checksum), forensics on: at
+/// every injection point both engines, from scratch and forked, must
+/// produce the *same* result — forensics record included — and therefore
+/// the same Table 1 outcome histogram ([`sweep_faults`]). Thinner sweeps
+/// and a program with a dead flow then reach the detectors those two do
+/// not, so that every way a taint window can close (but `hang`) is
+/// crossed between the engines at least once, on both axes.
 #[test]
 fn fault_sweep_outcome_histograms_match() {
     let w = workload_by_name("linearreg", Scale::Small).unwrap();
-    for hc in [HardenConfig::haft(), HardenConfig::abft()] {
-        let label = hc.label();
-        let exp = Experiment::workload(&w).harden(hc).vm(forensics_vm()).threads(2);
+    let mut detectors: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut note = |results: &[RunResult]| {
+        for fx in results.iter().filter_map(|r| r.forensics.as_ref()) {
+            *detectors.entry(fx.detector.label()).or_default() += 1;
+        }
+    };
+    // (backend, mask, every n-th of the 23 points). A flipped high
+    // pointer bit is a wild access: a trap natively, an abort that erases
+    // the corruption inside a HAFT transaction.
+    let sweeps = [
+        (HardenConfig::haft(), 0x40, 1),
+        (HardenConfig::abft(), 0x40, 1),
+        (HardenConfig::native(), 1 << 40, 4),
+        (HardenConfig::tmr(), 0x40, 4),
+        (HardenConfig::haft(), 1 << 40, 4),
+    ];
+    for (hc, mask, nth) in sweeps {
+        let label = format!("{} mask {mask:#x}", hc.label());
+        let (hardened, _) = Experiment::workload(&w).harden(hc.clone()).build();
+        let exp = Experiment::new(&hardened).spec(w.run_spec()).vm(forensics_vm()).threads(2);
         let (clean_i, clean_f) = run_both(&exp);
         assert_eq!(clean_i, clean_f, "{label}: clean runs diverge");
-
-        let mut histogram_i: BTreeMap<String, u64> = BTreeMap::new();
-        let mut histogram_f: BTreeMap<String, u64> = BTreeMap::new();
-        let (mut corrected, mut records) = (0, 0);
-        let step = (clean_i.register_writes / 23).max(1);
-        for occurrence in (0..clean_i.register_writes).step_by(step as usize) {
-            let plan = FaultPlan { occurrence, xor_mask: 0x40 };
-            let ri = exp.clone().engine(Engine::Interp).run_with_fault(plan).run;
-            let rf = exp.clone().engine(Engine::Fused).run_with_fault(plan).run;
-            assert_eq!(ri, rf, "{label}: faulted runs diverge at occurrence {occurrence}");
-            corrected += ri.corrected_by_checksum;
-            records += ri.forensics.is_some() as u64;
-            *histogram_i.entry(format!("{:?}", ri.outcome)).or_default() += 1;
-            *histogram_f.entry(format!("{:?}", rf.outcome)).or_default() += 1;
-        }
-        // Implied by the per-point equality above, but assert the
-        // aggregate the paper actually reports: identical outcome
-        // histograms.
-        assert_eq!(histogram_i, histogram_f, "{label}: outcome histograms diverge");
-        assert!(histogram_i.values().sum::<u64>() >= 23, "{label}: sweep must cover 23 points");
-        assert!(records >= 23, "{label}: only {records} runs carried a forensics record");
-        if label == "HAFT" {
-            assert_eq!(corrected, 0, "rollback backend must never fire a checksum");
+        let step = (clean_i.register_writes / 23).max(1) as usize;
+        let grid = (0..clean_i.register_writes).step_by(step);
+        let points: Vec<u64> = grid.skip(nth / 2).step_by(nth).collect();
+        let results = sweep_faults(&hardened, w.run_spec(), 2, mask, &points, &label);
+        note(&results);
+        if nth == 1 {
+            // Equal results are equal Table 1 outcome histograms.
+            assert!(results.len() >= 23, "{label}: sweep must cover 23 points");
+            let records = results.iter().filter(|r| r.forensics.is_some()).count();
+            assert!(records >= 23, "{label}: only {records} runs carried a forensics record");
+            let corrected: u64 = results.iter().map(|r| r.corrected_by_checksum).sum();
+            assert_eq!(corrected > 0, hc.label() == "ABFT", "{label}: checksum corrections");
         }
     }
+    let dead_flow = dead_flow_program();
+    let writes = run_both(&Experiment::new(&dead_flow).spec(fini_spec())).0.register_writes;
+    let points: Vec<u64> = (0..writes).collect();
+    note(&sweep_faults(&dead_flow, fini_spec(), 1, 0x40, &points, "dead-flow"));
+    let closed_by: Vec<&str> = detectors.keys().copied().collect();
+    assert_eq!(
+        closed_by,
+        ["abft-correct", "escaped", "htm-abort", "ilr", "masked", "masked-at-site", "trap", "vote"],
+        "detectors the sweeps reached: {detectors:?}"
+    );
 }

@@ -104,6 +104,60 @@ b0:
     }
 }
 
+/// What a fused profiled run carries across its run boundaries, against
+/// the reference interpreter's fetch per op: every loop iteration calls
+/// and returns (the function changes between runs, so the cell a run
+/// opens with is another function's), and with four threads on one cell
+/// the transactions conflict (a run opens on the `tx-abort` relabel, in
+/// the function the rollback resumes in). One thread and four.
+#[test]
+fn profiles_match_across_calls_and_conflict_aborts() {
+    let mut m = Module::new("contended");
+    let x = Operand::GlobalAddr(m.add_global("x", 8));
+    let mut bump = FunctionBuilder::new("bump", &[Ty::I64], Some(Ty::I64));
+    // Long enough to be issued over several cycles of its own.
+    let mut v = bump.param(0);
+    for k in 1..=8 {
+        v = bump.add(Ty::I64, v, bump.iconst(Ty::I64, k % 2));
+    }
+    bump.ret(Some(v.into()));
+    let bump = m.push_func(bump.finish());
+    let mut w = FunctionBuilder::new("worker", &[Ty::I64, Ty::I64], None);
+    w.set_non_local();
+    w.counted_loop(w.iconst(Ty::I64, 0), w.iconst(Ty::I64, 60), |b, _| {
+        b.emit_op(Op::TxBegin);
+        let v = b.load(Ty::I64, x);
+        let nv = b.call(bump, &[v.into()], Some(Ty::I64)).unwrap();
+        b.store(Ty::I64, nv, x);
+        b.emit_op(Op::TxEnd);
+    });
+    w.ret(None);
+    m.push_func(w.finish());
+    let mut f = FunctionBuilder::new("fini", &[], None);
+    f.set_non_local();
+    let v = f.load(Ty::I64, x);
+    f.emit_out(Ty::I64, v);
+    f.ret(None);
+    m.push_func(f.finish());
+    verify_module(&m).unwrap();
+
+    let spec = RunSpec { worker: Some("worker"), fini: Some("fini"), ..Default::default() };
+    for n_threads in [1, 4] {
+        let vm = |engine| VmConfig { n_threads, quantum: 9, engine, ..Default::default() };
+        let (interp, interp_profile) = Vm::run_profiled(&m, vm(Engine::Interp), spec);
+        let (fused, fused_profile) = Vm::run_profiled(&m, vm(Engine::Fused), spec);
+        assert_eq!(interp, fused, "{n_threads} threads: engines diverge");
+        assert_eq!(fused, Vm::run(&m, vm(Engine::Fused), spec), "{n_threads} threads: profiling");
+        assert_eq!(interp_profile, fused_profile, "{n_threads} threads: profiles differ");
+        assert_eq!(fused_profile.total(), fused.cpu_cycles, "{n_threads} threads");
+        let funcs: Vec<String> = fused_profile.by_function().into_iter().map(|f| f.0).collect();
+        assert!(["bump", "worker"].iter().all(|f| funcs.iter().any(|g| g == f)), "{funcs:?}");
+        let penalty = fused_profile.by_class().iter().any(|c| c.0 == "tx-abort");
+        assert_eq!(penalty, n_threads == 4, "{n_threads} threads: {:?}", fused.htm);
+        assert_eq!(fused.htm.total_aborts() > 0, n_threads == 4);
+    }
+}
+
 /// A traced DES serve run must return a `ServiceReport` equal to the
 /// untraced one — full structural equality, including latency
 /// percentiles, per-shard stats, and fault accounting.
