@@ -1,8 +1,9 @@
 //! One shard actor: the pool-side driver of a [`ShardCore`].
 //!
-//! Each actor owns a private [`BatchRunner`] — its own clone of the
-//! once-hardened module — so batches on different shards really execute
-//! concurrently on different cores. Service time is still priced by the
+//! Every actor starts its batches from the serve call's one shard image
+//! ([`BatchRunner`]), which batches only read, so batches on different
+//! shards really execute concurrently on different cores, each on its
+//! own clone of the image's arena. Service time is still priced by the
 //! simulated cost model, by the same [`ShardCore`] the DES steps, on a
 //! *per-shard virtual clock*: a batch starts at `max(shard vclock,
 //! latest arrival in the batch)` and the shard's clock advances to its
@@ -13,9 +14,7 @@
 
 use haft_apps::Op;
 use haft_faults::RequestOutcome;
-use haft_ir::module::Module;
 use haft_serve::{BatchRunner, FaultDraw, ServeConfig, ShardCore};
-use haft_vm::{RunSpec, VmConfig};
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -34,11 +33,11 @@ pub struct BatchOutput {
     pub freed_vns: Vec<u64>,
 }
 
-/// A shard as the pool schedules it: a private module copy, its own
+/// A shard as the pool schedules it: the shared shard image, its own
 /// fault stream, and the [`ShardCore`] that prices and accounts its
 /// batches (merged into the final [`haft_serve::ServiceReport`]).
 pub struct ShardActor<'a> {
-    runner: BatchRunner<'a>,
+    runner: &'a BatchRunner<'a>,
     fault_draw: Option<FaultDraw>,
     batch_cap: usize,
     /// Saga joins land on whichever shard's core finished last.
@@ -46,20 +45,18 @@ pub struct ShardActor<'a> {
 }
 
 impl<'a> ShardActor<'a> {
-    /// Builds the actor for shard `idx`. `writes_per_req` comes from the
-    /// pool's one off-traffic calibration batch (shared by all shards,
-    /// identical to the DES's estimate); the shard draws fault stream
-    /// `idx` (see [`FaultDraw`]).
+    /// Builds the actor for shard `idx` over the shard image `runner`.
+    /// `writes_per_req` comes from the pool's one off-traffic calibration
+    /// batch (shared by all shards, identical to the DES's estimate); the
+    /// shard draws fault stream `idx` (see [`FaultDraw`]).
     pub fn new(
-        hardened: &Module,
-        spec: RunSpec<'a>,
-        vm: VmConfig,
+        runner: &'a BatchRunner<'a>,
         cfg: &ServeConfig,
         idx: usize,
         writes_per_req: u64,
     ) -> Self {
         ShardActor {
-            runner: BatchRunner::new(hardened, spec, vm),
+            runner,
             fault_draw: cfg.faults.map(|f| FaultDraw::new(f, idx as u64, writes_per_req)),
             batch_cap: cfg.batch_cap(),
             core: ShardCore::new(cfg, idx),
@@ -96,7 +93,7 @@ impl<'a> ShardActor<'a> {
         let start = self.core.vclock_ns().max(latest);
         let plan = self.fault_draw.as_mut().and_then(|d| d.draw(ops.len()));
         let arrivals = batch.iter().map(|r| r.saga.is_none().then_some(r.arrival_vns));
-        let served = self.core.serve(&mut self.runner, &ops, arrivals, start, plan);
+        let served = self.core.serve(self.runner, &ops, arrivals, start, plan);
 
         let mut freed_vns = Vec::with_capacity(batch.len());
         for (req, &o) in batch.iter().zip(&served.outcomes) {
@@ -121,12 +118,14 @@ impl<'a> ShardActor<'a> {
 mod tests {
     use super::*;
     use haft_apps::{kv_shard, KvSync, WorkloadMix, YcsbGen};
+    use haft_vm::VmConfig;
 
     #[test]
     fn batch_formation_respects_virtual_arrivals() {
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig { batch: 4, ..Default::default() };
-        let a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
+        let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
+        let a = ShardActor::new(&runner, &cfg, 0, 1);
         let mut gen = YcsbGen::new(3, 100);
         let mk = |op, t| Req { op, arrival_vns: t, saga: None };
         let ops = gen.generate(WorkloadMix::B, 4);
@@ -147,7 +146,8 @@ mod tests {
 
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig { requests: 2, ..Default::default() };
-        let mut a = ShardActor::new(&w.module, w.run_spec(), VmConfig::default(), &cfg, 0, 1);
+        let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
+        let mut a = ShardActor::new(&runner, &cfg, 0, 1);
         let mut gen = YcsbGen::new(4, 100);
         let ops = gen.generate(WorkloadMix::B, 2);
 

@@ -2,9 +2,10 @@
 //!
 //! The `haft-serve` discrete-event simulation prices a fleet of shard
 //! VMs on one host thread; this crate *runs* the same fleet: N shard
-//! actors — each owning its own VM over its own clone of the
-//! once-hardened module — scheduled across a work-stealing pool of OS
-//! threads ([`pool::Pool`]). It is the second *driver* of
+//! actors — each batch a fresh VM over its own clone of the one shard
+//! image ([`haft_serve::BatchRunner`]) they share — scheduled across a
+//! work-stealing pool of OS threads ([`pool::Pool`]). It is the second
+//! *driver* of
 //! [`haft_serve::ShardCore`]: the batch step, pricing, classification,
 //! accounting and report assembly are the simulation's own code, and
 //! this crate decides only when a batch starts and what is in it
@@ -90,15 +91,15 @@ pub fn run_native(
 ) -> ServiceReport {
     cfg.validate(spec);
     let workers = opts.workers.max(1);
-    // Same estimate as the DES, from a throwaway runner.
-    let writes_per_req = cfg.faults.map_or(1, |_| {
-        calibrate_writes_per_req(&mut BatchRunner::new(module, spec, vm.clone()), cfg)
-    });
+    // One shard image for the calibration and every actor; same estimate
+    // as the DES.
+    let runner = BatchRunner::new(module, spec, vm);
+    let writes_per_req = cfg.faults.map_or(1, |_| calibrate_writes_per_req(&runner, cfg));
 
     let epoch = trace.as_ref().map(|_| Instant::now());
     let slots: Vec<ActorSlot> = (0..cfg.shards)
         .map(|i| {
-            let mut actor = ShardActor::new(module, spec, vm.clone(), cfg, i, writes_per_req);
+            let mut actor = ShardActor::new(&runner, cfg, i, writes_per_req);
             if epoch.is_some() {
                 actor.core.enable_trace(epoch);
             }

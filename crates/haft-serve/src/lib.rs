@@ -19,7 +19,8 @@
 //!
 //! * **Shards** — N independent single-core VM instances of one hardened
 //!   [`haft_apps::kv_shard`] module (shard-per-core; the module is
-//!   hardened once and its request buffer patched per batch).
+//!   hardened once, decoded and laid out once per serve call, and each
+//!   batch writes its requests into a clone of that arena).
 //! * **Arrivals** — open-loop Poisson at a configured rate, or a closed
 //!   loop of C clients ([`ArrivalMode`]).
 //! * **Routing** — key-hash (shards own key partitions; Zipfian heat
@@ -221,8 +222,8 @@ struct ShardSim {
 }
 
 /// The discrete-event driver: an event heap deciding when each shard's
-/// next batch starts, one global fault stream, and one [`BatchRunner`]
-/// shared by every shard (batches never overlap in host time).
+/// next batch starts, one global fault stream, and the serve call's one
+/// shard image ([`BatchRunner`]), which every shard's batches start from.
 struct Sim<'m, 'c> {
     cfg: &'c ServeConfig,
     runner: BatchRunner<'m>,
@@ -271,7 +272,7 @@ impl Sim<'_, '_> {
         let arrivals = seqs.iter().map(|&q| Some(self.arrivals_ns[q]));
         let completion = self.shards[s]
             .core
-            .serve(&mut self.runner, &batch_ops, arrivals, now_ns, plan)
+            .serve(&self.runner, &batch_ops, arrivals, now_ns, plan)
             .completion_ns;
         self.shards[s].busy = true;
         self.push_event(completion, Ev::Complete { shard: s });
@@ -338,9 +339,9 @@ pub fn run_service(
 ) -> ServiceReport {
     cfg.validate(spec);
     let total = cfg.requests;
-    let mut runner = BatchRunner::new(module, spec, vm);
+    let runner = BatchRunner::new(module, spec, vm);
     let fault_draw =
-        cfg.faults.map(|f| FaultDraw::new(f, 0, calibrate_writes_per_req(&mut runner, cfg)));
+        cfg.faults.map(|f| FaultDraw::new(f, 0, calibrate_writes_per_req(&runner, cfg)));
     let mut sim = Sim {
         cfg,
         runner,

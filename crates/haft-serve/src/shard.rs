@@ -1,6 +1,8 @@
-//! One shard: a hardened VM serving request batches, and the service
-//! core that prices and accounts them.
+//! One shard: the image a hardened VM serves request batches from, and
+//! the service core that prices and accounts them.
 //!
+//! [`BatchRunner`] is the one batch path: a fresh `Vm` per batch, over a
+//! clone of the image's arena with the batch's requests written in.
 //! [`ShardCore`] is the one copy of "run the VM → price on
 //! [`haft_vm::PhaseCycles`] → classify per request → bucket telemetry →
 //! fault bookkeeping → shard stats → trace splice". The discrete-event
@@ -9,52 +11,53 @@
 
 use std::time::Instant;
 
-use haft_apps::{golden_reply, patch_requests, Op, YcsbGen, KV_KEYSPACE};
+use haft_apps::{golden_reply, Op, YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
 use haft_faults::{classify_requests, RequestCounts, RequestOutcome};
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
 use haft_trace::{TraceBuf, TraceEvent};
-use haft_vm::{FaultPlan, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Memory, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
 
 use crate::report::{FaultReport, FaultTelemetry, ServiceReport, ShardStats};
 use crate::{
     ArrivalMode, FaultLoad, LatencyStats, ServeConfig, TRACE_PID_SERVE, TRACE_PID_VM_BASE,
 };
 
-/// Runs request batches against an already-hardened shard module.
+/// The shard image: runs request batches against an already-hardened
+/// shard module.
 ///
-/// A runner is one patchable module copy. The simulation is sequential —
-/// batches overlap only in *simulated* time — so a single runner serves
-/// every shard there; the real-thread runtime gives each shard actor its
-/// own so batches really execute concurrently.
+/// One image per serve call is everything a batch does not change: the
+/// borrowed module, its decoded code ([`Prepared`]: functions, global
+/// *layout* and cost model, all fixed for the image's lifetime) and the
+/// initial arena, with the request buffer empty. Batches only read it,
+/// so the simulation's DES, its fault calibration and every shard actor
+/// of the real-thread runtime share one. A batch clones the arena,
+/// writes its requests the way [`patch_requests`] encodes them, and runs
+/// a fresh `Vm` (HTM, threads) over it: exactly the run of a
+/// `patch_requests`-patched module, without building its memory.
 ///
-/// The module is decoded once, here, not once per batch: the
-/// [`Prepared`] handle depends on the module's functions, its global
-/// *layout* (each global's size) and the VM's cost model, all fixed for
-/// the runner's lifetime. [`patch_requests`] rewrites the initial *bytes*
-/// of two globals and nothing else, so it cannot invalidate the handle;
-/// every batch still gets a fresh `Vm` (memory, HTM, threads) built from
-/// the patched module.
+/// [`patch_requests`]: haft_apps::patch_requests
 pub struct BatchRunner<'a> {
-    module: Module,
+    module: &'a Module,
     spec: RunSpec<'a>,
     vm: VmConfig,
     prepared: Prepared,
+    arena: Memory,
+    /// Base addresses of the `reqs` and `n_reqs` globals.
+    reqs: u64,
+    n_reqs: u64,
 }
 
 impl<'a> BatchRunner<'a> {
-    /// Takes one clone of the hardened module (hardening happened once,
-    /// upstream, in the `Experiment` cache) and pins the VM to a single
-    /// simulated thread — a shard is one core.
-    pub fn new(hardened: &Module, spec: RunSpec<'a>, mut vm: VmConfig) -> Self {
-        for g in ["reqs", "n_reqs", "replies"] {
-            assert!(
-                hardened.global_by_name(g).is_some(),
-                "{}: not a shard-servable module (missing `{g}` global); \
-                 build the experiment over haft_apps::kv_shard",
-                hardened.name
-            );
-        }
+    /// Decodes the hardened module (hardening happened once, upstream, in
+    /// the `Experiment` cache), lays out its arena and pins the VM to a
+    /// single simulated thread — a shard is one core.
+    pub fn new(hardened: &'a Module, spec: RunSpec<'a>, mut vm: VmConfig) -> Self {
+        let [reqs, n_reqs, _replies] = ["reqs", "n_reqs", "replies"].map(|g| {
+            let why = "not a shard-servable module; build the experiment over haft_apps::kv_shard";
+            let id = hardened.global_by_name(g);
+            id.unwrap_or_else(|| panic!("{}: {why} (missing `{g}` global)", hardened.name)).0
+        });
         vm.n_threads = 1;
         vm.fault = None;
         // Shard modules are tens of KiB of globals; the default 16 MiB
@@ -63,7 +66,29 @@ impl<'a> BatchRunner<'a> {
         let needed: u64 = hardened.globals.iter().map(|g| g.size + 64).sum::<u64>() + (1 << 16);
         vm.mem_bytes = vm.mem_bytes.min(needed.next_power_of_two().max(1 << 17));
         let prepared = Prepared::new(hardened, &vm);
-        BatchRunner { module: hardened.clone(), spec, vm, prepared }
+        let mut arena = Memory::new(hardened, vm.mem_bytes);
+        let len = hardened.globals[reqs as usize].size;
+        let base = |g: u32| arena.global_bases[g as usize];
+        let (reqs, n_reqs) = (base(reqs), base(n_reqs));
+        // An empty request buffer, whatever the module's initialisers say.
+        for at in (reqs..reqs + len).step_by(8).chain([n_reqs]) {
+            arena.store(at, 8, 0).expect("the request buffer is mapped");
+        }
+        BatchRunner { module: hardened, spec, vm, prepared, arena, reqs, n_reqs }
+    }
+
+    /// The initial arena of a batch serving `ops`: the image's, with the
+    /// request words and their count written where `patch_requests` puts
+    /// them.
+    fn batch_arena(&self, ops: &[Op]) -> Memory {
+        assert!(ops.len() <= SHARD_CAPACITY, "batch of {} exceeds SHARD_CAPACITY", ops.len());
+        let mut mem = self.arena.clone();
+        let words = ops.iter().map(|op| op.encode()).chain([ops.len() as u64]);
+        let at = (self.reqs..).step_by(8).take(ops.len()).chain([self.n_reqs]);
+        for (at, word) in at.zip(words) {
+            mem.store(at, 8, word).expect("the request buffer is mapped");
+        }
+        mem
     }
 
     /// Serves one batch, optionally with a single-event upset injected
@@ -72,15 +97,13 @@ impl<'a> BatchRunner<'a> {
     /// rescales them onto its own timeline); the returned result is
     /// bit-identical either way.
     pub fn run_batch(
-        &mut self,
+        &self,
         ops: &[Op],
         fault: Option<FaultPlan>,
         trace: Option<&mut TraceBuf>,
     ) -> RunResult {
-        patch_requests(&mut self.module, ops);
-        let mut vm = self.vm.clone();
-        vm.fault = fault;
-        Vm::run_prepared(&self.module, &self.prepared, vm, self.spec, trace)
+        let vm = VmConfig { fault, ..self.vm.clone() };
+        Vm::run_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops), trace)
     }
 }
 
@@ -88,7 +111,7 @@ impl<'a> BatchRunner<'a> {
 /// occurrence population) from one off-traffic calibration batch, so
 /// injection occurrences can be drawn uniformly over a batch's dynamic
 /// trace.
-pub fn calibrate_writes_per_req(runner: &mut BatchRunner<'_>, cfg: &ServeConfig) -> u64 {
+pub fn calibrate_writes_per_req(runner: &BatchRunner<'_>, cfg: &ServeConfig) -> u64 {
     let batch_cap = cfg.batch_cap();
     let mut cal_gen = YcsbGen::new(cfg.seed ^ 0xCA11_B007, KV_KEYSPACE);
     let cal = runner.run_batch(&cal_gen.generate(cfg.mix, batch_cap), None, None);
@@ -215,7 +238,7 @@ impl ShardCore {
     /// [`Self::record_join`]). Failed requests are never sampled.
     pub fn serve(
         &mut self,
-        runner: &mut BatchRunner<'_>,
+        runner: &BatchRunner<'_>,
         ops: &[Op],
         arrivals: impl Iterator<Item = Option<u64>>,
         start_ns: u64,
@@ -394,13 +417,12 @@ impl ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use haft_apps::{golden_reply, kv_shard, KvSync, WorkloadMix, YcsbGen};
-    use haft_vm::RunOutcome;
+    use haft_apps::{kv_shard, KvSync, WorkloadMix};
 
     #[test]
     fn runner_serves_consecutive_batches() {
         let w = kv_shard(KvSync::Atomics);
-        let mut runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
+        let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
         let mut gen = YcsbGen::new(1, 1000);
         for n in [1usize, 7, 32] {
             let ops = gen.generate(WorkloadMix::B, n);
@@ -426,12 +448,12 @@ mod tests {
     fn served_batches_advance_the_clock_and_sample_latency() {
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig::default();
-        let mut runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
+        let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
         let mut core = ShardCore::new(&cfg, 0);
         let ops = YcsbGen::new(9, 100).generate(WorkloadMix::B, 3);
         // The middle op's latency is sampled elsewhere (a saga sub-op).
         let arrivals = [Some(100), None, Some(40)];
-        let served = core.serve(&mut runner, &ops, arrivals.into_iter(), 100, None);
+        let served = core.serve(&runner, &ops, arrivals.into_iter(), 100, None);
         assert_eq!(served.outcomes, vec![RequestOutcome::Served; 3]);
         assert!(served.completion_ns > 100, "clock advanced past the start");
         assert_eq!(core.vclock_ns(), served.completion_ns);
@@ -462,5 +484,136 @@ mod tests {
         let hits = plans(0).iter().flatten().count();
         assert!((16..=48).contains(&hits), "rate 0.5 over 64 draws hit {hits} times");
         assert!(plans(0).iter().flatten().all(|p| p.occurrence < 100));
+    }
+
+    // --- a batch is a fresh run -------------------------------------------------
+
+    /// The batch path before shard images, kept only as this module's
+    /// oracle: `Vm::run_prepared` over a `patch_requests`-patched clone of
+    /// the module, memory built from its initialisers.
+    fn patched_run(
+        runner: &BatchRunner<'_>,
+        ops: &[Op],
+        fault: Option<FaultPlan>,
+        trace: Option<&mut TraceBuf>,
+    ) -> RunResult {
+        let mut patched = runner.module.clone();
+        haft_apps::patch_requests(&mut patched, ops);
+        let vm = VmConfig { fault, ..runner.vm.clone() };
+        Vm::run_prepared(&patched, &runner.prepared, vm, runner.spec, trace)
+    }
+
+    /// `run_batch` equals the oracle, untraced and traced (result and
+    /// every trace event); returns the result.
+    fn fresh_run(runner: &BatchRunner<'_>, ops: &[Op], fault: Option<FaultPlan>) -> RunResult {
+        let at = format!("{} × {} ops, {fault:?}", runner.module.name, ops.len());
+        let run = runner.run_batch(ops, fault, None);
+        assert_eq!(run, patched_run(runner, ops, fault, None), "{at}");
+        let (mut image, mut patched) = (TraceBuf::new(), TraceBuf::new());
+        assert_eq!(runner.run_batch(ops, fault, Some(&mut image)), run, "{at}, traced");
+        patched_run(runner, ops, fault, Some(&mut patched));
+        assert_eq!(image, patched, "{at}: trace");
+        run
+    }
+
+    /// `m` hardened native, HAFT and TMR.
+    fn shard_modules(m: &Module) -> Vec<Module> {
+        use haft_passes::{HardenConfig, PassManager};
+        [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr()]
+            .iter()
+            .map(|hc| PassManager::from_config(hc).run_on(m).0)
+            .collect()
+    }
+
+    /// On `[Update(k), Read(k), …]` under native code, a plan that crashes
+    /// the batch and one that corrupts the table: the update writes a
+    /// flipped value, so both replies are off by the same XOR — the read
+    /// returned what the update left in the table.
+    fn crash_and_corruption(runner: &BatchRunner<'_>, ops: &[Op]) -> [FaultPlan; 2] {
+        let golden: Vec<u64> = ops.iter().map(|&o| golden_reply(o)).collect();
+        let writes = runner.run_batch(ops, None, None).register_writes;
+        let plans = (0..writes).map(|occurrence| FaultPlan { occurrence, xor_mask: 1 << 33 });
+        let (mut crash, mut corrupt) = (None, None);
+        for plan in plans {
+            let r = runner.run_batch(ops, Some(plan), None);
+            if r.outcome != RunOutcome::Completed {
+                crash.get_or_insert(plan);
+            } else if r.output[0] ^ golden[0] != 0
+                && r.output[0] ^ golden[0] == r.output[1] ^ golden[1]
+            {
+                corrupt.get_or_insert(plan);
+            }
+            if let (Some(crash), Some(corrupt)) = (crash, corrupt) {
+                return [crash, corrupt];
+            }
+        }
+        panic!("no crashing or no table-corrupting plan: {crash:?} {corrupt:?}");
+    }
+
+    /// Every batch of every backend is the run of the patched module:
+    /// batch sizes 1, 3, 8 and `SHARD_CAPACITY` × no fault, a crash, a
+    /// table corruption and drawn plans × untraced and traced — and the
+    /// batch's initial arena is byte for byte `Memory::new` of the patched
+    /// module.
+    #[test]
+    fn batches_equal_runs_of_the_patched_module() {
+        let (w, key) = (kv_shard(KvSync::Atomics), 17);
+        let (spec, modules) = (w.run_spec(), shard_modules(&w.module));
+        let mut ops = vec![Op::Update(key), Op::Read(key)];
+        ops.extend(YcsbGen::new(0xBA7C, KV_KEYSPACE).generate(WorkloadMix::B, SHARD_CAPACITY));
+        let special = crash_and_corruption(
+            &BatchRunner::new(&modules[0], spec, VmConfig::default()),
+            &ops[..2],
+        );
+        for m in &modules {
+            let runner = BatchRunner::new(m, spec, VmConfig::default());
+            let load = FaultLoad { rate_per_request: 1.0, seed: 0xD4A };
+            let mut draw =
+                FaultDraw::new(load, 0, calibrate_writes_per_req(&runner, &ServeConfig::default()));
+            for n in [0, 1, 3, 8, SHARD_CAPACITY] {
+                let mut patched = m.clone();
+                haft_apps::patch_requests(&mut patched, &ops[..n]);
+                let (image, want) =
+                    (runner.batch_arena(&ops[..n]), Memory::new(&patched, runner.vm.mem_bytes));
+                assert_eq!(image.size(), want.size());
+                assert!(
+                    (0..image.size()).all(|a| image.byte(a) == want.byte(a)),
+                    "{} × {n}",
+                    m.name
+                );
+                if n == 0 {
+                    continue;
+                }
+                let drawn = [draw.draw(n), draw.draw(n)];
+                for plan in [None, Some(special[0]), Some(special[1])].into_iter().chain(drawn) {
+                    fresh_run(&runner, &ops[..n], plan);
+                }
+            }
+        }
+    }
+
+    /// Consecutive batches on one image: a batch that crashes or
+    /// corrupts the table leaves nothing behind for the next one, which
+    /// replies exactly as on a fresh shard.
+    #[test]
+    fn a_faulty_batch_leaks_nothing_into_the_next() {
+        let (w, key) = (kv_shard(KvSync::Atomics), 17);
+        let (spec, modules) = (w.run_spec(), shard_modules(&w.module));
+        let head = [Op::Update(key), Op::Read(key)];
+        let next = [Op::Read(key), Op::Update(key + 1), Op::Read(key)];
+        let [crash, corrupt] =
+            crash_and_corruption(&BatchRunner::new(&modules[0], spec, VmConfig::default()), &head);
+        for m in &modules {
+            let runner = BatchRunner::new(m, spec, VmConfig::default());
+            for plan in [corrupt, crash, corrupt] {
+                fresh_run(&runner, &head, Some(plan));
+                let r = fresh_run(&runner, &next, None);
+                assert!(r.output_matches(&next.map(golden_reply)), "{} after {plan:?}", m.name);
+            }
+        }
+        let native = BatchRunner::new(&modules[0], spec, VmConfig::default());
+        assert_ne!(native.run_batch(&head, Some(crash), None).outcome, RunOutcome::Completed);
+        let corrupted = native.run_batch(&head, Some(corrupt), None);
+        assert!(!corrupted.output_matches(&head.map(golden_reply)), "the table was corrupted");
     }
 }

@@ -243,8 +243,10 @@ impl Scoreboard {
         let floor = self.floor;
         let (structural, slot, rob_ready) = self.slot();
         // Reorder-window constraint: wait for the instruction issued
-        // `rob` slots ago to complete.
-        let done = structural.max(ready).max(floor).max(rob_ready) + latency;
+        // `rob` slots ago to complete. The operand-independent terms fold
+        // first, so a dependent chain's critical path is one `max` (exact:
+        // `max` is associative and commutative).
+        let done = ready.max(structural.max(floor).max(rob_ready)) + latency;
         *slot = done;
         self.clock = self.clock.max(done);
         done

@@ -59,13 +59,15 @@ pub struct Memory {
 
 impl Memory {
     /// Creates a memory of `size` bytes and lays out the module's globals.
+    /// The backing covers the globals and the first page of heap, so a
+    /// small heap's first store does not grow it.
     ///
     /// # Panics
     ///
     /// Panics if the globals do not fit.
     pub fn new(m: &Module, size: u64) -> Self {
         let (global_bases, next) = Self::layout(m);
-        let mut bytes = vec![0u8; (next as usize).min(size as usize)];
+        let mut bytes = vec![0u8; (next as usize + 4096).min(size as usize)];
         for (g, &base) in m.globals.iter().zip(&global_bases) {
             assert!(
                 base + g.size <= size,

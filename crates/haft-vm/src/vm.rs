@@ -376,8 +376,8 @@ struct Cursor {
 /// Everything about a run that depends only on the module's functions,
 /// its global *layout* and the cost model: the decoded code and the pause
 /// slack. Build it once ([`Prepared::new`]) and run any number of VMs
-/// against it — [`Vm::run_prepared`], [`Vm::start`] — as long as those
-/// three stay the same; global initial *bytes*, seeds, thread counts,
+/// against it — [`Vm::run_prepared`], [`Vm::run_in`], [`Vm::start`] — as
+/// long as those three stay the same; global initial *bytes*, seeds, thread counts,
 /// fault plans, the [`Engine`] and every other [`VmConfig`] field may
 /// differ from run to run.
 #[derive(Debug)]
@@ -469,10 +469,15 @@ impl<'m> Vm<'m> {
     /// Panics if `cfg.cost` fails [`CostConfig::validate`] or `cfg.htm`
     /// fails [`HtmConfig::validate`].
     pub fn new(module: &'m Module, cfg: VmConfig) -> Self {
+        let mem = Memory::new(module, cfg.mem_bytes);
+        Vm::over(module, cfg, mem)
+    }
+
+    /// [`Vm::new`] over the initial arena `mem`.
+    fn over(module: &'m Module, cfg: VmConfig, mem: Memory) -> Self {
         if let Err(why) = cfg.cost.validate() {
             panic!("invalid CostConfig: {why}");
         }
-        let mem = Memory::new(module, cfg.mem_bytes);
         let htm = Htm::new(cfg.htm.clone(), cfg.n_threads.max(1));
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
@@ -530,7 +535,7 @@ impl<'m> Vm<'m> {
     /// Executes all phases of `spec` and returns the measurements.
     pub fn run(module: &'m Module, cfg: VmConfig, spec: RunSpec<'_>) -> RunResult {
         let prepared = Prepared::new(module, &cfg);
-        Self::run_instrumented(module, &prepared, cfg, spec, None, false).0
+        Self::run_prepared(module, &prepared, cfg, spec, None)
     }
 
     /// [`Vm::run`] against a [`Prepared`] handle built earlier for the
@@ -549,7 +554,40 @@ impl<'m> Vm<'m> {
         spec: RunSpec<'_>,
         trace: Option<&mut TraceBuf>,
     ) -> RunResult {
-        Vm::run_instrumented(module, prepared, cfg, spec, trace, false).0
+        let mem = Memory::new(module, cfg.mem_bytes);
+        Vm::run_in(module, prepared, cfg, spec, mem, trace)
+    }
+
+    /// [`Vm::run_prepared`] from a caller-built initial arena instead of
+    /// `Memory::new(module, cfg.mem_bytes)`: `mem` must be laid out for
+    /// `module` ([`Memory::layout`]), and its bytes and size are the
+    /// run's, whatever the module's global initialisers and
+    /// `cfg.mem_bytes` say. A caller that serves many runs from one
+    /// image clones it per run instead of building it.
+    ///
+    /// The single execution path behind [`Vm::run`]/[`Vm::run_traced`]/
+    /// [`Vm::run_prepared`]: the trace hooks are `None`-checked on the hot
+    /// path, so the untraced run executes the same code either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` or `mem` does not fit `module` (see
+    /// [`Vm::start`]).
+    pub fn run_in(
+        module: &Module,
+        prepared: &Prepared,
+        cfg: VmConfig,
+        spec: RunSpec<'_>,
+        mem: Memory,
+        mut trace: Option<&mut TraceBuf>,
+    ) -> RunResult {
+        let mut vm = Vm::start_in(module, prepared, cfg, spec, mem);
+        vm.trace = trace.as_deref_mut().map(std::mem::take);
+        let outcome = vm.resume().expect("no pause point is set");
+        if let Some(buf) = trace {
+            *buf = vm.trace.take().expect("trace buffer attached for the whole run");
+        }
+        vm.into_result(outcome)
     }
 
     /// [`Vm::run`] with tracing attached: phase/transaction spans and
@@ -569,40 +607,19 @@ impl<'m> Vm<'m> {
 
     /// [`Vm::run`] with cycle-attribution profiling attached. The
     /// returned profile's cell total equals the result's `cpu_cycles`
-    /// exactly; the run itself is bit-identical to an unprofiled one.
+    /// exactly; the run itself is bit-identical to an unprofiled one (the
+    /// profiler's hooks are `None`-checked like the tracer's).
     pub fn run_profiled(
         module: &'m Module,
         cfg: VmConfig,
         spec: RunSpec<'_>,
     ) -> (RunResult, CycleProfile) {
         let prepared = Prepared::new(module, &cfg);
-        let (result, profile) = Self::run_instrumented(module, &prepared, cfg, spec, None, true);
-        (result, profile.expect("profiler attached for the whole run"))
-    }
-
-    /// The single execution path behind [`Vm::run`]/[`Vm::run_traced`]/
-    /// [`Vm::run_profiled`]: instrumentation hooks are `None`-checked on
-    /// the hot path, so the untraced run executes the same code either
-    /// way.
-    fn run_instrumented(
-        module: &Module,
-        prepared: &Prepared,
-        cfg: VmConfig,
-        spec: RunSpec<'_>,
-        mut trace: Option<&mut TraceBuf>,
-        profiled: bool,
-    ) -> (RunResult, Option<CycleProfile>) {
-        let mut vm = Vm::start(module, prepared, cfg, spec);
-        vm.trace = trace.as_deref_mut().map(std::mem::take);
-        if profiled {
-            vm.profiler = Some(Profiler::new(vm.threads.len(), module.funcs.len()));
-        }
+        let mut vm = Vm::start(module, &prepared, cfg, spec);
+        vm.profiler = Some(Profiler::new(vm.threads.len(), module.funcs.len()));
         let outcome = vm.resume().expect("no pause point is set");
-        if let Some(buf) = trace {
-            *buf = vm.trace.take().expect("trace buffer attached for the whole run");
-        }
-        let profile =
-            vm.profiler.take().map(|p| p.into_profile(|fid| vm.m.func(FuncId(fid)).name.clone()));
+        let profile = vm.profiler.take().expect("profiler attached for the whole run");
+        let profile = profile.into_profile(|fid| module.func(FuncId(fid)).name.clone());
         (vm.into_result(outcome), profile)
     }
 
@@ -623,13 +640,28 @@ impl<'m> Vm<'m> {
         cfg: VmConfig,
         spec: RunSpec<'m>,
     ) -> Self {
-        let mut vm = Vm::new(module, cfg);
+        let mem = Memory::new(module, cfg.mem_bytes);
+        Vm::start_in(module, prepared, cfg, spec, mem)
+    }
+
+    /// [`Vm::start`] over the initial arena `mem` (see [`Vm::run_in`]),
+    /// which must be laid out for `module` too.
+    fn start_in(
+        module: &'m Module,
+        prepared: &'m Prepared,
+        cfg: VmConfig,
+        spec: RunSpec<'m>,
+        mem: Memory,
+    ) -> Self {
+        let (bases, _) = Memory::layout(module);
         assert!(
             prepared.decoded.funcs.len() == module.funcs.len()
-                && prepared.global_bases == vm.mem.global_bases,
-            "{}: prepared for another function list or global layout",
+                && prepared.global_bases == bases
+                && mem.global_bases == bases,
+            "{}: prepared or arena for another function list or global layout",
             module.name
         );
+        let mut vm = Vm::over(module, cfg, mem);
         if vm.cfg.engine == Engine::Fused {
             for t in &mut vm.threads {
                 t.bp_dense = vec![0u8; prepared.decoded.n_condbrs.max(1)];

@@ -73,17 +73,27 @@ pub(crate) struct Alu2 {
 /// decode-time-computable quantity already computed.
 ///
 /// The `…64` opcodes are `Bin`/`Cmp` with operator and type resolved at
-/// decode — the pairs that dominate the dynamic census, on 64-bit
-/// integers (`I64` or `Ptr`), where operand masking is the identity — so
-/// the engine spends one dispatch on them instead of dispatch, float
-/// test, operator jump and mask lookups. Only the engine's executor
-/// matches on them; everything that *observes* ops (profiler classes,
-/// taint transfer, the fuse census) sees [`DOp::generic`].
+/// decode, on 64-bit integers (`I64` or `Ptr`), where operand masking is
+/// the identity, so the engine spends one dispatch on them instead of
+/// dispatch, float test, operator jump, mask lookups and a `Result`. The
+/// rule for `Bin`: every operator that is neither float nor trapping
+/// ([`BinOp::is_float`], [`BinOp::can_trap`]) has its opcode, and `Bin`
+/// keeps division, remainder, floats and narrow types. Of `Cmp`, the
+/// three predicates that dominate the dynamic census have theirs. Only
+/// the engine's executor matches on them; everything that *observes* ops
+/// (profiler classes, taint transfer, the fuse census) sees
+/// [`DOp::generic`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum DOp {
     Add64(Alu2),
+    Sub64(Alu2),
     Mul64(Alu2),
     And64(Alu2),
+    Or64(Alu2),
+    Xor64(Alu2),
+    Shl64(Alu2),
+    LShr64(Alu2),
+    AShr64(Alu2),
     CmpEq64(Alu2),
     CmpNe64(Alu2),
     CmpSlt64(Alu2),
@@ -237,8 +247,14 @@ pub(crate) enum DOp {
 macro_rules! resolved {
     () => {
         DOp::Add64(_)
+            | DOp::Sub64(_)
             | DOp::Mul64(_)
             | DOp::And64(_)
+            | DOp::Or64(_)
+            | DOp::Xor64(_)
+            | DOp::Shl64(_)
+            | DOp::LShr64(_)
+            | DOp::AShr64(_)
             | DOp::CmpEq64(_)
             | DOp::CmpNe64(_)
             | DOp::CmpSlt64(_)
@@ -247,6 +263,27 @@ macro_rules! resolved {
 pub(crate) use resolved;
 
 impl DOp {
+    /// A decoded `Bin`, by the rule on [`DOp`]: on a 64-bit integer, an
+    /// operator that is neither float nor trapping has its own opcode.
+    fn bin(op: BinOp, ty: Ty, x: Alu2) -> DOp {
+        let Alu2 { a, b, dst, lat } = x;
+        if !matches!(ty, Ty::I64 | Ty::Ptr) || op.is_float() || op.can_trap() {
+            return DOp::Bin { op, ty, a, b, dst, lat };
+        }
+        match op {
+            BinOp::Add => DOp::Add64(x),
+            BinOp::Sub => DOp::Sub64(x),
+            BinOp::Mul => DOp::Mul64(x),
+            BinOp::And => DOp::And64(x),
+            BinOp::Or => DOp::Or64(x),
+            BinOp::Xor => DOp::Xor64(x),
+            BinOp::Shl => DOp::Shl64(x),
+            BinOp::LShr => DOp::LShr64(x),
+            BinOp::AShr => DOp::AShr64(x),
+            _ => unreachable!("{op:?} is float or traps"),
+        }
+    }
+
     /// The `Bin`/`Cmp` a decode-resolved opcode stands for (any other op
     /// is returned as it is). The type reads `I64` where the IR may have
     /// said `Ptr`: the same 64-bit word, and no observer reads it.
@@ -255,8 +292,14 @@ impl DOp {
         let cmp = |op, Alu2 { a, b, dst, .. }| DOp::Cmp { op, ty: Ty::I64, a, b, dst };
         match self {
             DOp::Add64(x) => bin(BinOp::Add, x),
+            DOp::Sub64(x) => bin(BinOp::Sub, x),
             DOp::Mul64(x) => bin(BinOp::Mul, x),
             DOp::And64(x) => bin(BinOp::And, x),
+            DOp::Or64(x) => bin(BinOp::Or, x),
+            DOp::Xor64(x) => bin(BinOp::Xor, x),
+            DOp::Shl64(x) => bin(BinOp::Shl, x),
+            DOp::LShr64(x) => bin(BinOp::LShr, x),
+            DOp::AShr64(x) => bin(BinOp::AShr, x),
             DOp::CmpEq64(x) => cmp(CmpOp::Eq, x),
             DOp::CmpNe64(x) => cmp(CmpOp::Ne, x),
             DOp::CmpSlt64(x) => cmp(CmpOp::SLt, x),
@@ -380,15 +423,7 @@ impl Decoded {
                                 dst: dst.expect("bin has result"),
                                 lat: cost.compute_latency(&inst.op),
                             };
-                            match (op, ty) {
-                                (BinOp::Add, Ty::I64 | Ty::Ptr) => DOp::Add64(x),
-                                (BinOp::Mul, Ty::I64 | Ty::Ptr) => DOp::Mul64(x),
-                                (BinOp::And, Ty::I64 | Ty::Ptr) => DOp::And64(x),
-                                _ => {
-                                    let Alu2 { a, b, dst, lat } = x;
-                                    DOp::Bin { op: *op, ty: *ty, a, b, dst, lat }
-                                }
-                            }
+                            DOp::bin(*op, *ty, x)
                         }
                         Op::Un { op, ty, a } => DOp::Un {
                             op: *op,

@@ -199,11 +199,18 @@ impl RunCtx<'_> {
     fn exec(&mut self, op: &DOp) -> Ran {
         match *op {
             // --- compute -----------------------------------------------------
-            // Decode-resolved: 64-bit operands, so no masking, and the
-            // compares write an `I1` like `Cmp` does.
+            // Decode-resolved: 64-bit operands, so no masking; shift
+            // counts wrap at 64, as `eval_bin`'s do; the compares write an
+            // `I1` like `Cmp` does.
             DOp::Add64(x) => self.alu2(x, Ty::I64, u64::wrapping_add),
+            DOp::Sub64(x) => self.alu2(x, Ty::I64, u64::wrapping_sub),
             DOp::Mul64(x) => self.alu2(x, Ty::I64, u64::wrapping_mul),
             DOp::And64(x) => self.alu2(x, Ty::I64, |a, b| a & b),
+            DOp::Or64(x) => self.alu2(x, Ty::I64, |a, b| a | b),
+            DOp::Xor64(x) => self.alu2(x, Ty::I64, |a, b| a ^ b),
+            DOp::Shl64(x) => self.alu2(x, Ty::I64, |a, b| a.wrapping_shl(b as u32)),
+            DOp::LShr64(x) => self.alu2(x, Ty::I64, |a, b| a.wrapping_shr(b as u32)),
+            DOp::AShr64(x) => self.alu2(x, Ty::I64, |a, b| ((a as i64) >> (b & 63)) as u64),
             DOp::CmpEq64(x) => self.alu2(x, Ty::I1, |a, b| (a == b) as u64),
             DOp::CmpNe64(x) => self.alu2(x, Ty::I1, |a, b| (a != b) as u64),
             DOp::CmpSlt64(x) => self.alu2(x, Ty::I1, |a, b| ((a as i64) < (b as i64)) as u64),

@@ -860,25 +860,33 @@ fn phase_cycles_partition_wall_cycles() {
 }
 
 /// Every decode-resolved opcode computes what `eval_bin`/`eval_cmp`
-/// compute for the `(op, type)` pair it stands for — on the edge values,
-/// on random ones, with the second operand in a register and as a
-/// constant — and decode really does resolve the pair, for `I64` and for
-/// `Ptr`.
+/// compute for the `(op, type)` pair it stands for — on the edge values
+/// (shift counts at, around and far past the width included), on random
+/// ones, with the second operand in a register and as a constant — and
+/// decode really does resolve the pair, for `I64` and for `Ptr`: all
+/// nine `Bin` operators that neither trap nor are float.
 #[test]
 fn decode_resolved_opcodes_equal_the_generic_evaluators() {
     use decode::DOp;
-    let mut vals = vec![0, 1, 2, u64::MAX, i64::MIN as u64, i64::MAX as u64];
+    let mut vals = vec![0, 1, 2, 63, 64, 65, u64::MAX, i64::MIN as u64, i64::MAX as u64];
     let mut rng = Prng::new(0xD0);
-    vals.extend((0..10).map(|_| rng.next_u64()));
+    vals.extend((0..8).map(|_| rng.next_u64()));
     let pairs: Vec<(u64, u64)> =
         vals.iter().flat_map(|&a| vals.iter().map(move |&b| (a, b))).collect();
 
     type Resolved = fn(&DOp) -> bool;
-    let bins: [(BinOp, Resolved); 3] = [
+    let bins: [(BinOp, Resolved); 9] = [
         (BinOp::Add, |op| matches!(op, DOp::Add64(_))),
+        (BinOp::Sub, |op| matches!(op, DOp::Sub64(_))),
         (BinOp::Mul, |op| matches!(op, DOp::Mul64(_))),
         (BinOp::And, |op| matches!(op, DOp::And64(_))),
+        (BinOp::Or, |op| matches!(op, DOp::Or64(_))),
+        (BinOp::Xor, |op| matches!(op, DOp::Xor64(_))),
+        (BinOp::Shl, |op| matches!(op, DOp::Shl64(_))),
+        (BinOp::LShr, |op| matches!(op, DOp::LShr64(_))),
+        (BinOp::AShr, |op| matches!(op, DOp::AShr64(_))),
     ];
+    assert!(bins.iter().all(|(op, _)| !op.is_float() && !op.can_trap()));
     let cmps: [(CmpOp, Resolved); 3] = [
         (CmpOp::Eq, |op| matches!(op, DOp::CmpEq64(_))),
         (CmpOp::Ne, |op| matches!(op, DOp::CmpNe64(_))),
@@ -919,6 +927,53 @@ fn decode_resolved_opcodes_equal_the_generic_evaluators() {
     }
 }
 
+/// The rule's other side: a narrow type or a trapping operator keeps
+/// the generic `Bin`.
+#[test]
+fn narrow_and_trapping_bins_stay_generic() {
+    let m = fini_module(|fb| {
+        for (op, ty) in [(BinOp::Xor, Ty::I32), (BinOp::Shl, Ty::I8), (BinOp::UDiv, Ty::I64)] {
+            let r = fb.bin(op, ty, fb.iconst(ty, 7), fb.iconst(ty, 3));
+            fb.emit_out(ty, r);
+        }
+        fb.ret(None);
+    });
+    let code = &Prepared::new(&m, &VmConfig::default()).decoded.funcs[0].code;
+    let kept: Vec<_> = code
+        .iter()
+        .filter_map(|op| match op {
+            decode::DOp::Bin { op, ty, .. } => Some((*op, *ty)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kept, [(BinOp::Xor, Ty::I32), (BinOp::Shl, Ty::I8), (BinOp::UDiv, Ty::I64)]);
+    assert_eq!(run_fini(&m).output, [7 ^ 3, 7 << 3, 7 / 3]);
+}
+
+/// Decode census of the serving hot path: `kv_shard`'s `serve` under
+/// native, HAFT and TMR hardening keeps no generic `Bin` on a 64-bit
+/// integer except division and remainder — its protocol-frame chain
+/// (`lshr`/`xor` rounds) runs on resolved opcodes.
+#[test]
+fn kv_shard_serve_decodes_every_64_bit_alu_op() {
+    use haft_apps::{kv_shard, KvSync};
+    use haft_passes::{HardenConfig, PassManager};
+    let w = kv_shard(KvSync::Atomics);
+    for hc in [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr()] {
+        let (m, _) = PassManager::from_config(&hc).run_on(&w.module);
+        let prepared = Prepared::new(&m, &VmConfig::default());
+        let serve = m.func_by_name("serve").expect("kv_shard has serve");
+        let code = &prepared.decoded.funcs[serve.0 as usize].code;
+        let generic = code.iter().filter(
+            |op| matches!(op, decode::DOp::Bin { op, ty: Ty::I64 | Ty::Ptr, .. } if !op.can_trap()),
+        );
+        assert_eq!(generic.count(), 0, "{}", hc.label());
+        let xor = code.iter().filter(|op| matches!(op, decode::DOp::Xor64(_))).count();
+        let lshr = code.iter().filter(|op| matches!(op, decode::DOp::LShr64(_))).count();
+        assert!(xor > 0 && lshr > 0, "{}: {xor} xor, {lshr} lshr", hc.label());
+    }
+}
+
 /// The fault hook is one compare of the write counter against the plan:
 /// a fault planned at occurrence `k` flips exactly the `k`-th register
 /// write — first, second and last of the run — on both engines.
@@ -949,6 +1004,19 @@ fn fault_lands_on_exactly_the_planned_register_write() {
         let r = run(&m, VmConfig { engine, fault, ..Default::default() }, spec);
         assert_eq!(r.output, clean.output, "{engine:?}");
     }
+}
+
+/// `Vm::run_in` takes a caller's arena only if it is laid out for the
+/// module it runs.
+#[test]
+#[should_panic(expected = "prepared or arena for another function list or global layout")]
+fn an_arena_laid_out_for_another_module_is_refused() {
+    let m = fini_module(|fb| fb.ret(None));
+    let mut other = m.clone();
+    other.add_global("g", 8);
+    let cfg = VmConfig::default();
+    let (prepared, mem) = (Prepared::new(&m, &cfg), Memory::new(&other, cfg.mem_bytes));
+    Vm::run_in(&m, &prepared, cfg, RunSpec { fini: Some("fini"), ..Default::default() }, mem, None);
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Sampling profiler for the VM's steady state, for hosts without `perf`.
+//! Sampling profiler for the VM's steady state and the serving path, for
+//! hosts without `perf`.
 //!
 //! Loops the 16 cells of the benchmark's `batch-exec` workload — four
 //! programs at `Scale::Large` × {native, HAFT, TMR, ABFT}, the runs in
@@ -8,10 +9,16 @@
 //! prints:
 //!
 //! * the sum of per-cell minima and ns per simulated instruction per
-//!   cell (the quiet-host estimate of one benchmark pass);
+//!   cell (the quiet-host estimate of one benchmark pass), and the ns per
+//!   instruction of a dependent 64-bit ALU chain (best of 5, unsampled:
+//!   the scoreboard's and the resolved opcodes' critical path);
 //! * where the samples fell, through `addr2line -f -i`: by *outer frame*
 //!   (the real function whose code was executing) and by *innermost
-//!   inline* (the source function that code was inlined from);
+//!   inline* (the source function that code was inlined from); a sample
+//!   outside the executable counts for its mapping (`libc.so.6`, …);
+//! * the same for the four Sim cells of the benchmark's `serve-mixed`
+//!   (`kv_shard` under YCSB B: native, HAFT, TMR, HAFT with faults),
+//!   sampled for a quarter of the time, with µs per batch per cell;
 //! * the observed paths, unsampled, each beside its plain figure: two of
 //!   the cells under `run_profiled`, and a six-injection fork-driven
 //!   campaign over one HAFT and one native `Scale::Small` program with
@@ -90,8 +97,9 @@ mod sampler {
         assert_eq!(rc, 0, "setitimer(ITIMER_PROF)");
     }
 
-    /// Starts sampling the process's CPU time.
+    /// Starts sampling the process's CPU time, from an empty buffer.
     pub fn start() {
+        TAKEN.store(0, Relaxed);
         let act = Sigaction {
             handler: on_sigprof,
             mask: [0; 16],
@@ -119,17 +127,6 @@ mod report {
     use std::collections::HashMap;
     use std::process::Command;
 
-    /// Where this executable's first mapping starts (the load base a PIE's
-    /// file addresses are offsets from), and its path.
-    fn load_base() -> (u64, String) {
-        let exe = std::fs::read_link("/proc/self/exe").expect("/proc/self/exe");
-        let exe = exe.to_string_lossy().into_owned();
-        let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps");
-        let line = maps.lines().find(|l| l.ends_with(&exe)).expect("the executable is mapped");
-        let start = line.split('-').next().expect("maps line starts with a range");
-        (u64::from_str_radix(start, 16).expect("hex address"), exe)
-    }
-
     /// `path::to::function::h0123…` → `to::function` (last two segments).
     fn short(name: &str) -> String {
         let mut parts: Vec<&str> = name.split("::").collect();
@@ -148,11 +145,38 @@ mod report {
         }
     }
 
-    /// Resolves the samples and prints both share tables.
+    /// Resolves the samples and prints both share tables. A sample in
+    /// this executable is named by `addr2line`; one anywhere else counts
+    /// for its mapping (`libc.so.6`, `[vdso]`, …) in both tables.
     pub fn print(samples: &[u64]) {
-        let (base, exe) = load_base();
-        let addrs: Vec<String> =
-            samples.iter().map(|rip| format!("{:#x}", rip.wrapping_sub(base))).collect();
+        let exe = std::fs::read_link("/proc/self/exe").expect("/proc/self/exe");
+        let exe = exe.to_string_lossy().into_owned();
+        let maps = std::fs::read_to_string("/proc/self/maps").expect("/proc/self/maps");
+        // `start-end perms offset dev inode [path]` → (start, end, path).
+        let ranges: Vec<(u64, u64, &str)> = maps
+            .lines()
+            .filter_map(|line| {
+                let mut fields = line.split_whitespace();
+                let (start, end) = fields.next()?.split_once('-')?;
+                let hex = |h| u64::from_str_radix(h, 16).ok();
+                Some((hex(start)?, hex(end)?, fields.nth(4).unwrap_or("[anon]")))
+            })
+            .collect();
+        // The first mapping of a PIE is its load base: file addresses
+        // are offsets from it.
+        let base = ranges.iter().find(|r| r.2 == exe).expect("the executable is mapped").0;
+        let (mut outer, mut inner) = (HashMap::new(), HashMap::new());
+        let mut addrs = Vec::new();
+        for &rip in samples {
+            match ranges.iter().find(|r| (r.0..r.1).contains(&rip)).map(|r| r.2) {
+                Some(path) if path == exe => addrs.push(format!("{:#x}", rip - base)),
+                path => {
+                    let name = path.map_or("unmapped", |p| p.rsplit('/').next().unwrap_or(p));
+                    *outer.entry(name.to_string()).or_insert(0) += 1;
+                    *inner.entry(name.to_string()).or_insert(0) += 1;
+                }
+            }
+        }
         println!("\n{} samples", samples.len());
         let out = match Command::new("addr2line")
             .args(["-a", "-f", "-i", "-C", "-e", &exe])
@@ -164,7 +188,6 @@ mod report {
         };
         // Per address: its `0x…` line, then (function, file:line) pairs
         // from the innermost inlined frame out to the real function.
-        let (mut outer, mut inner) = (HashMap::new(), HashMap::new());
         for record in out.split("\n0x") {
             let funcs: Vec<&str> = record.lines().skip(1).step_by(2).collect();
             if let (Some(first), Some(last)) = (funcs.first(), funcs.last()) {
@@ -177,11 +200,77 @@ mod report {
     }
 }
 
+/// A dependent 64-bit ALU chain in a do-while loop: per iteration four
+/// rounds of the serving frame's shape (`lshr`, `xor`, `add`) and a
+/// multiply, each op reading the one before it.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn alu_chain(iterations: i64) -> haft::ir::module::Module {
+    use haft::prelude::*;
+    let mut fb = FunctionBuilder::new("fini", &[], None);
+    fb.set_non_local();
+    let (entry, body, exit) = (fb.entry(), fb.new_block(), fb.new_block());
+    fb.br(body);
+    fb.switch_to(body);
+    let (i, x) = (fb.phi(Ty::I64), fb.phi(Ty::I64));
+    let mut v = x;
+    for k in 0..4 {
+        let shifted = fb.bin(BinOp::LShr, Ty::I64, v, fb.iconst(Ty::I64, 7 + k));
+        v = fb.bin(BinOp::Xor, Ty::I64, v, shifted);
+        v = fb.add(Ty::I64, v, fb.iconst(Ty::I64, 0x9E37_79B9));
+        v = fb.mul(Ty::I64, v, fb.iconst(Ty::I64, 0x2545_F491));
+    }
+    let next = fb.add(Ty::I64, i, fb.iconst(Ty::I64, 1));
+    let more = fb.cmp(CmpOp::SLt, Ty::I64, next, fb.iconst(Ty::I64, iterations));
+    fb.condbr(more, body, exit);
+    fb.phi_incoming(i, fb.iconst(Ty::I64, 0), entry);
+    fb.phi_incoming(i, next, body);
+    fb.phi_incoming(x, fb.iconst(Ty::I64, 1), entry);
+    fb.phi_incoming(x, v, body);
+    fb.switch_to(exit);
+    fb.emit_out(Ty::I64, v);
+    fb.ret(None);
+    let mut m = Module::new("alu-chain");
+    m.push_func(fb.finish());
+    verify_module(&m).expect("the chain verifies");
+    m
+}
+
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
+    use haft::apps::{kv_shard, KvSync};
     use haft::eval::{perf_vm, recommended_threshold};
     use haft::prelude::*;
     use std::time::{Duration, Instant};
+
+    /// A sampled cell: name, one run (returning its work count), the
+    /// best time so far and the last work count.
+    type Cell<'a> = (String, Box<dyn FnMut() -> u64 + 'a>, f64, u64);
+    /// Loops `cells` under the sampler until `seconds` have passed, one
+    /// round at least.
+    fn sampled(cells: &mut [Cell<'_>], seconds: f64) -> Vec<u64> {
+        sampler::start();
+        let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+        let mut rounds = 0;
+        while rounds == 0 || Instant::now() < deadline {
+            for (_, run, best, work) in cells.iter_mut() {
+                let t = Instant::now();
+                *work = run();
+                *best = best.min(t.elapsed().as_secs_f64());
+            }
+            rounds += 1;
+        }
+        let samples = sampler::stop();
+        println!("{rounds} rounds of {} cells", cells.len());
+        samples
+    }
+    fn best_ms<R>(mut run: impl FnMut() -> R) -> f64 {
+        let times = (0..5).map(|_| {
+            let t = Instant::now();
+            run();
+            t.elapsed().as_secs_f64() * 1e3
+        });
+        times.fold(f64::INFINITY, f64::min)
+    }
 
     let seconds: f64 = std::env::args().nth(1).map_or(10.0, |s| s.parse().expect("seconds"));
     let configs = [
@@ -194,7 +283,7 @@ fn main() {
         .iter()
         .map(|name| workload_by_name(name, Scale::Large).expect("a Phoenix/PARSEC workload"))
         .collect();
-    let mut cells = Vec::new();
+    let mut batch = Vec::new();
     for w in &programs {
         for (label, cfg) in &configs {
             let exp = Experiment::workload(w)
@@ -202,52 +291,77 @@ fn main() {
                 .seed(1)
                 .harden(cfg.clone());
             exp.build(); // Harden outside the sampled loop.
-            cells.push((format!("{}.{label}", w.name), exp, f64::INFINITY, 0u64));
+            batch.push((format!("{}.{label}", w.name), exp));
         }
     }
-
-    sampler::start();
-    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-    let mut rounds = 0;
-    while rounds == 0 || Instant::now() < deadline {
-        for (_, exp, best, insts) in &mut cells {
-            let t = Instant::now();
-            let run = exp.run().run;
-            *best = best.min(t.elapsed().as_secs_f64());
-            *insts = run.instructions;
-        }
-        rounds += 1;
-    }
-    let samples = sampler::stop();
-
-    println!("{rounds} rounds of {} cells", cells.len());
-    for (name, _, best, insts) in &cells {
+    let mut batch_cells: Vec<Cell> = batch
+        .iter()
+        .map(|(name, exp)| {
+            let run = Box::new(|| exp.run().run.instructions) as Box<dyn FnMut() -> u64>;
+            (name.clone(), run, f64::INFINITY, 0)
+        })
+        .collect();
+    let samples = sampled(&mut batch_cells, seconds);
+    for (name, _, best, insts) in &batch_cells {
         println!("  {name:<18} {:8.2} ms  {:6.2} ns/inst", best * 1e3, best * 1e9 / *insts as f64);
     }
-    let total_s: f64 = cells.iter().map(|c| c.2).sum();
-    let total_insts: u64 = cells.iter().map(|c| c.3).sum();
+    let total_s: f64 = batch_cells.iter().map(|c| c.2).sum();
+    let total_insts: u64 = batch_cells.iter().map(|c| c.3).sum();
     println!(
         "sum of per-cell minima {:.4} s, {:.2} ns/inst over {:.1} Minst",
         total_s,
         total_s * 1e9 / total_insts as f64,
         total_insts as f64 / 1e6
     );
+    let chain = alu_chain(20_000);
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    let insts = Vm::run(&chain, VmConfig::default(), spec).instructions;
+    let ms = best_ms(|| Vm::run(&chain, VmConfig::default(), spec));
+    println!("dependent ALU chain {:.2} ns/inst (best of 5)", ms * 1e6 / insts as f64);
+    report::print(&samples);
+
+    // The serving Sim cells of the benchmark's `serve-mixed`: `kv_shard`
+    // under YCSB B, sampled for a quarter of the time.
+    let kv = kv_shard(KvSync::Atomics);
+    let serving: Vec<_> = [(0, false), (1, false), (2, false), (1, true)]
+        .into_iter()
+        .map(|(c, faults)| {
+            let (label, hc) = &configs[c];
+            let exp = Experiment::workload(&kv).seed(1).harden(hc.clone());
+            exp.build();
+            let cfg = ServeConfig {
+                requests: 1_500,
+                arrival: ArrivalMode::ClosedLoop { clients: 32, think_ns: 0 },
+                shards: 4,
+                batch: 8,
+                seed: 1,
+                faults: faults.then(FaultLoad::default),
+                ..ServeConfig::default()
+            };
+            (format!("serve.sim.{label}{}", if faults { "-faults" } else { "" }), exp, cfg)
+        })
+        .collect();
+    let mut serve_cells: Vec<Cell> = serving
+        .iter()
+        .map(|(name, exp, cfg)| {
+            let run = Box::new(|| exp.serve(cfg).batches) as Box<dyn FnMut() -> u64>;
+            (name.clone(), run, f64::INFINITY, 0)
+        })
+        .collect();
+    println!();
+    let samples = sampled(&mut serve_cells, seconds / 4.0);
+    for (name, _, best, batches) in &serve_cells {
+        let per_batch = best * 1e6 / *batches as f64;
+        println!("  {name:<22} {:8.2} ms  {batches} batches  {per_batch:6.2} us/batch", best * 1e3);
+    }
     report::print(&samples);
 
     // The observed paths, best of five, unsampled.
-    fn best_ms<R>(mut run: impl FnMut() -> R) -> f64 {
-        let times = (0..5).map(|_| {
-            let t = Instant::now();
-            run();
-            t.elapsed().as_secs_f64() * 1e3
-        });
-        times.fold(f64::INFINITY, f64::min)
-    }
     println!("\nobserved paths (best of 5, beside the plain figure)");
-    for (name, exp, plain, insts) in &cells {
+    for ((name, exp), &(_, _, plain, insts)) in batch.iter().zip(&batch_cells) {
         if name == "linearreg.haft" || name == "histogram.native" {
             let ms = best_ms(|| exp.run_profiled());
-            let per_inst = |ms: f64| ms * 1e6 / *insts as f64;
+            let per_inst = |ms: f64| ms * 1e6 / insts as f64;
             println!(
                 "  {name:<18} profiled            {ms:8.2} ms  {:6.2} ns/inst, plain {:6.2}  x{:.2}",
                 per_inst(ms),
