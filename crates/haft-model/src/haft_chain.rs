@@ -172,8 +172,9 @@ mod tests {
         // hardened variants' 20-30x lower SDC probability keeps them
         // below it at every rate. (Magnitudes differ from the paper at
         // high rates: with a 6-hour manual repair, transient analysis
-        // saturates once the first SDC lands within the hour — see
-        // EXPERIMENTS.md.)
+        // saturates once the first SDC lands within the hour; the
+        // `availability-model/fig10-paper` table of REPRODUCTION.md shows
+        // the curves.)
         for rate in [0.00028, 0.01, 0.1, 1.0] {
             let native = HaftChain::paper(SystemKind::Native).evaluate(rate, HOUR);
             let ilr = HaftChain::paper(SystemKind::Ilr).evaluate(rate, HOUR);

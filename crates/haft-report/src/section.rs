@@ -6,8 +6,11 @@
 //! subset can run via `--section`) and every section honors
 //! [`ReportConfig::fast`] with a CI-sized sweep.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use haft::eval::{perf_vm, recommended_threshold};
-use haft::Experiment;
+use haft::{Experiment, VariantReport};
 use haft_faults::{CampaignConfig, CampaignReport, Group, Outcome};
 use haft_passes::HardenConfig;
 use haft_vm::VmConfig;
@@ -223,42 +226,101 @@ fn perf_grid(cfg: &ReportConfig) -> (&'static [&'static str], Scale, usize) {
     }
 }
 
-/// A table with one row per workload — `cells` measures the value
-/// columns named by `columns` — closed by their `mean` row.
+/// Runs `f` over `items` on `available_parallelism()` workers and returns
+/// the results in item order. The calling thread is one of the workers;
+/// each claims the next item off a shared atomic index, so a slow item
+/// never holds up the rest, and drops it once `f` is done with it. A
+/// panic in `f` is re-raised here with its own payload.
+///
+/// This is the report's one fan-out point: sections flatten their grid
+/// into single runs, map them here, and assemble their rows from the
+/// results in the serial order. It is never nested — `f` must not fan
+/// out again, and campaigns keep their own `CampaignConfig::parallelism`.
+fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // `Relaxed`: the index only claims a slot; the slot's mutex
+            // hands its item over.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { return done };
+            let item = slot.lock().expect("no cell runs under a slot lock").take();
+            let item = item.expect("each index is claimed once");
+            done.push((i, f(item)));
+        }
+    };
+    let mut results = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for helper in helpers {
+            results.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        results
+    });
+    results.sort_unstable_by_key(|(i, _)| *i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// A table with one row per workload, closed by their `mean` row.
+/// `runs` lists the experiments behind one workload's row; every run of
+/// every workload goes out at once on [`par_map`], and `row` turns one
+/// workload's reports, in `runs` order, into the value columns named by
+/// `columns`.
 fn workload_table(
     id: &str,
     title: &str,
     columns: &[impl AsRef<str>],
     names: &[&str],
     scale: Scale,
-    mut cells: impl FnMut(&Workload) -> Vec<f64>,
+    runs: impl for<'w> Fn(&'w Workload) -> Vec<Experiment<'w>>,
+    row: impl Fn(&str, &[VariantReport]) -> Vec<f64>,
 ) -> Table {
     let mut headers = vec!["workload"];
     headers.extend(columns.iter().map(AsRef::as_ref));
     let mut table = Table::new(id, title, &headers);
+    let workloads: Vec<Workload> =
+        names.iter().map(|n| workload_by_name(n, scale).expect("registered workload")).collect();
+    let per_workload: Vec<Vec<Experiment>> = workloads.iter().map(runs).collect();
+    let counts: Vec<usize> = per_workload.iter().map(Vec::len).collect();
+    let all = per_workload.into_iter().flatten().collect();
+    let mut reports = par_map(all, |exp| exp.run()).into_iter();
     let mut sums = vec![0.0; columns.len()];
-    for name in names {
-        let w = workload_by_name(name, scale).expect("registered workload");
-        let row = cells(&w);
-        for (sum, v) in sums.iter_mut().zip(&row) {
+    for (name, n) in names.iter().zip(counts) {
+        let values = row(name, &reports.by_ref().take(n).collect::<Vec<_>>());
+        for (sum, v) in sums.iter_mut().zip(&values) {
             *sum += v;
         }
-        table.push_row(name, row);
+        table.push_row(name, values);
     }
     let n = names.len() as f64;
     table.push_row("mean", sums.iter().map(|s| s / n).collect());
     table
 }
 
-/// Normalized runtime of each config over one shared native run, at the
-/// workload's recommended transaction threshold (paper §5.3), every
-/// variant's output verified against native.
-fn overheads_vs_native(w: &Workload, threads: usize, configs: &[HardenConfig]) -> Vec<f64> {
-    let report = Experiment::workload(w)
-        .vm(perf_vm(threads, recommended_threshold(w.name)))
-        .compare(configs);
-    assert!(report.outputs_agree(), "{}: output diverged or run failed", w.name);
-    report.variants[1..].iter().map(|v| v.overhead_vs_native.expect("compared")).collect()
+/// The runs behind one [`overheads_vs_native`] row: the native run, then
+/// each config, at the workload's recommended transaction threshold
+/// (paper §5.3).
+fn overhead_runs<'w>(
+    w: &'w Workload,
+    threads: usize,
+    configs: &[HardenConfig],
+) -> Vec<Experiment<'w>> {
+    let native = Experiment::workload(w).vm(perf_vm(threads, recommended_threshold(w.name)));
+    let variants = configs.iter().map(|hc| native.clone().harden(hc.clone()));
+    std::iter::once(native.clone()).chain(variants).collect()
+}
+
+/// Normalized runtime of each variant over the native run `reports[0]`,
+/// every variant's output verified against native.
+fn overheads_vs_native(name: &str, reports: &[VariantReport]) -> Vec<f64> {
+    let (native, variants) = reports.split_first().expect("a native run");
+    let agree = |v: &VariantReport| v.completed() && v.run.output == native.run.output;
+    assert!(agree(native) && variants.iter().all(agree), "{name}: output diverged or run failed");
+    let base = native.run.wall_cycles.max(1) as f64;
+    variants.iter().map(|v| v.run.wall_cycles as f64 / base).collect()
 }
 
 /// One fault-injection campaign in the paper's §4.2 shape: 2 threads,
@@ -290,6 +352,56 @@ fn outcome_row(report: &CampaignReport) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_returns_results_in_item_order() {
+        // With a second worker, the first item waits for the last one to
+        // finish, so the results arrive out of order.
+        let second_worker = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        let (last_done, wait) = std::sync::mpsc::channel();
+        let wait = Mutex::new(wait);
+        let finished = Mutex::new(Vec::new());
+        let out = par_map((0..8).collect(), |i: u64| {
+            if i == 0 && second_worker {
+                wait.lock().unwrap().recv().expect("the last item signals");
+            }
+            finished.lock().unwrap().push(i);
+            if i == 7 {
+                last_done.send(()).expect("the receiver outlives the map");
+            }
+            i * 10
+        });
+        assert_eq!(out, [0, 10, 20, 30, 40, 50, 60, 70]);
+        if second_worker {
+            assert_eq!(finished.into_inner().unwrap().last(), Some(&0), "item 0 finished last");
+        }
+    }
+
+    #[test]
+    fn par_map_takes_empty_single_and_short_inputs() {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let items: Vec<usize> = (0..2 * workers + 1).collect();
+        // Empty, one item, fewer items than threads, and more.
+        for n in 0..=items.len() {
+            let want: Vec<usize> = items[..n].iter().map(|i| i * i).collect();
+            assert_eq!(par_map(items[..n].to_vec(), |i| i * i), want, "{n} items");
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_surfaces_its_own_message() {
+        let items: Vec<u32> = (0..6).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(items, |i| {
+                if i == 4 {
+                    panic!("cell {i} failed");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the cell's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("cell 4 failed"));
+    }
 
     #[test]
     fn registry_names_are_stable_and_unique() {

@@ -3,8 +3,8 @@
 
 use haft::eval::{perf_vm, recommended_threshold};
 use haft::htm::abort::Table3Bucket;
-use haft::htm::HtmConfig;
-use haft::Experiment;
+use haft::htm::{HtmConfig, HtmStats};
+use haft::{Experiment, VariantReport};
 use haft_passes::HardenConfig;
 use haft_vm::VmConfig;
 use haft_workloads::Workload;
@@ -12,12 +12,17 @@ use haft_workloads::Workload;
 use crate::render::Tolerance;
 use crate::section::{perf_grid, workload_table, ReportConfig, SectionResult};
 
+fn haft(w: &Workload, vm: VmConfig) -> Experiment<'_> {
+    Experiment::workload(w).harden(HardenConfig::haft()).vm(vm)
+}
+
+fn htm<'r>(name: &str, v: &'r VariantReport) -> &'r HtmStats {
+    assert!(v.completed(), "{name}: variant `{}` did not complete", v.label);
+    &v.run.htm
+}
+
 pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     let (names, scale, threads) = perf_grid(cfg);
-    let haft = |w: &Workload, vm: VmConfig| {
-        let exp = Experiment::workload(w).harden(HardenConfig::haft()).vm(vm);
-        exp.run().expect_completed(w.name).htm
-    };
 
     let causes = workload_table(
         "abort-causes",
@@ -25,8 +30,9 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         &["rate %", "capacity %", "conflict %", "other %"],
         names,
         scale,
-        |w| {
-            let htm = haft(w, perf_vm(threads, 5000));
+        |w| vec![haft(w, perf_vm(threads, 5000))],
+        |name, reports| {
+            let htm = htm(name, &reports[0]);
             vec![
                 htm.abort_rate_pct(),
                 htm.bucket_pct(Table3Bucket::Capacity),
@@ -47,7 +53,10 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
             let vm = perf_vm(threads, recommended_threshold(w.name));
             let smt_vm =
                 VmConfig { htm: HtmConfig { smt: true, ..HtmConfig::default() }, ..vm.clone() };
-            let (base, smt) = (haft(w, vm), haft(w, smt_vm));
+            vec![haft(w, vm), haft(w, smt_vm)]
+        },
+        |name, reports| {
+            let (base, smt) = (htm(name, &reports[0]), htm(name, &reports[1]));
             let rate = |pct: f64| pct.max(0.01);
             vec![rate(smt.abort_rate_pct()) / rate(base.abort_rate_pct()), base.coverage_pct()]
         },

@@ -5,8 +5,8 @@ use haft_passes::{HardenConfig, OptLevel};
 use haft_workloads::{workload_by_name, Scale};
 
 use crate::section::{
-    campaign, outcome_row, outcome_table, overheads_vs_native, perf_grid, workload_table,
-    ReportConfig, SectionResult,
+    campaign, outcome_row, outcome_table, overhead_runs, overheads_vs_native, perf_grid,
+    workload_table, ReportConfig, SectionResult,
 };
 
 pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
@@ -18,7 +18,8 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         &OptLevel::ALL.map(OptLevel::label),
         names,
         scale,
-        |w| overheads_vs_native(w, threads, &configs),
+        |w| overhead_runs(w, threads, &configs),
+        overheads_vs_native,
     );
 
     let (fault_names, injections): (&[&str], u64) =

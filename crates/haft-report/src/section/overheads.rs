@@ -3,7 +3,9 @@
 use haft::eval::hardened_variants;
 
 use crate::render::{Series, Tolerance};
-use crate::section::{overheads_vs_native, perf_grid, workload_table, ReportConfig, SectionResult};
+use crate::section::{
+    overhead_runs, overheads_vs_native, perf_grid, workload_table, ReportConfig, SectionResult,
+};
 
 pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     let (names, scale, threads) = perf_grid(cfg);
@@ -15,7 +17,8 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         &labels,
         names,
         scale,
-        |w| overheads_vs_native(w, threads, &configs),
+        |w| overhead_runs(w, threads, &configs),
+        overheads_vs_native,
     )
     .tolerance(Tolerance::Rel(0.15));
     let series = |id: &str, label: &str| {

@@ -5,10 +5,10 @@
 use haft::eval::perf_vm;
 use haft::Experiment;
 use haft_passes::HardenConfig;
-use haft_workloads::{workload_by_name, Scale};
+use haft_workloads::{workload_by_name, Scale, Workload};
 
 use crate::render::{Table, Tolerance};
-use crate::section::{ReportConfig, SectionResult};
+use crate::section::{par_map, ReportConfig, SectionResult};
 
 /// Fixed column order for the per-class breakdown. Light classes
 /// (atomic, sync, emit, nops) fold into `other` so the table stays
@@ -39,38 +39,44 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
             .tolerance(Tolerance::Info);
     let mut top_funcs = Vec::new();
 
-    for name in names {
-        let w = workload_by_name(name, scale).expect("registered workload");
-        for (label, hc) in &backends {
-            let (variant, profile) = Experiment::workload(&w)
-                .harden(hc.clone())
-                .vm(perf_vm(threads, 1000))
-                .run_profiled();
-            let run = variant.expect_completed(name);
-            assert_eq!(
-                profile.total(),
-                run.cpu_cycles,
-                "{name}/{label}: attribution must sum exactly to cpu_cycles"
-            );
-            let total = profile.total().max(1) as f64;
-            let mut row = Vec::new();
-            let mut accounted = 0u64;
-            for class in CLASSES {
-                let cycles =
-                    profile.by_class().iter().find(|(c, _)| *c == class).map_or(0, |(_, n)| *n);
-                accounted += cycles;
-                row.push(100.0 * cycles as f64 / total);
-            }
-            row.push(100.0 * (profile.total() - accounted) as f64 / total);
-            by_class.push_row(&format!("{name}/{label}"), row);
+    let workloads: Vec<Workload> =
+        names.iter().map(|n| workload_by_name(n, scale).expect("registered workload")).collect();
+    let runs: Vec<(&str, &str, Experiment)> = workloads
+        .iter()
+        .flat_map(|w| {
+            backends.iter().map(move |(label, hc)| {
+                let exp = Experiment::workload(w).harden(hc.clone()).vm(perf_vm(threads, 1000));
+                (w.name, *label, exp)
+            })
+        })
+        .collect();
+    let profiled = par_map(runs, |(name, label, exp)| (name, label, exp.run_profiled()));
 
-            if let Some((func, cycles)) = profile.by_function().first() {
-                top_funcs.push(format!(
-                    "{name}/{label}: hottest function `{func}` holds {:.1}% of {} cycles",
-                    100.0 * *cycles as f64 / total,
-                    profile.total(),
-                ));
-            }
+    for (name, label, (variant, profile)) in profiled {
+        let run = variant.expect_completed(name);
+        assert_eq!(
+            profile.total(),
+            run.cpu_cycles,
+            "{name}/{label}: attribution must sum exactly to cpu_cycles"
+        );
+        let total = profile.total().max(1) as f64;
+        let mut row = Vec::new();
+        let mut accounted = 0u64;
+        for class in CLASSES {
+            let cycles =
+                profile.by_class().iter().find(|(c, _)| *c == class).map_or(0, |(_, n)| *n);
+            accounted += cycles;
+            row.push(100.0 * cycles as f64 / total);
+        }
+        row.push(100.0 * (profile.total() - accounted) as f64 / total);
+        by_class.push_row(&format!("{name}/{label}"), row);
+
+        if let Some((func, cycles)) = profile.by_function().first() {
+            top_funcs.push(format!(
+                "{name}/{label}: hottest function `{func}` holds {:.1}% of {} cycles",
+                100.0 * *cycles as f64 / total,
+                profile.total(),
+            ));
         }
     }
 
@@ -91,4 +97,30 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     notes.extend(top_funcs);
 
     SectionResult { notes, tables: vec![by_class], series: Vec::new() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fast_rows_come_out_in_the_serial_order() {
+        let result = run(&ReportConfig { fast: true });
+        let labels: Vec<&str> = result.tables[0].rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "histogram/native",
+                "histogram/HAFT",
+                "histogram/TMR",
+                "swaptions/native",
+                "swaptions/HAFT",
+                "swaptions/TMR"
+            ]
+        );
+        // The hottest-function notes follow the rows.
+        let hottest: Vec<&str> =
+            result.notes[2..].iter().filter_map(|n| n.split(':').next()).collect();
+        assert_eq!(hottest, labels);
+    }
 }

@@ -7,7 +7,7 @@ use haft_apps::{kv_shard, KvSync, WorkloadMix};
 use haft_serve::{ArrivalMode, FaultLoad, ServeConfig, ServeMode, ServiceReport};
 
 use crate::render::{Series, Table, Tolerance};
-use crate::section::{ReportConfig, SectionResult};
+use crate::section::{par_map, ReportConfig, SectionResult};
 
 pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     let (shard_counts, requests): (&[usize], usize) =
@@ -41,16 +41,38 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     )
     .tolerance(Tolerance::Rel(0.25));
 
+    // Every simulated cell — the scaling cells, the fault-load rows and
+    // the runtime table's Sim column — goes out at once on `par_map`;
+    // the tables are then filled in the serial order.
+    let scaling_cfg = |shards: usize| ServeConfig {
+        requests,
+        mix: WorkloadMix::B,
+        shards,
+        arrival: ArrivalMode::ClosedLoop { clients: 8 * shards, think_ns: 0 },
+        ..ServeConfig::default()
+    };
+    let fault_cfg = ServeConfig {
+        requests: fault_requests,
+        shards: 2,
+        faults: Some(FaultLoad { rate_per_request: 0.01, seed: 0xFA_17 }),
+        ..ServeConfig::default()
+    };
+    let rcfg = ServeConfig {
+        requests: if cfg.fast { 400 } else { requests },
+        mix: WorkloadMix::B,
+        shards: 2,
+        arrival: ArrivalMode::ClosedLoop { clients: 16, think_ns: 0 },
+        ..ServeConfig::default()
+    };
+    let mut cells = Vec::new();
+    for scfg in shard_counts.iter().map(|&s| scaling_cfg(s)).chain([fault_cfg, rcfg.clone()]) {
+        cells.extend(variants.iter().map(|(_, exp)| (exp, scfg.clone())));
+    }
+    let mut sim = par_map(cells, |(exp, scfg)| exp.serve(&scfg)).into_iter();
+    let mut next_row = || -> Vec<ServiceReport> { sim.by_ref().take(variants.len()).collect() };
+
     for &shards in shard_counts {
-        let scfg = ServeConfig {
-            requests,
-            mix: WorkloadMix::B,
-            shards,
-            arrival: ArrivalMode::ClosedLoop { clients: 8 * shards, think_ns: 0 },
-            ..ServeConfig::default()
-        };
-        let reports: Vec<ServiceReport> =
-            variants.iter().map(|(_, exp)| exp.serve(&scfg)).collect();
+        let reports = next_row();
         let [native, haft, tmr] = &reports[..] else { unreachable!() };
         assert_eq!(native.requests_served, requests as u64, "clean run serves everything");
         throughput.push_row(
@@ -91,14 +113,7 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         &["variant", "sdc/M", "crashed batches", "corrected batches", "spike ×", "p999 µs"],
     )
     .tolerance(Tolerance::Rel(0.5));
-    for (label, exp) in &variants {
-        let scfg = ServeConfig {
-            requests: fault_requests,
-            shards: 2,
-            faults: Some(FaultLoad { rate_per_request: 0.01, seed: 0xFA_17 }),
-            ..ServeConfig::default()
-        };
-        let r = exp.serve(&scfg);
+    for ((label, _), r) in variants.iter().zip(next_row()) {
         let f = r.faults.expect("fault report attached");
         assert_eq!(f.counts.total(), fault_requests as u64, "{label}: outcomes must sum");
         availability.push_row(label, vec![f.availability_pct()]);
@@ -122,6 +137,8 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     // snapshot and are elided from the Markdown. The twin ratio
     // (native cycle-priced throughput over the simulation's) is the
     // contract the haft-runtime test suite enforces with a hard band.
+    // These native runs stay serial, after the fan-out: each puts a
+    // worker on every host core and times the wall clock.
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut runtime = Table::new(
         "runtime",
@@ -130,15 +147,7 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         &["variant", "wall k/s", "native cycle k/s", "sim cycle k/s", "twin ratio"],
     )
     .tolerance(Tolerance::Info);
-    let rcfg = ServeConfig {
-        requests: if cfg.fast { 400 } else { requests },
-        mix: WorkloadMix::B,
-        shards: 2,
-        arrival: ArrivalMode::ClosedLoop { clients: 16, think_ns: 0 },
-        ..ServeConfig::default()
-    };
-    for (label, exp) in &variants {
-        let sim = exp.serve_in(ServeMode::Sim, &rcfg);
+    for ((label, exp), sim) in variants.iter().zip(next_row()) {
         let nat = exp.serve_in(ServeMode::Native { workers }, &rcfg);
         assert_eq!(sim.requests_served, nat.requests_served, "{label}: twin served counts");
         let wall = nat.wall.expect("native mode fills the wall report");

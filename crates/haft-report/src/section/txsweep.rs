@@ -4,10 +4,10 @@
 use haft::eval::perf_vm;
 use haft::Experiment;
 use haft_passes::HardenConfig;
-use haft_workloads::{workload_by_name, Scale, WORKLOAD_NAMES};
+use haft_workloads::{workload_by_name, Scale, Workload, WORKLOAD_NAMES};
 
 use crate::render::{Series, Table, Tolerance};
-use crate::section::{ReportConfig, SectionResult};
+use crate::section::{par_map, ReportConfig, SectionResult};
 
 pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     // kmeans aborts on conflicts (true sharing), swaptions on
@@ -36,25 +36,30 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
     .tolerance(Tolerance::Abs(5.0));
     let mut series = Vec::new();
 
+    // Per workload: the native run, then HAFT at each threshold. The
+    // HAFT runs are clones of one experiment, so they share one hardened
+    // module; only the VM threshold changes.
+    let workloads: Vec<Workload> =
+        names.iter().map(|n| workload_by_name(n, scale).expect("registered workload")).collect();
+    let mut runs = Vec::new();
+    for w in &workloads {
+        let native = Experiment::workload(w).vm(perf_vm(threads, thresholds[0]));
+        let haft = native.clone().harden(HardenConfig::haft());
+        runs.push(native);
+        runs.extend(thresholds.iter().map(|&t| haft.clone().tx_threshold(t)));
+    }
+    let mut reports = par_map(runs, |exp| exp.run()).into_iter();
+
     for name in names {
-        let w = workload_by_name(name, scale).expect("registered workload");
-        let native = Experiment::workload(&w)
-            .vm(perf_vm(threads, thresholds[0]))
-            .run()
-            .expect_completed(name);
-        // One experiment across the sweep: the hardened module is
-        // built once and cached; only the VM threshold changes.
-        let mut exp = Experiment::workload(&w)
-            .harden(HardenConfig::haft())
-            .vm(perf_vm(threads, thresholds[0]));
-        let mut ohs = Vec::new();
-        let mut abs = Vec::new();
-        for &t in thresholds {
-            exp = exp.tx_threshold(t);
-            let run = exp.run().expect_completed(name);
-            ohs.push(run.wall_cycles as f64 / native.wall_cycles as f64);
-            abs.push(run.htm.abort_rate_pct());
-        }
+        let native = reports.next().expect("native run").expect_completed(name);
+        let (ohs, abs): (Vec<f64>, Vec<f64>) = reports
+            .by_ref()
+            .take(thresholds.len())
+            .map(|v| {
+                let run = v.expect_completed(name);
+                (run.wall_cycles as f64 / native.wall_cycles as f64, run.htm.abort_rate_pct())
+            })
+            .unzip();
         let mut s = Series::new(
             &format!("abort-rate-{name}"),
             &format!("{name}: abort % as transactions grow"),

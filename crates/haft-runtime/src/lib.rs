@@ -48,7 +48,8 @@ pub use traffic::{Req, Saga, TrafficSource};
 /// Pool knobs for [`run_native`].
 #[derive(Clone, Copy, Debug)]
 pub struct NativeOpts {
-    /// OS threads in the work-stealing pool (clamped to ≥ 1).
+    /// OS threads in the work-stealing pool, the calling thread included
+    /// (clamped to ≥ 1).
     pub workers: usize,
     /// When set, workers sprinkle seeded `yield_now` calls at scheduling
     /// decision points — the release-mode interleaving shaker used by

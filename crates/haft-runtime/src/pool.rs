@@ -13,7 +13,9 @@
 //! (cold end), falling back to a global injector that seeding and
 //! non-worker producers push to. Workers with nothing to do park on a
 //! condvar with a short timeout, so a missed notify costs a millisecond,
-//! never liveness.
+//! never liveness. Worker 0 is the thread that calls [`Pool::run`]; only
+//! the other workers are spawned, so a one-worker pool never leaves its
+//! caller (and no idle thread keeps a malloc arena alive).
 //!
 //! The state machine closes the classic lost-wakeup race: a producer
 //! pushes to the inbox *first*, then tries `IDLE → QUEUED` (enqueueing
@@ -358,15 +360,17 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// Runs the pool to completion on `workers` scoped OS threads:
-    /// returns once every offered operation has been batched, executed,
-    /// and classified.
+    /// Runs the pool to completion on `workers` OS threads — worker 0 is
+    /// the calling thread, the other `workers − 1` are scoped threads —
+    /// and returns once every offered operation has been batched,
+    /// executed, and classified.
     pub fn run(&self, workers: usize) {
         assert_eq!(workers, self.deques.len());
         std::thread::scope(|scope| {
-            for w in 0..workers {
+            for w in 1..workers {
                 scope.spawn(move || self.worker_loop(w));
             }
+            self.worker_loop(0);
         });
         assert_eq!(
             self.accounted.load(Ordering::Acquire),

@@ -21,6 +21,7 @@
 //! the Table 1 outcome histogram.
 
 use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 
 use haft_faults::{run_campaign_from, CampaignConfig, CampaignReport};
 use haft_ir::module::Module;
@@ -38,6 +39,10 @@ use haft_workloads::Workload;
 /// sweeps that call [`Experiment::run_with_fault`] in a loop harden
 /// once, not once per injection. Changing the harden configuration
 /// invalidates the cache; VM/spec changes keep it.
+///
+/// Clones share the cache, and an experiment is `Sync`: a threshold or
+/// seed sweep over clones, run from any number of threads, hardens once
+/// and copies no module.
 #[derive(Clone, Debug)]
 pub struct Experiment<'a> {
     module: &'a Module,
@@ -45,8 +50,15 @@ pub struct Experiment<'a> {
     vm: VmConfig,
     spec: RunSpec<'a>,
     trace_path: Option<PathBuf>,
-    built: std::cell::OnceCell<(Module, PassStats)>,
+    built: Arc<OnceLock<(Module, PassStats)>>,
 }
+
+// Report sections run an experiment's clones on several threads; this
+// assertion pins that at compile time.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Experiment<'static>>();
+};
 
 impl<'a> Experiment<'a> {
     /// An experiment over `module`: native (no hardening), default VM,
@@ -58,7 +70,7 @@ impl<'a> Experiment<'a> {
             vm: VmConfig::default(),
             spec: RunSpec::default(),
             trace_path: None,
-            built: std::cell::OnceCell::new(),
+            built: Arc::default(),
         }
     }
 
@@ -71,7 +83,7 @@ impl<'a> Experiment<'a> {
     /// Sets the harden configuration (default: native).
     pub fn harden(mut self, cfg: HardenConfig) -> Self {
         self.cfg = cfg;
-        self.built = std::cell::OnceCell::new();
+        self.built = Arc::default();
         self
     }
 

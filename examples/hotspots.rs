@@ -19,6 +19,10 @@
 //! * the same for the four Sim cells of the benchmark's `serve-mixed`
 //!   (`kv_shard` under YCSB B: native, HAFT, TMR, HAFT with faults),
 //!   sampled for a quarter of the time, with µs per batch per cell;
+//! * the same for the four `haft-report` sections of the benchmark's
+//!   `report-fast` (`overheads`, `tx-sweep`, `serving`, `profile`, fast
+//!   mode, their runs fanned out over the host's cores), sampled for a
+//!   quarter of the time, with the sum of the per-section minima;
 //! * the observed paths, unsampled, each beside its plain figure: two of
 //!   the cells under `run_profiled`, and a six-injection fork-driven
 //!   campaign over one HAFT and one native `Scale::Small` program with
@@ -354,6 +358,34 @@ fn main() {
         let per_batch = best * 1e6 / *batches as f64;
         println!("  {name:<22} {:8.2} ms  {batches} batches  {per_batch:6.2} us/batch", best * 1e3);
     }
+    report::print(&samples);
+
+    // The report sections of the benchmark's `report-fast`, sampled for a
+    // quarter of the time.
+    let sections: Vec<_> = ["overheads", "tx-sweep", "serving", "profile"]
+        .iter()
+        .map(|name| {
+            let found = haft_report::all_sections().into_iter().find(|s| s.name() == *name);
+            found.expect("a registered report section")
+        })
+        .collect();
+    let mut section_cells: Vec<Cell> = sections
+        .iter()
+        .map(|section| {
+            let run = Box::new(|| {
+                let result = section.run(&haft_report::ReportConfig { fast: true });
+                result.tables.len() as u64
+            }) as Box<dyn FnMut() -> u64>;
+            (section.name().to_string(), run, f64::INFINITY, 0)
+        })
+        .collect();
+    println!();
+    let samples = sampled(&mut section_cells, seconds / 4.0);
+    for (name, _, best, _) in &section_cells {
+        println!("  section {name:<14} {:8.2} ms", best * 1e3);
+    }
+    let total_s: f64 = section_cells.iter().map(|c| c.2).sum();
+    println!("sum of per-section minima {:.1} ms", total_s * 1e3);
     report::print(&samples);
 
     // The observed paths, best of five, unsampled.

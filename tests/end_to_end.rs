@@ -153,7 +153,8 @@ fn lock_elision_reduces_lock_serialization() {
     // Uniform keys (the paper's mcblaster setup): critical sections on
     // distinct buckets almost never conflict, so eliding their locks is a
     // pure win. (Zipf-hot traffic on our deliberately small table makes
-    // large elided transactions abort-prone — see EXPERIMENTS.md.)
+    // large elided transactions abort-prone; REPRODUCTION.md's
+    // `case-studies/memcached-ycsb-a` table measures elision under it.)
     let w = memcached(WorkloadMix::Uniform, KvSync::Lock, Scale::Small);
     let exp = Experiment::workload(&w).threads(4).tx_threshold(500);
     let native = exp.run().expect_completed("native");

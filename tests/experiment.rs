@@ -190,3 +190,34 @@ fn serve_reuses_the_cached_hardened_module() {
     assert_eq!(a.duration_ns, b.duration_ns);
     assert_eq!(a.requests_served, 60);
 }
+
+/// Clones of one experiment share its hardened module: a threshold sweep
+/// over four clones, run from two threads, hardens once, and `.harden()`
+/// on a clone starts a cache of its own.
+#[test]
+fn clones_share_one_hardening_across_threads() {
+    // The counter is process-global and keyed by module name; a unique
+    // name keeps parallel tests out of this count.
+    let mut w = workload_by_name("histogram", Scale::Small).unwrap();
+    w.module.name = "histogram_clone_cache_probe".into();
+    let probe = || haft::passes::harden_runs_for("histogram_clone_cache_probe");
+    let before = probe();
+
+    let exp = Experiment::workload(&w).harden(HardenConfig::haft());
+    let sweep: Vec<Experiment> =
+        [250, 1000, 2000, 5000].iter().map(|&t| exp.clone().tx_threshold(t)).collect();
+    std::thread::scope(|s| {
+        for pair in sweep.chunks(2) {
+            s.spawn(move || {
+                for e in pair {
+                    assert!(e.run().completed());
+                }
+            });
+        }
+    });
+    assert_eq!(probe() - before, 1, "four clones on two threads harden once");
+
+    let rehardened = sweep[0].clone().harden(HardenConfig::haft());
+    assert!(rehardened.run().completed());
+    assert_eq!(probe() - before, 2, ".harden() on a clone hardens again");
+}
