@@ -226,18 +226,28 @@ fn perf_grid(cfg: &ReportConfig) -> (&'static [&'static str], Scale, usize) {
     }
 }
 
-/// Runs `f` over `items` on `available_parallelism()` workers and returns
-/// the results in item order. The calling thread is one of the workers;
-/// each claims the next item off a shared atomic index, so a slow item
-/// never holds up the rest, and drops it once `f` is done with it. A
-/// panic in `f` is re-raised here with its own payload.
+/// Runs `f` over `items` on the calling thread and up to `items − 1`
+/// helper threads leased from [`haft_vm::cores`], and returns the results
+/// in item order. Each worker claims the next item off a shared atomic
+/// index, so a slow item never holds up the rest, and drops it once `f`
+/// is done with it. A panic in `f` is re-raised here with its own payload.
 ///
 /// This is the report's one fan-out point: sections flatten their grid
 /// into single runs, map them here, and assemble their rows from the
-/// results in the serial order. It is never nested — `f` must not fan
-/// out again, and campaigns keep their own `CampaignConfig::parallelism`.
+/// results in the serial order. The lease keeps it from nesting: while
+/// it holds the host's spare cores, a serving simulation inside `f` gets
+/// no lookahead helper. Campaigns keep their own
+/// `CampaignConfig::parallelism`.
 fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(items.len());
+    par_map_in(haft_vm::cores::lease(items.len().saturating_sub(1)), items, f)
+}
+
+/// [`par_map`] with its helpers already leased.
+fn par_map_in<T: Send, R: Send>(
+    lease: haft_vm::cores::Lease,
+    items: Vec<T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let next = AtomicUsize::new(0);
     let work = || {
@@ -253,7 +263,7 @@ fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
         }
     };
     let mut results = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let helpers: Vec<_> = (0..lease.granted()).map(|_| scope.spawn(work)).collect();
         let mut results = work();
         for helper in helpers {
             results.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
@@ -355,13 +365,16 @@ mod tests {
 
     #[test]
     fn par_map_returns_results_in_item_order() {
-        // With a second worker, the first item waits for the last one to
-        // finish, so the results arrive out of order.
-        let second_worker = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+        // With a helper granted, the first item waits for the last one to
+        // finish, so the results arrive out of order. Without one (a
+        // one-core host, or another test holding the spare cores) nothing
+        // waits: there would be no one to run the last item.
+        let lease = haft_vm::cores::lease(7);
+        let second_worker = lease.granted() > 0;
         let (last_done, wait) = std::sync::mpsc::channel();
         let wait = Mutex::new(wait);
         let finished = Mutex::new(Vec::new());
-        let out = par_map((0..8).collect(), |i: u64| {
+        let out = par_map_in(lease, (0..8).collect(), |i: u64| {
             if i == 0 && second_worker {
                 wait.lock().unwrap().recv().expect("the last item signals");
             }

@@ -15,7 +15,12 @@
 //! What happens to one batch — run, price, classify, account — is
 //! [`ShardCore`], shared with the real-thread `haft-runtime`. This
 //! crate's own driver of it is a deterministic discrete-event
-//! simulation:
+//! simulation. Its event loop, fault stream and accounting live on the
+//! calling thread; with a core leased from `haft_vm::cores`, a helper
+//! thread runs the batches the loop predicts it will start next, and the
+//! loop takes a helper's run only for the exact requests and fault plan
+//! it computed — so the report and the trace are the serial loop's, bit
+//! for bit ([`lookahead_counts`] says where the runs came from):
 //!
 //! * **Shards** — N independent single-core VM instances of one hardened
 //!   [`haft_apps::kv_shard`] module (shard-per-core; the module is
@@ -38,6 +43,7 @@
 //!   a restart; a recovered batch's inflated cycles land in the tail of
 //!   the latency distribution exactly where an operator would see them.
 
+mod ahead;
 pub mod arrival;
 pub mod latency;
 pub mod report;
@@ -50,8 +56,10 @@ use std::collections::{BinaryHeap, VecDeque};
 use haft_apps::{Op, WorkloadMix, YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
 use haft_ir::module::Module;
 use haft_trace::TraceBuf;
-use haft_vm::{RunSpec, VmConfig};
+use haft_vm::{FaultPlan, RunResult, RunSpec, VmConfig};
 
+use ahead::Ahead;
+pub use ahead::{lookahead_counts, LookaheadCounts};
 pub use arrival::{ArrivalMode, PoissonArrivals};
 pub use latency::LatencyStats;
 pub use report::{
@@ -74,7 +82,9 @@ pub use shard::{calibrate_writes_per_req, BatchRunner, FaultDraw, Served, ShardC
 /// bit-reproducible, because thread timing changes batch composition.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Single-threaded discrete-event simulation (deterministic).
+    /// Discrete-event simulation (deterministic). One thread owns the
+    /// event loop; a spare core, when the process-wide budget
+    /// (`haft_vm::cores`) has one, runs the batches it predicts next.
     #[default]
     Sim,
     /// Real threads: shard actors on a work-stealing pool of `workers`
@@ -221,12 +231,31 @@ struct ShardSim {
     core: ShardCore,
 }
 
+/// What the lookahead keys a batch run on: its requests and fault plan.
+type BatchKey = (Vec<Op>, Option<FaultPlan>);
+/// A batch run and, when tracing, its VM events.
+type BatchRun = (RunResult, Option<TraceBuf>);
+
+/// Batch starts the event loop predicts, each time it starts one.
+const LOOKAHEAD: usize = 3;
+/// Known events a prediction reads, at most, so that an open loop's
+/// pre-issued arrivals cost O(`HORIZON` · log n) per batch, not O(n).
+const HORIZON: usize = 64;
+
+/// Runs one batch of the key, with a trace buffer of its own when tracing.
+fn run_key(runner: &BatchRunner<'_>, tracing: bool, (ops, plan): &BatchKey) -> BatchRun {
+    let mut vm_events = tracing.then(TraceBuf::new);
+    let run = runner.run_batch(ops, *plan, vm_events.as_mut());
+    (run, vm_events)
+}
+
 /// The discrete-event driver: an event heap deciding when each shard's
 /// next batch starts, one global fault stream, and the serve call's one
 /// shard image ([`BatchRunner`]), which every shard's batches start from.
-struct Sim<'m, 'c> {
+struct Sim<'r, 'm, 'c> {
     cfg: &'c ServeConfig,
-    runner: BatchRunner<'m>,
+    runner: &'r BatchRunner<'m>,
+    tracing: bool,
     gen: YcsbGen,
     fault_draw: Option<FaultDraw>,
     heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
@@ -246,7 +275,7 @@ pub const TRACE_PID_POOL: u32 = 2;
 /// one track.
 pub const TRACE_PID_VM_BASE: u32 = 10;
 
-impl Sim<'_, '_> {
+impl Sim<'_, '_, '_> {
     fn push_event(&mut self, at_ns: u64, ev: Ev) {
         self.tick += 1;
         self.heap.push(Reverse((at_ns, self.tick, ev)));
@@ -263,16 +292,27 @@ impl Sim<'_, '_> {
 
     /// Starts a batch on shard `s` at `now_ns` from whatever is queued
     /// (up to the batch limit), schedules its completion event, and
-    /// (closed loop) re-issues the freed clients.
-    fn start_batch(&mut self, s: usize, now_ns: u64) {
+    /// (closed loop) re-issues the freed clients. With `ahead`, the batch
+    /// run comes from the lookahead helper when it has one for this exact
+    /// batch, and the next batches are predicted for it.
+    fn start_batch(&mut self, s: usize, now_ns: u64, ahead: Option<&Ahead<BatchKey, BatchRun>>) {
         let take = self.shards[s].queue.len().min(self.cfg.batch_cap());
         let seqs: Vec<usize> = self.shards[s].queue.drain(..take).collect();
         let batch_ops: Vec<Op> = seqs.iter().map(|&q| self.ops[q]).collect();
         let plan = self.fault_draw.as_mut().and_then(|d| d.draw(take));
+        let key = (batch_ops, plan);
+        let (runner, tracing) = (self.runner, self.tracing);
+        let (run, vm_events) = match ahead {
+            Some(ahead) => {
+                ahead.predict(&key, self.predict(s));
+                ahead.take(&key, |k| run_key(runner, tracing, k))
+            }
+            None => run_key(runner, tracing, &key),
+        };
         let arrivals = seqs.iter().map(|&q| Some(self.arrivals_ns[q]));
         let completion = self.shards[s]
             .core
-            .serve(&self.runner, &batch_ops, arrivals, now_ns, plan)
+            .account(run, vm_events, &key.0, arrivals, now_ns, plan.is_some())
             .completion_ns;
         self.shards[s].busy = true;
         self.push_event(completion, Ev::Complete { shard: s });
@@ -289,25 +329,83 @@ impl Sim<'_, '_> {
         }
     }
 
+    fn route(&self, seq: usize) -> usize {
+        self.cfg.router.route(self.ops[seq], seq as u64, self.shards.len())
+    }
+
     /// Drains the event queue.
-    fn run(&mut self) {
+    fn run(&mut self, ahead: Option<&Ahead<BatchKey, BatchRun>>) {
         while let Some(Reverse((t, _, ev))) = self.heap.pop() {
             match ev {
                 Ev::Arrive { seq } => {
-                    let s = self.cfg.router.route(self.ops[seq], seq as u64, self.shards.len());
+                    let s = self.route(seq);
                     self.shards[s].queue.push_back(seq);
                     if !self.shards[s].busy {
-                        self.start_batch(s, t);
+                        self.start_batch(s, t, ahead);
                     }
                 }
                 Ev::Complete { shard: s } => {
                     self.shards[s].busy = false;
                     if !self.shards[s].queue.is_empty() {
-                        self.start_batch(s, t);
+                        self.start_batch(s, t, ahead);
                     }
                 }
             }
         }
+    }
+
+    /// The next [`LOOKAHEAD`] batches [`Self::run`] starts after the one
+    /// just started on shard `s`: a dry run of it over copies of the
+    /// queues, the busy flags and the fault stream. Batches not run yet —
+    /// that one and the predicted ones — are assumed to complete after
+    /// every known event, oldest first, and the clients they free in a
+    /// closed loop, who reissue at unknown times, are left out. It reads
+    /// at most [`HORIZON`] events, popped off the heap and pushed back.
+    fn predict(&mut self, s: usize) -> Vec<BatchKey> {
+        let cap = self.cfg.batch_cap();
+        // No predicted batch reaches further into a queue than this.
+        let reach = LOOKAHEAD * cap;
+        let mut queues: Vec<VecDeque<usize>> =
+            self.shards.iter().map(|sh| sh.queue.iter().take(reach).copied().collect()).collect();
+        let mut busy: Vec<bool> = self.shards.iter().map(|sh| sh.busy).collect();
+        busy[s] = true;
+        let mut not_run = VecDeque::from([s]);
+        let mut draw = self.fault_draw.clone();
+        let mut popped = Vec::new();
+        let mut predicted = Vec::with_capacity(LOOKAHEAD);
+        while predicted.len() < LOOKAHEAD {
+            let known = if popped.len() < HORIZON { self.heap.pop() } else { None };
+            // The shard that frees up or gets a request while idle next.
+            let free = match known {
+                Some(event) => {
+                    popped.push(event);
+                    match event.0 .2 {
+                        Ev::Arrive { seq } => {
+                            let to = self.route(seq);
+                            queues[to].push_back(seq);
+                            if busy[to] {
+                                continue;
+                            }
+                            to
+                        }
+                        Ev::Complete { shard } => shard,
+                    }
+                }
+                None => match not_run.pop_front() {
+                    Some(shard) => shard,
+                    None => break,
+                },
+            };
+            busy[free] = !queues[free].is_empty();
+            if busy[free] {
+                let take = queues[free].len().min(cap);
+                let ops = queues[free].drain(..take).map(|q| self.ops[q]).collect();
+                predicted.push((ops, draw.as_mut().and_then(|d| d.draw(take))));
+                not_run.push_back(free);
+            }
+        }
+        self.heap.extend(popped);
+        predicted
     }
 }
 
@@ -342,9 +440,11 @@ pub fn run_service(
     let runner = BatchRunner::new(module, spec, vm);
     let fault_draw =
         cfg.faults.map(|f| FaultDraw::new(f, 0, calibrate_writes_per_req(&runner, cfg)));
+    let tracing = trace.is_some();
     let mut sim = Sim {
         cfg,
-        runner,
+        runner: &runner,
+        tracing,
         gen: YcsbGen::new(cfg.seed, KV_KEYSPACE),
         fault_draw,
         heap: BinaryHeap::new(),
@@ -377,7 +477,16 @@ pub fn run_service(
             }
         }
     }
-    sim.run();
+    // A spare core, if no one else holds it, runs predicted batches ahead
+    // of the loop; without one, the loop runs every batch itself.
+    let lease = haft_vm::cores::lease(1);
+    if lease.granted() == 0 {
+        sim.run(None);
+    } else {
+        let ahead = Ahead::new();
+        ahead.beside(|key| run_key(&runner, tracing, key), || sim.run(Some(&ahead)));
+    }
+    drop(lease);
 
     // The DES serves saga sub-operations as independent requests (joins
     // are a runtime-layer concept), so `suppressed_joins` stays 0.

@@ -7,7 +7,11 @@
 //! [`haft_vm::PhaseCycles`] → classify per request → bucket telemetry →
 //! fault bookkeeping → shard stats → trace splice". The discrete-event
 //! simulation and the `haft-runtime` actor pool are *drivers* of it: they
-//! decide when a batch starts and what is in it, and nothing else.
+//! decide when a batch starts and what is in it, and nothing else. Its
+//! step, `serve`, is `run_batch` followed by `account`; a batch run is a
+//! pure function of its requests and fault plan, so the simulation may
+//! take the run from a helper thread that computed it early, and account
+//! it exactly as if it had just run.
 
 use std::time::Instant;
 
@@ -126,7 +130,10 @@ pub fn calibrate_writes_per_req(runner: &BatchRunner<'_>, cfg: &ServeConfig) -> 
 /// shards have no global order for a single stream to follow. Fault
 /// *placement* therefore differs between the drivers once there is more
 /// than one shard — rates and aggregate behaviour match, individual hits
-/// do not.
+/// do not. The simulation's lookahead predicts its next batches' plans by
+/// drawing from a clone of stream 0, so the stream itself is only ever
+/// advanced in the real batch order.
+#[derive(Clone)]
 pub struct FaultDraw {
     rng: Prng,
     rate_per_request: f64,
@@ -155,7 +162,8 @@ impl FaultDraw {
     }
 }
 
-/// What [`ShardCore::serve`] tells its driver about one batch.
+/// What [`ShardCore::serve`] (or [`ShardCore::account`]) tells its driver
+/// about one batch.
 pub struct Served {
     /// When every request in the batch completes (a crashed batch
     /// completes after the restart stall), virtual ns.
@@ -232,10 +240,11 @@ impl ShardCore {
     }
 
     /// Serves `ops` as one batch starting at `start_ns` and does all the
-    /// per-batch accounting. `arrivals` yields, per op, the time to
-    /// sample its latency from — `None` for an op whose latency is
-    /// sampled elsewhere (a saga sub-operation; see
-    /// [`Self::record_join`]). Failed requests are never sampled.
+    /// per-batch accounting: [`BatchRunner::run_batch`], then
+    /// [`Self::account`]. `arrivals` yields, per op, the time to sample
+    /// its latency from — `None` for an op whose latency is sampled
+    /// elsewhere (a saga sub-operation; see [`Self::record_join`]). Failed
+    /// requests are never sampled.
     pub fn serve(
         &mut self,
         runner: &BatchRunner<'_>,
@@ -244,10 +253,26 @@ impl ShardCore {
         start_ns: u64,
         plan: Option<FaultPlan>,
     ) -> Served {
+        let mut vm_events = self.trace.as_ref().map(|_| TraceBuf::new());
+        let run = runner.run_batch(ops, plan, vm_events.as_mut());
+        self.account(run, vm_events, ops, arrivals, start_ns, plan.is_some())
+    }
+
+    /// Everything [`Self::serve`] does after the VM run: prices `run` (the
+    /// batch of `ops` started at `start_ns`, `injected` or not), classifies
+    /// its requests, samples `arrivals`, does the fault bookkeeping,
+    /// advances the stats and the clock, and — when tracing — splices
+    /// `vm_events`, the run's own trace, onto the virtual timeline.
+    pub fn account(
+        &mut self,
+        run: RunResult,
+        vm_events: Option<TraceBuf>,
+        ops: &[Op],
+        arrivals: impl Iterator<Item = Option<u64>>,
+        start_ns: u64,
+        injected: bool,
+    ) -> Served {
         assert!(!ops.is_empty(), "ran a batch with no requests");
-        let injected = plan.is_some();
-        let mut vm_buf = self.trace.as_ref().map(|_| TraceBuf::new());
-        let run = runner.run_batch(ops, plan, vm_buf.as_mut());
         let service_ns = self.cycles_to_ns(run.phases.service_cycles()) + self.dispatch_ns;
         let golden: Vec<u64> = ops.iter().map(|&o| golden_reply(o)).collect();
         let outcomes = classify_requests(&run, &golden);
@@ -268,7 +293,7 @@ impl ShardCore {
             }
         }
 
-        if let (Some(tr), Some(mut buf)) = (self.trace.as_mut(), vm_buf) {
+        if let (Some(tr), Some(mut buf)) = (self.trace.as_mut(), vm_events) {
             let lane = self.idx as u32;
             let mut span = TraceEvent::span("serve", "batch.service", start_ns, service_ns)
                 .lane(TRACE_PID_SERVE, lane)

@@ -23,7 +23,7 @@
 //! # Sinks
 //!
 //! [`TraceBuf`] is the unbounded buffer for bounded producers (one VM
-//! run, the single-threaded DES). [`Ring`] is the bounded
+//! run, the DES's event loop). [`Ring`] is the bounded
 //! overwrite-oldest ring for the native pool: one ring per worker and
 //! one per shard actor, each exclusively owned (the pool's scheduling
 //! CAS guarantees single-owner access), merged only after the pool

@@ -2,8 +2,10 @@
 //! (native runtime).
 //!
 //! Neither sink synchronizes — each is owned by exactly one execution
-//! context at a time. The DES is single-threaded, the VM runs inside one
-//! `Vm::run` call, and the native runtime gives every worker its own ring
+//! context at a time. The DES's buffers belong to its event loop (a batch
+//! its lookahead helper runs fills a buffer of its own, which the loop
+//! splices in), the VM runs inside one `Vm::run` call, and the native
+//! runtime gives every worker its own ring
 //! plus every shard actor its own ring (the pool's `QUEUED → RUNNING` CAS
 //! already guarantees a single worker drains an actor at a time). Rings
 //! are merged only after the pool joins, so the hot path never contends

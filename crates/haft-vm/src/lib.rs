@@ -15,8 +15,10 @@
 //! by the [`haft_htm`] simulator (begin/commit/abort with register and
 //! memory rollback, bounded retries, non-transactional fallback), lock
 //! elision, externalization (`emit`), and the single-event-upset fault
-//! injection hook used by `haft-faults`.
+//! injection hook used by `haft-faults`. [`cores`] holds the process-wide
+//! budget of helper threads that the drivers above it lease from.
 
+pub mod cores;
 pub mod cost;
 pub mod fault;
 pub mod mem;

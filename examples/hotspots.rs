@@ -18,7 +18,10 @@
 //!   outside the executable counts for its mapping (`libc.so.6`, …);
 //! * the same for the four Sim cells of the benchmark's `serve-mixed`
 //!   (`kv_shard` under YCSB B: native, HAFT, TMR, HAFT with faults),
-//!   sampled for a quarter of the time, with µs per batch per cell;
+//!   sampled for a quarter of the time, each cell twice — serial, with
+//!   every spare core leased away first, and with the lookahead helper on
+//!   a spare core — with µs per batch per cell, the lookahead/serial
+//!   ratio, and where the lookahead's batch runs came from;
 //! * the same for the four `haft-report` sections of the benchmark's
 //!   `report-fast` (`overheads`, `tx-sweep`, `serving`, `profile`, fast
 //!   mode, their runs fanned out over the host's cores), sampled for a
@@ -345,19 +348,49 @@ fn main() {
             (format!("serve.sim.{label}{}", if faults { "-faults" } else { "" }), exp, cfg)
         })
         .collect();
+    // Each cell twice: serial, with every spare core leased away first,
+    // then with the lookahead helper on a spare core.
     let mut serve_cells: Vec<Cell> = serving
         .iter()
-        .map(|(name, exp, cfg)| {
-            let run = Box::new(|| exp.serve(cfg).batches) as Box<dyn FnMut() -> u64>;
-            (name.clone(), run, f64::INFINITY, 0)
+        .flat_map(|(name, exp, cfg)| {
+            let serial = Box::new(|| {
+                let _all = haft::vm::cores::lease(usize::MAX);
+                exp.serve(cfg).batches
+            }) as Box<dyn FnMut() -> u64>;
+            let ahead = Box::new(|| exp.serve(cfg).batches) as Box<dyn FnMut() -> u64>;
+            [
+                (format!("{name} serial"), serial, f64::INFINITY, 0),
+                (name.clone(), ahead, f64::INFINITY, 0),
+            ]
         })
         .collect();
     println!();
+    let before = haft::serve::lookahead_counts();
     let samples = sampled(&mut serve_cells, seconds / 4.0);
-    for (name, _, best, batches) in &serve_cells {
-        let per_batch = best * 1e6 / *batches as f64;
-        println!("  {name:<22} {:8.2} ms  {batches} batches  {per_batch:6.2} us/batch", best * 1e3);
+    let counts = haft::serve::lookahead_counts();
+    for pair in serve_cells.chunks(2) {
+        for (name, _, best, batches) in pair {
+            let per_batch = best * 1e6 / *batches as f64;
+            println!(
+                "  {name:<29} {:8.2} ms  {batches} batches  {per_batch:6.2} us/batch",
+                best * 1e3
+            );
+        }
+        println!("  {:<29} x{:.2}", "lookahead/serial", pair[1].2 / pair[0].2);
     }
+    let sum = |parity: usize| serve_cells.iter().skip(parity).step_by(2).map(|c| c.2).sum::<f64>();
+    println!(
+        "sum of per-cell minima: serial {:.1} ms, lookahead {:.1} ms",
+        sum(0) * 1e3,
+        sum(1) * 1e3
+    );
+    let (ready, waited, inline) =
+        (counts.ready - before.ready, counts.waited - before.waited, counts.inline - before.inline);
+    let wasted = counts.runs - before.runs - ready - waited - inline;
+    println!(
+        "lookahead batches: {ready} ready, {waited} waited for, {inline} run inline; \
+         {wasted} runs wasted on wrong predictions"
+    );
     report::print(&samples);
 
     // The report sections of the benchmark's `report-fast`, sampled for a
