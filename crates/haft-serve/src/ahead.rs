@@ -150,6 +150,9 @@ impl<K: Clone + PartialEq + Send, R: Send> Ahead<K, R> {
         let mut st = self.lock();
         let waited = st.running.as_ref() == Some(key);
         if waited {
+            // Run a prediction rather than idle: with a plain wait the two
+            // threads take turns, and `serve-mixed`'s Sim cells read ×0.94–
+            // 0.97 of the serial loop's time, against ×0.63–0.73 (2 vCPUs).
             if let Some(next) = st.queue.pop_front() {
                 drop(st);
                 let out = catch_unwind(AssertUnwindSafe(|| exec(&next)));

@@ -22,6 +22,9 @@
 //!   every spare core leased away first, and with the lookahead helper on
 //!   a spare core — with µs per batch per cell, the lookahead/serial
 //!   ratio, and where the lookahead's batch runs came from;
+//! * the same timings, unsampled, for the report's other Sim callers in
+//!   their fast grids: `service-load`'s closed loop and its open loop at
+//!   batch 1, and `haft-vs-elzar`'s serving cells;
 //! * the same for the four `haft-report` sections of the benchmark's
 //!   `report-fast` (`overheads`, `tx-sweep`, `serving`, `profile`, fast
 //!   mode, their runs fanned out over the host's cores), sampled for a
@@ -244,7 +247,7 @@ fn alu_chain(iterations: i64) -> haft::ir::module::Module {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
-    use haft::apps::{kv_shard, KvSync};
+    use haft::apps::{kv_shard, KvSync, WorkloadMix};
     use haft::eval::{perf_vm, recommended_threshold};
     use haft::prelude::*;
     use std::time::{Duration, Instant};
@@ -268,6 +271,74 @@ fn main() {
         }
         let samples = sampler::stop();
         println!("{rounds} rounds of {} cells", cells.len());
+        samples
+    }
+    /// A serving cell: name and one run, returning its batch count.
+    type SimCell<'a> = (String, Box<dyn Fn() -> u64 + 'a>);
+    /// Loops each of `cells` twice under the sampler — serial, with every
+    /// spare core leased away first, and with the lookahead helper on a
+    /// spare core — and prints ms and µs per batch of each, their ratio,
+    /// where the lookahead's batch runs came from, and the sums of the
+    /// per-cell minima.
+    fn serial_and_lookahead(cells: &[SimCell<'_>], seconds: f64) -> Vec<u64> {
+        use haft::serve::lookahead_counts;
+        // Per cell: batches ready, waited for, run inline, and all runs.
+        let sources: Vec<std::cell::Cell<[u64; 4]>> =
+            cells.iter().map(|_| Default::default()).collect();
+        let mut timed: Vec<Cell> = cells
+            .iter()
+            .zip(&sources)
+            .flat_map(|((name, run), sources)| {
+                let serial = Box::new(|| {
+                    let _all = haft::vm::cores::lease(usize::MAX);
+                    run()
+                }) as Box<dyn FnMut() -> u64>;
+                let ahead = Box::new(|| {
+                    let (before, batches) = (lookahead_counts(), run());
+                    let after = lookahead_counts();
+                    let [r, w, i, n] = sources.get();
+                    sources.set([
+                        r + after.ready - before.ready,
+                        w + after.waited - before.waited,
+                        i + after.inline - before.inline,
+                        n + after.runs - before.runs,
+                    ]);
+                    batches
+                }) as Box<dyn FnMut() -> u64>;
+                [
+                    (format!("{name} serial"), serial, f64::INFINITY, 0),
+                    (name.clone(), ahead, f64::INFINITY, 0),
+                ]
+            })
+            .collect();
+        let samples = sampled(&mut timed, seconds);
+        for (pair, sources) in timed.chunks(2).zip(&sources) {
+            for (name, _, best, batches) in pair {
+                let per_batch = best * 1e6 / *batches as f64;
+                println!(
+                    "  {name:<29} {:8.2} ms  {batches} batches  {per_batch:6.2} us/batch",
+                    best * 1e3
+                );
+            }
+            let [ready, waited, inline, runs] = sources.get();
+            let pct = |n: u64| 100.0 * n as f64 / runs.max(1) as f64;
+            println!(
+                "  {:<29} x{:.2}  runs: {:.0} % ready, {:.0} % waited for, {:.0} % inline, \
+                 {:.0} % wasted",
+                "lookahead/serial",
+                pair[1].2 / pair[0].2,
+                pct(ready),
+                pct(waited),
+                pct(inline),
+                pct(runs - ready - waited - inline)
+            );
+        }
+        let sum = |parity: usize| timed.iter().skip(parity).step_by(2).map(|c| c.2).sum::<f64>();
+        println!(
+            "sum of per-cell minima: serial {:.1} ms, lookahead {:.1} ms",
+            sum(0) * 1e3,
+            sum(1) * 1e3
+        );
         samples
     }
     fn best_ms<R>(mut run: impl FnMut() -> R) -> f64 {
@@ -348,50 +419,60 @@ fn main() {
             (format!("serve.sim.{label}{}", if faults { "-faults" } else { "" }), exp, cfg)
         })
         .collect();
-    // Each cell twice: serial, with every spare core leased away first,
-    // then with the lookahead helper on a spare core.
-    let mut serve_cells: Vec<Cell> = serving
+    let serve_cells: Vec<SimCell> = serving
         .iter()
-        .flat_map(|(name, exp, cfg)| {
-            let serial = Box::new(|| {
-                let _all = haft::vm::cores::lease(usize::MAX);
-                exp.serve(cfg).batches
-            }) as Box<dyn FnMut() -> u64>;
-            let ahead = Box::new(|| exp.serve(cfg).batches) as Box<dyn FnMut() -> u64>;
-            [
-                (format!("{name} serial"), serial, f64::INFINITY, 0),
-                (name.clone(), ahead, f64::INFINITY, 0),
-            ]
+        .map(|(name, exp, cfg)| {
+            (name.clone(), Box::new(|| exp.serve(cfg).batches) as Box<dyn Fn() -> u64>)
         })
         .collect();
     println!();
-    let before = haft::serve::lookahead_counts();
-    let samples = sampled(&mut serve_cells, seconds / 4.0);
-    let counts = haft::serve::lookahead_counts();
-    for pair in serve_cells.chunks(2) {
-        for (name, _, best, batches) in pair {
-            let per_batch = best * 1e6 / *batches as f64;
-            println!(
-                "  {name:<29} {:8.2} ms  {batches} batches  {per_batch:6.2} us/batch",
-                best * 1e3
-            );
+    report::print(&serial_and_lookahead(&serve_cells, seconds / 4.0));
+
+    // The report's other Sim callers, which run outside its fan-out and so
+    // get the lookahead too, in their fast grids, for an eighth of the
+    // time, without share tables: `service-load`'s closed loop (mix A and
+    // B × 1 and 2 shards × native/HAFT/TMR, batch 8) and open loop (HAFT
+    // and TMR at 50 % and 120 % of HAFT's 2-shard capacity, batch 1), and
+    // `haft-vs-elzar`'s two serving cells (2 shards, batch 8, 1 % SEU).
+    let backends: Vec<_> = configs[..3]
+        .iter()
+        .map(|(_, hc)| {
+            let exp = Experiment::workload(&kv).harden(hc.clone());
+            exp.build();
+            exp
+        })
+        .collect();
+    let mut closed = Vec::new();
+    for mix in [WorkloadMix::A, WorkloadMix::B] {
+        for shards in [1, 2] {
+            let arrival = ArrivalMode::ClosedLoop { clients: 8 * shards, think_ns: 0 };
+            let cfg = ServeConfig { requests: 200, mix, shards, arrival, ..ServeConfig::default() };
+            closed.extend(backends.iter().map(|exp| (exp, cfg.clone())));
         }
-        println!("  {:<29} x{:.2}", "lookahead/serial", pair[1].2 / pair[0].2);
     }
-    let sum = |parity: usize| serve_cells.iter().skip(parity).step_by(2).map(|c| c.2).sum::<f64>();
-    println!(
-        "sum of per-cell minima: serial {:.1} ms, lookahead {:.1} ms",
-        sum(0) * 1e3,
-        sum(1) * 1e3
-    );
-    let (ready, waited, inline) =
-        (counts.ready - before.ready, counts.waited - before.waited, counts.inline - before.inline);
-    let wasted = counts.runs - before.runs - ready - waited - inline;
-    println!(
-        "lookahead batches: {ready} ready, {waited} waited for, {inline} run inline; \
-         {wasted} runs wasted on wrong predictions"
-    );
-    report::print(&samples);
+    let arrival = ArrivalMode::ClosedLoop { clients: 16, think_ns: 0 };
+    let capacity_cfg = ServeConfig { requests: 200, shards: 2, arrival, ..ServeConfig::default() };
+    let capacity = backends[1].serve(&capacity_cfg).achieved_rps;
+    let mut open = Vec::new();
+    for frac in [0.5, 1.2] {
+        let arrival = ArrivalMode::OpenLoop { rate_rps: capacity * frac };
+        let cfg =
+            ServeConfig { requests: 100, shards: 2, batch: 1, arrival, ..ServeConfig::default() };
+        open.extend(backends[1..].iter().map(|exp| (exp, cfg.clone())));
+    }
+    let faults = Some(FaultLoad { rate_per_request: 0.01, seed: 0xFA_17 });
+    let elzar_cfg = ServeConfig { requests: 800, shards: 2, faults, ..ServeConfig::default() };
+    let elzar: Vec<_> = backends[1..].iter().map(|exp| (exp, elzar_cfg.clone())).collect();
+    fn group<'a>(cells: &'a [(&Experiment, ServeConfig)]) -> Box<dyn Fn() -> u64 + 'a> {
+        Box::new(|| cells.iter().map(|(exp, cfg)| exp.serve(cfg).batches).sum())
+    }
+    let report_cells = [
+        ("service-load.closed".to_string(), group(&closed)),
+        ("service-load.open".to_string(), group(&open)),
+        ("haft-vs-elzar.serving".to_string(), group(&elzar)),
+    ];
+    println!();
+    serial_and_lookahead(&report_cells, seconds / 8.0);
 
     // The report sections of the benchmark's `report-fast`, sampled for a
     // quarter of the time.
