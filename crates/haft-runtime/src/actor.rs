@@ -3,20 +3,18 @@
 //! Every actor starts its batches from the serve call's one shard image
 //! ([`BatchRunner`]), which batches only read, so batches on different
 //! shards really execute concurrently on different cores, each on its
-//! own clone of the image's arena. Service time is still priced by the
-//! simulated cost model, by the same [`ShardCore`] the DES steps, on a
+//! own clone of the image's arena. Batch formation, the fault stream and
+//! service pricing are the same [`ShardCore`] the DES steps, on a
 //! *per-shard virtual clock*: a batch starts at `max(shard vclock,
 //! latest arrival in the batch)` and the shard's clock advances to its
 //! completion. That keeps latency and throughput host-independent and
 //! comparable with the DES twin, while host wall-clock is measured
-//! separately by the pool. What lives here is only driver policy: which
-//! queued requests form the next batch, and resolving saga joins.
+//! separately by the pool. What lives here is only resolving saga joins.
 
 use haft_apps::Op;
 use haft_faults::RequestOutcome;
-use haft_serve::{BatchRunner, FaultDraw, ServeConfig, ShardCore};
+use haft_serve::{BatchRunner, ServeConfig, ShardCore};
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use crate::traffic::Req;
@@ -33,13 +31,11 @@ pub struct BatchOutput {
     pub freed_vns: Vec<u64>,
 }
 
-/// A shard as the pool schedules it: the shared shard image, its own
-/// fault stream, and the [`ShardCore`] that prices and accounts its
-/// batches (merged into the final [`haft_serve::ServiceReport`]).
+/// A shard as the pool schedules it: the shared shard image and the
+/// [`ShardCore`] that forms, prices and accounts its batches (merged into
+/// the final [`haft_serve::ServiceReport`]).
 pub struct ShardActor<'a> {
     runner: &'a BatchRunner<'a>,
-    fault_draw: Option<FaultDraw>,
-    batch_cap: usize,
     /// Saga joins land on whichever shard's core finished last.
     pub core: ShardCore,
 }
@@ -47,53 +43,26 @@ pub struct ShardActor<'a> {
 impl<'a> ShardActor<'a> {
     /// Builds the actor for shard `idx` over the shard image `runner`.
     /// `writes_per_req` comes from the pool's one off-traffic calibration
-    /// batch (shared by all shards, identical to the DES's estimate); the
-    /// shard draws fault stream `idx` (see [`FaultDraw`]).
+    /// batch (shared by all shards, identical to the DES's estimate).
     pub fn new(
         runner: &'a BatchRunner<'a>,
         cfg: &ServeConfig,
         idx: usize,
         writes_per_req: u64,
     ) -> Self {
-        ShardActor {
-            runner,
-            fault_draw: cfg.faults.map(|f| FaultDraw::new(f, idx as u64, writes_per_req)),
-            batch_cap: cfg.batch_cap(),
-            core: ShardCore::new(cfg, idx),
-        }
+        ShardActor { runner, core: ShardCore::new(cfg, idx, writes_per_req) }
     }
 
-    /// Takes the next batch from this shard's inbox: the DES batching
-    /// rule, on the virtual clock. The batch opens at
-    /// `t0 = max(vclock, front arrival)` — the earliest queued request
-    /// always gets in — and admits up to `batch_cap` further requests
-    /// that have (virtually) arrived by `t0`. Requests still in the
-    /// virtual future stay queued, exactly as the simulation only
-    /// batches what is present when a shard goes busy.
-    pub fn form_batch(&self, inbox: &mut VecDeque<Req>) -> Vec<Req> {
-        let Some(front) = inbox.front() else { return Vec::new() };
-        let t0 = self.core.vclock_ns().max(front.arrival_vns);
-        let mut batch = Vec::new();
-        while batch.len() < self.batch_cap {
-            match inbox.front() {
-                Some(r) if r.arrival_vns <= t0 => batch.push(inbox.pop_front().unwrap()),
-                _ => break,
-            }
-        }
-        batch
-    }
-
-    /// Serves one batch on the core, starting at `max(shard vclock,
-    /// latest arrival in the batch)`, and resolves its saga joins: a
-    /// multi-key request samples once, at the join, on the shard that
-    /// finished last.
+    /// Serves one batch ([`ShardCore::form_batch`] formed it) on the core,
+    /// starting at `max(shard vclock, latest arrival in the batch)`, and
+    /// resolves its saga joins: a multi-key request samples once, at the
+    /// join, on the shard that finished last.
     pub fn run_one_batch(&mut self, batch: Vec<Req>) -> BatchOutput {
         let ops: Vec<Op> = batch.iter().map(|r| r.op).collect();
         let latest = batch.iter().map(|r| r.arrival_vns).max().expect("ran an empty batch");
         let start = self.core.vclock_ns().max(latest);
-        let plan = self.fault_draw.as_mut().and_then(|d| d.draw(ops.len()));
         let arrivals = batch.iter().map(|r| r.saga.is_none().then_some(r.arrival_vns));
-        let served = self.core.serve(self.runner, &ops, arrivals, start, plan);
+        let served = self.core.serve(self.runner, &ops, arrivals, start);
 
         let mut freed_vns = Vec::with_capacity(batch.len());
         for (req, &o) in batch.iter().zip(&served.outcomes) {
@@ -119,24 +88,6 @@ mod tests {
     use super::*;
     use haft_apps::{kv_shard, KvSync, WorkloadMix, YcsbGen};
     use haft_vm::VmConfig;
-
-    #[test]
-    fn batch_formation_respects_virtual_arrivals() {
-        let w = kv_shard(KvSync::Atomics);
-        let cfg = ServeConfig { batch: 4, ..Default::default() };
-        let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
-        let a = ShardActor::new(&runner, &cfg, 0, 1);
-        let mut gen = YcsbGen::new(3, 100);
-        let mk = |op, t| Req { op, arrival_vns: t, saga: None };
-        let ops = gen.generate(WorkloadMix::B, 4);
-        // Front arrived at 50; 60 is in by t0 = max(0, 50)? No: 60 > 50
-        // stays queued; 40 <= 50 is admitted.
-        let mut inbox: VecDeque<Req> =
-            vec![mk(ops[0], 50), mk(ops[1], 40), mk(ops[2], 60), mk(ops[3], 45)].into();
-        let batch = a.form_batch(&mut inbox);
-        assert_eq!(batch.len(), 2, "60 ns arrival is in the virtual future at t0 = 50");
-        assert_eq!(inbox.len(), 2);
-    }
 
     #[test]
     fn failed_saga_joins_are_counted_not_silently_dropped() {

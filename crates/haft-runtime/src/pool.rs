@@ -275,7 +275,7 @@ impl<'a> Pool<'a> {
             }
             let batch = {
                 let mut inbox = slot.inbox.lock().unwrap();
-                actor.form_batch(&mut inbox)
+                actor.core.form_batch(&mut inbox, |r| r.arrival_vns)
             };
             if batch.is_empty() {
                 break;

@@ -6,9 +6,9 @@
 //! multiset of operations a native run serves is drawn from the identical
 //! stream. What the runtime cannot reproduce is the *assignment* of draws
 //! to clients: whichever worker frees a client first takes the next draw,
-//! so the mapping (and therefore batch composition) depends on thread
-//! timing. That is exactly the deterministic-twin contract: same work,
-//! tolerance-band-equal curves, not bit-equal reports.
+//! so over several shards the mapping (and therefore batch composition)
+//! depends on thread timing. That is where the deterministic-twin
+//! contract weakens from bit-equal reports to banded curves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

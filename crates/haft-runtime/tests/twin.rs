@@ -14,40 +14,40 @@ fn host_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Outside the exact region (closed loop over several shards, sagas) the
+/// two drivers still serve the same work multiset, so their cycle-priced
+/// throughput and batch counts must track within a band, and so must
+/// their scaling from 2 to 4 shards.
 #[test]
 fn native_throughput_tracks_the_sim_twin_across_shard_counts() {
     let w = kv_shard(KvSync::Atomics);
-    let exp = Experiment::workload(&w).harden(HardenConfig::haft());
+    let haft = Experiment::workload(&w).harden(HardenConfig::haft());
+    let native = Experiment::workload(&w).harden(HardenConfig::native());
+    let cfg = |requests, shards| ServeConfig { requests, shards, batch: 8, ..Default::default() };
+    let sagas = ServeConfig { sagas: Some(SagaLoad::default()), ..cfg(600, 2) };
     let workers = host_workers();
-    let mut sim_rps = Vec::new();
-    let mut nat_rps = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let cfg = ServeConfig { requests: 600, shards, batch: 8, ..Default::default() };
-        let sim = exp.serve_in(ServeMode::Sim, &cfg);
-        let nat = exp.serve_in(ServeMode::Native { workers }, &cfg);
+    let cells = [
+        (&haft, cfg(600, 2), workers),
+        (&haft, cfg(600, 4), workers),
+        (&native, cfg(200, 3), 1),
+        (&haft, sagas, workers),
+    ];
+    let mut ratios = Vec::new();
+    for (exp, cfg, workers) in &cells {
+        let sim = exp.serve_in(ServeMode::Sim, cfg);
+        let nat = exp.serve_in(ServeMode::Native { workers: *workers }, cfg);
         assert_eq!(sim.requests_served, nat.requests_served);
-        assert_eq!(nat.requests_offered, 600);
+        assert_eq!(nat.requests_offered, cfg.requests as u64);
         assert!(nat.wall.is_some() && sim.wall.is_none());
-        // Point-wise band: same model, same cost pricing, different
-        // batch composition.
+        let at = format!("{} shards, {workers} worker(s), sagas {:?}", cfg.shards, cfg.sagas);
         let ratio = nat.achieved_rps / sim.achieved_rps;
-        assert!(
-            (0.4..=2.5).contains(&ratio),
-            "{shards} shard(s): native/sim cycle-priced throughput ratio {ratio:.3}"
-        );
-        sim_rps.push(sim.achieved_rps);
-        nat_rps.push(nat.achieved_rps);
+        assert!((0.4..=2.5).contains(&ratio), "{at}: native/sim throughput ratio {ratio:.3}");
+        let batches = nat.batches as f64 / sim.batches as f64;
+        assert!((0.5..=2.0).contains(&batches), "{at}: native/sim batch ratio {batches:.3}");
+        ratios.push(ratio);
     }
-    // Shape band: normalize both curves to their 1-shard point; the
-    // relative scaling with shard count must agree within 2×.
-    for i in 1..sim_rps.len() {
-        let shape = (nat_rps[i] / nat_rps[0]) / (sim_rps[i] / sim_rps[0]);
-        assert!(
-            (0.5..=2.0).contains(&shape),
-            "shard-count scaling diverged at point {i}: shape ratio {shape:.3} \
-             (sim {sim_rps:?}, native {nat_rps:?})"
-        );
-    }
+    let shape = ratios[1] / ratios[0];
+    assert!((0.5..=2.0).contains(&shape), "2 → 4 shard scaling diverged: {shape:.3}");
 }
 
 #[test]
@@ -80,33 +80,31 @@ fn single_worker_native_is_deterministic_up_to_wall_clock() {
     assert_eq!(a, b, "one worker serializes every scheduling decision");
 }
 
-/// Where both drivers make the same batch-start decisions, one worker
-/// must reproduce the simulation *exactly* — the whole report, not a
-/// band. That region is: open loop without sagas (every arrival is
-/// seeded up front, so "what has arrived by `t0`" is the same set in
-/// both drivers) at any shard/batch shape when fault-free, and at one
-/// shard with faults (one shard ⇒ the per-shard stream `seed ^ 0` *is*
-/// the global stream); closed loop only at one shard and batch 1, where
-/// coalescing cannot differ. Outside it the DES starts an idle shard's
-/// batch on the first arrival alone while the actor coalesces everything
-/// present, which is driver policy, not accounting.
+/// Both drivers form batches by one rule and draw each shard's faults from
+/// its own stream, so one worker reproduces the simulation *exactly* —
+/// the whole report, not a band — on every open-loop shape and every
+/// one-shard closed loop, with and without faults. A closed loop over
+/// several shards stays outside: the single worker issues the freed
+/// clients' requests in host order, not virtual-time order.
 #[test]
 fn single_worker_native_equals_sim_exactly() {
     let w = kv_shard(KvSync::Atomics);
     let open = ArrivalMode::OpenLoop { rate_rps: 200_000.0 };
-    let closed = ArrivalMode::ClosedLoop { clients: 8, think_ns: 0 };
-    let faults = Some(FaultLoad { rate_per_request: 0.05, seed: 77 });
+    let closed = [
+        ArrivalMode::ClosedLoop { clients: 8, think_ns: 0 },
+        ArrivalMode::ClosedLoop { clients: 3, think_ns: 500 },
+    ];
     let mut region = Vec::new();
-    for shards in [1usize, 3] {
+    for faults in [None, Some(FaultLoad { rate_per_request: 0.05, seed: 77 })] {
         for batch in [1usize, 8] {
-            region.push((open, shards, batch, None));
+            for shards in [1usize, 3] {
+                region.push((open, shards, batch, faults));
+            }
+            for arrival in closed {
+                region.push((arrival, 1, batch, faults));
+            }
         }
     }
-    for batch in [1usize, 8] {
-        region.push((open, 1, batch, faults));
-    }
-    region.push((closed, 1, 1, None));
-    region.push((closed, 1, 1, faults));
 
     for hc in [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr()] {
         let exp = Experiment::workload(&w).harden(hc.clone());
@@ -161,8 +159,9 @@ fn serve_sweep_hardens_exactly_once_per_config() {
 
 /// Wall-clock scaling — the one host-dependent check. On an N-core host
 /// the pool must reach ≥ 0.7× linear speedup from 1 worker to N (on a
-/// single-core host the bound degenerates to noise tolerance). Ignored
-/// by default; the CI release job runs it with `-- --ignored`.
+/// single-core host the bound degenerates to noise tolerance), each side
+/// the best of 5 warm runs, so that a busy host moment does not decide
+/// it. Ignored by default; the CI release job runs it with `-- --ignored`.
 #[test]
 #[ignore = "host-dependent wall-clock saturation; run explicitly with -- --ignored"]
 fn native_mode_saturates_the_host() {
@@ -176,16 +175,19 @@ fn native_mode_saturates_the_host() {
         router: RouterPolicy::RoundRobin,
         ..Default::default()
     };
-    // Warm once (allocator, page faults), then measure.
-    let _ = exp.serve_in(ServeMode::Native { workers: 1 }, &cfg);
-    let one = exp.serve_in(ServeMode::Native { workers: 1 }, &cfg).wall.unwrap();
-    let all = exp.serve_in(ServeMode::Native { workers: cores }, &cfg).wall.unwrap();
-    let speedup = all.achieved_rps / one.achieved_rps;
+    // Warm once (allocator, page faults), then take the best of 5.
+    let best = |workers| {
+        let rps = || exp.serve_in(ServeMode::Native { workers }, &cfg).wall.unwrap().achieved_rps;
+        rps();
+        (0..5).map(|_| rps()).fold(0.0, f64::max)
+    };
+    let (one, all) = (best(1), best(cores));
+    let speedup = all / one;
     assert!(
         speedup >= 0.7 * cores as f64,
         "wall-clock speedup {speedup:.2}x on {cores} core(s): \
          1-worker {:.1}k req/s, {cores}-worker {:.1}k req/s",
-        one.achieved_rps / 1e3,
-        all.achieved_rps / 1e3
+        one / 1e3,
+        all / 1e3
     );
 }

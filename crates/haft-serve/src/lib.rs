@@ -15,7 +15,7 @@
 //! What happens to one batch — run, price, classify, account — is
 //! [`ShardCore`], shared with the real-thread `haft-runtime`. This
 //! crate's own driver of it is a deterministic discrete-event
-//! simulation. Its event loop, fault stream and accounting live on the
+//! simulation. Its event loop and every shard's core live on the
 //! calling thread; with a core leased from `haft_vm::cores`, a helper
 //! thread runs the batches the loop predicts it will start next, and the
 //! loop takes a helper's run only for the exact requests and fault plan
@@ -66,20 +66,23 @@ pub use report::{
     FaultReport, FaultTelemetry, IntervalCounts, ServiceReport, ShardStats, WallReport,
 };
 pub use router::RouterPolicy;
-pub use shard::{calibrate_writes_per_req, BatchRunner, FaultDraw, Served, ShardCore};
+pub use shard::{calibrate_writes_per_req, BatchRunner, Served, ShardCore};
 
 /// How a service experiment executes: the deterministic discrete-event
 /// simulation, or the real-thread runtime in `haft-runtime`.
 ///
-/// Both modes take the identical [`ServeConfig`] and return the identical
-/// [`ServiceReport`] schema. `Sim` is the *deterministic twin*: same
-/// configuration ⇒ same report, field for field, which is what every
-/// pinned report table is generated from. `Native` runs N shard actors on
-/// a work-stealing thread pool and additionally fills
-/// [`report::WallReport`] with host wall-clock throughput; its
-/// cycle-priced numbers track the simulation's within a tolerance band
-/// (pinned by `haft-runtime`'s twin validation test) but are not
-/// bit-reproducible, because thread timing changes batch composition.
+/// Both modes take the identical [`ServeConfig`], form batches by one
+/// rule and draw faults from one stream per shard (both [`ShardCore`]'s),
+/// and return the identical [`ServiceReport`] schema. `Sim` is the
+/// *deterministic twin*: same configuration ⇒ same report, field for
+/// field, which is what every pinned report table is generated from.
+/// `Native` runs N shard actors on a work-stealing thread pool and
+/// additionally fills [`report::WallReport`] with host wall-clock
+/// throughput. With one worker it equals `Sim` exactly on every open loop
+/// and every one-shard closed loop without sagas; elsewhere the order in
+/// which freed clients reissue is host timing, so its cycle-priced
+/// numbers track the simulation's within a band (`haft-runtime`'s twin
+/// validation test pins both).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServeMode {
     /// Discrete-event simulation (deterministic). One thread owns the
@@ -169,9 +172,7 @@ pub struct ServeConfig {
     /// Optional fault injection under load.
     pub faults: Option<FaultLoad>,
     /// Optional multi-key request grouping (see [`SagaLoad`]). `None`
-    /// (the default) leaves the request stream all-single-key; the
-    /// simulation's behaviour with `None` is bit-identical to builds
-    /// that predate the field.
+    /// (the default) leaves the request stream all-single-key.
     pub sagas: Option<SagaLoad>,
 }
 
@@ -219,16 +220,73 @@ impl ServeConfig {
 /// only exist so tuples containing an `Ev` are comparable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// Request `seq` reaches the router.
-    Arrive { seq: usize },
+    /// Request `seq` reaches the router, which sends it to `shard`.
+    Arrive { seq: usize, shard: usize },
     /// A shard finished (or gave up on) its current batch.
     Complete { shard: usize },
 }
 
-struct ShardSim {
-    queue: VecDeque<usize>,
-    busy: bool,
-    core: ShardCore,
+/// A heap entry: `(time, sequence, event)`, earliest first.
+type Entry = Reverse<(u64, u64, Ev)>;
+
+/// What the batch-start rule reads and changes: the event loop's own
+/// queues, or [`Sim::predict`]'s copies of them.
+struct Queues {
+    queue: Vec<VecDeque<usize>>,
+    /// A shard is busy from when its start is due until a completion
+    /// finds its queue empty.
+    busy: Vec<bool>,
+    /// Starts due, `(instant, shard)`, in the order they fell due.
+    starts: VecDeque<(u64, usize)>,
+}
+
+impl Queues {
+    /// Applies one event at `t`: a shard that gets a request while idle,
+    /// or completes with requests queued, is due to start at `t`.
+    fn apply(&mut self, t: u64, ev: Ev) {
+        let s = match ev {
+            Ev::Arrive { seq, shard } => {
+                self.queue[shard].push_back(seq);
+                shard
+            }
+            Ev::Complete { shard } => {
+                self.busy[shard] = false;
+                shard
+            }
+        };
+        if !self.busy[s] && !self.queue[s].is_empty() {
+            self.busy[s] = true;
+            self.starts.push_back((t, s));
+        }
+    }
+
+    /// Applies events off `heap` until a start is due and returns it,
+    /// `(instant, shard)`. A start comes after every other event at its
+    /// instant, so its batch takes every request that arrives then. With
+    /// `popped`, the events read are kept there for the caller to put
+    /// back, and no more than [`HORIZON`] are read.
+    fn next_start(
+        &mut self,
+        heap: &mut BinaryHeap<Entry>,
+        mut popped: Option<&mut Vec<Entry>>,
+    ) -> Option<(u64, usize)> {
+        loop {
+            let open = popped.as_ref().is_none_or(|p| p.len() < HORIZON);
+            let next = heap.peek().filter(|_| open).copied();
+            if let Some(&(t, s)) = self.starts.front() {
+                if next.is_none_or(|Reverse((at, ..))| at > t) {
+                    self.starts.pop_front();
+                    return Some((t, s));
+                }
+            }
+            let event @ Reverse((t, _, ev)) = next?;
+            heap.pop();
+            if let Some(p) = popped.as_deref_mut() {
+                p.push(event);
+            }
+            self.apply(t, ev);
+        }
+    }
 }
 
 /// What the lookahead keys a batch run on: its requests and fault plan.
@@ -250,20 +308,21 @@ fn run_key(runner: &BatchRunner<'_>, tracing: bool, (ops, plan): &BatchKey) -> B
 }
 
 /// The discrete-event driver: an event heap deciding when each shard's
-/// next batch starts, one global fault stream, and the serve call's one
-/// shard image ([`BatchRunner`]), which every shard's batches start from.
+/// next batch starts, one [`ShardCore`] per shard, and the serve call's
+/// one shard image ([`BatchRunner`]), which every shard's batches start
+/// from.
 struct Sim<'r, 'm, 'c> {
     cfg: &'c ServeConfig,
     runner: &'r BatchRunner<'m>,
     tracing: bool,
     gen: YcsbGen,
-    fault_draw: Option<FaultDraw>,
-    heap: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    heap: BinaryHeap<Entry>,
     tick: u64,
     /// Request ledger, indexed by sequence number.
     ops: Vec<Op>,
     arrivals_ns: Vec<u64>,
-    shards: Vec<ShardSim>,
+    queues: Queues,
+    cores: Vec<ShardCore>,
 }
 
 /// Trace lane (Chrome `pid`) for service-layer events; shards are `tid`s.
@@ -285,22 +344,21 @@ impl Sim<'_, '_, '_> {
     fn issue(&mut self, at_ns: u64) {
         debug_assert!(self.ops.len() < self.cfg.requests);
         let seq = self.ops.len();
-        self.ops.push(self.gen.generate(self.cfg.mix, 1)[0]);
+        let op = self.gen.generate(self.cfg.mix, 1)[0];
+        let shard = self.cfg.router.route(op, seq as u64, self.cores.len());
+        self.ops.push(op);
         self.arrivals_ns.push(at_ns);
-        self.push_event(at_ns, Ev::Arrive { seq });
+        self.push_event(at_ns, Ev::Arrive { seq, shard });
     }
 
-    /// Starts a batch on shard `s` at `now_ns` from whatever is queued
-    /// (up to the batch limit), schedules its completion event, and
-    /// (closed loop) re-issues the freed clients. With `ahead`, the batch
-    /// run comes from the lookahead helper when it has one for this exact
-    /// batch, and the next batches are predicted for it.
+    /// Starts shard `s`'s batch at `now_ns` ([`ShardCore::form_batch`]),
+    /// schedules its completion event, and (closed loop) re-issues the
+    /// freed clients. With `ahead`, the batch run comes from the lookahead
+    /// helper when it has one for this exact batch, and the next batches
+    /// are predicted for it.
     fn start_batch(&mut self, s: usize, now_ns: u64, ahead: Option<&Ahead<BatchKey, BatchRun>>) {
-        let take = self.shards[s].queue.len().min(self.cfg.batch_cap());
-        let seqs: Vec<usize> = self.shards[s].queue.drain(..take).collect();
-        let batch_ops: Vec<Op> = seqs.iter().map(|&q| self.ops[q]).collect();
-        let plan = self.fault_draw.as_mut().and_then(|d| d.draw(take));
-        let key = (batch_ops, plan);
+        let seqs = self.cores[s].form_batch(&mut self.queues.queue[s], |&q| self.arrivals_ns[q]);
+        let key = (seqs.iter().map(|&q| self.ops[q]).collect(), self.cores[s].draw(seqs.len()));
         let (runner, tracing) = (self.runner, self.tracing);
         let (run, vm_events) = match ahead {
             Some(ahead) => {
@@ -310,18 +368,16 @@ impl Sim<'_, '_, '_> {
             None => run_key(runner, tracing, &key),
         };
         let arrivals = seqs.iter().map(|&q| Some(self.arrivals_ns[q]));
-        let completion = self.shards[s]
-            .core
-            .account(run, vm_events, &key.0, arrivals, now_ns, plan.is_some())
+        let completion = self.cores[s]
+            .account(run, vm_events, &key.0, arrivals, now_ns, key.1.is_some())
             .completion_ns;
-        self.shards[s].busy = true;
         self.push_event(completion, Ev::Complete { shard: s });
 
         // Closed loop: each request in the batch frees its client at
         // completion (crashed batches error out to the client, which
         // retries with a fresh request after the same think time).
         if let ArrivalMode::ClosedLoop { think_ns, .. } = self.cfg.arrival {
-            for _ in 0..take {
+            for _ in 0..seqs.len() {
                 if self.ops.len() < self.cfg.requests {
                     self.issue(completion + think_ns);
                 }
@@ -329,80 +385,43 @@ impl Sim<'_, '_, '_> {
         }
     }
 
-    fn route(&self, seq: usize) -> usize {
-        self.cfg.router.route(self.ops[seq], seq as u64, self.shards.len())
-    }
-
     /// Drains the event queue.
     fn run(&mut self, ahead: Option<&Ahead<BatchKey, BatchRun>>) {
-        while let Some(Reverse((t, _, ev))) = self.heap.pop() {
-            match ev {
-                Ev::Arrive { seq } => {
-                    let s = self.route(seq);
-                    self.shards[s].queue.push_back(seq);
-                    if !self.shards[s].busy {
-                        self.start_batch(s, t, ahead);
-                    }
-                }
-                Ev::Complete { shard: s } => {
-                    self.shards[s].busy = false;
-                    if !self.shards[s].queue.is_empty() {
-                        self.start_batch(s, t, ahead);
-                    }
-                }
-            }
+        while let Some((t, s)) = self.queues.next_start(&mut self.heap, None) {
+            self.start_batch(s, t, ahead);
         }
     }
 
     /// The next [`LOOKAHEAD`] batches [`Self::run`] starts after the one
     /// just started on shard `s`: a dry run of it over copies of the
-    /// queues, the busy flags and the fault stream. Batches not run yet —
-    /// that one and the predicted ones — are assumed to complete after
-    /// every known event, oldest first, and the clients they free in a
-    /// closed loop, who reissue at unknown times, are left out. It reads
+    /// queues and the fault streams, by the same event step. Batches not
+    /// run yet — that one and the predicted ones — are assumed to complete
+    /// after every known event, oldest first, and the clients they free in
+    /// a closed loop, who reissue at unknown times, are left out. It reads
     /// at most [`HORIZON`] events, popped off the heap and pushed back.
     fn predict(&mut self, s: usize) -> Vec<BatchKey> {
-        let cap = self.cfg.batch_cap();
         // No predicted batch reaches further into a queue than this.
-        let reach = LOOKAHEAD * cap;
-        let mut queues: Vec<VecDeque<usize>> =
-            self.shards.iter().map(|sh| sh.queue.iter().take(reach).copied().collect()).collect();
-        let mut busy: Vec<bool> = self.shards.iter().map(|sh| sh.busy).collect();
-        busy[s] = true;
+        let reach = LOOKAHEAD * self.cfg.batch_cap();
+        let queue = self.queues.queue.iter().map(|q| q.iter().take(reach).copied().collect());
+        let (busy, starts) = (self.queues.busy.clone(), self.queues.starts.clone());
+        let mut q = Queues { queue: queue.collect(), busy, starts };
+        let mut draws: Vec<_> = self.cores.iter().map(|c| c.fault_draw.clone()).collect();
         let mut not_run = VecDeque::from([s]);
-        let mut draw = self.fault_draw.clone();
         let mut popped = Vec::new();
         let mut predicted = Vec::with_capacity(LOOKAHEAD);
         while predicted.len() < LOOKAHEAD {
-            let known = if popped.len() < HORIZON { self.heap.pop() } else { None };
-            // The shard that frees up or gets a request while idle next.
-            let free = match known {
-                Some(event) => {
-                    popped.push(event);
-                    match event.0 .2 {
-                        Ev::Arrive { seq } => {
-                            let to = self.route(seq);
-                            queues[to].push_back(seq);
-                            if busy[to] {
-                                continue;
-                            }
-                            to
-                        }
-                        Ev::Complete { shard } => shard,
-                    }
-                }
-                None => match not_run.pop_front() {
-                    Some(shard) => shard,
-                    None => break,
-                },
+            let Some((_, x)) = q.next_start(&mut self.heap, Some(&mut popped)) else {
+                let Some(x) = not_run.pop_front() else { break };
+                q.apply(u64::MAX, Ev::Complete { shard: x });
+                continue;
             };
-            busy[free] = !queues[free].is_empty();
-            if busy[free] {
-                let take = queues[free].len().min(cap);
-                let ops = queues[free].drain(..take).map(|q| self.ops[q]).collect();
-                predicted.push((ops, draw.as_mut().and_then(|d| d.draw(take))));
-                not_run.push_back(free);
-            }
+            // A dry-run start comes after every event applied so far, so
+            // every request on its queue has arrived by it, whatever the
+            // shard's clock would read.
+            let seqs = self.cores[x].form_batch(&mut q.queue[x], |_| 0);
+            let plan = draws[x].as_mut().and_then(|d| d.draw(seqs.len()));
+            predicted.push((seqs.iter().map(|&i| self.ops[i]).collect(), plan));
+            not_run.push_back(x);
         }
         self.heap.extend(popped);
         predicted
@@ -438,26 +457,29 @@ pub fn run_service(
     cfg.validate(spec);
     let total = cfg.requests;
     let runner = BatchRunner::new(module, spec, vm);
-    let fault_draw =
-        cfg.faults.map(|f| FaultDraw::new(f, 0, calibrate_writes_per_req(&runner, cfg)));
+    let writes_per_req = cfg.faults.map_or(1, |_| calibrate_writes_per_req(&runner, cfg));
     let tracing = trace.is_some();
     let mut sim = Sim {
         cfg,
         runner: &runner,
         tracing,
         gen: YcsbGen::new(cfg.seed, KV_KEYSPACE),
-        fault_draw,
         heap: BinaryHeap::new(),
         tick: 0,
         ops: Vec::with_capacity(total),
         arrivals_ns: Vec::with_capacity(total),
-        shards: (0..cfg.shards)
+        queues: Queues {
+            queue: vec![VecDeque::new(); cfg.shards],
+            busy: vec![false; cfg.shards],
+            starts: VecDeque::new(),
+        },
+        cores: (0..cfg.shards)
             .map(|s| {
-                let mut core = ShardCore::new(cfg, s);
-                if trace.is_some() {
+                let mut core = ShardCore::new(cfg, s, writes_per_req);
+                if tracing {
                     core.enable_trace(None);
                 }
-                ShardSim { queue: VecDeque::new(), busy: false, core }
+                core
             })
             .collect(),
     };
@@ -490,6 +512,5 @@ pub fn run_service(
 
     // The DES serves saga sub-operations as independent requests (joins
     // are a runtime-layer concept), so `suppressed_joins` stays 0.
-    let cores = sim.shards.into_iter().map(|s| s.core).collect();
-    ServiceReport::assemble(label.into(), cfg, cores, trace)
+    ServiceReport::assemble(label.into(), cfg, sim.cores, trace)
 }

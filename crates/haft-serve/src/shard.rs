@@ -3,16 +3,17 @@
 //!
 //! [`BatchRunner`] is the one batch path: a fresh `Vm` per batch, over a
 //! clone of the image's arena with the batch's requests written in.
-//! [`ShardCore`] is the one copy of "run the VM → price on
-//! [`haft_vm::PhaseCycles`] → classify per request → bucket telemetry →
-//! fault bookkeeping → shard stats → trace splice". The discrete-event
-//! simulation and the `haft-runtime` actor pool are *drivers* of it: they
-//! decide when a batch starts and what is in it, and nothing else. Its
-//! step, `serve`, is `run_batch` followed by `account`; a batch run is a
-//! pure function of its requests and fault plan, so the simulation may
-//! take the run from a helper thread that computed it early, and account
-//! it exactly as if it had just run.
+//! [`ShardCore`] is the one copy of "form the batch → draw its fault plan
+//! → run the VM → price on [`haft_vm::PhaseCycles`] → classify per
+//! request → bucket telemetry → fault bookkeeping → shard stats → trace
+//! splice". The discrete-event simulation and the `haft-runtime` actor
+//! pool are *drivers* of it: they decide only when [`ShardCore::form_batch`]
+//! is called. Its step, `serve`, is `run_batch` followed by `account`; a
+//! batch run is a pure function of its requests and fault plan, so the
+//! simulation may take the run from a helper thread that computed it
+//! early, and account it exactly as if it had just run.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use haft_apps::{golden_reply, Op, YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
@@ -125,16 +126,12 @@ pub fn calibrate_writes_per_req(runner: &BatchRunner<'_>, cfg: &ServeConfig) -> 
 
 /// One stream of per-batch injection plans.
 ///
-/// The simulation draws every batch from stream 0 (one global batch
-/// order); the runtime gives shard `i` stream `i`, because concurrent
-/// shards have no global order for a single stream to follow. Fault
-/// *placement* therefore differs between the drivers once there is more
-/// than one shard — rates and aggregate behaviour match, individual hits
-/// do not. The simulation's lookahead predicts its next batches' plans by
-/// drawing from a clone of stream 0, so the stream itself is only ever
-/// advanced in the real batch order.
+/// Shard `i`'s core draws stream `i`, in that shard's own batch order, so
+/// both drivers place every hit on the same batch. The simulation's
+/// lookahead predicts its next batches' plans by drawing from clones, so
+/// a stream is only ever advanced in the real batch order.
 #[derive(Clone)]
-pub struct FaultDraw {
+pub(crate) struct FaultDraw {
     rng: Prng,
     rate_per_request: f64,
     writes_per_req: u64,
@@ -142,7 +139,7 @@ pub struct FaultDraw {
 
 impl FaultDraw {
     /// Stream `stream` of `load`, seeded `load.seed ^ stream`.
-    pub fn new(load: FaultLoad, stream: u64, writes_per_req: u64) -> Self {
+    pub(crate) fn new(load: FaultLoad, stream: u64, writes_per_req: u64) -> Self {
         FaultDraw {
             rng: Prng::new(load.seed ^ stream),
             rate_per_request: load.rate_per_request,
@@ -151,7 +148,7 @@ impl FaultDraw {
     }
 
     /// Draws the injection plan for a batch of `batch_len` requests.
-    pub fn draw(&mut self, batch_len: usize) -> Option<FaultPlan> {
+    pub(crate) fn draw(&mut self, batch_len: usize) -> Option<FaultPlan> {
         let p = (self.rate_per_request * batch_len as f64).min(1.0);
         // Draw all three variates unconditionally so the plan stream is
         // independent of earlier hit/miss outcomes.
@@ -176,6 +173,9 @@ pub struct Served {
 /// owns it. Everything here is on the virtual clock.
 pub struct ShardCore {
     idx: usize,
+    batch_cap: usize,
+    /// This shard's fault stream, when a fault load is attached.
+    pub(crate) fault_draw: Option<FaultDraw>,
     clock_ghz: f64,
     dispatch_ns: u64,
     restart_ns: u64,
@@ -202,10 +202,14 @@ pub struct ShardCore {
 }
 
 impl ShardCore {
-    /// The core for shard `idx` of a `cfg` fleet.
-    pub fn new(cfg: &ServeConfig, idx: usize) -> Self {
+    /// The core for shard `idx` of a `cfg` fleet. With a fault load, it
+    /// draws fault stream `idx`; `writes_per_req` is the serve call's one
+    /// [`calibrate_writes_per_req`] estimate.
+    pub fn new(cfg: &ServeConfig, idx: usize, writes_per_req: u64) -> Self {
         ShardCore {
             idx,
+            batch_cap: cfg.batch_cap(),
+            fault_draw: cfg.faults.map(|f| FaultDraw::new(f, idx as u64, writes_per_req)),
             clock_ghz: cfg.clock_ghz,
             dispatch_ns: cfg.dispatch_ns,
             restart_ns: cfg.restart_ns,
@@ -239,20 +243,41 @@ impl ShardCore {
         (cycles as f64 / self.clock_ghz) as u64
     }
 
+    /// Takes the next batch off `queue`, the batch-start rule of both
+    /// drivers, on the virtual clock: the batch opens at `t0 = max(vclock,
+    /// front arrival)` — the front request always gets in — and admits up
+    /// to the batch limit of the queued requests that have arrived by
+    /// `t0`, in queue order. Requests still in the virtual future stay
+    /// queued. `arrival` reads a queued item's arrival time.
+    pub fn form_batch<T>(&self, queue: &mut VecDeque<T>, arrival: impl Fn(&T) -> u64) -> Vec<T> {
+        let Some(front) = queue.front() else { return Vec::new() };
+        let t0 = self.vclock_ns.max(arrival(front));
+        let mut batch = Vec::new();
+        while batch.len() < self.batch_cap && queue.front().is_some_and(|r| arrival(r) <= t0) {
+            batch.extend(queue.pop_front());
+        }
+        batch
+    }
+
+    /// The fault plan of this shard's next batch, of `batch_len` requests.
+    pub(crate) fn draw(&mut self, batch_len: usize) -> Option<FaultPlan> {
+        self.fault_draw.as_mut().and_then(|d| d.draw(batch_len))
+    }
+
     /// Serves `ops` as one batch starting at `start_ns` and does all the
-    /// per-batch accounting: [`BatchRunner::run_batch`], then
-    /// [`Self::account`]. `arrivals` yields, per op, the time to sample
-    /// its latency from — `None` for an op whose latency is sampled
-    /// elsewhere (a saga sub-operation; see [`Self::record_join`]). Failed
-    /// requests are never sampled.
+    /// per-batch accounting: draws the batch's fault plan, runs it
+    /// ([`BatchRunner::run_batch`]), then [`Self::account`]. `arrivals`
+    /// yields, per op, the time to sample its latency from — `None` for an
+    /// op whose latency is sampled elsewhere (a saga sub-operation; see
+    /// [`Self::record_join`]). Failed requests are never sampled.
     pub fn serve(
         &mut self,
         runner: &BatchRunner<'_>,
         ops: &[Op],
         arrivals: impl Iterator<Item = Option<u64>>,
         start_ns: u64,
-        plan: Option<FaultPlan>,
     ) -> Served {
+        let plan = self.draw(ops.len());
         let mut vm_events = self.trace.as_ref().map(|_| TraceBuf::new());
         let run = runner.run_batch(ops, plan, vm_events.as_mut());
         self.account(run, vm_events, ops, arrivals, start_ns, plan.is_some())
@@ -474,11 +499,11 @@ mod tests {
         let w = kv_shard(KvSync::Atomics);
         let cfg = ServeConfig::default();
         let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
-        let mut core = ShardCore::new(&cfg, 0);
+        let mut core = ShardCore::new(&cfg, 0, 1);
         let ops = YcsbGen::new(9, 100).generate(WorkloadMix::B, 3);
         // The middle op's latency is sampled elsewhere (a saga sub-op).
         let arrivals = [Some(100), None, Some(40)];
-        let served = core.serve(&runner, &ops, arrivals.into_iter(), 100, None);
+        let served = core.serve(&runner, &ops, arrivals.into_iter(), 100);
         assert_eq!(served.outcomes, vec![RequestOutcome::Served; 3]);
         assert!(served.completion_ns > 100, "clock advanced past the start");
         assert_eq!(core.vclock_ns(), served.completion_ns);
@@ -495,6 +520,16 @@ mod tests {
         core.record_join(served.completion_ns, 10, false);
         assert_eq!(core.suppressed_joins, 1, "a failed join is counted, not sampled");
         assert_eq!(core.samples.len(), 3);
+    }
+
+    #[test]
+    fn batch_formation_respects_virtual_arrivals() {
+        let core = ShardCore::new(&ServeConfig { batch: 4, ..Default::default() }, 0, 1);
+        // The batch opens at the front's arrival, 50 (the clock is at 0),
+        // and takes what has arrived by then, in queue order.
+        let mut queue: VecDeque<u64> = [50, 40, 60, 45].into();
+        assert_eq!(core.form_batch(&mut queue, |&t| t), [50, 40]);
+        assert_eq!(queue, [60, 45]);
     }
 
     #[test]

@@ -188,6 +188,18 @@ fn hardening_buys_availability_under_load() {
     }
 }
 
+/// Requests that arrive at one instant start one batch: eight zero-think
+/// clients on one shard with batch 8 reissue together at every
+/// completion, so every batch is full.
+#[test]
+fn same_instant_arrivals_coalesce_into_full_batches() {
+    let cfg = ServeConfig { batch: 8, ..base_cfg(1_600, 1) };
+    assert_eq!(cfg.arrival, ArrivalMode::ClosedLoop { clients: 8, think_ns: 0 });
+    let r = serve(HardenConfig::native(), &cfg);
+    assert_eq!(r.requests_served, 1_600);
+    assert_eq!(r.batches, 1_600 / 8);
+}
+
 /// The whole harness is deterministic: identical configuration ⇒
 /// identical report, field for field.
 #[test]

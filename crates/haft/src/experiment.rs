@@ -316,9 +316,10 @@ impl<'a> Experiment<'a> {
     /// [`haft_serve::WallReport`] with host wall-clock throughput.
     ///
     /// Both modes harden through the same per-experiment cache, take the
-    /// identical configuration, and return the identical report schema;
-    /// `Sim` is bit-reproducible while `Native` tracks it within the
-    /// tolerance band pinned by `haft-runtime`'s twin-validation test.
+    /// identical configuration, and return the identical report schema.
+    /// `Sim` is bit-reproducible; one-worker `Native` equals it on every
+    /// open loop and one-shard closed loop without sagas, and tracks it
+    /// within a band elsewhere (`haft-runtime`'s twin-validation test).
     pub fn serve_in(&self, mode: ServeMode, cfg: &ServeConfig) -> ServiceReport {
         self.debug_assert_no_fault("serve_in");
         let (module, _stats) = self.built();
