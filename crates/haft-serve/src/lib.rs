@@ -229,8 +229,8 @@ enum Ev {
 /// A heap entry: `(time, sequence, event)`, earliest first.
 type Entry = Reverse<(u64, u64, Ev)>;
 
-/// What the batch-start rule reads and changes: the event loop's own
-/// queues, or [`Sim::predict`]'s copies of them.
+/// What the event step reads and changes: the event loop's own queues,
+/// or [`Sim::predict`]'s copies of them.
 struct Queues {
     queue: Vec<VecDeque<usize>>,
     /// A shard is busy from when its start is due until a completion
