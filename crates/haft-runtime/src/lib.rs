@@ -174,6 +174,7 @@ const _: () = {
 mod tests {
     use super::*;
     use haft_apps::{kv_shard, KvSync};
+    use haft_serve::run_service;
 
     fn native(cfg: &ServeConfig, workers: usize) -> ServiceReport {
         let w = kv_shard(KvSync::Atomics);
@@ -196,6 +197,25 @@ mod tests {
         let wall = r.wall.expect("native mode fills the wall report");
         assert_eq!(wall.workers, 1);
         assert!(wall.duration_ns > 0 && wall.achieved_rps > 0.0);
+    }
+
+    #[test]
+    fn native_tracks_the_sim_twin_on_cycle_priced_throughput() {
+        let w = kv_shard(KvSync::Atomics);
+        let cfg = small_cfg();
+        let sim = run_service(&w.module, w.run_spec(), VmConfig::default(), "sim", &cfg, None);
+        let nat = native(&cfg, 1);
+        assert_eq!(nat.requests_served, sim.requests_served);
+        // A closed loop over several shards is outside the exact region:
+        // the worker issues freed clients' requests in host order, not
+        // virtual-time order, so batch counts track but need not match.
+        let batch_ratio = nat.batches as f64 / sim.batches as f64;
+        assert!((0.5..=2.0).contains(&batch_ratio), "batching diverged: {batch_ratio:.3}");
+        let ratio = nat.achieved_rps / sim.achieved_rps;
+        assert!(
+            (0.5..=2.0).contains(&ratio),
+            "native cycle-priced throughput diverged from the twin: {ratio:.3}"
+        );
     }
 
     #[test]

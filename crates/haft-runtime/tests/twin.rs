@@ -21,19 +21,13 @@ fn host_workers() -> usize {
 #[test]
 fn native_throughput_tracks_the_sim_twin_across_shard_counts() {
     let w = kv_shard(KvSync::Atomics);
-    let haft = Experiment::workload(&w).harden(HardenConfig::haft());
-    let native = Experiment::workload(&w).harden(HardenConfig::native());
+    let exp = Experiment::workload(&w).harden(HardenConfig::haft());
     let cfg = |requests, shards| ServeConfig { requests, shards, batch: 8, ..Default::default() };
     let sagas = ServeConfig { sagas: Some(SagaLoad::default()), ..cfg(600, 2) };
     let workers = host_workers();
-    let cells = [
-        (&haft, cfg(600, 2), workers),
-        (&haft, cfg(600, 4), workers),
-        (&native, cfg(200, 3), 1),
-        (&haft, sagas, workers),
-    ];
+    let cells = [(cfg(600, 2), workers), (cfg(600, 4), workers), (sagas, workers)];
     let mut ratios = Vec::new();
-    for (exp, cfg, workers) in &cells {
+    for (cfg, workers) in &cells {
         let sim = exp.serve_in(ServeMode::Sim, cfg);
         let nat = exp.serve_in(ServeMode::Native { workers: *workers }, cfg);
         assert_eq!(sim.requests_served, nat.requests_served);
