@@ -1,23 +1,47 @@
 //! Campaign driver: plan, inject, classify — sharing every run's
-//! fault-free prefix.
+//! fault-free prefix, and skipping every suffix a rollback made
+//! fault-free.
 //!
 //! An injection run is, by construction, the reference run up to the
 //! flipped register write. So the driver executes that prefix once: a
 //! fault-free *pilot* VM visits the planned occurrences in ascending
 //! order, is [forked](Vm::fork) just short of each, and only the fork —
-//! the suffix from the flip on — runs per injection. A campaign of `n`
-//! injections costs about `n/(n+1)` of a run for the pilot plus `n/2`
-//! for the suffixes, instead of `n` runs.
+//! from the flip on — runs per injection. A fork then stops where it
+//! settles ([`Vm::run_to_settlement`]): once the transaction attempt its
+//! flip landed in has aborted, the rest is the fault-free run, and the
+//! verdict is known ([`classify_settled`]). A campaign of `n` injections
+//! costs about `n/(n+1)` of a run for the pilot, plus per injection its
+//! window — flip to rollback — when it settles and its suffix when it does
+//! not (a flip outside a transaction, or one a vote or checksum masks in
+//! place).
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
 
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
-use haft_vm::{FaultPlan, Forensics, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Forensics, ForkEnd, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
 
-use crate::classify::{classify, Outcome};
+use crate::classify::{classify, classify_settled, Outcome};
 use crate::report::CampaignReport;
+
+/// What became of the forks of every campaign run in this process.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SettleCounts {
+    /// Forks stopped at the rollback that erased their fault.
+    pub settled: u64,
+    /// Forks run to their end.
+    pub ended: u64,
+}
+
+static SETTLED: AtomicU64 = AtomicU64::new(0);
+static ENDED: AtomicU64 = AtomicU64::new(0);
+
+/// The process-wide [`SettleCounts`] so far.
+pub fn settle_counts() -> SettleCounts {
+    SettleCounts { settled: SETTLED.load(Relaxed), ended: ENDED.load(Relaxed) }
+}
 
 /// Campaign parameters.
 #[derive(Clone, Debug)]
@@ -110,9 +134,19 @@ pub fn run_campaign_from(
     visit.sort_by_key(|&i| plans[i].occurrence);
     let pilot_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
     let mut pilot = Vm::start(module, prepared, pilot_cfg, spec);
+    // A fork settles only with a whole reference run's worth of budget
+    // left, so that settling never hides a hang.
     let conclude = |fork: Vm<'_>| -> Verdict {
-        let r = fork.run_to_end();
-        (classify(&r, &golden.output), r.forensics)
+        match fork.run_to_settlement(golden.instructions) {
+            ForkEnd::Ended(r) => {
+                ENDED.fetch_add(1, Relaxed);
+                (classify(&r, &golden.output), r.forensics)
+            }
+            ForkEnd::Settled(s) => {
+                SETTLED.fetch_add(1, Relaxed);
+                (classify_settled(&s), s.forensics)
+            }
+        }
     };
 
     let workers = cfg.parallelism.max(1) - 1;
@@ -250,12 +284,12 @@ mod tests {
     /// it before prefix sharing: every plan is its own from-scratch
     /// `Vm::run`, serially, in plan order. The driver must report exactly
     /// this.
-    fn reference_campaign(m: &Module, cfg: &CampaignConfig) -> CampaignReport {
-        let golden = Vm::run(m, VmConfig { fault: None, ..cfg.vm.clone() }, spec());
+    fn reference_campaign(m: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) -> CampaignReport {
+        let golden = Vm::run(m, VmConfig { fault: None, ..cfg.vm.clone() }, spec);
         let mut report = CampaignReport::default();
         for plan in plan_injections(cfg.seed, cfg.injections, golden.register_writes.max(1)) {
             let vm = VmConfig { fault: Some(plan), forensics: cfg.forensics, ..cfg.vm.clone() };
-            let r = Vm::run(m, vm, spec());
+            let r = Vm::run(m, vm, spec);
             let o = classify(&r, &golden.output);
             report.record(o);
             if let Some(fx) = &r.forensics {
@@ -274,11 +308,11 @@ mod tests {
         assert_eq!(a.runs, 60);
         // The whole report — counts, runs, forensics aggregate — is the
         // per-plan reference loop's, on real worker threads and without.
-        assert_eq!(a, reference_campaign(&m, &campaign(60)));
+        assert_eq!(a, reference_campaign(&m, spec(), &campaign(60)));
         let hardened = harden(&m, &HardenConfig::haft());
         for parallelism in [1, 2, 3] {
             let cfg = CampaignConfig { parallelism, forensics: true, ..campaign(60) };
-            let want = reference_campaign(&hardened, &cfg);
+            let want = reference_campaign(&hardened, spec(), &cfg);
             assert!(want.forensics.as_ref().is_some_and(|s| s.fired > 0));
             assert_eq!(run_campaign(&hardened, spec(), &cfg), want, "parallelism {parallelism}");
         }
@@ -298,7 +332,10 @@ mod tests {
         assert_eq!(a.counts, b.counts);
         zero.forensics = true;
         let hardened = harden(&m, &HardenConfig::haft());
-        assert_eq!(run_campaign(&hardened, spec(), &zero), reference_campaign(&hardened, &zero));
+        assert_eq!(
+            run_campaign(&hardened, spec(), &zero),
+            reference_campaign(&hardened, spec(), &zero)
+        );
     }
 
     #[test]
@@ -421,6 +458,53 @@ mod tests {
             metrics.get("faults.detect_latency.ilr.count").map(|v| v as u64),
             s.latency_insts.get(&haft_vm::FaultDetector::Ilr).map(|h| h.count).or(Some(0))
         );
+    }
+
+    /// The settling driver against the per-plan from-scratch loop, whole
+    /// reports, over every `Scale::Small` workload × {native, HAFT, TMR,
+    /// ABFT} × forensics off/on (136 cells), the seed and simulated thread
+    /// count rotating through 7/2, 11/4 and 5/1 from one workload to the
+    /// next. The budget is four reference runs, so a hang costs little
+    /// and the reserve rule is in play. Release only, where it takes about
+    /// 25 s on a two-core x86-64 host; a debug build skips it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release only: cargo test -p haft-faults --release")]
+    fn settling_campaigns_equal_the_reference_on_every_small_workload() {
+        use haft_workloads::{all_workloads, Scale};
+        let configs = [
+            HardenConfig::native(),
+            HardenConfig::haft(),
+            HardenConfig::tmr(),
+            HardenConfig::abft(),
+        ];
+        let before = settle_counts();
+        for (i, w) in all_workloads(Scale::Small).iter().enumerate() {
+            let (seed, n_threads) = [(7, 2), (11, 4), (5, 1)][i % 3];
+            for hc in &configs {
+                let hardened = harden(&w.module, hc);
+                let vm = VmConfig { n_threads, ..Default::default() };
+                let golden = Vm::run(&hardened, vm.clone(), w.run_spec());
+                let vm = VmConfig { max_instructions: 4 * golden.instructions, ..vm };
+                for forensics in [false, true] {
+                    let cfg = CampaignConfig {
+                        injections: 8,
+                        seed,
+                        parallelism: 2,
+                        vm: vm.clone(),
+                        forensics,
+                    };
+                    assert_eq!(
+                        run_campaign(&hardened, w.run_spec(), &cfg),
+                        reference_campaign(&hardened, w.run_spec(), &cfg),
+                        "{} {} forensics={forensics}",
+                        w.name,
+                        hc.label()
+                    );
+                }
+            }
+        }
+        let after = settle_counts();
+        assert!(after.settled > before.settled && after.ended > before.ended, "{after:?}");
     }
 
     #[test]

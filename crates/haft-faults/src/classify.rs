@@ -1,6 +1,6 @@
 //! Outcome classification (the paper's Table 1).
 
-use haft_vm::{RunOutcome, RunResult};
+use haft_vm::{RunOutcome, RunResult, Settlement};
 
 /// Classification of one fault-injection run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,21 +110,32 @@ pub fn classify(run: &RunResult, golden: &[u64]) -> Outcome {
         RunOutcome::Hang => Outcome::Hang,
         RunOutcome::Trapped(_) => Outcome::OsDetected,
         RunOutcome::Detected => Outcome::IlrDetected,
-        RunOutcome::Completed => {
-            if run.output == golden {
-                if run.recoveries > 0 {
-                    Outcome::HaftCorrected
-                } else if run.corrected_by_vote > 0 {
-                    Outcome::VoteCorrected
-                } else if run.corrected_by_checksum > 0 {
-                    Outcome::ChecksumCorrected
-                } else {
-                    Outcome::Masked
-                }
-            } else {
-                Outcome::Sdc
-            }
+        RunOutcome::Completed if run.output == golden => {
+            correct(run.recoveries, run.corrected_by_vote, run.corrected_by_checksum)
         }
+        RunOutcome::Completed => Outcome::Sdc,
+    }
+}
+
+/// Classifies an injection run that settled
+/// ([`haft_vm::Vm::run_to_settlement`]): what is left of it is the
+/// fault-free run under another schedule, so it completes with the golden
+/// output, and [`classify`] would say what its counters say.
+pub fn classify_settled(run: &Settlement) -> Outcome {
+    correct(run.recoveries, run.corrected_by_vote, run.corrected_by_checksum)
+}
+
+/// A completed run with the golden output, by the mechanism that fired:
+/// rollback before vote before checksum, the costliest event first.
+fn correct(recoveries: u64, corrected_by_vote: u64, corrected_by_checksum: u64) -> Outcome {
+    if recoveries > 0 {
+        Outcome::HaftCorrected
+    } else if corrected_by_vote > 0 {
+        Outcome::VoteCorrected
+    } else if corrected_by_checksum > 0 {
+        Outcome::ChecksumCorrected
+    } else {
+        Outcome::Masked
     }
 }
 

@@ -26,7 +26,9 @@ pub mod classify;
 pub mod forensics;
 pub mod report;
 
-pub use campaign::{run_campaign, run_campaign_from, CampaignConfig};
-pub use classify::{classify, classify_requests, Group, Outcome, RequestCounts, RequestOutcome};
+pub use campaign::{run_campaign, run_campaign_from, settle_counts, CampaignConfig, SettleCounts};
+pub use classify::{
+    classify, classify_requests, classify_settled, Group, Outcome, RequestCounts, RequestOutcome,
+};
 pub use forensics::{ForensicsSummary, LatencyHistogram, SiteStats};
 pub use report::CampaignReport;

@@ -28,8 +28,9 @@ pub use cost::CostConfig;
 pub use fault::FaultPlan;
 pub use mem::{Memory, Trap};
 pub use vm::{
-    CycleProfile, Engine, FaultDetector, FaultSite, Forensics, FuseStats, PhaseCycles, Prepared,
-    ProfileCell, ProfileOpClass, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
+    CycleProfile, Engine, FaultDetector, FaultSite, Forensics, ForkEnd, FuseStats, PhaseCycles,
+    Prepared, ProfileCell, ProfileOpClass, RunOutcome, RunResult, RunSpec, Settlement, Vm,
+    VmConfig,
 };
 
 // The `haft-runtime` pool runs one VM per shard actor across OS threads,

@@ -111,6 +111,11 @@ impl Memory {
         self.bytes.resize(target, 0);
     }
 
+    /// Where the next allocation starts: the heap's bump pointer.
+    pub(crate) fn heap_next(&self) -> u64 {
+        self.heap_next
+    }
+
     /// Bump-allocates `size` bytes, 64-byte aligned.
     pub fn alloc(&mut self, size: u64) -> Result<u64, Trap> {
         let base = self.heap_next;

@@ -264,6 +264,53 @@ struct TxSnapshot {
     counter: u64,
 }
 
+/// The run's single-event upset, in the slot the register-write hook
+/// reads.
+#[derive(Clone, Copy, Debug)]
+enum Upset {
+    /// No fault planned.
+    None,
+    /// Planned, its register write not reached yet.
+    Armed(FaultPlan),
+    /// Applied on register write `occurrence`, made by thread `tid`.
+    Fired { tid: usize, occurrence: u64 },
+}
+
+impl Upset {
+    /// The plan, while it has not fired.
+    fn armed(self) -> Option<FaultPlan> {
+        match self {
+            Upset::Armed(plan) => Some(plan),
+            _ => None,
+        }
+    }
+}
+
+/// How a fork run by [`Vm::run_to_settlement`] ended.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ForkEnd {
+    /// It ran to its end: exactly what [`Vm::run_to_end`] returns.
+    Ended(Box<RunResult>),
+    /// It stopped at the rollback that erased its fault.
+    Settled(Settlement),
+}
+
+/// A fork stopped where it settled: the transaction attempt its flip
+/// landed in has aborted and restored everything the flip could reach,
+/// so the rest of the run is the fault-free run under another schedule.
+/// These are the counters the rest would not change, as they stood.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Settlement {
+    /// [`RunResult::recoveries`] so far.
+    pub recoveries: u64,
+    /// [`RunResult::corrected_by_vote`] so far.
+    pub corrected_by_vote: u64,
+    /// [`RunResult::corrected_by_checksum`] so far.
+    pub corrected_by_checksum: u64,
+    /// The forensics record, whose window had closed (forensics on only).
+    pub forensics: Option<Forensics>,
+}
+
 /// One simulated thread: its frame stack, its [`Scoreboard`] (built once
 /// from the run's `CostConfig` width and window, reset per phase), its
 /// transaction state, and each engine's memory-ordering side structures.
@@ -284,6 +331,9 @@ struct Thread {
     retries: u32,
     /// Retries exhausted: run non-transactionally until the next begin.
     fallback: bool,
+    /// Register writes retired and the heap bump pointer when the open
+    /// transaction attempt began (its outermost begin or its last retry).
+    attempt: (u64, u64),
     snapshot: Option<TxSnapshot>,
     /// Speculative write buffer (byte overlay) of the open transaction.
     overlay: HashMap<u64, u8>,
@@ -321,6 +371,7 @@ impl Thread {
             tx_depth: 0,
             retries: 0,
             fallback: false,
+            attempt: (0, 0),
             snapshot: None,
             overlay: HashMap::new(),
             elided: Vec::new(),
@@ -348,8 +399,8 @@ enum Flow {
     ThreadDone,
     /// This thread is blocked on a lock; retry the same instruction later.
     Blocked(u64),
-    /// The run reached its pause point ([`Vm::advance_to`]) before this
-    /// op; nothing was executed.
+    /// The run reached its pause point ([`Vm::advance_to`], or a settled
+    /// fork's) before this op; nothing was executed.
     Pause,
 }
 
@@ -421,8 +472,13 @@ pub struct Vm<'m> {
     /// [`Prepared::pause_slack`].
     pause_slack: u64,
     /// The run suspends at the first op boundary with `occ >= pause_at`;
-    /// `u64::MAX` (never) except while [`Vm::advance_to`] runs.
+    /// `u64::MAX` (never) except while [`Vm::advance_to`] runs, and `0`
+    /// once an abort has settled a fork ([`Vm::run_to_settlement`]).
     pause_at: u64,
+    /// The instruction budget an abort must leave unspent to settle the
+    /// run; `None` (every run but [`Vm::run_to_settlement`]'s) never
+    /// settles.
+    settle_reserve: Option<u64>,
     cursor: Cursor,
     mem: Memory,
     htm: Htm,
@@ -436,7 +492,7 @@ pub struct Vm<'m> {
     corrected_by_vote: u64,
     corrected_by_checksum: u64,
     mispredicts: u64,
-    fault: Option<FaultPlan>,
+    fault: Upset,
     wall_cycles: u64,
     cpu_cycles: u64,
     phases: PhaseCycles,
@@ -482,8 +538,8 @@ impl<'m> Vm<'m> {
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
         let threads = (0..n_threads).map(|_| Thread::new(&cfg.cost)).collect();
-        let fault = cfg.fault;
-        let forensics = (cfg.forensics && fault.is_some())
+        let fault = cfg.fault.map_or(Upset::None, Upset::Armed);
+        let forensics = (cfg.forensics && cfg.fault.is_some())
             .then(|| Box::new(forensics::ForensicsState::new(n_threads)));
         Vm {
             m: module,
@@ -492,6 +548,7 @@ impl<'m> Vm<'m> {
             dc: None,
             pause_slack: 1,
             pause_at: u64::MAX,
+            settle_reserve: None,
             cursor: Cursor::default(),
             mem,
             htm,
@@ -729,6 +786,7 @@ impl<'m> Vm<'m> {
             dc: self.dc,
             pause_slack: self.pause_slack,
             pause_at: u64::MAX,
+            settle_reserve: None,
             cursor: self.cursor,
             mem: self.mem.clone(),
             htm: self.htm.clone(),
@@ -742,7 +800,7 @@ impl<'m> Vm<'m> {
             corrected_by_vote: self.corrected_by_vote,
             corrected_by_checksum: self.corrected_by_checksum,
             mispredicts: self.mispredicts,
-            fault: Some(plan),
+            fault: Upset::Armed(plan),
             wall_cycles: self.wall_cycles,
             cpu_cycles: self.cpu_cycles,
             phases: self.phases,
@@ -759,6 +817,41 @@ impl<'m> Vm<'m> {
     pub fn run_to_end(mut self) -> RunResult {
         let outcome = self.resume().expect("no pause point is set");
         self.into_result(outcome)
+    }
+
+    /// [`Vm::run_to_end`] for a [fork](Vm::fork), except that it stops
+    /// where the fork *settles*: at the abort of the hardware transaction
+    /// attempt its flip landed in. Everything the flip could have reached
+    /// was that thread's registers and its speculative writes, and the
+    /// rollback restored both, so from there on the fork is the fault-free
+    /// run under another schedule (the rolled-back thread's clock is
+    /// later). A campaign classifies it as a completed run with the
+    /// reference output and the counters as they stood ([`Settlement`]).
+    ///
+    /// The abort settles the fork only if all of these hold; otherwise the
+    /// fork runs on, and any later abort is another attempt's:
+    /// - the flip was made by the aborting thread inside the attempt that
+    ///   aborted — not outside a transaction, not in fallback mode, and not
+    ///   in an attempt that committed before a later one aborted;
+    /// - the heap bump pointer is where it was when that attempt began (an
+    ///   allocation is the one effect a rollback does not undo, and the
+    ///   retry would allocate again, elsewhere);
+    /// - with forensics on, the taint window has closed (a tainted-control
+    ///   flag, for one, outlives the rollback);
+    /// - at least `reserve` instructions of the budget are left. A caller
+    ///   passes the reference run's instruction count: a hang would then
+    ///   need the rest of the fork to outrun the whole reference run.
+    pub fn run_to_settlement(mut self, reserve: u64) -> ForkEnd {
+        self.settle_reserve = Some(reserve);
+        match self.resume() {
+            Some(outcome) => ForkEnd::Ended(Box::new(self.into_result(outcome))),
+            None => ForkEnd::Settled(Settlement {
+                recoveries: self.recoveries,
+                corrected_by_vote: self.corrected_by_vote,
+                corrected_by_checksum: self.corrected_by_checksum,
+                forensics: self.conclude_forensics(RunOutcome::Completed),
+            }),
+        }
     }
 
     /// Runs, or re-enters a suspended run, until it ends (`Some`) or
@@ -804,7 +897,7 @@ impl<'m> Vm<'m> {
     fn into_result(mut self, outcome: RunOutcome) -> RunResult {
         // A plan still armed must lie beyond the stream; one the stream
         // has passed means the run skipped its flip (a fork taken late).
-        if let Some(plan) = self.fault {
+        if let Some(plan) = self.fault.armed() {
             assert!(
                 plan.occurrence >= self.occ,
                 "run ended at register write {} with the fault planned at {} never applied",
@@ -1041,6 +1134,7 @@ impl<'m> Vm<'m> {
         t.tx_depth = 1;
         t.retries = 0;
         t.fallback = false;
+        t.attempt = (self.occ, self.mem.heap_next());
         t.counter = 0;
         t.tx_start_clock = clock;
         t.last_poll_clock = clock;
@@ -1135,6 +1229,7 @@ impl<'m> Vm<'m> {
             // recovered the fault.
             fx.on_abort(tid, self.instructions, self.wall_cycles + t.sb.clock);
         }
+        let aborted = t.attempt;
         t.retries += 1;
         if t.retries <= self.cfg.max_retries {
             // Retry transactionally from the snapshot point.
@@ -1142,6 +1237,7 @@ impl<'m> Vm<'m> {
             t.tx_depth = 1;
             t.tx_start_clock = clock;
             t.last_poll_clock = clock;
+            t.attempt = (self.occ, self.mem.heap_next());
             self.htm.begin(tid, clock);
         } else {
             // Fall back to non-transactional execution until the next
@@ -1150,6 +1246,23 @@ impl<'m> Vm<'m> {
             t.fallback = true;
             self.htm.note_fallback();
         }
+        if self.settles(tid, aborted) {
+            // Stop at the next op boundary, the way a pause does.
+            self.pause_at = 0;
+        }
+    }
+
+    /// Whether thread `tid`'s abort of the attempt that began at `aborted`
+    /// (register writes, heap pointer) settles a [`Vm::run_to_settlement`]
+    /// fork; that method lists the conditions.
+    fn settles(&self, tid: usize, (occ, heap): (u64, u64)) -> bool {
+        let Some(reserve) = self.settle_reserve else { return false };
+        let Upset::Fired { tid: flipped, occurrence } = self.fault else { return false };
+        flipped == tid
+            && occurrence >= occ
+            && self.mem.heap_next() == heap
+            && self.forensics.as_deref().is_none_or(|fx| fx.closed())
+            && self.cfg.max_instructions.saturating_sub(self.instructions) >= reserve
     }
 
     /// Handles `tx_abort` IR instructions (ILR detections).

@@ -61,10 +61,10 @@ use super::decode::{resolved, Alu2, DOp, Decoded, Edge, Src};
 use super::forensics::ForensicsState;
 use super::profile::{OpClass, N_CLASSES};
 use super::{
-    eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, RunOutcome, Vm, FUNC_BASE, MAX_CALL_DEPTH,
+    eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, RunOutcome, Upset, Vm, FUNC_BASE,
+    MAX_CALL_DEPTH,
 };
 use crate::cost::{CostConfig, Scoreboard};
-use crate::fault::FaultPlan;
 use crate::mem::{Memory, Trap};
 
 /// What [`RunCtx::exec`] did with an op.
@@ -96,9 +96,10 @@ struct RunCtx<'a> {
     fovl: &'a mut FastOverlay,
     store_done: &'a mut CellMap,
     occ: &'a mut u64,
-    fault: &'a mut Option<FaultPlan>,
-    /// `fault`'s occurrence, `u64::MAX` (never reached) with none armed:
-    /// the register write's whole fault hook is one compare against it.
+    fault: &'a mut Upset,
+    /// The armed plan's occurrence, `u64::MAX` (never reached) with none
+    /// armed: the register write's whole fault hook is one compare
+    /// against it.
     fault_at: u64,
     mispredicts: &'a mut u64,
     phi_scratch: &'a mut Vec<(u32, u64, u64, Ty)>,
@@ -141,7 +142,7 @@ impl RunCtx<'_> {
         *self.occ = occ + 1;
         if occ == self.fault_at {
             self.fault_at = u64::MAX;
-            let at = (self.func, self.depth, dst);
+            let at = (self.tid, self.func, self.depth, dst);
             flip(&mut self.regs[dst as usize], self.fault, self.fx, at, ty);
         }
     }
@@ -353,25 +354,27 @@ impl RunCtx<'_> {
     }
 }
 
-/// The planned upset lands on the register write just made: `reg`, which
-/// is register `at.2` of the frame at depth `at.1` running `at.0`. Out of
-/// line, and over exactly what it touches rather than `&mut RunCtx`: a
-/// context whose address escapes at every register write stays in memory
-/// instead of registers (as a method this cost 4 % of `batch-exec`).
+/// The planned upset lands on the register write just made by thread
+/// `at.0`: `reg`, which is register `at.3` of the frame at depth `at.2`
+/// running `at.1`. The slot keeps which thread that was. Out of line, and
+/// over exactly what it touches rather than `&mut RunCtx`: a context whose
+/// address escapes at every register write stays in memory instead of
+/// registers (as a method this cost 4 % of `batch-exec`).
 #[cold]
 #[inline(never)]
 fn flip(
     reg: &mut Reg,
-    fault: &mut Option<FaultPlan>,
+    fault: &mut Upset,
     fx: &mut Option<Box<ForensicsState>>,
-    at: (FuncId, usize, u32),
+    at: (usize, FuncId, usize, u32),
     ty: Ty,
 ) {
-    let plan = fault.take().expect("fault_at is the armed plan's occurrence");
+    let plan = fault.armed().expect("fault_at is the armed plan's occurrence");
+    *fault = Upset::Fired { tid: at.0, occurrence: plan.occurrence };
     let mask = plan.effective_mask(ty);
     reg.val ^= mask;
     if let Some(fx) = fx.as_deref_mut() {
-        fx.seed(at.0, at.1, at.2, mask, plan.occurrence);
+        fx.seed(at.1, at.2, at.3, mask, plan.occurrence);
     }
 }
 
@@ -391,7 +394,7 @@ impl<'m> Vm<'m> {
             fovl: &mut t.fovl,
             store_done: &mut t.store_done_fast,
             occ: &mut self.occ,
-            fault_at: self.fault.map_or(u64::MAX, |plan| plan.occurrence),
+            fault_at: self.fault.armed().map_or(u64::MAX, |plan| plan.occurrence),
             fault: &mut self.fault,
             mispredicts: &mut self.mispredicts,
             phi_scratch: &mut self.phi_scratch,
@@ -573,7 +576,7 @@ impl<'m> Vm<'m> {
     fn observed(&self) -> bool {
         let Some(fx) = self.forensics.as_deref() else { return false };
         fx.tracking()
-            || self.fault.is_some_and(|plan| self.occ + self.pause_slack > plan.occurrence)
+            || self.fault.armed().is_some_and(|plan| self.occ + self.pause_slack > plan.occurrence)
     }
 
     /// One pre-advanced op through [`RunCtx::exec`]; false if refused.

@@ -257,6 +257,12 @@ impl ForensicsState {
         matches!(self.phase, Phase::Tracking)
     }
 
+    /// The window has closed: its measurements are frozen, and no later
+    /// op or outcome changes the record.
+    pub(super) fn closed(&self) -> bool {
+        matches!(self.phase, Phase::Done)
+    }
+
     /// Nothing is tainted and no undo log could resurrect a key on a
     /// future abort.
     fn drained(&self) -> bool {

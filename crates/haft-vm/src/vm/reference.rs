@@ -22,7 +22,7 @@ use haft_ir::module::FuncId;
 use haft_ir::types::Ty;
 
 use super::{
-    decode, eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, Vm, FUNC_BASE, MAX_CALL_DEPTH,
+    decode, eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, Upset, Vm, FUNC_BASE, MAX_CALL_DEPTH,
 };
 use crate::mem::Trap;
 
@@ -50,12 +50,12 @@ impl<'m> Vm<'m> {
         // Fault-injection hook: this is the paper's "register-writing
         // instruction" stream.
         self.occ += 1;
-        if let Some(plan) = self.fault {
+        if let Upset::Armed(plan) = self.fault {
             if self.occ - 1 == plan.occurrence {
                 let mask = plan.effective_mask(ty);
                 let frame = self.threads[tid].frames.last_mut().expect("live frame");
                 frame.regs[v.0 as usize].val ^= mask;
-                self.fault = None;
+                self.fault = Upset::Fired { tid, occurrence: plan.occurrence };
                 if let Some(fx) = self.forensics.as_deref_mut() {
                     let t = &self.threads[tid];
                     let func = t.frames.last().expect("live frame").func;

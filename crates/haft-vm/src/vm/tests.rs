@@ -498,6 +498,192 @@ fn fork_past_its_occurrence_is_refused() {
     }
 }
 
+/// The check the ILR pass places on `a`, the transaction's end and the
+/// output: `a` must be 3, and where it is not, `code` aborts (inside a
+/// transaction a rollback; in fallback mode an ILR code fail-stops).
+fn check_and_commit(fb: &mut FunctionBuilder, a: ValueId, code: haft_ir::inst::AbortCode) {
+    let (bad, good) = (fb.new_block(), fb.new_block());
+    let diverged = fb.cmp(CmpOp::Ne, Ty::I64, a, fb.iconst(Ty::I64, 3));
+    fb.condbr(diverged, bad, good);
+    fb.switch_to(bad);
+    fb.emit_op(Op::TxAbort { code });
+    fb.switch_to(good);
+    fb.emit_op(Op::TxEnd);
+    fb.emit_out(Ty::I64, a);
+    fb.ret(None);
+}
+
+/// Forks `m`'s `fini` just short of register write `occurrence` and runs
+/// the fork with a one-bit flip there both ways: to its end, and to
+/// settlement with the campaign driver's reserve (the clean run's
+/// instruction count). Both engines must agree on both.
+fn fork_both_ways(m: &Module, cfg: VmConfig, occurrence: u64) -> (RunResult, ForkEnd) {
+    verify_module(m).expect("test module verifies");
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    let plan = FaultPlan { occurrence, xor_mask: 1 };
+    let both = [Engine::Interp, Engine::Fused].map(|engine| {
+        let cfg = VmConfig { engine, ..cfg.clone() };
+        let clean = Vm::run(m, VmConfig { forensics: false, ..cfg.clone() }, spec);
+        let prepared = Prepared::new(m, &cfg);
+        let mut pilot = Vm::start(m, &prepared, VmConfig { forensics: false, ..cfg.clone() }, spec);
+        pilot.advance_to(occurrence);
+        let ended = pilot.fork(plan, cfg.forensics).run_to_end();
+        (ended, pilot.fork(plan, cfg.forensics).run_to_settlement(clean.instructions))
+    });
+    let [interp, fused] = both;
+    assert_eq!(interp, fused, "engines disagree");
+    fused
+}
+
+/// The settling case the refusals below depart from: a flip inside a
+/// transaction that the check then rolls back. The fork settles with the
+/// counters its end has, and no record (forensics off).
+#[test]
+fn a_rollback_that_erases_the_flip_settles_the_fork() {
+    let m = fini_module(|fb| {
+        fb.emit_op(Op::TxBegin);
+        let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+        fb.add(Ty::I64, a, fb.iconst(Ty::I64, 1));
+        check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
+    });
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    assert_eq!(
+        (ended.outcome, &ended.output[..], ended.recoveries),
+        (RunOutcome::Completed, &[3][..], 1)
+    );
+    let settled = Settlement {
+        recoveries: 1,
+        corrected_by_vote: 0,
+        corrected_by_checksum: 0,
+        forensics: None,
+    };
+    assert_eq!(fork, ForkEnd::Settled(settled));
+    // A flip of the dead `add` aborts nothing and runs to the end.
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 1);
+    assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Completed, 0));
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: a flip outside any transaction, and one in fallback mode
+/// (retries exhausted, running non-transactionally). Every later abort
+/// belongs to an attempt that began after the flip, and cannot undo it.
+#[test]
+fn a_flip_outside_a_transaction_or_in_fallback_does_not_settle() {
+    use haft_ir::inst::AbortCode;
+    let outside = fini_module(|fb| {
+        let x = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+        fb.emit_op(Op::TxBegin);
+        let a = fb.add(Ty::I64, x, fb.iconst(Ty::I64, 0));
+        check_and_commit(fb, a, AbortCode::IlrDetected);
+    });
+    // An `emit` aborts every attempt of the first transaction, so its
+    // `add` runs in fallback mode; the second transaction checks it.
+    let fallback = fini_module(|fb| {
+        fb.emit_op(Op::TxBegin);
+        fb.emit_out(Ty::I64, fb.iconst(Ty::I64, 7));
+        let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+        fb.emit_op(Op::TxEnd);
+        fb.emit_op(Op::TxBegin);
+        check_and_commit(fb, a, AbortCode::IlrDetected);
+    });
+    for m in [&outside, &fallback] {
+        let (ended, fork) = fork_both_ways(m, VmConfig::default(), 0);
+        assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Detected, 4));
+        assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+    }
+    // The same flip one write later, inside the first program's
+    // transaction, settles.
+    assert!(matches!(fork_both_ways(&outside, VmConfig::default(), 1).1, ForkEnd::Settled(_)));
+}
+
+/// Refused: a flip in a transaction that committed before a later one
+/// aborted. The commit made the corruption architectural.
+#[test]
+fn a_flip_in_a_committed_transaction_does_not_settle() {
+    let m = fini_module(|fb| {
+        fb.emit_op(Op::TxBegin);
+        let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+        fb.emit_op(Op::TxEnd);
+        fb.emit_op(Op::TxBegin);
+        check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
+    });
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Detected, 4));
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: an allocation in the aborted attempt, after the flip or
+/// before it. A rollback does not move the heap pointer back, so the
+/// retry allocates elsewhere than the reference run did.
+#[test]
+fn an_allocation_in_the_aborted_attempt_does_not_settle() {
+    for alloc_first in [false, true] {
+        let m = fini_module(|fb| {
+            fb.emit_op(Op::TxBegin);
+            if alloc_first {
+                fb.alloc(fb.iconst(Ty::I64, 64));
+            }
+            let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+            if !alloc_first {
+                fb.alloc(fb.iconst(Ty::I64, 64));
+            }
+            check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
+        });
+        let flip = alloc_first as u64;
+        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), flip);
+        assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Completed, 1));
+        assert_eq!(fork, ForkEnd::Ended(Box::new(ended)), "alloc first: {alloc_first}");
+    }
+}
+
+/// Refused: a forensics taint window still open after the rollback. A
+/// flip that decides a branch sets the sticky tainted-control flag, which
+/// the rollback does not clear; an explicit abort detects nothing, so the
+/// window stays open and the record is only known at the end. Without
+/// forensics the same fork settles, with the same outcome.
+#[test]
+fn an_open_forensics_window_does_not_settle() {
+    let m = fini_module(|fb| {
+        fb.emit_op(Op::TxBegin);
+        let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+        check_and_commit(fb, a, haft_ir::inst::AbortCode::Explicit);
+    });
+    let traced = VmConfig { forensics: true, ..Default::default() };
+    let (ended, fork) = fork_both_ways(&m, traced, 0);
+    assert_eq!(
+        (ended.outcome, &ended.output[..], ended.recoveries),
+        (RunOutcome::Completed, &[3][..], 0)
+    );
+    let record = ended.forensics.as_ref().expect("the flip fired");
+    assert_eq!(record.detector, FaultDetector::Escaped, "tainted control outlived the rollback");
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+    let (_, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let ForkEnd::Settled(settled) = fork else { panic!("without forensics it settles") };
+    assert_eq!((settled.recoveries, settled.forensics), (0, None));
+}
+
+/// Refused: a budget too small to rule out a hang. The rule: an abort
+/// settles only with at least the reserve — the reference run's
+/// instruction count, as campaigns pass it — left of the budget, so a
+/// hang would need the rest of the fork to take more instructions than
+/// the whole reference run. Here the budget is the reference run's plus
+/// two: the fork's retry needs more, and it does hang.
+#[test]
+fn a_budget_short_of_the_reserve_does_not_settle() {
+    let m = fini_module(|fb| {
+        fb.emit_op(Op::TxBegin);
+        let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+        check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
+    });
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    let clean = run(&m, VmConfig::default(), spec);
+    let tight = VmConfig { max_instructions: clean.instructions + 2, ..Default::default() };
+    assert_eq!(run(&m, tight.clone(), spec), clean, "the budget suffices without the flip");
+    let (ended, fork) = fork_both_ways(&m, tight, 0);
+    assert_eq!(ended.outcome, RunOutcome::Hang);
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
 #[test]
 fn vote_resolves_two_of_three_majority() {
     // vote(a, b, c) with agreeing copies is the identity and counts

@@ -258,11 +258,13 @@ impl<'a> Experiment<'a> {
     ///
     /// Cost: the injection runs share their fault-free prefix — one pilot
     /// VM is advanced to each planned occurrence and forked there
-    /// ([`haft_faults::run_campaign_from`]) — so `n` injections cost
-    /// about the reference run, plus the pilot up to the last occurrence,
-    /// plus the sum of the suffixes: roughly `1 + n/(n+1) + n/2`
-    /// run-equivalents instead of `1 + n`, all against one decode of the
-    /// module. The report is identical to running every plan from scratch.
+    /// ([`haft_faults::run_campaign_from`]) — and each fork stops where
+    /// the transaction its flip landed in rolls back
+    /// ([`haft_vm::Vm::run_to_settlement`]). So `n` injections cost the
+    /// reference run, plus the pilot up to the last occurrence, plus per
+    /// injection its window from flip to rollback, or its suffix where no
+    /// rollback erases the flip, all against one decode of the module.
+    /// The report is identical to running every plan from scratch.
     ///
     /// # Panics
     ///

@@ -33,7 +33,8 @@
 //!   the cells under `run_profiled`, and a six-injection fork-driven
 //!   campaign over one HAFT and one native `Scale::Small` program with
 //!   forensics on and off (the same simulated work either way, so the
-//!   ratio of the times is the ratio of ns per instruction).
+//!   ratio of the times is the ratio of ns per instruction), and how many
+//!   of their forks settled at a rollback (`haft::faults::settle_counts`).
 //!
 //! Run with: `cargo run --release --example hotspots -- [seconds]`
 //! (default 10; release builds carry the line tables, `debug = true`).
@@ -249,6 +250,7 @@ fn alu_chain(iterations: i64) -> haft::ir::module::Module {
 fn main() {
     use haft::apps::{kv_shard, KvSync, WorkloadMix};
     use haft::eval::{perf_vm, recommended_threshold};
+    use haft::faults::settle_counts;
     use haft::prelude::*;
     use std::time::{Duration, Instant};
 
@@ -532,10 +534,15 @@ fn main() {
             };
             best_ms(|| exp.campaign(cfg.clone()))
         };
+        let before = settle_counts();
         let (off, on) = (campaign(false), campaign(true));
+        let after = settle_counts();
+        let settled = after.settled - before.settled;
+        let forks = settled + after.ended - before.ended;
         let name = format!("{}.{label}", small.name);
         println!(
-            "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}",
+            "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}  \
+             settled {settled}/{forks} forks",
             on / off
         );
     }

@@ -25,10 +25,14 @@
 //! armed and run to its end ([`Vm::advance_to`], [`Vm::fork`] — what the
 //! campaign driver does per plan) must return the whole `RunResult`,
 //! forensics record included, that `Experiment::run_with_fault` returns.
+//! The settle axis rides on it: the same fork under
+//! [`Vm::run_to_settlement`], which the driver runs instead, must either
+//! run to that end or stop with that end's verdict.
 
 use std::collections::BTreeMap;
 
 use haft::prelude::*;
+use haft::vm::ForkEnd;
 use proptest::prelude::*;
 
 /// A tiny random program description (the same shape `properties.rs`
@@ -158,11 +162,48 @@ const FORK_CELLS: [(Engine, bool); 4] = [
     (Engine::Fused, false),
 ];
 
+/// The settle axis, for one fork whose run to its end returned `ended`:
+/// the same fork under [`Vm::run_to_settlement`] (with the campaign
+/// driver's reserve, the clean run's instruction count) either runs to
+/// that same end, or settles with that end's verdict — outcome class,
+/// recovery and correction counters, forensics record. True if it
+/// settled. Like a campaign, it needs a clean run that completes: a
+/// settled fork's verdict is that its rest is the clean run's rest.
+fn assert_settles_like_its_end(
+    fork: Vm<'_>,
+    ended: &RunResult,
+    clean: &RunResult,
+    what: &str,
+) -> bool {
+    use haft::faults::{classify, classify_settled};
+    if clean.outcome != RunOutcome::Completed {
+        return false;
+    }
+    match fork.run_to_settlement(clean.instructions) {
+        ForkEnd::Ended(r) => {
+            assert_eq!(&*r, ended, "{what}: a fork that did not settle must run to the same end");
+            false
+        }
+        ForkEnd::Settled(s) => {
+            let end = classify(ended, &clean.output);
+            assert_eq!(classify_settled(&s), end, "{what}: settled verdict differs from the end");
+            assert_eq!(
+                (s.recoveries, s.corrected_by_vote, s.corrected_by_checksum),
+                (ended.recoveries, ended.corrected_by_vote, ended.corrected_by_checksum),
+                "{what}: the rest of a settled fork must not recover or correct anything"
+            );
+            assert_eq!(s.forensics, ended.forensics, "{what}: forensics record");
+            true
+        }
+    }
+}
+
 /// The fork axis, for one already-hardened module: per cell, one pilot
 /// visits ascending occurrences — the first and last register writes and
 /// a repeated one included — and every fork must equal the from-scratch
-/// faulted run. The pilot, run on to its end once nothing more is forked,
-/// must equal the fault-free run.
+/// faulted run, and settle like it ([`assert_settles_like_its_end`]).
+/// The pilot, run on to its end once nothing more is forked, must equal
+/// the fault-free run.
 fn assert_forks_match_scratch_runs(
     hardened: &Module,
     spec: RunSpec<'_>,
@@ -191,6 +232,8 @@ fn assert_forks_match_scratch_runs(
             let scratch = exp.run_with_fault(plan).run;
             assert_eq!(forked, scratch, "{what}: fork diverges at occurrence {occurrence}");
             assert_eq!(forked.forensics.is_some(), forensics && clean.register_writes > 0);
+            let what = format!("{what} occurrence={occurrence}");
+            assert_settles_like_its_end(pilot.fork(plan, forensics), &forked, &clean, &what);
         }
         assert_eq!(pilot.run_to_end(), clean, "{what}: pilot diverges from the clean run");
     }
@@ -482,7 +525,8 @@ fn dead_flow_program() -> Module {
 /// from-scratch run is the oracle; the fused from-scratch run and both
 /// engines' forks — one pilot per engine, advanced from point to point as
 /// the campaign driver does — must return its whole `RunResult`, record
-/// included. Returns the oracle's results.
+/// included, and settle like it ([`assert_settles_like_its_end`]).
+/// Returns the oracle's results and how many forks settled.
 fn sweep_faults(
     hardened: &Module,
     spec: RunSpec<'_>,
@@ -490,11 +534,13 @@ fn sweep_faults(
     mask: u64,
     points: &[u64],
     what: &str,
-) -> Vec<RunResult> {
+) -> (Vec<RunResult>, usize) {
     let vm = |engine| VmConfig { n_threads: threads, engine, ..forensics_vm() };
+    let clean = Experiment::new(hardened).spec(spec).vm(vm(Engine::Fused)).run().run;
     let prepared = Prepared::new(hardened, &vm(Engine::Fused));
     let mut pilots =
         [Engine::Interp, Engine::Fused].map(|e| Vm::start(hardened, &prepared, vm(e), spec));
+    let mut settled = 0;
     let sweep = points.iter().map(|&occurrence| {
         let plan = FaultPlan { occurrence, xor_mask: mask };
         let scratch =
@@ -505,10 +551,13 @@ fn sweep_faults(
             pilot.advance_to(occurrence);
             let forked = pilot.fork(plan, true).run_to_end();
             assert_eq!(forked, want, "{what}: a fork diverges at {occurrence}");
+            let what = format!("{what} at {occurrence}");
+            settled +=
+                assert_settles_like_its_end(pilot.fork(plan, true), &want, &clean, &what) as usize;
         }
         want
     });
-    sweep.collect()
+    (sweep.collect(), settled)
 }
 
 /// The 23-point fault sweep from `quickstart_smoke.rs` under both
@@ -547,8 +596,15 @@ fn fault_sweep_outcome_histograms_match() {
         let step = (clean_i.register_writes / 23).max(1) as usize;
         let grid = (0..clean_i.register_writes).step_by(step);
         let points: Vec<u64> = grid.skip(nth / 2).step_by(nth).collect();
-        let results = sweep_faults(&hardened, w.run_spec(), 2, mask, &points, &label);
+        let (results, settled) = sweep_faults(&hardened, w.run_spec(), 2, mask, &points, &label);
         note(&results);
+        // Only a rollback settles a fork: never natively or under TMR.
+        // (ABFT's checksums correct this kernel's flips in place.)
+        match hc.label().as_str() {
+            "HAFT" => assert!(settled > 0, "{label}: no fork settled"),
+            "native" | "TMR" => assert_eq!(settled, 0, "{label}: a fork settled"),
+            _ => {}
+        }
         if nth == 1 {
             // Equal results are equal Table 1 outcome histograms.
             assert!(results.len() >= 23, "{label}: sweep must cover 23 points");
@@ -561,7 +617,7 @@ fn fault_sweep_outcome_histograms_match() {
     let dead_flow = dead_flow_program();
     let writes = run_both(&Experiment::new(&dead_flow).spec(fini_spec())).0.register_writes;
     let points: Vec<u64> = (0..writes).collect();
-    note(&sweep_faults(&dead_flow, fini_spec(), 1, 0x40, &points, "dead-flow"));
+    note(&sweep_faults(&dead_flow, fini_spec(), 1, 0x40, &points, "dead-flow").0);
     let closed_by: Vec<&str> = detectors.keys().copied().collect();
     assert_eq!(
         closed_by,
