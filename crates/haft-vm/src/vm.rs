@@ -270,18 +270,35 @@ struct TxSnapshot {
 enum Upset {
     /// No fault planned.
     None,
-    /// Planned, its register write not reached yet.
-    Armed(FaultPlan),
+    /// Planned, its register write not reached yet; `tid` is the thread
+    /// that would make it, as far as the last look ([`Upset::arm_for`]).
+    Armed { plan: FaultPlan, tid: usize },
     /// Applied on register write `occurrence`, made by thread `tid`.
     Fired { tid: usize, occurrence: u64 },
 }
 
 impl Upset {
+    fn new(plan: FaultPlan) -> Self {
+        Upset::Armed { plan, tid: 0 }
+    }
+
     /// The plan, while it has not fired.
     fn armed(self) -> Option<FaultPlan> {
         match self {
-            Upset::Armed(plan) => Some(plan),
+            Upset::Armed { plan, .. } => Some(plan),
             _ => None,
+        }
+    }
+
+    /// The armed plan's occurrence, `u64::MAX` with none armed, as thread
+    /// `tid` is about to run: an armed plan takes `tid` as its thread.
+    fn arm_for(&mut self, tid: usize) -> u64 {
+        match self {
+            Upset::Armed { plan, tid: by } => {
+                *by = tid;
+                plan.occurrence
+            }
+            _ => u64::MAX,
         }
     }
 }
@@ -538,7 +555,7 @@ impl<'m> Vm<'m> {
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
         let threads = (0..n_threads).map(|_| Thread::new(&cfg.cost)).collect();
-        let fault = cfg.fault.map_or(Upset::None, Upset::Armed);
+        let fault = cfg.fault.map_or(Upset::None, Upset::new);
         let forensics = (cfg.forensics && cfg.fault.is_some())
             .then(|| Box::new(forensics::ForensicsState::new(n_threads)));
         Vm {
@@ -800,7 +817,7 @@ impl<'m> Vm<'m> {
             corrected_by_vote: self.corrected_by_vote,
             corrected_by_checksum: self.corrected_by_checksum,
             mispredicts: self.mispredicts,
-            fault: Upset::Armed(plan),
+            fault: Upset::new(plan),
             wall_cycles: self.wall_cycles,
             cpu_cycles: self.cpu_cycles,
             phases: self.phases,

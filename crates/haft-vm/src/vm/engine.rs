@@ -142,7 +142,7 @@ impl RunCtx<'_> {
         *self.occ = occ + 1;
         if occ == self.fault_at {
             self.fault_at = u64::MAX;
-            let at = (self.tid, self.func, self.depth, dst);
+            let at = (self.func, self.depth, dst);
             flip(&mut self.regs[dst as usize], self.fault, self.fx, at, ty);
         }
     }
@@ -354,27 +354,30 @@ impl RunCtx<'_> {
     }
 }
 
-/// The planned upset lands on the register write just made by thread
-/// `at.0`: `reg`, which is register `at.3` of the frame at depth `at.2`
-/// running `at.1`. The slot keeps which thread that was. Out of line, and
-/// over exactly what it touches rather than `&mut RunCtx`: a context whose
-/// address escapes at every register write stays in memory instead of
-/// registers (as a method this cost 4 % of `batch-exec`).
+/// The planned upset lands on the register write just made: `reg`, which
+/// is register `at.2` of the frame at depth `at.1` running `at.0`, by the
+/// thread the armed slot names ([`RunCtx`]s stamp it as they are built, so
+/// the hook need not carry it). Out of line, and over exactly what it
+/// touches rather than `&mut RunCtx`: a context whose address escapes at
+/// every register write stays in memory instead of registers (as a method
+/// this cost 4 % of `batch-exec`).
 #[cold]
 #[inline(never)]
 fn flip(
     reg: &mut Reg,
     fault: &mut Upset,
     fx: &mut Option<Box<ForensicsState>>,
-    at: (usize, FuncId, usize, u32),
+    at: (FuncId, usize, u32),
     ty: Ty,
 ) {
-    let plan = fault.armed().expect("fault_at is the armed plan's occurrence");
-    *fault = Upset::Fired { tid: at.0, occurrence: plan.occurrence };
+    let Upset::Armed { plan, tid } = *fault else {
+        unreachable!("fault_at is the armed plan's occurrence")
+    };
+    *fault = Upset::Fired { tid, occurrence: plan.occurrence };
     let mask = plan.effective_mask(ty);
     reg.val ^= mask;
     if let Some(fx) = fx.as_deref_mut() {
-        fx.seed(at.1, at.2, at.3, mask, plan.occurrence);
+        fx.seed(at.0, at.1, at.2, mask, plan.occurrence);
     }
 }
 
@@ -394,7 +397,7 @@ impl<'m> Vm<'m> {
             fovl: &mut t.fovl,
             store_done: &mut t.store_done_fast,
             occ: &mut self.occ,
-            fault_at: self.fault.armed().map_or(u64::MAX, |plan| plan.occurrence),
+            fault_at: self.fault.arm_for(tid),
             fault: &mut self.fault,
             mispredicts: &mut self.mispredicts,
             phi_scratch: &mut self.phi_scratch,

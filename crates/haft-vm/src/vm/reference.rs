@@ -50,7 +50,7 @@ impl<'m> Vm<'m> {
         // Fault-injection hook: this is the paper's "register-writing
         // instruction" stream.
         self.occ += 1;
-        if let Upset::Armed(plan) = self.fault {
+        if let Upset::Armed { plan, .. } = self.fault {
             if self.occ - 1 == plan.occurrence {
                 let mask = plan.effective_mask(ty);
                 let frame = self.threads[tid].frames.last_mut().expect("live frame");
