@@ -1,18 +1,18 @@
 //! `haft-runtime` — hardened backends on real threads.
 //!
 //! The `haft-serve` discrete-event simulation prices a fleet of shard
-//! VMs on one host thread; this crate *runs* the same fleet: N shard
-//! actors — each batch a fresh VM over its own clone of the one shard
-//! image ([`haft_serve::BatchRunner`]) they share — scheduled across a
-//! work-stealing pool of OS threads ([`pool::Pool`]). It is the second
-//! *driver* of
-//! [`haft_serve::ShardCore`]: batch formation, the per-shard fault
+//! VMs on one host thread; this crate *runs* the same fleet on a
+//! work-stealing pool of OS threads. It is the second *driver* of
+//! [`haft_serve::ShardCore`], and everything but the driver is
+//! `haft-serve`'s: the setup ([`haft_serve::setup`]: validation, the one
+//! shard image every batch starts from, fault calibration, traced cores),
+//! the traffic source ([`haft_serve::TrafficSource`]), the arrival seeding
+//! ([`haft_serve::seed_arrivals`]), batch formation, the per-shard fault
 //! streams, the batch step, pricing, classification, accounting and
-//! report assembly are the simulation's own code, and this crate decides
-//! only when a shard's next batch is formed (inboxes and
-//! [`haft_serve::ShardCore::form_batch`]), and splits cross-shard
-//! multi-key requests into per-key sub-operations that join as sagas
-//! ([`traffic::Saga`]).
+//! report assembly. The pool decides only when a shard's next batch is
+//! formed (inboxes and [`haft_serve::ShardCore::form_batch`]), and joins
+//! the per-key sub-operations of cross-shard multi-key requests as sagas
+//! ([`haft_serve::Saga`]).
 //!
 //! # The DES is the deterministic twin
 //!
@@ -29,53 +29,32 @@
 //! throughput, the one thing only real threads can measure, is reported
 //! separately in [`haft_serve::WallReport`] and never pinned.
 
-pub mod actor;
-pub mod pool;
-pub mod traffic;
+mod pool;
 
 use std::time::Instant;
 
 use haft_apps::KV_KEYSPACE;
 use haft_ir::module::Module;
 use haft_serve::{
-    calibrate_writes_per_req, ArrivalMode, BatchRunner, ServeConfig, ServiceReport, WallReport,
+    seed_arrivals, setup, Req, Saga, ServeConfig, ServiceReport, ShardCore, TrafficSource,
+    WallReport,
 };
 use haft_trace::TraceBuf;
 use haft_vm::{RunSpec, VmConfig};
 
-pub use actor::ShardActor;
-pub use pool::{ActorSlot, Pool};
-pub use traffic::{Req, Saga, TrafficSource};
-
-/// Pool knobs for [`run_native`].
-#[derive(Clone, Copy, Debug)]
-pub struct NativeOpts {
-    /// OS threads in the work-stealing pool, the calling thread included
-    /// (clamped to ≥ 1).
-    pub workers: usize,
-    /// When set, workers sprinkle seeded `yield_now` calls at scheduling
-    /// decision points — the release-mode interleaving shaker used by
-    /// the stress tests. `None` (the default) costs nothing.
-    pub shake_seed: Option<u64>,
-}
-
-impl Default for NativeOpts {
-    fn default() -> Self {
-        NativeOpts { workers: 1, shake_seed: None }
-    }
-}
+use pool::Pool;
 
 /// Serves `cfg.requests` of generated traffic through `cfg.shards` shard
-/// actors on a work-stealing pool of `opts.workers` OS threads — the
-/// real-thread counterpart of [`haft_serve::run_service`], taking the
-/// identical arguments and returning the identical report schema (plus
-/// [`WallReport`]).
+/// cores on a work-stealing pool of `workers` OS threads (clamped to
+/// ≥ 1, the calling thread included) — the real-thread counterpart of
+/// [`haft_serve::run_service`], taking the same arguments plus `workers`
+/// and returning the identical report schema (plus [`WallReport`]).
 ///
 /// With one worker the run is deterministic (one thread serializes every
 /// scheduling decision); with more, thread timing varies batch
 /// composition and the report is reproducible only in distribution.
 ///
-/// With `trace` attached, scheduling events (steals, actor drains, saga
+/// With `trace` attached, scheduling events (steals, shard drains, saga
 /// splits) land in it on the host wall clock and batch/saga/VM/HTM
 /// events on the virtual clock — each carrying the other clock as an
 /// argument. The report is assembled exactly as in an untraced run.
@@ -89,56 +68,35 @@ pub fn run_native(
     vm: VmConfig,
     label: impl Into<String>,
     cfg: &ServeConfig,
-    opts: NativeOpts,
+    workers: usize,
+    trace: Option<&mut TraceBuf>,
+) -> ServiceReport {
+    run_pool(module, spec, vm, label.into(), cfg, workers, None, trace)
+}
+
+/// [`run_native`], with the workers sprinkling `yield_now` calls seeded by
+/// `shake_seed` at scheduling decision points when it is set — the
+/// release-mode interleaving shaker of the stress tests.
+#[allow(clippy::too_many_arguments)]
+fn run_pool(
+    module: &Module,
+    spec: RunSpec<'_>,
+    vm: VmConfig,
+    label: String,
+    cfg: &ServeConfig,
+    workers: usize,
+    shake_seed: Option<u64>,
     mut trace: Option<&mut TraceBuf>,
 ) -> ServiceReport {
-    cfg.validate(spec);
-    let workers = opts.workers.max(1);
-    // One shard image for the calibration and every actor; same estimate
-    // as the DES.
-    let runner = BatchRunner::new(module, spec, vm);
-    let writes_per_req = cfg.faults.map_or(1, |_| calibrate_writes_per_req(&runner, cfg));
-
+    let workers = workers.max(1);
     let epoch = trace.as_ref().map(|_| Instant::now());
-    let slots: Vec<ActorSlot> = (0..cfg.shards)
-        .map(|i| {
-            let mut actor = ShardActor::new(&runner, cfg, i, writes_per_req);
-            if epoch.is_some() {
-                actor.core.enable_trace(epoch);
-            }
-            ActorSlot::new(actor)
-        })
-        .collect();
+    let (runner, cores) = setup(module, spec, vm, cfg, epoch.is_some(), epoch);
     let mut traffic = TrafficSource::new(cfg.seed, KV_KEYSPACE, cfg.mix, cfg.requests, cfg.sagas);
     if epoch.is_some() {
         traffic.enable_trace();
     }
-    let mut pool = Pool::new(slots, cfg, traffic, workers, opts.shake_seed, epoch);
-
-    // Seed the arrival process (virtual timestamps; matches the DES).
-    match cfg.arrival {
-        ArrivalMode::OpenLoop { rate_rps } => {
-            let mut poisson = haft_serve::PoissonArrivals::new(cfg.seed ^ 0x0A88_17A1, rate_rps);
-            while !pool.traffic_exhausted() {
-                let t = poisson.next_ns();
-                let issued = pool.issue_group_at(t, None);
-                // One Poisson draw per *operation* keeps the arrival
-                // stream aligned with the simulation, which issues every
-                // operation individually; a multi-key group arrives at
-                // its first draw and consumes the rest.
-                for _ in 1..issued {
-                    poisson.next_ns();
-                }
-            }
-        }
-        ArrivalMode::ClosedLoop { clients, .. } => {
-            for _ in 0..clients.max(1) {
-                if pool.issue_group_at(0, None) == 0 {
-                    break;
-                }
-            }
-        }
-    }
+    let mut pool = Pool::new(&runner, cores, cfg, traffic, workers, shake_seed, epoch);
+    seed_arrivals(cfg, |at_vns| pool.issue_group_at(at_vns, None));
 
     let t0 = Instant::now();
     pool.run(workers);
@@ -148,8 +106,7 @@ pub fn run_native(
     if let Some(buf) = trace.as_deref_mut() {
         buf.events.extend(pool.take_trace());
     }
-    let cores = pool.into_actors().into_iter().map(|a| a.core).collect();
-    let mut report = ServiceReport::assemble(label.into(), cfg, cores, trace);
+    let mut report = ServiceReport::assemble(label, cfg, pool.into_cores(), trace);
     report.wall = Some(WallReport {
         workers,
         duration_ns: wall_ns,
@@ -165,7 +122,7 @@ const _: () = {
     const fn assert_sync<T: Sync>() {}
     const fn assert_send<T: Send>() {}
     assert_sync::<Pool<'static>>();
-    assert_send::<ShardActor<'static>>();
+    assert_send::<ShardCore>();
     assert_send::<Req>();
     assert_sync::<Saga>();
 };
@@ -174,12 +131,11 @@ const _: () = {
 mod tests {
     use super::*;
     use haft_apps::{kv_shard, KvSync};
-    use haft_serve::run_service;
+    use haft_serve::{run_service, ArrivalMode};
 
     fn native(cfg: &ServeConfig, workers: usize) -> ServiceReport {
         let w = kv_shard(KvSync::Atomics);
-        let opts = NativeOpts { workers, shake_seed: None };
-        run_native(&w.module, w.run_spec(), VmConfig::default(), "native", cfg, opts, None)
+        run_native(&w.module, w.run_spec(), VmConfig::default(), "native", cfg, workers, None)
     }
 
     fn small_cfg() -> ServeConfig {

@@ -1,8 +1,8 @@
-//! The work-stealing pool: shard actors scheduled over OS threads.
+//! The work-stealing pool: shard cores scheduled over OS threads.
 //!
 //! The scheduler is the classic actor shape (souvenir's `Scheduler`,
-//! SNIPPETS.md §1): each shard is an *actor* with an MPSC inbox and a
-//! three-state lifecycle —
+//! SNIPPETS.md §1): each shard's [`ShardCore`] is an *actor* with an MPSC
+//! inbox and a three-state lifecycle —
 //!
 //! * `IDLE` — inbox empty (or believed empty), owned by nobody;
 //! * `QUEUED` — has work and sits in exactly one runnable deque;
@@ -31,11 +31,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use haft_serve::{ArrivalMode, RouterPolicy, ServeConfig, TRACE_PID_POOL};
+use haft_apps::Op;
+use haft_faults::RequestOutcome;
+use haft_serve::{
+    ArrivalMode, BatchRunner, Req, RouterPolicy, ServeConfig, ShardCore, TrafficSource,
+    TRACE_PID_POOL,
+};
 use haft_trace::{Ring, TraceEvent, TraceSink};
-
-use crate::actor::ShardActor;
-use crate::traffic::{Req, TrafficSource};
 
 const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
@@ -45,21 +47,43 @@ const RUNNING: u8 = 2;
 /// completeness, so a hot worker can never grow the trace without bound.
 const WORKER_RING_CAP: usize = 1 << 14;
 
-/// One shard actor plus its scheduling state and inbox.
-pub struct ActorSlot<'a> {
+/// One shard's core plus its scheduling state and inbox.
+struct ActorSlot {
     state: AtomicU8,
     inbox: Mutex<VecDeque<Req>>,
-    actor: Mutex<ShardActor<'a>>,
+    core: Mutex<ShardCore>,
 }
 
-impl<'a> ActorSlot<'a> {
-    pub fn new(actor: ShardActor<'a>) -> Self {
-        ActorSlot {
-            state: AtomicU8::new(IDLE),
-            inbox: Mutex::new(VecDeque::new()),
-            actor: Mutex::new(actor),
+/// Serves one batch ([`ShardCore::form_batch`] formed it) on `core`,
+/// starting at `max(shard vclock, latest arrival in the batch)` on the
+/// shard's virtual clock, and resolves its saga joins: a multi-key request
+/// samples once, at the join, on the shard that finished last. Returns the
+/// virtual times at which client requests finished with this batch — one
+/// per completed single request or joined saga; in a closed loop each
+/// frees one client at that time.
+fn serve_batch(runner: &BatchRunner<'_>, core: &mut ShardCore, batch: &[Req]) -> Vec<u64> {
+    let ops: Vec<Op> = batch.iter().map(|r| r.op).collect();
+    let latest = batch.iter().map(|r| r.arrival_vns).max().expect("ran an empty batch");
+    let start = core.vclock_ns().max(latest);
+    let arrivals = batch.iter().map(|r| r.saga.is_none().then_some(r.arrival_vns));
+    let served = core.serve(runner, &ops, arrivals, start);
+
+    let mut freed_vns = Vec::with_capacity(batch.len());
+    for (req, &o) in batch.iter().zip(&served.outcomes) {
+        let Some(saga) = &req.saga else {
+            freed_vns.push(served.completion_ns);
+            continue;
+        };
+        if o == RequestOutcome::Failed {
+            saga.failed.store(true, Ordering::Release);
+        }
+        if let Some(join_vns) = saga.complete_one(served.completion_ns) {
+            let failed = saga.failed.load(Ordering::Acquire);
+            core.record_join(join_vns, saga.arrival_vns, failed);
+            freed_vns.push(join_vns);
         }
     }
+    freed_vns
 }
 
 /// Deterministic interleaving shaker (splitmix64): sprinkled
@@ -90,9 +114,12 @@ impl Shaker {
     }
 }
 
-/// The shared pool state: slots, runnable deques, traffic, progress.
+/// The shared pool state: the shard image, slots, runnable deques,
+/// traffic, progress.
 pub struct Pool<'a> {
-    slots: Vec<ActorSlot<'a>>,
+    /// The serve call's one shard image, which every batch starts from.
+    runner: &'a BatchRunner<'a>,
+    slots: Vec<ActorSlot>,
     /// Per-worker runnable deques (owner pops front, thieves steal from
     /// the back).
     deques: Vec<Mutex<VecDeque<usize>>>,
@@ -124,16 +151,25 @@ pub struct Pool<'a> {
 
 impl<'a> Pool<'a> {
     pub fn new(
-        slots: Vec<ActorSlot<'a>>,
+        runner: &'a BatchRunner<'a>,
+        cores: Vec<ShardCore>,
         cfg: &ServeConfig,
         traffic: TrafficSource,
         workers: usize,
         shake_seed: Option<u64>,
         trace_epoch: Option<Instant>,
     ) -> Self {
-        assert!(!slots.is_empty() && workers >= 1);
+        assert!(!cores.is_empty() && workers >= 1);
         Pool {
-            slots,
+            runner,
+            slots: cores
+                .into_iter()
+                .map(|core| ActorSlot {
+                    state: AtomicU8::new(IDLE),
+                    inbox: Mutex::default(),
+                    core: Mutex::new(core),
+                })
+                .collect(),
             deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
             traffic: Mutex::new(traffic),
@@ -169,11 +205,6 @@ impl<'a> Pool<'a> {
             events.append(&mut buf.events);
         }
         events
-    }
-
-    /// True once the traffic budget is fully drawn.
-    pub fn traffic_exhausted(&self) -> bool {
-        self.traffic.lock().unwrap().exhausted()
     }
 
     /// Draws the next client request group at virtual time `at_vns` and
@@ -266,8 +297,8 @@ impl<'a> Pool<'a> {
         slot.state
             .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
             .expect("scheduled actor must be QUEUED");
-        let mut actor =
-            slot.actor.try_lock().expect("RUNNING transition guarantees exclusive ownership");
+        let mut core =
+            slot.core.try_lock().expect("RUNNING transition guarantees exclusive ownership");
 
         loop {
             if let Some(sh) = shaker.as_mut() {
@@ -275,20 +306,22 @@ impl<'a> Pool<'a> {
             }
             let batch = {
                 let mut inbox = slot.inbox.lock().unwrap();
-                actor.core.form_batch(&mut inbox, |r| r.arrival_vns)
+                core.form_batch(&mut inbox, |r| r.arrival_vns)
             };
             if batch.is_empty() {
                 break;
             }
-            let out = actor.run_one_batch(batch);
+            let freed_vns = serve_batch(self.runner, &mut core, &batch);
             drained += 1;
             if let Some(think_ns) = self.closed_think_ns {
-                for &t in &out.freed_vns {
+                for &t in &freed_vns {
                     self.issue_group_at(t + think_ns, Some(w));
                 }
             }
-            let acc = self.accounted.fetch_add(out.ops_accounted as u64, Ordering::AcqRel)
-                + out.ops_accounted as u64;
+            // Every operation is accounted exactly once, including ones
+            // dropped by a crashed run.
+            let acc =
+                self.accounted.fetch_add(batch.len() as u64, Ordering::AcqRel) + batch.len() as u64;
             assert!(acc <= self.total, "accounted more operations than were offered");
             if acc == self.total {
                 self.done.store(true, Ordering::Release);
@@ -296,8 +329,8 @@ impl<'a> Pool<'a> {
             }
         }
 
-        let vclock_vns = actor.core.vclock_ns();
-        drop(actor);
+        let vclock_vns = core.vclock_ns();
+        drop(core);
         if let (Some(r), Some(t0)) = (ring.as_mut(), t_start) {
             // The RUNNING window on the wall clock, with the actor's
             // virtual clock carried as an argument (dual-clock rule).
@@ -379,10 +412,113 @@ impl<'a> Pool<'a> {
         );
     }
 
-    /// Consumes the pool and hands back the shard actors for report
+    /// Consumes the pool and hands back the shard cores for report
     /// assembly.
-    pub fn into_actors(self) -> Vec<ShardActor<'a>> {
+    pub fn into_cores(self) -> Vec<ShardCore> {
         assert!(self.done.load(Ordering::Acquire), "pool not run to completion");
-        self.slots.into_iter().map(|s| s.actor.into_inner().unwrap()).collect()
+        self.slots.into_iter().map(|s| s.core.into_inner().unwrap()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use haft_apps::{kv_shard, KvSync, WorkloadMix, YcsbGen};
+    use haft_serve::{FaultLoad, Saga, SagaLoad, ServiceReport};
+    use haft_vm::VmConfig;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+
+    #[test]
+    fn failed_saga_joins_are_counted_not_silently_dropped() {
+        let w = kv_shard(KvSync::Atomics);
+        let cfg = ServeConfig { requests: 2, ..Default::default() };
+        let runner = BatchRunner::new(&w.module, w.run_spec(), VmConfig::default());
+        let mut core = ShardCore::new(&cfg, 0, 1);
+        let mut gen = YcsbGen::new(4, 100);
+        let ops = gen.generate(WorkloadMix::B, 2);
+
+        // Saga 1: a sub-batch on another shard already failed — the join
+        // here must free the client but withhold the latency sample and
+        // count the suppression.
+        let failed = Arc::new(Saga {
+            remaining: AtomicUsize::new(1),
+            latest_vns: AtomicU64::new(0),
+            failed: AtomicBool::new(true),
+            arrival_vns: 10,
+        });
+        // Saga 2: clean — joins normally and samples once.
+        let clean = Arc::new(Saga {
+            remaining: AtomicUsize::new(1),
+            latest_vns: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
+            arrival_vns: 10,
+        });
+        let batch = vec![
+            Req { op: ops[0], arrival_vns: 10, saga: Some(failed) },
+            Req { op: ops[1], arrival_vns: 10, saga: Some(clean) },
+        ];
+        let freed_vns = serve_batch(&runner, &mut core, &batch);
+        assert_eq!(freed_vns.len(), 2, "both joins free their clients");
+        let r = ServiceReport::assemble("t".into(), &cfg, vec![core], None);
+        assert_eq!(r.suppressed_joins, 1, "the failed join must be counted");
+        assert_eq!(r.latency.count, 1, "only the clean join samples latency");
+    }
+
+    // Seeded-interleaving stress for the queue/steal paths.
+    //
+    // Without ThreadSanitizer or loom on this toolchain, this is the
+    // substitute: oversubscribe the pool (more workers than shards or
+    // cores), turn on the splitmix-seeded yield shaker at every scheduling
+    // decision point, and sweep seeds. Each seed perturbs which thread wins
+    // each race — the actor state machine's own assertions (`QUEUED →
+    // RUNNING` CAS, `try_lock` exclusivity, the accounted-once ledger)
+    // then do the checking. CI runs this under `--release`, where the
+    // narrow races actually surface.
+
+    /// A shaken run of `cfg` on `workers` threads.
+    fn shaken(cfg: &ServeConfig, workers: usize, shake_seed: u64) -> ServiceReport {
+        let w = kv_shard(KvSync::Atomics);
+        let (spec, vm) = (w.run_spec(), VmConfig::default());
+        crate::run_pool(&w.module, spec, vm, "shake".into(), cfg, workers, Some(shake_seed), None)
+    }
+
+    #[test]
+    fn shaken_interleavings_preserve_the_accounting_invariants() {
+        for seed in 0..6u64 {
+            let cfg = ServeConfig {
+                requests: 400,
+                shards: 5,
+                batch: 4,
+                sagas: Some(SagaLoad { every: 3, span: 3 }),
+                seed: 0x57E5 ^ (seed << 8),
+                ..Default::default()
+            };
+            let r = shaken(&cfg, 4, seed);
+            assert_eq!(r.requests_offered, 400, "seed {seed}");
+            assert_eq!(r.requests_served, 400, "seed {seed}");
+            assert_eq!(r.shards.len(), 5);
+            assert_eq!(r.shards.iter().map(|s| s.requests).sum::<u64>(), 400, "seed {seed}");
+            assert!(r.latency.count > 0 && r.latency.count <= 400);
+            assert!(r.batches >= 100 / 4, "someone actually batched: {}", r.batches);
+        }
+    }
+
+    #[test]
+    fn shaken_interleavings_hold_under_fault_injection() {
+        for seed in 0..4u64 {
+            let cfg = ServeConfig {
+                requests: 300,
+                shards: 3,
+                batch: 8,
+                faults: Some(FaultLoad { rate_per_request: 0.03, seed: 0xFA ^ seed }),
+                ..Default::default()
+            };
+            let r = shaken(&cfg, 3, 0xABCD ^ seed);
+            let f = r.faults.expect("fault load attached");
+            assert_eq!(f.counts.total(), 300, "every request classified exactly once, seed {seed}");
+            assert_eq!(r.requests_served, 300 - f.counts.failed, "seed {seed}");
+            assert_eq!(r.latency.count, r.requests_served, "failed requests never sampled");
+        }
     }
 }

@@ -2,6 +2,8 @@
 
 use haft_ir::rng::Prng;
 
+use crate::ServeConfig;
+
 /// How clients offer load.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ArrivalMode {
@@ -44,9 +46,43 @@ impl PoissonArrivals {
     }
 }
 
+/// Seeds `cfg`'s arrival process, for either driver: `issue(at_ns)` draws
+/// the next client request group at virtual time `at_ns` and returns the
+/// operations it issued (0 once the budget is spent).
+///
+/// An open loop takes one Poisson draw per *operation*: a multi-key group
+/// arrives at the draw of its first operation and consumes one more draw
+/// per further operation, so the arrival times do not depend on how the
+/// stream is grouped into sagas. A closed loop issues one group per client
+/// at time 0; the drivers issue the rest as batches free clients.
+pub fn seed_arrivals(cfg: &ServeConfig, mut issue: impl FnMut(u64) -> usize) {
+    match cfg.arrival {
+        ArrivalMode::OpenLoop { rate_rps } => {
+            let mut poisson = PoissonArrivals::new(cfg.seed ^ 0x0A88_17A1, rate_rps);
+            // Draws still owed by the latest group's further operations.
+            let mut owed = 0;
+            for _ in 0..cfg.requests {
+                let t = poisson.next_ns();
+                owed = match owed {
+                    0 => issue(t).saturating_sub(1),
+                    n => n - 1,
+                };
+            }
+        }
+        ArrivalMode::ClosedLoop { clients, .. } => {
+            for _ in 0..clients.max(1) {
+                if issue(0) == 0 {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SagaLoad, TrafficSource};
 
     #[test]
     fn poisson_mean_gap_matches_rate() {
@@ -75,5 +111,62 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_rate_is_rejected() {
         PoissonArrivals::new(1, 0.0);
+    }
+
+    /// Seeds `cfg` from a [`TrafficSource`] grouped by `sagas` and returns
+    /// `(at_ns, operations)` per issued group, and the calls that found the
+    /// budget spent.
+    fn issued_groups(cfg: &ServeConfig, sagas: Option<SagaLoad>) -> (Vec<(u64, usize)>, usize) {
+        let mut src = TrafficSource::new(cfg.seed, 1000, cfg.mix, cfg.requests, sagas);
+        let (mut groups, mut spent) = (Vec::new(), 0);
+        seed_arrivals(cfg, |at_ns| {
+            let n = src.next_group(at_ns).len();
+            match n {
+                0 => spent += 1,
+                n => groups.push((at_ns, n)),
+            }
+            n
+        });
+        (groups, spent)
+    }
+
+    #[test]
+    fn an_open_loop_takes_one_draw_per_operation() {
+        let cfg = ServeConfig {
+            requests: 50,
+            arrival: ArrivalMode::OpenLoop { rate_rps: 100_000.0 },
+            ..Default::default()
+        };
+        let mut poisson = PoissonArrivals::new(cfg.seed ^ 0x0A88_17A1, 100_000.0);
+        let draws: Vec<u64> = (0..cfg.requests).map(|_| poisson.next_ns()).collect();
+        let saga = |every, span| Some(SagaLoad { every, span });
+        for sagas in [None, saga(3, 4), saga(1, 3)] {
+            let (groups, spent) = issued_groups(&cfg, sagas);
+            assert_eq!(spent, 0, "{sagas:?}: issued past the budget");
+            assert_eq!(groups.iter().map(|&(_, n)| n).sum::<usize>(), cfg.requests);
+            // Each group arrives at the draw of its first operation.
+            let mut first = 0;
+            for &(at_ns, n) in &groups {
+                assert_eq!(at_ns, draws[first], "{sagas:?}, group at operation {first}");
+                first += n;
+            }
+        }
+        assert_eq!(issued_groups(&cfg, saga(1, 3)).0.len(), 17, "16 groups of 3, then 2 ops");
+    }
+
+    #[test]
+    fn a_closed_loop_issues_one_group_per_client_within_the_budget() {
+        let closed = |clients, requests| ServeConfig {
+            requests,
+            arrival: ArrivalMode::ClosedLoop { clients, think_ns: 0 },
+            ..Default::default()
+        };
+        for (clients, requests, groups) in [(8, 100, 8), (8, 5, 5), (0, 5, 1)] {
+            let (issued, _) = issued_groups(&closed(clients, requests), None);
+            assert_eq!(issued, vec![(0, 1); groups], "{clients} clients, {requests} requests");
+        }
+        // Groups of three: the budget of 7 runs out at the third client.
+        let sagas = Some(SagaLoad { every: 1, span: 3 });
+        assert_eq!(issued_groups(&closed(8, 7), sagas).0, [(0, 3), (0, 3), (0, 1)]);
     }
 }

@@ -13,14 +13,18 @@
 //! # Model
 //!
 //! What happens to one batch — run, price, classify, account — is
-//! [`ShardCore`], shared with the real-thread `haft-runtime`. This
-//! crate's own driver of it is a deterministic discrete-event
-//! simulation. Its event loop and every shard's core live on the
-//! calling thread; with a core leased from `haft_vm::cores`, a helper
-//! thread runs the batches the loop predicts it will start next, and the
-//! loop takes a helper's run only for the exact requests and fault plan
-//! it computed — so the report and the trace are the serial loop's, bit
-//! for bit ([`lookahead_counts`] says where the runs came from):
+//! [`ShardCore`], shared with the real-thread `haft-runtime`, and so is
+//! everything around it: the one traffic source ([`TrafficSource`]), the
+//! one arrival seeding ([`seed_arrivals`]) and the one setup ([`setup`]:
+//! validation, shard image, fault calibration, traced cores). A driver
+//! decides only when a shard's next batch starts. This crate's own driver
+//! is a deterministic discrete-event simulation. Its event loop and every
+//! shard's core live on the calling thread; with a core leased from
+//! `haft_vm::cores`, a helper thread runs the batches the loop predicts it
+//! will start next, and the loop takes a helper's run only for the exact
+//! requests and fault plan it computed — so the report and the trace are
+//! the serial loop's, bit for bit ([`lookahead_counts`] says where the
+//! runs came from):
 //!
 //! * **Shards** — N independent single-core VM instances of one hardened
 //!   [`haft_apps::kv_shard`] module (shard-per-core; the module is
@@ -34,14 +38,16 @@
 //! * **Service time** — a batch's simulated cycles
 //!   ([`haft_vm::PhaseCycles::service_cycles`]: the serve phase plus the
 //!   reply-emitting fini phase, *excluding* one-time setup) divided by
-//!   the configured clock, plus a fixed per-batch dispatch overhead.
+//!   [`CLOCK_GHZ`], plus a fixed per-batch dispatch overhead
+//!   ([`DISPATCH_NS`]).
 //!   Every request in a batch completes when the batch does.
 //! * **Faults** — per-batch single-event upsets at a configured
 //!   per-request rate; outcomes classify *per request* via
 //!   [`haft_faults::classify_requests`] against host-computed golden
 //!   replies. A failed batch drops its requests and stalls the shard for
-//!   a restart; a recovered batch's inflated cycles land in the tail of
-//!   the latency distribution exactly where an operator would see them.
+//!   a restart ([`RESTART_NS`]); a recovered batch's inflated cycles land
+//!   in the tail of the latency distribution exactly where an operator
+//!   would see them.
 
 mod ahead;
 pub mod arrival;
@@ -49,34 +55,45 @@ pub mod latency;
 pub mod report;
 pub mod router;
 pub mod shard;
+pub mod traffic;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use haft_apps::{Op, WorkloadMix, YcsbGen, KV_KEYSPACE, SHARD_CAPACITY};
+use haft_apps::{Op, WorkloadMix, KV_KEYSPACE, SHARD_CAPACITY};
 use haft_ir::module::Module;
 use haft_trace::TraceBuf;
 use haft_vm::{FaultPlan, RunResult, RunSpec, VmConfig};
 
 use ahead::Ahead;
 pub use ahead::{lookahead_counts, LookaheadCounts};
-pub use arrival::{ArrivalMode, PoissonArrivals};
+pub use arrival::{seed_arrivals, ArrivalMode, PoissonArrivals};
 pub use latency::LatencyStats;
 pub use report::{
     FaultReport, FaultTelemetry, IntervalCounts, ServiceReport, ShardStats, WallReport,
 };
 pub use router::RouterPolicy;
-pub use shard::{calibrate_writes_per_req, BatchRunner, Served, ShardCore};
+pub use shard::{setup, BatchRunner, Served, ShardCore};
+pub use traffic::{Req, Saga, TrafficSource};
+
+/// Simulated core clock, for the cycle → nanosecond conversion.
+pub const CLOCK_GHZ: f64 = 2.0;
+/// Fixed per-batch dispatch overhead (network + syscall), ns.
+pub const DISPATCH_NS: u64 = 200;
+/// Shard restart stall after a failed batch, ns.
+pub const RESTART_NS: u64 = 5_000_000;
 
 /// How a service experiment executes: the deterministic discrete-event
 /// simulation, or the real-thread runtime in `haft-runtime`.
 ///
-/// Both modes take the identical [`ServeConfig`], form batches by one
-/// rule and draw faults from one stream per shard (both [`ShardCore`]'s),
-/// and return the identical [`ServiceReport`] schema. `Sim` is the
-/// *deterministic twin*: same configuration ⇒ same report, field for
+/// Both modes take the identical [`ServeConfig`], start from one
+/// [`setup`], draw one [`TrafficSource`] seeded by one [`seed_arrivals`],
+/// form batches by one rule and draw faults from one stream per shard
+/// (both [`ShardCore`]'s), and return the identical [`ServiceReport`]
+/// schema; they differ only in when a shard's next batch starts. `Sim` is
+/// the *deterministic twin*: same configuration ⇒ same report, field for
 /// field, which is what every pinned report table is generated from.
-/// `Native` runs N shard actors on a work-stealing thread pool and
+/// `Native` steps the N shard cores on a work-stealing thread pool and
 /// additionally fills [`report::WallReport`] with host wall-clock
 /// throughput. With one worker it equals `Sim` exactly on every open loop
 /// and every one-shard closed loop without sagas; elsewhere the order in
@@ -90,9 +107,9 @@ pub enum ServeMode {
     /// (`haft_vm::cores`) has one, runs the batches it predicts next.
     #[default]
     Sim,
-    /// Real threads: shard actors on a work-stealing pool of `workers`
-    /// OS threads (see the `haft-runtime` crate). `workers` is clamped
-    /// to at least 1.
+    /// Real threads: the shard cores on a work-stealing pool of `workers`
+    /// OS threads (`haft_runtime::run_native`). `workers` is clamped to at
+    /// least 1.
     Native { workers: usize },
 }
 
@@ -114,7 +131,8 @@ pub enum ServeMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SagaLoad {
     /// Every `every`-th request issued by a client is a saga head
-    /// (`every = 1` makes every request multi-key). Must be ≥ 1.
+    /// (`every = 1` makes every request multi-key). Must be ≥ 1
+    /// ([`ServeConfig::validate`]).
     pub every: usize,
     /// Keys per multi-key request. Must be ≥ 2 to mean anything; spans
     /// are truncated when the remaining request budget runs out.
@@ -143,7 +161,8 @@ impl Default for FaultLoad {
     }
 }
 
-/// One service experiment: traffic shape, fleet shape, cost model.
+/// One service experiment: traffic shape and fleet shape. The cost model
+/// is fixed: [`CLOCK_GHZ`], [`DISPATCH_NS`], [`RESTART_NS`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Total requests the arrival process offers.
@@ -161,12 +180,6 @@ pub struct ServeConfig {
     pub batch: usize,
     /// Request-to-shard routing policy.
     pub router: RouterPolicy,
-    /// Simulated core clock, for the cycle → nanosecond conversion.
-    pub clock_ghz: f64,
-    /// Fixed per-batch dispatch overhead (network + syscall), ns.
-    pub dispatch_ns: u64,
-    /// Shard restart stall after a failed batch, ns.
-    pub restart_ns: u64,
     /// Traffic seed (key draws, op mix, arrival jitter).
     pub seed: u64,
     /// Optional fault injection under load.
@@ -185,9 +198,6 @@ impl Default for ServeConfig {
             shards: 2,
             batch: 8,
             router: RouterPolicy::KeyHash,
-            clock_ghz: 2.0,
-            dispatch_ns: 200,
-            restart_ns: 5_000_000,
             seed: 0x5EED_5E4E,
             faults: None,
             sagas: None,
@@ -206,13 +216,16 @@ impl ServeConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero requests or shards, a non-positive clock, or a
-    /// `spec` without the serve/fini entry points.
+    /// Panics on zero requests or shards, a [`SagaLoad`] with `every < 1`
+    /// or `span < 2`, or a `spec` without the serve/fini entry points.
     pub fn validate(&self, spec: RunSpec<'_>) {
         assert!(self.requests > 0, "a service run needs at least one request");
         assert!(self.shards > 0, "a service run needs at least one shard");
+        if let Some(s) = self.sagas {
+            assert!(s.every >= 1, "SagaLoad::every must be >= 1");
+            assert!(s.span >= 2, "SagaLoad::span must be >= 2 to be multi-key");
+        }
         assert!(spec.worker.is_some() && spec.fini.is_some(), "shard spec needs worker and fini");
-        assert!(self.clock_ghz > 0.0, "clock must be positive");
     }
 }
 
@@ -315,12 +328,12 @@ struct Sim<'r, 'm, 'c> {
     cfg: &'c ServeConfig,
     runner: &'r BatchRunner<'m>,
     tracing: bool,
-    gen: YcsbGen,
+    /// Built without sagas: every group is one request.
+    traffic: TrafficSource,
     heap: BinaryHeap<Entry>,
     tick: u64,
     /// Request ledger, indexed by sequence number.
-    ops: Vec<Op>,
-    arrivals_ns: Vec<u64>,
+    reqs: Vec<Req>,
     queues: Queues,
     cores: Vec<ShardCore>,
 }
@@ -340,15 +353,18 @@ impl Sim<'_, '_, '_> {
         self.heap.push(Reverse((at_ns, self.tick, ev)));
     }
 
-    /// Issues one fresh request into the router at `at_ns`.
-    fn issue(&mut self, at_ns: u64) {
-        debug_assert!(self.ops.len() < self.cfg.requests);
-        let seq = self.ops.len();
-        let op = self.gen.generate(self.cfg.mix, 1)[0];
-        let shard = self.cfg.router.route(op, seq as u64, self.cores.len());
-        self.ops.push(op);
-        self.arrivals_ns.push(at_ns);
-        self.push_event(at_ns, Ev::Arrive { seq, shard });
+    /// Draws the next request at `at_ns` and sends it to the router;
+    /// returns the requests issued, 0 once the budget is spent.
+    fn issue(&mut self, at_ns: u64) -> usize {
+        let group = self.traffic.next_group(at_ns);
+        let n = group.len();
+        for req in group {
+            let seq = self.reqs.len();
+            let shard = self.cfg.router.route(req.op, seq as u64, self.cores.len());
+            self.reqs.push(req);
+            self.push_event(at_ns, Ev::Arrive { seq, shard });
+        }
+        n
     }
 
     /// Starts shard `s`'s batch at `now_ns` ([`ShardCore::form_batch`]),
@@ -357,8 +373,9 @@ impl Sim<'_, '_, '_> {
     /// helper when it has one for this exact batch, and the next batches
     /// are predicted for it.
     fn start_batch(&mut self, s: usize, now_ns: u64, ahead: Option<&Ahead<BatchKey, BatchRun>>) {
-        let seqs = self.cores[s].form_batch(&mut self.queues.queue[s], |&q| self.arrivals_ns[q]);
-        let key = (seqs.iter().map(|&q| self.ops[q]).collect(), self.cores[s].draw(seqs.len()));
+        let reqs = &self.reqs;
+        let seqs = self.cores[s].form_batch(&mut self.queues.queue[s], |&q| reqs[q].arrival_vns);
+        let key = (seqs.iter().map(|&q| reqs[q].op).collect(), self.cores[s].draw(seqs.len()));
         let (runner, tracing) = (self.runner, self.tracing);
         let (run, vm_events) = match ahead {
             Some(ahead) => {
@@ -367,7 +384,7 @@ impl Sim<'_, '_, '_> {
             }
             None => run_key(runner, tracing, &key),
         };
-        let arrivals = seqs.iter().map(|&q| Some(self.arrivals_ns[q]));
+        let arrivals = seqs.iter().map(|&q| Some(self.reqs[q].arrival_vns));
         let completion = self.cores[s]
             .account(run, vm_events, &key.0, arrivals, now_ns, key.1.is_some())
             .completion_ns;
@@ -378,9 +395,7 @@ impl Sim<'_, '_, '_> {
         // retries with a fresh request after the same think time).
         if let ArrivalMode::ClosedLoop { think_ns, .. } = self.cfg.arrival {
             for _ in 0..seqs.len() {
-                if self.ops.len() < self.cfg.requests {
-                    self.issue(completion + think_ns);
-                }
+                self.issue(completion + think_ns);
             }
         }
     }
@@ -420,7 +435,7 @@ impl Sim<'_, '_, '_> {
             // shard's clock would read.
             let seqs = self.cores[x].form_batch(&mut q.queue[x], |_| 0);
             let plan = draws[x].as_mut().and_then(|d| d.draw(seqs.len()));
-            predicted.push((seqs.iter().map(|&i| self.ops[i]).collect(), plan));
+            predicted.push((seqs.iter().map(|&i| self.reqs[i].op).collect(), plan));
             not_run.push_back(x);
         }
         self.heap.extend(popped);
@@ -454,51 +469,24 @@ pub fn run_service(
     cfg: &ServeConfig,
     trace: Option<&mut TraceBuf>,
 ) -> ServiceReport {
-    cfg.validate(spec);
-    let total = cfg.requests;
-    let runner = BatchRunner::new(module, spec, vm);
-    let writes_per_req = cfg.faults.map_or(1, |_| calibrate_writes_per_req(&runner, cfg));
     let tracing = trace.is_some();
+    let (runner, cores) = setup(module, spec, vm, cfg, tracing, None);
     let mut sim = Sim {
         cfg,
         runner: &runner,
         tracing,
-        gen: YcsbGen::new(cfg.seed, KV_KEYSPACE),
+        traffic: TrafficSource::new(cfg.seed, KV_KEYSPACE, cfg.mix, cfg.requests, None),
         heap: BinaryHeap::new(),
         tick: 0,
-        ops: Vec::with_capacity(total),
-        arrivals_ns: Vec::with_capacity(total),
+        reqs: Vec::with_capacity(cfg.requests),
         queues: Queues {
             queue: vec![VecDeque::new(); cfg.shards],
             busy: vec![false; cfg.shards],
             starts: VecDeque::new(),
         },
-        cores: (0..cfg.shards)
-            .map(|s| {
-                let mut core = ShardCore::new(cfg, s, writes_per_req);
-                if tracing {
-                    core.enable_trace(None);
-                }
-                core
-            })
-            .collect(),
+        cores,
     };
-
-    // Seed the arrival process.
-    match cfg.arrival {
-        ArrivalMode::OpenLoop { rate_rps } => {
-            let mut poisson = PoissonArrivals::new(cfg.seed ^ 0x0A88_17A1, rate_rps);
-            for _ in 0..total {
-                let t = poisson.next_ns();
-                sim.issue(t);
-            }
-        }
-        ArrivalMode::ClosedLoop { clients, .. } => {
-            for _ in 0..clients.max(1).min(total) {
-                sim.issue(0);
-            }
-        }
-    }
+    seed_arrivals(cfg, |at_ns| sim.issue(at_ns));
     // A spare core, if no one else holds it, runs predicted batches ahead
     // of the loop; without one, the loop runs every batch itself.
     let lease = haft_vm::cores::lease(1);
@@ -510,7 +498,7 @@ pub fn run_service(
     }
     drop(lease);
 
-    // The DES serves saga sub-operations as independent requests (joins
-    // are a runtime-layer concept), so `suppressed_joins` stays 0.
+    // The DES draws no sagas (joins are a runtime-layer concept), so
+    // `suppressed_joins` stays 0.
     ServiceReport::assemble(label.into(), cfg, sim.cores, trace)
 }

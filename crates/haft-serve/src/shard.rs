@@ -6,12 +6,13 @@
 //! [`ShardCore`] is the one copy of "form the batch → draw its fault plan
 //! → run the VM → price on [`haft_vm::PhaseCycles`] → classify per
 //! request → bucket telemetry → fault bookkeeping → shard stats → trace
-//! splice". The discrete-event simulation and the `haft-runtime` actor
-//! pool are *drivers* of it: they decide only when [`ShardCore::form_batch`]
-//! is called. Its step, `serve`, is `run_batch` followed by `account`; a
-//! batch run is a pure function of its requests and fault plan, so the
-//! simulation may take the run from a helper thread that computed it
-//! early, and account it exactly as if it had just run.
+//! splice". The discrete-event simulation and the `haft-runtime`
+//! work-stealing pool are *drivers* of it: they decide only when
+//! [`ShardCore::form_batch`] is called, and both start from [`setup`].
+//! Its step, `serve`, is `run_batch` followed by `account`; a batch run
+//! is a pure function of its requests and fault plan, so the simulation
+//! may take the run from a helper thread that computed it early, and
+//! account it exactly as if it had just run.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -25,7 +26,8 @@ use haft_vm::{FaultPlan, Memory, Prepared, RunOutcome, RunResult, RunSpec, Vm, V
 
 use crate::report::{FaultReport, FaultTelemetry, ServiceReport, ShardStats};
 use crate::{
-    ArrivalMode, FaultLoad, LatencyStats, ServeConfig, TRACE_PID_SERVE, TRACE_PID_VM_BASE,
+    ArrivalMode, FaultLoad, LatencyStats, ServeConfig, CLOCK_GHZ, DISPATCH_NS, RESTART_NS,
+    TRACE_PID_SERVE, TRACE_PID_VM_BASE,
 };
 
 /// The shard image: runs request batches against an already-hardened
@@ -35,8 +37,8 @@ use crate::{
 /// borrowed module, its decoded code ([`Prepared`]: functions, global
 /// *layout* and cost model, all fixed for the image's lifetime) and the
 /// initial arena, with the request buffer empty. Batches only read it,
-/// so the simulation's DES, its fault calibration and every shard actor
-/// of the real-thread runtime share one. A batch clones the arena,
+/// so the simulation's DES, its fault calibration and every shard of the
+/// real-thread pool share one. A batch clones the arena,
 /// writes its requests the way [`patch_requests`] encodes them, and runs
 /// a fresh `Vm` (HTM, threads) over it: exactly the run of a
 /// `patch_requests`-patched module, without building its memory.
@@ -112,11 +114,41 @@ impl<'a> BatchRunner<'a> {
     }
 }
 
+/// What both drivers start a serve call from: checks `cfg`
+/// ([`ServeConfig::validate`]), builds the one shard image of `module` and
+/// one [`ShardCore`] per shard, collecting trace events when `tracing`.
+/// With a fault load, every core's stream is priced by one off-traffic
+/// calibration batch. `epoch` is the driver's host wall-clock zero, if it
+/// has one; traced batch spans then carry their host time.
+pub fn setup<'a>(
+    module: &'a Module,
+    spec: RunSpec<'a>,
+    vm: VmConfig,
+    cfg: &ServeConfig,
+    tracing: bool,
+    epoch: Option<Instant>,
+) -> (BatchRunner<'a>, Vec<ShardCore>) {
+    cfg.validate(spec);
+    let runner = BatchRunner::new(module, spec, vm);
+    let writes_per_req = cfg.faults.map_or(1, |_| calibrate_writes_per_req(&runner, cfg));
+    let cores = (0..cfg.shards)
+        .map(|s| {
+            let mut core = ShardCore::new(cfg, s, writes_per_req);
+            if tracing {
+                core.trace = Some(TraceBuf::new());
+                core.epoch = epoch;
+            }
+            core
+        })
+        .collect();
+    (runner, cores)
+}
+
 /// Estimates the register-writing instructions per request (the fault
 /// occurrence population) from one off-traffic calibration batch, so
 /// injection occurrences can be drawn uniformly over a batch's dynamic
 /// trace.
-pub fn calibrate_writes_per_req(runner: &BatchRunner<'_>, cfg: &ServeConfig) -> u64 {
+fn calibrate_writes_per_req(runner: &BatchRunner<'_>, cfg: &ServeConfig) -> u64 {
     let batch_cap = cfg.batch_cap();
     let mut cal_gen = YcsbGen::new(cfg.seed ^ 0xCA11_B007, KV_KEYSPACE);
     let cal = runner.run_batch(&cal_gen.generate(cfg.mix, batch_cap), None, None);
@@ -176,9 +208,6 @@ pub struct ShardCore {
     batch_cap: usize,
     /// This shard's fault stream, when a fault load is attached.
     pub(crate) fault_draw: Option<FaultDraw>,
-    clock_ghz: f64,
-    dispatch_ns: u64,
-    restart_ns: u64,
     /// Completion time of this shard's latest batch.
     vclock_ns: u64,
     stats: ShardStats,
@@ -202,17 +231,15 @@ pub struct ShardCore {
 }
 
 impl ShardCore {
-    /// The core for shard `idx` of a `cfg` fleet. With a fault load, it
-    /// draws fault stream `idx`; `writes_per_req` is the serve call's one
-    /// [`calibrate_writes_per_req`] estimate.
+    /// The core for shard `idx` of a `cfg` fleet, not tracing. With a
+    /// fault load, it draws fault stream `idx`; `writes_per_req` is the
+    /// serve call's one estimate of the register writes per request
+    /// ([`setup`] makes it).
     pub fn new(cfg: &ServeConfig, idx: usize, writes_per_req: u64) -> Self {
         ShardCore {
             idx,
             batch_cap: cfg.batch_cap(),
             fault_draw: cfg.faults.map(|f| FaultDraw::new(f, idx as u64, writes_per_req)),
-            clock_ghz: cfg.clock_ghz,
-            dispatch_ns: cfg.dispatch_ns,
-            restart_ns: cfg.restart_ns,
             vclock_ns: 0,
             stats: ShardStats::default(),
             samples: Vec::new(),
@@ -227,20 +254,9 @@ impl ShardCore {
         }
     }
 
-    /// Turns on event collection. `epoch` is the driver's host wall-clock
-    /// zero, if it has one.
-    pub fn enable_trace(&mut self, epoch: Option<Instant>) {
-        self.trace = Some(TraceBuf::new());
-        self.epoch = epoch;
-    }
-
     /// This shard's virtual clock: completion time of its latest batch.
     pub fn vclock_ns(&self) -> u64 {
         self.vclock_ns
-    }
-
-    fn cycles_to_ns(&self, cycles: u64) -> u64 {
-        (cycles as f64 / self.clock_ghz) as u64
     }
 
     /// Takes the next batch off `queue`, the batch-start rule of both
@@ -298,7 +314,7 @@ impl ShardCore {
         injected: bool,
     ) -> Served {
         assert!(!ops.is_empty(), "ran a batch with no requests");
-        let service_ns = self.cycles_to_ns(run.phases.service_cycles()) + self.dispatch_ns;
+        let service_ns = (run.phases.service_cycles() as f64 / CLOCK_GHZ) as u64 + DISPATCH_NS;
         let golden: Vec<u64> = ops.iter().map(|&o| golden_reply(o)).collect();
         let outcomes = classify_requests(&run, &golden);
         debug_assert!(
@@ -307,7 +323,7 @@ impl ShardCore {
         );
 
         let crashed = run.outcome != RunOutcome::Completed;
-        let completion_ns = start_ns + service_ns + if crashed { self.restart_ns } else { 0 };
+        let completion_ns = start_ns + service_ns + if crashed { RESTART_NS } else { 0 };
         for (arrival, &o) in arrivals.zip(&outcomes) {
             self.counts.record(o);
             if let Some(t) = self.telemetry.as_mut() {
@@ -331,14 +347,14 @@ impl ShardCore {
             if crashed {
                 let at = start_ns + service_ns;
                 tr.push(
-                    TraceEvent::span("serve", "shard.restart", at, self.restart_ns)
+                    TraceEvent::span("serve", "shard.restart", at, RESTART_NS)
                         .lane(TRACE_PID_SERVE, lane),
                 );
             }
             // Splice the batch's VM/HTM events (stamped in raw cycles)
             // onto the virtual-nanosecond timeline, one lane per shard.
             for mut ev in buf.take() {
-                ev.rescale(1.0 / self.clock_ghz, start_ns);
+                ev.rescale(1.0 / CLOCK_GHZ, start_ns);
                 ev.pid = TRACE_PID_VM_BASE + lane;
                 tr.push(ev);
             }

@@ -1,21 +1,23 @@
-//! The shared traffic source: one seeded YCSB stream feeding every
-//! worker, plus the saga split/join bookkeeping.
+//! The one traffic source: a seeded YCSB stream in operations, drawn in
+//! client request groups, plus the saga split/join bookkeeping.
 //!
-//! Requests are drawn from the *same* generator the discrete-event twin
-//! uses — one [`YcsbGen`] draw per operation, in issue order — so the
-//! multiset of operations a native run serves is drawn from the identical
-//! stream. What the runtime cannot reproduce is the *assignment* of draws
-//! to clients: whichever worker frees a client first takes the next draw,
-//! so over several shards the mapping (and therefore batch composition)
-//! depends on thread timing. That is where the deterministic-twin
-//! contract weakens from bit-equal reports to banded curves.
+//! Both drivers draw from it — one [`YcsbGen`] draw per operation, in
+//! issue order — so the multiset of operations a run serves is the same
+//! stream in either mode. The simulation builds it without sagas, so every
+//! group is one operation. What the runtime cannot reproduce is the
+//! *assignment* of draws to clients: whichever worker frees a client first
+//! takes the next draw, so over several shards the mapping (and therefore
+//! batch composition) depends on thread timing. That is where the
+//! deterministic-twin contract weakens from bit-equal reports to banded
+//! curves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use haft_apps::{Op, WorkloadMix, YcsbGen};
-use haft_serve::SagaLoad;
 use haft_trace::{TraceBuf, TraceEvent};
+
+use crate::SagaLoad;
 
 /// One routed sub-operation travelling to a shard's inbox.
 #[derive(Clone, Debug)]
@@ -63,13 +65,14 @@ impl Saga {
     }
 }
 
-/// The budgeted request stream, shared (behind a mutex) by every worker.
+/// The budgeted request stream: the simulation's own, or shared (behind a
+/// mutex) by every worker of the pool.
 pub struct TrafficSource {
     gen: YcsbGen,
     mix: WorkloadMix,
     sagas: Option<SagaLoad>,
     /// Operations drawn so far (the budget is in operations, matching
-    /// the DES's `ServeConfig::requests`).
+    /// `ServeConfig::requests`).
     issued: usize,
     /// Client request groups issued (a saga counts once).
     groups: usize,
@@ -80,6 +83,10 @@ pub struct TrafficSource {
 }
 
 impl TrafficSource {
+    /// `total` operations drawn from `YcsbGen::new(seed, keyspace)`,
+    /// grouped by `sagas` (already checked by [`ServeConfig::validate`]).
+    ///
+    /// [`ServeConfig::validate`]: crate::ServeConfig::validate
     pub fn new(
         seed: u64,
         keyspace: u64,
@@ -87,10 +94,6 @@ impl TrafficSource {
         total: usize,
         sagas: Option<SagaLoad>,
     ) -> Self {
-        if let Some(s) = sagas {
-            assert!(s.every >= 1, "SagaLoad::every must be >= 1");
-            assert!(s.span >= 2, "SagaLoad::span must be >= 2 to be multi-key");
-        }
         TrafficSource {
             gen: YcsbGen::new(seed, keyspace),
             mix,
@@ -105,11 +108,6 @@ impl TrafficSource {
     /// Turns on saga-split event collection.
     pub fn enable_trace(&mut self) {
         self.trace = Some(TraceBuf::new());
-    }
-
-    /// Operations drawn so far.
-    pub fn issued(&self) -> usize {
-        self.issued
     }
 
     /// True when the operation budget is exhausted.

@@ -289,3 +289,26 @@ fn sim_reports_are_unaffected_by_the_native_mode() {
 fn zero_shards_is_rejected() {
     serve(HardenConfig::native(), &base_cfg(10, 0));
 }
+
+/// A saga load with no heads (`every: 0`) or single-key sagas (`span < 2`)
+/// is refused by the one validation both modes share, before any traffic
+/// is drawn.
+#[test]
+fn an_invalid_saga_load_is_rejected_in_both_modes() {
+    use haft_serve::{SagaLoad, ServeMode};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let w = kv_shard(KvSync::Atomics);
+    let exp = Experiment::workload(&w).harden(HardenConfig::native());
+    for (sagas, why) in [
+        (SagaLoad { every: 0, span: 3 }, "SagaLoad::every must be >= 1"),
+        (SagaLoad { every: 2, span: 1 }, "SagaLoad::span must be >= 2"),
+    ] {
+        let cfg = ServeConfig { sagas: Some(sagas), ..base_cfg(20, 2) };
+        for mode in [ServeMode::Sim, ServeMode::Native { workers: 1 }] {
+            let panic = catch_unwind(AssertUnwindSafe(|| exp.serve_in(mode, &cfg)))
+                .expect_err(&format!("{mode:?} served {sagas:?}"));
+            let msg = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains(why), "{mode:?}, {sagas:?}: panicked with {msg:?}");
+        }
+    }
+}

@@ -6,7 +6,8 @@
 //! counted), so nested or concurrent drivers never oversubscribe the host:
 //! whoever leases first gets the spare cores, and the rest run on their
 //! calling thread alone. A lease never blocks. Drivers with an explicit
-//! thread count (`Pool::run`, `CampaignConfig::parallelism`) do not lease.
+//! thread count (`haft_runtime::run_native`'s `workers`,
+//! `CampaignConfig::parallelism`) do not lease.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

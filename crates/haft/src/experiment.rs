@@ -312,13 +312,15 @@ impl<'a> Experiment<'a> {
     /// [`Experiment::serve`] with an explicit execution mode: the
     /// deterministic discrete-event simulation ([`ServeMode::Sim`], what
     /// `serve` runs and every pinned table is generated from), or real
-    /// threads ([`ServeMode::Native`]) — N shard actors on a
-    /// work-stealing pool of `workers` OS threads via the
-    /// `haft-runtime` crate, which additionally fills
+    /// threads ([`ServeMode::Native`]) — the N shard cores on a
+    /// work-stealing pool of `workers` OS threads
+    /// (`haft_runtime::run_native`), which additionally fills
     /// [`haft_serve::WallReport`] with host wall-clock throughput.
     ///
     /// Both modes harden through the same per-experiment cache, take the
-    /// identical configuration, and return the identical report schema.
+    /// identical configuration, share one setup, traffic source and
+    /// arrival seeding (`haft-serve`'s), and return the identical report
+    /// schema; only when a shard's next batch starts is each mode's own.
     /// `Sim` is bit-reproducible; one-worker `Native` equals it on every
     /// open loop and one-shard closed loop without sagas, and tracks it
     /// within a band elsewhere (`haft-runtime`'s twin-validation test).
@@ -334,8 +336,7 @@ impl<'a> Experiment<'a> {
                 haft_serve::run_service(module, self.spec, vm, label, cfg, buf.as_mut())
             }
             ServeMode::Native { workers } => {
-                let opts = haft_runtime::NativeOpts { workers, shake_seed: None };
-                haft_runtime::run_native(module, self.spec, vm, label, cfg, opts, buf.as_mut())
+                haft_runtime::run_native(module, self.spec, vm, label, cfg, workers, buf.as_mut())
             }
         };
         if let (Some(path), Some(buf)) = (&self.trace_path, &buf) {
