@@ -83,6 +83,7 @@
 //! // report.overhead("HAFT") vs report.overhead("TMR")
 //! ```
 
+pub mod corpus;
 pub mod eval;
 pub mod experiment;
 

@@ -7,58 +7,18 @@
 //! Run with:
 //! `cargo run --release -p haft --example dump_hardened -- <program|all> <preset|all>`
 //!
-//! Programs: the 17 workloads by name, `kv_shard`, `memcached-{lock,
-//! atomics,sei}`, `logcabin`, `apache`, `leveldb-{a,d}`, `sqlite-{a,d}`;
-//! a name also selects its `-suffix` variants (`memcached`, `sqlite`).
-//! Presets: every `HardenConfig` preset and modifier the repo uses, see
-//! `presets` below.
+//! Programs and presets are `haft::corpus`'s: the 17 workloads by name,
+//! `kv_shard`, `memcached-{lock,atomics,sei}`, `logcabin`, `apache`,
+//! `leveldb-{a,d}`, `sqlite-{a,d}`, where a name also selects its
+//! `-suffix` variants (`memcached`, `sqlite`); and every `HardenConfig`
+//! preset and modifier the repo uses.
+//!
+//! `dump_hardened --digest > tests/hardened.digest` regenerates the
+//! one-line-per-cell digest that `tests/hardened.rs` checks.
 
-use haft::apps::others::{apache, leveldb, logcabin, sqlite};
-use haft::apps::{kv_shard, memcached, KvSync, WorkloadMix};
+use haft::corpus::{digest, presets, programs};
 use haft::ir::printer::print_module;
-use haft::passes::OptLevel;
 use haft::prelude::*;
-
-fn programs() -> Vec<(String, Module)> {
-    let s = Scale::Small;
-    let mut out: Vec<(String, Module)> =
-        all_workloads(s).into_iter().map(|w| (w.name.to_string(), w.module)).collect();
-    let apps = [
-        ("kv_shard", kv_shard(KvSync::Atomics)),
-        ("memcached-lock", memcached(WorkloadMix::A, KvSync::Lock, s)),
-        ("memcached-atomics", memcached(WorkloadMix::A, KvSync::Atomics, s)),
-        ("memcached-sei", memcached(WorkloadMix::A, KvSync::Sei, s)),
-        ("logcabin", logcabin(s)),
-        ("apache", apache(s)),
-        ("leveldb-a", leveldb(WorkloadMix::A, s)),
-        ("leveldb-d", leveldb(WorkloadMix::D, s)),
-        ("sqlite-a", sqlite(WorkloadMix::A, s)),
-        ("sqlite-d", sqlite(WorkloadMix::D, s)),
-    ];
-    out.extend(apps.into_iter().map(|(n, w)| (n.to_string(), w.module)));
-    out
-}
-
-fn presets() -> Vec<(String, HardenConfig)> {
-    let mut out = vec![
-        ("native".to_string(), HardenConfig::native()),
-        ("ilr_only".to_string(), HardenConfig::ilr_only()),
-        ("tx_only".to_string(), HardenConfig::tx_only()),
-        ("haft".to_string(), HardenConfig::haft()),
-    ];
-    for level in OptLevel::ALL {
-        out.push((format!("opt-{}", level.label()), HardenConfig::at_opt_level(level)));
-    }
-    out.extend([
-        ("without_local_calls".to_string(), HardenConfig::haft().without_local_calls()),
-        ("haft_with_elision".to_string(), HardenConfig::haft_with_elision()),
-        ("tmr".to_string(), HardenConfig::tmr()),
-        ("tmr_unoptimized".to_string(), HardenConfig::tmr_unoptimized()),
-        ("abft".to_string(), HardenConfig::abft()),
-        ("abft_fallback_heavy".to_string(), HardenConfig::abft_fallback_heavy()),
-    ]);
-    out
-}
 
 fn selects(arg: &str, name: &str) -> bool {
     arg == "all" || arg == name || name.strip_prefix(arg).is_some_and(|r| r.starts_with('-'))
@@ -66,8 +26,12 @@ fn selects(arg: &str, name: &str) -> bool {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args == ["--digest"] {
+        digest().iter().for_each(|line| println!("{line}"));
+        return;
+    }
     let [program, preset] = args.as_slice() else {
-        eprintln!("usage: dump_hardened <program|all> <preset|all>");
+        eprintln!("usage: dump_hardened <program|all> <preset|all> | --digest");
         eprintln!("presets: {}", presets().iter().map(|p| &*p.0).collect::<Vec<_>>().join(" "));
         std::process::exit(2);
     };
