@@ -60,15 +60,11 @@ pub struct AbftConfig {
     /// compute is dominated by several independent accumulations keep
     /// the cheap protection.
     pub min_data_chains: usize,
-    /// Maximum instructions in one chain's arithmetic slice. Chains
-    /// longer than this are not checksum-maintainable at a profitable
-    /// cost and are ignored.
-    pub max_slice: usize,
 }
 
 impl Default for AbftConfig {
     fn default() -> Self {
-        AbftConfig { min_data_chains: 1, max_slice: 8 }
+        AbftConfig { min_data_chains: 1 }
     }
 }
 
@@ -76,7 +72,7 @@ impl AbftConfig {
     /// The fallback-heavy variant: a single accumulation chain no longer
     /// qualifies, so only multi-reduction kernels stay covered.
     pub fn fallback_heavy() -> Self {
-        AbftConfig { min_data_chains: 2, ..AbftConfig::default() }
+        AbftConfig { min_data_chains: 2 }
     }
 }
 
@@ -106,7 +102,7 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
             if f.attrs.external {
                 return None;
             }
-            let plan = find_chains(f, cfg);
+            let plan = find_chains(f);
             (plan.chains >= cfg.min_data_chains as u64).then_some(plan)
         })
         .collect();
@@ -239,15 +235,18 @@ fn reaches(
     r
 }
 
+/// Maximum instructions in one chain's arithmetic slice. Chains longer
+/// than this are not checksum-maintainable at a profitable cost and are
+/// ignored.
+const MAX_SLICE: usize = 8;
+
 /// The slice from `head` back to `carrier`, or `None` if there is no
-/// all-arithmetic cycle or it exceeds `max`.
-fn slice_for(f: &Function, head: ValueId, carrier: ValueId, max: usize) -> Option<Vec<InstId>> {
+/// all-arithmetic cycle or it exceeds [`MAX_SLICE`].
+fn slice_for(f: &Function, head: ValueId, carrier: ValueId) -> Option<Vec<InstId>> {
     let mut memo = HashMap::new();
     let mut slice = Vec::new();
-    if !reaches(f, head, carrier, &mut memo, &mut slice) || slice.is_empty() || slice.len() > max {
-        return None;
-    }
-    Some(slice)
+    let found = reaches(f, head, carrier, &mut memo, &mut slice);
+    (found && (1..=MAX_SLICE).contains(&slice.len())).then_some(slice)
 }
 
 /// True if the slice folds in at least one external *value* operand —
@@ -270,7 +269,7 @@ fn is_data_chain(f: &Function, slice: &[InstId], carrier: ValueId) -> bool {
 }
 
 /// Finds every data chain in `f` and unifies them into one [`Plan`].
-fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
+fn find_chains(f: &Function) -> Plan {
     let mut plan = Plan::default();
 
     for (_, block) in f.iter_blocks() {
@@ -287,7 +286,7 @@ fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
                     if *u == p {
                         continue;
                     }
-                    if let Some(s) = slice_for(f, *u, p, cfg.max_slice) {
+                    if let Some(s) = slice_for(f, *u, p) {
                         for id in s {
                             if !slice.contains(&id) {
                                 slice.push(id);
@@ -324,7 +323,7 @@ fn find_chains(f: &Function, cfg: &AbftConfig) -> Plan {
                     continue;
                 }
                 let Some(carrier) = f.inst_result(lid) else { continue };
-                let Some(slice) = slice_for(f, v, carrier, cfg.max_slice) else { continue };
+                let Some(slice) = slice_for(f, v, carrier) else { continue };
                 if !is_data_chain(f, &slice, carrier) {
                     continue;
                 }

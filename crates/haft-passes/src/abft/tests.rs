@@ -99,7 +99,7 @@ fn memcell_module() -> Module {
 /// (or the other lane's) operand.
 fn assert_lane_isolation(m: &Module) {
     let mut f = m.funcs[1].clone();
-    let plan = find_chains(&f, &AbftConfig::default());
+    let plan = find_chains(&f);
     let mut st = Abft::default();
     st.run(&mut f, &plan);
     st.lanes.assert_isolated(&f);

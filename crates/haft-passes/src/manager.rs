@@ -33,6 +33,7 @@ use haft_ir::verify::verify_module;
 
 use crate::abft::{run_abft_module, AbftConfig};
 use crate::ilr::{run_ilr_module, IlrConfig};
+use crate::pipeline::HardenConfig;
 use crate::tmr::{run_tmr_module, TmrConfig};
 use crate::tx::{run_tx_module, TxConfig};
 
@@ -209,49 +210,23 @@ impl PassManager {
         PassManager { passes: Vec::new(), verify_between: cfg!(debug_assertions) }
     }
 
-    /// The pipeline for one evaluated variant, selected by the config's
-    /// [`crate::pipeline::Backend`]: the paper's ILR-then-TX sequence, the
-    /// Elzar-style TMR pass, or the ABFT pass (which hardens the
-    /// functions it cannot cover with its own default ILR-then-TX).
-    ///
-    /// Debug-asserts that no pass config belonging to the *other* backend
-    /// is set: silently dropping it would let a benchmark sweep report a
-    /// variant that was never actually built (the same hazard
-    /// `HardenConfig::without_local_calls` guards against).
-    pub fn from_config(cfg: &crate::pipeline::HardenConfig) -> Self {
+    /// The pipeline for one evaluated variant: the paper's ILR-then-TX
+    /// sequence, the Elzar-style TMR pass, or the ABFT pass (which
+    /// hardens the functions it cannot cover with its own default
+    /// ILR-then-TX).
+    pub fn from_config(cfg: &HardenConfig) -> Self {
         let mut pm = Self::new();
-        match cfg.backend {
-            crate::pipeline::Backend::IlrTx => {
-                debug_assert!(
-                    cfg.tmr.is_none() && cfg.abft.is_none(),
-                    "tmr/abft config set but backend is IlrTx; it would be silently ignored \
-                     — use backend: Backend::Tmr (e.g. HardenConfig::tmr()) or \
-                     Backend::Abft (e.g. HardenConfig::abft())"
-                );
-                if let Some(ilr) = &cfg.ilr {
+        match cfg {
+            HardenConfig::IlrTx { ilr, tx } => {
+                if let Some(ilr) = ilr {
                     pm = pm.with_pass(IlrPass(ilr.clone()));
                 }
-                if let Some(tx) = &cfg.tx {
+                if let Some(tx) = tx {
                     pm = pm.with_pass(TxPass(tx.clone()));
                 }
             }
-            crate::pipeline::Backend::Tmr => {
-                debug_assert!(
-                    cfg.ilr.is_none() && cfg.tx.is_none() && cfg.abft.is_none(),
-                    "ilr/tx/abft config set but backend is Tmr; it would be silently ignored \
-                     — use backend: Backend::IlrTx (e.g. HardenConfig::haft())"
-                );
-                pm = pm.with_pass(TmrPass(cfg.tmr.clone().unwrap_or_default()));
-            }
-            crate::pipeline::Backend::Abft => {
-                debug_assert!(
-                    cfg.ilr.is_none() && cfg.tx.is_none() && cfg.tmr.is_none(),
-                    "ilr/tx/tmr config set but backend is Abft; it would be silently ignored \
-                     — the ABFT pass hardens fallback functions with its own internal \
-                     default-config HAFT pipeline (use HardenConfig::abft())"
-                );
-                pm = pm.with_pass(AbftPass(cfg.abft.clone().unwrap_or_default()));
-            }
+            HardenConfig::Tmr(tmr) => pm = pm.with_pass(TmrPass(tmr.clone())),
+            HardenConfig::Abft(abft) => pm = pm.with_pass(AbftPass(abft.clone())),
         }
         pm
     }
@@ -341,7 +316,6 @@ fn harden_counter() -> &'static std::sync::Mutex<std::collections::HashMap<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::HardenConfig;
     use haft_ir::builder::FunctionBuilder;
     use haft_ir::types::Ty;
 
@@ -362,42 +336,6 @@ mod tests {
         assert_eq!(PassManager::from_config(&HardenConfig::haft()).len(), 2);
         assert_eq!(PassManager::from_config(&HardenConfig::tmr()).len(), 1);
         assert_eq!(PassManager::from_config(&HardenConfig::abft()).len(), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "backend is IlrTx")]
-    fn off_backend_tmr_config_is_rejected() {
-        let cfg =
-            HardenConfig { tmr: Some(crate::tmr::TmrConfig::default()), ..HardenConfig::haft() };
-        let _ = PassManager::from_config(&cfg);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "backend is Tmr")]
-    fn off_backend_ilr_config_is_rejected() {
-        let mut cfg = HardenConfig::tmr();
-        cfg.ilr = Some(crate::ilr::IlrConfig::default());
-        let _ = PassManager::from_config(&cfg);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "backend is Abft")]
-    fn off_backend_tmr_config_is_rejected_by_abft() {
-        let mut cfg = HardenConfig::abft();
-        cfg.tmr = Some(crate::tmr::TmrConfig::default());
-        let _ = PassManager::from_config(&cfg);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "backend is IlrTx")]
-    fn off_backend_abft_config_is_rejected() {
-        let cfg =
-            HardenConfig { abft: Some(crate::abft::AbftConfig::default()), ..HardenConfig::haft() };
-        let _ = PassManager::from_config(&cfg);
     }
 
     #[test]

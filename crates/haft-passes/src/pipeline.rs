@@ -65,21 +65,18 @@ pub enum Backend {
     Abft,
 }
 
-/// Which passes to run and how.
+/// Which passes to run and how: one variant per [`Backend`], each
+/// carrying only that backend's pass configuration.
 #[derive(Clone, Debug)]
-pub struct HardenConfig {
-    /// Hardening strategy; decides which of the pass configs below the
-    /// [`crate::PassManager`] consults.
-    pub backend: Backend,
-    pub ilr: Option<IlrConfig>,
-    pub tx: Option<TxConfig>,
-    /// TMR pass configuration, consulted when `backend` is
-    /// [`Backend::Tmr`] (a `None` falls back to [`TmrConfig::default`]).
-    pub tmr: Option<TmrConfig>,
-    /// ABFT pass configuration, consulted when `backend` is
-    /// [`Backend::Abft`] (a `None` falls back to
-    /// [`AbftConfig::default`]).
-    pub abft: Option<AbftConfig>,
+pub enum HardenConfig {
+    /// The paper's pipeline: ILR then TX, each optional (both `None` is
+    /// the native baseline).
+    IlrTx { ilr: Option<IlrConfig>, tx: Option<TxConfig> },
+    /// The Elzar-style TMR pass.
+    Tmr(TmrConfig),
+    /// The ABFT pass, which hardens the functions it cannot cover with
+    /// its own default ILR-then-TX.
+    Abft(AbftConfig),
 }
 
 impl Default for HardenConfig {
@@ -91,77 +88,49 @@ impl Default for HardenConfig {
 }
 
 impl HardenConfig {
-    fn ilr_tx(ilr: Option<IlrConfig>, tx: Option<TxConfig>) -> Self {
-        HardenConfig { backend: Backend::IlrTx, ilr, tx, tmr: None, abft: None }
-    }
-
     /// No transformation (the native baseline).
     pub fn native() -> Self {
-        Self::ilr_tx(None, None)
+        HardenConfig::IlrTx { ilr: None, tx: None }
     }
 
     /// Fault detection only (the paper's "ILR" rows).
     pub fn ilr_only() -> Self {
-        Self::ilr_tx(Some(IlrConfig::default()), None)
+        HardenConfig::IlrTx { ilr: Some(IlrConfig::default()), tx: None }
     }
 
     /// Transactions only (the paper's "TX" rows).
     pub fn tx_only() -> Self {
-        Self::ilr_tx(None, Some(TxConfig::default()))
+        HardenConfig::IlrTx { ilr: None, tx: Some(TxConfig::default()) }
     }
 
     /// Full HAFT: ILR + TX with all optimizations.
     pub fn haft() -> Self {
-        Self::ilr_tx(Some(IlrConfig::default()), Some(TxConfig::default()))
+        HardenConfig::IlrTx { ilr: Some(IlrConfig::default()), tx: Some(TxConfig::default()) }
     }
 
     /// The Elzar-style TMR backend: triplicate computation and mask
     /// faults by majority vote, with no transactional machinery.
     pub fn tmr() -> Self {
-        HardenConfig {
-            backend: Backend::Tmr,
-            ilr: None,
-            tx: None,
-            tmr: Some(TmrConfig::default()),
-            abft: None,
-        }
+        HardenConfig::Tmr(TmrConfig::default())
     }
 
     /// TMR with every refinement disabled (vote everywhere, single
     /// loads) — the masking analogue of [`IlrConfig::unoptimized`].
     pub fn tmr_unoptimized() -> Self {
-        HardenConfig {
-            backend: Backend::Tmr,
-            ilr: None,
-            tx: None,
-            tmr: Some(TmrConfig::unoptimized()),
-            abft: None,
-        }
+        HardenConfig::Tmr(TmrConfig::unoptimized())
     }
 
     /// The ABFT backend: checksum lanes over recognized accumulation
     /// chains, full HAFT for everything the pass cannot cover.
     pub fn abft() -> Self {
-        HardenConfig {
-            backend: Backend::Abft,
-            ilr: None,
-            tx: None,
-            tmr: None,
-            abft: Some(AbftConfig::default()),
-        }
+        HardenConfig::Abft(AbftConfig::default())
     }
 
     /// ABFT with the fallback-heavy claiming threshold: single-chain
     /// functions drop back to full HAFT, so only multi-reduction
     /// kernels keep the checksum protection.
     pub fn abft_fallback_heavy() -> Self {
-        HardenConfig {
-            backend: Backend::Abft,
-            ilr: None,
-            tx: None,
-            tmr: None,
-            abft: Some(AbftConfig::fallback_heavy()),
-        }
+        HardenConfig::Abft(AbftConfig::fallback_heavy())
     }
 
     /// Full HAFT with the lock-elision wrapper enabled.
@@ -178,7 +147,16 @@ impl HardenConfig {
             check_elision: true,
         };
         let tx = TxConfig { local_calls_opt: level >= OptLevel::LocalCalls, ..TxConfig::default() };
-        Self::ilr_tx(Some(ilr), Some(tx))
+        HardenConfig::IlrTx { ilr: Some(ilr), tx: Some(tx) }
+    }
+
+    /// The backend this configuration selects.
+    pub fn backend(&self) -> Backend {
+        match self {
+            HardenConfig::IlrTx { .. } => Backend::IlrTx,
+            HardenConfig::Tmr(_) => Backend::Tmr,
+            HardenConfig::Abft(_) => Backend::Abft,
+        }
     }
 
     /// Disables the TX local-call optimization (the paper's `vips-nc`).
@@ -188,9 +166,9 @@ impl HardenConfig {
     /// unchanged would let a benchmark sweep report a "no local calls"
     /// variant that is actually the base variant.
     pub fn without_local_calls(mut self) -> Self {
-        match &mut self.tx {
-            Some(tx) => tx.local_calls_opt = false,
-            None => debug_assert!(
+        match &mut self {
+            HardenConfig::IlrTx { tx: Some(tx), .. } => tx.local_calls_opt = false,
+            _ => debug_assert!(
                 false,
                 "without_local_calls on a config with the TX pass disabled is a no-op"
             ),
@@ -204,9 +182,9 @@ impl HardenConfig {
     /// Debug-asserts that the TX pass is enabled, like
     /// [`HardenConfig::without_local_calls`].
     pub fn with_lock_elision(mut self) -> Self {
-        match &mut self.tx {
-            Some(tx) => tx.lock_elision = true,
-            None => debug_assert!(
+        match &mut self {
+            HardenConfig::IlrTx { tx: Some(tx), .. } => tx.lock_elision = true,
+            _ => debug_assert!(
                 false,
                 "with_lock_elision on a config with the TX pass disabled is a no-op"
             ),
@@ -218,66 +196,44 @@ impl HardenConfig {
     /// (`native`/`ILR`/`TX`/`HAFT`, `TMR` for the masking backend, or
     /// `ABFT` for the checksum backend) plus suffixes for every
     /// deviation from the preset (`-sm`, `-cf`, `-fp`, `-ce`, `-nc`,
-    /// `-ph`; `-tl`, `-ve` for TMR; `-fb` for fallback-heavy ABFT),
-    /// `+el` for lock elision, and `+bl<n>` for an `n`-entry TX
-    /// blacklist. Distinct configs get distinct labels, except for
-    /// blacklists that differ only in their entries (the label encodes
-    /// the count).
+    /// `-ph`; `-tl`, `-ve` for TMR; `-fb` for fallback-heavy ABFT) and
+    /// `+el` for lock elision. Distinct configs get distinct labels.
     pub fn label(&self) -> String {
-        if self.backend == Backend::Abft {
-            let mut s = String::from("ABFT");
-            let abft = self.abft.clone().unwrap_or_default();
-            if abft.min_data_chains > AbftConfig::default().min_data_chains {
-                s.push_str("-fb");
+        let (name, flags) = match self {
+            HardenConfig::Abft(abft) => (
+                "ABFT",
+                vec![(abft.min_data_chains > AbftConfig::default().min_data_chains, "-fb")],
+            ),
+            HardenConfig::Tmr(tmr) => {
+                ("TMR", vec![(!tmr.triplicate_loads, "-tl"), (!tmr.vote_elision, "-ve")])
             }
-            return s;
-        }
-        if self.backend == Backend::Tmr {
-            let mut s = String::from("TMR");
-            let tmr = self.tmr.clone().unwrap_or_default();
-            if !tmr.triplicate_loads {
-                s.push_str("-tl");
+            HardenConfig::IlrTx { ilr, tx } => {
+                let mut flags = Vec::new();
+                if let Some(ilr) = ilr {
+                    flags.extend([
+                        (!ilr.shared_mem_opt, "-sm"),
+                        (!ilr.control_flow_protection, "-cf"),
+                        (!ilr.fault_prop_check, "-fp"),
+                        (!ilr.check_elision, "-ce"),
+                    ]);
+                }
+                if let Some(tx) = tx {
+                    flags.extend([
+                        (!tx.local_calls_opt, "-nc"),
+                        (!tx.peephole, "-ph"),
+                        (tx.lock_elision, "+el"),
+                    ]);
+                }
+                let name = match (ilr, tx) {
+                    (None, None) => "native",
+                    (Some(_), None) => "ILR",
+                    (None, Some(_)) => "TX",
+                    (Some(_), Some(_)) => "HAFT",
+                };
+                (name, flags)
             }
-            if !tmr.vote_elision {
-                s.push_str("-ve");
-            }
-            return s;
-        }
-        let mut s = String::from(match (&self.ilr, &self.tx) {
-            (None, None) => "native",
-            (Some(_), None) => "ILR",
-            (None, Some(_)) => "TX",
-            (Some(_), Some(_)) => "HAFT",
-        });
-        if let Some(ilr) = &self.ilr {
-            if !ilr.shared_mem_opt {
-                s.push_str("-sm");
-            }
-            if !ilr.control_flow_protection {
-                s.push_str("-cf");
-            }
-            if !ilr.fault_prop_check {
-                s.push_str("-fp");
-            }
-            if !ilr.check_elision {
-                s.push_str("-ce");
-            }
-        }
-        if let Some(tx) = &self.tx {
-            if !tx.local_calls_opt {
-                s.push_str("-nc");
-            }
-            if !tx.peephole {
-                s.push_str("-ph");
-            }
-            if tx.lock_elision {
-                s.push_str("+el");
-            }
-            if !tx.blacklist.is_empty() {
-                s.push_str(&format!("+bl{}", tx.blacklist.len()));
-            }
-        }
-        s
+        };
+        flags.into_iter().filter(|(on, _)| *on).fold(name.to_string(), |s, (_, flag)| s + flag)
     }
 }
 
@@ -285,55 +241,64 @@ impl HardenConfig {
 mod tests {
     use super::*;
 
+    /// The ILR and TX configs of an [`HardenConfig::IlrTx`] preset.
+    fn ilr_tx(cfg: HardenConfig) -> (Option<IlrConfig>, Option<TxConfig>) {
+        match cfg {
+            HardenConfig::IlrTx { ilr, tx } => (ilr, tx),
+            other => panic!("{} is not an ILR/TX config", other.label()),
+        }
+    }
+
     #[test]
     fn opt_levels_are_cumulative() {
-        let n = HardenConfig::at_opt_level(OptLevel::None);
-        assert!(!n.ilr.as_ref().unwrap().shared_mem_opt);
-        assert!(!n.tx.as_ref().unwrap().local_calls_opt);
-        let s = HardenConfig::at_opt_level(OptLevel::SharedMem);
-        assert!(s.ilr.as_ref().unwrap().shared_mem_opt);
-        assert!(!s.ilr.as_ref().unwrap().control_flow_protection);
-        let fprop = HardenConfig::at_opt_level(OptLevel::FaultProp);
-        assert!(fprop.ilr.as_ref().unwrap().fault_prop_check);
-        assert!(fprop.tx.as_ref().unwrap().local_calls_opt);
+        let (ilr, tx) = ilr_tx(HardenConfig::at_opt_level(OptLevel::None));
+        assert!(!ilr.unwrap().shared_mem_opt);
+        assert!(!tx.unwrap().local_calls_opt);
+        let (ilr, _) = ilr_tx(HardenConfig::at_opt_level(OptLevel::SharedMem));
+        assert!(ilr.as_ref().unwrap().shared_mem_opt);
+        assert!(!ilr.unwrap().control_flow_protection);
+        let (ilr, tx) = ilr_tx(HardenConfig::at_opt_level(OptLevel::FaultProp));
+        assert!(ilr.unwrap().fault_prop_check);
+        assert!(tx.unwrap().local_calls_opt);
     }
 
     #[test]
     fn preset_shapes() {
-        assert!(HardenConfig::native().ilr.is_none());
-        assert!(HardenConfig::ilr_only().tx.is_none());
-        assert!(HardenConfig::tx_only().ilr.is_none());
-        let h = HardenConfig::haft();
-        assert!(h.ilr.is_some() && h.tx.is_some());
-        assert!(HardenConfig::haft_with_elision().tx.unwrap().lock_elision);
-        assert!(!HardenConfig::haft().without_local_calls().tx.unwrap().local_calls_opt);
+        assert!(ilr_tx(HardenConfig::native()).0.is_none());
+        assert!(ilr_tx(HardenConfig::ilr_only()).1.is_none());
+        assert!(ilr_tx(HardenConfig::tx_only()).0.is_none());
+        let (ilr, tx) = ilr_tx(HardenConfig::haft());
+        assert!(ilr.is_some() && tx.is_some());
+        assert!(ilr_tx(HardenConfig::haft_with_elision()).1.unwrap().lock_elision);
+        assert!(!ilr_tx(HardenConfig::haft().without_local_calls()).1.unwrap().local_calls_opt);
     }
 
     #[test]
     fn backend_shapes() {
-        // Every IlrTx preset carries the default backend; the TMR presets
-        // switch it and carry only a TMR config.
         for cfg in [
             HardenConfig::native(),
             HardenConfig::ilr_only(),
             HardenConfig::tx_only(),
             HardenConfig::haft(),
+            HardenConfig::haft_with_elision(),
             HardenConfig::at_opt_level(OptLevel::SharedMem),
         ] {
-            assert_eq!(cfg.backend, Backend::IlrTx);
-            assert!(cfg.tmr.is_none());
+            assert_eq!(cfg.backend(), Backend::IlrTx);
         }
-        let t = HardenConfig::tmr();
-        assert_eq!(t.backend, Backend::Tmr);
-        assert!(t.ilr.is_none() && t.tx.is_none() && t.abft.is_none());
-        assert!(t.tmr.as_ref().unwrap().triplicate_loads);
-        assert!(!HardenConfig::tmr_unoptimized().tmr.unwrap().triplicate_loads);
-        // The ABFT presets carry only an ABFT config.
-        let a = HardenConfig::abft();
-        assert_eq!(a.backend, Backend::Abft);
-        assert!(a.ilr.is_none() && a.tx.is_none() && a.tmr.is_none());
-        assert_eq!(a.abft.as_ref().unwrap().min_data_chains, 1);
-        assert_eq!(HardenConfig::abft_fallback_heavy().abft.unwrap().min_data_chains, 2);
+        for cfg in [HardenConfig::tmr(), HardenConfig::tmr_unoptimized()] {
+            assert_eq!(cfg.backend(), Backend::Tmr);
+        }
+        for cfg in [HardenConfig::abft(), HardenConfig::abft_fallback_heavy()] {
+            assert_eq!(cfg.backend(), Backend::Abft);
+        }
+        let HardenConfig::Tmr(t) = HardenConfig::tmr() else { unreachable!() };
+        assert!(t.triplicate_loads);
+        let HardenConfig::Tmr(t) = HardenConfig::tmr_unoptimized() else { unreachable!() };
+        assert!(!t.triplicate_loads);
+        let HardenConfig::Abft(a) = HardenConfig::abft() else { unreachable!() };
+        assert_eq!(a.min_data_chains, 1);
+        let HardenConfig::Abft(a) = HardenConfig::abft_fallback_heavy() else { unreachable!() };
+        assert_eq!(a.min_data_chains, 2);
         // The default config is full HAFT, not native.
         assert_eq!(HardenConfig::default().label(), "HAFT");
         assert_eq!(Backend::default(), Backend::IlrTx);
@@ -359,23 +324,14 @@ mod tests {
         // The TMR backend's variants.
         assert_eq!(HardenConfig::tmr().label(), "TMR");
         assert_eq!(HardenConfig::tmr_unoptimized().label(), "TMR-tl-ve");
-        let mut no_tl = HardenConfig::tmr();
-        no_tl.tmr = Some(TmrConfig { triplicate_loads: false, ..TmrConfig::default() });
+        let no_tl =
+            HardenConfig::Tmr(TmrConfig { triplicate_loads: false, ..TmrConfig::default() });
         assert_eq!(no_tl.label(), "TMR-tl");
-        let mut no_ve = HardenConfig::tmr();
-        no_ve.tmr = Some(TmrConfig { vote_elision: false, ..TmrConfig::default() });
+        let no_ve = HardenConfig::Tmr(TmrConfig { vote_elision: false, ..TmrConfig::default() });
         assert_eq!(no_ve.label(), "TMR-ve");
-        // A backend-less TMR config labels by the default TMR settings.
-        let bare =
-            HardenConfig { backend: Backend::Tmr, ilr: None, tx: None, tmr: None, abft: None };
-        assert_eq!(bare.label(), "TMR");
         // The ABFT backend's variants.
         assert_eq!(HardenConfig::abft().label(), "ABFT");
         assert_eq!(HardenConfig::abft_fallback_heavy().label(), "ABFT-fb");
-        // A config-less ABFT backend labels by the default settings.
-        let bare_abft =
-            HardenConfig { backend: Backend::Abft, ilr: None, tx: None, tmr: None, abft: None };
-        assert_eq!(bare_abft.label(), "ABFT");
     }
 
     #[test]

@@ -32,29 +32,16 @@ pub struct TxConfig {
     pub lock_elision: bool,
     /// Remove `tx_begin` immediately followed by `tx_end` (paper peephole).
     pub peephole: bool,
-    /// Function names to force non-local (the paper's black-list of
-    /// externally-called functions, e.g. `main` and thread entry points).
-    pub blacklist: Vec<String>,
 }
 
 impl Default for TxConfig {
     fn default() -> Self {
-        TxConfig {
-            local_calls_opt: true,
-            lock_elision: false,
-            peephole: true,
-            blacklist: Vec::new(),
-        }
+        TxConfig { local_calls_opt: true, lock_elision: false, peephole: true }
     }
 }
 
 /// Applies TX to every non-external function of the module.
 pub fn run_tx_module(m: &mut Module, cfg: &TxConfig) {
-    for f in &mut m.funcs {
-        if cfg.blacklist.contains(&f.name) {
-            f.attrs.local = false;
-        }
-    }
     // Snapshot which functions are local/external for call-site decisions.
     let kinds: Vec<CalleeKind> = m
         .funcs

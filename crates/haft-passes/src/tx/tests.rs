@@ -54,17 +54,32 @@ fn local_function_uses_conditional_split() {
 }
 
 #[test]
-fn blacklist_forces_non_local() {
+fn non_local_callee_calls_are_bracketed() {
+    // A function entered from outside the program (a handler or thread
+    // entry) is marked non-local: it opens its own transaction, and even
+    // with the local-call optimization its callers close theirs around
+    // the call.
     let mut m = Module::new("t");
-    let mut fb = FunctionBuilder::new("handler", &[], None);
-    fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+    let mut handler = FunctionBuilder::new("handler", &[], None);
+    handler.add(Ty::I64, handler.iconst(Ty::I64, 1), handler.iconst(Ty::I64, 2));
+    handler.ret(None);
+    let mut handler = handler.finish();
+    handler.attrs.local = false;
+    let hid = m.push_func(handler);
+    let mut fb = FunctionBuilder::new("main", &[], None);
+    fb.set_non_local();
+    fb.add(Ty::I64, fb.iconst(Ty::I64, 5), fb.iconst(Ty::I64, 6));
+    fb.call(hid, &[], None);
+    fb.add(Ty::I64, fb.iconst(Ty::I64, 7), fb.iconst(Ty::I64, 8));
     fb.ret(None);
     m.push_func(fb.finish());
-    let cfg = TxConfig { blacklist: vec!["handler".into()], ..Default::default() };
-    run_tx_module(&mut m, &cfg);
-    let ops = ops_of(&m.funcs[0]);
-    assert!(matches!(ops[0], Op::TxBegin));
-    assert!(!m.funcs[0].attrs.local);
+    run_tx_module(&mut m, &TxConfig::default());
+    verify_module(&m).unwrap_or_else(|e| panic!("{e:?}"));
+    assert!(matches!(ops_of(&m.funcs[0])[0], Op::TxBegin));
+    let ops = ops_of(&m.funcs[1]);
+    let call_at = ops.iter().position(|o| matches!(o, Op::Call { .. })).unwrap();
+    assert!(matches!(ops[call_at - 1], Op::TxEnd), "{ops:?}");
+    assert!(matches!(ops[call_at + 1], Op::TxBegin), "{ops:?}");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use crate::render::Table;
 use crate::section::{ReportConfig, SectionResult};
 
 pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
-    let with = |ilr, tx| HardenConfig { ilr: Some(ilr), tx: Some(tx), ..Default::default() };
+    let with = |ilr, tx| HardenConfig::IlrTx { ilr: Some(ilr), tx: Some(tx) };
     let ilr_off = IlrConfig { check_elision: false, ..Default::default() };
     let tx_off = TxConfig { peephole: false, ..Default::default() };
     let peepholes: [(&str, &[&str], HardenConfig); 2] = [

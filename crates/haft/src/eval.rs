@@ -81,7 +81,7 @@ mod tests {
         for (name, hc) in &vs {
             assert_eq!(*name, hc.label(), "display name matches the config label");
         }
-        assert_eq!(vs[4].1.backend, Backend::Tmr);
+        assert_eq!(vs[4].1.backend(), Backend::Tmr);
         let hardened: Vec<&str> = hardened_variants().iter().map(|(n, _)| *n).collect();
         assert_eq!(hardened, ["ILR", "TX", "HAFT", "TMR"]);
         let serving: Vec<String> = serving_variants().iter().map(|(_, hc)| hc.label()).collect();

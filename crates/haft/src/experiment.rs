@@ -197,7 +197,7 @@ impl<'a> Experiment<'a> {
         };
         VariantReport {
             label: self.cfg.label(),
-            backend: self.cfg.backend,
+            backend: self.cfg.backend(),
             pass_stats,
             run,
             overhead_vs_native: None,
@@ -230,7 +230,7 @@ impl<'a> Experiment<'a> {
         let (run, profile) = Vm::run_profiled(module, vm, self.spec);
         let report = VariantReport {
             label: self.cfg.label(),
-            backend: self.cfg.backend,
+            backend: self.cfg.backend(),
             pass_stats: stats.clone(),
             run,
             overhead_vs_native: None,
@@ -281,7 +281,7 @@ impl<'a> Experiment<'a> {
         let report = run_campaign_from(module, self.spec, &campaign_cfg, &prepared, &golden);
         VariantReport {
             label: self.cfg.label(),
-            backend: self.cfg.backend,
+            backend: self.cfg.backend(),
             pass_stats: stats.clone(),
             run: golden,
             overhead_vs_native: None,
