@@ -169,12 +169,6 @@ impl RequestOutcome {
             RequestOutcome::Failed => "failed",
         }
     }
-
-    /// True when the client received a correct reply (the availability
-    /// numerator).
-    pub fn is_served(self) -> bool {
-        matches!(self, RequestOutcome::Served | RequestOutcome::ServedCorrected)
-    }
 }
 
 /// Aggregated per-request outcome counts; the invariant every consumer

@@ -6,7 +6,7 @@
 //! and induction-variable phi that the TX pass's loop transformation
 //! expects to find.
 
-use crate::function::{BlockId, Function, InstId, ValueId};
+use crate::function::{BlockId, Function, ValueId};
 use crate::inst::{BinOp, Callee, CastKind, CmpOp, Op, Operand, RmwOp, UnOp};
 use crate::module::FuncId;
 use crate::types::Ty;
@@ -70,11 +70,6 @@ impl FunctionBuilder {
 
     fn emit_valued(&mut self, op: Op) -> ValueId {
         self.emit_op(op).expect("opcode must produce a value")
-    }
-
-    /// Returns the id of the most recently emitted instruction.
-    pub fn last_inst(&self) -> InstId {
-        InstId(self.f.insts.len() as u32 - 1)
     }
 
     // --- constants -----------------------------------------------------------

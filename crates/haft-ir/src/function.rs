@@ -159,11 +159,6 @@ impl Function {
         self.blocks[b.0 as usize].insts.push(inst);
     }
 
-    /// Inserts an already-created instruction at `pos` within a block.
-    pub fn insert_in_block(&mut self, b: BlockId, pos: usize, inst: InstId) {
-        self.blocks[b.0 as usize].insts.insert(pos, inst);
-    }
-
     /// Returns the result value of an instruction, if any.
     pub fn inst_result(&self, id: InstId) -> Option<ValueId> {
         self.results[id.0 as usize]
@@ -206,26 +201,6 @@ impl Function {
             .flat_map(|b| &b.insts)
             .filter(|id| !matches!(self.inst(**id).op, Op::Nop))
             .count()
-    }
-
-    /// Removes `Nop` instructions from all block lists.
-    pub fn compact_nops(&mut self) {
-        let insts = &self.insts;
-        for b in &mut self.blocks {
-            b.insts.retain(|id| !matches!(insts[id.0 as usize].op, Op::Nop));
-        }
-    }
-
-    /// Replaces every use of value `from` with operand `to` in all placed
-    /// instructions.
-    pub fn replace_uses(&mut self, from: ValueId, to: Operand) {
-        for inst in &mut self.insts {
-            inst.op.map_operands(|o| {
-                if *o == Operand::Value(from) {
-                    *o = to;
-                }
-            });
-        }
     }
 }
 
@@ -276,22 +251,9 @@ mod tests {
     fn block_insertion_preserves_order() {
         let mut f = sample();
         let (nop, _) = f.create_inst(Op::Nop);
-        f.insert_in_block(f.entry(), 1, nop);
-        assert_eq!(f.blocks[0].insts, vec![InstId(0), InstId(2), InstId(1)]);
+        f.push_to_block(f.entry(), nop);
+        assert_eq!(f.blocks[0].insts, vec![InstId(0), InstId(1), InstId(2)]);
         assert_eq!(f.placed_inst_count(), 2, "nop not counted");
-        f.compact_nops();
-        assert_eq!(f.blocks[0].insts, vec![InstId(0), InstId(1)]);
-    }
-
-    #[test]
-    fn replace_uses_rewrites_operands() {
-        let mut f = sample();
-        let sum = f.inst_result(InstId(0)).unwrap();
-        f.replace_uses(sum, Operand::imm(7, Ty::I64));
-        match &f.inst(InstId(1)).op {
-            Op::Ret { val: Some(Operand::Imm(7, Ty::I64)) } => {}
-            other => panic!("ret not rewritten: {other:?}"),
-        }
     }
 
     #[test]

@@ -349,18 +349,6 @@ impl Op {
         matches!(self, Op::Br { .. } | Op::CondBr { .. } | Op::Ret { .. } | Op::TxAbort { .. })
     }
 
-    /// Returns true for memory-touching instructions.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Load { .. }
-                | Op::Store { .. }
-                | Op::Rmw { .. }
-                | Op::CmpXchg { .. }
-                | Op::Alloc { .. }
-        )
-    }
-
     /// Returns true for atomic memory operations.
     pub fn is_atomic(&self) -> bool {
         match self {
@@ -527,23 +515,6 @@ impl Op {
             _ => vec![],
         }
     }
-
-    /// Rewrites successor block ids in place.
-    pub fn map_successors(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
-        match self {
-            Op::Br { dest } => *dest = f(*dest),
-            Op::CondBr { t, f: fb, .. } => {
-                *t = f(*t);
-                *fb = f(*fb);
-            }
-            Op::Phi { incomings, .. } => {
-                for (_, b) in incomings {
-                    *b = f(*b);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -650,11 +621,10 @@ mod tests {
     }
 
     #[test]
-    fn successors_and_remap() {
-        let mut op = Op::CondBr { cond: v(0), t: BlockId(1), f: BlockId(2) };
+    fn successors_of_branches() {
+        let op = Op::CondBr { cond: v(0), t: BlockId(1), f: BlockId(2) };
         assert_eq!(op.successors(), vec![BlockId(1), BlockId(2)]);
-        op.map_successors(|b| BlockId(b.0 + 5));
-        assert_eq!(op.successors(), vec![BlockId(6), BlockId(7)]);
+        assert_eq!(Op::Br { dest: BlockId(3) }.successors(), vec![BlockId(3)]);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl LoopForest {
     pub fn is_innermost(&self, i: usize) -> bool {
         !self.loops.iter().any(|l| l.parent == Some(i))
     }
-
-    /// Returns the index of the innermost loop whose header is `b`, if any.
-    pub fn loop_with_header(&self, b: BlockId) -> Option<usize> {
-        self.loops.iter().position(|l| l.header == b)
-    }
 }
 
 /// Computes the longest acyclic instruction path from the loop header to

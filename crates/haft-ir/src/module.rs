@@ -80,11 +80,6 @@ impl Module {
         &self.funcs[id.0 as usize]
     }
 
-    /// Returns a mutable reference to a function.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.0 as usize]
-    }
-
     /// Returns a reference to a global.
     pub fn global(&self, id: GlobalId) -> &Global {
         &self.globals[id.0 as usize]
