@@ -20,6 +20,9 @@ use self::profile::{OpClass, Profiler};
 const FUNC_BASE: u64 = 0xF000_0000_0000_0000;
 /// Maximum call depth before a stack-overflow trap.
 const MAX_CALL_DEPTH: usize = 128;
+/// Transaction retries before falling back to non-transactional
+/// execution (the paper's default is 3).
+const MAX_TX_RETRIES: u32 = 3;
 
 /// Execution engine selector.
 ///
@@ -52,9 +55,6 @@ pub struct VmConfig {
     /// Run-time threshold consulted by `tx_cond_split` (the paper's
     /// transaction-size parameter, in instructions).
     pub tx_threshold: u64,
-    /// Transaction retries before falling back to non-transactional
-    /// execution (the paper's default is 3).
-    pub max_retries: u32,
     /// HTM parameters.
     pub htm: HtmConfig,
     /// Enable HAFT's lock-elision wrapper (paper §3.3).
@@ -94,7 +94,6 @@ impl Default for VmConfig {
         VmConfig {
             n_threads: 1,
             tx_threshold: 1000,
-            max_retries: 3,
             htm: HtmConfig::default(),
             lock_elision: false,
             cost: CostConfig::default(),
@@ -1248,7 +1247,7 @@ impl<'m> Vm<'m> {
         }
         let aborted = t.attempt;
         t.retries += 1;
-        if t.retries <= self.cfg.max_retries {
+        if t.retries <= MAX_TX_RETRIES {
             // Retry transactionally from the snapshot point.
             let clock = t.sb.clock;
             t.tx_depth = 1;
