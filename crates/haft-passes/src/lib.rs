@@ -47,11 +47,12 @@
 //!   deltas ([`PassStats`]), and debug-build IR verification at every
 //!   pass boundary.
 //!
-//! * [`pipeline`] — configuration plumbing: the [`Backend`] selector
-//!   (HAFT's detect-and-rollback vs. TMR's triplicate-and-vote) and the
-//!   composition of the passes into the paper's evaluated variants
-//!   (native / ILR-only / TX-only / HAFT / TMR) and the cumulative
-//!   optimization levels of Figure 7.
+//! * [`pipeline`] — configuration plumbing: [`HardenConfig`], one
+//!   variant per [`Backend`] (HAFT's detect-and-rollback, TMR's
+//!   triplicate-and-vote, ABFT's checksum lanes), each carrying only
+//!   its passes' configs, and the presets for the paper's evaluated
+//!   variants (native / ILR-only / TX-only / HAFT / TMR / ABFT) and the
+//!   cumulative optimization levels of Figure 7.
 //!
 //! # Examples
 //!

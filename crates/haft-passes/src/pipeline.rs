@@ -42,7 +42,8 @@ impl OptLevel {
     }
 }
 
-/// Which hardening *strategy* a [`HardenConfig`] selects.
+/// Which hardening *strategy* a [`HardenConfig`] selects: the variant
+/// [`HardenConfig::backend`] names.
 ///
 /// The backends share the [`crate::PassManager`]/`Experiment`
 /// plumbing but differ in mechanism:

@@ -70,12 +70,14 @@
 //!
 //! # Hardening backends
 //!
-//! Two strategies plug into the same pipeline via
-//! [`passes::Backend`]: the paper's detect-and-rollback HAFT
-//! (`Backend::IlrTx`, the default) and the Elzar-style
-//! triplicate-and-vote TMR (`Backend::Tmr`), which masks faults in place
-//! with no transactions. `Experiment::backend(Backend::Tmr)` selects the
-//! full-strength preset, and `compare` races the two in one report:
+//! Three strategies plug into the same pipeline, one
+//! [`passes::HardenConfig`] variant each, named by [`passes::Backend`]:
+//! the paper's detect-and-rollback HAFT (`Backend::IlrTx`, the default),
+//! the Elzar-style triplicate-and-vote TMR (`Backend::Tmr`), which masks
+//! faults in place with no transactions, and checksum ABFT
+//! (`Backend::Abft`), with full HAFT for the functions it cannot cover.
+//! `Experiment::backend(Backend::Tmr)` selects the full-strength preset,
+//! and `compare` races them in one report:
 //!
 //! ```text
 //! let report = Experiment::workload(&w)
