@@ -307,14 +307,16 @@ impl Upset {
 pub enum ForkEnd {
     /// It ran to its end: exactly what [`Vm::run_to_end`] returns.
     Ended(Box<RunResult>),
-    /// It stopped at the rollback that erased its fault.
+    /// It stopped where it settled: at the rollback that erased its
+    /// fault, or where its taint drained.
     Settled(Settlement),
 }
 
 /// A fork stopped where it settled: the transaction attempt its flip
-/// landed in has aborted and restored everything the flip could reach,
-/// so the rest of the run is the fault-free run under another schedule.
-/// These are the counters the rest would not change, as they stood.
+/// landed in has aborted and restored everything the flip could reach, or
+/// its taint has drained, so the rest of the run is the fault-free run
+/// under another schedule. These are the counters the rest would not
+/// change, as they stood.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Settlement {
     /// [`RunResult::recoveries`] so far.
@@ -323,6 +325,8 @@ pub struct Settlement {
     pub corrected_by_vote: u64,
     /// [`RunResult::corrected_by_checksum`] so far.
     pub corrected_by_checksum: u64,
+    /// It settled where its taint set drained, not at a rollback.
+    pub drained: bool,
     /// The forensics record, whose window had closed (forensics on only).
     pub forensics: Option<Forensics>,
 }
@@ -489,11 +493,11 @@ pub struct Vm<'m> {
     pause_slack: u64,
     /// The run suspends at the first op boundary with `occ >= pause_at`;
     /// `u64::MAX` (never) except while [`Vm::advance_to`] runs, and `0`
-    /// once an abort has settled a fork ([`Vm::run_to_settlement`]).
+    /// once a fork has settled ([`Vm::run_to_settlement`]).
     pause_at: u64,
     /// The instruction budget an abort must leave unspent to settle the
-    /// run; `None` (every run but [`Vm::run_to_settlement`]'s) never
-    /// settles.
+    /// run at a rollback; `None` (every run but
+    /// [`Vm::run_to_settlement`]'s) never settles.
     settle_reserve: Option<u64>,
     cursor: Cursor,
     mem: Memory,
@@ -526,10 +530,10 @@ pub struct Vm<'m> {
     /// Cycle-attribution state when profiling is attached
     /// ([`Vm::run_profiled`]); same observational contract as `trace`.
     profiler: Option<Profiler>,
-    /// Taint-trajectory state, allocated only when `cfg.forensics` is
-    /// set *and* a fault plan is armed — clean runs pay one `None`
-    /// branch per register-only run (per instruction in the reference
-    /// interpreter) and nothing else.
+    /// Taint-trajectory state, allocated only when a fault plan is armed
+    /// and `cfg.forensics` is set or the run is a settling fork's — clean
+    /// runs pay one `None` branch per register-only run (per instruction
+    /// in the reference interpreter) and nothing else.
     forensics: Option<Box<forensics::ForensicsState>>,
 }
 
@@ -556,7 +560,7 @@ impl<'m> Vm<'m> {
         let threads = (0..n_threads).map(|_| Thread::new(&cfg.cost)).collect();
         let fault = cfg.fault.map_or(Upset::None, Upset::new);
         let forensics = (cfg.forensics && cfg.fault.is_some())
-            .then(|| Box::new(forensics::ForensicsState::new(n_threads)));
+            .then(|| Box::new(forensics::ForensicsState::new(n_threads, true)));
         Vm {
             m: module,
             cfg,
@@ -825,7 +829,7 @@ impl<'m> Vm<'m> {
             arg_scratch: Vec::new(),
             trace: None,
             profiler: None,
-            forensics: forensics.then(|| Box::new(forensics::ForensicsState::new(n_threads))),
+            forensics: forensics.then(|| Box::new(forensics::ForensicsState::new(n_threads, true))),
         }
     }
 
@@ -836,35 +840,69 @@ impl<'m> Vm<'m> {
     }
 
     /// [`Vm::run_to_end`] for a [fork](Vm::fork), except that it stops
-    /// where the fork *settles*: at the abort of the hardware transaction
-    /// attempt its flip landed in. Everything the flip could have reached
-    /// was that thread's registers and its speculative writes, and the
-    /// rollback restored both, so from there on the fork is the fault-free
-    /// run under another schedule (the rolled-back thread's clock is
-    /// later). A campaign classifies it as a completed run with the
-    /// reference output and the counters as they stood ([`Settlement`]).
+    /// where the fork *settles*: where nothing its flip reached differs
+    /// from the fault-free run any more, so that from there on the fork is
+    /// the fault-free run under another schedule (a rolled-back thread's
+    /// clock is later, a vote took longer). A campaign classifies it as a
+    /// completed run with the reference output and the counters as they
+    /// stood ([`Settlement`]). Either of two points settles it.
     ///
-    /// The abort settles the fork only if all of these hold; otherwise the
-    /// fork runs on, and any later abort is another attempt's:
+    /// **At a rollback**: the abort of the hardware transaction attempt
+    /// the flip landed in. Everything the flip could have reached was that
+    /// thread's registers and its speculative writes, and the rollback
+    /// restored both. The abort settles the fork only if all of these
+    /// hold; otherwise the fork runs on, and any later abort is another
+    /// attempt's:
     /// - the flip was made by the aborting thread inside the attempt that
     ///   aborted — not outside a transaction, not in fallback mode, and not
     ///   in an attempt that committed before a later one aborted;
     /// - the heap bump pointer is where it was when that attempt began (an
     ///   allocation is the one effect a rollback does not undo, and the
     ///   retry would allocate again, elsewhere);
-    /// - with forensics on, the taint window has closed (a tainted-control
-    ///   flag, for one, outlives the rollback);
+    /// - with forensics on, the record's window has closed (a
+    ///   tainted-control flag, for one, outlives the rollback);
     /// - at least `reserve` instructions of the budget are left. A caller
     ///   passes the reference run's instruction count: a hang would then
     ///   need the rest of the fork to outrun the whole reference run.
+    ///
+    /// **Where its taint drains**, whatever the backend: the fork tracks
+    /// the positional taint set its flip seeds (the forensics transfer;
+    /// with forensics off it keeps no record), and settles at the op
+    /// boundary where no register or memory byte is tainted and no
+    /// transaction's undo log could bring one back — a TMR copy outvoted
+    /// and then rewritten, a flip into a value nothing reads. A drain
+    /// settles the fork only if at least `reserve` instructions of the
+    /// budget are left and none of these happened after the flip, each of
+    /// which can leave state differing untainted:
+    /// - a tainted value decided a branch or an indirect call;
+    /// - a store, RMW, compare-exchange, lock or unlock went through a
+    ///   tainted address (the cell meant goes stale);
+    /// - an allocation had a tainted size, or an aborted attempt allocated
+    ///   (either moves the heap pointer off the fault-free run's);
+    /// - a tainted value was emitted.
+    ///
+    /// With forensics on, the record still freezes at its first detector
+    /// and tracking goes on past it only to see the drain. That
+    /// settle-only window is capped at a fixed number of ops: past it the
+    /// fork drops the taint state and runs at run speed, as it would
+    /// without settling.
     pub fn run_to_settlement(mut self, reserve: u64) -> ForkEnd {
         self.settle_reserve = Some(reserve);
+        if let (Some(_), Some(last)) =
+            (self.cfg.fault, self.cfg.max_instructions.checked_sub(reserve))
+        {
+            let n_threads = self.threads.len();
+            self.forensics
+                .get_or_insert_with(|| Box::new(forensics::ForensicsState::new(n_threads, false)))
+                .settle_within(last, reserve);
+        }
         match self.resume() {
             Some(outcome) => ForkEnd::Ended(Box::new(self.into_result(outcome))),
             None => ForkEnd::Settled(Settlement {
                 recoveries: self.recoveries,
                 corrected_by_vote: self.corrected_by_vote,
                 corrected_by_checksum: self.corrected_by_checksum,
+                drained: self.forensics.as_deref().is_some_and(|fx| fx.drained),
                 forensics: self.conclude_forensics(RunOutcome::Completed),
             }),
         }
@@ -1239,13 +1277,14 @@ impl<'m> Vm<'m> {
         }
         let resume = t.sb.clock + penalty;
         t.sb.flush_to(resume);
-        if let Some(fx) = self.forensics.as_deref_mut() {
-            // Roll the shadow set back with the architectural state; if
-            // the rollback erased the last live corruption, the HTM
-            // recovered the fault.
-            fx.on_abort(tid, self.instructions, self.wall_cycles + t.sb.clock);
-        }
         let aborted = t.attempt;
+        let heap = (aborted.1, self.mem.heap_next());
+        // Roll the shadow set back with the architectural state; if the
+        // rollback erased the last live corruption, the HTM recovered the
+        // fault, and the drain may settle the fork.
+        let drained = self.forensics.as_deref_mut().is_some_and(|fx| {
+            fx.on_abort(tid, heap, self.instructions, self.wall_cycles + t.sb.clock)
+        });
         t.retries += 1;
         if t.retries <= MAX_TX_RETRIES {
             // Retry transactionally from the snapshot point.
@@ -1262,9 +1301,21 @@ impl<'m> Vm<'m> {
             t.fallback = true;
             self.htm.note_fallback();
         }
+        // A rollback that settles counts as one even where it drained the
+        // set as well.
         if self.settles(tid, aborted) {
-            // Stop at the next op boundary, the way a pause does.
-            self.pause_at = 0;
+            self.settle_now(false);
+        } else if drained {
+            self.settle_now(true);
+        }
+    }
+
+    /// Settles the fork, at a drain of its taint set or at a rollback: it
+    /// stops at the next op boundary, the way a pause does.
+    fn settle_now(&mut self, drained: bool) {
+        self.pause_at = 0;
+        if let Some(fx) = self.forensics.as_deref_mut() {
+            fx.drained = drained;
         }
     }
 

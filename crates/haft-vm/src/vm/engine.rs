@@ -45,7 +45,9 @@
 //! [`Vm::observed`] holds and ops step singly — so the op that takes the
 //! flip executes between its hooks, `after_op` completes the seed with
 //! that op's class, the written-back instruction count and the post-op
-//! clock, and the stepping goes on until a detector closes the window.
+//! clock, and the stepping goes on until a detector closes the window —
+//! in a settling fork ([`Vm::run_to_settlement`]), until the set drains, a
+//! refusal rules settling out, or the settle-only window reaches its cap.
 //! A profiled run keeps the thread's last fetch in locals and charges
 //! each op's clock delta to a per-class row (`profile.rs` says why its
 //! first fetch, and only that one, goes through the profiler).
@@ -574,8 +576,11 @@ impl<'m> Vm<'m> {
 
     /// True while the forensics hooks have something to see, and ops go
     /// one at a time between them: from where the next op may be the one
-    /// that takes the planned flip (an armed plan with forensics attached
-    /// is one that has not fired) until the taint window it opens closes.
+    /// that takes the planned flip (an armed plan with the taint state
+    /// attached — forensics on, or a settling fork — is one that has not
+    /// fired) until the set it seeds is no longer needed: the record's
+    /// window has closed, and a settling fork has seen the set drain,
+    /// been refused, or run past its settle-only window's cap.
     fn observed(&self) -> bool {
         let Some(fx) = self.forensics.as_deref() else { return false };
         fx.tracking()

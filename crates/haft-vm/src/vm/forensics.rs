@@ -37,10 +37,21 @@
 //! caused by a tainted branch condition is recorded as a sticky flag —
 //! data written on the wrong path is *not* tainted, so a drained taint
 //! set under tainted control is never reported as masked; the flag is
-//! conservative across rollbacks. Memory taint at commit time
+//! conservative across rollbacks. Likewise a store, RMW, compare-exchange
+//! or lock through a tainted address taints only the cell it reached: the
+//! cell it was meant for goes stale untainted. Memory taint at commit time
 //! over-approximates `escaped_to_memory` (buffered bytes may still be
 //! overwritten later). Cross-thread propagation is tracked through
 //! memory only.
+//!
+//! Settlement rides the same set. A fork run by
+//! [`Vm::run_to_settlement`] keeps it whether or not it keeps a record
+//! (without one the state exists for that alone), and past the record's
+//! detector: where the set drains, nothing the flip reached differs from
+//! the fault-free run, and the fork stops. Each way the set can miss a
+//! difference refuses that for good ([`ForensicsState::refuse`]); the
+//! settle-only window is capped at [`SETTLE_WINDOW`] ops, past which the
+//! state is dropped and the fork runs at run speed.
 
 use haft_htm::table::OpenTable;
 use haft_ir::function::{Function, ValueId};
@@ -168,6 +179,21 @@ fn for_cells(addr: u64, len: u32, mut each: impl FnMut(u64, u8)) {
     }
 }
 
+/// The cap on a settle-only window: the ops a settling fork steps, one at
+/// a time, only to see its taint set drain — from the flip without a
+/// record, and from the first detector either way. It is this many ops,
+/// or [`SETTLE_SHARE`]'s share of the fault-free run's remaining suffix if
+/// that is more. Past the cap the fork drops the set and runs at run
+/// speed. Flips that drain at all mostly drain within a few dozen to a few
+/// hundred ops (a TMR copy is rewritten soon after its vote, a loop-carried
+/// one only when its loop ends); stepping costs several times running, so
+/// a window that does not drain costs its fork at most several of these
+/// shares of its suffix.
+pub(super) const SETTLE_WINDOW: u64 = 256;
+
+/// See [`SETTLE_WINDOW`]: a window may also cover 1/64 of the suffix left.
+const SETTLE_SHARE: u64 = 64;
+
 /// Tracking phases. `Pending` exists because the flip happens *inside*
 /// an instruction (at its register write) but the site's op class and
 /// the dead-use scan need the instruction as a whole — the seed
@@ -178,15 +204,42 @@ enum Phase {
     Idle,
     /// Flip applied this instruction; site attribution incomplete.
     Pending { func: FuncId, depth: u32, slot: u32, mask: u64, occurrence: u64 },
-    /// Shadow set live.
+    /// Shadow set live: the record's window is open, or a settling fork
+    /// keeps the set to see it drain.
     Tracking,
-    /// Window closed; measurements frozen.
+    /// Nothing is tracked any more; the record, if any, is frozen.
     Done,
+}
+
+/// What a settling fork ([`Vm::run_to_settlement`]) needs to settle where
+/// its taint set drains.
+#[derive(Clone, Copy, Debug)]
+struct Settle {
+    /// The last instruction count at which the budget left still covers
+    /// the caller's reserve.
+    last: u64,
+    /// The caller's reserve, the fault-free run's instruction count: where
+    /// its suffix ends.
+    end: u64,
+    /// Where the settle-only window closes ([`SETTLE_WINDOW`]); `u64::MAX`
+    /// until it opens.
+    until: u64,
 }
 
 /// The in-flight forensics state of one fault run.
 pub(super) struct ForensicsState {
     phase: Phase,
+    /// The run returns a record (`cfg.forensics`); without one the state
+    /// exists only to settle a fork.
+    record: bool,
+    /// The record's window is open: no detector has frozen it yet.
+    recording: bool,
+    /// `Some` while a settling fork may still settle where the set drains.
+    settle: Option<Settle>,
+    /// A detector has fired (the first one freezes an open record).
+    detected: bool,
+    /// A drain settled the fork ([`Vm::settle_now`]).
+    pub(super) drained: bool,
     site_func: FuncId,
     site_class: OpClass,
     occurrence: u64,
@@ -218,10 +271,17 @@ pub(super) struct ForensicsState {
 }
 
 impl ForensicsState {
-    pub(super) fn new(n_threads: usize) -> Self {
+    /// The state of a run with `n_threads` threads; `record` if it
+    /// returns a [`Forensics`] record.
+    pub(super) fn new(n_threads: usize, record: bool) -> Self {
         assert!(n_threads <= 1 << 15, "thread ids must fit a register key");
         ForensicsState {
             phase: Phase::Idle,
+            record,
+            recording: record,
+            settle: None,
+            detected: false,
+            drained: false,
             site_func: FuncId(0),
             site_class: OpClass::Other,
             occurrence: 0,
@@ -250,23 +310,53 @@ impl ForensicsState {
         }
     }
 
-    /// The window is open: the flip has landed, its seed is complete and
-    /// no detector has fired. The only time the hook before an op does
-    /// anything.
+    /// The set is live: the flip has landed, its seed is complete, and
+    /// the record's window is open or a settling fork still watches for
+    /// the drain. The only time the hook before an op does anything.
     pub(super) fn tracking(&self) -> bool {
         matches!(self.phase, Phase::Tracking)
     }
 
-    /// The window has closed: its measurements are frozen, and no later
-    /// op or outcome changes the record.
+    /// No record is open: its measurements are frozen, and no later op or
+    /// outcome changes it (or the run keeps none).
     pub(super) fn closed(&self) -> bool {
-        matches!(self.phase, Phase::Done)
+        !self.recording
+    }
+
+    /// Makes the run a settling fork's, one that may settle where its set
+    /// drains with the instruction count at most `last`; the fault-free
+    /// run ends at instruction `end`.
+    pub(super) fn settle_within(&mut self, last: u64, end: u64) {
+        self.settle = Some(Settle { last, end, until: u64::MAX });
+    }
+
+    /// Opens the settle-only window at instruction count `insts_now`.
+    fn open_settle_window(&mut self, insts_now: u64) {
+        if let Some(s) = self.settle.as_mut() {
+            let window = SETTLE_WINDOW.max(s.end.saturating_sub(insts_now) / SETTLE_SHARE);
+            s.until = insts_now.saturating_add(window);
+        }
+    }
+
+    /// Rules settlement by drain out for good: something the set cannot
+    /// see may differ from the fault-free run. Tracking goes on only while
+    /// the record needs it.
+    fn refuse(&mut self) {
+        self.settle = None;
+        self.retire();
+    }
+
+    /// Ends tracking once neither the record nor settlement needs it.
+    fn retire(&mut self) {
+        if self.tracking() && !self.recording && self.settle.is_none() {
+            self.phase = Phase::Done;
+        }
     }
 
     /// Nothing is tainted and no undo log could resurrect a key on a
     /// future abort.
-    fn drained(&self) -> bool {
-        self.live == [0; 2] && !self.control_tainted && self.undo.iter().all(|u| u.is_empty())
+    fn empty(&self) -> bool {
+        self.live == [0; 2] && self.undo.iter().all(|u| u.is_empty())
     }
 
     /// Freezes the measurements. Any detector other than masked-at-site
@@ -275,28 +365,52 @@ impl ForensicsState {
     /// fault stream), so its latency is at least one; the clamp makes
     /// `detect_latency_insts == 0 ⇔ MaskedAtSite` hold by construction
     /// even for the budget-exhausted-at-the-seed corner.
-    fn done(&mut self, det: FaultDetector, insts_now: u64, cycles_now: u64) {
-        self.phase = Phase::Done;
+    fn freeze(&mut self, det: FaultDetector, insts_now: u64, cycles_now: u64) {
+        self.recording = false;
         self.detector = det;
         let insts = insts_now.saturating_sub(self.seed_insts);
         self.latency_insts = if det == FaultDetector::MaskedAtSite { 0 } else { insts.max(1) };
         self.latency_cycles = cycles_now.saturating_sub(self.seed_cycles);
+        self.retire();
     }
 
     /// Detection hook: on a single-fault run, *any* correction or
     /// detection event is caused by the injected fault (clean runs never
-    /// diverge), so no taint-relevance check is needed.
+    /// diverge), so no taint-relevance check is needed. The first one
+    /// freezes an open record, and opens a settling fork's settle-only
+    /// window afresh: a fault just outvoted or corrected mostly drains
+    /// soon after.
     pub(super) fn detect(&mut self, det: FaultDetector, insts_now: u64, cycles_now: u64) {
-        if self.tracking() {
-            self.done(det, insts_now, cycles_now);
+        if self.tracking() && !self.detected {
+            self.detected = true;
+            self.open_settle_window(insts_now);
+            if self.recording {
+                self.freeze(det, insts_now, cycles_now);
+            }
         }
     }
 
-    /// Masked-by-drain check.
-    fn try_drain(&mut self, insts_now: u64, cycles_now: u64) {
-        if self.tracking() && self.drained() {
-            self.done(FaultDetector::Masked, insts_now, cycles_now);
+    /// Drain check, where the set can have just emptied: closes an open
+    /// record as `det` (unless control was tainted: then a drained set
+    /// proves nothing, and the record stays open), and returns true if
+    /// the drain settles the fork — the fork is settling, nothing refused
+    /// it, the budget left covers the reserve, and no record is open.
+    fn drain(&mut self, det: FaultDetector, insts_now: u64, cycles_now: u64) -> bool {
+        if !self.empty() {
+            return false;
         }
+        if self.recording && !self.control_tainted {
+            self.freeze(det, insts_now, cycles_now);
+        }
+        let settles = self.settle.take().is_some_and(|s| insts_now <= s.last) && self.closed();
+        self.retire();
+        settles
+    }
+
+    /// Masked-by-drain check after an op's transfer; true if it settles
+    /// the fork.
+    fn try_drain(&mut self, insts_now: u64, cycles_now: u64) -> bool {
+        self.tracking() && self.drain(FaultDetector::Masked, insts_now, cycles_now)
     }
 
     /// Taints or clears `bytes` of `key`; returns those that changed.
@@ -324,7 +438,7 @@ impl ForensicsState {
         if changed != 0 && in_tx {
             self.undo[tid].push((key, changed, !tainted));
         }
-        if changed != 0 && tainted {
+        if changed != 0 && tainted && self.recording {
             self.peak = self.peak.max(self.live[0] + self.live[1]);
         }
     }
@@ -345,7 +459,7 @@ impl ForensicsState {
 
     fn set_mem(&mut self, tid: usize, in_tx: bool, addr: u64, len: u32, tainted: bool) {
         for_cells(addr, len, |cell, bytes| self.set(tid, in_tx, cell, bytes, tainted));
-        if tainted && !in_tx {
+        if tainted && !in_tx && self.recording {
             self.escaped_to_memory = true;
         }
     }
@@ -380,26 +494,38 @@ impl ForensicsState {
             return;
         }
         self.undo[tid].clear();
-        if self.live[0] > 0 {
+        if self.live[0] > 0 && self.recording {
             self.escaped_to_memory = true;
         }
     }
 
-    /// Abort hook, after the architectural rollback: replays the
-    /// thread's undo log in reverse, then — if the rollback erased the
-    /// last live corruption — credits the HTM with the recovery.
-    pub(super) fn on_abort(&mut self, tid: usize, insts_now: u64, cycles_now: u64) {
+    /// Abort hook, after the architectural rollback of an attempt that
+    /// began with the heap bump pointer at `heap_then` (now `heap_now`):
+    /// replays the thread's undo log in reverse, then — if the rollback
+    /// erased the last live corruption — credits the HTM with the
+    /// recovery. True if that drain settles the fork.
+    pub(super) fn on_abort(
+        &mut self,
+        tid: usize,
+        (heap_then, heap_now): (u64, u64),
+        insts_now: u64,
+        cycles_now: u64,
+    ) -> bool {
         if !self.tracking() {
-            return;
+            return false;
+        }
+        // Refusal: the attempt allocated. The rollback leaves the heap
+        // pointer where the allocation moved it, so the retry — and every
+        // allocation after it — lands elsewhere than in the fault-free run.
+        if heap_now != heap_then {
+            self.refuse();
         }
         let mut log = std::mem::take(&mut self.undo[tid]);
         for (key, bytes, were_present) in log.drain(..).rev() {
             self.apply(key, bytes, were_present);
         }
         self.undo[tid] = log;
-        if self.drained() {
-            self.done(FaultDetector::HtmAbort, insts_now, cycles_now);
-        }
+        self.tracking() && self.drain(FaultDetector::HtmAbort, insts_now, cycles_now)
     }
 }
 
@@ -419,6 +545,10 @@ impl<'m> Vm<'m> {
     /// models the writes the op is about to perform.
     pub(super) fn forensics_transfer(&mut self, tid: usize, op: &DOp, d: &Decoded) {
         let Some(fx) = self.forensics.as_deref_mut() else { return };
+        if fx.settle.is_some_and(|s| self.instructions >= s.until) {
+            // Past the settle-only window's cap.
+            fx.refuse();
+        }
         if !fx.tracking() {
             return;
         }
@@ -452,6 +582,11 @@ impl<'m> Vm<'m> {
             }
             DOp::Alloc { size, dst } => {
                 let any = st(fx, size);
+                if any {
+                    // Refusal: the heap pointer moves by a wrong amount,
+                    // so every later allocation lands elsewhere.
+                    fx.refuse();
+                }
                 fx.set_reg(tid, in_tx, depth, dst, any);
             }
             DOp::Load { ty, addr, dst, .. } => {
@@ -460,17 +595,20 @@ impl<'m> Vm<'m> {
                 fx.set_reg(tid, in_tx, depth, dst, any);
             }
             DOp::Store { ty, val, addr, .. } => {
+                stale_cell(fx, st(fx, addr));
                 let any = st(fx, val) || st(fx, addr);
                 let av = src_val(frame, addr);
                 fx.set_mem(tid, in_tx, av, ty.size_bytes(), any);
             }
             DOp::Rmw { ty, addr, val, dst, .. } => {
+                stale_cell(fx, st(fx, addr));
                 let av = src_val(frame, addr);
                 let any = st(fx, addr) || st(fx, val) || fx.mem_tainted(av, ty.size_bytes());
                 fx.set_reg(tid, in_tx, depth, dst, any);
                 fx.set_mem(tid, in_tx, av, ty.size_bytes(), any);
             }
             DOp::CmpXchg { ty, addr, expected, new, dst } => {
+                stale_cell(fx, st(fx, addr));
                 let av = src_val(frame, addr);
                 let any = st(fx, addr)
                     || st(fx, expected)
@@ -484,7 +622,7 @@ impl<'m> Vm<'m> {
             }
             DOp::CondBr { cond, t: te, f: fe, .. } => {
                 if st(fx, cond) {
-                    fx.control_tainted = true;
+                    tainted_control(fx);
                 }
                 let taken = src_val(frame, cond) & 1 != 0;
                 phi_taint(fx, tid, in_tx, depth, d, if taken { te } else { fe });
@@ -502,7 +640,7 @@ impl<'m> Vm<'m> {
             }
             DOp::CallInd { callee, args_at, args_n, .. } => {
                 if st(fx, callee) {
-                    fx.control_tainted = true;
+                    tainted_control(fx);
                 }
                 let v = src_val(frame, callee);
                 let idx = v.wrapping_sub(FUNC_BASE);
@@ -537,27 +675,31 @@ impl<'m> Vm<'m> {
                 if !in_tx && st(fx, val) {
                     let now = self.wall_cycles + t.sb.clock;
                     fx.detect(FaultDetector::Escaped, self.instructions, now);
+                    // Refusal: the output itself is wrong.
+                    fx.refuse();
                 }
             }
+            DOp::Lock { addr } | DOp::Unlock { addr } => stale_cell(fx, st(fx, addr)),
             DOp::TxBegin
             | DOp::TxEnd
             | DOp::TxCondSplit
             | DOp::TxCounterInc { .. }
             | DOp::TxAbortIlr
             | DOp::TxAbortExplicit
-            | DOp::Lock { .. }
-            | DOp::Unlock { .. }
             | DOp::Nop
             | DOp::TrapMalformed => {}
             resolved!() => unreachable!("taint moves by the generic form"),
         }
-        fx.try_drain(self.instructions, self.wall_cycles + t.sb.clock);
+        if fx.try_drain(self.instructions, self.wall_cycles + t.sb.clock) {
+            self.settle_now(true);
+        }
     }
 
     /// Post-execute hook: completes a pending seed with the faulted
     /// instruction's op class, stamps the latency baselines, and runs the
     /// static dead-use scan (a flip into a register no instruction ever
-    /// reads is masked at the site, latency zero). The scan walks the IR
+    /// reads is masked at the site, latency zero — and, read by nothing,
+    /// settles a settling fork at once). The scan walks the IR
     /// (`self.m`), which both engines share, so the verdict is
     /// engine-invariant.
     pub(super) fn forensics_seed_complete(&mut self, tid: usize, class: OpClass) {
@@ -570,12 +712,15 @@ impl<'m> Vm<'m> {
         fx.applied_mask = mask;
         fx.seed_insts = self.instructions;
         fx.seed_cycles = now;
+        fx.phase = Phase::Tracking;
         if value_has_uses(self.m.func(func), ValueId(slot)) {
-            fx.phase = Phase::Tracking;
             let in_tx = self.threads[tid].in_tx();
             fx.set_reg(tid, in_tx, depth, slot, true);
-        } else {
-            fx.done(FaultDetector::MaskedAtSite, self.instructions, now);
+            if !fx.recording {
+                fx.open_settle_window(self.instructions);
+            }
+        } else if fx.drain(FaultDetector::MaskedAtSite, self.instructions, now) {
+            self.settle_now(true);
         }
         if let Some(tr) = self.trace.as_mut() {
             tr.push(
@@ -591,7 +736,7 @@ impl<'m> Vm<'m> {
     /// planned occurrence lay beyond the run's register-write stream).
     pub(super) fn conclude_forensics(&mut self, outcome: RunOutcome) -> Option<Forensics> {
         let mut fx = self.forensics.take()?;
-        if matches!(fx.phase, Phase::Idle) {
+        if !fx.record || matches!(fx.phase, Phase::Idle) {
             return None;
         }
         if let Phase::Pending { func, mask, occurrence, .. } = fx.phase {
@@ -605,7 +750,7 @@ impl<'m> Vm<'m> {
             fx.seed_cycles = self.wall_cycles;
             fx.phase = Phase::Tracking;
         }
-        if fx.tracking() {
+        if fx.recording {
             let det = match outcome {
                 RunOutcome::Hang => FaultDetector::Hang,
                 RunOutcome::Trapped(_) => FaultDetector::Trap,
@@ -620,7 +765,7 @@ impl<'m> Vm<'m> {
                     }
                 }
             };
-            fx.done(det, self.instructions, self.wall_cycles);
+            fx.freeze(det, self.instructions, self.wall_cycles);
         }
         if let Some(tr) = self.trace.as_mut() {
             tr.push(
@@ -641,6 +786,24 @@ impl<'m> Vm<'m> {
             propagation_width: fx.peak,
             escaped_to_memory: fx.escaped_to_memory,
         })
+    }
+}
+
+/// A tainted value decided a branch or an indirect call. Refusal: data
+/// written on the path taken is not tainted, and the path not taken wrote
+/// nothing, so a drained set no longer means a clean state.
+fn tainted_control(fx: &mut ForensicsState) {
+    fx.control_tainted = true;
+    fx.refuse();
+}
+
+/// A store, RMW, compare-exchange, lock or unlock is about to go through
+/// an address that is `tainted`. Refusal: the transfer taints the cell it
+/// reaches, but the cell the fault-free run writes keeps its old value
+/// untainted.
+fn stale_cell(fx: &mut ForensicsState, tainted: bool) {
+    if tainted {
+        fx.refuse();
     }
 }
 
@@ -754,7 +917,7 @@ mod tests {
     #[test]
     fn packed_shadow_set_equals_the_hashed_set() {
         let mut rng = haft_ir::rng::Prng::new(11);
-        let (mut fx, mut model) = (ForensicsState::new(2), Model::default());
+        let (mut fx, mut model) = (ForensicsState::new(2, true), Model::default());
         fx.phase = Phase::Tracking;
         for step in 0..20_000 {
             let (tid, in_tx) = (rng.below(2) as usize, rng.chance(0.5));
@@ -786,11 +949,11 @@ mod tests {
                     model.escaped |= model.mem_bytes() > 0;
                 }
                 _ => {
-                    fx.on_abort(tid, 0, 0);
+                    fx.on_abort(tid, (0, 0), 0, 0);
                     model.abort(tid);
                     let drained = model.taint.is_empty() && model.undo.iter().all(|u| u.is_empty());
                     assert_eq!(matches!(fx.phase, Phase::Done), drained, "step {step}");
-                    fx.phase = Phase::Tracking;
+                    (fx.phase, fx.recording) = (Phase::Tracking, true);
                 }
             }
             let sizes = [model.mem_bytes(), model.taint.len() - model.mem_bytes()];

@@ -555,13 +555,15 @@ fn a_rollback_that_erases_the_flip_settles_the_fork() {
         recoveries: 1,
         corrected_by_vote: 0,
         corrected_by_checksum: 0,
+        drained: false,
         forensics: None,
     };
-    assert_eq!(fork, ForkEnd::Settled(settled));
-    // A flip of the dead `add` aborts nothing and runs to the end.
+    assert_eq!(fork, ForkEnd::Settled(settled.clone()));
+    // A flip of the dead `add` aborts nothing; nothing reads it, so its
+    // taint drains where it lands.
     let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 1);
     assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Completed, 0));
-    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+    assert_eq!(fork, ForkEnd::Settled(Settlement { recoveries: 0, drained: true, ..settled }));
 }
 
 /// Refused: a flip outside any transaction, and one in fallback mode
@@ -682,6 +684,256 @@ fn a_budget_short_of_the_reserve_does_not_settle() {
     let (ended, fork) = fork_both_ways(&m, tight, 0);
     assert_eq!(ended.outcome, RunOutcome::Hang);
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// A TMR-style loop: each of three iterations computes `i + 1` in three
+/// copies, votes, and emits the vote. Register write 1 is the first copy
+/// in the first iteration (write 0 is the entry edge's phi move): a flip
+/// there is outvoted, and the copy is rewritten, clean, one iteration on.
+fn tmr_loop() -> Module {
+    fini_module(|fb| {
+        let (pre, body, exit) = (fb.current_block(), fb.new_block(), fb.new_block());
+        fb.br(body);
+        fb.switch_to(body);
+        let i = fb.phi(Ty::I64);
+        fb.phi_incoming(i, fb.iconst(Ty::I64, 0), pre);
+        let [a, b, c] = [(); 3].map(|_| fb.add(Ty::I64, i, fb.iconst(Ty::I64, 1)));
+        let v =
+            fb.emit_op(Op::Vote { ty: Ty::I64, a: a.into(), b: b.into(), c: c.into() }).unwrap();
+        fb.emit_out(Ty::I64, v);
+        let next = fb.add(Ty::I64, i, fb.iconst(Ty::I64, 1));
+        let more = fb.cmp(CmpOp::SLt, Ty::I64, next, fb.iconst(Ty::I64, 3));
+        fb.phi_incoming(i, next, body);
+        fb.condbr(more, body, exit);
+        fb.switch_to(exit);
+        fb.ret(None);
+    })
+}
+
+/// A module with a 16-byte global `buf`, a no-argument `leaf` whose body
+/// `leaf` builds (given `buf`), and a `fini` that calls it and then runs
+/// `after`. Register write 0 is the first one `leaf` makes. Its `Ret`
+/// drops the taint of every register it wrote, so a flip that went no
+/// further drains there, before `after` runs.
+fn leaf_module(
+    leaf: impl FnOnce(&mut FunctionBuilder, Operand),
+    after: impl FnOnce(&mut FunctionBuilder, Operand),
+) -> Module {
+    let mut m = Module::new("t");
+    let buf = Operand::GlobalAddr(m.add_global("buf", 16));
+    let mut lb = FunctionBuilder::new("leaf", &[], None);
+    leaf(&mut lb, buf);
+    lb.ret(None);
+    let leaf = m.push_func(lb.finish());
+    let mut fb = FunctionBuilder::new("fini", &[], None);
+    fb.set_non_local();
+    fb.call(leaf, &[], None);
+    after(&mut fb, buf);
+    fb.ret(None);
+    m.push_func(fb.finish());
+    m
+}
+
+/// The drain: a TMR copy flipped, outvoted, then rewritten clean leaves
+/// nothing tainted, and the fork settles there, with the vote counted —
+/// what its end says.
+#[test]
+fn a_tmr_flip_settles_once_its_copy_is_overwritten() {
+    let (ended, fork) = fork_both_ways(&tmr_loop(), VmConfig::default(), 1);
+    assert_eq!(
+        (ended.outcome, &ended.output[..], ended.corrected_by_vote),
+        (RunOutcome::Completed, &[1, 2, 3][..], 1)
+    );
+    let settled = Settlement {
+        recoveries: 0,
+        corrected_by_vote: 1,
+        corrected_by_checksum: 0,
+        drained: true,
+        forensics: None,
+    };
+    assert_eq!(fork, ForkEnd::Settled(settled));
+}
+
+/// With forensics on, the record freezes at the vote, and tracking goes
+/// on past it only to see the drain: the fork that settles there returns
+/// the very record the same fork run to its end does.
+#[test]
+fn a_record_frozen_at_a_vote_is_the_same_settled_or_not() {
+    let traced = VmConfig { forensics: true, ..Default::default() };
+    let (ended, fork) = fork_both_ways(&tmr_loop(), traced, 1);
+    let record = ended.forensics.expect("the flip fired");
+    assert_eq!(record.detector, FaultDetector::Vote);
+    let ForkEnd::Settled(settled) = fork else { panic!("the drain settles it") };
+    assert!(settled.drained);
+    assert_eq!(settled.forensics, Some(record));
+}
+
+/// Refused: a budget short of the reserve (the rule of
+/// [`a_budget_short_of_the_reserve_does_not_settle`], at a drain). The
+/// TMR fork that settles above runs to its end instead.
+#[test]
+fn a_drain_with_a_budget_short_of_the_reserve_does_not_settle() {
+    let m = tmr_loop();
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    let clean = run(&m, VmConfig::default(), spec);
+    let tight = VmConfig { max_instructions: clean.instructions + 2, ..Default::default() };
+    let (ended, fork) = fork_both_ways(&m, tight, 1);
+    assert_eq!((ended.outcome, ended.corrected_by_vote), (RunOutcome::Completed, 1));
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: tainted control. The flipped compare sends `leaf` down the
+/// other arm, which stores 2 where the fault-free run stores 1. The set
+/// drains at `leaf`'s `Ret` — the wrong store's value is a constant — but
+/// the run ends in silent data corruption.
+#[test]
+fn a_drain_after_a_tainted_branch_does_not_settle() {
+    let m = leaf_module(
+        |fb, buf| {
+            let x = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+            let c = fb.cmp(CmpOp::Eq, Ty::I64, x, fb.iconst(Ty::I64, 3));
+            let (then, other, join) = (fb.new_block(), fb.new_block(), fb.new_block());
+            fb.condbr(c, then, other);
+            for (block, v) in [(then, 1), (other, 2)] {
+                fb.switch_to(block);
+                fb.store(Ty::I64, fb.iconst(Ty::I64, v), buf);
+                fb.br(join);
+            }
+            fb.switch_to(join);
+        },
+        |fb, buf| {
+            let v = fb.load(Ty::I64, buf);
+            fb.emit_out(Ty::I64, v);
+        },
+    );
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[2][..]));
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: a store through a tainted address. The flipped pointer sends
+/// `leaf`'s byte to `buf + 1`; `fini` then clears that byte, which drains
+/// the set, but `buf[0]` never got its 7 — untainted, and wrong: the run
+/// ends in silent data corruption.
+#[test]
+fn a_store_through_a_tainted_address_does_not_settle() {
+    let m = leaf_module(
+        |fb, buf| {
+            let p = fb.add(Ty::Ptr, buf, fb.iconst(Ty::I64, 0));
+            fb.store(Ty::I8, fb.iconst(Ty::I8, 7), p);
+        },
+        |fb, buf| {
+            let q = fb.add(Ty::Ptr, buf, fb.iconst(Ty::I64, 1));
+            fb.store(Ty::I8, fb.iconst(Ty::I8, 0), q);
+            let v = fb.load(Ty::I8, buf);
+            fb.emit_out(Ty::I8, v);
+        },
+    );
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[0][..]));
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: an allocation of a tainted size. `leaf`'s 64 bytes become 65,
+/// which moves the heap pointer a whole line further; its registers drain
+/// at its `Ret`, but `fini`'s allocation — untainted — lands elsewhere, and
+/// the emitted address is wrong.
+#[test]
+fn an_allocation_of_a_tainted_size_does_not_settle() {
+    let m = leaf_module(
+        |fb, _| {
+            let n = fb.add(Ty::I64, fb.iconst(Ty::I64, 64), fb.iconst(Ty::I64, 0));
+            fb.alloc(n);
+        },
+        |fb, _| {
+            let p = fb.alloc(fb.iconst(Ty::I64, 64));
+            fb.emit_out(Ty::Ptr, p);
+        },
+    );
+    let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+    let clean = run(&m, VmConfig::default(), spec);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    assert_eq!(ended.outcome, RunOutcome::Completed);
+    assert_eq!(ended.output, vec![clean.output[0] + 64]);
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: a tainted value emitted. The set drains at `leaf`'s `Ret`,
+/// after the wrong value reached the output.
+#[test]
+fn an_emitted_tainted_value_does_not_settle() {
+    let m = leaf_module(
+        |fb, _| {
+            let x = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+            fb.emit_out(Ty::I64, x);
+        },
+        |fb, _| fb.emit_out(Ty::I64, fb.iconst(Ty::I64, 9)),
+    );
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[2, 9][..]));
+    assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+}
+
+/// Refused: an aborted attempt that allocated. A flip turns a load's
+/// address wild inside a transaction; the trap aborts it, and the
+/// rollback drains the set — but the attempt's allocation stays, and the
+/// retry allocates a line further on. Without the allocation the same
+/// fork settles (at the rollback, which takes precedence).
+#[test]
+fn an_abort_of_an_attempt_that_allocated_does_not_settle() {
+    for allocates in [true, false] {
+        let m = leaf_module(
+            |_, _| {},
+            |fb, buf| {
+                fb.emit_op(Op::TxBegin);
+                if allocates {
+                    fb.alloc(fb.iconst(Ty::I64, 64));
+                }
+                let x = fb.add(Ty::I64, fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, 0));
+                let off = fb.mul(Ty::I64, x, fb.iconst(Ty::I64, 1 << 40));
+                let at = fb.add(Ty::Ptr, buf, off);
+                let v = fb.load(Ty::I64, at);
+                fb.emit_op(Op::TxEnd);
+                fb.emit_out(Ty::I64, v);
+            },
+        );
+        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), allocates as u64);
+        assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[0][..]));
+        assert_eq!(ended.htm.total_aborts(), 1, "allocates: {allocates}");
+        if allocates {
+            assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+        } else {
+            assert!(matches!(fork, ForkEnd::Settled(Settlement { drained: false, .. })));
+        }
+    }
+}
+
+/// The cost guard: a settle-only window longer than the cap. `leaf`'s
+/// flipped value outlives a loop and drains only at its `Ret`: after a
+/// few iterations the fork settles there; after more than
+/// [`forensics::SETTLE_WINDOW`] ops it has dropped the taint state, and
+/// runs to the same end as [`Vm::run_to_end`].
+#[test]
+fn a_window_past_the_cap_runs_to_the_end() {
+    for (iterations, settles) in [(4, true), (forensics::SETTLE_WINDOW as i64, false)] {
+        let m = leaf_module(
+            |fb, _| {
+                let x = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
+                fb.add(Ty::I64, x, fb.iconst(Ty::I64, 1));
+                fb.counted_loop(fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, iterations), |b, i| {
+                    b.add(Ty::I64, i, i);
+                });
+            },
+            |fb, _| fb.emit_out(Ty::I64, fb.iconst(Ty::I64, 9)),
+        );
+        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+        assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[9][..]));
+        if settles {
+            assert!(matches!(fork, ForkEnd::Settled(Settlement { drained: true, .. })));
+        } else {
+            assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
+        }
+    }
 }
 
 #[test]
