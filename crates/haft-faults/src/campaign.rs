@@ -1,6 +1,6 @@
 //! Campaign driver: plan, inject, classify — sharing every run's
-//! fault-free prefix, and skipping every suffix a rollback made
-//! fault-free.
+//! fault-free prefix, and skipping every suffix the fault no longer
+//! touches.
 //!
 //! An injection run is, by construction, the reference run up to the
 //! flipped register write. So the driver executes that prefix once: a
@@ -8,12 +8,15 @@
 //! order, is [forked](Vm::fork) just short of each, and only the fork —
 //! from the flip on — runs per injection. A fork then stops where it
 //! settles ([`Vm::run_to_settlement`]): once the transaction attempt its
-//! flip landed in has aborted, the rest is the fault-free run, and the
-//! verdict is known ([`classify_settled`]). A campaign of `n` injections
-//! costs about `n/(n+1)` of a run for the pilot, plus per injection its
-//! window — flip to rollback — when it settles and its suffix when it does
-//! not (a flip outside a transaction, or one a vote or checksum masks in
-//! place).
+//! flip landed in has aborted, or once the taint its flip seeded has
+//! drained (a TMR copy outvoted and then rewritten), the rest is the
+//! fault-free run, and the verdict is known ([`classify_settled`]). A
+//! campaign of `n` injections costs about `n/(n+1)` of a run for the
+//! pilot, plus per injection its window — flip to rollback or drain —
+//! when it settles and its suffix when it does not (a flip outside a
+//! transaction that never drains, say because it decided a branch; the
+//! drain is watched op by op for at most a fixed window, so a fork that
+//! does not settle pays little more than its suffix).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -31,16 +34,23 @@ use crate::report::CampaignReport;
 pub struct SettleCounts {
     /// Forks stopped at the rollback that erased their fault.
     pub settled: u64,
+    /// Forks stopped where their taint drained.
+    pub drained: u64,
     /// Forks run to their end.
     pub ended: u64,
 }
 
 static SETTLED: AtomicU64 = AtomicU64::new(0);
+static DRAINED: AtomicU64 = AtomicU64::new(0);
 static ENDED: AtomicU64 = AtomicU64::new(0);
 
 /// The process-wide [`SettleCounts`] so far.
 pub fn settle_counts() -> SettleCounts {
-    SettleCounts { settled: SETTLED.load(Relaxed), ended: ENDED.load(Relaxed) }
+    SettleCounts {
+        settled: SETTLED.load(Relaxed),
+        drained: DRAINED.load(Relaxed),
+        ended: ENDED.load(Relaxed),
+    }
 }
 
 /// Campaign parameters.
@@ -143,7 +153,7 @@ pub fn run_campaign_from(
                 (classify(&r, &golden.output), r.forensics)
             }
             ForkEnd::Settled(s) => {
-                SETTLED.fetch_add(1, Relaxed);
+                (if s.drained { &DRAINED } else { &SETTLED }).fetch_add(1, Relaxed);
                 (classify_settled(&s), s.forensics)
             }
         }
@@ -465,8 +475,10 @@ mod tests {
     /// ABFT} × forensics off/on (136 cells), the seed and simulated thread
     /// count rotating through 7/2, 11/4 and 5/1 from one workload to the
     /// next. The budget is four reference runs, so a hang costs little
-    /// and the reserve rule is in play. Release only, where it takes about
-    /// 25 s on a two-core x86-64 host; a debug build skips it.
+    /// and the reserve rule is in play. Some forks must settle at a
+    /// rollback, some where their taint drained, and some run to their
+    /// end. Release only, where it takes about 17 s on a two-core x86-64
+    /// host; a debug build skips it.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "release only: cargo test -p haft-faults --release")]
     fn settling_campaigns_equal_the_reference_on_every_small_workload() {
@@ -504,7 +516,12 @@ mod tests {
             }
         }
         let after = settle_counts();
-        assert!(after.settled > before.settled && after.ended > before.ended, "{after:?}");
+        assert!(
+            after.settled > before.settled
+                && after.drained > before.drained
+                && after.ended > before.ended,
+            "{after:?}"
+        );
     }
 
     #[test]

@@ -259,12 +259,14 @@ impl<'a> Experiment<'a> {
     /// Cost: the injection runs share their fault-free prefix — one pilot
     /// VM is advanced to each planned occurrence and forked there
     /// ([`haft_faults::run_campaign_from`]) — and each fork stops where
-    /// the transaction its flip landed in rolls back
-    /// ([`haft_vm::Vm::run_to_settlement`]). So `n` injections cost the
+    /// it settles ([`haft_vm::Vm::run_to_settlement`]): where the
+    /// transaction its flip landed in rolls back, or where the taint its
+    /// flip seeded drains, under any backend. So `n` injections cost the
     /// reference run, plus the pilot up to the last occurrence, plus per
-    /// injection its window from flip to rollback, or its suffix where no
-    /// rollback erases the flip, all against one decode of the module.
-    /// The report is identical to running every plan from scratch.
+    /// injection its window from flip to rollback or drain, or its suffix
+    /// where neither comes (plus at most a fixed window watched op by
+    /// op), all against one decode of the module. The report is identical
+    /// to running every plan from scratch.
     ///
     /// # Panics
     ///

@@ -31,10 +31,11 @@
 //!   quarter of the time, with the sum of the per-section minima;
 //! * the observed paths, unsampled, each beside its plain figure: two of
 //!   the cells under `run_profiled`, and a six-injection fork-driven
-//!   campaign over one HAFT and one native `Scale::Small` program with
+//!   campaign over two `Scale::Small` programs under each backend with
 //!   forensics on and off (the same simulated work either way, so the
 //!   ratio of the times is the ratio of ns per instruction), and how many
-//!   of their forks settled at a rollback (`haft::faults::settle_counts`).
+//!   of their forks settled at a rollback, settled where their taint
+//!   drained, or ran to their end (`haft::faults::settle_counts`).
 //!
 //! Run with: `cargo run --release --example hotspots -- [seconds]`
 //! (default 10; release builds carry the line tables, `debug = true`).
@@ -518,9 +519,10 @@ fn main() {
             );
         }
     }
-    let small = workload_by_name("linearreg", Scale::Small).expect("a Phoenix workload");
-    for (label, cfg) in &configs[..2] {
-        let exp = Experiment::workload(&small)
+    let smalls = ["linearreg", "histogram"]
+        .map(|name| workload_by_name(name, Scale::Small).expect("a Phoenix workload"));
+    for (small, (label, cfg)) in smalls.iter().flat_map(|w| configs.iter().map(move |c| (w, c))) {
+        let exp = Experiment::workload(small)
             .vm(perf_vm(2, recommended_threshold(small.name)))
             .seed(1)
             .harden(cfg.clone());
@@ -537,12 +539,12 @@ fn main() {
         let before = settle_counts();
         let (off, on) = (campaign(false), campaign(true));
         let after = settle_counts();
-        let settled = after.settled - before.settled;
-        let forks = settled + after.ended - before.ended;
+        let (rollback, drain) = (after.settled - before.settled, after.drained - before.drained);
+        let ended = after.ended - before.ended;
         let name = format!("{}.{label}", small.name);
         println!(
             "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}  \
-             settled {settled}/{forks} forks",
+             forks: rollback {rollback} / drain {drain} / ended {ended}",
             on / off
         );
     }
