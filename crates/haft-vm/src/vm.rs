@@ -1278,12 +1278,12 @@ impl<'m> Vm<'m> {
         let resume = t.sb.clock + penalty;
         t.sb.flush_to(resume);
         let aborted = t.attempt;
-        let heap = (aborted.1, self.mem.heap_next());
+        let allocated = self.mem.heap_next() != aborted.1;
         // Roll the shadow set back with the architectural state; if the
         // rollback erased the last live corruption, the HTM recovered the
         // fault, and the drain may settle the fork.
         let drained = self.forensics.as_deref_mut().is_some_and(|fx| {
-            fx.on_abort(tid, heap, self.instructions, self.wall_cycles + t.sb.clock)
+            fx.on_abort(tid, allocated, self.instructions, self.wall_cycles + t.sb.clock)
         });
         t.retries += 1;
         if t.retries <= MAX_TX_RETRIES {

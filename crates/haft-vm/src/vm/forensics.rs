@@ -499,25 +499,24 @@ impl ForensicsState {
         }
     }
 
-    /// Abort hook, after the architectural rollback of an attempt that
-    /// began with the heap bump pointer at `heap_then` (now `heap_now`):
-    /// replays the thread's undo log in reverse, then — if the rollback
-    /// erased the last live corruption — credits the HTM with the
-    /// recovery. True if that drain settles the fork.
+    /// Abort hook, after the architectural rollback of an attempt (which
+    /// `allocated` or not): replays the thread's undo log in reverse,
+    /// then — if the rollback erased the last live corruption — credits
+    /// the HTM with the recovery. True if that drain settles the fork.
     pub(super) fn on_abort(
         &mut self,
         tid: usize,
-        (heap_then, heap_now): (u64, u64),
+        allocated: bool,
         insts_now: u64,
         cycles_now: u64,
     ) -> bool {
         if !self.tracking() {
             return false;
         }
-        // Refusal: the attempt allocated. The rollback leaves the heap
-        // pointer where the allocation moved it, so the retry — and every
+        // Refusal: the rollback leaves the heap pointer where the
+        // attempt's allocation moved it, so the retry — and every
         // allocation after it — lands elsewhere than in the fault-free run.
-        if heap_now != heap_then {
+        if allocated {
             self.refuse();
         }
         let mut log = std::mem::take(&mut self.undo[tid]);
@@ -949,7 +948,7 @@ mod tests {
                     model.escaped |= model.mem_bytes() > 0;
                 }
                 _ => {
-                    fx.on_abort(tid, (0, 0), 0, 0);
+                    fx.on_abort(tid, false, 0, 0);
                     model.abort(tid);
                     let drained = model.taint.is_empty() && model.undo.iter().all(|u| u.is_empty());
                     assert_eq!(matches!(fx.phase, Phase::Done), drained, "step {step}");
