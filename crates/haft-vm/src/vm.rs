@@ -883,9 +883,9 @@ impl<'m> Vm<'m> {
     ///
     /// With forensics on, the record still freezes at its first detector
     /// and tracking goes on past it only to see the drain. That
-    /// settle-only window is capped at a fixed number of ops: past it the
-    /// fork drops the taint state and runs at run speed, as it would
-    /// without settling.
+    /// settle-only window is capped at 256 ops or 1/64 of the rest of
+    /// the reference run, whichever is more: past it the fork drops the
+    /// taint state and runs at run speed, as it would without settling.
     pub fn run_to_settlement(mut self, reserve: u64) -> ForkEnd {
         self.settle_reserve = Some(reserve);
         if let (Some(_), Some(last)) =

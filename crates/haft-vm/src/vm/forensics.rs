@@ -50,8 +50,8 @@
 //! detector: where the set drains, nothing the flip reached differs from
 //! the fault-free run, and the fork stops. Each way the set can miss a
 //! difference refuses that for good ([`ForensicsState::refuse`]); the
-//! settle-only window is capped at [`SETTLE_WINDOW`] ops, past which the
-//! state is dropped and the fork runs at run speed.
+//! settle-only window is capped ([`SETTLE_WINDOW`]), past which the state
+//! is dropped and the fork runs at run speed.
 
 use haft_htm::table::OpenTable;
 use haft_ir::function::{Function, ValueId};
