@@ -104,7 +104,7 @@ pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) ->
     // Step 1: reference run — trace size and golden output — against the
     // decoded code every run of the campaign shares.
     let ref_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
-    let prepared = Prepared::new(module, &ref_cfg);
+    let prepared = Prepared::new(module);
     let golden = Vm::run_prepared(module, &prepared, ref_cfg, spec, None);
     run_campaign_from(module, spec, cfg, &prepared, &golden)
 }

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use haft_trace::{MetricsSnapshot, TraceBuf, TraceEvent};
+use haft_trace::MetricsSnapshot;
 use haft_vm::{FaultDetector, Forensics};
 
 use crate::classify::{Group, Outcome};
@@ -96,16 +96,6 @@ impl LatencyHistogram {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    /// Human-readable range label for bucket `i` (`"0"`, `"1"`, `"2-3"`,
-    /// `"4-7"`, ...).
-    pub fn bucket_label(i: usize) -> String {
-        match i {
-            0 => "0".to_string(),
-            1 => "1".to_string(),
-            i => format!("{}-{}", 1u64 << (i - 1), (1u64 << i) - 1),
-        }
     }
 }
 
@@ -227,25 +217,6 @@ impl ForensicsSummary {
         m.set("faults.propagation.mean", self.propagation.mean());
         m.set("faults.propagation.max", self.propagation.max as f64);
     }
-
-    /// Emits the aggregate as instant events (one per detector) so the
-    /// campaign summary shows up alongside the per-run `fault.flip` /
-    /// `fault.window` events the VM traced.
-    pub fn trace_into(&self, buf: &mut TraceBuf) {
-        for d in FaultDetector::ALL {
-            let h = self.latency_insts.get(&d).cloned().unwrap_or_default();
-            if h.count == 0 {
-                continue;
-            }
-            buf.push(
-                TraceEvent::instant("faults", "detect-latency", 0)
-                    .arg("detector", d.label())
-                    .arg("count", h.count)
-                    .arg("mean_insts", h.mean())
-                    .arg("max_insts", h.max),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +255,6 @@ mod tests {
         assert_eq!(h.buckets[4], 1); // 9
         assert_eq!(h.buckets[10], 1); // 1000
         assert_eq!(h.percentile(50.0), 3); // 4th of 7 lands in bucket 2
-        assert_eq!(LatencyHistogram::bucket_label(4), "8-15");
         assert_eq!(h.percentile(100.0), 1023);
     }
 
@@ -328,14 +298,5 @@ mod tests {
         }
         assert_eq!(m.get("faults.forensics.fired"), Some(0.0));
         assert_eq!(m.get("faults.propagation.max"), Some(0.0));
-    }
-
-    #[test]
-    fn trace_events_cover_only_fired_detectors() {
-        let mut s = ForensicsSummary::default();
-        s.record(Outcome::IlrDetected, &rec(FaultDetector::Ilr, 4, "f", "int-alu"));
-        let mut buf = TraceBuf::new();
-        s.trace_into(&mut buf);
-        assert_eq!(buf.len(), 1);
     }
 }

@@ -44,13 +44,6 @@ impl CampaignReport {
         Outcome::ALL.iter().filter(|o| o.group() == g).map(|o| self.pct(*o)).sum()
     }
 
-    /// Detection rate: faults that did not result in SDC, as a percentage
-    /// (the paper's "98.9 % of data corruptions detected" headline is
-    /// `100 - pct(Sdc)` against the native SDC population).
-    pub fn non_sdc_pct(&self) -> f64 {
-        100.0 - self.pct(Outcome::Sdc)
-    }
-
     /// Merges another report in (one campaign per program into a suite
     /// total, say).
     pub fn merge(&mut self, other: &CampaignReport) {
@@ -105,7 +98,6 @@ mod tests {
         let total: f64 = Outcome::ALL.iter().map(|o| r.pct(*o)).sum();
         assert!((total - 100.0).abs() < 1e-9);
         assert!((r.pct(Outcome::Masked) - 75.0).abs() < 1e-9);
-        assert!((r.non_sdc_pct() - 75.0).abs() < 1e-9);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl<'a> BatchRunner<'a> {
         // Size the arena to the module plus heap slack instead.
         let needed: u64 = hardened.globals.iter().map(|g| g.size + 64).sum::<u64>() + (1 << 16);
         vm.mem_bytes = vm.mem_bytes.min(needed.next_power_of_two().max(1 << 17));
-        let prepared = Prepared::new(hardened, &vm);
+        let prepared = Prepared::new(hardened);
         let mut arena = Memory::new(hardened, vm.mem_bytes);
         let len = hardened.globals[reqs as usize].size;
         let base = |g: u32| arena.global_bases[g as usize];
@@ -684,12 +684,14 @@ mod tests {
             for plan in [corrupt, crash, corrupt] {
                 fresh_run(&runner, &head, Some(plan));
                 let r = fresh_run(&runner, &next, None);
-                assert!(r.output_matches(&next.map(golden_reply)), "{} after {plan:?}", m.name);
+                let want = (RunOutcome::Completed, next.map(golden_reply).to_vec());
+                assert_eq!((r.outcome, r.output), want, "{} after {plan:?}", m.name);
             }
         }
         let native = BatchRunner::new(&modules[0], spec, VmConfig::default());
         assert_ne!(native.run_batch(&head, Some(crash), None).outcome, RunOutcome::Completed);
         let corrupted = native.run_batch(&head, Some(corrupt), None);
-        assert!(!corrupted.output_matches(&head.map(golden_reply)), "the table was corrupted");
+        let replies = (corrupted.outcome, corrupted.output);
+        assert_ne!(replies, (RunOutcome::Completed, head.map(golden_reply).to_vec()), "corrupted");
     }
 }

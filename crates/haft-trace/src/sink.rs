@@ -47,15 +47,6 @@ impl TraceBuf {
     pub fn take(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
     }
-
-    /// Splices `events` in after rescaling each onto this buffer's
-    /// timeline (see [`TraceEvent::rescale`]).
-    pub fn extend_rescaled(&mut self, events: Vec<TraceEvent>, scale: f64, offset: u64) {
-        self.events.extend(events.into_iter().map(|mut ev| {
-            ev.rescale(scale, offset);
-            ev
-        }));
-    }
 }
 
 impl TraceSink for TraceBuf {
@@ -122,11 +113,11 @@ mod tests {
     fn buf_takes_and_rescales() {
         let mut buf = TraceBuf::new();
         buf.push(TraceEvent::instant("vm", "a", 10));
-        let mut outer = TraceBuf::new();
-        outer.extend_rescaled(buf.take(), 2.0, 100);
+        let mut taken = buf.take();
         assert!(buf.is_empty());
-        assert_eq!(outer.len(), 1);
-        assert_eq!(outer.events[0].ts, 120);
+        assert_eq!(taken.len(), 1);
+        taken[0].rescale(2.0, 100);
+        assert_eq!(taken[0].ts, 120);
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //! budget of helper threads that the drivers above it lease from.
 
 pub mod cores;
-pub mod cost;
+mod cost;
 pub mod fault;
 pub mod mem;
 pub mod vm;
 
-pub use cost::CostConfig;
 pub use fault::FaultPlan;
 pub use mem::{Memory, Trap};
 pub use vm::{
@@ -44,7 +43,6 @@ const _: () = {
     assert_send_sync::<VmConfig>();
     assert_send_sync::<RunSpec<'static>>();
     assert_send_sync::<RunResult>();
-    assert_send_sync::<CostConfig>();
     assert_send_sync::<FaultPlan>();
     // Campaign workers share one `Prepared` and take forked `Vm`s over a
     // channel.

@@ -10,7 +10,7 @@ use haft_ir::rng::Prng;
 use haft_ir::types::Ty;
 use haft_trace::{MetricsSnapshot, TraceBuf, TraceEvent};
 
-use crate::cost::{CostConfig, Scoreboard};
+use crate::cost::{self, Scoreboard};
 use crate::fault::FaultPlan;
 use crate::mem::{Memory, Trap};
 
@@ -59,8 +59,6 @@ pub struct VmConfig {
     pub htm: HtmConfig,
     /// Enable HAFT's lock-elision wrapper (paper §3.3).
     pub lock_elision: bool,
-    /// Core cost model.
-    pub cost: CostConfig,
     /// Scheduler window in simulated *cycles*, not instructions: every
     /// ready thread runs until its clock reaches a common horizon of
     /// `min ready clock + quantum/2 + jitter`, jitter uniform in
@@ -96,7 +94,6 @@ impl Default for VmConfig {
             tx_threshold: 1000,
             htm: HtmConfig::default(),
             lock_elision: false,
-            cost: CostConfig::default(),
             quantum: 64,
             seed: 0x5EED_1234,
             mem_bytes: 1 << 24,
@@ -200,11 +197,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// True if the run completed and produced `expected` output.
-    pub fn output_matches(&self, expected: &[u64]) -> bool {
-        self.outcome == RunOutcome::Completed && self.output == expected
-    }
-
     /// Exports the run's counters through the unified metrics registry:
     /// `vm.cycles.{init,worker,fini,wall,cpu}`, `vm.instructions`,
     /// `vm.register_writes`, `vm.detections`, `vm.recoveries`,
@@ -331,9 +323,9 @@ pub struct Settlement {
     pub forensics: Option<Forensics>,
 }
 
-/// One simulated thread: its frame stack, its [`Scoreboard`] (built once
-/// from the run's `CostConfig` width and window, reset per phase), its
-/// transaction state, and each engine's memory-ordering side structures.
+/// One simulated thread: its frame stack, its [`Scoreboard`] (reset per
+/// phase), its transaction state, and each engine's memory-ordering side
+/// structures.
 #[derive(Clone, Debug)]
 struct Thread {
     frames: Vec<Frame>,
@@ -380,11 +372,11 @@ struct Thread {
 }
 
 impl Thread {
-    fn new(cost: &CostConfig) -> Self {
+    fn new() -> Self {
         Thread {
             frames: Vec::new(),
             state: ThreadState::Done,
-            sb: Scoreboard::new(cost.width, cost.rob),
+            sb: Scoreboard::new(),
             counter: 0,
             threshold: 0,
             store_done: HashMap::new(),
@@ -444,13 +436,13 @@ struct Cursor {
     ended: Option<RunOutcome>,
 }
 
-/// Everything about a run that depends only on the module's functions,
-/// its global *layout* and the cost model: the decoded code and the pause
-/// slack. Build it once ([`Prepared::new`]) and run any number of VMs
-/// against it — [`Vm::run_prepared`], [`Vm::run_in`], [`Vm::start`] — as
-/// long as those three stay the same; global initial *bytes*, seeds, thread counts,
-/// fault plans, the [`Engine`] and every other [`VmConfig`] field may
-/// differ from run to run.
+/// Everything about a run that depends only on the module's functions and
+/// its global *layout*: the decoded code and the pause slack. Build it
+/// once ([`Prepared::new`]) and run any number of VMs against it —
+/// [`Vm::run_prepared`], [`Vm::run_in`], [`Vm::start`] — as long as those
+/// two stay the same; global initial *bytes*, seeds, thread counts, fault
+/// plans, the [`Engine`] and every [`VmConfig`] field may differ from run
+/// to run.
 #[derive(Debug)]
 pub struct Prepared {
     /// What [`Engine::Fused`] executes, and the vocabulary in which both
@@ -466,10 +458,10 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Decodes `module` (and takes its fuse census) under `cfg.cost`.
-    pub fn new(module: &Module, cfg: &VmConfig) -> Self {
+    /// Decodes `module` (and takes its fuse census).
+    pub fn new(module: &Module) -> Self {
         let (global_bases, _) = Memory::layout(module);
-        let decoded = decode::Decoded::decode(module, &global_bases, &cfg.cost);
+        let decoded = decode::Decoded::decode(module, &global_bases);
         let pause_slack = module
             .funcs
             .iter()
@@ -542,8 +534,7 @@ impl<'m> Vm<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cost` fails [`CostConfig::validate`] or `cfg.htm`
-    /// fails [`HtmConfig::validate`].
+    /// Panics if `cfg.htm` fails [`HtmConfig::validate`].
     pub fn new(module: &'m Module, cfg: VmConfig) -> Self {
         let mem = Memory::new(module, cfg.mem_bytes);
         Vm::over(module, cfg, mem)
@@ -551,13 +542,10 @@ impl<'m> Vm<'m> {
 
     /// [`Vm::new`] over the initial arena `mem`.
     fn over(module: &'m Module, cfg: VmConfig, mem: Memory) -> Self {
-        if let Err(why) = cfg.cost.validate() {
-            panic!("invalid CostConfig: {why}");
-        }
         let htm = Htm::new(cfg.htm.clone(), cfg.n_threads.max(1));
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
-        let threads = (0..n_threads).map(|_| Thread::new(&cfg.cost)).collect();
+        let threads = (0..n_threads).map(|_| Thread::new()).collect();
         let fault = cfg.fault.map_or(Upset::None, Upset::new);
         let forensics = (cfg.forensics && cfg.fault.is_some())
             .then(|| Box::new(forensics::ForensicsState::new(n_threads, true)));
@@ -599,7 +587,7 @@ impl<'m> Vm<'m> {
     /// metrics registry (`vm.fuse.*` names); does not run anything.
     pub fn fusion_metrics(module: &Module, cfg: &VmConfig) -> MetricsSnapshot {
         let mem = Memory::new(module, cfg.mem_bytes);
-        let stats = decode::Decoded::decode(module, &mem.global_bases, &cfg.cost).stats;
+        let stats = decode::Decoded::decode(module, &mem.global_bases).stats;
         let mut m = MetricsSnapshot::new();
         m.set("vm.fuse.alu_pairs", stats.alu_pairs as f64);
         m.set("vm.fuse.cmp_br", stats.cmp_br as f64);
@@ -611,19 +599,18 @@ impl<'m> Vm<'m> {
 
     /// Executes all phases of `spec` and returns the measurements.
     pub fn run(module: &'m Module, cfg: VmConfig, spec: RunSpec<'_>) -> RunResult {
-        let prepared = Prepared::new(module, &cfg);
+        let prepared = Prepared::new(module);
         Self::run_prepared(module, &prepared, cfg, spec, None)
     }
 
     /// [`Vm::run`] against a [`Prepared`] handle built earlier for the
-    /// same functions, global layout and cost model, so that many runs
-    /// decode once; with `trace` attached it is [`Vm::run_traced`]. The
-    /// result is bit-identical to the from-scratch call either way.
+    /// same functions and global layout, so that many runs decode once;
+    /// with `trace` attached it is [`Vm::run_traced`]. The result is
+    /// bit-identical to the from-scratch call either way.
     ///
     /// # Panics
     ///
-    /// Panics if `prepared` does not fit `module` and `cfg` (see
-    /// [`Vm::start`]).
+    /// Panics if `prepared` does not fit `module` (see [`Vm::start`]).
     pub fn run_prepared(
         module: &Module,
         prepared: &Prepared,
@@ -678,7 +665,7 @@ impl<'m> Vm<'m> {
         spec: RunSpec<'_>,
         buf: &mut TraceBuf,
     ) -> RunResult {
-        let prepared = Prepared::new(module, &cfg);
+        let prepared = Prepared::new(module);
         Vm::run_prepared(module, &prepared, cfg, spec, Some(buf))
     }
 
@@ -691,7 +678,7 @@ impl<'m> Vm<'m> {
         cfg: VmConfig,
         spec: RunSpec<'_>,
     ) -> (RunResult, CycleProfile) {
-        let prepared = Prepared::new(module, &cfg);
+        let prepared = Prepared::new(module);
         let mut vm = Vm::start(module, &prepared, cfg, spec);
         vm.profiler = Some(Profiler::new(vm.threads.len(), module.funcs.len()));
         let outcome = vm.resume().expect("no pause point is set");
@@ -708,9 +695,9 @@ impl<'m> Vm<'m> {
     /// # Panics
     ///
     /// Panics if `prepared` was built for another function count or
-    /// global layout than `module` and `cfg` have. (A different cost
-    /// model or different function *bodies* cannot be told apart here;
-    /// keeping those fixed is the caller's side of the contract.)
+    /// global layout than `module` has. (Different function *bodies*
+    /// cannot be told apart here; keeping them fixed is the caller's side
+    /// of the contract.)
     pub fn start(
         module: &'m Module,
         prepared: &'m Prepared,
@@ -1237,7 +1224,6 @@ impl<'m> Vm<'m> {
     /// Rolls back after an abort; decides between retry and fallback.
     fn tx_abort(&mut self, tid: usize, cause: AbortCause) {
         self.htm.abort(tid, cause);
-        let penalty = self.cfg.cost.abort_penalty;
         let adaptive = self.cfg.adaptive_threshold;
         let t = &mut self.threads[tid];
         if adaptive && cause != AbortCause::IlrDetected {
@@ -1275,7 +1261,7 @@ impl<'m> Vm<'m> {
                 p.abort(tid, now, fid);
             }
         }
-        let resume = t.sb.clock + penalty;
+        let resume = t.sb.clock + cost::ABORT_PENALTY;
         t.sb.flush_to(resume);
         let aborted = t.attempt;
         let allocated = self.mem.heap_next() != aborted.1;
@@ -1460,26 +1446,24 @@ impl<'m> Vm<'m> {
     fn exec_tx_begin(&mut self, tid: usize) -> Flow {
         // XBEGIN drains the pipeline: the checkpoint covers all earlier
         // work, and speculation starts after it.
-        let cost = &self.cfg.cost;
-        let done = self.threads[tid].sb.issue_serial(cost.lat_tx_begin);
+        let done = self.threads[tid].sb.issue_serial(cost::LAT_TX_BEGIN);
         self.tx_begin(tid, done);
         Flow::Continue
     }
 
     fn exec_tx_end(&mut self, tid: usize) -> Flow {
-        let cost = &self.cfg.cost;
         let t = &mut self.threads[tid];
         if t.tx_depth > 1 {
             t.tx_depth -= 1;
-            t.sb.issue(0, cost.lat_int);
+            t.sb.issue(0, cost::LAT_INT);
         } else if t.in_tx() {
-            t.sb.issue_serial(cost.lat_tx_end);
+            t.sb.issue_serial(cost::LAT_TX_END);
             if let Err(cause) = self.tx_commit(tid) {
                 self.tx_abort(tid, cause);
             }
         } else {
             // Fallback mode: nothing to commit.
-            t.sb.issue(0, cost.lat_int);
+            t.sb.issue(0, cost::LAT_INT);
         }
         Flow::Continue
     }
@@ -1488,10 +1472,9 @@ impl<'m> Vm<'m> {
     /// elided — once its check has issued: commit and reopen, or re-enter
     /// transactional mode after a fallback.
     fn exec_tx_split(&mut self, tid: usize) -> Flow {
-        let cost = &self.cfg.cost;
         let t = &mut self.threads[tid];
         if t.in_tx() {
-            t.sb.issue_serial(cost.lat_tx_end);
+            t.sb.issue_serial(cost::LAT_TX_END);
             if let Err(cause) = self.tx_commit(tid) {
                 self.tx_abort(tid, cause);
                 return Flow::Continue;
@@ -1517,7 +1500,7 @@ impl<'m> Vm<'m> {
             self.tx_abort(tid, AbortCause::Unfriendly);
         } else {
             let t = &mut self.threads[tid];
-            t.sb.issue_serial(self.cfg.cost.lat_emit);
+            t.sb.issue_serial(cost::LAT_EMIT);
             t.emitted.push(val);
         }
         Flow::Continue
@@ -1568,7 +1551,7 @@ impl<'m> Vm<'m> {
                 self.htm.access(tid, addr, 8, AccessKind::Read);
                 match self.mem_load(tid, addr, 8) {
                     Ok(0) => {
-                        self.threads[tid].sb.issue(ready, self.cfg.cost.lat_load_hit);
+                        self.threads[tid].sb.issue(ready, cost::LAT_LOAD_HIT);
                         self.threads[tid].elided.push(addr);
                         Flow::Continue
                     }
@@ -1597,7 +1580,7 @@ impl<'m> Vm<'m> {
                     let release = self.lock_release_clock.get(&addr).copied().unwrap_or(0);
                     let t = &mut self.threads[tid];
                     t.sb.flush_to(release);
-                    t.sb.issue_serial(self.cfg.cost.lat_lock);
+                    t.sb.issue_serial(cost::LAT_LOCK);
                     Flow::Continue
                 }
                 Ok(_) => Flow::Blocked(addr),
@@ -1609,7 +1592,7 @@ impl<'m> Vm<'m> {
     fn exec_unlock(&mut self, tid: usize, addr: u64, ready: u64) -> Flow {
         if self.threads[tid].elided.last() == Some(&addr) {
             self.threads[tid].elided.pop();
-            self.threads[tid].sb.issue(ready, self.cfg.cost.lat_int);
+            self.threads[tid].sb.issue(ready, cost::LAT_INT);
             return Flow::Continue;
         }
         if self.threads[tid].in_tx() {
@@ -1621,7 +1604,7 @@ impl<'m> Vm<'m> {
         let _ = ready;
         match self.mem.store(addr, 8, 0) {
             Ok(()) => {
-                let done = self.threads[tid].sb.issue_serial(self.cfg.cost.lat_unlock);
+                let done = self.threads[tid].sb.issue_serial(cost::LAT_UNLOCK);
                 self.lock_release_clock.insert(addr, done);
                 Flow::Continue
             }

@@ -28,7 +28,7 @@ use haft_ir::types::Ty;
 
 use super::profile::OpClass;
 use super::{fuse, FUNC_BASE};
-use crate::cost::CostConfig;
+use crate::cost;
 
 /// A pre-resolved operand: a register slot in the current frame, or a
 /// constant whose value is fully known at decode time.
@@ -388,10 +388,9 @@ fn make_edge(
 }
 
 impl Decoded {
-    /// Lowers every function of `m`. Pure function of the module, the
-    /// global layout, and the cost table — safe to share across threads
-    /// and runs.
-    pub(crate) fn decode(m: &Module, global_bases: &[u64], cost: &CostConfig) -> Decoded {
+    /// Lowers every function of `m`. Pure function of the module and the
+    /// global layout — safe to share across threads and runs.
+    pub(crate) fn decode(m: &Module, global_bases: &[u64]) -> Decoded {
         let mut moves = Vec::new();
         let mut args: Vec<Src> = Vec::new();
         let mut n_condbrs = 0usize;
@@ -421,7 +420,7 @@ impl Decoded {
                                 a: lower(a, global_bases),
                                 b: lower(b, global_bases),
                                 dst: dst.expect("bin has result"),
-                                lat: cost.compute_latency(&inst.op),
+                                lat: cost::compute_latency(&inst.op),
                             };
                             DOp::bin(*op, *ty, x)
                         }
@@ -430,14 +429,14 @@ impl Decoded {
                             ty: *ty,
                             a: lower(a, global_bases),
                             dst: dst.expect("un has result"),
-                            lat: cost.compute_latency(&inst.op),
+                            lat: cost::compute_latency(&inst.op),
                         },
                         Op::Cmp { op, ty, a, b } => {
                             let x = Alu2 {
                                 a: lower(a, global_bases),
                                 b: lower(b, global_bases),
                                 dst: dst.expect("cmp has result"),
-                                lat: cost.lat_int,
+                                lat: cost::LAT_INT,
                             };
                             match (op, ty) {
                                 (CmpOp::Eq, Ty::I64 | Ty::Ptr) => DOp::CmpEq64(x),
@@ -622,7 +621,7 @@ mod tests {
     use haft_ir::function::ValueId;
 
     fn decode_module(m: &Module) -> Decoded {
-        Decoded::decode(m, &Memory::layout(m).0, &CostConfig::default())
+        Decoded::decode(m, &Memory::layout(m).0)
     }
 
     /// Builds `fn f() { b0: br b1; b1: phi [(7, b0)]; ret phi }`.
@@ -688,7 +687,7 @@ mod tests {
         f.push_to_block(f.entry(), ret);
         m.push_func(f);
         let mem = Memory::new(&m, 1 << 16);
-        let d = Decoded::decode(&m, &mem.global_bases, &CostConfig::default());
+        let d = Decoded::decode(&m, &mem.global_bases);
         let DOp::Load { addr, .. } = d.funcs[0].code[0] else { panic!() };
         assert_eq!(addr, Src::Const(mem.global_bases[0]));
         let DOp::Bin { b, a, .. } = d.funcs[0].code[1] else { panic!("an i8 add stays generic") };

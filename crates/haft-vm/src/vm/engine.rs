@@ -66,7 +66,7 @@ use super::{
     eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, RunOutcome, Upset, Vm, FUNC_BASE,
     MAX_CALL_DEPTH,
 };
-use crate::cost::{CostConfig, Scoreboard};
+use crate::cost::{self, Scoreboard};
 use crate::mem::{Memory, Trap};
 
 /// What [`RunCtx::exec`] did with an op.
@@ -83,7 +83,7 @@ enum Ran {
 }
 
 /// Everything a run-eligible op can touch, borrowed once: the live
-/// frame's register window, the thread's cost and memory-ordering state,
+/// frame's register window, the thread's scoreboard and memory-ordering state,
 /// and the `Vm` fields behind register writes and memory accesses. While
 /// it is held the thread stays in one frame of one function, in or out of
 /// one transaction, so those facts are plain copies.
@@ -107,7 +107,6 @@ struct RunCtx<'a> {
     phi_scratch: &'a mut Vec<(u32, u64, u64, Ty)>,
     htm: &'a mut Htm,
     mem: &'a mut Memory,
-    cost: &'a CostConfig,
     d: &'a Decoded,
     /// Forensics sink and the live frame's coordinates, read only by the
     /// register write the fault lands on.
@@ -165,7 +164,7 @@ impl RunCtx<'_> {
     /// `write_reg_forwarded`).
     #[inline(always)]
     fn forward(&mut self, dst: u32, val: u64, ready: u64, ty: Ty) {
-        let done = self.sb.issue(ready, self.cost.lat_vote);
+        let done = self.sb.issue(ready, cost::LAT_VOTE);
         self.regs[dst as usize] = Reg { val: val & ty.mask(), ready: done };
     }
 
@@ -230,24 +229,24 @@ impl RunCtx<'_> {
                 self.wreg(dst, eval_un(op, ty, av), done, ty);
             }
             DOp::Cmp { op, ty, a, b, dst } => {
-                let x = Alu2 { a, b, dst, lat: self.cost.lat_int };
+                let x = Alu2 { a, b, dst, lat: cost::LAT_INT };
                 self.alu2(x, Ty::I1, |av, bv| eval_cmp(op, ty, av, bv) as u64);
             }
             DOp::MoveV { ty, a, dst } => {
                 let (av, ar) = self.rd(a);
-                let done = self.sb.issue(ar, self.cost.lat_int);
+                let done = self.sb.issue(ar, cost::LAT_INT);
                 self.wreg(dst, av, done, ty);
             }
             DOp::Cast { kind, from, to, a, dst } => {
                 let (av, ar) = self.rd(a);
-                let done = self.sb.issue(ar, self.cost.lat_int);
+                let done = self.sb.issue(ar, cost::LAT_INT);
                 self.wreg(dst, eval_cast(kind, from, to, av), done, to);
             }
             DOp::Select { ty, c, t, f, dst } => {
                 let (cv, cr) = self.rd(c);
                 let (tv, tr) = self.rd(t);
                 let (fv, fr) = self.rd(f);
-                let done = self.sb.issue(cr.max(tr).max(fr), self.cost.lat_int);
+                let done = self.sb.issue(cr.max(tr).max(fr), cost::LAT_INT);
                 self.wreg(dst, if cv & 1 != 0 { tv } else { fv }, done, ty);
             }
             DOp::Gep { base, index, scale, offset, dst } => {
@@ -255,7 +254,7 @@ impl RunCtx<'_> {
                 let (iv, ir) = self.rd(index);
                 let v =
                     bv.wrapping_add((iv as i64).wrapping_mul(scale) as u64).wrapping_add(offset);
-                let done = self.sb.issue(br.max(ir), self.cost.lat_int);
+                let done = self.sb.issue(br.max(ir), cost::LAT_INT);
                 self.wreg(dst, v, done, Ty::Ptr);
             }
 
@@ -273,11 +272,11 @@ impl RunCtx<'_> {
                     v = self.fovl.merge(av, len, v);
                 }
                 let lat = if atomic {
-                    self.cost.lat_atomic
+                    cost::LAT_ATOMIC
                 } else if hit {
-                    self.cost.lat_load_hit
+                    cost::LAT_LOAD_HIT
                 } else {
-                    self.cost.lat_load_miss
+                    cost::LAT_LOAD_MISS
                 };
                 let dep = self.store_done.ready(av, len);
                 let done = self.sb.issue(ar.max(dep), lat);
@@ -297,7 +296,7 @@ impl RunCtx<'_> {
                 } else {
                     self.mem.store(av, len, vv).expect("bounds checked above");
                 }
-                let lat = if atomic { self.cost.lat_atomic } else { self.cost.lat_store };
+                let lat = if atomic { cost::LAT_ATOMIC } else { cost::LAT_STORE };
                 let done = self.sb.issue(vr.max(ar), lat);
                 self.store_done.note(av, len, done);
                 return Ran::Mem;
@@ -305,18 +304,18 @@ impl RunCtx<'_> {
 
             // --- control ----------------------------------------------------
             DOp::Br { edge } => {
-                self.sb.issue(0, self.cost.lat_branch);
+                self.sb.issue(0, cost::LAT_BRANCH);
                 self.take_edge(edge);
             }
             DOp::CondBr { cond, t, f, bp } => {
                 let (cv, cr) = self.rd(cond);
                 let taken = cv & 1 != 0;
-                let done = self.sb.issue(cr, self.cost.lat_branch);
+                let done = self.sb.issue(cr, cost::LAT_BRANCH);
                 // Dense 1-bit predictor: 0 unknown, 1 not-taken, 2 taken.
                 let prev = std::mem::replace(&mut self.bp_dense[bp as usize], 1 + taken as u8);
                 if prev != 0 && (prev == 2) != taken {
                     *self.mispredicts += 1;
-                    self.sb.flush_to(done + self.cost.mispredict_penalty);
+                    self.sb.flush_to(done + cost::MISPREDICT_PENALTY);
                 }
                 self.take_edge(if taken { t } else { f });
             }
@@ -326,11 +325,11 @@ impl RunCtx<'_> {
                 if *self.counter >= self.split_at {
                     return Ran::Refused;
                 }
-                self.sb.issue(0, self.cost.lat_tx_split_check);
+                self.sb.issue(0, cost::LAT_TX_SPLIT_CHECK);
             }
             DOp::TxCounterInc { amount } => {
                 *self.counter += amount;
-                self.sb.issue(0, self.cost.lat_counter_inc);
+                self.sb.issue(0, cost::LAT_COUNTER_INC);
             }
             DOp::Vote { ty, a, b, c, dst } | DOp::ChkCorrect { ty, a, b, c, dst } => {
                 let (av, ar) = self.rd(a);
@@ -342,11 +341,11 @@ impl RunCtx<'_> {
                 self.forward(dst, av, ar.max(br).max(cr), ty);
             }
             DOp::ThreadIdD { dst } => {
-                let done = self.sb.issue(0, self.cost.lat_int);
+                let done = self.sb.issue(0, cost::LAT_INT);
                 self.wreg(dst, self.tid as u64, done, Ty::I64);
             }
             DOp::NumThreadsD { dst } => {
-                let done = self.sb.issue(0, self.cost.lat_int);
+                let done = self.sb.issue(0, cost::LAT_INT);
                 self.wreg(dst, self.n_threads, done, Ty::I64);
             }
             DOp::Nop => {}
@@ -405,7 +404,6 @@ impl<'m> Vm<'m> {
             phi_scratch: &mut self.phi_scratch,
             htm: &mut self.htm,
             mem: &mut self.mem,
-            cost: &self.cfg.cost,
             d,
             fx: &mut self.forensics,
             func: fr.func,
@@ -628,7 +626,7 @@ impl<'m> Vm<'m> {
             vals.push(v);
             ready = ready.max(r);
         }
-        cx.sb.issue(ready, cx.cost.lat_call);
+        cx.sb.issue(ready, cost::LAT_CALL);
         let frame = self.make_frame(FuncId(target), &vals, dst.map(ValueId));
         self.arg_scratch = vals;
         self.threads[tid].frames.push(frame);
@@ -677,7 +675,7 @@ impl<'m> Vm<'m> {
             }
             DOp::TxCondSplit => {
                 // At the threshold with no lock elided: commit and reopen.
-                self.threads[tid].sb.issue(0, self.cfg.cost.lat_tx_split_check);
+                self.threads[tid].sb.issue(0, cost::LAT_TX_SPLIT_CHECK);
                 self.exec_tx_split(tid)
             }
             resolved!()
@@ -712,7 +710,7 @@ impl<'m> Vm<'m> {
                             Ok(()) => {
                                 let mut cx = self.run_ctx(tid, d);
                                 let dep = cx.store_done.ready(av, len);
-                                let done = cx.sb.issue(ar.max(vr).max(dep), cx.cost.lat_atomic);
+                                let done = cx.sb.issue(ar.max(vr).max(dep), cost::LAT_ATOMIC);
                                 cx.store_done.note(av, len, done);
                                 cx.wreg(dst, old, done, ty);
                                 Flow::Continue
@@ -737,7 +735,7 @@ impl<'m> Vm<'m> {
                                 let mut cx = self.run_ctx(tid, d);
                                 let dep = cx.store_done.ready(av, len);
                                 let ready = ar.max(er).max(nr).max(dep);
-                                let done = cx.sb.issue(ready, cx.cost.lat_atomic);
+                                let done = cx.sb.issue(ready, cost::LAT_ATOMIC);
                                 cx.store_done.note(av, len, done);
                                 cx.wreg(dst, old, done, ty);
                                 Flow::Continue
@@ -753,7 +751,7 @@ impl<'m> Vm<'m> {
                 match self.mem.alloc(sv) {
                     Ok(base) => {
                         let mut cx = self.run_ctx(tid, d);
-                        let done = cx.sb.issue(sr, cx.cost.lat_alloc);
+                        let done = cx.sb.issue(sr, cost::LAT_ALLOC);
                         cx.wreg(dst, base, done, Ty::Ptr);
                         Flow::Continue
                     }
@@ -789,7 +787,7 @@ impl<'m> Vm<'m> {
             DOp::Ret { val } => {
                 let cx = self.run_ctx(tid, d);
                 let rv = val.map(|s| cx.rd(s));
-                let done = cx.sb.issue(rv.map(|(_, r)| r).unwrap_or(0), cx.cost.lat_call);
+                let done = cx.sb.issue(rv.map(|(_, r)| r).unwrap_or(0), cost::LAT_CALL);
                 let t = &mut self.threads[tid];
                 let frame = t.frames.pop().expect("live frame");
                 if t.frames.is_empty() {

@@ -24,6 +24,7 @@ use haft_ir::types::Ty;
 use super::{
     decode, eval_bin, eval_cast, eval_cmp, eval_un, Flow, Reg, Upset, Vm, FUNC_BASE, MAX_CALL_DEPTH,
 };
+use crate::cost;
 use crate::mem::Trap;
 
 impl<'m> Vm<'m> {
@@ -149,7 +150,7 @@ impl<'m> Vm<'m> {
             Op::Bin { op, ty, a, b } => {
                 let (av, ar) = self.operand(tid, a);
                 let (bv, br) = self.operand(tid, b);
-                let lat = self.cfg.cost.compute_latency(&inst.op);
+                let lat = cost::compute_latency(&inst.op);
                 match eval_bin(*op, *ty, av, bv) {
                     Ok(v) => {
                         let done = self.threads[tid].sb.issue(ar.max(br), lat);
@@ -161,7 +162,7 @@ impl<'m> Vm<'m> {
             }
             Op::Un { op, ty, a } => {
                 let (av, ar) = self.operand(tid, a);
-                let lat = self.cfg.cost.compute_latency(&inst.op);
+                let lat = cost::compute_latency(&inst.op);
                 let v = eval_un(*op, *ty, av);
                 let done = self.threads[tid].sb.issue(ar, lat);
                 self.write_reg(tid, result.unwrap(), v, done, *ty);
@@ -171,13 +172,13 @@ impl<'m> Vm<'m> {
                 let (av, ar) = self.operand(tid, a);
                 let (bv, br) = self.operand(tid, b);
                 let v = eval_cmp(*op, *ty, av, bv) as u64;
-                let done = self.threads[tid].sb.issue(ar.max(br), self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ar.max(br), cost::LAT_INT);
                 self.write_reg(tid, result.unwrap(), v, done, Ty::I1);
                 Flow::Continue
             }
             Op::Move { ty, a } => {
                 let (av, ar) = self.operand(tid, a);
-                let done = self.threads[tid].sb.issue(ar, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ar, cost::LAT_INT);
                 self.write_reg(tid, result.unwrap(), av, done, *ty);
                 Flow::Continue
             }
@@ -185,7 +186,7 @@ impl<'m> Vm<'m> {
                 let (av, ar) = self.operand(tid, a);
                 let from = f.operand_ty(a);
                 let v = eval_cast(*kind, from, *to, av);
-                let done = self.threads[tid].sb.issue(ar, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ar, cost::LAT_INT);
                 self.write_reg(tid, result.unwrap(), v, done, *to);
                 Flow::Continue
             }
@@ -195,7 +196,7 @@ impl<'m> Vm<'m> {
                 let (fvv, fr) = self.operand(tid, fv);
                 let v = if cv & 1 != 0 { tv } else { fvv };
                 let ready = cr.max(tr).max(fr);
-                let done = self.threads[tid].sb.issue(ready, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(ready, cost::LAT_INT);
                 self.write_reg(tid, result.unwrap(), v, done, *ty);
                 Flow::Continue
             }
@@ -205,7 +206,7 @@ impl<'m> Vm<'m> {
                 let v = bv
                     .wrapping_add((iv as i64).wrapping_mul(*scale as i64) as u64)
                     .wrapping_add(*offset as u64);
-                let done = self.threads[tid].sb.issue(br.max(ir), self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(br.max(ir), cost::LAT_INT);
                 self.write_reg(tid, result.unwrap(), v, done, Ty::Ptr);
                 Flow::Continue
             }
@@ -222,11 +223,11 @@ impl<'m> Vm<'m> {
                 match self.mem_load(tid, av, ty.size_bytes()) {
                     Ok(v) => {
                         let lat = if *atomic {
-                            self.cfg.cost.lat_atomic
+                            cost::LAT_ATOMIC
                         } else if hit {
-                            self.cfg.cost.lat_load_hit
+                            cost::LAT_LOAD_HIT
                         } else {
-                            self.cfg.cost.lat_load_miss
+                            cost::LAT_LOAD_MISS
                         };
                         let dep = self.mem_ready(tid, av, ty.size_bytes());
                         let done = self.threads[tid].sb.issue(ar.max(dep), lat);
@@ -242,11 +243,7 @@ impl<'m> Vm<'m> {
                 self.htm.access(tid, av, ty.size_bytes() as u64, AccessKind::Write);
                 match self.mem_store(tid, av, ty.size_bytes(), vv) {
                     Ok(()) => {
-                        let lat = if *atomic {
-                            self.cfg.cost.lat_atomic
-                        } else {
-                            self.cfg.cost.lat_store
-                        };
+                        let lat = if *atomic { cost::LAT_ATOMIC } else { cost::LAT_STORE };
                         let done = self.threads[tid].sb.issue(vr.max(ar), lat);
                         self.note_store(tid, av, ty.size_bytes(), done);
                         Flow::Continue
@@ -269,7 +266,7 @@ impl<'m> Vm<'m> {
                                 let dep = self.mem_ready(tid, av, ty.size_bytes());
                                 let done = self.threads[tid]
                                     .sb
-                                    .issue(ar.max(vr).max(dep), self.cfg.cost.lat_atomic);
+                                    .issue(ar.max(vr).max(dep), cost::LAT_ATOMIC);
                                 self.note_store(tid, av, ty.size_bytes(), done);
                                 self.write_reg(tid, result.unwrap(), old, done, *ty);
                                 Flow::Continue
@@ -296,8 +293,7 @@ impl<'m> Vm<'m> {
                             Ok(()) => {
                                 let dep = self.mem_ready(tid, av, ty.size_bytes());
                                 let ready = ar.max(er).max(nr).max(dep);
-                                let done =
-                                    self.threads[tid].sb.issue(ready, self.cfg.cost.lat_atomic);
+                                let done = self.threads[tid].sb.issue(ready, cost::LAT_ATOMIC);
                                 self.note_store(tid, av, ty.size_bytes(), done);
                                 self.write_reg(tid, result.unwrap(), old, done, *ty);
                                 Flow::Continue
@@ -312,7 +308,7 @@ impl<'m> Vm<'m> {
                 let (sv, sr) = self.operand(tid, size);
                 match self.mem.alloc(sv) {
                     Ok(base) => {
-                        let done = self.threads[tid].sb.issue(sr, self.cfg.cost.lat_alloc);
+                        let done = self.threads[tid].sb.issue(sr, cost::LAT_ALLOC);
                         self.write_reg(tid, result.unwrap(), base, done, Ty::Ptr);
                         Flow::Continue
                     }
@@ -322,20 +318,20 @@ impl<'m> Vm<'m> {
 
             // --- control ----------------------------------------------------
             Op::Br { dest } => {
-                self.threads[tid].sb.issue(0, self.cfg.cost.lat_branch);
+                self.threads[tid].sb.issue(0, cost::LAT_BRANCH);
                 self.take_edge(tid, fid, bid, *dest);
                 Flow::Continue
             }
             Op::CondBr { cond, t, f: fb } => {
                 let (cv, cr) = self.operand(tid, cond);
                 let taken = cv & 1 != 0;
-                let done = self.threads[tid].sb.issue(cr, self.cfg.cost.lat_branch);
+                let done = self.threads[tid].sb.issue(cr, cost::LAT_BRANCH);
                 // 1-bit predictor keyed by instruction identity.
                 let key = ((fid.0 as u64) << 32) | iid.0 as u64;
                 let predicted = self.threads[tid].bp.insert(key, taken);
                 if predicted != Some(taken) && predicted.is_some() {
                     self.mispredicts += 1;
-                    let resume = done + self.cfg.cost.mispredict_penalty;
+                    let resume = done + cost::MISPREDICT_PENALTY;
                     self.threads[tid].sb.flush_to(resume);
                 }
                 let dest = if taken { *t } else { *fb };
@@ -376,16 +372,15 @@ impl<'m> Vm<'m> {
                     vals.push(v);
                     ready = ready.max(r);
                 }
-                self.threads[tid].sb.issue(ready, self.cfg.cost.lat_call);
+                self.threads[tid].sb.issue(ready, cost::LAT_CALL);
                 let new_frame = self.make_frame(target, &vals, result);
                 self.threads[tid].frames.push(new_frame);
                 Flow::Continue
             }
             Op::Ret { val } => {
                 let rv = val.as_ref().map(|v| self.operand(tid, v));
-                let done = self.threads[tid]
-                    .sb
-                    .issue(rv.map(|(_, r)| r).unwrap_or(0), self.cfg.cost.lat_call);
+                let done =
+                    self.threads[tid].sb.issue(rv.map(|(_, r)| r).unwrap_or(0), cost::LAT_CALL);
                 let frame = self.threads[tid].frames.pop().expect("live frame");
                 if self.threads[tid].frames.is_empty() {
                     return Flow::ThreadDone;
@@ -402,7 +397,7 @@ impl<'m> Vm<'m> {
             Op::TxEnd => self.exec_tx_end(tid),
             Op::TxCondSplit => {
                 let t = &mut self.threads[tid];
-                t.sb.issue(0, self.cfg.cost.lat_tx_split_check);
+                t.sb.issue(0, cost::LAT_TX_SPLIT_CHECK);
                 // A split must not commit while a lock is elided: the
                 // critical section would lose its atomicity (and the
                 // matching unlock its elision record). Defer until the
@@ -416,7 +411,7 @@ impl<'m> Vm<'m> {
             Op::TxCounterInc { amount } => {
                 let t = &mut self.threads[tid];
                 t.counter += *amount as u64;
-                t.sb.issue(0, self.cfg.cost.lat_counter_inc);
+                t.sb.issue(0, cost::LAT_COUNTER_INC);
                 Flow::Continue
             }
             Op::TxAbort { code } => match code {
@@ -431,7 +426,7 @@ impl<'m> Vm<'m> {
                 match self.majority(tid, checksum, [av, bv, cv]) {
                     Some(v) => {
                         let ready = ar.max(br).max(cr);
-                        let done = self.threads[tid].sb.issue(ready, self.cfg.cost.lat_vote);
+                        let done = self.threads[tid].sb.issue(ready, cost::LAT_VOTE);
                         self.write_reg_forwarded(tid, result.unwrap(), v, done, *ty);
                         Flow::Continue
                     }
@@ -451,12 +446,12 @@ impl<'m> Vm<'m> {
                 self.exec_emit(tid, v)
             }
             Op::ThreadId => {
-                let done = self.threads[tid].sb.issue(0, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(0, cost::LAT_INT);
                 self.write_reg(tid, result.unwrap(), tid as u64, done, Ty::I64);
                 Flow::Continue
             }
             Op::NumThreads => {
-                let done = self.threads[tid].sb.issue(0, self.cfg.cost.lat_int);
+                let done = self.threads[tid].sb.issue(0, cost::LAT_INT);
                 self.write_reg(
                     tid,
                     result.unwrap(),

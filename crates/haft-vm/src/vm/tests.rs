@@ -482,7 +482,7 @@ fn fork_past_its_occurrence_is_refused() {
     let spec = RunSpec { fini: Some("fini"), ..Default::default() };
     for engine in [Engine::Interp, Engine::Fused] {
         let cfg = VmConfig { engine, ..Default::default() };
-        let prepared = Prepared::new(&m, &cfg);
+        let prepared = Prepared::new(&m);
         let mut pilot = Vm::start(&m, &prepared, cfg, spec);
         pilot.advance_to(40);
         let at = pilot.register_writes();
@@ -524,7 +524,7 @@ fn fork_both_ways(m: &Module, cfg: VmConfig, occurrence: u64) -> (RunResult, For
     let both = [Engine::Interp, Engine::Fused].map(|engine| {
         let cfg = VmConfig { engine, ..cfg.clone() };
         let clean = Vm::run(m, VmConfig { forensics: false, ..cfg.clone() }, spec);
-        let prepared = Prepared::new(m, &cfg);
+        let prepared = Prepared::new(m);
         let mut pilot = Vm::start(m, &prepared, VmConfig { forensics: false, ..cfg.clone() }, spec);
         pilot.advance_to(occurrence);
         let ended = pilot.fork(plan, cfg.forensics).run_to_end();
@@ -1347,8 +1347,7 @@ fn decode_resolved_opcodes_equal_the_generic_evaluators() {
             }
             fb.ret(None);
         });
-        let cfg = VmConfig::default();
-        let code = &Prepared::new(&m, &cfg).decoded.funcs[0].code;
+        let code = &Prepared::new(&m).decoded.funcs[0].code;
         assert_eq!(code.iter().filter(|op| resolved(op)).count(), 2 * pairs.len(), "{ty:?}");
         let expected: Vec<u64> = pairs.iter().flat_map(|&(a, b)| [want(a, b); 2]).collect();
         assert_eq!(run_fini(&m).output, expected, "{ty:?}");
@@ -1376,7 +1375,7 @@ fn narrow_and_trapping_bins_stay_generic() {
         }
         fb.ret(None);
     });
-    let code = &Prepared::new(&m, &VmConfig::default()).decoded.funcs[0].code;
+    let code = &Prepared::new(&m).decoded.funcs[0].code;
     let kept: Vec<_> = code
         .iter()
         .filter_map(|op| match op {
@@ -1399,7 +1398,7 @@ fn kv_shard_serve_decodes_every_64_bit_alu_op() {
     let w = kv_shard(KvSync::Atomics);
     for hc in [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr()] {
         let (m, _) = PassManager::from_config(&hc).run_on(&w.module);
-        let prepared = Prepared::new(&m, &VmConfig::default());
+        let prepared = Prepared::new(&m);
         let serve = m.func_by_name("serve").expect("kv_shard has serve");
         let code = &prepared.decoded.funcs[serve.0 as usize].code;
         let generic = code.iter().filter(
@@ -1453,24 +1452,8 @@ fn an_arena_laid_out_for_another_module_is_refused() {
     let mut other = m.clone();
     other.add_global("g", 8);
     let cfg = VmConfig::default();
-    let (prepared, mem) = (Prepared::new(&m, &cfg), Memory::new(&other, cfg.mem_bytes));
+    let (prepared, mem) = (Prepared::new(&m), Memory::new(&other, cfg.mem_bytes));
     Vm::run_in(&m, &prepared, cfg, RunSpec { fini: Some("fini"), ..Default::default() }, mem, None);
-}
-
-#[test]
-#[should_panic(expected = "invalid CostConfig: width")]
-fn zero_issue_width_is_refused_at_construction() {
-    let m = fini_module(|fb| fb.ret(None));
-    let cost = CostConfig { width: 0, ..Default::default() };
-    Vm::new(&m, VmConfig { cost, ..Default::default() });
-}
-
-#[test]
-#[should_panic(expected = "invalid CostConfig: rob")]
-fn zero_reorder_window_is_refused_at_construction() {
-    let m = fini_module(|fb| fb.ret(None));
-    let cost = CostConfig { rob: 0, ..Default::default() };
-    Vm::new(&m, VmConfig { cost, ..Default::default() });
 }
 
 // --- observation at run speed ---------------------------------------------------
@@ -1544,7 +1527,7 @@ fn a_flip_anywhere_gives_the_same_record_on_both_engines() {
     let m = observed_program(5);
     let cfg = |engine, fault| VmConfig { engine, fault, forensics: true, ..Default::default() };
     let writes = run(&m, cfg(Engine::Interp, None), FINI).register_writes;
-    let prepared = Prepared::new(&m, &cfg(Engine::Fused, None));
+    let prepared = Prepared::new(&m);
     let mut pilot = Vm::start(&m, &prepared, cfg(Engine::Fused, None), FINI);
     let mut classes = Vec::new();
     for k in 0..=writes {
@@ -1576,7 +1559,7 @@ fn the_one_op_arm_runs_only_while_a_taint_window_is_open() {
     const BODY_OPS: usize = 16;
     let m = observed_program(300);
     let cfg = |fault, forensics| VmConfig { fault, forensics, ..Default::default() };
-    let slack = Prepared::new(&m, &cfg(None, false)).pause_slack;
+    let slack = Prepared::new(&m).pause_slack;
     assert_eq!(slack, 2, "the two phis of the loop body");
     let (clean, refused) = arm_ops(|| run(&m, cfg(None, false), FINI));
     assert!(refused * 2 < clean.instructions, "{refused} of {} ops", clean.instructions);
@@ -1611,7 +1594,7 @@ fn profile_survives_pauses() {
     for engine in [Engine::Interp, Engine::Fused] {
         let cfg = VmConfig { engine, ..Default::default() };
         let (want, want_profile) = Vm::run_profiled(&m, cfg.clone(), FINI);
-        let prepared = Prepared::new(&m, &cfg);
+        let prepared = Prepared::new(&m);
         let mut vm = Vm::start(&m, &prepared, cfg, FINI);
         vm.profiler = Some(Profiler::new(1, m.funcs.len()));
         let mut pauses = 0;

@@ -53,15 +53,6 @@ pub fn xorshift(fb: &mut FunctionBuilder, s: ValueId) -> ValueId {
     fb.bin(BinOp::Xor, Ty::I64, s2, c)
 }
 
-/// Fixed-point conversion of an `f64` value: `(v * 1000) as i64`.
-///
-/// Output values are emitted in fixed point so floating-point results can
-/// be compared exactly across runs.
-pub fn fixpoint(fb: &mut FunctionBuilder, v: ValueId) -> ValueId {
-    let scaled = fb.bin(BinOp::FMul, Ty::F64, v, fb.fconst(1000.0));
-    fb.cast(haft_ir::inst::CastKind::FpToSi, Ty::I64, scaled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,19 +121,5 @@ mod tests {
         x ^= x >> 7;
         x ^= x << 17;
         assert_eq!(r.output, vec![x]);
-    }
-
-    #[test]
-    fn fixpoint_scales_and_truncates() {
-        let mut m = Module::new("t");
-        let mut fb = FunctionBuilder::new("fini", &[], None);
-        fb.set_non_local();
-        let v = fb.mov(Ty::F64, fb.fconst(1.2345));
-        let fx = fixpoint(&mut fb, v);
-        fb.emit_out(Ty::I64, fx);
-        fb.ret(None);
-        m.push_func(fb.finish());
-        let r = Experiment::new(&m).spec(fini_spec()).run().run;
-        assert_eq!(r.output, vec![1234]);
     }
 }

@@ -277,7 +277,7 @@ impl<'a> Experiment<'a> {
         let (module, stats) = self.built();
         let mut vm = self.vm.clone();
         vm.fault = None;
-        let prepared = Prepared::new(module, &vm);
+        let prepared = Prepared::new(module);
         let golden = Vm::run_prepared(module, &prepared, vm.clone(), self.spec, None);
         let campaign_cfg = CampaignConfig { vm, ..cfg };
         let report = run_campaign_from(module, self.spec, &campaign_cfg, &prepared, &golden);

@@ -29,8 +29,9 @@
 //!   `report-fast` (`overheads`, `tx-sweep`, `serving`, `profile`, fast
 //!   mode, their runs fanned out over the host's cores), sampled for a
 //!   quarter of the time, with the sum of the per-section minima;
-//! * the observed paths, unsampled, each beside its plain figure: two of
-//!   the cells under `run_profiled`, and a six-injection fork-driven
+//! * the observed paths, unsampled, each beside its plain figure and
+//!   timed alternately with it, best of 5 each: two of the cells under
+//!   `run_profiled`, and a six-injection fork-driven
 //!   campaign over two `Scale::Small` programs under each backend with
 //!   forensics on and off (the same simulated work either way, so the
 //!   ratio of the times is the ratio of ns per instruction), and how many
@@ -344,13 +345,23 @@ fn main() {
         );
         samples
     }
+    fn time_ms<R>(run: &mut impl FnMut() -> R) -> f64 {
+        let t = Instant::now();
+        run();
+        t.elapsed().as_secs_f64() * 1e3
+    }
     fn best_ms<R>(mut run: impl FnMut() -> R) -> f64 {
-        let times = (0..5).map(|_| {
-            let t = Instant::now();
-            run();
-            t.elapsed().as_secs_f64() * 1e3
-        });
-        times.fold(f64::INFINITY, f64::min)
+        (0..5).map(|_| time_ms(&mut run)).fold(f64::INFINITY, f64::min)
+    }
+    /// Best of five of `a` and of `b`, timed alternately, so that a
+    /// change in host load weighs on both alike.
+    fn best_pair_ms<R, S>(mut a: impl FnMut() -> R, mut b: impl FnMut() -> S) -> (f64, f64) {
+        let mut best = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            best.0 = best.0.min(time_ms(&mut a));
+            best.1 = best.1.min(time_ms(&mut b));
+        }
+        best
     }
 
     let seconds: f64 = std::env::args().nth(1).map_or(10.0, |s| s.parse().expect("seconds"));
@@ -505,17 +516,18 @@ fn main() {
     println!("sum of per-section minima {:.1} ms", total_s * 1e3);
     report::print(&samples);
 
-    // The observed paths, best of five, unsampled.
-    println!("\nobserved paths (best of 5, beside the plain figure)");
-    for ((name, exp), &(_, _, plain, insts)) in batch.iter().zip(&batch_cells) {
+    // The observed paths, unsampled: each beside its plain figure, the
+    // two timed alternately, best of five each.
+    println!("\nobserved paths (best of 5, alternating with the plain figure)");
+    for ((name, exp), &(_, _, _, insts)) in batch.iter().zip(&batch_cells) {
         if name == "linearreg.haft" || name == "histogram.native" {
-            let ms = best_ms(|| exp.run_profiled());
+            let (plain, ms) = best_pair_ms(|| exp.run(), || exp.run_profiled());
             let per_inst = |ms: f64| ms * 1e6 / insts as f64;
             println!(
                 "  {name:<18} profiled            {ms:8.2} ms  {:6.2} ns/inst, plain {:6.2}  x{:.2}",
                 per_inst(ms),
-                per_inst(plain * 1e3),
-                ms / (plain * 1e3)
+                per_inst(plain),
+                ms / plain
             );
         }
     }
@@ -526,6 +538,7 @@ fn main() {
             .vm(perf_vm(2, recommended_threshold(small.name)))
             .seed(1)
             .harden(cfg.clone());
+        let exp = &exp;
         let campaign = |forensics| {
             let cfg = CampaignConfig {
                 injections: 6,
@@ -534,10 +547,10 @@ fn main() {
                 forensics,
                 ..Default::default()
             };
-            best_ms(|| exp.campaign(cfg.clone()))
+            move || exp.campaign(cfg.clone())
         };
         let before = settle_counts();
-        let (off, on) = (campaign(false), campaign(true));
+        let (off, on) = best_pair_ms(campaign(false), campaign(true));
         let after = settle_counts();
         let (rollback, drain) = (after.settled - before.settled, after.drained - before.drained);
         let ended = after.ended - before.ended;

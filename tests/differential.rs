@@ -218,7 +218,7 @@ fn assert_forks_match_scratch_runs(
         let exp = Experiment::new(hardened).spec(spec).vm(vm.clone());
         let clean = exp.run().run;
         let last = clean.register_writes.saturating_sub(1);
-        let prepared = Prepared::new(hardened, &vm);
+        let prepared = Prepared::new(hardened);
         let mut pilot = Vm::start(hardened, &prepared, vm, spec);
         for occurrence in [0, last / 2, last / 2, last] {
             let plan = FaultPlan { occurrence, xor_mask: mask };
@@ -537,7 +537,7 @@ fn sweep_faults(
 ) -> (Vec<RunResult>, usize) {
     let vm = |engine| VmConfig { n_threads: threads, engine, ..forensics_vm() };
     let clean = Experiment::new(hardened).spec(spec).vm(vm(Engine::Fused)).run().run;
-    let prepared = Prepared::new(hardened, &vm(Engine::Fused));
+    let prepared = Prepared::new(hardened);
     let mut pilots =
         [Engine::Interp, Engine::Fused].map(|e| Vm::start(hardened, &prepared, vm(e), spec));
     let mut settled = 0;
