@@ -10,9 +10,11 @@
 //! pre-populated, so program output is schedule-independent — required
 //! for fault-injection classification.
 
+use std::sync::Arc;
+
 use haft_ir::builder::FunctionBuilder;
 use haft_ir::inst::{AbortCode, BinOp, CmpOp, Op as IrOp, Operand};
-use haft_ir::module::Module;
+use haft_ir::module::{GlobalInit, Module};
 use haft_ir::types::Ty;
 use haft_workloads::helpers::thread_slice;
 use haft_workloads::{Scale, Workload};
@@ -468,9 +470,11 @@ pub fn kv_shard(sync: KvSync) -> Workload {
     Workload::new(name, m, None, Some("serve"), Some("fini"))
 }
 
-/// Patches a [`kv_shard`] module's request buffer in place so its next
-/// run serves exactly `ops`. Works on hardened copies too — hardening
-/// never touches global data.
+/// Patches a [`kv_shard`] module so its next run serves exactly `ops`:
+/// the `reqs` and `n_reqs` initialisers are replaced with new buffers,
+/// and every other global (the `table` image) stays shared with the
+/// module's clones. Works on hardened copies too — hardening never
+/// touches global data.
 ///
 /// # Panics
 ///
@@ -486,9 +490,9 @@ pub fn patch_requests(m: &mut Module, ops: &[crate::ycsb::Op]) {
     for op in ops {
         bytes.extend_from_slice(&op.encode().to_le_bytes());
     }
-    m.globals[reqs.0 as usize].init = haft_ir::module::GlobalInit::Bytes(bytes);
-    m.globals[n_reqs.0 as usize].init =
-        haft_ir::module::GlobalInit::Bytes((ops.len() as u64).to_le_bytes().to_vec());
+    let n = (ops.len() as u64).to_le_bytes().to_vec();
+    m.globals[reqs.0 as usize].init = GlobalInit::Bytes(Arc::new(bytes));
+    m.globals[n_reqs.0 as usize].init = GlobalInit::Bytes(Arc::new(n));
 }
 
 /// Host-side golden reply for one operation: values are deterministic

@@ -1,5 +1,7 @@
 //! Modules and global variables.
 
+use std::sync::Arc;
+
 use crate::function::Function;
 
 /// Identifies a function within a module.
@@ -11,12 +13,20 @@ pub struct FuncId(pub u32);
 pub struct GlobalId(pub u32);
 
 /// Initial contents of a global region.
+///
+/// Explicit bytes are shared and immutable: cloning a [`Module`] (as
+/// every hardening pipeline does first) points the clone at the same
+/// buffer, and a run copies the bytes once, into its own memory arena.
+/// Whoever needs other data for a global replaces its `init` with a new
+/// buffer (`haft_apps::patch_requests` does, per batch) and never
+/// mutates the shared one.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GlobalInit {
     /// Zero-initialized.
     Zero,
-    /// Explicit bytes (padded with zeros up to the declared size).
-    Bytes(Vec<u8>),
+    /// Explicit bytes, at most the global's size (padded with zeros up
+    /// to it).
+    Bytes(Arc<Vec<u8>>),
 }
 
 /// A named global memory region.
@@ -58,10 +68,11 @@ impl Module {
         GlobalId(self.globals.len() as u32 - 1)
     }
 
-    /// Appends a global initialized with `bytes`.
+    /// Appends a global initialized with `bytes`, moved in without a copy.
     pub fn add_global_init(&mut self, name: impl Into<String>, bytes: Vec<u8>) -> GlobalId {
         let size = bytes.len() as u64;
-        self.globals.push(Global { name: name.into(), size, init: GlobalInit::Bytes(bytes) });
+        let init = GlobalInit::Bytes(Arc::new(bytes));
+        self.globals.push(Global { name: name.into(), size, init });
         GlobalId(self.globals.len() as u32 - 1)
     }
 
@@ -113,7 +124,7 @@ mod tests {
         let mut m = Module::new("m");
         let g = m.add_global_init("tab", vec![1, 2, 3, 4]);
         assert_eq!(m.global(g).size, 4);
-        assert_eq!(m.global(g).init, GlobalInit::Bytes(vec![1, 2, 3, 4]));
+        assert_eq!(m.global(g).init, GlobalInit::Bytes(Arc::new(vec![1, 2, 3, 4])));
     }
 
     #[test]

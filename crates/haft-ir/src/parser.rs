@@ -7,6 +7,7 @@
 //! programs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::function::{BlockId, Function, ValueId};
 use crate::inst::{AbortCode, BinOp, Callee, CastKind, CmpOp, InstMeta, Op, Operand, RmwOp, UnOp};
@@ -91,10 +92,16 @@ impl<'a> Parser<'a> {
                         let hex = it.next().unwrap_or("");
                         let bytes = parse_hex(hex)
                             .ok_or(ParseError { line: ln, msg: "bad hex bytes".into() })?;
+                        if bytes.len() as u64 > size {
+                            return self.err(
+                                ln,
+                                format!("{} initial bytes exceed global size {size}", bytes.len()),
+                            );
+                        }
                         m.globals.push(crate::module::Global {
                             name,
                             size,
-                            init: GlobalInit::Bytes(bytes),
+                            init: GlobalInit::Bytes(Arc::new(bytes)),
                         });
                     }
                     _ => return self.err(ln, "expected 'zero' or 'bytes'"),
@@ -734,6 +741,20 @@ mod tests {
         let err = parse_module(text).unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.msg.contains("frobnicate"));
+    }
+
+    #[test]
+    fn initialiser_longer_than_its_global_is_rejected() {
+        let text = format!(
+            "module \"m\"\nglobal \"a\" 8 bytes {}\nglobal \"b\" 64 zero\n",
+            "ff".repeat(100)
+        );
+        let err = parse_module(&text).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.msg.contains("100 initial bytes exceed global size 8"), "{}", err.msg);
+        // A short initialiser is padded, not rejected.
+        let m = parse_module("module \"m\"\nglobal \"a\" 8 bytes ff\n").unwrap();
+        assert_eq!(m.globals[0].init, GlobalInit::Bytes(Arc::new(vec![0xff])));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function, ValueDef, ValueId};
 use crate::inst::{Callee, Op, Operand};
-use crate::module::{Global, Module};
+use crate::module::{Global, GlobalInit, Module};
 use crate::types::Ty;
 
 /// Function signature used for cross-function call checking.
@@ -24,6 +24,18 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<String>> {
     let sigs: Vec<FnSig> =
         m.funcs.iter().map(|f| FnSig { params: f.params.clone(), ret_ty: f.ret_ty }).collect();
     let mut errs = Vec::new();
+    for g in &m.globals {
+        if let GlobalInit::Bytes(b) = &g.init {
+            if b.len() as u64 > g.size {
+                errs.push(format!(
+                    "global {}: {} initial bytes exceed its size {}",
+                    g.name,
+                    b.len(),
+                    g.size
+                ));
+            }
+        }
+    }
     for f in &m.funcs {
         if let Err(mut e) = verify_func(f, &sigs, &m.globals) {
             errs.append(&mut e);
@@ -282,6 +294,17 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::inst::{BinOp, CmpOp};
+
+    #[test]
+    fn initialiser_longer_than_its_global_is_rejected() {
+        let mut m = Module::new("m");
+        m.add_global_init("a", vec![0xff; 100]);
+        m.add_global("b", 64);
+        assert_eq!(verify_module(&m), Ok(()));
+        m.globals[0].size = 8;
+        let errs = verify_module(&m).unwrap_err();
+        assert_eq!(errs, ["global a: 100 initial bytes exceed its size 8"]);
+    }
 
     #[test]
     fn missing_terminator_is_rejected() {

@@ -76,6 +76,9 @@ impl Memory {
                 size
             );
             if let GlobalInit::Bytes(init) = &g.init {
+                // An initialiser longer than its global (which the parser
+                // and verifier reject) is cut at the global's end.
+                let init = &init[..init.len().min(g.size as usize)];
                 bytes[base as usize..base as usize + init.len()].copy_from_slice(init);
             }
         }
@@ -232,6 +235,20 @@ mod tests {
         assert_eq!(mem.global_bases[1] % 64, 0);
         assert!(mem.global_bases[1] >= 64 + 100);
         assert_eq!(mem.load(mem.global_bases[1], 2).unwrap(), 0xbbaa);
+    }
+
+    #[test]
+    fn initialiser_longer_than_its_global_stops_at_its_end() {
+        for len in [100, 9000] {
+            let mut m = Module::new("t");
+            m.add_global_init("a", vec![0xff; len]);
+            m.add_global("b", 64);
+            m.globals[0].size = 8;
+            let mem = Memory::new(&m, 1 << 16);
+            assert_eq!(mem.load(mem.global_bases[0], 8).unwrap(), u64::MAX, "{len}");
+            assert_eq!(mem.load(mem.global_bases[0] + 8, 8).unwrap(), 0, "{len}");
+            assert_eq!(mem.load(mem.global_bases[1], 8).unwrap(), 0, "{len}");
+        }
     }
 
     #[test]

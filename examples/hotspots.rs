@@ -36,7 +36,9 @@
 //!   forensics on and off (the same simulated work either way, so the
 //!   ratio of the times is the ratio of ns per instruction), and how many
 //!   of their forks settled at a rollback, settled where their taint
-//!   drained, or ran to their end (`haft::faults::settle_counts`).
+//!   drained, or ran to their end (`haft::faults::settle_counts`);
+//! * the process's peak resident set (`VmHWM`) after the `batch-exec`
+//!   cells and at exit, so a footprint regression shows beside a slowdown.
 //!
 //! Run with: `cargo run --release --example hotspots -- [seconds]`
 //! (default 10; release builds carry the line tables, `debug = true`).
@@ -248,6 +250,20 @@ fn alu_chain(iterations: i64) -> haft::ir::module::Module {
     m
 }
 
+/// Prints the process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), in MiB.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn print_peak_rss(when: &str) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status.lines().find_map(|l| {
+        l.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?.trim().parse::<f64>().ok()
+    });
+    match kb {
+        Some(kb) => println!("peak RSS {when}: {:.2} MiB", kb / 1024.0),
+        None => println!("peak RSS {when}: no VmHWM in /proc/self/status"),
+    }
+}
+
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() {
     use haft::apps::{kv_shard, KvSync, WorkloadMix};
@@ -405,6 +421,7 @@ fn main() {
         total_s * 1e9 / total_insts as f64,
         total_insts as f64 / 1e6
     );
+    print_peak_rss("after batch-exec");
     let chain = alu_chain(20_000);
     let spec = RunSpec { fini: Some("fini"), ..Default::default() };
     let insts = Vm::run(&chain, VmConfig::default(), spec).instructions;
@@ -561,6 +578,7 @@ fn main() {
             on / off
         );
     }
+    print_peak_rss("at exit");
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]

@@ -6,6 +6,12 @@
 //! `cargo run --release -p haft --example dump_hardened -- --digest > tests/hardened.digest`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use haft::apps::kvstore::{kv_shard, patch_requests, KvSync, KV_KEYSPACE};
+use haft::apps::{WorkloadMix, YcsbGen};
+use haft::ir::module::GlobalInit;
+use haft::passes::{HardenConfig, PassManager};
 
 /// Keys a digest line by its cell, `<program> <preset>`.
 fn by_cell(lines: &[&str]) -> BTreeMap<String, String> {
@@ -47,4 +53,44 @@ fn every_hardened_module_matches_its_digest() {
          `cargo run --release -p haft --example dump_hardened -- --digest > tests/hardened.digest` \
          if the change is meant"
     );
+}
+
+/// Whether two initialisers are one and the same buffer (not merely equal
+/// bytes), or both zero.
+fn same_init(a: &GlobalInit, b: &GlobalInit) -> bool {
+    match (a, b) {
+        (GlobalInit::Zero, GlobalInit::Zero) => true,
+        (GlobalInit::Bytes(p), GlobalInit::Bytes(q)) => Arc::ptr_eq(p, q),
+        _ => false,
+    }
+}
+
+#[test]
+fn hardening_shares_every_initialiser_with_its_source() {
+    let presets = haft::corpus::presets();
+    for (pname, module) in haft::corpus::programs() {
+        for (cname, cfg) in &presets {
+            let (hardened, _) = PassManager::from_config(cfg).run_on(&module);
+            assert_eq!(hardened.globals.len(), module.globals.len(), "{pname} {cname}");
+            for (src, g) in module.globals.iter().zip(&hardened.globals) {
+                assert!(same_init(&src.init, &g.init), "{pname} {cname}: `{}` copied", g.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn patching_requests_replaces_only_the_request_buffers() {
+    let source = kv_shard(KvSync::Atomics).module;
+    let (mut m, _) = PassManager::from_config(&HardenConfig::haft()).run_on(&source);
+    let ops = YcsbGen::new(7, KV_KEYSPACE).generate(WorkloadMix::B, 5);
+    patch_requests(&mut m, &ops);
+    for (src, g) in source.globals.iter().zip(&m.globals) {
+        let replaced = g.name == "reqs" || g.name == "n_reqs";
+        assert_eq!(same_init(&src.init, &g.init), !replaced, "global `{}`", g.name);
+    }
+    let table = source.global(source.global_by_name("table").unwrap());
+    assert!(matches!(table.init, GlobalInit::Bytes(_)), "the table is initialised data");
+    let n_reqs = m.global(m.global_by_name("n_reqs").unwrap());
+    assert_eq!(n_reqs.init, GlobalInit::Bytes(Arc::new(5u64.to_le_bytes().to_vec())));
 }
