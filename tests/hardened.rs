@@ -4,6 +4,8 @@
 //! unchanged; a pass change updates exactly the cells it means to move,
 //! regenerated with
 //! `cargo run --release -p haft --example dump_hardened -- --digest > tests/hardened.digest`.
+//! It also pins that hardening and `patch_requests` share a module's
+//! global initialisers instead of copying them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
