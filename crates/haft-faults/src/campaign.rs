@@ -68,11 +68,15 @@ pub struct CampaignConfig {
     /// clamped to `1` (no workers, everything on the calling thread)
     /// rather than treated as an error. Results are folded in plan order
     /// whichever thread produced them, so the report is identical at
-    /// every value.
+    /// every value. The default is `haft_vm::cores::spare() + 1`: the
+    /// host's core count as the process read it once for its helper
+    /// budget, so building a configuration never probes the host again.
     pub parallelism: usize,
     /// VM configuration for every run (simulated thread count, HTM
     /// parameters, ...). The fault plan and forensics fields are
-    /// overwritten per run.
+    /// overwritten per run, and an injection run's instruction budget is
+    /// `max_instructions` or a fixed multiple of the reference run's
+    /// instructions (`HANG_RUNS`), whichever is less.
     pub vm: VmConfig,
     /// Enable per-run fault forensics (taint tracking on fault runs) and
     /// aggregate the records into [`CampaignReport::forensics`]. Off by
@@ -86,7 +90,7 @@ impl Default for CampaignConfig {
         CampaignConfig {
             injections: 200,
             seed: 0xFA_17,
-            parallelism: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            parallelism: haft_vm::cores::spare() + 1,
             vm: VmConfig { n_threads: 2, ..Default::default() },
             forensics: false,
         }
@@ -111,6 +115,27 @@ pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) ->
 
 /// What one injection run contributes to the report.
 type Verdict = (Outcome, Option<Forensics>);
+
+/// How many reference runs' worth of instructions an injection run may
+/// execute before it counts as a hang, as `MAX_TX_RETRIES` bounds a
+/// transaction's retries. Without it a flipped loop bound or induction
+/// variable keeps a fork busy up to `VmConfig::max_instructions` (400 M by
+/// default, against 23 k–3.7 M for a `Scale::Small` reference run). Chosen
+/// on data: over the 17 `Scale::Small` workloads × {native, HAFT, TMR,
+/// ABFT} × 300 injections, five seeds, every run that does not hang ends
+/// within 1.06 reference runs, except `matrixmul`'s few (native and ABFT)
+/// that walk a flipped bound towards the end of the arena and trap after
+/// 12.2–12.7. Below 13 those read as hangs; 20 leaves every verdict as it
+/// is at 400 M. A fork settles only with a whole reference run left, so
+/// the multiple must exceed 2 for settling to stay on.
+const HANG_RUNS: u64 = 20;
+
+/// The instruction budget of every run of a campaign whose reference run
+/// is `golden`: `vm.max_instructions`, or [`HANG_RUNS`] reference runs if
+/// that is less.
+fn run_budget(vm: &VmConfig, golden: &haft_vm::RunResult) -> u64 {
+    vm.max_instructions.min(HANG_RUNS.saturating_mul(golden.instructions))
+}
 
 /// Like [`run_campaign`], but reuses a `golden` reference run the caller
 /// has already performed (with `cfg.vm` and no fault) instead of
@@ -142,7 +167,9 @@ pub fn run_campaign_from(
     // worker, or runs it itself when there is none.
     let mut visit: Vec<usize> = (0..plans.len()).collect();
     visit.sort_by_key(|&i| plans[i].occurrence);
-    let pilot_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
+    // Forks inherit the pilot's configuration, and with it the budget.
+    let pilot_cfg =
+        VmConfig { fault: None, max_instructions: run_budget(&cfg.vm, golden), ..cfg.vm.clone() };
     let mut pilot = Vm::start(module, prepared, pilot_cfg, spec);
     // A fork settles only with a whole reference run's worth of budget
     // left, so that settling never hides a hang.
@@ -292,13 +319,19 @@ mod tests {
 
     /// The campaign as the methodology states it, and as the driver ran
     /// it before prefix sharing: every plan is its own from-scratch
-    /// `Vm::run`, serially, in plan order. The driver must report exactly
-    /// this.
+    /// `Vm::run` under the campaign's run budget, serially, in plan
+    /// order. The driver must report exactly this.
     fn reference_campaign(m: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) -> CampaignReport {
         let golden = Vm::run(m, VmConfig { fault: None, ..cfg.vm.clone() }, spec);
+        let max_instructions = run_budget(&cfg.vm, &golden);
         let mut report = CampaignReport::default();
         for plan in plan_injections(cfg.seed, cfg.injections, golden.register_writes.max(1)) {
-            let vm = VmConfig { fault: Some(plan), forensics: cfg.forensics, ..cfg.vm.clone() };
+            let vm = VmConfig {
+                fault: Some(plan),
+                forensics: cfg.forensics,
+                max_instructions,
+                ..cfg.vm.clone()
+            };
             let r = Vm::run(m, vm, spec);
             let o = classify(&r, &golden.output);
             report.record(o);
@@ -346,6 +379,50 @@ mod tests {
             run_campaign(&hardened, spec(), &zero),
             reference_campaign(&hardened, spec(), &zero)
         );
+    }
+
+    #[test]
+    fn runs_past_the_budget_read_as_hangs() {
+        // An `i16` countdown from 120: a flip that leaves the counter a
+        // large positive value runs up to 32 767 more iterations. That
+        // run ends well within 400 M instructions but after hundreds of
+        // reference runs, so the campaign reads it as a hang, and so
+        // does the from-scratch loop: the budget is part of the
+        // campaign's definition.
+        let mut fb = FunctionBuilder::new("fini", &[], None);
+        fb.set_non_local();
+        let (pre, head, exit) = (fb.current_block(), fb.new_block(), fb.new_block());
+        fb.br(head);
+        fb.switch_to(head);
+        let i = fb.phi(Ty::I16);
+        fb.phi_incoming(i, fb.iconst(Ty::I16, 120), pre);
+        let next = fb.sub(Ty::I16, i, fb.iconst(Ty::I16, 1));
+        fb.phi_incoming(i, next, head);
+        let more = fb.cmp(haft_ir::inst::CmpOp::SGt, Ty::I16, next, fb.iconst(Ty::I16, 0));
+        fb.condbr(more, head, exit);
+        fb.switch_to(exit);
+        fb.emit_out(Ty::I16, next);
+        fb.ret(None);
+        let mut m = Module::new("t");
+        m.push_func(fb.finish());
+
+        let cfg =
+            CampaignConfig { vm: VmConfig { n_threads: 1, ..Default::default() }, ..campaign(40) };
+        let golden = Vm::run(&m, cfg.vm.clone(), spec());
+        let budget = run_budget(&cfg.vm, &golden);
+        assert_eq!(budget, HANG_RUNS * golden.instructions);
+        let tight = VmConfig { max_instructions: 3 * golden.instructions, ..cfg.vm.clone() };
+        assert_eq!(run_budget(&tight, &golden), tight.max_instructions);
+        let late = plan_injections(cfg.seed, cfg.injections, golden.register_writes)
+            .into_iter()
+            .any(|p| {
+                let r = Vm::run(&m, VmConfig { fault: Some(p), ..cfg.vm.clone() }, spec());
+                r.outcome != RunOutcome::Hang && r.instructions > budget
+            });
+        assert!(late, "no planned run ends past the budget");
+        let r = run_campaign(&m, spec(), &cfg);
+        assert!(r.counts.get(&Outcome::Hang).is_some_and(|&n| n > 0), "{}", r.summary());
+        assert_eq!(r, reference_campaign(&m, spec(), &cfg));
     }
 
     #[test]

@@ -33,16 +33,22 @@ impl Prng {
 
     /// Returns a uniform value in `[0, bound)`.
     ///
+    /// Rejects draws below `2⁶⁴ mod bound` to avoid modulo bias. That
+    /// threshold is itself below `bound`, so a draw `r >= bound` clears it
+    /// without computing it: the threshold's division runs only for the
+    /// rare draw below `bound`, and a draw costs one 64-bit division
+    /// instead of two. The accept/reject decisions, and so the values
+    /// returned and the draws consumed, are those of testing every draw
+    /// against the threshold.
+    ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
-        // Lemire-style rejection to avoid modulo bias.
-        let threshold = bound.wrapping_neg() % bound;
         loop {
             let r = self.next_u64();
-            if r >= threshold {
+            if r >= bound || r >= bound.wrapping_neg() % bound {
                 return r % bound;
             }
         }
@@ -100,6 +106,32 @@ mod tests {
         let mut p = Prng::new(7);
         for _ in 0..10_000 {
             assert!(p.below(13) < 13);
+        }
+    }
+
+    /// `below` against its former body, which computed the threshold
+    /// before every draw: the same values, and the same number of draws
+    /// consumed (the next raw draw after it agrees too).
+    #[test]
+    fn below_matches_the_eager_threshold() {
+        fn eager_below(p: &mut Prng, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let r = p.next_u64();
+                if r >= threshold {
+                    return r % bound;
+                }
+            }
+        }
+        let bounds = [1, 2, 3, 1000, (1 << 32) + 1, 1 << 63, (1 << 63) + 1, u64::MAX];
+        for seed in 0..500 {
+            for bound in bounds {
+                let (mut lazy, mut eager) = (Prng::new(seed), Prng::new(seed));
+                for _ in 0..20 {
+                    assert_eq!(lazy.below(bound), eager_below(&mut eager, bound), "{seed} {bound}");
+                    assert_eq!(lazy.next_u64(), eager.next_u64(), "{seed} {bound}");
+                }
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::function::{BlockId, Function, ValueDef, ValueId};
+use crate::function::{BlockId, Function, InstId, ValueDef, ValueId};
 use crate::inst::{Callee, Op, Operand};
 use crate::module::{Global, GlobalInit, Module};
 use crate::types::Ty;
@@ -69,18 +69,20 @@ pub fn verify_func(f: &Function, sigs: &[FnSig], globals: &[Global]) -> Result<(
     }
 
     // Structural checks per block: one trailing terminator, phis first.
+    // A bogus inst id is reported above; its position counts here, its
+    // (absent) op does not.
+    let op_of = |iid: InstId| f.insts.get(iid.0 as usize).map(|inst| &inst.op);
     for (bid, b) in f.iter_blocks() {
-        if b.insts.is_empty() {
+        let Some(&last) = b.insts.last() else {
             errs.push(format!("{name}: block {bid:?} is empty"));
             continue;
-        }
-        let last = *b.insts.last().unwrap();
-        if !f.inst(last).op.is_terminator() {
+        };
+        if op_of(last).is_some_and(|op| !op.is_terminator()) {
             errs.push(format!("{name}: block {bid:?} does not end in a terminator"));
         }
         let mut seen_non_phi = false;
         for (pos, &iid) in b.insts.iter().enumerate() {
-            let op = &f.inst(iid).op;
+            let Some(op) = op_of(iid) else { continue };
             if op.is_terminator() && pos + 1 != b.insts.len() {
                 errs.push(format!("{name}: terminator in the middle of block {bid:?}"));
             }
@@ -112,9 +114,10 @@ pub fn verify_func(f: &Function, sigs: &[FnSig], globals: &[Global]) -> Result<(
             None => Err(format!("{name}: use of bogus value {v:?}")),
             Some(info) => match info.def {
                 ValueDef::Param(_) => Ok(None),
-                ValueDef::Inst(iid) => match location[iid.0 as usize] {
-                    Some(loc) => Ok(Some(loc)),
-                    None => Err(format!("{name}: use of unplaced def {v:?}")),
+                ValueDef::Inst(iid) => match location.get(iid.0 as usize) {
+                    Some(Some(loc)) => Ok(Some(*loc)),
+                    Some(None) => Err(format!("{name}: use of unplaced def {v:?}")),
+                    None => Err(format!("{name}: {v:?} is defined by bogus inst {iid:?}")),
                 },
             },
         }
@@ -304,6 +307,32 @@ mod tests {
         m.globals[0].size = 8;
         let errs = verify_module(&m).unwrap_err();
         assert_eq!(errs, ["global a: 100 initial bytes exceed its size 8"]);
+    }
+
+    #[test]
+    fn block_listing_a_bogus_inst_is_diagnosed_not_a_panic() {
+        let mut f = Function::new("f", &[], None);
+        let (ret, _) = f.create_inst(Op::Ret { val: None });
+        f.push_to_block(f.entry(), InstId(999));
+        f.push_to_block(f.entry(), ret);
+        let errs = verify_func(&f, &[], &[]).unwrap_err();
+        assert_eq!(errs, ["f: block BlockId(0) references bogus inst InstId(999)"]);
+        // As the block's last entry too.
+        f.blocks[0].insts.reverse();
+        let errs = verify_func(&f, &[], &[]).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("bogus inst InstId(999)")), "{errs:?}");
+    }
+
+    #[test]
+    fn value_defined_past_the_inst_arena_is_diagnosed_not_a_panic() {
+        use crate::function::ValueInfo;
+        let mut f = Function::new("f", &[], Some(Ty::I64));
+        let v = ValueId(f.values.len() as u32);
+        f.values.push(ValueInfo { ty: Ty::I64, def: ValueDef::Inst(InstId(999)) });
+        let (ret, _) = f.create_inst(Op::Ret { val: Some(v.into()) });
+        f.push_to_block(f.entry(), ret);
+        let errs = verify_func(&f, &[], &[]).unwrap_err();
+        assert_eq!(errs, [format!("f: {v:?} is defined by bogus inst InstId(999)")]);
     }
 
     #[test]

@@ -39,8 +39,6 @@
 //! per function in [`crate::PassStats`] (`abft.functions_covered` /
 //! `abft.functions_fallback`), making coverage a measured number.
 
-use std::collections::{HashMap, HashSet};
-
 use haft_ir::cfg::Cfg;
 use haft_ir::function::{Function, InstId, ValueDef, ValueId};
 use haft_ir::inst::{BinOp, Callee, Op, Operand};
@@ -112,18 +110,18 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
     // (conditional split on entry, counter bump on return) would open a
     // transaction nobody ends, and whatever it still buffers when the
     // thread exits is lost.
-    let mut called_from_covered = HashSet::new();
+    let mut called_from_covered = vec![false; m.funcs.len()];
     for (f, _) in m.funcs.iter().zip(&plans).filter(|(_, plan)| plan.is_some()) {
         for (_, block) in f.iter_blocks() {
             for &iid in &block.insts {
                 if let Op::Call { callee: Callee::Direct(fid), .. } = &f.inst(iid).op {
-                    called_from_covered.insert(fid.0 as usize);
+                    called_from_covered[fid.0 as usize] = true;
                 }
             }
         }
     }
-    for i in called_from_covered {
-        if plans[i].is_none() {
+    for (i, called) in called_from_covered.into_iter().enumerate() {
+        if called && plans[i].is_none() {
             m.funcs[i].attrs.local = false;
         }
     }
@@ -183,14 +181,23 @@ fn chain_ty(ty: Ty) -> bool {
 
 /// Everything the instrumentation walk needs about one function, unified
 /// across its chains so a slice shared by two chains is replicated once.
-#[derive(Default)]
 struct Plan {
-    /// Chain state to replicate per lane: the carrier phis of register
-    /// accumulation chains, the carrier loads of memory-cell chains, and
-    /// the arithmetic slices that close either.
-    state: HashSet<InstId>,
+    /// Chain state to replicate per lane, by instruction id: the carrier
+    /// phis of register accumulation chains, the carrier loads of
+    /// memory-cell chains, and the arithmetic slices that close either.
+    state: Vec<bool>,
     /// Recognized data chains.
     chains: u64,
+}
+
+impl Plan {
+    /// Records one recognized chain: its carrier and its slice.
+    fn add_chain(&mut self, carrier: InstId, slice: &[InstId]) {
+        for id in std::iter::once(&carrier).chain(slice) {
+            self.state[id.0 as usize] = true;
+        }
+        self.chains += 1;
+    }
 }
 
 /// Walks backward from `v` and reports whether it reaches `carrier`
@@ -202,16 +209,16 @@ fn reaches(
     f: &Function,
     v: ValueId,
     carrier: ValueId,
-    memo: &mut HashMap<ValueId, bool>,
+    memo: &mut [Option<bool>],
     slice: &mut Vec<InstId>,
 ) -> bool {
     if v == carrier {
         return true;
     }
-    if let Some(&r) = memo.get(&v) {
+    if let Some(r) = memo[v.0 as usize] {
         return r;
     }
-    memo.insert(v, false);
+    memo[v.0 as usize] = Some(false);
     let r = match f.value_def(v) {
         ValueDef::Param(_) => false,
         ValueDef::Inst(id) => match &f.inst(id).op {
@@ -231,7 +238,7 @@ fn reaches(
             _ => false,
         },
     };
-    memo.insert(v, r);
+    memo[v.0 as usize] = Some(r);
     r
 }
 
@@ -243,7 +250,7 @@ const MAX_SLICE: usize = 8;
 /// The slice from `head` back to `carrier`, or `None` if there is no
 /// all-arithmetic cycle or it exceeds [`MAX_SLICE`].
 fn slice_for(f: &Function, head: ValueId, carrier: ValueId) -> Option<Vec<InstId>> {
-    let mut memo = HashMap::new();
+    let mut memo = vec![None; f.values.len()];
     let mut slice = Vec::new();
     let found = reaches(f, head, carrier, &mut memo, &mut slice);
     (found && (1..=MAX_SLICE).contains(&slice.len())).then_some(slice)
@@ -254,7 +261,8 @@ fn slice_for(f: &Function, head: ValueId, carrier: ValueId) -> Option<Vec<InstId
 /// Constant-only chains (induction variables, histogram counters) carry
 /// nothing worth checksumming.
 fn is_data_chain(f: &Function, slice: &[InstId], carrier: ValueId) -> bool {
-    let internal: HashSet<ValueId> = slice.iter().filter_map(|id| f.inst_result(*id)).collect();
+    // At most `MAX_SLICE` values: a list beats any set.
+    let internal: Vec<ValueId> = slice.iter().filter_map(|id| f.inst_result(*id)).collect();
     slice.iter().any(|id| {
         let mut external = false;
         f.inst(*id).op.for_each_operand(|o| {
@@ -270,7 +278,7 @@ fn is_data_chain(f: &Function, slice: &[InstId], carrier: ValueId) -> bool {
 
 /// Finds every data chain in `f` and unifies them into one [`Plan`].
 fn find_chains(f: &Function) -> Plan {
-    let mut plan = Plan::default();
+    let mut plan = Plan { state: vec![false; f.insts.len()], chains: 0 };
 
     for (_, block) in f.iter_blocks() {
         // Register accumulation chains: phis carried through arithmetic.
@@ -296,9 +304,7 @@ fn find_chains(f: &Function) -> Plan {
                 }
             }
             if !slice.is_empty() && is_data_chain(f, &slice, p) {
-                plan.state.insert(iid);
-                plan.state.extend(slice.iter().copied());
-                plan.chains += 1;
+                plan.add_chain(iid, &slice);
             }
         }
 
@@ -313,7 +319,7 @@ fn find_chains(f: &Function) -> Plan {
                 continue;
             }
             for &lid in &block.insts[..j] {
-                if plan.state.contains(&lid) {
+                if plan.state[lid.0 as usize] {
                     continue;
                 }
                 let Op::Load { ty: lty, addr: laddr, atomic: false } = &f.inst(lid).op else {
@@ -327,9 +333,7 @@ fn find_chains(f: &Function) -> Plan {
                 if !is_data_chain(f, &slice, carrier) {
                     continue;
                 }
-                plan.state.insert(lid);
-                plan.state.extend(slice.iter().copied());
-                plan.chains += 1;
+                plan.add_chain(lid, &slice);
                 break;
             }
         }
@@ -382,7 +386,8 @@ impl Abft {
         let mut insts: Vec<InstId> = Vec::with_capacity(old.len() + 8);
 
         for iid in old {
-            if plan.state.contains(&iid) {
+            // Instructions the rewrite creates are never chain state.
+            if plan.state.get(iid.0 as usize).copied().unwrap_or(false) {
                 // Chain state, three lanes of it. A carrier phi's lane
                 // phis ride directly behind it (phis stay contiguous at
                 // the block head) and carry the lane flow, shared initial

@@ -9,8 +9,6 @@
 //! holding `tx_abort ilr`: inside a transaction this rolls the transaction
 //! back (recovery); outside, it terminates the program (fail-stop).
 
-use std::collections::{HashMap, HashSet};
-
 use haft_ir::cfg::Cfg;
 use haft_ir::dom::DomTree;
 use haft_ir::function::{BlockId, Function, InstId, ValueId};
@@ -80,8 +78,9 @@ struct IlrPass {
     /// The one shadow lane.
     lanes: Lanes<1>,
     detect: Option<BlockId>,
-    /// (successor, original pred) -> actual pred after transformation.
-    edge_fix: HashMap<(BlockId, BlockId), BlockId>,
+    /// Per original successor block: (original pred, actual pred after
+    /// transformation).
+    edge_fix: Vec<Vec<(BlockId, BlockId)>>,
     new_lists: Vec<(BlockId, Vec<InstId>)>,
 }
 
@@ -97,13 +96,14 @@ impl IlrPass {
             cfg: cfg.clone(),
             lanes: Lanes::default(),
             detect: None,
-            edge_fix: HashMap::new(),
+            edge_fix: Vec::new(),
             new_lists: Vec::new(),
         }
     }
 
     fn run(&mut self, f: &mut Function) {
         let order = Cfg::compute(f).rpo.clone();
+        self.edge_fix = vec![Vec::new(); f.blocks.len()];
         for &b in &order {
             self.rewrite_block(f, b);
         }
@@ -195,7 +195,7 @@ impl IlrPass {
                     // Degenerate branch: rewrite as an unconditional one.
                     let (br, _) = f.create_inst(Op::Br { dest: *t });
                     seg.insts.push(br);
-                    self.edge_fix.insert((*t, b), seg.block);
+                    self.fix_edge(*t, b, seg.block);
                 }
                 Op::CondBr { cond, t, f: fb } if self.cfg.control_flow_protection => {
                     // Figure 4b: route through shadow blocks that
@@ -214,8 +214,8 @@ impl IlrPass {
                     let (fb2, _) =
                         f.create_inst_meta(Op::CondBr { cond: scond, t: detect, f: *fb }, meta);
                     f.blocks[sf.0 as usize].insts.push(fb2);
-                    self.edge_fix.insert((*t, b), st);
-                    self.edge_fix.insert((*fb, b), sf);
+                    self.fix_edge(*t, b, st);
+                    self.fix_edge(*fb, b, sf);
                 }
                 op if passes_through(op) => {
                     seg.insts.push(iid);
@@ -235,7 +235,7 @@ impl IlrPass {
                         self.lanes.replicate_by_moves(f, &mut seg.insts, r);
                     }
                     for succ in op.successors() {
-                        self.edge_fix.insert((succ, b), seg.block);
+                        self.fix_edge(succ, b, seg.block);
                     }
                 }
             }
@@ -243,15 +243,24 @@ impl IlrPass {
         self.new_lists.push((seg.block, seg.insts));
     }
 
+    /// Records that the edge `pred → succ` now leaves from `new_pred`.
+    /// Each block is rewritten once and its terminator's successors are
+    /// distinct, so every edge is recorded once.
+    fn fix_edge(&mut self, succ: BlockId, pred: BlockId, new_pred: BlockId) {
+        self.edge_fix[succ.0 as usize].push((pred, new_pred));
+    }
+
     fn apply_edge_fixes(&mut self, f: &mut Function) {
-        for b in 0..f.blocks.len() {
-            let bid = BlockId(b as u32);
+        // Only the original blocks are successors with fixes.
+        for (b, fixes) in self.edge_fix.iter().enumerate() {
+            if fixes.is_empty() {
+                continue;
+            }
             let insts: Vec<InstId> = f.blocks[b].insts.clone();
             for iid in insts {
-                let fix = &self.edge_fix;
                 if let Op::Phi { incomings, .. } = &mut f.inst_mut(iid).op {
                     for (_, pred) in incomings.iter_mut() {
-                        if let Some(np) = fix.get(&(bid, *pred)) {
+                        if let Some((_, np)) = fixes.iter().find(|(p, _)| p == pred) {
                             *pred = *np;
                         }
                     }
@@ -270,19 +279,21 @@ impl IlrPass {
         let dom = DomTree::compute(f, &cfg);
         let forest = LoopForest::compute(f, &cfg, &dom);
         let mut plans: Vec<(BlockId, ValueId, ValueId, Ty)> = Vec::new();
+        // Values referenced by checks inside the current loop's body, by
+        // value id.
+        let mut checked = vec![false; f.values.len()];
         for (i, l) in forest.loops.iter().enumerate() {
             if !forest.is_innermost(i) {
                 continue;
             }
-            // Values referenced by checks inside the loop body.
-            let mut checked: HashSet<ValueId> = HashSet::new();
+            checked.fill(false);
             for b in &l.body {
                 for &iid in &f.blocks[b.0 as usize].insts {
                     let inst = f.inst(iid);
                     if inst.meta.ilr_check {
                         inst.op.for_each_operand(|o| {
                             if let Operand::Value(v) = o {
-                                checked.insert(*v);
+                                checked[v.0 as usize] = true;
                             }
                         });
                     }
@@ -297,7 +308,7 @@ impl IlrPass {
                 let Some([shadow]) = self.lanes.of(res) else { continue };
                 // "Covered" means either copy of the variable feeds a check
                 // somewhere in the body.
-                if checked.contains(&res) || checked.contains(&shadow) {
+                if checked[res.0 as usize] || checked[shadow.0 as usize] {
                     continue;
                 }
                 let ty = f.value_ty(res);

@@ -261,18 +261,18 @@ impl PassManager {
     /// With boundary verification enabled, panics naming the offending
     /// pass if the module fails [`verify_module`] at any pass boundary.
     pub fn run(&self, m: &mut Module) -> PassStats {
-        if !self.passes.is_empty() {
-            bump_harden_runs(&m.name);
-        }
         let mut stats = PassStats::default();
+        if self.passes.is_empty() {
+            return stats;
+        }
+        bump_harden_runs(&m.name);
+        // One count per pass boundary: a pass starts where the last ended.
+        let mut insts = m.total_inst_count();
         for pass in &self.passes {
-            let before = m.total_inst_count();
+            let insts_before = insts;
             pass.run(m, &mut stats);
-            stats.records.push(PassRecord {
-                name: pass.name(),
-                insts_before: before,
-                insts_after: m.total_inst_count(),
-            });
+            insts = m.total_inst_count();
+            stats.records.push(PassRecord { name: pass.name(), insts_before, insts_after: insts });
             if self.verify_between {
                 if let Err(errs) = verify_module(m) {
                     panic!("module invalid after pass `{}`: {errs:?}", pass.name());
@@ -304,7 +304,14 @@ pub fn harden_runs_for(module_name: &str) -> u64 {
 }
 
 fn bump_harden_runs(module_name: &str) {
-    *harden_counter().lock().unwrap().entry(module_name.to_string()).or_insert(0) += 1;
+    let mut counter = harden_counter().lock().unwrap();
+    // The key is allocated only on a module's first hardening.
+    match counter.get_mut(module_name) {
+        Some(n) => *n += 1,
+        None => {
+            counter.insert(module_name.to_string(), 1);
+        }
+    }
 }
 
 fn harden_counter() -> &'static std::sync::Mutex<std::collections::HashMap<String, u64>> {

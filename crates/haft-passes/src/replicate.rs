@@ -9,8 +9,6 @@
 //! operand (check and branch to the detect block, vote and substitute,
 //! verify-and-correct and substitute) stays in its own block walker.
 
-use std::collections::HashMap;
-
 use haft_ir::function::{Function, InstId, ValueId};
 use haft_ir::inst::{Callee, InstMeta, Op, Operand};
 use haft_ir::types::Ty;
@@ -23,7 +21,9 @@ pub(crate) const LANE_META: InstMeta =
 /// with the operations that grow it.
 #[derive(Default)]
 pub(crate) struct Lanes<const N: usize> {
-    map: HashMap<ValueId, [ValueId; N]>,
+    /// Lane twins by master value id: the function numbers its values
+    /// densely, so a vector indexed by id is the map.
+    map: Vec<Option<[ValueId; N]>>,
     /// (master phi, lane phis) for [`Lanes::fill_phis`].
     phis: Vec<(InstId, [InstId; N])>,
     /// The master value whose lanes the immediately preceding moves
@@ -35,14 +35,22 @@ pub(crate) struct Lanes<const N: usize> {
 impl<const N: usize> Lanes<N> {
     /// The lane twins of `v`, if it has any.
     pub fn of(&self, v: ValueId) -> Option<[ValueId; N]> {
-        self.map.get(&v).copied()
+        self.map.get(v.0 as usize).copied().flatten()
+    }
+
+    fn insert(&mut self, master: ValueId, twins: [ValueId; N]) {
+        let i = master.0 as usize;
+        if i >= self.map.len() {
+            self.map.resize(i + 1, None);
+        }
+        self.map[i] = Some(twins);
     }
 
     /// Lane `k`'s view of an operand. Constants, and values no lane was
     /// made for, are their own twins.
     pub fn lane(&self, k: usize, o: &Operand) -> Operand {
         match o {
-            Operand::Value(v) => self.map.get(v).map_or(*o, |l| Operand::Value(l[k])),
+            Operand::Value(v) => self.of(*v).map_or(*o, |l| Operand::Value(l[k])),
             other => *other,
         }
     }
@@ -67,7 +75,7 @@ impl<const N: usize> Lanes<N> {
         });
         if let Some(master) = f.inst_result(iid) {
             let twins = clones.map(|c| f.inst_result(c).expect("a clone has its master's result"));
-            self.map.insert(master, twins);
+            self.insert(master, twins);
         }
         if f.inst(iid).op.is_phi() {
             self.phis.push((iid, clones));
@@ -91,7 +99,7 @@ impl<const N: usize> Lanes<N> {
             insts.push(mv);
             res.expect("move has result")
         });
-        self.map.insert(master, twins);
+        self.insert(master, twins);
         self.fresh = Some(master);
     }
 
@@ -226,8 +234,11 @@ impl<const N: usize> Lanes<N> {
             v
         };
         let mut clones_seen = 0;
-        for (master, twins) in &self.map {
-            let ValueDef::Inst(mid) = f.value_def(*master) else { continue };
+        let replicated = self.map.iter().enumerate();
+        for (master, twins) in
+            replicated.filter_map(|(v, t)| Some((ValueId(v as u32), t.as_ref()?)))
+        {
+            let ValueDef::Inst(mid) = f.value_def(master) else { continue };
             for (k, twin) in twins.iter().enumerate() {
                 let ValueDef::Inst(tid) = f.value_def(*twin) else {
                     panic!("lane twin {twin:?} is not an instruction result")
@@ -235,7 +246,7 @@ impl<const N: usize> Lanes<N> {
                 let (mop, top) = (&f.inst(mid).op, &f.inst(tid).op);
                 if std::mem::discriminant(mop) != std::mem::discriminant(top) {
                     assert!(
-                        matches!(top, Op::Move { a, .. } if *a == Operand::Value(*master)),
+                        matches!(top, Op::Move { a, .. } if *a == Operand::Value(master)),
                         "twin {top:?} of {mop:?} is neither a clone nor a move of the master"
                     );
                     continue;

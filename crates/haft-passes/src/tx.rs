@@ -10,8 +10,6 @@
 //! (externalization, real lock operations) are bracketed pessimistically
 //! with `tx_end`/`tx_begin`.
 
-use std::collections::HashMap;
-
 use haft_ir::cfg::Cfg;
 use haft_ir::dom::DomTree;
 use haft_ir::function::{BlockId, Function, InstId};
@@ -218,11 +216,11 @@ fn acyclic_len(f: &Function) -> u32 {
         f: &Function,
         cfg: &Cfg,
         b: BlockId,
-        memo: &mut HashMap<BlockId, u32>,
+        memo: &mut [Option<u32>],
         on_stack: &mut Vec<bool>,
     ) -> u32 {
-        if let Some(w) = memo.get(&b) {
-            return *w;
+        if let Some(w) = memo[b.0 as usize] {
+            return w;
         }
         on_stack[b.0 as usize] = true;
         let mut best = 0;
@@ -234,10 +232,10 @@ fn acyclic_len(f: &Function) -> u32 {
         }
         on_stack[b.0 as usize] = false;
         let w = f.blocks[b.0 as usize].insts.len() as u32 + best;
-        memo.insert(b, w);
+        memo[b.0 as usize] = Some(w);
         w
     }
-    let mut memo = HashMap::new();
+    let mut memo = vec![None; f.blocks.len()];
     let mut on_stack = vec![false; f.blocks.len()];
     dfs(f, &cfg, f.entry(), &mut memo, &mut on_stack)
 }

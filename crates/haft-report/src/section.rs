@@ -338,7 +338,7 @@ fn overheads_vs_native(name: &str, reports: &[VariantReport]) -> Vec<f64> {
 fn campaign(w: &Workload, hc: HardenConfig, injections: u64, seed: u64) -> CampaignReport {
     Experiment::workload(w)
         .harden(hc)
-        .vm(VmConfig { n_threads: 2, max_instructions: 100_000_000, ..VmConfig::default() })
+        .vm(VmConfig { n_threads: 2, ..VmConfig::default() })
         .campaign(CampaignConfig { injections, seed, ..Default::default() })
         .campaign
         .expect("campaign terminal op attaches a report")

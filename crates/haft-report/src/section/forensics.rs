@@ -59,7 +59,7 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         for (vi, (label, hc)) in variants.iter().enumerate() {
             let report = Experiment::workload(&w)
                 .harden(hc.clone())
-                .vm(VmConfig { n_threads: 2, max_instructions: 100_000_000, ..VmConfig::default() })
+                .vm(VmConfig { n_threads: 2, ..VmConfig::default() })
                 .campaign(CampaignConfig {
                     injections,
                     seed: SEED,

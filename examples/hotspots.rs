@@ -16,6 +16,10 @@
 //!   (the real function whose code was executing) and by *innermost
 //!   inline* (the source function that code was inlined from); a sample
 //!   outside the executable counts for its mapping (`libc.so.6`, …);
+//! * set-up, unsampled, best of 5 each: synthesising the four
+//!   `Scale::Large` programs' inputs, hardening them per backend, and
+//!   verifying the 16 modules — the work every benchmark round redoes
+//!   before its first run, so a set-up regression shows beside run time;
 //! * the same for the four Sim cells of the benchmark's `serve-mixed`
 //!   (`kv_shard` under YCSB B: native, HAFT, TMR, HAFT with faults),
 //!   sampled for a quarter of the time, each cell twice — serial, with
@@ -387,10 +391,9 @@ fn main() {
         ("tmr", HardenConfig::tmr()),
         ("abft", HardenConfig::abft()),
     ];
-    let programs: Vec<Workload> = ["linearreg", "histogram", "wordcount", "dedup"]
-        .iter()
-        .map(|name| workload_by_name(name, Scale::Large).expect("a Phoenix/PARSEC workload"))
-        .collect();
+    let names = ["linearreg", "histogram", "wordcount", "dedup"];
+    let large = |name| workload_by_name(name, Scale::Large).expect("a Phoenix/PARSEC workload");
+    let programs: Vec<Workload> = names.map(large).into();
     let mut batch = Vec::new();
     for w in &programs {
         for (label, cfg) in &configs {
@@ -428,6 +431,22 @@ fn main() {
     let ms = best_ms(|| Vm::run(&chain, VmConfig::default(), spec));
     println!("dependent ALU chain {:.2} ns/inst (best of 5)", ms * 1e6 / insts as f64);
     report::print(&samples);
+
+    // Set-up, unsampled: what every `batch-exec` round redoes before its
+    // first run.
+    println!("\nset-up (best of 5)");
+    let ms = best_ms(|| names.map(large));
+    println!("  inputs, the 4 Large programs {ms:8.2} ms");
+    let mut hardened = Vec::new();
+    for (label, cfg) in &configs {
+        let pm = PassManager::from_config(cfg);
+        let harden = || programs.iter().map(|w| pm.run_on(&w.module).0).collect::<Vec<_>>();
+        let ms = best_ms(harden);
+        println!("  harden {label:<21} {ms:8.2} ms");
+        hardened.extend(harden());
+    }
+    let ms = best_ms(|| hardened.iter().all(|m| verify_module(m).is_ok()));
+    println!("  verify, the {} modules      {ms:8.2} ms", hardened.len());
 
     // The serving Sim cells of the benchmark's `serve-mixed`: `kv_shard`
     // under YCSB B, sampled for a quarter of the time.
