@@ -109,7 +109,7 @@ pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) ->
     // decoded code every run of the campaign shares.
     let ref_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
     let prepared = Prepared::new(module);
-    let golden = Vm::run_prepared(module, &prepared, ref_cfg, spec, None);
+    let golden = Vm::start(module, &prepared, ref_cfg, spec).run_to_end();
     run_campaign_from(module, spec, cfg, &prepared, &golden)
 }
 

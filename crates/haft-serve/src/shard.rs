@@ -110,7 +110,12 @@ impl<'a> BatchRunner<'a> {
         trace: Option<&mut TraceBuf>,
     ) -> RunResult {
         let vm = VmConfig { fault, ..self.vm.clone() };
-        Vm::run_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops), trace)
+        let mut vm =
+            Vm::start_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops));
+        if let Some(buf) = trace {
+            vm.trace_into(buf);
+        }
+        vm.run_to_end()
     }
 }
 
@@ -565,8 +570,8 @@ mod tests {
     // --- a batch is a fresh run -------------------------------------------------
 
     /// The batch path before shard images, kept only as this module's
-    /// oracle: `Vm::run_prepared` over a `patch_requests`-patched clone of
-    /// the module, memory built from its initialisers.
+    /// oracle: `Vm::start` over a `patch_requests`-patched clone of the
+    /// module, memory built from its initialisers.
     fn patched_run(
         runner: &BatchRunner<'_>,
         ops: &[Op],
@@ -576,7 +581,11 @@ mod tests {
         let mut patched = runner.module.clone();
         haft_apps::patch_requests(&mut patched, ops);
         let vm = VmConfig { fault, ..runner.vm.clone() };
-        Vm::run_prepared(&patched, &runner.prepared, vm, runner.spec, trace)
+        let mut vm = Vm::start(&patched, &runner.prepared, vm, runner.spec);
+        if let Some(buf) = trace {
+            vm.trace_into(buf);
+        }
+        vm.run_to_end()
     }
 
     /// `run_batch` equals the oracle, untraced and traced (result and

@@ -438,11 +438,10 @@ struct Cursor {
 
 /// Everything about a run that depends only on the module's functions and
 /// its global *layout*: the decoded code and the pause slack. Build it
-/// once ([`Prepared::new`]) and run any number of VMs against it —
-/// [`Vm::run_prepared`], [`Vm::run_in`], [`Vm::start`] — as long as those
-/// two stay the same; global initial *bytes*, seeds, thread counts, fault
-/// plans, the [`Engine`] and every [`VmConfig`] field may differ from run
-/// to run.
+/// once ([`Prepared::new`]) and start any number of VMs against it
+/// ([`Vm::start`], [`Vm::start_in`]) as long as those two stay the same;
+/// global initial *bytes*, seeds, thread counts, fault plans, the
+/// [`Engine`] and every [`VmConfig`] field may differ from run to run.
 #[derive(Debug)]
 pub struct Prepared {
     /// What [`Engine::Fused`] executes, and the vocabulary in which both
@@ -515,13 +514,15 @@ pub struct Vm<'m> {
     phi_scratch: Vec<(u32, u64, u64, Ty)>,
     /// Scratch for call-argument evaluation (fused engine).
     arg_scratch: Vec<u64>,
-    /// Trace sink when tracing is attached ([`Vm::run_traced`]).
-    /// Strictly observational: events read the virtual clock, never
-    /// advance it, so a traced run is bit-identical to an untraced one.
-    trace: Option<TraceBuf>,
-    /// Cycle-attribution state when profiling is attached
-    /// ([`Vm::run_profiled`]); same observational contract as `trace`.
-    profiler: Option<Profiler>,
+    /// The caller's trace sink, when tracing is attached
+    /// ([`Vm::trace_into`]). Strictly observational: events read the
+    /// virtual clock, never advance it, so a traced run is bit-identical
+    /// to an untraced one.
+    trace: Option<&'m mut TraceBuf>,
+    /// Cycle-attribution state and the caller's profile it is written
+    /// into at the end, when profiling is attached
+    /// ([`Vm::profile_into`]); same observational contract as `trace`.
+    profiler: Option<(Profiler, &'m mut CycleProfile)>,
     /// Taint-trajectory state, allocated only when a fault plan is armed
     /// and `cfg.forensics` is set or the run is a settling fork's — clean
     /// runs pay one `None` branch per register-only run (per instruction
@@ -597,100 +598,20 @@ impl<'m> Vm<'m> {
         m
     }
 
-    /// Executes all phases of `spec` and returns the measurements.
+    /// Executes all phases of `spec` and returns the measurements:
+    /// [`Prepared::new`], [`Vm::start`], [`Vm::run_to_end`].
     pub fn run(module: &'m Module, cfg: VmConfig, spec: RunSpec<'_>) -> RunResult {
         let prepared = Prepared::new(module);
-        Self::run_prepared(module, &prepared, cfg, spec, None)
-    }
-
-    /// [`Vm::run`] against a [`Prepared`] handle built earlier for the
-    /// same functions and global layout, so that many runs decode once;
-    /// with `trace` attached it is [`Vm::run_traced`]. The result is
-    /// bit-identical to the from-scratch call either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prepared` does not fit `module` (see [`Vm::start`]).
-    pub fn run_prepared(
-        module: &Module,
-        prepared: &Prepared,
-        cfg: VmConfig,
-        spec: RunSpec<'_>,
-        trace: Option<&mut TraceBuf>,
-    ) -> RunResult {
-        let mem = Memory::new(module, cfg.mem_bytes);
-        Vm::run_in(module, prepared, cfg, spec, mem, trace)
-    }
-
-    /// [`Vm::run_prepared`] from a caller-built initial arena instead of
-    /// `Memory::new(module, cfg.mem_bytes)`: `mem` must be laid out for
-    /// `module` ([`Memory::layout`]), and its bytes and size are the
-    /// run's, whatever the module's global initialisers and
-    /// `cfg.mem_bytes` say. A caller that serves many runs from one
-    /// image clones it per run instead of building it.
-    ///
-    /// The single execution path behind [`Vm::run`]/[`Vm::run_traced`]/
-    /// [`Vm::run_prepared`]: the trace hooks are `None`-checked on the hot
-    /// path, so the untraced run executes the same code either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prepared` or `mem` does not fit `module` (see
-    /// [`Vm::start`]).
-    pub fn run_in(
-        module: &Module,
-        prepared: &Prepared,
-        cfg: VmConfig,
-        spec: RunSpec<'_>,
-        mem: Memory,
-        mut trace: Option<&mut TraceBuf>,
-    ) -> RunResult {
-        let mut vm = Vm::start_in(module, prepared, cfg, spec, mem);
-        vm.trace = trace.as_deref_mut().map(std::mem::take);
-        let outcome = vm.resume().expect("no pause point is set");
-        if let Some(buf) = trace {
-            *buf = vm.trace.take().expect("trace buffer attached for the whole run");
-        }
-        vm.into_result(outcome)
-    }
-
-    /// [`Vm::run`] with tracing attached: phase/transaction spans and
-    /// detection/vote instants land in `buf`, timestamped in raw virtual
-    /// cycles (embedding layers rescale; see `haft-trace`). Tracing is
-    /// observational — the returned [`RunResult`] is bit-identical to an
-    /// untraced run, a contract pinned by the root differential tests.
-    pub fn run_traced(
-        module: &'m Module,
-        cfg: VmConfig,
-        spec: RunSpec<'_>,
-        buf: &mut TraceBuf,
-    ) -> RunResult {
-        let prepared = Prepared::new(module);
-        Vm::run_prepared(module, &prepared, cfg, spec, Some(buf))
-    }
-
-    /// [`Vm::run`] with cycle-attribution profiling attached. The
-    /// returned profile's cell total equals the result's `cpu_cycles`
-    /// exactly; the run itself is bit-identical to an unprofiled one (the
-    /// profiler's hooks are `None`-checked like the tracer's).
-    pub fn run_profiled(
-        module: &'m Module,
-        cfg: VmConfig,
-        spec: RunSpec<'_>,
-    ) -> (RunResult, CycleProfile) {
-        let prepared = Prepared::new(module);
-        let mut vm = Vm::start(module, &prepared, cfg, spec);
-        vm.profiler = Some(Profiler::new(vm.threads.len(), module.funcs.len()));
-        let outcome = vm.resume().expect("no pause point is set");
-        let profile = vm.profiler.take().expect("profiler attached for the whole run");
-        let profile = profile.into_profile(|fid| module.func(FuncId(fid)).name.clone());
-        (vm.into_result(outcome), profile)
+        Vm::start(module, &prepared, cfg, spec).run_to_end()
     }
 
     /// A VM at the start of `spec`, about to run against `prepared`;
-    /// nothing has executed yet. [`Vm::run_to_end`] makes it
-    /// [`Vm::run_prepared`]; [`Vm::advance_to`] and [`Vm::fork`] make it
-    /// the fault-free *pilot* that injection runs branch off.
+    /// nothing has executed yet. [`Vm::run_to_end`] runs it; observers
+    /// attached first ([`Vm::trace_into`], [`Vm::profile_into`]) watch the
+    /// run; [`Vm::advance_to`] and [`Vm::fork`] make it the fault-free
+    /// *pilot* that injection runs branch off. Its result is bit-identical
+    /// to a from-scratch [`Vm::run`]'s, however many runs share
+    /// `prepared`.
     ///
     /// # Panics
     ///
@@ -708,9 +629,18 @@ impl<'m> Vm<'m> {
         Vm::start_in(module, prepared, cfg, spec, mem)
     }
 
-    /// [`Vm::start`] over the initial arena `mem` (see [`Vm::run_in`]),
-    /// which must be laid out for `module` too.
-    fn start_in(
+    /// [`Vm::start`] from a caller-built initial arena instead of
+    /// `Memory::new(module, cfg.mem_bytes)`: `mem` must be laid out for
+    /// `module` ([`Memory::layout`]), and its bytes and size are the
+    /// run's, whatever the module's global initialisers and
+    /// `cfg.mem_bytes` say. A caller that serves many runs from one
+    /// image clones it per run instead of building it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prepared` or `mem` does not fit `module` (see
+    /// [`Vm::start`]).
+    pub fn start_in(
         module: &'m Module,
         prepared: &'m Prepared,
         cfg: VmConfig,
@@ -735,6 +665,25 @@ impl<'m> Vm<'m> {
         vm.dc = Some(&prepared.decoded);
         vm.pause_slack = prepared.pause_slack;
         vm
+    }
+
+    /// Attaches tracing: phase/transaction spans and detection/vote
+    /// instants are appended to `buf` as the run executes, timestamped in
+    /// raw virtual cycles (embedding layers rescale; see `haft-trace`).
+    /// Tracing is observational — the [`RunResult`] is bit-identical to
+    /// an untraced run's, a contract pinned by the root differential
+    /// tests.
+    pub fn trace_into(&mut self, buf: &'m mut TraceBuf) {
+        self.trace = Some(buf);
+    }
+
+    /// Attaches cycle-attribution profiling: [`Vm::run_to_end`] writes the
+    /// run's histogram into `profile`, whose cell total then equals the
+    /// result's `cpu_cycles` exactly. Attach it before the run starts;
+    /// the run itself is bit-identical to an unprofiled one (the
+    /// profiler's hooks are `None`-checked like the tracer's).
+    pub fn profile_into(&mut self, profile: &'m mut CycleProfile) {
+        self.profiler = Some((Profiler::new(self.threads.len(), self.m.funcs.len()), profile));
     }
 
     /// Dynamic register writes retired so far (the fault-injection
@@ -820,7 +769,8 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Runs (the rest of) the run and returns the measurements.
+    /// Runs (the rest of) the run and returns the measurements; fills the
+    /// profile of [`Vm::profile_into`], if one is attached.
     pub fn run_to_end(mut self) -> RunResult {
         let outcome = self.resume().expect("no pause point is set");
         self.into_result(outcome)
@@ -930,7 +880,7 @@ impl<'m> Vm<'m> {
     /// Emits one phase span covering `[before, wall_cycles)` (raw cycles).
     fn trace_phase(&mut self, name: &'static str, before: u64) {
         let dur = self.wall_cycles - before;
-        if let Some(tr) = self.trace.as_mut() {
+        if let Some(tr) = self.trace.as_deref_mut() {
             tr.push(TraceEvent::span("vm", name, before, dur));
         }
     }
@@ -947,6 +897,9 @@ impl<'m> Vm<'m> {
             );
         }
         let forensics = self.conclude_forensics(outcome);
+        if let Some((profiler, out)) = self.profiler.take() {
+            *out = profiler.into_profile(|fid| self.m.func(FuncId(fid)).name.clone());
+        }
         // Account an open transaction's cycles (e.g. stopped mid-tx).
         for t in &mut self.threads {
             if t.in_tx() {
@@ -1041,7 +994,7 @@ impl<'m> Vm<'m> {
             for tid in 0..n {
                 let args = [tid as u64, n as u64];
                 self.reset_thread_for(tid, fid, &args[..n_params]);
-                if let Some(p) = self.profiler.as_mut() {
+                if let Some((p, _)) = self.profiler.as_mut() {
                     p.phase_start(tid);
                 }
             }
@@ -1049,7 +1002,7 @@ impl<'m> Vm<'m> {
         }
         let out = self.schedule(n)?;
         self.cursor.started = false;
-        if let Some(p) = self.profiler.as_mut() {
+        if let Some((p, _)) = self.profiler.as_mut() {
             for tid in 0..n {
                 p.flush(tid, self.threads[tid].sb.clock);
             }
@@ -1207,7 +1160,7 @@ impl<'m> Vm<'m> {
             t.threshold = (t.threshold + t.threshold / 8 + 1).min(max_threshold);
         }
         self.htm.stats.tx_cycles += t.sb.clock.saturating_sub(t.tx_start_clock);
-        if let Some(tr) = self.trace.as_mut() {
+        if let Some(tr) = self.trace.as_deref_mut() {
             let start = t.tx_start_clock;
             let dur = t.sb.clock.saturating_sub(start);
             tr.push(
@@ -1245,7 +1198,7 @@ impl<'m> Vm<'m> {
             // Post-restore frame: the rollback penalty is charged where
             // execution resumes.
             let fid = t.frames.last().map(|f| f.func.0).unwrap_or(u32::MAX);
-            if let Some(tr) = self.trace.as_mut() {
+            if let Some(tr) = self.trace.as_deref_mut() {
                 tr.push(
                     TraceEvent::span(
                         "htm",
@@ -1257,7 +1210,7 @@ impl<'m> Vm<'m> {
                     .arg("cause", cause.to_string()),
                 );
             }
-            if let Some(p) = self.profiler.as_mut() {
+            if let Some((p, _)) = self.profiler.as_mut() {
                 p.abort(tid, now, fid);
             }
         }
@@ -1333,7 +1286,7 @@ impl<'m> Vm<'m> {
                 now,
             );
         }
-        if let Some(tr) = self.trace.as_mut() {
+        if let Some(tr) = self.trace.as_deref_mut() {
             let ts = self.wall_cycles + self.threads[tid].sb.clock;
             tr.push(TraceEvent::instant("vm", "ilr.detect", ts).lane(0, tid as u32));
         }
@@ -1398,7 +1351,7 @@ impl<'m> Vm<'m> {
     /// `Br` — invalidate them).
     #[inline(always)]
     fn before_op(&mut self, tid: usize, fid: u32, op: &decode::DOp, d: &decode::Decoded) {
-        if let Some(p) = self.profiler.as_mut() {
+        if let Some((p, _)) = self.profiler.as_mut() {
             p.fetch(tid, self.threads[tid].sb.clock, fid, OpClass::of(op));
         }
         if self.forensics.is_some() {
@@ -1533,7 +1486,7 @@ impl<'m> Vm<'m> {
             };
             // Stamped before the point itself issues.
             let now = self.wall_cycles + self.threads[tid].sb.clock;
-            if let Some(tr) = self.trace.as_mut() {
+            if let Some(tr) = self.trace.as_deref_mut() {
                 tr.push(TraceEvent::instant("vm", event, now).lane(0, tid as u32));
             }
             if let Some(fx) = self.forensics.as_deref_mut() {

@@ -455,7 +455,7 @@ impl<'m> Vm<'m> {
         let (mut last, mut pending, mut charged) = (t.sb.clock, OpClass::Other, [0u64; N_CLASSES]);
         if PROFILED {
             pending = df.class[fr.idx];
-            self.profiler.as_mut().expect("a profiled run").fetch(tid, last, fid, pending);
+            self.profiler.as_mut().expect("a profiled run").0.fetch(tid, last, fid, pending);
         }
         let mut cx = self.run_ctx(tid, d);
         // An observed run also ends where the op that takes the flip may be next.
@@ -488,7 +488,7 @@ impl<'m> Vm<'m> {
         self.threads[tid].frames.last_mut().expect("live frame").idx = pc;
         self.instructions += retired;
         if PROFILED {
-            let p = self.profiler.as_mut().expect("a profiled run");
+            let p = &mut self.profiler.as_mut().expect("a profiled run").0;
             p.settle_run(tid, fid, &charged, last, pending);
         }
         refused

@@ -721,7 +721,7 @@ impl<'m> Vm<'m> {
         } else if fx.drain(FaultDetector::MaskedAtSite, self.instructions, now) {
             self.settle_now(true);
         }
-        if let Some(tr) = self.trace.as_mut() {
+        if let Some(tr) = self.trace.as_deref_mut() {
             tr.push(
                 TraceEvent::instant("vm", "fault.flip", now)
                     .lane(0, tid as u32)
@@ -766,7 +766,7 @@ impl<'m> Vm<'m> {
             };
             fx.freeze(det, self.instructions, self.wall_cycles);
         }
-        if let Some(tr) = self.trace.as_mut() {
+        if let Some(tr) = self.trace.as_deref_mut() {
             tr.push(
                 TraceEvent::span("vm", "fault.window", fx.seed_cycles, fx.latency_cycles)
                     .arg("detector", fx.detector.label().to_string()),

@@ -1443,7 +1443,7 @@ fn fault_lands_on_exactly_the_planned_register_write() {
     }
 }
 
-/// `Vm::run_in` takes a caller's arena only if it is laid out for the
+/// `Vm::start_in` takes a caller's arena only if it is laid out for the
 /// module it runs.
 #[test]
 #[should_panic(expected = "prepared or arena for another function list or global layout")]
@@ -1453,7 +1453,7 @@ fn an_arena_laid_out_for_another_module_is_refused() {
     other.add_global("g", 8);
     let cfg = VmConfig::default();
     let (prepared, mem) = (Prepared::new(&m), Memory::new(&other, cfg.mem_bytes));
-    Vm::run_in(&m, &prepared, cfg, RunSpec { fini: Some("fini"), ..Default::default() }, mem, None);
+    Vm::start_in(&m, &prepared, cfg, RunSpec { fini: Some("fini"), ..Default::default() }, mem);
 }
 
 // --- observation at run speed ---------------------------------------------------
@@ -1559,12 +1559,18 @@ fn the_one_op_arm_runs_only_while_a_taint_window_is_open() {
     const BODY_OPS: usize = 16;
     let m = observed_program(300);
     let cfg = |fault, forensics| VmConfig { fault, forensics, ..Default::default() };
-    let slack = Prepared::new(&m).pause_slack;
+    let prepared = Prepared::new(&m);
+    let slack = prepared.pause_slack;
     assert_eq!(slack, 2, "the two phis of the loop body");
     let (clean, refused) = arm_ops(|| run(&m, cfg(None, false), FINI));
     assert!(refused * 2 < clean.instructions, "{refused} of {} ops", clean.instructions);
-    let (profiled, arm) = arm_ops(|| Vm::run_profiled(&m, cfg(None, false), FINI));
-    assert_eq!((profiled.0, arm), (clean.clone(), refused), "profiled");
+    let mut profile = CycleProfile::default();
+    let (profiled, arm) = arm_ops(|| {
+        let mut vm = Vm::start(&m, &prepared, cfg(None, false), FINI);
+        vm.profile_into(&mut profile);
+        vm.run_to_end()
+    });
+    assert_eq!((profiled, arm), (clean.clone(), refused), "profiled");
 
     let mut closed_by = Vec::new();
     for k in (clean.register_writes / 2..).take(2 * BODY_OPS) {
@@ -1593,20 +1599,46 @@ fn profile_survives_pauses() {
     let m = observed_program(40);
     for engine in [Engine::Interp, Engine::Fused] {
         let cfg = VmConfig { engine, ..Default::default() };
-        let (want, want_profile) = Vm::run_profiled(&m, cfg.clone(), FINI);
         let prepared = Prepared::new(&m);
+        let (mut want_profile, mut profile) = (CycleProfile::default(), CycleProfile::default());
+        let mut vm = Vm::start(&m, &prepared, cfg.clone(), FINI);
+        vm.profile_into(&mut want_profile);
+        let want = vm.run_to_end();
         let mut vm = Vm::start(&m, &prepared, cfg, FINI);
-        vm.profiler = Some(Profiler::new(1, m.funcs.len()));
+        vm.profile_into(&mut profile);
         let mut pauses = 0;
         while vm.cursor.ended.is_none() {
             pauses += 1;
             vm.advance_to(7 * pauses);
         }
         assert!(pauses > 40, "{engine:?}: paused {pauses} times");
-        let profiler = vm.profiler.take().expect("attached above");
-        let profile = profiler.into_profile(|fid| m.func(FuncId(fid)).name.clone());
-        assert_eq!(profile, want_profile, "{engine:?}");
         assert_eq!(vm.run_to_end(), want, "{engine:?}");
+        assert_eq!(profile, want_profile, "{engine:?}");
         assert_eq!(profile.total(), want.cpu_cycles, "{engine:?}");
     }
+}
+
+/// A pilot with an observer attached does not fork: its forks would run
+/// unobserved, and the observer would miss their runs.
+#[test]
+#[should_panic(expected = "fork needs a fault-free, uninstrumented pilot")]
+fn a_traced_pilot_does_not_fork() {
+    let m = observed_program(5);
+    let (prepared, mut buf) = (Prepared::new(&m), TraceBuf::new());
+    let mut pilot = Vm::start(&m, &prepared, VmConfig::default(), FINI);
+    pilot.trace_into(&mut buf);
+    pilot.advance_to(3);
+    pilot.fork(FaultPlan { occurrence: 3, xor_mask: 1 }, false);
+}
+
+/// `a_traced_pilot_does_not_fork` with a profile attached.
+#[test]
+#[should_panic(expected = "fork needs a fault-free, uninstrumented pilot")]
+fn a_profiled_pilot_does_not_fork() {
+    let m = observed_program(5);
+    let (prepared, mut profile) = (Prepared::new(&m), CycleProfile::default());
+    let mut pilot = Vm::start(&m, &prepared, VmConfig::default(), FINI);
+    pilot.profile_into(&mut profile);
+    pilot.advance_to(3);
+    pilot.fork(FaultPlan { occurrence: 3, xor_mask: 1 }, false);
 }

@@ -7,6 +7,8 @@
 //! terminal operations run it:
 //!
 //! * [`Experiment::run`] — harden and execute once.
+//! * [`Experiment::run_profiled`] — same, with the per-function ×
+//!   op-class cycle histogram.
 //! * [`Experiment::run_with_fault`] — same, with a single-event upset
 //!   injected mid-trace.
 //! * [`Experiment::campaign`] — a full fault-injection campaign
@@ -14,11 +16,16 @@
 //! * [`Experiment::compare`] — run several harden configurations
 //!   side-by-side against the shared native baseline and report
 //!   overheads.
+//! * [`Experiment::serve`] / [`Experiment::serve_in`] — put the hardened
+//!   shard module under live request traffic.
 //!
-//! Every terminal op reports through [`VariantReport`] /
-//! [`ExperimentReport`]: outputs, overhead vs native, per-pass
-//! instruction deltas, transaction/abort statistics, and (for campaigns)
-//! the Table 1 outcome histogram.
+//! The run ops report through [`VariantReport`] / [`ExperimentReport`]:
+//! outputs, overhead vs native, per-pass instruction deltas,
+//! transaction/abort statistics, and (for campaigns) the Table 1 outcome
+//! histogram; the serve ops through [`ServiceReport`]. With
+//! [`Experiment::trace`] set, `run`, `run_profiled`, `run_with_fault`,
+//! `serve` and `serve_in` also export a trace; `campaign` and `compare`
+//! never do (see there).
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -140,14 +147,22 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Exports a Chrome trace-event JSON file (Perfetto-loadable) from
-    /// the next [`Experiment::run`] or [`Experiment::serve_in`] terminal
-    /// op. Tracing never changes what the run measures — the returned
-    /// report is bit-identical to an untraced run (pinned by the
-    /// differential trace test).
+    /// Exports a Chrome trace-event JSON file (Perfetto-loadable) to
+    /// `path` from every terminal op that traces, each rewriting it:
+    /// [`Experiment::run`], [`Experiment::run_profiled`],
+    /// [`Experiment::run_with_fault`], [`Experiment::serve`] and
+    /// [`Experiment::serve_in`]. Tracing never changes what the run
+    /// measures — the returned report is bit-identical to an untraced run
+    /// (pinned by the differential trace test).
     ///
-    /// Timestamp units by terminal op: `run` exports raw virtual cycles;
-    /// `serve`/`serve_in` export virtual nanoseconds, with native-mode
+    /// [`Experiment::compare`] never traces: its baseline and variants
+    /// would each rewrite the one path, leaving only the last run's
+    /// events. Nor does [`Experiment::campaign`]: its injection runs fork
+    /// off a pilot run, which must be uninstrumented
+    /// ([`haft_vm::Vm::fork`]).
+    ///
+    /// Timestamp units by terminal op: the `run*` ops export raw virtual
+    /// cycles; `serve`/`serve_in` export virtual nanoseconds, with native-mode
     /// pool scheduling events on the host wall clock under their own
     /// track group (each carries the other clock as an argument).
     pub fn trace(mut self, path: impl Into<PathBuf>) -> Self {
@@ -176,33 +191,49 @@ impl<'a> Experiment<'a> {
         self.built.get_or_init(|| PassManager::from_config(&self.cfg).run_on(self.module))
     }
 
-    /// A caller-supplied `vm.fault` would be silently dropped by this
-    /// terminal op — catch the misuse in debug builds instead.
-    fn debug_assert_no_fault(&self, op: &str) {
+    /// The VM configuration of fault-free terminal op `op`. A
+    /// caller-supplied `vm.fault` would be silently dropped by it — catch
+    /// the misuse in debug builds instead.
+    fn fault_free(&self, op: &str) -> VmConfig {
         debug_assert!(
             self.vm.fault.is_none(),
             "Experiment::{op} ignores vm.fault; use run_with_fault (or campaign) to inject"
         );
+        VmConfig { fault: None, ..self.vm.clone() }
     }
 
-    fn run_built(&self, module: &Module, pass_stats: PassStats, vm: VmConfig) -> VariantReport {
-        let run = match &self.trace_path {
-            None => Vm::run(module, vm, self.spec),
-            Some(path) => {
-                let mut buf = TraceBuf::new();
-                let run = Vm::run_traced(module, vm, self.spec, &mut buf);
-                write_trace(path, &buf);
-                run
-            }
-        };
+    /// This experiment's report of `run`, with the cached harden stats.
+    fn report(&self, run: RunResult, campaign: Option<CampaignReport>) -> VariantReport {
         VariantReport {
             label: self.cfg.label(),
             backend: self.cfg.backend(),
-            pass_stats,
+            pass_stats: self.built().1.clone(),
             run,
             overhead_vs_native: None,
-            campaign: None,
+            campaign,
         }
+    }
+
+    /// The one run path of [`Experiment::run`], [`Experiment::run_profiled`]
+    /// and [`Experiment::run_with_fault`]: the hardened module once under
+    /// `vm`, traced when a trace path is set, profiled into `profile` when
+    /// one is given.
+    fn run_built(&self, vm: VmConfig, profile: Option<&mut CycleProfile>) -> VariantReport {
+        let module = &self.built().0;
+        let prepared = Prepared::new(module);
+        let mut buf = TraceBuf::new();
+        let mut run = Vm::start(module, &prepared, vm, self.spec);
+        if self.trace_path.is_some() {
+            run.trace_into(&mut buf);
+        }
+        if let Some(profile) = profile {
+            run.profile_into(profile);
+        }
+        let run = run.run_to_end();
+        if let Some(path) = &self.trace_path {
+            write_trace(path, &buf);
+        }
+        self.report(run, None)
     }
 
     /// Hardens (cached) and executes once, fault-free.
@@ -210,11 +241,7 @@ impl<'a> Experiment<'a> {
     /// Debug-asserts that the VM configuration carries no fault plan —
     /// injection goes through [`Experiment::run_with_fault`].
     pub fn run(&self) -> VariantReport {
-        self.debug_assert_no_fault("run");
-        let (module, stats) = self.built();
-        let mut vm = self.vm.clone();
-        vm.fault = None;
-        self.run_built(module, stats.clone(), vm)
+        self.run_built(self.fault_free("run"), None)
     }
 
     /// [`Experiment::run`] with cycle-attribution profiling: also returns
@@ -223,29 +250,15 @@ impl<'a> Experiment<'a> {
     /// [`haft_vm::CycleProfile`]). The run itself is bit-identical to an
     /// unprofiled one.
     pub fn run_profiled(&self) -> (VariantReport, CycleProfile) {
-        self.debug_assert_no_fault("run_profiled");
-        let (module, stats) = self.built();
-        let mut vm = self.vm.clone();
-        vm.fault = None;
-        let (run, profile) = Vm::run_profiled(module, vm, self.spec);
-        let report = VariantReport {
-            label: self.cfg.label(),
-            backend: self.cfg.backend(),
-            pass_stats: stats.clone(),
-            run,
-            overhead_vs_native: None,
-            campaign: None,
-        };
+        let mut profile = CycleProfile::default();
+        let report = self.run_built(self.fault_free("run_profiled"), Some(&mut profile));
         (report, profile)
     }
 
     /// Hardens (cached) and executes once with a single-event upset
     /// injected at `plan`'s dynamic occurrence.
     pub fn run_with_fault(&self, plan: FaultPlan) -> VariantReport {
-        let (module, stats) = self.built();
-        let mut vm = self.vm.clone();
-        vm.fault = Some(plan);
-        self.run_built(module, stats.clone(), vm)
+        self.run_built(VmConfig { fault: Some(plan), ..self.vm.clone() }, None)
     }
 
     /// Hardens once, runs the fault-free reference, then the full
@@ -273,22 +286,13 @@ impl<'a> Experiment<'a> {
     /// Panics if the reference run does not complete (the program under
     /// test must be correct before injecting faults into it).
     pub fn campaign(&self, cfg: CampaignConfig) -> VariantReport {
-        self.debug_assert_no_fault("campaign");
-        let (module, stats) = self.built();
-        let mut vm = self.vm.clone();
-        vm.fault = None;
+        let vm = self.fault_free("campaign");
+        let module = &self.built().0;
         let prepared = Prepared::new(module);
-        let golden = Vm::run_prepared(module, &prepared, vm.clone(), self.spec, None);
+        let golden = Vm::start(module, &prepared, vm.clone(), self.spec).run_to_end();
         let campaign_cfg = CampaignConfig { vm, ..cfg };
         let report = run_campaign_from(module, self.spec, &campaign_cfg, &prepared, &golden);
-        VariantReport {
-            label: self.cfg.label(),
-            backend: self.cfg.backend(),
-            pass_stats: stats.clone(),
-            run: golden,
-            overhead_vs_native: None,
-            campaign: Some(report),
-        }
+        self.report(golden, Some(report))
     }
 
     /// Hardens (cached) and puts the result under live traffic: drives
@@ -327,10 +331,8 @@ impl<'a> Experiment<'a> {
     /// open loop and one-shard closed loop without sagas, and tracks it
     /// within a band elsewhere (`haft-runtime`'s twin-validation test).
     pub fn serve_in(&self, mode: ServeMode, cfg: &ServeConfig) -> ServiceReport {
-        self.debug_assert_no_fault("serve_in");
-        let (module, _stats) = self.built();
-        let mut vm = self.vm.clone();
-        vm.fault = None;
+        let vm = self.fault_free("serve_in");
+        let module = &self.built().0;
         let label = self.cfg.label();
         let mut buf = self.trace_path.as_ref().map(|_| TraceBuf::new());
         let report = match mode {
@@ -355,10 +357,8 @@ impl<'a> Experiment<'a> {
     /// The experiment's own harden configuration is ignored; the
     /// baseline is always [`HardenConfig::native`].
     pub fn compare(&self, configs: &[HardenConfig]) -> ExperimentReport {
-        self.debug_assert_no_fault("compare");
-        let mut vm = self.vm.clone();
-        vm.fault = None;
-        // Variant runs never trace: they would all race for one path.
+        let vm = self.fault_free("compare");
+        // Variant runs never trace: each would rewrite the one path.
         let mut base = self.clone();
         base.trace_path = None;
         let baseline =

@@ -15,10 +15,13 @@ fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("haft-{}-{}.json", name, std::process::id()))
 }
 
-/// `Vm::run_traced` must return a `RunResult` bit-identical to
-/// `Vm::run` — on both engines, for native, HAFT, and TMR hardening.
-/// This is the core zero-cost contract: attaching a trace buffer
-/// observes the run, it never perturbs it.
+/// A `Vm` with a trace buffer attached (`Vm::trace_into`) must return a
+/// `RunResult` bit-identical to `Vm::run` — on both engines, for native,
+/// HAFT, and TMR hardening. This is the core zero-cost contract:
+/// attaching a trace buffer observes the run, it never perturbs it. So
+/// must one with a profile attached as well (`Vm::profile_into`), and
+/// neither observer perturbs the other: its events are the trace-only
+/// run's, its profile the profile-only run's.
 #[test]
 fn traced_vm_run_is_bit_identical() {
     let w = workload_by_name("histogram", Scale::Small).unwrap();
@@ -29,15 +32,33 @@ fn traced_vm_run_is_bit_identical() {
             let (module, _) = exp.build();
             let vm = VmConfig { n_threads: 2, engine, ..Default::default() };
             let plain = Vm::run(&module, vm.clone(), w.run_spec());
-            let mut buf = TraceBuf::new();
-            let traced = Vm::run_traced(&module, vm, w.run_spec(), &mut buf);
+            let prepared = Prepared::new(&module);
+            let observed = |trace: bool, profile: bool| {
+                let (mut buf, mut cycles) = (TraceBuf::new(), CycleProfile::default());
+                let mut run = Vm::start(&module, &prepared, vm.clone(), w.run_spec());
+                if trace {
+                    run.trace_into(&mut buf);
+                }
+                if profile {
+                    run.profile_into(&mut cycles);
+                }
+                (run.run_to_end(), buf, cycles)
+            };
+            let (traced, buf, _) = observed(true, false);
             assert_eq!(plain, traced, "{engine:?}/{label}: tracing changed the result");
             assert!(!buf.events.is_empty(), "{engine:?}/{label}: no events collected");
+            let (profiled, _, profile) = observed(false, true);
+            assert_eq!(plain, profiled, "{engine:?}/{label}: profiling changed the result");
+            let (both, both_buf, both_profile) = observed(true, true);
+            assert_eq!(plain, both, "{engine:?}/{label}: both observers changed the result");
+            assert_eq!(buf, both_buf, "{engine:?}/{label}: profiling changed the trace");
+            assert_eq!(profile, both_profile, "{engine:?}/{label}: tracing changed the profile");
+            assert_eq!(both_profile.total(), plain.cpu_cycles, "{engine:?}/{label}: attribution");
         }
     }
 }
 
-/// `Vm::run_profiled` must also be bit-identical, and the profile's
+/// `Experiment::run_profiled` must also be bit-identical, and the profile's
 /// cell total must equal the run's `cpu_cycles` *exactly* — the
 /// telescoping attribution leaves no cycle unaccounted and counts none
 /// twice. Pinned on both engines, whose histograms must also be equal
@@ -93,7 +114,13 @@ b0:
         let m = haft::ir::parser::parse_module(text).unwrap();
         assert!(verify_module(&m).is_err(), "{}: the verifier must reject it", m.name);
         let spec = RunSpec { fini: Some("fini"), ..Default::default() };
-        let run = |engine| Vm::run_profiled(&m, VmConfig { engine, ..Default::default() }, spec);
+        let prepared = Prepared::new(&m);
+        let run = |engine| {
+            let mut profile = CycleProfile::default();
+            let mut vm = Vm::start(&m, &prepared, VmConfig { engine, ..Default::default() }, spec);
+            vm.profile_into(&mut profile);
+            (vm.run_to_end(), profile)
+        };
         let (interp, interp_profile) = run(Engine::Interp);
         let (fused, fused_profile) = run(Engine::Fused);
         assert_eq!(interp, fused, "{}: engines diverge", m.name);
@@ -142,10 +169,17 @@ fn profiles_match_across_calls_and_conflict_aborts() {
     verify_module(&m).unwrap();
 
     let spec = RunSpec { worker: Some("worker"), fini: Some("fini"), ..Default::default() };
+    let prepared = Prepared::new(&m);
     for n_threads in [1, 4] {
         let vm = |engine| VmConfig { n_threads, quantum: 9, engine, ..Default::default() };
-        let (interp, interp_profile) = Vm::run_profiled(&m, vm(Engine::Interp), spec);
-        let (fused, fused_profile) = Vm::run_profiled(&m, vm(Engine::Fused), spec);
+        let profiled = |engine| {
+            let mut profile = CycleProfile::default();
+            let mut run = Vm::start(&m, &prepared, vm(engine), spec);
+            run.profile_into(&mut profile);
+            (run.run_to_end(), profile)
+        };
+        let (interp, interp_profile) = profiled(Engine::Interp);
+        let (fused, fused_profile) = profiled(Engine::Fused);
         assert_eq!(interp, fused, "{n_threads} threads: engines diverge");
         assert_eq!(fused, Vm::run(&m, vm(Engine::Fused), spec), "{n_threads} threads: profiling");
         assert_eq!(interp_profile, fused_profile, "{n_threads} threads: profiles differ");
