@@ -679,10 +679,16 @@ impl<'m> Vm<'m> {
 
     /// Attaches cycle-attribution profiling: [`Vm::run_to_end`] writes the
     /// run's histogram into `profile`, whose cell total then equals the
-    /// result's `cpu_cycles` exactly. Attach it before the run starts;
-    /// the run itself is bit-identical to an unprofiled one (the
-    /// profiler's hooks are `None`-checked like the tracer's).
+    /// result's `cpu_cycles` exactly. The run itself is bit-identical to
+    /// an unprofiled one (the profiler's hooks are `None`-checked like
+    /// the tracer's).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has executed an op: the cycles before it would
+    /// go uncharged.
     pub fn profile_into(&mut self, profile: &'m mut CycleProfile) {
+        assert_eq!(self.instructions, 0, "a profile attaches before the run's first op");
         self.profiler = Some((Profiler::new(self.threads.len(), self.m.funcs.len()), profile));
     }
 

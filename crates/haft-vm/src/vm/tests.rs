@@ -1631,6 +1631,17 @@ fn a_traced_pilot_does_not_fork() {
     pilot.fork(FaultPlan { occurrence: 3, xor_mask: 1 }, false);
 }
 
+/// A profile attached mid-run would miss the cycles before it.
+#[test]
+#[should_panic(expected = "a profile attaches before the run's first op")]
+fn a_profile_attaches_only_before_the_first_op() {
+    let m = observed_program(5);
+    let (prepared, mut profile) = (Prepared::new(&m), CycleProfile::default());
+    let mut vm = Vm::start(&m, &prepared, VmConfig::default(), FINI);
+    vm.advance_to(3);
+    vm.profile_into(&mut profile);
+}
+
 /// `a_traced_pilot_does_not_fork` with a profile attached.
 #[test]
 #[should_panic(expected = "fork needs a fault-free, uninstrumented pilot")]

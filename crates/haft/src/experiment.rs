@@ -162,9 +162,10 @@ impl<'a> Experiment<'a> {
     /// ([`haft_vm::Vm::fork`]).
     ///
     /// Timestamp units by terminal op: the `run*` ops export raw virtual
-    /// cycles; `serve`/`serve_in` export virtual nanoseconds, with native-mode
-    /// pool scheduling events on the host wall clock under their own
-    /// track group (each carries the other clock as an argument).
+    /// cycles; `serve`/`serve_in` export virtual nanoseconds, with
+    /// native-mode pool scheduling events on the host wall clock under
+    /// their own track group (each carries the other clock as an
+    /// argument).
     pub fn trace(mut self, path: impl Into<PathBuf>) -> Self {
         self.trace_path = Some(path.into());
         self
