@@ -17,44 +17,54 @@ fn scratch(name: &str) -> std::path::PathBuf {
 
 /// A `Vm` with a trace buffer attached (`Vm::trace_into`) must return a
 /// `RunResult` bit-identical to `Vm::run` — on both engines, for native,
-/// HAFT, and TMR hardening. This is the core zero-cost contract:
-/// attaching a trace buffer observes the run, it never perturbs it. So
-/// must one with a profile attached as well (`Vm::profile_into`), and
-/// neither observer perturbs the other: its events are the trace-only
-/// run's, its profile the profile-only run's.
+/// HAFT, and TMR hardening, fault-free and with one flip. This is the
+/// core zero-cost contract: attaching a trace buffer observes the run,
+/// it never perturbs it. So must one with a profile attached as well
+/// (`Vm::profile_into`), and neither observer perturbs the other: its
+/// events are the trace-only run's, its profile the profile-only run's.
 #[test]
 fn traced_vm_run_is_bit_identical() {
     let w = workload_by_name("histogram", Scale::Small).unwrap();
     for engine in [Engine::Interp, Engine::Fused] {
+        let mut rolled_back = false;
         for cfg in [HardenConfig::native(), HardenConfig::haft(), HardenConfig::tmr()] {
             let label = cfg.label();
             let exp = Experiment::workload(&w).harden(cfg).engine(engine).threads(2);
             let (module, _) = exp.build();
-            let vm = VmConfig { n_threads: 2, engine, ..Default::default() };
-            let plain = Vm::run(&module, vm.clone(), w.run_spec());
             let prepared = Prepared::new(&module);
-            let observed = |trace: bool, profile: bool| {
-                let (mut buf, mut cycles) = (TraceBuf::new(), CycleProfile::default());
-                let mut run = Vm::start(&module, &prepared, vm.clone(), w.run_spec());
-                if trace {
-                    run.trace_into(&mut buf);
-                }
-                if profile {
-                    run.profile_into(&mut cycles);
-                }
-                (run.run_to_end(), buf, cycles)
-            };
-            let (traced, buf, _) = observed(true, false);
-            assert_eq!(plain, traced, "{engine:?}/{label}: tracing changed the result");
-            assert!(!buf.events.is_empty(), "{engine:?}/{label}: no events collected");
-            let (profiled, _, profile) = observed(false, true);
-            assert_eq!(plain, profiled, "{engine:?}/{label}: profiling changed the result");
-            let (both, both_buf, both_profile) = observed(true, true);
-            assert_eq!(plain, both, "{engine:?}/{label}: both observers changed the result");
-            assert_eq!(buf, both_buf, "{engine:?}/{label}: profiling changed the trace");
-            assert_eq!(profile, both_profile, "{engine:?}/{label}: tracing changed the profile");
-            assert_eq!(both_profile.total(), plain.cpu_cycles, "{engine:?}/{label}: attribution");
+            let clean = VmConfig { n_threads: 2, engine, ..Default::default() };
+            let writes = Vm::run(&module, clean.clone(), w.run_spec()).register_writes;
+            // Fault-free, and with a flip mid-run, which HAFT rolls back:
+            // the abort hooks then run with both observers attached.
+            for fault in [None, Some(FaultPlan { occurrence: writes / 2, xor_mask: 1 })] {
+                let at = format!("{engine:?}/{label}/{fault:?}");
+                let vm = VmConfig { fault, ..clean.clone() };
+                let plain = Vm::run(&module, vm.clone(), w.run_spec());
+                rolled_back |= plain.htm.total_aborts() > 0;
+                let observed = |trace: bool, profile: bool| {
+                    let (mut buf, mut cycles) = (TraceBuf::new(), CycleProfile::default());
+                    let mut run = Vm::start(&module, &prepared, vm.clone(), w.run_spec());
+                    if trace {
+                        run.trace_into(&mut buf);
+                    }
+                    if profile {
+                        run.profile_into(&mut cycles);
+                    }
+                    (run.run_to_end(), buf, cycles)
+                };
+                let (traced, buf, _) = observed(true, false);
+                assert_eq!(plain, traced, "{at}: tracing changed the result");
+                assert!(!buf.events.is_empty(), "{at}: no events collected");
+                let (profiled, _, profile) = observed(false, true);
+                assert_eq!(plain, profiled, "{at}: profiling changed the result");
+                let (both, both_buf, both_profile) = observed(true, true);
+                assert_eq!(plain, both, "{at}: both observers changed the result");
+                assert_eq!(buf, both_buf, "{at}: profiling changed the trace");
+                assert_eq!(profile, both_profile, "{at}: tracing changed the profile");
+                assert_eq!(both_profile.total(), plain.cpu_cycles, "{at}: attribution");
+            }
         }
+        assert!(rolled_back, "{engine:?}: no run aborted, so no abort hook ran observed");
     }
 }
 
