@@ -24,7 +24,9 @@ use std::sync::Mutex;
 
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
-use haft_vm::{FaultPlan, Forensics, ForkEnd, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{
+    FaultPlan, Forensics, ForkEnd, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
+};
 
 use crate::classify::{classify, classify_settled, Outcome};
 use crate::report::CampaignReport;
@@ -53,7 +55,9 @@ pub fn settle_counts() -> SettleCounts {
     }
 }
 
-/// Campaign parameters.
+/// Campaign parameters: how many plans, drawn how, run on how many
+/// threads, observed how. The machine every run uses is the
+/// [`VmConfig`] passed beside it to [`run_campaign`].
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Number of injection runs (the paper uses 2,500 per program; the
@@ -72,12 +76,6 @@ pub struct CampaignConfig {
     /// host's core count as the process read it once for its helper
     /// budget, so building a configuration never probes the host again.
     pub parallelism: usize,
-    /// VM configuration for every run (simulated thread count, HTM
-    /// parameters, ...). The fault plan and forensics fields are
-    /// overwritten per run, and an injection run's instruction budget is
-    /// `max_instructions` or a fixed multiple of the reference run's
-    /// instructions (`HANG_RUNS`), whichever is less.
-    pub vm: VmConfig,
     /// Enable per-run fault forensics (taint tracking on fault runs) and
     /// aggregate the records into [`CampaignReport::forensics`]. Off by
     /// default: tracking makes injection runs slower, and outcome counts
@@ -91,26 +89,9 @@ impl Default for CampaignConfig {
             injections: 200,
             seed: 0xFA_17,
             parallelism: haft_vm::cores::spare() + 1,
-            vm: VmConfig { n_threads: 2, ..Default::default() },
             forensics: false,
         }
     }
-}
-
-/// Runs a full campaign against `module` and returns the aggregated
-/// report plus the golden (fault-free) output.
-///
-/// # Panics
-///
-/// Panics if the fault-free reference run does not complete — the program
-/// under test must be correct before injecting faults into it.
-pub fn run_campaign(module: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) -> CampaignReport {
-    // Step 1: reference run — trace size and golden output — against the
-    // decoded code every run of the campaign shares.
-    let ref_cfg = VmConfig { fault: None, ..cfg.vm.clone() };
-    let prepared = Prepared::new(module);
-    let golden = Vm::start(module, &prepared, ref_cfg, spec).run_to_end();
-    run_campaign_from(module, spec, cfg, &prepared, &golden)
 }
 
 /// What one injection run contributes to the report.
@@ -133,28 +114,30 @@ const HANG_RUNS: u64 = 20;
 /// The instruction budget of every run of a campaign whose reference run
 /// is `golden`: `vm.max_instructions`, or [`HANG_RUNS`] reference runs if
 /// that is less.
-fn run_budget(vm: &VmConfig, golden: &haft_vm::RunResult) -> u64 {
+fn run_budget(vm: &VmConfig, golden: &RunResult) -> u64 {
     vm.max_instructions.min(HANG_RUNS.saturating_mul(golden.instructions))
 }
 
-/// Like [`run_campaign`], but reuses a `golden` reference run the caller
-/// has already performed (with `cfg.vm` and no fault) instead of
-/// re-executing it, and the `prepared` handle that run decoded: the pilot
-/// and its forks run against it too, so a campaign decodes once. Used by
-/// the `haft` facade's `Experiment`, which needs the reference
-/// [`haft_vm::RunResult`] for its own report anyway.
+/// Runs a full campaign against `module` under `vm` and returns the
+/// fault-free reference run and the aggregated report. Every run
+/// executes against one decode of `module`; an injection run's
+/// instruction budget is `vm.max_instructions` or a fixed multiple of
+/// the reference run's instructions (`HANG_RUNS`), whichever is less.
 ///
 /// # Panics
 ///
-/// Panics if `golden` is not a completed run, or `prepared` does not fit
-/// `module` and `cfg.vm` (see [`Vm::start`]).
-pub fn run_campaign_from(
+/// Panics if the fault-free reference run does not complete — the program
+/// under test must be correct before injecting faults into it.
+pub fn run_campaign(
     module: &Module,
     spec: RunSpec<'_>,
+    vm: &VmConfig,
     cfg: &CampaignConfig,
-    prepared: &Prepared,
-    golden: &haft_vm::RunResult,
-) -> CampaignReport {
+) -> (RunResult, CampaignReport) {
+    // Step 1: reference run — trace size and golden output — against the
+    // decoded code every run of the campaign shares.
+    let prepared = Prepared::new(module);
+    let golden = Vm::start(module, &prepared, vm.clone(), spec).run_to_end();
     assert_eq!(golden.outcome, RunOutcome::Completed, "reference run must complete cleanly");
     let population = golden.register_writes.max(1);
 
@@ -168,9 +151,8 @@ pub fn run_campaign_from(
     let mut visit: Vec<usize> = (0..plans.len()).collect();
     visit.sort_by_key(|&i| plans[i].occurrence);
     // Forks inherit the pilot's configuration, and with it the budget.
-    let pilot_cfg =
-        VmConfig { fault: None, max_instructions: run_budget(&cfg.vm, golden), ..cfg.vm.clone() };
-    let mut pilot = Vm::start(module, prepared, pilot_cfg, spec);
+    let pilot_cfg = VmConfig { max_instructions: run_budget(vm, &golden), ..vm.clone() };
+    let mut pilot = Vm::start(module, &prepared, pilot_cfg, spec);
     // A fork settles only with a whole reference run's worth of budget
     // left, so that settling never hides a hang.
     let conclude = |fork: Vm<'_>| -> Verdict {
@@ -235,7 +217,7 @@ pub fn run_campaign_from(
             report.record_forensics(*o, fx);
         }
     }
-    report
+    (golden, report)
 }
 
 /// Draws the injection plans: occurrences uniform over the dynamic
@@ -308,31 +290,46 @@ mod tests {
     }
 
     fn campaign(n: u64) -> CampaignConfig {
-        CampaignConfig {
-            injections: n,
-            seed: 42,
-            parallelism: 2,
-            vm: VmConfig { n_threads: 1, max_instructions: 5_000_000, ..Default::default() },
-            forensics: false,
-        }
+        CampaignConfig { injections: n, seed: 42, parallelism: 2, forensics: false }
+    }
+
+    fn vm() -> VmConfig {
+        VmConfig { n_threads: 1, max_instructions: 5_000_000, ..Default::default() }
+    }
+
+    /// The report of [`run_campaign`] on `m` under [`vm`].
+    fn report(m: &Module, cfg: &CampaignConfig) -> CampaignReport {
+        run_campaign(m, spec(), &vm(), cfg).1
+    }
+
+    /// `plan` run from scratch: armed in a VM fresh from `Vm::start` (a
+    /// fork at op 0) and run to its end.
+    fn faulted_run(
+        m: &Module,
+        spec: RunSpec<'_>,
+        vm: VmConfig,
+        plan: FaultPlan,
+        forensics: bool,
+    ) -> RunResult {
+        let prepared = Prepared::new(m);
+        Vm::start(m, &prepared, vm, spec).fork(plan, forensics).run_to_end()
     }
 
     /// The campaign as the methodology states it, and as the driver ran
-    /// it before prefix sharing: every plan is its own from-scratch
-    /// `Vm::run` under the campaign's run budget, serially, in plan
-    /// order. The driver must report exactly this.
-    fn reference_campaign(m: &Module, spec: RunSpec<'_>, cfg: &CampaignConfig) -> CampaignReport {
-        let golden = Vm::run(m, VmConfig { fault: None, ..cfg.vm.clone() }, spec);
-        let max_instructions = run_budget(&cfg.vm, &golden);
+    /// it before prefix sharing: every plan is its own from-scratch run
+    /// under the campaign's run budget, serially, in plan order. The
+    /// driver must report exactly this.
+    fn reference_campaign(
+        m: &Module,
+        spec: RunSpec<'_>,
+        vm: &VmConfig,
+        cfg: &CampaignConfig,
+    ) -> CampaignReport {
+        let golden = Vm::run(m, vm.clone(), spec);
+        let vm = VmConfig { max_instructions: run_budget(vm, &golden), ..vm.clone() };
         let mut report = CampaignReport::default();
         for plan in plan_injections(cfg.seed, cfg.injections, golden.register_writes.max(1)) {
-            let vm = VmConfig {
-                fault: Some(plan),
-                forensics: cfg.forensics,
-                max_instructions,
-                ..cfg.vm.clone()
-            };
-            let r = Vm::run(m, vm, spec);
+            let r = faulted_run(m, spec, vm.clone(), plan, cfg.forensics);
             let o = classify(&r, &golden.output);
             report.record(o);
             if let Some(fx) = &r.forensics {
@@ -345,19 +342,19 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let m = program();
-        let a = run_campaign(&m, spec(), &campaign(60));
-        let b = run_campaign(&m, spec(), &campaign(60));
+        let a = report(&m, &campaign(60));
+        let b = report(&m, &campaign(60));
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.runs, 60);
         // The whole report — counts, runs, forensics aggregate — is the
         // per-plan reference loop's, on real worker threads and without.
-        assert_eq!(a, reference_campaign(&m, spec(), &campaign(60)));
+        assert_eq!(a, reference_campaign(&m, spec(), &vm(), &campaign(60)));
         let hardened = harden(&m, &HardenConfig::haft());
         for parallelism in [1, 2, 3] {
             let cfg = CampaignConfig { parallelism, forensics: true, ..campaign(60) };
-            let want = reference_campaign(&hardened, spec(), &cfg);
+            let want = reference_campaign(&hardened, spec(), &vm(), &cfg);
             assert!(want.forensics.as_ref().is_some_and(|s| s.fired > 0));
-            assert_eq!(run_campaign(&hardened, spec(), &cfg), want, "parallelism {parallelism}");
+            assert_eq!(report(&hardened, &cfg), want, "parallelism {parallelism}");
         }
     }
 
@@ -369,16 +366,13 @@ mod tests {
         let m = program();
         let mut zero = campaign(40);
         zero.parallelism = 0;
-        let a = run_campaign(&m, spec(), &zero);
-        let b = run_campaign(&m, spec(), &campaign(40));
+        let a = report(&m, &zero);
+        let b = report(&m, &campaign(40));
         assert_eq!(a.runs, 40);
         assert_eq!(a.counts, b.counts);
         zero.forensics = true;
         let hardened = harden(&m, &HardenConfig::haft());
-        assert_eq!(
-            run_campaign(&hardened, spec(), &zero),
-            reference_campaign(&hardened, spec(), &zero)
-        );
+        assert_eq!(report(&hardened, &zero), reference_campaign(&hardened, spec(), &vm(), &zero));
     }
 
     #[test]
@@ -406,29 +400,29 @@ mod tests {
         let mut m = Module::new("t");
         m.push_func(fb.finish());
 
-        let cfg =
-            CampaignConfig { vm: VmConfig { n_threads: 1, ..Default::default() }, ..campaign(40) };
-        let golden = Vm::run(&m, cfg.vm.clone(), spec());
-        let budget = run_budget(&cfg.vm, &golden);
+        let (vm, cfg) = (VmConfig { n_threads: 1, ..Default::default() }, campaign(40));
+        let golden = Vm::run(&m, vm.clone(), spec());
+        let budget = run_budget(&vm, &golden);
         assert_eq!(budget, HANG_RUNS * golden.instructions);
-        let tight = VmConfig { max_instructions: 3 * golden.instructions, ..cfg.vm.clone() };
+        let tight = VmConfig { max_instructions: 3 * golden.instructions, ..vm.clone() };
         assert_eq!(run_budget(&tight, &golden), tight.max_instructions);
         let late = plan_injections(cfg.seed, cfg.injections, golden.register_writes)
             .into_iter()
             .any(|p| {
-                let r = Vm::run(&m, VmConfig { fault: Some(p), ..cfg.vm.clone() }, spec());
+                let r = faulted_run(&m, spec(), vm.clone(), p, false);
                 r.outcome != RunOutcome::Hang && r.instructions > budget
             });
         assert!(late, "no planned run ends past the budget");
-        let r = run_campaign(&m, spec(), &cfg);
+        let (reference, r) = run_campaign(&m, spec(), &vm, &cfg);
+        assert_eq!(reference, golden);
         assert!(r.counts.get(&Outcome::Hang).is_some_and(|&n| n > 0), "{}", r.summary());
-        assert_eq!(r, reference_campaign(&m, spec(), &cfg));
+        assert_eq!(r, reference_campaign(&m, spec(), &vm, &cfg));
     }
 
     #[test]
     fn native_program_shows_sdc_and_masking() {
         let m = program();
-        let r = run_campaign(&m, spec(), &campaign(150));
+        let r = report(&m, &campaign(150));
         assert!(r.pct(Outcome::Sdc) > 5.0, "native must corrupt: {}", r.summary());
         assert!(r.pct(Outcome::Masked) > 2.0, "some faults mask: {}", r.summary());
         assert_eq!(r.pct(Outcome::HaftCorrected), 0.0, "no recovery without HAFT");
@@ -438,9 +432,9 @@ mod tests {
     #[test]
     fn ilr_converts_sdc_to_detection() {
         let m = program();
-        let native = run_campaign(&m, spec(), &campaign(150));
+        let native = report(&m, &campaign(150));
         let hardened = harden(&m, &HardenConfig::ilr_only());
-        let r = run_campaign(&hardened, spec(), &campaign(150));
+        let r = report(&hardened, &campaign(150));
         assert!(
             r.pct(Outcome::Sdc) < native.pct(Outcome::Sdc) / 2.0,
             "ILR {} vs native {}",
@@ -454,7 +448,7 @@ mod tests {
     fn haft_recovers_detected_faults() {
         let m = program();
         let hardened = harden(&m, &HardenConfig::haft());
-        let r = run_campaign(&hardened, spec(), &campaign(150));
+        let r = report(&hardened, &campaign(150));
         assert!(r.pct(Outcome::HaftCorrected) > 10.0, "{}", r.summary());
         assert!(
             r.pct(Outcome::IlrDetected) < 20.0,
@@ -471,7 +465,7 @@ mod tests {
         // and therefore zero rollback recoveries.
         let m = program();
         let hardened = harden(&m, &HardenConfig::tmr());
-        let r = run_campaign(&hardened, spec(), &campaign(150));
+        let r = report(&hardened, &campaign(150));
         assert!(r.pct(Outcome::VoteCorrected) > 10.0, "{}", r.summary());
         assert_eq!(r.pct(Outcome::HaftCorrected), 0.0, "no rollback machinery in TMR");
         assert!(r.pct(Outcome::Sdc) < 5.0, "{}", r.summary());
@@ -515,13 +509,10 @@ mod tests {
         m.push_func(fb.finish());
 
         let run = |mask: u64| {
-            let cfg = VmConfig {
-                n_threads: 1,
-                fault: Some(FaultPlan { occurrence: 0, xor_mask: mask }),
-                forensics: true,
-                ..Default::default()
-            };
-            Vm::run(&m, cfg, spec()).forensics.expect("fault must fire").site.applied_mask
+            let cfg = VmConfig { n_threads: 1, ..Default::default() };
+            let plan = FaultPlan { occurrence: 0, xor_mask: mask };
+            let r = faulted_run(&m, spec(), cfg, plan, true);
+            r.forensics.expect("fault must fire").site.applied_mask
         };
         assert_eq!(run(0xFF00), 1, "fallback path must be recorded as bit 0");
         assert_eq!(run(0x0F), 0x0F, "truncated mask applied verbatim");
@@ -531,10 +522,10 @@ mod tests {
     fn forensics_campaign_aggregates_without_changing_outcomes() {
         let m = program();
         let hardened = harden(&m, &HardenConfig::haft());
-        let plain = run_campaign(&hardened, spec(), &campaign(80));
+        let plain = report(&hardened, &campaign(80));
         let mut cfg = campaign(80);
         cfg.forensics = true;
-        let traced = run_campaign(&hardened, spec(), &cfg);
+        let traced = report(&hardened, &cfg);
         assert_eq!(plain.counts, traced.counts, "forensics must not change outcomes");
         assert!(plain.forensics.is_none());
         let s = traced.forensics.as_ref().expect("forensics aggregate");
@@ -575,16 +566,10 @@ mod tests {
                 let golden = Vm::run(&hardened, vm.clone(), w.run_spec());
                 let vm = VmConfig { max_instructions: 4 * golden.instructions, ..vm };
                 for forensics in [false, true] {
-                    let cfg = CampaignConfig {
-                        injections: 8,
-                        seed,
-                        parallelism: 2,
-                        vm: vm.clone(),
-                        forensics,
-                    };
+                    let cfg = CampaignConfig { injections: 8, seed, parallelism: 2, forensics };
                     assert_eq!(
-                        run_campaign(&hardened, w.run_spec(), &cfg),
-                        reference_campaign(&hardened, w.run_spec(), &cfg),
+                        run_campaign(&hardened, w.run_spec(), &vm, &cfg).1,
+                        reference_campaign(&hardened, w.run_spec(), &vm, &cfg),
                         "{} {} forensics={forensics}",
                         w.name,
                         hc.label()
@@ -612,8 +597,7 @@ mod tests {
         fb.switch_to(l);
         fb.br(l);
         m.push_func(fb.finish());
-        let mut c = campaign(1);
-        c.vm.max_instructions = 1000;
-        run_campaign(&m, spec(), &c);
+        let vm = VmConfig { max_instructions: 1000, ..vm() };
+        run_campaign(&m, spec(), &vm, &campaign(1));
     }
 }

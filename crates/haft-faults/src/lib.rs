@@ -26,7 +26,7 @@ pub mod classify;
 pub mod forensics;
 pub mod report;
 
-pub use campaign::{run_campaign, run_campaign_from, settle_counts, CampaignConfig, SettleCounts};
+pub use campaign::{run_campaign, settle_counts, CampaignConfig, SettleCounts};
 pub use classify::{
     classify, classify_requests, classify_settled, Group, Outcome, RequestCounts, RequestOutcome,
 };

@@ -18,7 +18,7 @@ use haft_ir::inst::Operand;
 use haft_ir::module::{GlobalId, Module};
 use haft_ir::types::Ty;
 use haft_passes::{HardenConfig, PassManager};
-use haft_vm::{FaultPlan, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig};
 
 /// An update-loop kernel the ABFT pass covers: `acc += i * 7` through a
 /// memory cell, the carried state checksummed in three lanes.
@@ -80,8 +80,9 @@ fn vm() -> VmConfig {
 }
 
 fn inject(m: &Module, occurrence: u64, xor_mask: u64) -> RunResult {
-    let cfg = VmConfig { fault: Some(FaultPlan { occurrence, xor_mask }), ..vm() };
-    Vm::run(m, cfg, spec())
+    let prepared = Prepared::new(m);
+    let vm = Vm::start(m, &prepared, vm(), spec());
+    vm.fork(FaultPlan { occurrence, xor_mask }, false).run_to_end()
 }
 
 proptest! {
@@ -124,9 +125,8 @@ proptest! {
 #[test]
 fn campaign_counts_sum_to_plan_total_and_include_corrections() {
     let hardened = harden_abft(&covered_module());
-    let cfg =
-        CampaignConfig { injections: 150, seed: 7, parallelism: 2, vm: vm(), forensics: false };
-    let r = run_campaign(hardened, spec(), &cfg);
+    let cfg = CampaignConfig { injections: 150, seed: 7, parallelism: 2, forensics: false };
+    let (_, r) = run_campaign(hardened, spec(), &vm(), &cfg);
     assert_eq!(r.runs, 150);
     assert_eq!(r.counts.values().sum::<u64>(), 150, "counts must sum to the plan total");
     assert!(
@@ -141,9 +141,8 @@ fn campaign_counts_sum_to_plan_total_and_include_corrections() {
 #[test]
 fn fallback_campaign_recovers_like_haft() {
     let hardened = harden_abft(&fallback_module());
-    let cfg =
-        CampaignConfig { injections: 150, seed: 7, parallelism: 2, vm: vm(), forensics: false };
-    let r = run_campaign(hardened, spec(), &cfg);
+    let cfg = CampaignConfig { injections: 150, seed: 7, parallelism: 2, forensics: false };
+    let (_, r) = run_campaign(hardened, spec(), &vm(), &cfg);
     assert_eq!(r.counts.values().sum::<u64>(), 150);
     assert_eq!(r.pct(Outcome::ChecksumCorrected), 0.0, "{}", r.summary());
     assert!(

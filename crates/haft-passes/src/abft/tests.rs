@@ -6,7 +6,7 @@ use haft_ir::builder::FunctionBuilder;
 use haft_ir::inst::{CmpOp, Op, Operand};
 use haft_ir::module::{GlobalId, Module};
 use haft_ir::verify::verify_module;
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
 
 use super::*;
 
@@ -262,13 +262,11 @@ fn single_lane_divergence_is_corrected_with_clean_output() {
 
     let (mut corrected, mut runs) = (0u32, 0u32);
     let mut occ = 0u64;
+    let prepared = Prepared::new(&hardened);
     while occ < total {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0x10 }),
-            max_instructions: 10_000_000,
-            ..Default::default()
-        };
-        let r = Vm::run(&hardened, cfg, spec);
+        let cfg = VmConfig { max_instructions: 10_000_000, ..Default::default() };
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0x10 };
+        let r = Vm::start(&hardened, &prepared, cfg, spec).fork(plan, false).run_to_end();
         runs += 1;
         if r.corrected_by_checksum > 0 && r.outcome == RunOutcome::Completed {
             corrected += 1;

@@ -6,7 +6,7 @@ use haft_ir::inst::{AbortCode, CmpOp, Op, Operand};
 use haft_ir::module::{GlobalId, Module};
 use haft_ir::types::Ty;
 use haft_ir::verify::verify_module;
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
 
 use super::*;
 
@@ -322,13 +322,11 @@ fn ilr_detects_most_injected_faults_that_would_corrupt_output() {
     let mut detected = 0u32;
     let mut runs = 0u32;
     let mut occ = 0u64;
+    let prepared = Prepared::new(&hardened);
     while occ < total {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0x10 }),
-            max_instructions: 10_000_000,
-            ..Default::default()
-        };
-        let r = Vm::run(&hardened, cfg, spec);
+        let cfg = VmConfig { max_instructions: 10_000_000, ..Default::default() };
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0x10 };
+        let r = Vm::start(&hardened, &prepared, cfg, spec).fork(plan, false).run_to_end();
         runs += 1;
         match r.outcome {
             RunOutcome::Detected => detected += 1,
@@ -353,13 +351,11 @@ fn native_program_has_substantial_sdc_rate() {
     let mut sdc = 0u32;
     let mut runs = 0u32;
     let mut occ = 0u64;
+    let prepared = Prepared::new(&native);
     while occ < total {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0x10 }),
-            max_instructions: 10_000_000,
-            ..Default::default()
-        };
-        let r = Vm::run(&native, cfg, spec);
+        let cfg = VmConfig { max_instructions: 10_000_000, ..Default::default() };
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0x10 };
+        let r = Vm::start(&native, &prepared, cfg, spec).fork(plan, false).run_to_end();
         runs += 1;
         if r.outcome == RunOutcome::Completed && r.output != clean.output {
             sdc += 1;

@@ -410,16 +410,17 @@ mod tests {
         // with the other function's result. Wrong outputs of any *other*
         // value are not asserted on: a flip of the returned value before
         // its replication move is the known open window.
-        use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+        use haft_vm::{FaultPlan, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
         let spec = RunSpec { fini: Some("fini"), ..Default::default() };
         for cfg in [HardenConfig::haft(), HardenConfig::tmr()] {
             let (hardened, _) = PassManager::from_config(&cfg).run_on(&dispatch_module());
             let clean = Vm::run(&hardened, VmConfig::default(), spec);
             assert_eq!((clean.outcome, &clean.output[..]), (RunOutcome::Completed, &[100][..]));
+            let prepared = Prepared::new(&hardened);
             for occurrence in 0..clean.register_writes {
                 for xor_mask in [1, 2, 3] {
-                    let fault = Some(FaultPlan { occurrence, xor_mask });
-                    let r = Vm::run(&hardened, VmConfig { fault, ..Default::default() }, spec);
+                    let vm = Vm::start(&hardened, &prepared, VmConfig::default(), spec);
+                    let r = vm.fork(FaultPlan { occurrence, xor_mask }, false).run_to_end();
                     assert!(
                         r.outcome != RunOutcome::Completed || r.output != [200],
                         "{}: write {occurrence} ^ {xor_mask} called the wrong function",

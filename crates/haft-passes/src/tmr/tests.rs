@@ -6,7 +6,7 @@ use haft_ir::inst::{CmpOp, Op, Operand};
 use haft_ir::module::{GlobalId, Module};
 use haft_ir::types::Ty;
 use haft_ir::verify::verify_module;
-use haft_vm::{FaultPlan, RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{FaultPlan, Prepared, RunOutcome, RunSpec, Vm, VmConfig};
 
 use super::*;
 
@@ -274,13 +274,11 @@ fn tmr_masks_most_injected_faults_without_rollback() {
 
     let (mut sdc, mut corrected, mut runs) = (0u32, 0u32, 0u32);
     let mut occ = 0u64;
+    let prepared = Prepared::new(&hardened);
     while occ < total {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0x10 }),
-            max_instructions: 10_000_000,
-            ..Default::default()
-        };
-        let r = Vm::run(&hardened, cfg, spec);
+        let cfg = VmConfig { max_instructions: 10_000_000, ..Default::default() };
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0x10 };
+        let r = Vm::start(&hardened, &prepared, cfg, spec).fork(plan, false).run_to_end();
         runs += 1;
         assert_eq!(r.htm.commits, 0, "TMR uses no transactions");
         assert_eq!(r.recoveries, 0, "TMR never rolls back");

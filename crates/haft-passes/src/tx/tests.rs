@@ -6,7 +6,7 @@ use haft_ir::inst::{Op, Operand};
 use haft_ir::module::{GlobalId, Module};
 use haft_ir::types::Ty;
 use haft_ir::verify::verify_module;
-use haft_vm::{RunOutcome, RunSpec, Vm, VmConfig};
+use haft_vm::{Prepared, RunOutcome, RunSpec, Vm, VmConfig};
 
 use super::*;
 use crate::ilr::{run_ilr_module, IlrConfig};
@@ -344,14 +344,12 @@ fn full_haft_pipeline_preserves_semantics_and_recovers() {
     let mut corrected = 0u32;
     let mut sdc = 0u32;
     let mut occ = 1u64;
+    let prepared = Prepared::new(&hardened);
     while occ < total_occ {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0xf0 }),
-            tx_threshold: 200,
-            max_instructions: 10_000_000,
-            ..Default::default()
-        };
-        let r = Vm::run(&hardened, cfg, spec);
+        let cfg =
+            VmConfig { tx_threshold: 200, max_instructions: 10_000_000, ..Default::default() };
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0xf0 };
+        let r = Vm::start(&hardened, &prepared, cfg, spec).fork(plan, false).run_to_end();
         if r.recoveries > 0 && r.outcome == RunOutcome::Completed && r.output == base.output {
             corrected += 1;
         }

@@ -74,7 +74,7 @@ pub(super) fn run(cfg: &ReportConfig) -> SectionResult {
         let (mut fired, mut miscorrected) = (0u64, 0u64);
         let step = (clean.register_writes / sweep_points).max(1);
         for occurrence in (0..clean.register_writes).step_by(step as usize) {
-            let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: 0x10 }).run;
+            let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: 0x10 }, false).run;
             if r.corrected_by_checksum > 0 {
                 fired += 1;
                 if r.outcome == clean.outcome && r.output != clean.output {

@@ -66,7 +66,6 @@ impl<'a> BatchRunner<'a> {
             id.unwrap_or_else(|| panic!("{}: {why} (missing `{g}` global)", hardened.name)).0
         });
         vm.n_threads = 1;
-        vm.fault = None;
         // Shard modules are tens of KiB of globals; the default 16 MiB
         // arena would spend more time zeroing memory than interpreting.
         // Size the arena to the module plus heap slack instead.
@@ -99,7 +98,8 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Serves one batch, optionally with a single-event upset injected
-    /// into this batch's execution. With `trace` attached, VM/HTM events
+    /// into this batch's execution (the started VM forked with the plan
+    /// armed, [`Vm::fork`]). With `trace` attached, VM/HTM events
     /// are appended to it timestamped in raw virtual cycles (the caller
     /// rescales them onto its own timeline); the returned result is
     /// bit-identical either way.
@@ -109,9 +109,12 @@ impl<'a> BatchRunner<'a> {
         fault: Option<FaultPlan>,
         trace: Option<&mut TraceBuf>,
     ) -> RunResult {
-        let vm = VmConfig { fault, ..self.vm.clone() };
-        let mut vm =
-            Vm::start_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops));
+        let vm = self.vm.clone();
+        let vm = Vm::start_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops));
+        let mut vm = match fault {
+            Some(plan) => vm.fork(plan, false),
+            None => vm,
+        };
         if let Some(buf) = trace {
             vm.trace_into(buf);
         }
@@ -580,8 +583,11 @@ mod tests {
     ) -> RunResult {
         let mut patched = runner.module.clone();
         haft_apps::patch_requests(&mut patched, ops);
-        let vm = VmConfig { fault, ..runner.vm.clone() };
-        let mut vm = Vm::start(&patched, &runner.prepared, vm, runner.spec);
+        let vm = Vm::start(&patched, &runner.prepared, runner.vm.clone(), runner.spec);
+        let mut vm = match fault {
+            Some(plan) => vm.fork(plan, false),
+            None => vm,
+        };
         if let Some(buf) = trace {
             vm.trace_into(buf);
         }

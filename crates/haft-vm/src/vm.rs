@@ -70,8 +70,6 @@ pub struct VmConfig {
     pub mem_bytes: u64,
     /// Instruction budget; exceeding it classifies the run as a hang.
     pub max_instructions: u64,
-    /// Optional single-event upset to inject.
-    pub fault: Option<FaultPlan>,
     /// Adaptive transaction sizing (the paper's §7 future work): on an
     /// abort a thread halves its private split threshold (floor 250); each
     /// commit grows it back toward `tx_threshold`. Trades a little commit
@@ -80,11 +78,6 @@ pub struct VmConfig {
     /// Execution engine. `Fused` (the default) and `Interp` are
     /// bit-identical in every observable; see [`Engine`].
     pub engine: Engine,
-    /// Fault forensics: when a `fault` is also set, track the flip's
-    /// taint trajectory and report it on [`RunResult::forensics`].
-    /// Strictly observational — the `RunResult` core is bit-identical
-    /// with it on or off — and free on clean runs (no fault, no state).
-    pub forensics: bool,
 }
 
 impl Default for VmConfig {
@@ -98,10 +91,8 @@ impl Default for VmConfig {
             seed: 0x5EED_1234,
             mem_bytes: 1 << 24,
             max_instructions: 400_000_000,
-            fault: None,
             adaptive_threshold: false,
             engine: Engine::Fused,
-            forensics: false,
         }
     }
 }
@@ -192,7 +183,8 @@ pub struct RunResult {
     /// Conditional-branch mispredictions (cost-model diagnostics).
     pub mispredicts: u64,
     /// Flip→detection trajectory of the injected fault, present only
-    /// when [`VmConfig::forensics`] was set *and* the fault fired.
+    /// when the run was forked with forensics on ([`Vm::fork`]) *and* the
+    /// fault fired.
     pub forensics: Option<Forensics>,
 }
 
@@ -523,8 +515,8 @@ pub struct Vm<'m> {
     /// into at the end, when profiling is attached
     /// ([`Vm::profile_into`]); same observational contract as `trace`.
     profiler: Option<(Profiler, &'m mut CycleProfile)>,
-    /// Taint-trajectory state, allocated only when a fault plan is armed
-    /// and `cfg.forensics` is set or the run is a settling fork's — clean
+    /// Taint-trajectory state, allocated only when a fork is armed with
+    /// forensics on or the run is a settling fork's — clean
     /// runs pay one `None` branch per register-only run (per instruction
     /// in the reference interpreter) and nothing else.
     forensics: Option<Box<forensics::ForensicsState>>,
@@ -547,9 +539,6 @@ impl<'m> Vm<'m> {
         let rng = Prng::new(cfg.seed);
         let n_threads = cfg.n_threads.max(1);
         let threads = (0..n_threads).map(|_| Thread::new()).collect();
-        let fault = cfg.fault.map_or(Upset::None, Upset::new);
-        let forensics = (cfg.forensics && cfg.fault.is_some())
-            .then(|| Box::new(forensics::ForensicsState::new(n_threads, true)));
         Vm {
             m: module,
             cfg,
@@ -571,7 +560,7 @@ impl<'m> Vm<'m> {
             corrected_by_vote: 0,
             corrected_by_checksum: 0,
             mispredicts: 0,
-            fault,
+            fault: Upset::None,
             wall_cycles: 0,
             cpu_cycles: 0,
             phases: PhaseCycles::default(),
@@ -580,7 +569,7 @@ impl<'m> Vm<'m> {
             arg_scratch: Vec::new(),
             trace: None,
             profiler: None,
-            forensics,
+            forensics: None,
         }
     }
 
@@ -710,9 +699,14 @@ impl<'m> Vm<'m> {
         self.pause_at = u64::MAX;
     }
 
-    /// A copy of this suspended, fault-free run with `plan` armed: run to
-    /// its end, it returns exactly what a from-scratch run with
-    /// `cfg.fault = Some(plan)` and `cfg.forensics = forensics` returns.
+    /// A copy of this suspended, fault-free run with `plan` armed — the
+    /// only way to arm one. A from-scratch faulted run is the fork of a VM
+    /// fresh from [`Vm::start`], a pilot at op 0:
+    /// `Vm::start(..).fork(plan, forensics).run_to_end()`. The fork of a
+    /// pilot advanced to any op boundary up to `plan.occurrence` returns
+    /// exactly what that run returns. With `forensics` set the fork also
+    /// tracks the flip's taint and reports it on [`RunResult::forensics`];
+    /// the rest of its result is bit-identical either way.
     ///
     /// Every piece of state a later op can read is copied — memory, the
     /// HTM model, each thread, the scheduler's random stream and window,
@@ -725,13 +719,13 @@ impl<'m> Vm<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if this run was started with a fault plan, is traced or
-    /// profiled (forks carry no instrumentation), or is already past
+    /// Panics if this run is itself a fork, is traced or profiled (a fork
+    /// does not inherit observers; attach them to the fork), or is already past
     /// `plan.occurrence` — the fork would run fault-free and read as
     /// "masked".
     pub fn fork(&self, plan: FaultPlan, forensics: bool) -> Vm<'m> {
         assert!(
-            self.cfg.fault.is_none() && self.trace.is_none() && self.profiler.is_none(),
+            matches!(self.fault, Upset::None) && self.trace.is_none() && self.profiler.is_none(),
             "fork needs a fault-free, uninstrumented pilot"
         );
         assert!(
@@ -743,7 +737,7 @@ impl<'m> Vm<'m> {
         let n_threads = self.threads.len();
         Vm {
             m: self.m,
-            cfg: VmConfig { fault: Some(plan), forensics, ..self.cfg.clone() },
+            cfg: self.cfg.clone(),
             spec: self.spec,
             dc: self.dc,
             pause_slack: self.pause_slack,
@@ -832,7 +826,7 @@ impl<'m> Vm<'m> {
     pub fn run_to_settlement(mut self, reserve: u64) -> ForkEnd {
         self.settle_reserve = Some(reserve);
         if let (Some(_), Some(last)) =
-            (self.cfg.fault, self.cfg.max_instructions.checked_sub(reserve))
+            (self.fault.armed(), self.cfg.max_instructions.checked_sub(reserve))
         {
             let n_threads = self.threads.len();
             self.forensics

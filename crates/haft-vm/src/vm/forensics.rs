@@ -17,7 +17,7 @@
 //! - corruption externalizes ([`FaultDetector::Escaped`]).
 //!
 //! Zero cost when off: the state is an `Option<Box<..>>` allocated only
-//! when `cfg.forensics` is set *and* a fault plan is present, so clean
+//! when a fork is armed with forensics on ([`Vm::fork`]), so clean
 //! runs pay exactly one `None` branch per register-only run of the fused
 //! engine (per instruction in the reference interpreter) and fault-free
 //! results are bit-identical with the flag unused. Nearly free outside
@@ -134,8 +134,8 @@ pub struct FaultSite {
 }
 
 /// Per-injection trajectory measurements, carried on
-/// [`super::RunResult::forensics`] when the run had `cfg.forensics` set
-/// and the fault actually fired.
+/// [`super::RunResult::forensics`] when the run was forked with forensics
+/// on ([`Vm::fork`]) and the fault actually fired.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Forensics {
     pub site: FaultSite,
@@ -229,7 +229,7 @@ struct Settle {
 /// The in-flight forensics state of one fault run.
 pub(super) struct ForensicsState {
     phase: Phase,
-    /// The run returns a record (`cfg.forensics`); without one the state
+    /// The run returns a record (forked with forensics on); without one the state
     /// exists only to settle a fork.
     record: bool,
     /// The record's window is open: no detector has frozen it yet.

@@ -13,6 +13,24 @@ fn run(m: &Module, cfg: VmConfig, spec: RunSpec<'_>) -> RunResult {
     Vm::run(m, cfg, spec)
 }
 
+/// [`run`] with `fault` armed from op 0 — the fork of a fresh VM — and
+/// its taint recorded when `forensics` is set.
+fn run_with(
+    m: &Module,
+    cfg: VmConfig,
+    spec: RunSpec<'_>,
+    fault: Option<FaultPlan>,
+    forensics: bool,
+) -> RunResult {
+    verify_module(m).expect("test module verifies");
+    let prepared = Prepared::new(m);
+    let vm = Vm::start(m, &prepared, cfg, spec);
+    match fault {
+        Some(plan) => vm.fork(plan, forensics).run_to_end(),
+        None => vm.run_to_end(),
+    }
+}
+
 fn run_fini(m: &Module) -> RunResult {
     run(m, VmConfig::default(), RunSpec { fini: Some("fini"), ..Default::default() })
 }
@@ -453,8 +471,8 @@ fn fault_injection_corrupts_exactly_one_register() {
             fb.emit_out(Ty::I64, b);
             fb.ret(None);
         });
-        let cfg = VmConfig { fault, ..Default::default() };
-        run(&m, cfg, RunSpec { fini: Some("fini"), ..Default::default() })
+        let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+        run_with(&m, VmConfig::default(), spec, fault, false)
     };
     let clean = build(None);
     assert_eq!(clean.output, vec![30]);
@@ -470,7 +488,8 @@ fn fault_injection_corrupts_exactly_one_register() {
 }
 
 /// A fork taken after its occurrence would run fault-free and read as
-/// "masked": refused, for both engines.
+/// "masked": refused, for both engines. So is a fork of a fork, whose
+/// plan would silently replace the one already armed.
 #[test]
 fn fork_past_its_occurrence_is_refused() {
     let m = fini_module(|fb| {
@@ -492,8 +511,14 @@ fn fork_past_its_occurrence_is_refused() {
             pilot.fork(late, false);
         }));
         assert!(refused.is_err(), "{engine:?}: forked past the occurrence");
+        let plan = FaultPlan { occurrence: at, xor_mask: 1 };
+        let fork = pilot.fork(plan, false);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fork.fork(plan, false);
+        }));
+        assert!(refused.is_err(), "{engine:?}: forked a fork");
         // At the occurrence itself the flip is still ahead.
-        let r = pilot.fork(FaultPlan { occurrence: at, xor_mask: 1 }, true).run_to_end();
+        let r = pilot.fork(plan, true).run_to_end();
         assert_eq!(r.forensics.expect("the flip fired").site.occurrence, at);
     }
 }
@@ -516,19 +541,25 @@ fn check_and_commit(fb: &mut FunctionBuilder, a: ValueId, code: haft_ir::inst::A
 /// Forks `m`'s `fini` just short of register write `occurrence` and runs
 /// the fork with a one-bit flip there both ways: to its end, and to
 /// settlement with the campaign driver's reserve (the clean run's
-/// instruction count). Both engines must agree on both.
-fn fork_both_ways(m: &Module, cfg: VmConfig, occurrence: u64) -> (RunResult, ForkEnd) {
+/// instruction count), with forensics as `forensics` says. Both engines
+/// must agree on both.
+fn fork_both_ways(
+    m: &Module,
+    cfg: VmConfig,
+    occurrence: u64,
+    forensics: bool,
+) -> (RunResult, ForkEnd) {
     verify_module(m).expect("test module verifies");
     let spec = RunSpec { fini: Some("fini"), ..Default::default() };
     let plan = FaultPlan { occurrence, xor_mask: 1 };
     let both = [Engine::Interp, Engine::Fused].map(|engine| {
         let cfg = VmConfig { engine, ..cfg.clone() };
-        let clean = Vm::run(m, VmConfig { forensics: false, ..cfg.clone() }, spec);
+        let clean = Vm::run(m, cfg.clone(), spec);
         let prepared = Prepared::new(m);
-        let mut pilot = Vm::start(m, &prepared, VmConfig { forensics: false, ..cfg.clone() }, spec);
+        let mut pilot = Vm::start(m, &prepared, cfg, spec);
         pilot.advance_to(occurrence);
-        let ended = pilot.fork(plan, cfg.forensics).run_to_end();
-        (ended, pilot.fork(plan, cfg.forensics).run_to_settlement(clean.instructions))
+        let ended = pilot.fork(plan, forensics).run_to_end();
+        (ended, pilot.fork(plan, forensics).run_to_settlement(clean.instructions))
     });
     let [interp, fused] = both;
     assert_eq!(interp, fused, "engines disagree");
@@ -546,7 +577,7 @@ fn a_rollback_that_erases_the_flip_settles_the_fork() {
         fb.add(Ty::I64, a, fb.iconst(Ty::I64, 1));
         check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
     });
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     assert_eq!(
         (ended.outcome, &ended.output[..], ended.recoveries),
         (RunOutcome::Completed, &[3][..], 1)
@@ -561,7 +592,7 @@ fn a_rollback_that_erases_the_flip_settles_the_fork() {
     assert_eq!(fork, ForkEnd::Settled(settled.clone()));
     // A flip of the dead `add` aborts nothing; nothing reads it, so its
     // taint drains where it lands.
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 1);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 1, false);
     assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Completed, 0));
     assert_eq!(fork, ForkEnd::Settled(Settlement { recoveries: 0, drained: true, ..settled }));
 }
@@ -589,13 +620,14 @@ fn a_flip_outside_a_transaction_or_in_fallback_does_not_settle() {
         check_and_commit(fb, a, AbortCode::IlrDetected);
     });
     for m in [&outside, &fallback] {
-        let (ended, fork) = fork_both_ways(m, VmConfig::default(), 0);
+        let (ended, fork) = fork_both_ways(m, VmConfig::default(), 0, false);
         assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Detected, 4));
         assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
     }
     // The same flip one write later, inside the first program's
     // transaction, settles.
-    assert!(matches!(fork_both_ways(&outside, VmConfig::default(), 1).1, ForkEnd::Settled(_)));
+    let (_, fork) = fork_both_ways(&outside, VmConfig::default(), 1, false);
+    assert!(matches!(fork, ForkEnd::Settled(_)));
 }
 
 /// Refused: a flip in a transaction that committed before a later one
@@ -609,7 +641,7 @@ fn a_flip_in_a_committed_transaction_does_not_settle() {
         fb.emit_op(Op::TxBegin);
         check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
     });
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Detected, 4));
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
 }
@@ -632,7 +664,7 @@ fn an_allocation_in_the_aborted_attempt_does_not_settle() {
             check_and_commit(fb, a, haft_ir::inst::AbortCode::IlrDetected);
         });
         let flip = alloc_first as u64;
-        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), flip);
+        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), flip, false);
         assert_eq!((ended.outcome, ended.recoveries), (RunOutcome::Completed, 1));
         assert_eq!(fork, ForkEnd::Ended(Box::new(ended)), "alloc first: {alloc_first}");
     }
@@ -650,8 +682,7 @@ fn an_open_forensics_window_does_not_settle() {
         let a = fb.add(Ty::I64, fb.iconst(Ty::I64, 1), fb.iconst(Ty::I64, 2));
         check_and_commit(fb, a, haft_ir::inst::AbortCode::Explicit);
     });
-    let traced = VmConfig { forensics: true, ..Default::default() };
-    let (ended, fork) = fork_both_ways(&m, traced, 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, true);
     assert_eq!(
         (ended.outcome, &ended.output[..], ended.recoveries),
         (RunOutcome::Completed, &[3][..], 0)
@@ -659,7 +690,7 @@ fn an_open_forensics_window_does_not_settle() {
     let record = ended.forensics.as_ref().expect("the flip fired");
     assert_eq!(record.detector, FaultDetector::Escaped, "tainted control outlived the rollback");
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
-    let (_, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (_, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     let ForkEnd::Settled(settled) = fork else { panic!("without forensics it settles") };
     assert_eq!((settled.recoveries, settled.forensics), (0, None));
 }
@@ -681,7 +712,7 @@ fn a_budget_short_of_the_reserve_does_not_settle() {
     let clean = run(&m, VmConfig::default(), spec);
     let tight = VmConfig { max_instructions: clean.instructions + 2, ..Default::default() };
     assert_eq!(run(&m, tight.clone(), spec), clean, "the budget suffices without the flip");
-    let (ended, fork) = fork_both_ways(&m, tight, 0);
+    let (ended, fork) = fork_both_ways(&m, tight, 0, false);
     assert_eq!(ended.outcome, RunOutcome::Hang);
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
 }
@@ -739,7 +770,7 @@ fn leaf_module(
 /// what its end says.
 #[test]
 fn a_tmr_flip_settles_once_its_copy_is_overwritten() {
-    let (ended, fork) = fork_both_ways(&tmr_loop(), VmConfig::default(), 1);
+    let (ended, fork) = fork_both_ways(&tmr_loop(), VmConfig::default(), 1, false);
     assert_eq!(
         (ended.outcome, &ended.output[..], ended.corrected_by_vote),
         (RunOutcome::Completed, &[1, 2, 3][..], 1)
@@ -759,8 +790,7 @@ fn a_tmr_flip_settles_once_its_copy_is_overwritten() {
 /// the very record the same fork run to its end does.
 #[test]
 fn a_record_frozen_at_a_vote_is_the_same_settled_or_not() {
-    let traced = VmConfig { forensics: true, ..Default::default() };
-    let (ended, fork) = fork_both_ways(&tmr_loop(), traced, 1);
+    let (ended, fork) = fork_both_ways(&tmr_loop(), VmConfig::default(), 1, true);
     let record = ended.forensics.expect("the flip fired");
     assert_eq!(record.detector, FaultDetector::Vote);
     let ForkEnd::Settled(settled) = fork else { panic!("the drain settles it") };
@@ -777,7 +807,7 @@ fn a_drain_with_a_budget_short_of_the_reserve_does_not_settle() {
     let spec = RunSpec { fini: Some("fini"), ..Default::default() };
     let clean = run(&m, VmConfig::default(), spec);
     let tight = VmConfig { max_instructions: clean.instructions + 2, ..Default::default() };
-    let (ended, fork) = fork_both_ways(&m, tight, 1);
+    let (ended, fork) = fork_both_ways(&m, tight, 1, false);
     assert_eq!((ended.outcome, ended.corrected_by_vote), (RunOutcome::Completed, 1));
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
 }
@@ -806,7 +836,7 @@ fn a_drain_after_a_tainted_branch_does_not_settle() {
             fb.emit_out(Ty::I64, v);
         },
     );
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[2][..]));
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
 }
@@ -829,7 +859,7 @@ fn a_store_through_a_tainted_address_does_not_settle() {
             fb.emit_out(Ty::I8, v);
         },
     );
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[0][..]));
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
 }
@@ -852,7 +882,7 @@ fn an_allocation_of_a_tainted_size_does_not_settle() {
     );
     let spec = RunSpec { fini: Some("fini"), ..Default::default() };
     let clean = run(&m, VmConfig::default(), spec);
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     assert_eq!(ended.outcome, RunOutcome::Completed);
     assert_eq!(ended.output, vec![clean.output[0] + 64]);
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
@@ -869,7 +899,7 @@ fn an_emitted_tainted_value_does_not_settle() {
         },
         |fb, _| fb.emit_out(Ty::I64, fb.iconst(Ty::I64, 9)),
     );
-    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+    let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
     assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[2, 9][..]));
     assert_eq!(fork, ForkEnd::Ended(Box::new(ended)));
 }
@@ -897,7 +927,7 @@ fn an_abort_of_an_attempt_that_allocated_does_not_settle() {
                 fb.emit_out(Ty::I64, v);
             },
         );
-        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), allocates as u64);
+        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), allocates as u64, false);
         assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[0][..]));
         assert_eq!(ended.htm.total_aborts(), 1, "allocates: {allocates}");
         if allocates {
@@ -926,7 +956,7 @@ fn a_window_past_the_cap_runs_to_the_end() {
             },
             |fb, _| fb.emit_out(Ty::I64, fb.iconst(Ty::I64, 9)),
         );
-        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0);
+        let (ended, fork) = fork_both_ways(&m, VmConfig::default(), 0, false);
         assert_eq!((ended.outcome, &ended.output[..]), (RunOutcome::Completed, &[9][..]));
         if settles {
             assert!(matches!(fork, ForkEnd::Settled(Settlement { drained: true, .. })));
@@ -1003,11 +1033,9 @@ fn vote_result_is_not_a_fault_injection_target() {
     assert_eq!(r.register_writes, 3, "three moves, no vote write");
     // A fault on any of the three inputs is outvoted by the other two.
     for occ in 0..3 {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0xff }),
-            ..Default::default()
-        };
-        let f = run(&m, cfg, RunSpec { fini: Some("fini"), ..Default::default() });
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0xff };
+        let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+        let f = run_with(&m, VmConfig::default(), spec, Some(plan), false);
         assert_eq!(f.output, vec![5], "occurrence {occ}");
         assert_eq!(f.corrected_by_vote, 1);
     }
@@ -1081,11 +1109,9 @@ fn chk_correct_result_is_not_a_fault_injection_target() {
     let r = run_fini(&m);
     assert_eq!(r.register_writes, 3, "three moves, no chk_correct write");
     for occ in 0..3 {
-        let cfg = VmConfig {
-            fault: Some(FaultPlan { occurrence: occ, xor_mask: 0xff }),
-            ..Default::default()
-        };
-        let f = run(&m, cfg, RunSpec { fini: Some("fini"), ..Default::default() });
+        let plan = FaultPlan { occurrence: occ, xor_mask: 0xff };
+        let spec = RunSpec { fini: Some("fini"), ..Default::default() };
+        let f = run_with(&m, VmConfig::default(), spec, Some(plan), false);
         assert_eq!(f.output, vec![5], "occurrence {occ}");
         assert_eq!(f.corrected_by_checksum, 1);
     }
@@ -1430,7 +1456,7 @@ fn fault_lands_on_exactly_the_planned_register_write() {
         assert_eq!(clean.register_writes, WRITES);
         for k in [0, 1, WRITES - 1] {
             let fault = Some(FaultPlan { occurrence: k, xor_mask: 0x8000_0000_0000_0400 });
-            let r = run(&m, VmConfig { engine, fault, ..Default::default() }, spec);
+            let r = run_with(&m, VmConfig { engine, ..Default::default() }, spec, fault, false);
             let mut want = clean.output.clone();
             want[k as usize] ^= 0x8000_0000_0000_0400;
             assert_eq!(r.output, want, "{engine:?}, occurrence {k}");
@@ -1438,7 +1464,7 @@ fn fault_lands_on_exactly_the_planned_register_write() {
         }
         // One past the last write: armed, never reached, nothing flips.
         let fault = Some(FaultPlan { occurrence: WRITES, xor_mask: 1 });
-        let r = run(&m, VmConfig { engine, fault, ..Default::default() }, spec);
+        let r = run_with(&m, VmConfig { engine, ..Default::default() }, spec, fault, false);
         assert_eq!(r.output, clean.output, "{engine:?}");
     }
 }
@@ -1521,19 +1547,21 @@ fn arm_ops<R>(run: impl FnOnce() -> R) -> (R, u64) {
 /// the run — the first, both moves of the two-phi `condbr` edge, the
 /// caller-side write of `leaf`'s `Ret`, the last — and one past the last,
 /// the fused engine returns the reference interpreter's whole result,
-/// forensics record included, from scratch and forked off a pilot.
+/// forensics record included, from scratch (forked at op 0) and forked
+/// off a pilot advanced to the flip.
 #[test]
 fn a_flip_anywhere_gives_the_same_record_on_both_engines() {
     let m = observed_program(5);
-    let cfg = |engine, fault| VmConfig { engine, fault, forensics: true, ..Default::default() };
-    let writes = run(&m, cfg(Engine::Interp, None), FINI).register_writes;
+    let cfg = |engine| VmConfig { engine, ..Default::default() };
+    let writes = run(&m, cfg(Engine::Interp), FINI).register_writes;
     let prepared = Prepared::new(&m);
-    let mut pilot = Vm::start(&m, &prepared, cfg(Engine::Fused, None), FINI);
+    let mut pilot = Vm::start(&m, &prepared, cfg(Engine::Fused), FINI);
     let mut classes = Vec::new();
     for k in 0..=writes {
         let plan = FaultPlan { occurrence: k, xor_mask: 1 << 40 };
-        let want = run(&m, cfg(Engine::Interp, Some(plan)), FINI);
-        assert_eq!(run(&m, cfg(Engine::Fused, Some(plan)), FINI), want, "from scratch, write {k}");
+        let want = run_with(&m, cfg(Engine::Interp), FINI, Some(plan), true);
+        let fused = run_with(&m, cfg(Engine::Fused), FINI, Some(plan), true);
+        assert_eq!(fused, want, "from scratch, write {k}");
         pilot.advance_to(k);
         assert_eq!(pilot.fork(plan, true).run_to_end(), want, "forked, write {k}");
         assert_eq!(want.forensics.is_some(), k < writes, "write {k} of {writes}");
@@ -1558,15 +1586,14 @@ fn a_flip_anywhere_gives_the_same_record_on_both_engines() {
 fn the_one_op_arm_runs_only_while_a_taint_window_is_open() {
     const BODY_OPS: usize = 16;
     let m = observed_program(300);
-    let cfg = |fault, forensics| VmConfig { fault, forensics, ..Default::default() };
     let prepared = Prepared::new(&m);
     let slack = prepared.pause_slack;
     assert_eq!(slack, 2, "the two phis of the loop body");
-    let (clean, refused) = arm_ops(|| run(&m, cfg(None, false), FINI));
+    let (clean, refused) = arm_ops(|| run(&m, VmConfig::default(), FINI));
     assert!(refused * 2 < clean.instructions, "{refused} of {} ops", clean.instructions);
     let mut profile = CycleProfile::default();
     let (profiled, arm) = arm_ops(|| {
-        let mut vm = Vm::start(&m, &prepared, cfg(None, false), FINI);
+        let mut vm = Vm::start(&m, &prepared, VmConfig::default(), FINI);
         vm.profile_into(&mut profile);
         vm.run_to_end()
     });
@@ -1575,8 +1602,8 @@ fn the_one_op_arm_runs_only_while_a_taint_window_is_open() {
     let mut closed_by = Vec::new();
     for k in (clean.register_writes / 2..).take(2 * BODY_OPS) {
         let fault = Some(FaultPlan { occurrence: k, xor_mask: 1 << 40 });
-        let (plain, refused) = arm_ops(|| run(&m, cfg(fault, false), FINI));
-        let (observed, arm) = arm_ops(|| run(&m, cfg(fault, true), FINI));
+        let (plain, refused) = arm_ops(|| run_with(&m, VmConfig::default(), FINI, fault, false));
+        let (observed, arm) = arm_ops(|| run_with(&m, VmConfig::default(), FINI, fault, true));
         let fx = observed.forensics.clone().expect("the flip fired");
         assert_eq!(RunResult { forensics: None, ..observed }, plain, "write {k}");
         if matches!(fx.detector, FaultDetector::Ilr | FaultDetector::HtmAbort) {
@@ -1629,6 +1656,21 @@ fn a_traced_pilot_does_not_fork() {
     pilot.trace_into(&mut buf);
     pilot.advance_to(3);
     pilot.fork(FaultPlan { occurrence: 3, xor_mask: 1 }, false);
+}
+
+/// A fork taken past its occurrence would run fault-free and read as
+/// "masked" (the message [`fork_past_its_occurrence_is_refused`] does not
+/// check).
+#[test]
+#[should_panic(expected = "past the planned occurrence")]
+fn a_pilot_past_the_occurrence_does_not_fork() {
+    let m = observed_program(5);
+    let prepared = Prepared::new(&m);
+    let mut pilot = Vm::start(&m, &prepared, VmConfig::default(), FINI);
+    pilot.advance_to(6);
+    let at = pilot.register_writes();
+    assert!(at > 0, "the pilot advanced");
+    pilot.fork(FaultPlan { occurrence: at - 1, xor_mask: 1 }, false);
 }
 
 /// A profile attached mid-run would miss the cycles before it.

@@ -10,7 +10,7 @@
 //! * [`Experiment::run_profiled`] — same, with the per-function ×
 //!   op-class cycle histogram.
 //! * [`Experiment::run_with_fault`] — same, with a single-event upset
-//!   injected mid-trace.
+//!   injected mid-trace and, optionally, its forensics record.
 //! * [`Experiment::campaign`] — a full fault-injection campaign
 //!   (reference run + N classified injections).
 //! * [`Experiment::compare`] — run several harden configurations
@@ -18,6 +18,10 @@
 //!   overheads.
 //! * [`Experiment::serve`] / [`Experiment::serve_in`] — put the hardened
 //!   shard module under live request traffic.
+//!
+//! A [`VmConfig`] describes the machine and never carries a fault:
+//! `run_with_fault`, `campaign` and a faulted `serve` batch each arm their
+//! plan by forking a fault-free run ([`haft_vm::Vm::fork`]).
 //!
 //! The run ops report through [`VariantReport`] / [`ExperimentReport`]:
 //! outputs, overhead vs native, per-pass instruction deltas,
@@ -30,7 +34,7 @@
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use haft_faults::{run_campaign_from, CampaignConfig, CampaignReport};
+use haft_faults::{run_campaign, CampaignConfig, CampaignReport};
 use haft_ir::module::Module;
 use haft_passes::{Backend, HardenConfig, PassManager, PassStats};
 use haft_serve::{ServeConfig, ServeMode, ServiceReport};
@@ -192,17 +196,6 @@ impl<'a> Experiment<'a> {
         self.built.get_or_init(|| PassManager::from_config(&self.cfg).run_on(self.module))
     }
 
-    /// The VM configuration of fault-free terminal op `op`. A
-    /// caller-supplied `vm.fault` would be silently dropped by it — catch
-    /// the misuse in debug builds instead.
-    fn fault_free(&self, op: &str) -> VmConfig {
-        debug_assert!(
-            self.vm.fault.is_none(),
-            "Experiment::{op} ignores vm.fault; use run_with_fault (or campaign) to inject"
-        );
-        VmConfig { fault: None, ..self.vm.clone() }
-    }
-
     /// This experiment's report of `run`, with the cached harden stats.
     fn report(&self, run: RunResult, campaign: Option<CampaignReport>) -> VariantReport {
         VariantReport {
@@ -216,14 +209,23 @@ impl<'a> Experiment<'a> {
     }
 
     /// The one run path of [`Experiment::run`], [`Experiment::run_profiled`]
-    /// and [`Experiment::run_with_fault`]: the hardened module once under
-    /// `vm`, traced when a trace path is set, profiled into `profile` when
-    /// one is given.
-    fn run_built(&self, vm: VmConfig, profile: Option<&mut CycleProfile>) -> VariantReport {
+    /// and [`Experiment::run_with_fault`]: the hardened module once, with
+    /// `fault`'s plan armed by forking the fresh VM (and its forensics
+    /// flag), traced when a trace path is set, profiled into `profile`
+    /// when one is given.
+    fn run_built(
+        &self,
+        fault: Option<(FaultPlan, bool)>,
+        profile: Option<&mut CycleProfile>,
+    ) -> VariantReport {
         let module = &self.built().0;
         let prepared = Prepared::new(module);
         let mut buf = TraceBuf::new();
-        let mut run = Vm::start(module, &prepared, vm, self.spec);
+        let run = Vm::start(module, &prepared, self.vm.clone(), self.spec);
+        let mut run = match fault {
+            Some((plan, forensics)) => run.fork(plan, forensics),
+            None => run,
+        };
         if self.trace_path.is_some() {
             run.trace_into(&mut buf);
         }
@@ -238,11 +240,8 @@ impl<'a> Experiment<'a> {
     }
 
     /// Hardens (cached) and executes once, fault-free.
-    ///
-    /// Debug-asserts that the VM configuration carries no fault plan —
-    /// injection goes through [`Experiment::run_with_fault`].
     pub fn run(&self) -> VariantReport {
-        self.run_built(self.fault_free("run"), None)
+        self.run_built(None, None)
     }
 
     /// [`Experiment::run`] with cycle-attribution profiling: also returns
@@ -252,27 +251,30 @@ impl<'a> Experiment<'a> {
     /// unprofiled one.
     pub fn run_profiled(&self) -> (VariantReport, CycleProfile) {
         let mut profile = CycleProfile::default();
-        let report = self.run_built(self.fault_free("run_profiled"), Some(&mut profile));
+        let report = self.run_built(None, Some(&mut profile));
         (report, profile)
     }
 
     /// Hardens (cached) and executes once with a single-event upset
-    /// injected at `plan`'s dynamic occurrence.
-    pub fn run_with_fault(&self, plan: FaultPlan) -> VariantReport {
-        self.run_built(VmConfig { fault: Some(plan), ..self.vm.clone() }, None)
+    /// injected at `plan`'s dynamic occurrence ([`haft_vm::Vm::fork`] of
+    /// the fresh VM). With `forensics` set the run also records the
+    /// flip's trajectory on [`RunResult::forensics`]; the rest of the
+    /// result is bit-identical either way.
+    pub fn run_with_fault(&self, plan: FaultPlan, forensics: bool) -> VariantReport {
+        self.run_built(Some((plan, forensics)), None)
     }
 
     /// Hardens once, runs the fault-free reference, then the full
-    /// injection campaign. The experiment's VM configuration is used for
-    /// every run (the `vm` field of `cfg` is ignored); `cfg` supplies the
-    /// injection count, seed, and parallelism.
+    /// injection campaign ([`haft_faults::run_campaign`]). The
+    /// experiment's VM configuration is used for every run; `cfg`
+    /// supplies the injection count, seed, parallelism and forensics.
     ///
     /// The returned report's `run` is the reference run and `campaign`
     /// holds the Table 1 outcome histogram.
     ///
     /// Cost: the injection runs share their fault-free prefix — one pilot
     /// VM is advanced to each planned occurrence and forked there
-    /// ([`haft_faults::run_campaign_from`]) — and each fork stops where
+    /// ([`haft_vm::Vm::fork`]) — and each fork stops where
     /// it settles ([`haft_vm::Vm::run_to_settlement`]): where the
     /// transaction its flip landed in rolls back, or where the taint its
     /// flip seeded drains, under any backend. So `n` injections cost the
@@ -287,12 +289,7 @@ impl<'a> Experiment<'a> {
     /// Panics if the reference run does not complete (the program under
     /// test must be correct before injecting faults into it).
     pub fn campaign(&self, cfg: CampaignConfig) -> VariantReport {
-        let vm = self.fault_free("campaign");
-        let module = &self.built().0;
-        let prepared = Prepared::new(module);
-        let golden = Vm::start(module, &prepared, vm.clone(), self.spec).run_to_end();
-        let campaign_cfg = CampaignConfig { vm, ..cfg };
-        let report = run_campaign_from(module, self.spec, &campaign_cfg, &prepared, &golden);
+        let (golden, report) = run_campaign(&self.built().0, self.spec, &self.vm, &cfg);
         self.report(golden, Some(report))
     }
 
@@ -332,8 +329,7 @@ impl<'a> Experiment<'a> {
     /// open loop and one-shard closed loop without sagas, and tracks it
     /// within a band elsewhere (`haft-runtime`'s twin-validation test).
     pub fn serve_in(&self, mode: ServeMode, cfg: &ServeConfig) -> ServiceReport {
-        let vm = self.fault_free("serve_in");
-        let module = &self.built().0;
+        let (module, vm) = (&self.built().0, self.vm.clone());
         let label = self.cfg.label();
         let mut buf = self.trace_path.as_ref().map(|_| TraceBuf::new());
         let report = match mode {
@@ -358,16 +354,14 @@ impl<'a> Experiment<'a> {
     /// The experiment's own harden configuration is ignored; the
     /// baseline is always [`HardenConfig::native`].
     pub fn compare(&self, configs: &[HardenConfig]) -> ExperimentReport {
-        let vm = self.fault_free("compare");
         // Variant runs never trace: each would rewrite the one path.
         let mut base = self.clone();
         base.trace_path = None;
-        let baseline =
-            base.clone().harden(HardenConfig::native()).vm(vm.clone()).run().with_overhead(1.0);
+        let baseline = base.clone().harden(HardenConfig::native()).run().with_overhead(1.0);
         let native_cycles = baseline.run.wall_cycles.max(1);
         let mut variants = vec![baseline];
         for cfg in configs {
-            let v = base.clone().harden(cfg.clone()).vm(vm.clone()).run();
+            let v = base.clone().harden(cfg.clone()).run();
             let overhead = v.run.wall_cycles as f64 / native_cycles as f64;
             variants.push(v.with_overhead(overhead));
         }

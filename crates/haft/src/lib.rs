@@ -56,10 +56,8 @@
 //!     .harden(HardenConfig::haft())
 //!     .spec(RunSpec { fini: Some("fini"), ..Default::default() });
 //! let clean = exp.run();
-//! let faulty = exp.run_with_fault(FaultPlan {
-//!     occurrence: clean.run.register_writes / 2,
-//!     xor_mask: 0x40,
-//! });
+//! let plan = FaultPlan { occurrence: clean.run.register_writes / 2, xor_mask: 0x40 };
+//! let faulty = exp.run_with_fault(plan, false);
 //! assert_eq!(faulty.run.output, clean.run.output, "HAFT recovered the fault");
 //!
 //! // And the variant grid: HAFT vs the unprotected baseline.

@@ -576,13 +576,7 @@ fn main() {
             .harden(cfg.clone());
         let exp = &exp;
         let campaign = |forensics| {
-            let cfg = CampaignConfig {
-                injections: 6,
-                seed: 1,
-                parallelism: 1,
-                forensics,
-                ..Default::default()
-            };
+            let cfg = CampaignConfig { injections: 6, seed: 1, parallelism: 1, forensics };
             move || exp.campaign(cfg.clone())
         };
         let before = settle_counts();

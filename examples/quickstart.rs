@@ -89,7 +89,7 @@ fn main() {
     let (mut corrected, mut masked, mut detected, mut sdc) = (0, 0, 0, 0);
     let mut occ = 0;
     while occ < clean.register_writes {
-        let r = exp.run_with_fault(FaultPlan { occurrence: occ, xor_mask: 0x80 }).run;
+        let r = exp.run_with_fault(FaultPlan { occurrence: occ, xor_mask: 0x80 }, false).run;
         match r.outcome {
             RunOutcome::Detected => detected += 1,
             RunOutcome::Completed if r.output != clean.output => sdc += 1,

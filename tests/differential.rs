@@ -20,11 +20,12 @@
 //! middle of a stretch (a division by zero, a load or store out of
 //! bounds), inside and outside transactions.
 //!
-//! The third axis pins *forked* injection runs to from-scratch ones: a
-//! fault-free pilot VM advanced to just short of an occurrence, copied,
+//! The third axis pins forks of an advanced pilot to forks of a fresh VM:
+//! a fault-free pilot VM advanced to just short of an occurrence, copied,
 //! armed and run to its end ([`Vm::advance_to`], [`Vm::fork`] — what the
 //! campaign driver does per plan) must return the whole `RunResult`,
-//! forensics record included, that `Experiment::run_with_fault` returns.
+//! forensics record included, that the from-scratch faulted run
+//! `Experiment::run_with_fault` returns: the fork of a VM at op 0.
 //! The settle axis rides on it: the same fork under
 //! [`Vm::run_to_settlement`], which the driver runs instead, must either
 //! run to that end or stop with that end's verdict.
@@ -147,12 +148,6 @@ fn fini_spec() -> RunSpec<'static> {
     RunSpec { fini: Some("fini"), ..Default::default() }
 }
 
-/// Faulted runs under this carry their forensics record, which makes the
-/// taint transfer part of `RunResult` equality across engines.
-fn forensics_vm() -> VmConfig {
-    VmConfig { forensics: true, ..Default::default() }
-}
-
 /// Engine × forensics, ordered so that the first two cells alone still
 /// cover both engines and both forensics settings.
 const FORK_CELLS: [(Engine, bool); 4] = [
@@ -214,7 +209,7 @@ fn assert_forks_match_scratch_runs(
 ) {
     for &(engine, forensics) in cells {
         let what = format!("{what} engine={engine:?} forensics={forensics}");
-        let vm = VmConfig { n_threads: threads, engine, forensics, ..Default::default() };
+        let vm = VmConfig { n_threads: threads, engine, ..Default::default() };
         let exp = Experiment::new(hardened).spec(spec).vm(vm.clone());
         let clean = exp.run().run;
         let last = clean.register_writes.saturating_sub(1);
@@ -229,7 +224,7 @@ fn assert_forks_match_scratch_runs(
                 "{what}: asked for {occurrence}, pilot stopped at {at}"
             );
             let forked = pilot.fork(plan, forensics).run_to_end();
-            let scratch = exp.run_with_fault(plan).run;
+            let scratch = exp.run_with_fault(plan, forensics).run;
             assert_eq!(forked, scratch, "{what}: fork diverges at occurrence {occurrence}");
             assert_eq!(forked.forensics.is_some(), forensics && clean.register_writes > 0);
             let what = format!("{what} occurrence={occurrence}");
@@ -285,7 +280,7 @@ proptest! {
     /// must match too. Runs under both HAFT and ABFT so the checksum
     /// verify-and-correct path is differentially pinned too, and with
     /// forensics on, so the taint trajectory (`RunResult::forensics`) is
-    /// part of the equality.
+    /// part of the equality across engines.
     #[test]
     fn engines_agree_under_fault_injection(
         steps in proptest::collection::vec(step_strategy(), 1..24),
@@ -295,13 +290,13 @@ proptest! {
         let m = build_program(&steps);
         for hc in [HardenConfig::haft(), HardenConfig::abft()] {
             let label = hc.label();
-            let exp = Experiment::new(&m).harden(hc).spec(fini_spec()).vm(forensics_vm());
+            let exp = Experiment::new(&m).harden(hc).spec(fini_spec());
             let (clean_i, clean_f) = run_both(&exp);
             prop_assert_eq!(&clean_i, &clean_f, "{}: clean runs diverge", label);
             let occurrence = occ_seed % clean_i.register_writes.max(1);
             let plan = FaultPlan { occurrence, xor_mask: mask };
-            let fi = exp.clone().engine(Engine::Interp).run_with_fault(plan).run;
-            let ff = exp.clone().engine(Engine::Fused).run_with_fault(plan).run;
+            let fi = exp.clone().engine(Engine::Interp).run_with_fault(plan, true).run;
+            let ff = exp.clone().engine(Engine::Fused).run_with_fault(plan, true).run;
             prop_assert_eq!(&fi, &ff, "{}: faulted runs diverge at occurrence {}", label, occurrence);
             // Every program writes a register, so the flip always lands.
             prop_assert!(fi.forensics.is_some(), "{}: no forensics record", label);
@@ -535,7 +530,7 @@ fn sweep_faults(
     points: &[u64],
     what: &str,
 ) -> (Vec<RunResult>, usize) {
-    let vm = |engine| VmConfig { n_threads: threads, engine, ..forensics_vm() };
+    let vm = |engine| VmConfig { n_threads: threads, engine, ..Default::default() };
     let clean = Experiment::new(hardened).spec(spec).vm(vm(Engine::Fused)).run().run;
     let prepared = Prepared::new(hardened);
     let mut pilots =
@@ -543,8 +538,9 @@ fn sweep_faults(
     let mut settled = 0;
     let sweep = points.iter().map(|&occurrence| {
         let plan = FaultPlan { occurrence, xor_mask: mask };
-        let scratch =
-            |engine| Experiment::new(hardened).spec(spec).vm(vm(engine)).run_with_fault(plan).run;
+        let scratch = |engine| {
+            Experiment::new(hardened).spec(spec).vm(vm(engine)).run_with_fault(plan, true).run
+        };
         let want = scratch(Engine::Interp);
         assert_eq!(scratch(Engine::Fused), want, "{what}: fused run diverges at {occurrence}");
         for pilot in &mut pilots {
@@ -590,7 +586,7 @@ fn fault_sweep_outcome_histograms_match() {
     for (hc, mask, nth) in sweeps {
         let label = format!("{} mask {mask:#x}", hc.label());
         let (hardened, _) = Experiment::workload(&w).harden(hc.clone()).build();
-        let exp = Experiment::new(&hardened).spec(w.run_spec()).vm(forensics_vm()).threads(2);
+        let exp = Experiment::new(&hardened).spec(w.run_spec()).threads(2);
         let (clean_i, clean_f) = run_both(&exp);
         assert_eq!(clean_i, clean_f, "{label}: clean runs diverge");
         let step = (clean_i.register_writes / 23).max(1) as usize;

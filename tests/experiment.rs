@@ -65,20 +65,22 @@ fn compare_reproduces_recorded_linearreg_overhead() {
 
 /// A campaign through the experiment equals a manual `run_campaign` with
 /// the same parameters — the unified report is a repackaging, not a
-/// different methodology.
+/// different methodology: the same reference run and the same whole
+/// report (counts, run total, forensics aggregate).
 #[test]
 fn experiment_campaign_matches_run_campaign() {
     let w = workload_by_name("histogram", Scale::Small).unwrap();
     let vm = VmConfig { n_threads: 2, max_instructions: 100_000_000, ..Default::default() };
-    let cfg = CampaignConfig { injections: 40, seed: 7, ..Default::default() };
+    let cfg = CampaignConfig { injections: 40, seed: 7, forensics: true, ..Default::default() };
 
     let v =
         Experiment::workload(&w).harden(HardenConfig::haft()).vm(vm.clone()).campaign(cfg.clone());
 
     let hardened = PassManager::from_config(&HardenConfig::haft()).run_on(&w.module).0;
-    let manual = run_campaign(&hardened, w.run_spec(), &CampaignConfig { vm, ..cfg });
+    let (reference, manual) = run_campaign(&hardened, w.run_spec(), &vm, &cfg);
 
-    assert_eq!(v.campaign.unwrap().counts, manual.counts);
+    assert_eq!(v.run, reference);
+    assert_eq!(v.campaign, Some(manual));
 }
 
 /// The acceptance grid for the pluggable-backend design: one `compare`

@@ -218,7 +218,7 @@ proptest! {
         let clean = exp.run().run;
         prop_assert_eq!(clean.outcome, RunOutcome::Completed);
         let occurrence = occ_seed % clean.register_writes.max(1);
-        let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: mask }).run;
+        let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: mask }, false).run;
         // Completed runs must have produced the right answer (corrected
         // or masked); everything else is a detected fail-stop — never a
         // hang (straight-line code cannot loop) and never an SDC.
@@ -244,22 +244,15 @@ proptest! {
         let m = build_program(&steps);
         for engine in [Engine::Interp, Engine::Fused] {
             let base = VmConfig { max_instructions: 50_000_000, engine, ..Default::default() };
-            let exp = Experiment::new(&m)
-                .harden(HardenConfig::haft())
-                .spec(fini_spec())
-                .vm(base.clone());
+            let exp = Experiment::new(&m).harden(HardenConfig::haft()).spec(fini_spec()).vm(base);
             let clean = exp.run().run;
             prop_assert_eq!(clean.outcome, RunOutcome::Completed);
             let plan = FaultPlan {
                 occurrence: occ_seed % clean.register_writes.max(1),
                 xor_mask: mask,
             };
-            let off = exp.run_with_fault(plan).run;
-            let on = exp
-                .clone()
-                .vm(VmConfig { forensics: true, ..base })
-                .run_with_fault(plan)
-                .run;
+            let off = exp.run_with_fault(plan, false).run;
+            let on = exp.run_with_fault(plan, true).run;
             prop_assert!(off.forensics.is_none(), "forensics off must not record");
             let mut on_core = on;
             let record = on_core.forensics.take();
@@ -308,7 +301,7 @@ proptest! {
         let w = workload_by_name(name, Scale::Small).unwrap();
         let exp = Experiment::workload(&w).harden(HardenConfig::abft()).threads(2);
         let occurrence = occ_seed % clean.register_writes.max(1);
-        let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: mask }).run;
+        let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: mask }, false).run;
         if r.corrected_by_checksum > 0 && r.outcome == RunOutcome::Completed {
             prop_assert_eq!(&r.output, &clean.output, "{}: corrected run diverged", name);
         }

@@ -39,7 +39,7 @@ fn facade_doctest_roundtrip_survives_an_injected_fault() {
 
     // The doctest's exact injection point (midpoint of the trace)…
     let faulty = exp
-        .run_with_fault(FaultPlan { occurrence: clean.register_writes / 2, xor_mask: 0x40 })
+        .run_with_fault(FaultPlan { occurrence: clean.register_writes / 2, xor_mask: 0x40 }, false)
         .expect_completed("doctest fault must be recovered");
     assert_eq!(faulty.output, clean.output, "HAFT recovered the fault");
 
@@ -47,7 +47,7 @@ fn facade_doctest_roundtrip_survives_an_injected_fault() {
     // become a silent corruption of the emitted output.
     let step = (clean.register_writes / 23).max(1);
     for occurrence in (0..clean.register_writes).step_by(step as usize) {
-        let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: 0x40 }).run;
+        let r = exp.run_with_fault(FaultPlan { occurrence, xor_mask: 0x40 }, false).run;
         match r.outcome {
             RunOutcome::Completed => {
                 assert_eq!(r.output, clean.output, "SDC at occurrence {occurrence}")

@@ -38,12 +38,20 @@ fn traced_vm_run_is_bit_identical() {
             // the abort hooks then run with both observers attached.
             for fault in [None, Some(FaultPlan { occurrence: writes / 2, xor_mask: 1 })] {
                 let at = format!("{engine:?}/{label}/{fault:?}");
-                let vm = VmConfig { fault, ..clean.clone() };
-                let plain = Vm::run(&module, vm.clone(), w.run_spec());
+                // A faulted run is the fork of a fresh VM; observers
+                // attach to the fork.
+                let start = || {
+                    let vm = Vm::start(&module, &prepared, clean.clone(), w.run_spec());
+                    match fault {
+                        Some(plan) => vm.fork(plan, false),
+                        None => vm,
+                    }
+                };
+                let plain = start().run_to_end();
                 rolled_back |= plain.htm.total_aborts() > 0;
                 let observed = |trace: bool, profile: bool| {
                     let (mut buf, mut cycles) = (TraceBuf::new(), CycleProfile::default());
-                    let mut run = Vm::start(&module, &prepared, vm.clone(), w.run_spec());
+                    let mut run = start();
                     if trace {
                         run.trace_into(&mut buf);
                     }
