@@ -109,11 +109,15 @@ impl<'a> BatchRunner<'a> {
         fault: Option<FaultPlan>,
         trace: Option<&mut TraceBuf>,
     ) -> RunResult {
-        let vm = self.vm.clone();
-        let vm = Vm::start_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops));
+        // A fork's source is dropped before the fork runs: a faulted batch
+        // holds one copy of the shard arena, as a fault-free one does.
+        let start = || {
+            let vm = self.vm.clone();
+            Vm::start_in(self.module, &self.prepared, vm, self.spec, self.batch_arena(ops))
+        };
         let mut vm = match fault {
-            Some(plan) => vm.fork(plan, false),
-            None => vm,
+            Some(plan) => start().fork(plan, false),
+            None => start(),
         };
         if let Some(buf) = trace {
             vm.trace_into(buf);

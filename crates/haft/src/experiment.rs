@@ -221,10 +221,12 @@ impl<'a> Experiment<'a> {
         let module = &self.built().0;
         let prepared = Prepared::new(module);
         let mut buf = TraceBuf::new();
-        let run = Vm::start(module, &prepared, self.vm.clone(), self.spec);
+        // A fork's source is dropped before the fork runs: a faulted run
+        // holds one VM, as a fault-free one does.
+        let start = || Vm::start(module, &prepared, self.vm.clone(), self.spec);
         let mut run = match fault {
-            Some((plan, forensics)) => run.fork(plan, forensics),
-            None => run,
+            Some((plan, forensics)) => start().fork(plan, forensics),
+            None => start(),
         };
         if self.trace_path.is_some() {
             run.trace_into(&mut buf);
