@@ -6,17 +6,26 @@
 //! flipped register write. So the driver executes that prefix once: a
 //! fault-free *pilot* VM visits the planned occurrences in ascending
 //! order, is [forked](Vm::fork) just short of each, and only the fork —
-//! from the flip on — runs per injection. A fork then stops where it
-//! settles ([`Vm::run_to_settlement`]): once the transaction attempt its
-//! flip landed in has aborted, or once the taint its flip seeded has
-//! drained (a TMR copy outvoted and then rewritten), the rest is the
-//! fault-free run, and the verdict is known ([`classify_settled`]). A
-//! campaign of `n` injections costs about `n/(n+1)` of a run for the
-//! pilot, plus per injection its window — flip to rollback or drain —
-//! when it settles and its suffix when it does not (a flip outside a
-//! transaction that never drains, say because it decided a branch; the
-//! drain is watched op by op for at most a fixed window, so a fork that
-//! does not settle pays little more than its suffix).
+//! from the flip on — runs per injection. The pilot need not walk the
+//! whole prefix either: the reference run, which the campaign makes
+//! anyway to size the plan, leaves up to `CHECKPOINTS` evenly spaced
+//! [checkpoints](Vm::checkpoint) of itself behind, and the pilot jumps
+//! to the latest one at or before each occurrence. A fork then stops
+//! where it settles ([`Vm::run_to_settlement`]): once the transaction
+//! attempt its flip landed in has aborted, or once the taint its flip
+//! seeded has drained (a TMR copy outvoted and then rewritten), the rest
+//! is the fault-free run, and the verdict is known ([`classify_settled`]).
+//! A campaign of `n` injections costs the reference run; the pilot, at
+//! most the gap between two checkpoints per injection (a quarter to a
+//! ninth of a run once the run is `CHECKPOINTS × FIRST_STRIDE` writes
+//! long) and never more than the walk from op 0 to the last occurrence,
+//! `n/(n+1)` of a run on average (`hotspots`' six-injection campaigns:
+//! 17–60 % of a run, where the walk took 62–98 %); and per injection its
+//! window — flip to rollback or drain — when it settles and its suffix
+//! when it does not (a flip outside a transaction that never drains, say
+//! because it decided a branch; the drain is watched op by op for at
+//! most a fixed window, so a fork that does not settle pays little more
+//! than its suffix).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -25,7 +34,8 @@ use std::sync::Mutex;
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
 use haft_vm::{
-    FaultPlan, Forensics, ForkEnd, Prepared, RunOutcome, RunResult, RunSpec, Vm, VmConfig,
+    Checkpoint, FaultPlan, Forensics, ForkEnd, Memory, Prepared, RunOutcome, RunResult, RunSpec,
+    Vm, VmConfig,
 };
 
 use crate::classify::{classify, classify_settled, Outcome};
@@ -53,6 +63,23 @@ pub fn settle_counts() -> SettleCounts {
         drained: DRAINED.load(Relaxed),
         ended: ENDED.load(Relaxed),
     }
+}
+
+/// What the pilots of every campaign run in this process did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PilotCounts {
+    /// Times a pilot jumped ahead to a checkpoint of the reference run.
+    pub resumes: u64,
+    /// Instructions the pilots executed.
+    pub instructions: u64,
+}
+
+static RESUMES: AtomicU64 = AtomicU64::new(0);
+static PILOT_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The process-wide [`PilotCounts`] so far.
+pub fn pilot_counts() -> PilotCounts {
+    PilotCounts { resumes: RESUMES.load(Relaxed), instructions: PILOT_INSTRUCTIONS.load(Relaxed) }
 }
 
 /// Campaign parameters: how many plans, drawn how, run on how many
@@ -118,6 +145,40 @@ fn run_budget(vm: &VmConfig, golden: &RunResult) -> u64 {
     vm.max_instructions.min(HANG_RUNS.saturating_mul(golden.instructions))
 }
 
+/// Most checkpoints the reference run keeps live ([`reference_run`]).
+/// Chosen on data: see ROADMAP item 9.
+const CHECKPOINTS: usize = 8;
+
+/// Register writes between the reference run's first checkpoints, before
+/// any thinning doubles the stride. Chosen on data with [`CHECKPOINTS`].
+const FIRST_STRIDE: u64 = 2048;
+
+/// The fault-free reference run of a campaign, run to its end from
+/// `image`, and the checkpoints it left behind, each with the register
+/// write it was taken at, in ascending order. It pauses every `stride`
+/// writes and keeps a checkpoint there; whenever [`CHECKPOINTS`] are live
+/// it drops every other one and doubles the stride, so that at most
+/// [`CHECKPOINTS`] are left, spread evenly over the run however long it
+/// is. A run shorter than [`FIRST_STRIDE`] writes leaves none.
+fn reference_run<'m>(start: Vm<'m>, image: &'m Memory) -> (RunResult, Vec<(u64, Checkpoint<'m>)>) {
+    let (mut run, mut kept, mut stride) = (start, Vec::new(), FIRST_STRIDE);
+    loop {
+        if kept.len() == CHECKPOINTS {
+            // Keep the second, fourth, ...: multiples of the new stride.
+            let mut n = 0;
+            kept.retain(|_| {
+                n += 1;
+                n % 2 == 0
+            });
+            stride *= 2;
+        }
+        run.advance_to((kept.len() as u64 + 1) * stride);
+        let Some(checkpoint) = run.checkpoint(image) else { break };
+        kept.push((run.register_writes(), checkpoint));
+    }
+    (run.run_to_end(), kept)
+}
+
 /// Runs a full campaign against `module` under `vm` and returns the
 /// fault-free reference run and the aggregated report. Every run
 /// executes against one decode of `module`; an injection run's
@@ -135,9 +196,12 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
 ) -> (RunResult, CampaignReport) {
     // Step 1: reference run — trace size and golden output — against the
-    // decoded code every run of the campaign shares.
+    // decoded code and the initial arena every run of the campaign
+    // shares, leaving checkpoints behind for the pilot.
     let prepared = Prepared::new(module);
-    let golden = Vm::start(module, &prepared, vm.clone(), spec).run_to_end();
+    let image = Memory::new(module, vm.mem_bytes);
+    let start = Vm::start_in(module, &prepared, vm.clone(), spec, image.clone());
+    let (golden, checkpoints) = reference_run(start, &image);
     assert_eq!(golden.outcome, RunOutcome::Completed, "reference run must complete cleanly");
     let population = golden.register_writes.max(1);
 
@@ -150,9 +214,12 @@ pub fn run_campaign(
     // worker, or runs it itself when there is none.
     let mut visit: Vec<usize> = (0..plans.len()).collect();
     visit.sort_by_key(|&i| plans[i].occurrence);
-    // Forks inherit the pilot's configuration, and with it the budget.
-    let pilot_cfg = VmConfig { max_instructions: run_budget(vm, &golden), ..vm.clone() };
-    let mut pilot = Vm::start(module, &prepared, pilot_cfg, spec);
+    // Forks inherit the pilot's configuration, and with it the budget;
+    // a pilot resumed from a checkpoint takes the budget then.
+    let budget = run_budget(vm, &golden);
+    let pilot_cfg = VmConfig { max_instructions: budget, ..vm.clone() };
+    let mut pilot = Vm::start_in(module, &prepared, pilot_cfg, spec, image.clone());
+    let mut checkpoints = checkpoints.into_iter().peekable();
     // A fork settles only with a whole reference run's worth of budget
     // left, so that settling never hides a hang.
     let conclude = |fork: Vm<'_>| -> Verdict {
@@ -192,7 +259,18 @@ pub fn run_campaign(
             .collect();
         let mut done = Vec::new();
         for i in visit {
-            pilot.advance_to(plans[i].occurrence);
+            // Jump to the latest checkpoint at or before the occurrence
+            // if it is ahead, dropping those passed on the way.
+            let occurrence = plans[i].occurrence;
+            let mut ahead = None;
+            while let Some((at, c)) = checkpoints.next_if(|&(at, _)| at <= occurrence) {
+                ahead = (at > pilot.register_writes()).then_some(c);
+            }
+            if let Some(c) = ahead {
+                pilot = c.resume(budget);
+                RESUMES.fetch_add(1, Relaxed);
+            }
+            PILOT_INSTRUCTIONS.fetch_add(pilot.advance_to(occurrence), Relaxed);
             match forks.try_send((i, pilot.fork(plans[i], cfg.forensics))) {
                 Ok(()) => {}
                 Err(TrySendError::Full((i, fork)) | TrySendError::Disconnected((i, fork))) => {
@@ -260,6 +338,11 @@ mod tests {
     /// (the scratch global never reaches the output, so faults landing in
     /// that flow are masked — the Table 1 "Masked" class).
     fn program() -> Module {
+        program_of(120)
+    }
+
+    /// [`program`] with `iterations` in place of its 120.
+    fn program_of(iterations: i64) -> Module {
         let mut m = Module::new("t");
         m.add_global("acc", 8);
         m.add_global("scratch", 8);
@@ -267,7 +350,7 @@ mod tests {
         let dead = Operand::GlobalAddr(GlobalId(1));
         let mut fb = FunctionBuilder::new("fini", &[], None);
         fb.set_non_local();
-        fb.counted_loop(fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, 120), |b, i| {
+        fb.counted_loop(fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, iterations), |b, i| {
             let cur = b.load(Ty::I64, g);
             let x = b.mul(Ty::I64, i, b.iconst(Ty::I64, 7));
             let nxt = b.add(Ty::I64, cur, x);
@@ -382,14 +465,24 @@ mod tests {
         // run ends well within 400 M instructions but after hundreds of
         // reference runs, so the campaign reads it as a hang, and so
         // does the from-scratch loop: the budget is part of the
-        // campaign's definition.
+        // campaign's definition. From 1 000 the run is long enough to
+        // leave a checkpoint, and the late runs forked past it must read
+        // as hangs too: a resumed pilot takes the campaign's budget.
+        budget_case(120, 40, 0);
+        budget_case(1_000, 100, FIRST_STRIDE);
+    }
+
+    /// [`runs_past_the_budget_read_as_hangs`] for a countdown from
+    /// `start`, `injections` plans, at least one of them at or past
+    /// register write `late_from` ending past the budget.
+    fn budget_case(start: i64, injections: u64, late_from: u64) {
         let mut fb = FunctionBuilder::new("fini", &[], None);
         fb.set_non_local();
         let (pre, head, exit) = (fb.current_block(), fb.new_block(), fb.new_block());
         fb.br(head);
         fb.switch_to(head);
         let i = fb.phi(Ty::I16);
-        fb.phi_incoming(i, fb.iconst(Ty::I16, 120), pre);
+        fb.phi_incoming(i, fb.iconst(Ty::I16, start), pre);
         let next = fb.sub(Ty::I16, i, fb.iconst(Ty::I16, 1));
         fb.phi_incoming(i, next, head);
         let more = fb.cmp(haft_ir::inst::CmpOp::SGt, Ty::I16, next, fb.iconst(Ty::I16, 0));
@@ -400,7 +493,7 @@ mod tests {
         let mut m = Module::new("t");
         m.push_func(fb.finish());
 
-        let (vm, cfg) = (VmConfig { n_threads: 1, ..Default::default() }, campaign(40));
+        let (vm, cfg) = (VmConfig { n_threads: 1, ..Default::default() }, campaign(injections));
         let golden = Vm::run(&m, vm.clone(), spec());
         let budget = run_budget(&vm, &golden);
         assert_eq!(budget, HANG_RUNS * golden.instructions);
@@ -410,9 +503,11 @@ mod tests {
             .into_iter()
             .any(|p| {
                 let r = faulted_run(&m, spec(), vm.clone(), p, false);
-                r.outcome != RunOutcome::Hang && r.instructions > budget
+                p.occurrence >= late_from
+                    && r.outcome != RunOutcome::Hang
+                    && r.instructions > budget
             });
-        assert!(late, "no planned run ends past the budget");
+        assert!(late, "no planned run at or past write {late_from} ends past the budget");
         let (reference, r) = run_campaign(&m, spec(), &vm, &cfg);
         assert_eq!(reference, golden);
         assert!(r.counts.get(&Outcome::Hang).is_some_and(|&n| n > 0), "{}", r.summary());
@@ -557,7 +652,7 @@ mod tests {
             HardenConfig::tmr(),
             HardenConfig::abft(),
         ];
-        let before = settle_counts();
+        let (before, pilots) = (settle_counts(), pilot_counts());
         for (i, w) in all_workloads(Scale::Small).iter().enumerate() {
             let (seed, n_threads) = [(7, 2), (11, 4), (5, 1)][i % 3];
             for hc in &configs {
@@ -584,6 +679,31 @@ mod tests {
                 && after.ended > before.ended,
             "{after:?}"
         );
+        assert!(pilot_counts().resumes > pilots.resumes, "no pilot resumed from a checkpoint");
+    }
+
+    /// A reference run long enough to leave checkpoints behind: pilots
+    /// resume from them, the whole report is still the per-plan
+    /// reference loop's at parallelism 1–3 with forensics on, and the
+    /// reference run the campaign returns is a plain run's. Native and
+    /// HAFT: native forks run to their end and read the state the
+    /// checkpoint kept in memory; HAFT forks roll back and settle.
+    #[test]
+    fn pilots_resumed_from_checkpoints_give_the_reference_report() {
+        let before = pilot_counts();
+        for hc in [HardenConfig::native(), HardenConfig::haft()] {
+            let m = harden(&program_of(1_000), &hc);
+            let golden = Vm::run(&m, vm(), spec());
+            assert!(golden.register_writes > 4 * FIRST_STRIDE, "{}", golden.register_writes);
+            for parallelism in [1, 2, 3] {
+                let cfg = CampaignConfig { parallelism, forensics: true, ..campaign(60) };
+                let (reference, r) = run_campaign(&m, spec(), &vm(), &cfg);
+                let case = format!("{} parallelism {parallelism}", hc.label());
+                assert_eq!(reference, golden, "{case}");
+                assert_eq!(r, reference_campaign(&m, spec(), &vm(), &cfg), "{case}");
+            }
+        }
+        assert!(pilot_counts().resumes > before.resumes, "no pilot resumed from a checkpoint");
     }
 
     #[test]

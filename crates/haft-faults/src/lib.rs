@@ -26,7 +26,9 @@ pub mod classify;
 pub mod forensics;
 pub mod report;
 
-pub use campaign::{run_campaign, settle_counts, CampaignConfig, SettleCounts};
+pub use campaign::{
+    pilot_counts, run_campaign, settle_counts, CampaignConfig, PilotCounts, SettleCounts,
+};
 pub use classify::{
     classify, classify_requests, classify_settled, Group, Outcome, RequestCounts, RequestOutcome,
 };

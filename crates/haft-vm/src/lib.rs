@@ -27,9 +27,9 @@ pub mod vm;
 pub use fault::FaultPlan;
 pub use mem::{Memory, Trap};
 pub use vm::{
-    CycleProfile, Engine, FaultDetector, FaultSite, Forensics, ForkEnd, FuseStats, PhaseCycles,
-    Prepared, ProfileCell, ProfileOpClass, RunOutcome, RunResult, RunSpec, Settlement, Vm,
-    VmConfig,
+    Checkpoint, CycleProfile, Engine, FaultDetector, FaultSite, Forensics, ForkEnd, FuseStats,
+    PhaseCycles, Prepared, ProfileCell, ProfileOpClass, RunOutcome, RunResult, RunSpec, Settlement,
+    Vm, VmConfig,
 };
 
 // The `haft-runtime` pool runs one VM per shard actor across OS threads,

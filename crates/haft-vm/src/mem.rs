@@ -213,6 +213,61 @@ impl Memory {
         self.bytes[a] = val;
         Ok(())
     }
+
+    /// This arena in two parts: itself without its backing bytes, and
+    /// those bytes as the [`PAGE`]-byte pages in which they differ from
+    /// `base`'s. [`Memory::restored`] puts the two back together over the
+    /// same `base`. Keeping only the pages a run has written since `base`
+    /// is what makes a checkpoint cheap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` has another size or global layout.
+    pub(crate) fn diff_from(&self, base: &Memory) -> (Memory, PageDiff) {
+        assert!(
+            self.size == base.size && self.global_bases == base.global_bases,
+            "a page diff against an arena of another size or layout"
+        );
+        let pages = self
+            .bytes
+            .chunks(PAGE)
+            .enumerate()
+            .filter(|&(i, page)| {
+                let theirs = base.bytes.get(i * PAGE..).unwrap_or(&[]);
+                let (same, past) = page.split_at(page.len().min(theirs.len()));
+                *same != theirs[..same.len()] || past.iter().any(|&b| b != 0)
+            })
+            .map(|(i, page)| (i, Box::from(page)))
+            .collect();
+        let hollow = Memory { bytes: Vec::new(), global_bases: self.global_bases.clone(), ..*self };
+        (hollow, PageDiff { len: self.bytes.len(), pages })
+    }
+
+    /// The arena [`Memory::diff_from`] split into `self` and `diff`:
+    /// `base`'s bytes, cut or zero-extended to the arena's length, with
+    /// `diff`'s pages written back.
+    pub(crate) fn restored(&self, base: &Memory, diff: &PageDiff) -> Memory {
+        let mut bytes = Vec::with_capacity(diff.len);
+        bytes.extend_from_slice(&base.bytes[..base.bytes.len().min(diff.len)]);
+        bytes.resize(diff.len, 0);
+        for (i, page) in &diff.pages {
+            bytes[i * PAGE..][..page.len()].copy_from_slice(page);
+        }
+        Memory { bytes, global_bases: self.global_bases.clone(), ..*self }
+    }
+}
+
+/// Bytes per page of a [`PageDiff`].
+const PAGE: usize = 4096;
+
+/// An arena's backing bytes as the pages in which they differ from a
+/// base arena's ([`Memory::diff_from`]).
+#[derive(Clone, Debug)]
+pub(crate) struct PageDiff {
+    /// The backing's length.
+    len: usize,
+    /// Each differing page by index; the last page may be short.
+    pages: Vec<(usize, Box<[u8]>)>,
 }
 
 #[cfg(test)]
@@ -289,6 +344,29 @@ mod tests {
         assert_eq!(b % 64, 0);
         assert!(b >= a + 10);
         assert!(matches!(mem.alloc(100_000), Err(Trap::OutOfMemory)));
+    }
+
+    /// A page diff keeps the pages that differ and nothing else, and
+    /// restores the arena byte for byte: a grown backing, a page written
+    /// back to what the base holds, and a store past the base's end.
+    #[test]
+    fn a_page_diff_restores_the_arena_exactly() {
+        let m = module_with_globals();
+        let base = Memory::new(&m, 1 << 20);
+        let mut mem = base.clone();
+        let b = mem.global_bases[1];
+        mem.store(b, 2, 0x1234).unwrap();
+        mem.store(b, 2, 0xbbaa).unwrap();
+        mem.store(3 * 4096 + 8, 8, 7).unwrap();
+        mem.store(9 * 4096 - 4, 4, 1).unwrap();
+        mem.alloc(100).unwrap();
+        let (hollow, diff) = mem.diff_from(&base);
+        assert!(hollow.bytes.is_empty());
+        assert_eq!(diff.pages.iter().map(|p| p.0).collect::<Vec<_>>(), [3, 8]);
+        let back = hollow.restored(&base, &diff);
+        assert_eq!(back.bytes, mem.bytes);
+        assert_eq!((back.size, back.heap_next), (mem.size, mem.heap_next));
+        assert_eq!(back.global_bases, mem.global_bases);
     }
 
     #[test]

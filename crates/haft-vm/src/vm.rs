@@ -692,11 +692,14 @@ impl<'m> Vm<'m> {
     /// `occurrence` itself, because `slack` is the most writes one op can
     /// make — or until the run ends, whichever comes first. A later call
     /// with a larger `occurrence` continues from there; one with a
-    /// smaller or equal one returns at once.
-    pub fn advance_to(&mut self, occurrence: u64) {
+    /// smaller or equal one returns at once. Returns the instructions it
+    /// executed.
+    pub fn advance_to(&mut self, occurrence: u64) -> u64 {
+        let before = self.instructions;
         self.pause_at = occurrence.saturating_sub(self.pause_slack);
         self.resume();
         self.pause_at = u64::MAX;
+        self.instructions - before
     }
 
     /// A copy of this suspended, fault-free run with `plan` armed — the
@@ -724,10 +727,7 @@ impl<'m> Vm<'m> {
     /// `plan.occurrence` — the fork would run fault-free and read as
     /// "masked".
     pub fn fork(&self, plan: FaultPlan, forensics: bool) -> Vm<'m> {
-        assert!(
-            matches!(self.fault, Upset::None) && self.trace.is_none() && self.profiler.is_none(),
-            "fork needs a fault-free, uninstrumented pilot"
-        );
+        assert!(self.is_bare(), "fork needs a fault-free, uninstrumented pilot");
         assert!(
             self.occ <= plan.occurrence,
             "fork at register write {} is past the planned occurrence {}",
@@ -735,6 +735,52 @@ impl<'m> Vm<'m> {
             plan.occurrence
         );
         let n_threads = self.threads.len();
+        let forensics =
+            forensics.then(|| Box::new(forensics::ForensicsState::new(n_threads, true)));
+        self.copy(self.mem.clone(), Upset::new(plan), forensics)
+    }
+
+    /// A fault-free copy of this suspended run, to be resumed later any
+    /// number of times: what [`Vm::fork`] copies, with no plan armed.
+    /// [`Checkpoint::resume`] returns a VM that runs on exactly as this
+    /// one does from here. `None` once the run has ended. A campaign's
+    /// reference run leaves checkpoints behind, so that its pilot can
+    /// start at the one nearest each planned occurrence instead of at
+    /// op 0.
+    ///
+    /// The arena is kept as the 4 KiB pages in which it differs from
+    /// `image`, which must be laid out as this run's arena is; resuming
+    /// writes them back into a copy of `image`. Pass the arena the run
+    /// started from ([`Vm::start_in`]), and a checkpoint holds only the
+    /// pages the run has written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this run is a fork, is traced or profiled (as
+    /// [`Vm::fork`] does), or if `image` has another size or layout.
+    pub fn checkpoint(&self, image: &'m Memory) -> Option<Checkpoint<'m>> {
+        assert!(self.is_bare(), "checkpoint needs a fault-free, uninstrumented run");
+        self.cursor.ended.is_none().then(|| {
+            let (hollow, arena) = self.mem.diff_from(image);
+            Checkpoint { vm: self.copy(hollow, Upset::None, None), arena, image }
+        })
+    }
+
+    /// Neither a fork nor observed: a run [`Vm::fork`] and
+    /// [`Vm::checkpoint`] may copy.
+    fn is_bare(&self) -> bool {
+        matches!(self.fault, Upset::None) && self.trace.is_none() && self.profiler.is_none()
+    }
+
+    /// A copy of this run over `mem`, with `fault` and `forensics` in
+    /// place of its own: the body of [`Vm::fork`] and [`Vm::checkpoint`],
+    /// whose docs say what is copied and why that is enough.
+    fn copy(
+        &self,
+        mem: Memory,
+        fault: Upset,
+        forensics: Option<Box<forensics::ForensicsState>>,
+    ) -> Vm<'m> {
         Vm {
             m: self.m,
             cfg: self.cfg.clone(),
@@ -744,7 +790,7 @@ impl<'m> Vm<'m> {
             pause_at: u64::MAX,
             settle_reserve: None,
             cursor: self.cursor,
-            mem: self.mem.clone(),
+            mem,
             htm: self.htm.clone(),
             threads: self.threads.clone(),
             rng: self.rng.clone(),
@@ -756,7 +802,7 @@ impl<'m> Vm<'m> {
             corrected_by_vote: self.corrected_by_vote,
             corrected_by_checksum: self.corrected_by_checksum,
             mispredicts: self.mispredicts,
-            fault: Upset::new(plan),
+            fault,
             wall_cycles: self.wall_cycles,
             cpu_cycles: self.cpu_cycles,
             phases: self.phases,
@@ -765,7 +811,7 @@ impl<'m> Vm<'m> {
             arg_scratch: Vec::new(),
             trace: None,
             profiler: None,
-            forensics: forensics.then(|| Box::new(forensics::ForensicsState::new(n_threads, true))),
+            forensics,
         }
     }
 
@@ -1660,6 +1706,7 @@ fn eval_cast(kind: CastKind, from: Ty, to: Ty, a: u64) -> u64 {
     }
 }
 
+mod checkpoint;
 mod decode;
 mod engine;
 mod forensics;
@@ -1667,6 +1714,7 @@ mod fuse;
 mod profile;
 mod reference;
 
+pub use checkpoint::Checkpoint;
 pub use forensics::{FaultDetector, FaultSite, Forensics};
 pub use profile::{CycleProfile, OpClass as ProfileOpClass, ProfileCell};
 

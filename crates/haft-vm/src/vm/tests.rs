@@ -92,14 +92,15 @@ fn float_math() {
     assert_eq!(r.output, vec![15]); // 6 + 9.
 }
 
-#[test]
-fn loop_sum_via_global() {
+/// `fini` sums `0..iterations` into a global, read back and stored each
+/// iteration, and emits the total: a run whose state lives in memory.
+fn global_sum(iterations: i64) -> Module {
     let mut m = Module::new("t");
     m.add_global("acc", 8);
     let g = Operand::GlobalAddr(GlobalId(0));
     let mut fb = FunctionBuilder::new("fini", &[], None);
     fb.set_non_local();
-    fb.counted_loop(fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, 100), |b, i| {
+    fb.counted_loop(fb.iconst(Ty::I64, 0), fb.iconst(Ty::I64, iterations), |b, i| {
         let cur = b.load(Ty::I64, g);
         let nxt = b.add(Ty::I64, cur, i);
         b.store(Ty::I64, nxt, g);
@@ -108,7 +109,12 @@ fn loop_sum_via_global() {
     fb.emit_out(Ty::I64, total);
     fb.ret(None);
     m.push_func(fb.finish());
-    let r = run_fini(&m);
+    m
+}
+
+#[test]
+fn loop_sum_via_global() {
+    let r = run_fini(&global_sum(100));
     assert_eq!(r.output, vec![4950]);
 }
 
@@ -1682,4 +1688,117 @@ fn a_profiled_pilot_does_not_fork() {
     pilot.profile_into(&mut profile);
     pilot.advance_to(3);
     pilot.fork(FaultPlan { occurrence: 3, xor_mask: 1 }, false);
+}
+
+// --- checkpoints ----------------------------------------------------------------
+
+/// `m`'s `fini` started over a copy of `image` (`Vm::start_in`), as a
+/// run that takes checkpoints against `image` starts.
+fn start_over<'m>(m: &'m Module, prepared: &'m Prepared, cfg: VmConfig, image: &Memory) -> Vm<'m> {
+    Vm::start_in(m, prepared, cfg, FINI, image.clone())
+}
+
+/// A checkpoint of a run paused mid-way, resumed (three times, from the
+/// one checkpoint) and run to its end, returns the whole result of a
+/// plain run, on both engines: for a run whose state is in registers and
+/// transactions, and for one whose state is in memory. The budget it
+/// resumes under is the one that counts: the plain run's instruction
+/// count still completes, one less hangs, as a run under that budget
+/// from op 0 does. A run that has ended leaves no checkpoint.
+#[test]
+fn a_resumed_checkpoint_returns_the_plain_run() {
+    for (m, engine) in [observed_program(300), global_sum(300)]
+        .iter()
+        .flat_map(|m| [Engine::Interp, Engine::Fused].map(|e| (m, e)))
+    {
+        let case = format!("{} {engine:?}", m.name);
+        let prepared = Prepared::new(m);
+        let cfg = VmConfig { engine, ..Default::default() };
+        let clean = run(m, cfg.clone(), FINI);
+        let short = VmConfig { max_instructions: clean.instructions - 1, ..cfg.clone() };
+        let hang = run(m, short, FINI);
+        assert_eq!(hang.outcome, RunOutcome::Hang, "{case}");
+        let image = Memory::new(m, cfg.mem_bytes);
+        let mut vm = start_over(m, &prepared, cfg.clone(), &image);
+        for k in [0, 1, clean.register_writes / 3, clean.register_writes - 1] {
+            vm.advance_to(k);
+            let c = vm.checkpoint(&image).expect("the run is paused, not ended");
+            assert_eq!(c.resume(cfg.max_instructions).run_to_end(), clean, "{case}, write {k}");
+            assert_eq!(c.resume(clean.instructions).run_to_end(), clean, "{case}, write {k}");
+            assert_eq!(c.resume(clean.instructions - 1).run_to_end(), hang, "{case}, write {k}");
+        }
+        assert_eq!(vm.run_to_end(), clean, "{case}: taking checkpoints changed the run");
+        let mut ended = start_over(m, &prepared, cfg, &image);
+        ended.advance_to(u64::MAX);
+        assert!(ended.checkpoint(&image).is_none(), "{case}");
+    }
+}
+
+/// A fork of a resumed checkpoint returns the whole result of the same
+/// fork of a pilot advanced without checkpoints, forensics off and on,
+/// on both engines: the pilot may swap itself for a checkpoint at any
+/// op boundary at or before the occurrence.
+#[test]
+fn a_fork_of_a_resumed_checkpoint_is_the_fork_of_the_pilot() {
+    let m = observed_program(40);
+    let prepared = Prepared::new(&m);
+    for engine in [Engine::Interp, Engine::Fused] {
+        let cfg = VmConfig { engine, ..Default::default() };
+        let writes = run(&m, cfg.clone(), FINI).register_writes;
+        let image = Memory::new(&m, cfg.mem_bytes);
+        let mut reference = start_over(&m, &prepared, cfg.clone(), &image);
+        reference.advance_to(writes / 4);
+        let at = reference.register_writes();
+        let c = reference.checkpoint(&image).expect("paused");
+        let mut pilot = start_over(&m, &prepared, cfg.clone(), &image);
+        let mut resumed = c.resume(cfg.max_instructions);
+        for (k, forensics) in [(at, false), (at + 7, true), (writes / 2, false), (writes - 1, true)]
+        {
+            let plan = FaultPlan { occurrence: k, xor_mask: 1 << 40 };
+            pilot.advance_to(k);
+            resumed.advance_to(k);
+            let want = pilot.fork(plan, forensics).run_to_end();
+            assert_eq!(want.forensics.is_some(), forensics, "{engine:?}, write {k}");
+            assert_eq!(resumed.fork(plan, forensics).run_to_end(), want, "{engine:?}, write {k}");
+            let fresh = c.resume(cfg.max_instructions);
+            assert_eq!(fresh.fork(plan, forensics).run_to_end(), want, "{engine:?}, write {k}");
+        }
+    }
+}
+
+/// Checkpoints are refused where forks are: of a fork (its resumed
+/// copies would carry the fault as if fault-free), and of a traced or a
+/// profiled run (the observer would miss the resumed runs).
+#[test]
+fn a_checkpoint_of_a_fork_or_an_observed_run_is_refused() {
+    let m = observed_program(5);
+    let prepared = Prepared::new(&m);
+    let image = Memory::new(&m, VmConfig::default().mem_bytes);
+    let refused = |vm: &Vm<'_>, what: &str| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            vm.checkpoint(&image);
+        }))
+        .expect_err(what);
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("checkpoint needs a fault-free, uninstrumented run"), "{what}: {msg}");
+    };
+    for engine in [Engine::Interp, Engine::Fused] {
+        let cfg = VmConfig { engine, ..Default::default() };
+        let mut pilot = start_over(&m, &prepared, cfg.clone(), &image);
+        pilot.advance_to(3);
+        let mut fork = pilot.fork(FaultPlan { occurrence: 5, xor_mask: 1 }, false);
+        refused(&fork, "a fork");
+        fork.advance_to(4);
+        refused(&fork, "a fork paused short of its flip");
+        let mut buf = TraceBuf::new();
+        let mut traced = start_over(&m, &prepared, cfg.clone(), &image);
+        traced.trace_into(&mut buf);
+        traced.advance_to(3);
+        refused(&traced, "a traced run");
+        let mut profile = CycleProfile::default();
+        let mut profiled = start_over(&m, &prepared, cfg, &image);
+        profiled.profile_into(&mut profile);
+        profiled.advance_to(3);
+        refused(&profiled, "a profiled run");
+    }
 }

@@ -38,9 +38,12 @@
 //!   `run_profiled`, and a six-injection fork-driven
 //!   campaign over two `Scale::Small` programs under each backend with
 //!   forensics on and off (the same simulated work either way, so the
-//!   ratio of the times is the ratio of ns per instruction), and how many
+//!   ratio of the times is the ratio of ns per instruction), how many
 //!   of their forks settled at a rollback, settled where their taint
-//!   drained, or ran to their end (`haft::faults::settle_counts`);
+//!   drained, or ran to their end (`haft::faults::settle_counts`), and
+//!   the instructions their pilots executed as a share of the reference
+//!   run's, with how often a pilot resumed from one of the reference
+//!   run's checkpoints (`haft::faults::pilot_counts`);
 //! * the process's peak resident set (`VmHWM`) after the `batch-exec`
 //!   cells and at exit, so a footprint regression shows beside a slowdown.
 //!
@@ -272,7 +275,7 @@ fn print_peak_rss(when: &str) {
 fn main() {
     use haft::apps::{kv_shard, KvSync, WorkloadMix};
     use haft::eval::{perf_vm, recommended_threshold};
-    use haft::faults::settle_counts;
+    use haft::faults::{pilot_counts, settle_counts};
     use haft::prelude::*;
     use std::time::{Duration, Instant};
 
@@ -574,21 +577,29 @@ fn main() {
             .vm(perf_vm(2, recommended_threshold(small.name)))
             .seed(1)
             .harden(cfg.clone());
-        let exp = &exp;
+        let (exp, runs) = (&exp, &std::cell::Cell::new(0u64));
         let campaign = |forensics| {
             let cfg = CampaignConfig { injections: 6, seed: 1, parallelism: 1, forensics };
-            move || exp.campaign(cfg.clone())
+            move || {
+                runs.set(runs.get() + 1);
+                exp.campaign(cfg.clone())
+            }
         };
-        let before = settle_counts();
+        let (before, pilots) = (settle_counts(), pilot_counts());
         let (off, on) = best_pair_ms(campaign(false), campaign(true));
-        let after = settle_counts();
+        let (after, piloted) = (settle_counts(), pilot_counts());
         let (rollback, drain) = (after.settled - before.settled, after.drained - before.drained);
         let ended = after.ended - before.ended;
+        let reference = (runs.get() * exp.run().run.instructions) as f64;
+        let pilot = (piloted.instructions - pilots.instructions) as f64 / reference;
+        let resumes = piloted.resumes - pilots.resumes;
         let name = format!("{}.{label}", small.name);
         println!(
             "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}  \
-             forks: rollback {rollback} / drain {drain} / ended {ended}",
-            on / off
+             forks: rollback {rollback} / drain {drain} / ended {ended}  \
+             pilot: {:.0} % of the reference run / resumes {resumes}",
+            on / off,
+            pilot * 100.0
         );
     }
     print_peak_rss("at exit");
