@@ -42,9 +42,9 @@
 //! (check → detect block, vote → substitute, verify-and-correct →
 //! substitute).
 //!
-//! * [`manager`] — the trait-based pass pipeline: [`Pass`] is the unit of
-//!   composition, [`PassManager`] owns ordering, per-pass instruction
-//!   deltas ([`PassStats`]), and debug-build IR verification at every
+//! * [`manager`] — the pass pipeline: [`PassManager`] runs the fixed
+//!   pass sequence its [`HardenConfig`] names, with per-pass instruction
+//!   deltas ([`PassStats`]) and debug-build IR verification at every
 //!   pass boundary.
 //!
 //! * [`pipeline`] — configuration plumbing: [`HardenConfig`], one
@@ -87,9 +87,7 @@ pub mod tx;
 
 pub use abft::AbftConfig;
 pub use ilr::IlrConfig;
-pub use manager::{
-    harden_runs_for, AbftPass, IlrPass, Pass, PassManager, PassRecord, PassStats, TmrPass, TxPass,
-};
+pub use manager::{harden_runs_for, PassManager, PassRecord, PassStats};
 pub use pipeline::{Backend, HardenConfig, OptLevel};
 pub use tmr::TmrConfig;
 pub use tx::TxConfig;

@@ -1,11 +1,11 @@
-//! Trait-based pass management.
+//! The pass pipeline: one fixed pass sequence per [`HardenConfig`]
+//! variant.
 //!
-//! The paper's pipeline is a fixed two-pass sequence (ILR then TX), but
-//! everything downstream — the `Experiment` API in the `haft` facade, the
-//! report sections, ablations — wants to compose, reorder, and instrument
-//! passes uniformly. [`Pass`] is the unit of composition; [`PassManager`]
-//! owns ordering, optional IR verification at every pass boundary, and
-//! per-pass instruction-delta accounting in [`PassStats`].
+//! The paper's pipeline is ILR then TX; the TMR and ABFT backends are
+//! one pass each. [`PassManager`] runs the sequence its configuration
+//! names, re-verifies the IR at every pass boundary in debug builds, and
+//! accounts per-pass instruction deltas in [`PassStats`] — the one
+//! hardening path under the `Experiment` API, the report and the corpus.
 //!
 //! ```
 //! use haft_ir::builder::FunctionBuilder;
@@ -31,17 +31,18 @@
 use haft_ir::module::Module;
 use haft_ir::verify::verify_module;
 
-use crate::abft::{run_abft_module, AbftConfig};
-use crate::ilr::{run_ilr_module, IlrConfig};
+use crate::abft::run_abft_module;
+use crate::ilr::run_ilr_module;
 use crate::pipeline::HardenConfig;
-use crate::tmr::{run_tmr_module, TmrConfig};
-use crate::tx::{run_tx_module, TxConfig};
+use crate::tmr::run_tmr_module;
+use crate::tx::run_tx_module;
 
 /// What one pass did to the module, measured by the manager around the
-/// pass's `run` call.
+/// pass.
 #[derive(Clone, Debug)]
 pub struct PassRecord {
-    /// The pass's [`Pass::name`].
+    /// The pass's name (`ilr`, `tx`, `tmr` or `abft`), as used in stats,
+    /// verification panics, and reports.
     pub name: &'static str,
     /// Module-wide instruction count before the pass ran.
     pub insts_before: usize,
@@ -106,178 +107,67 @@ impl PassStats {
     }
 }
 
-/// An IR-to-IR transformation that can be sequenced by a [`PassManager`].
-pub trait Pass {
-    /// Stable identifier used in stats, verification panics, and reports.
-    fn name(&self) -> &'static str;
-    /// Transforms `m` in place. `stats` is for pass-published counters;
-    /// instruction deltas are recorded by the manager.
-    fn run(&self, m: &mut Module, stats: &mut PassStats);
-}
-
-/// The ILR pass as a managed [`Pass`] (paper §3.2/§3.3).
-#[derive(Clone, Debug, Default)]
-pub struct IlrPass(pub IlrConfig);
-
-impl Pass for IlrPass {
-    fn name(&self) -> &'static str {
-        "ilr"
-    }
-
-    fn run(&self, m: &mut Module, stats: &mut PassStats) {
-        let transformed = m.funcs.iter().filter(|f| !f.attrs.external).count() as u64;
-        run_ilr_module(m, &self.0);
-        stats.bump("ilr.functions", transformed);
-    }
-}
-
-/// The transactification pass as a managed [`Pass`] (paper §3.1/§3.3).
-#[derive(Clone, Debug, Default)]
-pub struct TxPass(pub TxConfig);
-
-impl Pass for TxPass {
-    fn name(&self) -> &'static str {
-        "tx"
-    }
-
-    fn run(&self, m: &mut Module, stats: &mut PassStats) {
-        let transformed = m.funcs.iter().filter(|f| !f.attrs.external).count() as u64;
-        run_tx_module(m, &self.0);
-        stats.bump("tx.functions", transformed);
-    }
-}
-
-/// The Elzar-style TMR pass as a managed [`Pass`]: triplicate and vote
-/// instead of duplicate, detect, and roll back (the [`crate::tmr`]
-/// backend).
-#[derive(Clone, Debug, Default)]
-pub struct TmrPass(pub TmrConfig);
-
-impl Pass for TmrPass {
-    fn name(&self) -> &'static str {
-        "tmr"
-    }
-
-    fn run(&self, m: &mut Module, stats: &mut PassStats) {
-        let transformed = m.funcs.iter().filter(|f| !f.attrs.external).count() as u64;
-        let votes = run_tmr_module(m, &self.0);
-        stats.bump("tmr.functions", transformed);
-        stats.bump("tmr.votes", votes);
-    }
-}
-
-/// The ABFT pass as a managed [`Pass`]: checksum lanes and
-/// verify-and-correct for recognized accumulation chains, with a
-/// per-function fallback to the full HAFT pipeline (the [`crate::abft`]
-/// backend).
-#[derive(Clone, Debug, Default)]
-pub struct AbftPass(pub AbftConfig);
-
-impl Pass for AbftPass {
-    fn name(&self) -> &'static str {
-        "abft"
-    }
-
-    fn run(&self, m: &mut Module, stats: &mut PassStats) {
-        let s = run_abft_module(m, &self.0);
-        stats.bump("abft.functions_covered", s.functions_covered);
-        stats.bump("abft.functions_fallback", s.functions_fallback);
-        stats.bump("abft.chains", s.chains);
-    }
-}
-
-/// Owns a pass sequence: ordering, boundary verification, stats.
+/// Runs the fixed pass sequence of one [`HardenConfig`]: the paper's
+/// ILR-then-TX pipeline (either pass optional), the Elzar-style TMR pass,
+/// or the ABFT pass (which hardens the functions it cannot cover with its
+/// own default ILR-then-TX).
 ///
-/// By default the manager re-verifies the module after every pass **in
-/// debug builds** (`debug_assertions`), so SSA or type breakage is caught
-/// at the pass boundary that introduced it instead of deep inside the VM.
-/// Release builds skip verification unless [`PassManager::verify`]
-/// requests it.
+/// The manager re-verifies the module after every pass **in debug builds**
+/// (`debug_assertions`), so SSA or type breakage is caught at the pass
+/// boundary that introduced it instead of deep inside the VM.
 pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    verify_between: bool,
-}
-
-impl Default for PassManager {
-    fn default() -> Self {
-        Self::new()
-    }
+    cfg: HardenConfig,
 }
 
 impl PassManager {
-    /// An empty pipeline with default (debug-only) boundary verification.
-    pub fn new() -> Self {
-        PassManager { passes: Vec::new(), verify_between: cfg!(debug_assertions) }
-    }
-
-    /// The pipeline for one evaluated variant: the paper's ILR-then-TX
-    /// sequence, the Elzar-style TMR pass, or the ABFT pass (which
-    /// hardens the functions it cannot cover with its own default
-    /// ILR-then-TX).
+    /// The pipeline for one evaluated variant.
     pub fn from_config(cfg: &HardenConfig) -> Self {
-        let mut pm = Self::new();
-        match cfg {
-            HardenConfig::IlrTx { ilr, tx } => {
-                if let Some(ilr) = ilr {
-                    pm = pm.with_pass(IlrPass(ilr.clone()));
-                }
-                if let Some(tx) = tx {
-                    pm = pm.with_pass(TxPass(tx.clone()));
-                }
-            }
-            HardenConfig::Tmr(tmr) => pm = pm.with_pass(TmrPass(tmr.clone())),
-            HardenConfig::Abft(abft) => pm = pm.with_pass(AbftPass(abft.clone())),
-        }
-        pm
-    }
-
-    /// Appends a pass to the sequence.
-    pub fn with_pass(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Forces boundary verification on or off, overriding the debug-build
-    /// default.
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify_between = on;
-        self
-    }
-
-    /// Number of passes in the sequence.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// True when the sequence is empty (the native baseline).
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
+        PassManager { cfg: cfg.clone() }
     }
 
     /// Runs the sequence in place over `m`.
     ///
     /// # Panics
     ///
-    /// With boundary verification enabled, panics naming the offending
-    /// pass if the module fails [`verify_module`] at any pass boundary.
+    /// In debug builds, panics naming the offending pass if the module
+    /// fails [`verify_module`] at any pass boundary.
     pub fn run(&self, m: &mut Module) -> PassStats {
         let mut stats = PassStats::default();
-        if self.passes.is_empty() {
+        if matches!(self.cfg, HardenConfig::IlrTx { ilr: None, tx: None }) {
             return stats;
         }
         bump_harden_runs(&m.name);
-        // One count per pass boundary: a pass starts where the last ended.
-        let mut insts = m.total_inst_count();
-        for pass in &self.passes {
-            let insts_before = insts;
-            pass.run(m, &mut stats);
-            insts = m.total_inst_count();
-            stats.records.push(PassRecord { name: pass.name(), insts_before, insts_after: insts });
-            if self.verify_between {
-                if let Err(errs) = verify_module(m) {
-                    panic!("module invalid after pass `{}`: {errs:?}", pass.name());
+        let verify = cfg!(debug_assertions);
+        let functions = |m: &Module| m.funcs.iter().filter(|f| !f.attrs.external).count() as u64;
+        match &self.cfg {
+            HardenConfig::IlrTx { ilr, tx } => {
+                if let Some(ilr) = ilr {
+                    step(m, &mut stats, "ilr", verify, |m, stats| {
+                        let transformed = functions(m);
+                        run_ilr_module(m, ilr);
+                        stats.bump("ilr.functions", transformed);
+                    });
+                }
+                if let Some(tx) = tx {
+                    step(m, &mut stats, "tx", verify, |m, stats| {
+                        let transformed = functions(m);
+                        run_tx_module(m, tx);
+                        stats.bump("tx.functions", transformed);
+                    });
                 }
             }
+            HardenConfig::Tmr(tmr) => step(m, &mut stats, "tmr", verify, |m, stats| {
+                let transformed = functions(m);
+                let votes = run_tmr_module(m, tmr);
+                stats.bump("tmr.functions", transformed);
+                stats.bump("tmr.votes", votes);
+            }),
+            HardenConfig::Abft(abft) => step(m, &mut stats, "abft", verify, |m, stats| {
+                let s = run_abft_module(m, abft);
+                stats.bump("abft.functions_covered", s.functions_covered);
+                stats.bump("abft.functions_fallback", s.functions_fallback);
+                stats.bump("abft.chains", s.chains);
+            }),
         }
         stats
     }
@@ -288,6 +178,27 @@ impl PassManager {
         let mut out = m.clone();
         let stats = self.run(&mut out);
         (out, stats)
+    }
+}
+
+/// One pass of [`PassManager::run`]: runs `pass` over `m`, records its
+/// [`PassRecord`] (a pass starts where the last one ended, so the module
+/// is counted once per boundary) and, with `verify`, panics naming the
+/// pass if the module no longer passes [`verify_module`].
+fn step(
+    m: &mut Module,
+    stats: &mut PassStats,
+    name: &'static str,
+    verify: bool,
+    pass: impl FnOnce(&mut Module, &mut PassStats),
+) {
+    let insts_before = stats.records.last().map_or_else(|| m.total_inst_count(), |r| r.insts_after);
+    pass(m, stats);
+    stats.records.push(PassRecord { name, insts_before, insts_after: m.total_inst_count() });
+    if verify {
+        if let Err(errs) = verify_module(m) {
+            panic!("module invalid after pass `{name}`: {errs:?}");
+        }
     }
 }
 
@@ -338,11 +249,12 @@ mod tests {
 
     #[test]
     fn from_config_mirrors_variant_shape() {
-        assert!(PassManager::from_config(&HardenConfig::native()).is_empty());
-        assert_eq!(PassManager::from_config(&HardenConfig::ilr_only()).len(), 1);
-        assert_eq!(PassManager::from_config(&HardenConfig::haft()).len(), 2);
-        assert_eq!(PassManager::from_config(&HardenConfig::tmr()).len(), 1);
-        assert_eq!(PassManager::from_config(&HardenConfig::abft()).len(), 1);
+        let names = |cfg| PassManager::from_config(&cfg).run_on(&module()).1.pass_names();
+        assert_eq!(names(HardenConfig::native()), Vec::<&str>::new());
+        assert_eq!(names(HardenConfig::ilr_only()), vec!["ilr"]);
+        assert_eq!(names(HardenConfig::haft()), vec!["ilr", "tx"]);
+        assert_eq!(names(HardenConfig::tmr()), vec!["tmr"]);
+        assert_eq!(names(HardenConfig::abft()), vec!["abft"]);
     }
 
     #[test]
@@ -373,7 +285,7 @@ mod tests {
     #[test]
     fn empty_manager_is_identity() {
         let m = module();
-        let (out, stats) = PassManager::new().run_on(&m);
+        let (out, stats) = PassManager::from_config(&HardenConfig::native()).run_on(&m);
         assert_eq!(out.total_inst_count(), m.total_inst_count());
         assert!(stats.records.is_empty());
     }
@@ -434,21 +346,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "module invalid after pass `breaker`")]
     fn boundary_verification_names_the_offending_pass() {
-        struct Breaker;
-        impl Pass for Breaker {
-            fn name(&self) -> &'static str {
-                "breaker"
-            }
-            fn run(&self, m: &mut Module, _stats: &mut PassStats) {
-                // Truncate the terminator off every block: invalid IR.
-                for f in &mut m.funcs {
-                    for b in &mut f.blocks {
-                        b.insts.clear();
-                    }
+        let mut m = module();
+        // Truncate the terminator off every block: invalid IR.
+        step(&mut m, &mut PassStats::default(), "breaker", true, |m, _| {
+            for f in &mut m.funcs {
+                for b in &mut f.blocks {
+                    b.insts.clear();
                 }
             }
-        }
-        let mut m = module();
-        PassManager::new().verify(true).with_pass(Breaker).run(&mut m);
+        });
     }
 }

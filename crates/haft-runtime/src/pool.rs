@@ -33,11 +33,12 @@ use std::time::{Duration, Instant};
 
 use haft_apps::Op;
 use haft_faults::RequestOutcome;
+use haft_ir::rng::Prng;
 use haft_serve::{
     ArrivalMode, BatchRunner, Req, RouterPolicy, ServeConfig, ShardCore, TrafficSource,
     TRACE_PID_POOL,
 };
-use haft_trace::{Ring, TraceEvent, TraceSink};
+use haft_trace::{Ring, TraceEvent};
 
 const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
@@ -86,29 +87,14 @@ fn serve_batch(runner: &BatchRunner<'_>, core: &mut ShardCore, batch: &[Req]) ->
     freed_vns
 }
 
-/// Deterministic interleaving shaker (splitmix64): sprinkled
-/// `yield_now` calls at scheduling decision points so the release-mode
-/// stress test explores far more interleavings than free-running threads
-/// would. Off (`None` seed) in normal runs — zero overhead.
-struct Shaker {
-    state: u64,
-}
-
-impl Shaker {
-    fn new(seed: u64) -> Self {
-        Shaker { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn poke(&mut self) {
-        if self.next().is_multiple_of(4) {
+/// Deterministic interleaving shaker: sprinkled `yield_now` calls at
+/// scheduling decision points, drawn from a seeded [`Prng`], so the
+/// release-mode stress test explores far more interleavings than
+/// free-running threads would. Off (`None` seed) in normal runs — zero
+/// overhead.
+fn shake(shaker: &mut Option<Prng>) {
+    if let Some(sh) = shaker {
+        if sh.next_u64().is_multiple_of(4) {
             std::thread::yield_now();
         }
     }
@@ -284,13 +270,7 @@ impl<'a> Pool<'a> {
     /// Drains one runnable shard: `QUEUED → RUNNING`, run batches until
     /// the inbox is (momentarily) empty, `RUNNING → IDLE`, then the
     /// lost-wakeup recheck.
-    fn service(
-        &self,
-        shard: usize,
-        w: usize,
-        shaker: &mut Option<Shaker>,
-        ring: &mut Option<Ring>,
-    ) {
+    fn service(&self, shard: usize, w: usize, shaker: &mut Option<Prng>, ring: &mut Option<Ring>) {
         let t_start = self.trace_epoch.map(|e| e.elapsed().as_nanos() as u64);
         let mut drained = 0u64;
         let slot = &self.slots[shard];
@@ -301,9 +281,7 @@ impl<'a> Pool<'a> {
             slot.core.try_lock().expect("RUNNING transition guarantees exclusive ownership");
 
         loop {
-            if let Some(sh) = shaker.as_mut() {
-                sh.poke();
-            }
+            shake(shaker);
             let batch = {
                 let mut inbox = slot.inbox.lock().unwrap();
                 core.form_batch(&mut inbox, |r| r.arrival_vns)
@@ -368,12 +346,10 @@ impl<'a> Pool<'a> {
     }
 
     fn worker_loop(&self, w: usize) {
-        let mut shaker = self.shake_seed.map(|s| Shaker::new(s ^ (w as u64).wrapping_mul(0xA5)));
+        let mut shaker = self.shake_seed.map(|s| Prng::new(s ^ (w as u64).wrapping_mul(0xA5)));
         let mut ring = self.trace_epoch.map(|_| Ring::new(WORKER_RING_CAP));
         while !self.done.load(Ordering::Acquire) {
-            if let Some(sh) = shaker.as_mut() {
-                sh.poke();
-            }
+            shake(&mut shaker);
             match self.find_work(w, &mut ring) {
                 Some(shard) => self.service(shard, w, &mut shaker, &mut ring),
                 None => self.park(),

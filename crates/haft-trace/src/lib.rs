@@ -2,10 +2,11 @@
 //! Chrome trace-event export, and the unified metrics registry.
 //!
 //! Every execution surface in the workspace (VM, HTM, DES serving,
-//! native runtime) can emit [`TraceEvent`]s into a [`TraceSink`]; tracing
-//! is runtime-switchable and strictly observational — events record the
-//! virtual clock, they never advance it, so a traced run is bit-identical
-//! to an untraced one (pinned by the root differential tests).
+//! native runtime) can emit [`TraceEvent`]s into one of two sinks,
+//! [`TraceBuf`] or [`Ring`] (below); tracing is runtime-switchable and
+//! strictly observational — events record the virtual clock, they never
+//! advance it, so a traced run is bit-identical to an untraced one
+//! (pinned by the root differential tests).
 //!
 //! # The dual-clock rule
 //!
@@ -39,4 +40,4 @@ mod sink;
 pub use chrome::{render_chrome, to_chrome_json, validate_chrome_trace, write_chrome};
 pub use event::{ArgValue, EventKind, TraceEvent};
 pub use metrics::MetricsSnapshot;
-pub use sink::{Ring, TraceBuf, TraceSink};
+pub use sink::{Ring, TraceBuf};

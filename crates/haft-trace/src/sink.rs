@@ -15,11 +15,6 @@ use std::collections::VecDeque;
 
 use crate::event::TraceEvent;
 
-/// Anything that accepts trace events.
-pub trait TraceSink {
-    fn push(&mut self, ev: TraceEvent);
-}
-
 /// An unbounded event buffer for bounded producers (one VM run, the DES).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceBuf {
@@ -46,12 +41,6 @@ impl TraceBuf {
     /// Moves the buffered events out, leaving this buffer empty.
     pub fn take(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
-    }
-}
-
-impl TraceSink for TraceBuf {
-    fn push(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
     }
 }
 
@@ -93,10 +82,9 @@ impl Ring {
     pub fn into_events(self) -> (Vec<TraceEvent>, u64) {
         (self.buf.into_iter().collect(), self.dropped)
     }
-}
 
-impl TraceSink for Ring {
-    fn push(&mut self, ev: TraceEvent) {
+    /// Appends `ev`, overwriting the oldest event when the ring is full.
+    pub fn push(&mut self, ev: TraceEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;

@@ -115,8 +115,7 @@ pub mod prelude {
     pub use haft_ir::verify::verify_module;
     pub use haft_model::{HaftChain, SystemKind};
     pub use haft_passes::{
-        Backend, HardenConfig, IlrConfig, OptLevel, Pass, PassManager, PassStats, TmrConfig,
-        TxConfig,
+        Backend, HardenConfig, IlrConfig, OptLevel, PassManager, PassStats, TmrConfig, TxConfig,
     };
     pub use haft_serve::{
         ArrivalMode, FaultLoad, FaultReport, FaultTelemetry, LatencyStats, RouterPolicy, SagaLoad,
