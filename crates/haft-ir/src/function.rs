@@ -1,5 +1,8 @@
 //! Functions, basic blocks, and SSA value bookkeeping.
 
+use std::ops::Add;
+use std::sync::Arc;
+
 use crate::inst::{Inst, InstMeta, Op, Operand};
 use crate::types::Ty;
 
@@ -50,6 +53,30 @@ pub struct FnAttrs {
     pub local: bool,
 }
 
+/// Room a rewrite needs beyond a body's current contents: upper bounds
+/// on the instructions, values and blocks it creates.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Room {
+    /// Instructions created (the arena and `results` grow by as many).
+    pub insts: usize,
+    /// Values created: one per result-producing instruction.
+    pub values: usize,
+    /// Blocks added.
+    pub blocks: usize,
+}
+
+impl Add for Room {
+    type Output = Room;
+
+    fn add(self, o: Room) -> Room {
+        Room {
+            insts: self.insts + o.insts,
+            values: self.values + o.values,
+            blocks: self.blocks + o.blocks,
+        }
+    }
+}
+
 /// A function in SSA form.
 ///
 /// Instructions live in an arena (`insts`); blocks hold ordered id lists so
@@ -88,6 +115,43 @@ impl Function {
             results: Vec::new(),
             values,
             attrs: FnAttrs { external: false, local: true },
+        }
+    }
+
+    /// Takes a body of a [`crate::Module`] to rewrite it, as every
+    /// hardening pass does.
+    ///
+    /// A body no other module shares is returned as it is. A shared one
+    /// is copied first, and the copy's `insts`, `results`, `values` and
+    /// `blocks` are each allocated once, with the `room` the rewrite asks
+    /// for on top of the body's contents, so a rewrite that stays inside
+    /// its room never grows them again. `room` is asked only when a copy
+    /// is made.
+    pub fn make_mut(body: &mut Arc<Function>, room: impl FnOnce(&Function) -> Room) -> &mut Self {
+        if Arc::get_mut(body).is_none() {
+            let room = room(body);
+            *body = Arc::new(body.copy_with(room));
+        }
+        Arc::get_mut(body).expect("a fresh copy is not shared")
+    }
+
+    /// A deep copy with `room` reserved in each growing table.
+    fn copy_with(&self, room: Room) -> Function {
+        fn copy<T: Clone>(v: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(v.len() + extra);
+            out.extend_from_slice(v);
+            out
+        }
+        let Function { name, params, ret_ty, blocks, insts, results, values, attrs } = self;
+        Function {
+            name: name.clone(),
+            params: params.clone(),
+            ret_ty: *ret_ty,
+            blocks: copy(blocks, room.blocks),
+            insts: copy(insts, room.insts),
+            results: copy(results, room.insts),
+            values: copy(values, room.values),
+            attrs: attrs.clone(),
         }
     }
 
@@ -150,7 +214,6 @@ impl Function {
         });
         self.insts.push(Inst { op, meta });
         self.results.push(result);
-        result.inspect(|_| ()); // Keep clippy quiet about unused inspect pattern.
         (id, result)
     }
 
@@ -262,6 +325,23 @@ mod tests {
         assert_eq!(f.operand_ty(&Operand::imm(1, Ty::I32)), Ty::I32);
         assert_eq!(f.operand_ty(&Operand::f64(1.0)), Ty::F64);
         assert_eq!(f.operand_ty(&Operand::Value(ValueId(0))), Ty::I64);
+    }
+
+    #[test]
+    fn make_mut_copies_a_shared_body_once_with_its_room() {
+        let mut body = Arc::new(sample());
+        let other = Arc::clone(&body);
+        let room = Room { insts: 5, values: 3, blocks: 2 };
+        let f = Function::make_mut(&mut body, |_| room);
+        assert_eq!((f.insts.capacity(), f.results.capacity()), (2 + 5, 2 + 5));
+        assert_eq!((f.values.capacity(), f.blocks.capacity()), (3 + 3, 1 + 2));
+        f.create_inst(Op::Nop);
+        assert_eq!(*other, sample(), "the other holder's body is untouched");
+        assert!(!Arc::ptr_eq(&body, &other));
+        // Now unshared: taken in place, and the room is not asked for.
+        let before = Arc::as_ptr(&body);
+        Function::make_mut(&mut body, |_| unreachable!("no copy, no room"));
+        assert_eq!(Arc::as_ptr(&body), before);
     }
 
     #[test]

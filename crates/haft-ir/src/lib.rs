@@ -42,7 +42,7 @@ pub mod rng;
 pub mod types;
 pub mod verify;
 
-pub use function::{BlockId, Function, InstId, ValueDef, ValueId};
+pub use function::{BlockId, Function, InstId, Room, ValueDef, ValueId};
 pub use inst::{
     AbortCode, BinOp, Callee, CastKind, CmpOp, Inst, InstMeta, Op, Operand, RmwOp, UnOp,
 };

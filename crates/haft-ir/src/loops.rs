@@ -13,6 +13,7 @@ use std::collections::BTreeSet;
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function};
+use crate::inst::Op;
 
 /// One natural loop.
 #[derive(Clone, Debug)]
@@ -108,6 +109,49 @@ impl LoopForest {
     pub fn is_innermost(&self, i: usize) -> bool {
         !self.loops.iter().any(|l| l.parent == Some(i))
     }
+}
+
+/// Upper bounds on `f`'s natural loops from one depth-first walk of its
+/// terminators, without a dominator tree: `(back_edges, headers)`.
+///
+/// A back edge `latch -> header` leaves a block its header dominates, so
+/// in any depth-first walk from the entry the header is still on the
+/// walk's stack when the edge is taken: every back edge is a retreating
+/// edge, and every loop header is the target of one. The walk counts the
+/// retreating edges and lists their distinct targets.
+pub fn retreating_edges(f: &Function) -> (usize, Vec<BlockId>) {
+    let succ = |b: BlockId, i: usize| match f.terminator(b).map(|t| &f.inst(t).op) {
+        Some(Op::Br { dest }) => (i == 0).then_some(*dest),
+        Some(Op::CondBr { t, f: e, .. }) => [*t, *e].get(i).copied(),
+        _ => None,
+    };
+    let (mut edges, mut headers) = (0, Vec::new());
+    // 0: not reached yet, 1: on the walk's stack, 2: finished.
+    let mut state = vec![0u8; f.blocks.len()];
+    let mut stack = vec![(f.entry(), 0)];
+    state[f.entry().0 as usize] = 1;
+    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+        let Some(s) = succ(b, *i) else {
+            state[b.0 as usize] = 2;
+            stack.pop();
+            continue;
+        };
+        *i += 1;
+        match state[s.0 as usize] {
+            0 => {
+                state[s.0 as usize] = 1;
+                stack.push((s, 0));
+            }
+            1 => {
+                edges += 1;
+                if !headers.contains(&s) {
+                    headers.push(s);
+                }
+            }
+            _ => {}
+        }
+    }
+    (edges, headers)
 }
 
 /// Computes the longest acyclic instruction path from the loop header to
@@ -216,6 +260,24 @@ mod tests {
         assert!(!lf.is_innermost(outer));
         // The inner loop's body is a subset of the outer's.
         assert!(lf.loops[inner].body.is_subset(&lf.loops[outer].body));
+    }
+
+    #[test]
+    fn retreating_edges_bound_the_back_edges() {
+        let mut fb = FunctionBuilder::new("n", &[Ty::I64], None);
+        let n = fb.param(0);
+        fb.counted_loop(fb.iconst(Ty::I64, 0), n, |b, _| {
+            b.counted_loop(b.iconst(Ty::I64, 0), n, |_, _| {});
+        });
+        fb.ret(None);
+        let f = fb.finish();
+        let (_, _, lf) = analyze(&f);
+        let (edges, mut headers) = retreating_edges(&f);
+        assert_eq!(edges, lf.loops.iter().map(|l| l.latches.len()).sum::<usize>());
+        let mut want: Vec<BlockId> = lf.loops.iter().map(|l| l.header).collect();
+        headers.sort();
+        want.sort();
+        assert_eq!(headers, want);
     }
 
     #[test]

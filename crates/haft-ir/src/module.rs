@@ -43,10 +43,16 @@ pub struct Global {
 }
 
 /// A whole program: functions plus global data.
+///
+/// Function bodies are shared copy-on-write: cloning a module bumps one
+/// reference count per function and copies no instruction, and the
+/// clone and its source keep pointing at the same bodies until one side
+/// takes a body to rewrite it ([`Function::make_mut`]). Hardening a
+/// module therefore copies exactly the bodies its passes transform.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Module {
     pub name: String,
-    pub funcs: Vec<Function>,
+    pub funcs: Vec<Arc<Function>>,
     pub globals: Vec<Global>,
 }
 
@@ -58,7 +64,7 @@ impl Module {
 
     /// Appends a function and returns its id.
     pub fn push_func(&mut self, f: Function) -> FuncId {
-        self.funcs.push(f);
+        self.funcs.push(Arc::new(f));
         FuncId(self.funcs.len() as u32 - 1)
     }
 

@@ -109,7 +109,7 @@ impl<'a> Parser<'a> {
             } else if line.starts_with("func ") {
                 self.pos -= 1;
                 let f = self.parse_func()?;
-                m.funcs.push(f);
+                m.push_func(f);
             } else {
                 return self.err(ln, format!("unexpected line: {line}"));
             }

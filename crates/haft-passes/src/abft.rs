@@ -40,14 +40,14 @@
 //! `abft.functions_fallback`), making coverage a measured number.
 
 use haft_ir::cfg::Cfg;
-use haft_ir::function::{Function, InstId, ValueDef, ValueId};
+use haft_ir::function::{Function, InstId, Room, ValueDef, ValueId};
 use haft_ir::inst::{BinOp, Callee, Op, Operand};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
-use crate::ilr::{run_ilr, IlrConfig};
+use crate::ilr::{self, run_ilr, IlrConfig};
 use crate::replicate::Lanes;
-use crate::tx::{run_tx, CalleeKind, TxConfig};
+use crate::tx::{self, run_tx, CalleeKind, TxConfig};
 
 /// ABFT configuration: how aggressively the pass claims functions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,17 +93,7 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
     let mut stats = AbftStats::default();
 
     // Phase 1: analysis over the untransformed module.
-    let plans: Vec<Option<Plan>> = m
-        .funcs
-        .iter()
-        .map(|f| {
-            if f.attrs.external {
-                return None;
-            }
-            let plan = find_chains(f);
-            (plan.chains >= cfg.min_data_chains as u64).then_some(plan)
-        })
-        .collect();
+    let plans: Vec<Option<Plan>> = m.funcs.iter().map(|f| plan(f, cfg)).collect();
 
     // A covered function runs outside any transaction, so a fallback
     // function it calls must bracket its own: the local-call TX shape
@@ -120,9 +110,12 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
             }
         }
     }
+    // Each body is taken once, with the room its own rewrite needs; an
+    // external one only when its flag changes.
     for (i, called) in called_from_covered.into_iter().enumerate() {
-        if called && plans[i].is_none() {
-            m.funcs[i].attrs.local = false;
+        if called && plans[i].is_none() && m.funcs[i].attrs.local {
+            let plan = &plans[i];
+            Function::make_mut(&mut m.funcs[i], |f| room(f, plan)).attrs.local = false;
         }
     }
 
@@ -150,6 +143,7 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
         if f.attrs.external {
             continue;
         }
+        let f = Function::make_mut(f, |f| room(f, plan));
         match plan {
             Some(plan) => {
                 stats.functions_covered += 1;
@@ -164,6 +158,58 @@ pub fn run_abft_module(m: &mut Module, cfg: &AbftConfig) -> AbftStats {
         }
     }
     stats
+}
+
+/// The checksum plan of a function the pass covers; `None` for an
+/// external function and for one that falls back to full HAFT.
+fn plan(f: &Function, cfg: &AbftConfig) -> Option<Plan> {
+    if f.attrs.external {
+        return None;
+    }
+    let plan = find_chains(f);
+    (plan.chains >= cfg.min_data_chains as u64).then_some(plan)
+}
+
+/// What [`run_abft_module`] can add to `f`, bounded from `f` before it
+/// runs.
+pub(crate) fn room_for(f: &Function, cfg: &AbftConfig) -> Room {
+    room(f, &plan(f, cfg))
+}
+
+/// What [`run_abft_module`] can add to `f` under `plan`.
+fn room(f: &Function, plan: &Option<Plan>) -> Room {
+    match plan {
+        Some(plan) => covered_room(f, plan),
+        None if f.attrs.external => Room::default(),
+        None => fallback_room(f),
+    }
+}
+
+/// What the HAFT fallback can add to `f`: ILR then TX, both at their
+/// defaults, sized from `f` before either runs.
+fn fallback_room(f: &Function) -> Room {
+    ilr::room(f, &IlrConfig::default()) + tx::room(f, &TxConfig::default())
+}
+
+/// What [`instrument`] can add to a covered `f`: two lane copies per
+/// instruction of chain state, and a correction per operand that chain
+/// state defines, on each instruction that is neither state nor a phi.
+/// It adds no block.
+fn covered_room(f: &Function, plan: &Plan) -> Room {
+    let state = |id: InstId| plan.state.get(id.0 as usize).copied().unwrap_or(false);
+    let mut n = 0;
+    for &id in f.blocks.iter().flat_map(|b| &b.insts) {
+        let op = &f.inst(id).op;
+        if state(id) {
+            n += 2;
+        } else if !op.is_phi() {
+            op.for_each_operand(|o| {
+                let def = o.as_value().map(|v| f.value_def(v));
+                n += usize::from(matches!(def, Some(ValueDef::Inst(d)) if state(d)));
+            });
+        }
+    }
+    Room { insts: n, values: n, blocks: 0 }
 }
 
 /// Arithmetic a checksum can be maintained through: the closed,
@@ -358,7 +404,7 @@ struct Abft {
 
 impl Abft {
     fn run(&mut self, f: &mut Function, plan: &Plan) {
-        let order = Cfg::compute(f).rpo.clone();
+        let order = Cfg::compute(f).rpo;
         for &b in &order {
             self.rewrite_block(f, b, plan);
         }

@@ -98,7 +98,7 @@ fn memcell_module() -> Module {
 /// clone of a carrier phi, carrier load or chain slice may read a master
 /// (or the other lane's) operand.
 fn assert_lane_isolation(m: &Module) {
-    let mut f = m.funcs[1].clone();
+    let mut f = Function::clone(&m.funcs[1]);
     let plan = find_chains(&f);
     let mut st = Abft::default();
     st.run(&mut f, &plan);

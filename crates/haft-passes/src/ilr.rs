@@ -11,9 +11,9 @@
 
 use haft_ir::cfg::Cfg;
 use haft_ir::dom::DomTree;
-use haft_ir::function::{BlockId, Function, InstId, ValueId};
+use haft_ir::function::{BlockId, Function, InstId, Room, ValueId};
 use haft_ir::inst::{AbortCode, CmpOp, InstMeta, Op, Operand};
-use haft_ir::loops::LoopForest;
+use haft_ir::loops::{retreating_edges, LoopForest};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
 
@@ -63,9 +63,59 @@ impl IlrConfig {
 pub fn run_ilr_module(m: &mut Module, cfg: &IlrConfig) {
     for f in &mut m.funcs {
         if !f.attrs.external {
-            run_ilr(f, cfg);
+            run_ilr(Function::make_mut(f, |f| room(f, cfg)), cfg);
         }
     }
+}
+
+/// What [`run_ilr`] can add to `f`, bounded from `f` before it runs, case
+/// by case as `rewrite_block` handles an instruction: a twin per
+/// replicated one, a check (compare, branch, continuation block) per
+/// value operand of a synchronization point, a move per parameter and
+/// per result nothing recomputes, the detect block, and a check per phi
+/// of a block that may head a loop.
+pub(crate) fn room(f: &Function, cfg: &IlrConfig) -> Room {
+    // The detect block's abort, and a move per parameter.
+    let (mut insts, mut values, mut blocks) = (1 + f.params.len(), f.params.len(), 1);
+    let mut checks = 0;
+    for &id in f.blocks.iter().flat_map(|b| &b.insts) {
+        let op = &f.inst(id).op;
+        let result = usize::from(op.result_ty().is_some());
+        match op {
+            op if op.is_replicable() => {
+                insts += 1;
+                values += result;
+            }
+            Op::Load { atomic: false, .. } if cfg.shared_mem_opt => {
+                insts += 1;
+                values += 1;
+            }
+            // The shadow re-load and its check.
+            Op::Store { atomic: false, .. } if cfg.shared_mem_opt => {
+                insts += 1;
+                values += 1;
+                checks += 1;
+            }
+            Op::CondBr { t, f: e, .. } if t == e => insts += 1,
+            Op::CondBr { .. } if cfg.control_flow_protection => {
+                insts += 3;
+                blocks += 2;
+            }
+            op if passes_through(op) => {}
+            _ => {
+                op.for_each_operand(|o| checks += usize::from(o.as_value().is_some()));
+                insts += result;
+                values += result;
+            }
+        }
+    }
+    if cfg.fault_prop_check {
+        for h in retreating_edges(f).1 {
+            let header = &f.blocks[h.0 as usize].insts;
+            checks += header.iter().take_while(|i| f.inst(**i).op.is_phi()).count();
+        }
+    }
+    Room { insts: insts + 2 * checks, values: values + checks, blocks: blocks + checks }
 }
 
 /// Applies ILR to one function in place.
@@ -102,7 +152,7 @@ impl IlrPass {
     }
 
     fn run(&mut self, f: &mut Function) {
-        let order = Cfg::compute(f).rpo.clone();
+        let order = Cfg::compute(f).rpo;
         self.edge_fix = vec![Vec::new(); f.blocks.len()];
         for &b in &order {
             self.rewrite_block(f, b);

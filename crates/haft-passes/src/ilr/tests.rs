@@ -38,7 +38,7 @@ fn simple_module() -> Module {
 /// checks that no shadow clone reads a master operand.
 fn assert_lane_isolation(m: &Module, cfg: &IlrConfig) {
     for f in m.funcs.iter().filter(|f| !f.attrs.external) {
-        let mut f = f.clone();
+        let mut f = Function::clone(f);
         let mut pass = IlrPass::new(cfg);
         pass.run(&mut f);
         pass.lanes.assert_isolated(&f);

@@ -28,14 +28,15 @@
 //!            m.total_inst_count() as i64 + stats.total_added());
 //! ```
 
+use haft_ir::function::{Function, Room};
 use haft_ir::module::Module;
 use haft_ir::verify::verify_module;
 
-use crate::abft::run_abft_module;
-use crate::ilr::run_ilr_module;
+use crate::abft::{self, run_abft_module};
+use crate::ilr::{self, run_ilr_module};
 use crate::pipeline::HardenConfig;
-use crate::tmr::run_tmr_module;
-use crate::tx::run_tx_module;
+use crate::tmr::{self, run_tmr_module};
+use crate::tx::{self, run_tx_module};
 
 /// What one pass did to the module, measured by the manager around the
 /// pass.
@@ -141,6 +142,13 @@ impl PassManager {
         let functions = |m: &Module| m.funcs.iter().filter(|f| !f.attrs.external).count() as u64;
         match &self.cfg {
             HardenConfig::IlrTx { ilr, tx } => {
+                if ilr.is_some() && tx.is_some() {
+                    // ILR's output is TX's input: take each body once,
+                    // with room for both passes.
+                    for f in m.funcs.iter_mut().filter(|f| !f.attrs.external) {
+                        Function::make_mut(f, |f| self.room(f));
+                    }
+                }
                 if let Some(ilr) = ilr {
                     step(m, &mut stats, "ilr", verify, |m, stats| {
                         let transformed = functions(m);
@@ -172,8 +180,25 @@ impl PassManager {
         stats
     }
 
+    /// The room the pipeline gives a body it copies to rewrite: an upper
+    /// bound, from `f` alone, on the instructions, values and blocks its
+    /// passes add to `f` (see [`Function::make_mut`]). A rewritten body's
+    /// tables are allocated once, at their input length plus this room.
+    pub fn room(&self, f: &Function) -> Room {
+        match &self.cfg {
+            HardenConfig::IlrTx { ilr, tx } => {
+                let ilr = ilr.as_ref().map_or(Room::default(), |cfg| ilr::room(f, cfg));
+                ilr + tx.as_ref().map_or(Room::default(), |cfg| tx::room(f, cfg))
+            }
+            HardenConfig::Tmr(cfg) => tmr::room(f, cfg),
+            HardenConfig::Abft(cfg) => abft::room_for(f, cfg),
+        }
+    }
+
     /// Runs the sequence on a copy of `m`, returning the transformed
-    /// module and the stats.
+    /// module and the stats. The copy shares every function body with
+    /// `m` until a pass takes it to rewrite it, so `m` is left as it was
+    /// and the bodies no pass transforms are never copied.
     pub fn run_on(&self, m: &Module) -> (Module, PassStats) {
         let mut out = m.clone();
         let stats = self.run(&mut out);
@@ -182,9 +207,14 @@ impl PassManager {
 }
 
 /// One pass of [`PassManager::run`]: runs `pass` over `m`, records its
-/// [`PassRecord`] (a pass starts where the last one ended, so the module
-/// is counted once per boundary) and, with `verify`, panics naming the
-/// pass if the module no longer passes [`verify_module`].
+/// [`PassRecord`] and, with `verify`, panics naming the pass if the module
+/// no longer passes [`verify_module`].
+///
+/// Only the first pass counts the module instruction by instruction. A
+/// pass starts where the last one ended, and its count moves by exactly
+/// as many ids as it added to or removed from the blocks, so each
+/// boundary only sums block lengths: a pass neither places nor removes a
+/// `nop`, which `verify` also checks.
 fn step(
     m: &mut Module,
     stats: &mut PassStats,
@@ -192,13 +222,17 @@ fn step(
     verify: bool,
     pass: impl FnOnce(&mut Module, &mut PassStats),
 ) {
+    let placed = |m: &Module| m.funcs.iter().flat_map(|f| &f.blocks).map(|b| b.insts.len()).sum();
     let insts_before = stats.records.last().map_or_else(|| m.total_inst_count(), |r| r.insts_after);
+    let placed_before: usize = placed(m);
     pass(m, stats);
-    stats.records.push(PassRecord { name, insts_before, insts_after: m.total_inst_count() });
+    let insts_after = insts_before + placed(m) - placed_before;
+    stats.records.push(PassRecord { name, insts_before, insts_after });
     if verify {
         if let Err(errs) = verify_module(m) {
             panic!("module invalid after pass `{name}`: {errs:?}");
         }
+        assert_eq!(insts_after, m.total_inst_count(), "pass `{name}` placed or removed a nop");
     }
 }
 
@@ -350,7 +384,7 @@ mod tests {
         // Truncate the terminator off every block: invalid IR.
         step(&mut m, &mut PassStats::default(), "breaker", true, |m, _| {
             for f in &mut m.funcs {
-                for b in &mut f.blocks {
+                for b in &mut Function::make_mut(f, |_| Default::default()).blocks {
                     b.insts.clear();
                 }
             }

@@ -17,7 +17,7 @@
 //! exactly.
 
 use haft_ir::cfg::Cfg;
-use haft_ir::function::{Function, InstId};
+use haft_ir::function::{Function, InstId, Room};
 use haft_ir::inst::{Op, Operand};
 use haft_ir::module::Module;
 use haft_ir::types::Ty;
@@ -60,10 +60,40 @@ pub fn run_tmr_module(m: &mut Module, cfg: &TmrConfig) -> u64 {
     let mut votes = 0;
     for f in &mut m.funcs {
         if !f.attrs.external {
-            votes += run_tmr(f, cfg);
+            votes += run_tmr(Function::make_mut(f, |f| room(f, cfg)), cfg);
         }
     }
     votes
+}
+
+/// What [`run_tmr`] can add to `f`, bounded from `f` before it runs, case
+/// by case as `rewrite_block` handles an instruction: two copies per
+/// replicated one, a vote per value operand of a synchronization point,
+/// and two moves per parameter and per result nothing recomputes. The
+/// pass adds no block.
+pub(crate) fn room(f: &Function, cfg: &TmrConfig) -> Room {
+    let (mut insts, mut values) = (2 * f.params.len(), 2 * f.params.len());
+    for &id in f.blocks.iter().flat_map(|b| &b.insts) {
+        let op = &f.inst(id).op;
+        let copies = 2 * usize::from(op.result_ty().is_some());
+        match op {
+            op if op.is_replicable() => {
+                insts += 2;
+                values += copies;
+            }
+            op if passes_through(op) => {}
+            Op::CondBr { t, f: e, .. } if t == e => {}
+            _ => {
+                let mut votes = 0;
+                op.for_each_operand(|o| votes += usize::from(o.as_value().is_some()));
+                let race_free_load = matches!(op, Op::Load { atomic: false, .. });
+                let copies = if race_free_load && cfg.triplicate_loads { 2 } else { copies };
+                insts += votes + copies;
+                values += votes + copies;
+            }
+        }
+    }
+    Room { insts, values, blocks: 0 }
 }
 
 /// Applies TMR to one function in place; returns the vote count.
@@ -86,7 +116,7 @@ impl Tmr {
     }
 
     fn run(&mut self, f: &mut Function) {
-        let order = Cfg::compute(f).rpo.clone();
+        let order = Cfg::compute(f).rpo;
         for &b in &order {
             self.rewrite_block(f, b);
         }

@@ -39,7 +39,7 @@ fn simple_module() -> Module {
 /// operand.
 fn assert_lane_isolation(m: &Module, cfg: &TmrConfig) {
     for f in m.funcs.iter().filter(|f| !f.attrs.external) {
-        let mut f = f.clone();
+        let mut f = Function::clone(f);
         let mut pass = Tmr::new(cfg);
         pass.run(&mut f);
         pass.lanes.assert_isolated(&f);

@@ -12,9 +12,9 @@
 
 use haft_ir::cfg::Cfg;
 use haft_ir::dom::DomTree;
-use haft_ir::function::{BlockId, Function, InstId};
+use haft_ir::function::{BlockId, Function, InstId, Room};
 use haft_ir::inst::{Callee, Op};
-use haft_ir::loops::{longest_paths_to_latches, LoopForest};
+use haft_ir::loops::{longest_paths_to_latches, retreating_edges, LoopForest};
 use haft_ir::module::Module;
 
 /// TX configuration.
@@ -56,9 +56,31 @@ pub fn run_tx_module(m: &mut Module, cfg: &TxConfig) {
         .collect();
     for f in &mut m.funcs {
         if !f.attrs.external {
-            run_tx(f, cfg, &kinds);
+            run_tx(Function::make_mut(f, |f| room(f, cfg)), cfg, &kinds);
         }
     }
+}
+
+/// What [`run_tx`] can add to `f`, bounded from `f` before it runs: the
+/// entry's begin or split, one instruction before each return, a pair
+/// around each call and each other bracketed op, and per loop its split
+/// and one increment per back edge. It creates no value and no block.
+///
+/// ILR neither adds nor removes any of these returns, calls, brackets or
+/// loops, so the bound taken from ILR's input holds for its output too:
+/// the ILR-then-TX pipeline sizes both passes' room from its input.
+pub(crate) fn room(f: &Function, cfg: &TxConfig) -> Room {
+    let (back_edges, headers) = retreating_edges(f);
+    let mut insts = 1 + back_edges + headers.len();
+    for &id in f.blocks.iter().flat_map(|b| &b.insts) {
+        insts += match f.inst(id).op {
+            Op::Ret { .. } => 1,
+            Op::Call { .. } | Op::Emit { .. } => 2,
+            Op::Lock { .. } | Op::Unlock { .. } if !cfg.lock_elision => 2,
+            _ => 0,
+        };
+    }
+    Room { insts, values: 0, blocks: 0 }
 }
 
 /// How a call target behaves for transactification purposes.
@@ -74,13 +96,15 @@ pub enum CalleeKind {
 
 /// Applies TX to one function.
 pub fn run_tx(f: &mut Function, cfg: &TxConfig, kinds: &[CalleeKind]) {
-    // Phase 1: loop instrumentation at precomputed positions.
-    instrument_loops(f);
+    // Phase 1: loop instrumentation at precomputed positions. It only
+    // inserts into existing blocks, so its CFG stays the function's.
+    let graph = Cfg::compute(f);
+    instrument_loops(f, &graph);
 
     // Phase 2: linear rewrite for entries, returns, calls, and unfriendly
     // instructions.
     let use_local_opt = cfg.local_calls_opt && f.attrs.local;
-    let fn_len = acyclic_len(f);
+    let fn_len = acyclic_len(f, &graph);
     for b in 0..f.blocks.len() {
         let old = std::mem::take(&mut f.blocks[b].insts);
         let mut new: Vec<InstId> = Vec::with_capacity(old.len() + 4);
@@ -159,17 +183,16 @@ pub fn run_tx(f: &mut Function, cfg: &TxConfig, kinds: &[CalleeKind]) {
 /// Inserts a conditional split at each loop header and a counter increment
 /// at each latch (amount = longest acyclic path through the body, i.e. the
 /// paper's worst-case iteration size).
-fn instrument_loops(f: &mut Function) {
-    let cfg = Cfg::compute(f);
-    let dom = DomTree::compute(f, &cfg);
-    let forest = LoopForest::compute(f, &cfg, &dom);
+fn instrument_loops(f: &mut Function, cfg: &Cfg) {
+    let dom = DomTree::compute(f, cfg);
+    let forest = LoopForest::compute(f, cfg, &dom);
 
     // (block, position) -> instruction to insert.
     let mut insertions: Vec<(BlockId, usize, Op)> = Vec::new();
     for l in &forest.loops {
         let (split_block, split_pos) = split_insert_point(f, l.header);
         insertions.push((split_block, split_pos, Op::TxCondSplit));
-        for (latch, amount) in longest_paths_to_latches(f, &cfg, l) {
+        for (latch, amount) in longest_paths_to_latches(f, cfg, l) {
             let pos = f.blocks[latch.0 as usize].insts.len().saturating_sub(1);
             insertions.push((latch, pos, Op::TxCounterInc { amount }));
         }
@@ -210,8 +233,7 @@ fn split_insert_point(f: &Function, header: BlockId) -> (BlockId, usize) {
 /// The longest acyclic instruction path through the whole function
 /// (back edges ignored) — the counter increment charged when a local
 /// function returns.
-fn acyclic_len(f: &Function) -> u32 {
-    let cfg = Cfg::compute(f);
+fn acyclic_len(f: &Function, cfg: &Cfg) -> u32 {
     fn dfs(
         f: &Function,
         cfg: &Cfg,
@@ -237,7 +259,7 @@ fn acyclic_len(f: &Function) -> u32 {
     }
     let mut memo = vec![None; f.blocks.len()];
     let mut on_stack = vec![false; f.blocks.len()];
-    dfs(f, &cfg, f.entry(), &mut memo, &mut on_stack)
+    dfs(f, cfg, f.entry(), &mut memo, &mut on_stack)
 }
 
 /// Removes `tx_begin` immediately followed by `tx_end` (dead transactions

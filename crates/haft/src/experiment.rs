@@ -186,7 +186,9 @@ impl<'a> Experiment<'a> {
 
     /// Hardens a copy of the module (without running it) and returns it
     /// with the per-pass stats. Useful when only the transformed IR is
-    /// needed — static instruction counts, printing, parsing.
+    /// needed — static instruction counts, printing, parsing. The module
+    /// returned is a clone of the cached one and shares every function
+    /// body with it, so a call copies no instruction.
     pub fn build(&self) -> (Module, PassStats) {
         self.built().clone()
     }

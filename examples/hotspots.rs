@@ -19,7 +19,11 @@
 //! * set-up, unsampled, best of 5 each: synthesising the four
 //!   `Scale::Large` programs' inputs, hardening them per backend, and
 //!   verifying the 16 modules — the work every benchmark round redoes
-//!   before its first run, so a set-up regression shows beside run time;
+//!   before its first run, so a set-up regression shows beside run time —
+//!   then `serve-mixed`'s set-up: building `kv_shard` and its eight
+//!   prepares (each through `Experiment::build()` and `verify_module`);
+//!   each stage with its minor page faults per run (`/proc/self/stat`),
+//!   where allocator churn shows;
 //! * the same for the four Sim cells of the benchmark's `serve-mixed`
 //!   (`kv_shard` under YCSB B: native, HAFT, TMR, HAFT with faults),
 //!   sampled for a quarter of the time, each cell twice — serial, with
@@ -257,6 +261,14 @@ fn alu_chain(iterations: i64) -> haft::ir::module::Module {
     m
 }
 
+/// The process's minor page faults so far (field 10 of
+/// `/proc/self/stat`, counted after the parenthesised command name).
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    stat.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// Prints the process's peak resident set so far (`VmHWM` in
 /// `/proc/self/status`), in MiB.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -435,25 +447,51 @@ fn main() {
     println!("dependent ALU chain {:.2} ns/inst (best of 5)", ms * 1e6 / insts as f64);
     report::print(&samples);
 
+    /// Prints one set-up stage: best of five, and minor page faults per
+    /// run over the five.
+    fn setup_stage<R>(label: &str, run: impl FnMut() -> R) {
+        let before = minor_faults();
+        let ms = best_ms(run);
+        match before.zip(minor_faults()) {
+            Some((a, b)) => {
+                println!("  {label:<28} {ms:8.2} ms  {:7.1} minor faults", (b - a) as f64 / 5.0)
+            }
+            None => println!("  {label:<28} {ms:8.2} ms  (no /proc/self/stat)"),
+        }
+    }
+
     // Set-up, unsampled: what every `batch-exec` round redoes before its
     // first run.
-    println!("\nset-up (best of 5)");
-    let ms = best_ms(|| names.map(large));
-    println!("  inputs, the 4 Large programs {ms:8.2} ms");
+    println!("\nset-up (best of 5, minor page faults per run)");
+    setup_stage("inputs, the 4 Large programs", || names.map(large));
     let mut hardened = Vec::new();
     for (label, cfg) in &configs {
         let pm = PassManager::from_config(cfg);
         let harden = || programs.iter().map(|w| pm.run_on(&w.module).0).collect::<Vec<_>>();
-        let ms = best_ms(harden);
-        println!("  harden {label:<21} {ms:8.2} ms");
+        setup_stage(&format!("harden {label}"), harden);
         hardened.extend(harden());
     }
-    let ms = best_ms(|| hardened.iter().all(|m| verify_module(m).is_ok()));
-    println!("  verify, the {} modules      {ms:8.2} ms", hardened.len());
+    let label = format!("verify, the {} modules", hardened.len());
+    setup_stage(&label, || hardened.iter().all(|m| verify_module(m).is_ok()));
+    // `serve-mixed`'s set-up: the shard module, then its eight prepares
+    // (native, HAFT, TMR and faulted HAFT, once per driver), each a fresh
+    // experiment whose hardened module `build()` hands out for
+    // verification. The eight are kept until all are built, as in a
+    // benchmark round, and their drop is timed with them.
+    setup_stage("inputs, kv_shard", || kv_shard(KvSync::Atomics));
+    let kv = kv_shard(KvSync::Atomics);
+    let prepares = || {
+        let prepare = |c: usize| {
+            let exp = Experiment::workload(&kv).seed(1).harden(configs[c].1.clone());
+            assert!(verify_module(&exp.build().0).is_ok(), "kv_shard {} verifies", configs[c].0);
+            exp
+        };
+        [0, 1, 2, 1, 0, 1, 2, 1].map(prepare)
+    };
+    setup_stage("serve-mixed, 8 prepares", prepares);
 
     // The serving Sim cells of the benchmark's `serve-mixed`: `kv_shard`
     // under YCSB B, sampled for a quarter of the time.
-    let kv = kv_shard(KvSync::Atomics);
     let serving: Vec<_> = [(0, false), (1, false), (2, false), (1, true)]
         .into_iter()
         .map(|(c, faults)| {

@@ -223,3 +223,28 @@ fn clones_share_one_hardening_across_threads() {
     assert!(rehardened.run().completed());
     assert_eq!(probe() - before, 2, ".harden() on a clone hardens again");
 }
+
+/// `build()` hands out the cached hardened module without copying a
+/// body: two builds share every body, and a native build shares every
+/// body with the experiment's own module, as a native `run_on` does.
+#[test]
+fn build_shares_every_body_with_the_cache() {
+    use haft::apps::{kv_shard, KvSync};
+    use std::sync::Arc;
+    let w = kv_shard(KvSync::Atomics);
+    let shared = |a: &Module, b: &Module| {
+        a.funcs.len() == b.funcs.len()
+            && a.funcs.iter().zip(&b.funcs).all(|(x, y)| Arc::ptr_eq(x, y))
+    };
+    for cfg in [HardenConfig::haft(), HardenConfig::tmr(), HardenConfig::abft()] {
+        let exp = Experiment::workload(&w).harden(cfg);
+        let (a, _) = exp.build();
+        let (b, _) = exp.build();
+        assert!(shared(&a, &b), "{}: build() copied a body", a.name);
+        assert!(!shared(&a, &w.module), "hardening rewrote the shard's bodies");
+    }
+    let (native, _) = Experiment::workload(&w).build();
+    assert!(shared(&native, &w.module), "a native build copied a body");
+    let (run_on, _) = PassManager::from_config(&HardenConfig::native()).run_on(&w.module);
+    assert!(shared(&run_on, &w.module), "a native run_on copied a body");
+}

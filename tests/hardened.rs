@@ -5,7 +5,9 @@
 //! regenerated with
 //! `cargo run --release -p haft --example dump_hardened -- --digest > tests/hardened.digest`.
 //! It also pins that hardening and `patch_requests` share a module's
-//! global initialisers instead of copying them.
+//! global initialisers instead of copying them, that hardening copies
+//! only the function bodies it rewrites, each allocated once, and that
+//! it never changes its input or a clone sharing the input's bodies.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,6 +15,7 @@ use std::sync::Arc;
 use haft::apps::kvstore::{kv_shard, patch_requests, KvSync, KV_KEYSPACE};
 use haft::apps::{WorkloadMix, YcsbGen};
 use haft::ir::module::GlobalInit;
+use haft::ir::printer::print_module;
 use haft::passes::{HardenConfig, PassManager};
 
 /// Keys a digest line by its cell, `<program> <preset>`.
@@ -95,4 +98,52 @@ fn patching_requests_replaces_only_the_request_buffers() {
     assert!(matches!(table.init, GlobalInit::Bytes(_)), "the table is initialised data");
     let n_reqs = m.global(m.global_by_name("n_reqs").unwrap());
     assert_eq!(n_reqs.init, GlobalInit::Bytes(Arc::new(5u64.to_le_bytes().to_vec())));
+}
+
+#[test]
+fn hardening_copies_only_the_bodies_it_rewrites() {
+    let presets = haft::corpus::presets();
+    for (pname, module) in haft::corpus::programs() {
+        let before = print_module(&module);
+        for (cname, cfg) in &presets {
+            let pm = PassManager::from_config(cfg);
+            let (hardened, stats) = pm.run_on(&module);
+            for (src, out) in module.funcs.iter().zip(&hardened.funcs) {
+                let at = format!("{pname} {cname} `{}`", src.name);
+                if stats.records.is_empty() || (src.attrs.external && out.attrs == src.attrs) {
+                    assert!(Arc::ptr_eq(src, out), "{at}: an untouched body was copied");
+                    continue;
+                }
+                assert!(!Arc::ptr_eq(src, out), "{at}: a rewritten body is still shared");
+                // Copied once, at the input's length plus the pipeline's
+                // room, and never grown: a table that outgrew its room
+                // would have reallocated past it.
+                let room = pm.room(src);
+                assert!(out.insts.len() <= src.insts.len() + room.insts, "{at}: insts");
+                assert!(out.insts.capacity() <= src.insts.len() + room.insts, "{at}: insts grew");
+                assert!(out.results.capacity() <= src.results.len() + room.insts, "{at}: results");
+                assert!(out.values.capacity() <= src.values.len() + room.values, "{at}: values");
+                assert!(out.blocks.capacity() <= src.blocks.len() + room.blocks, "{at}: blocks");
+            }
+        }
+        assert_eq!(print_module(&module), before, "{pname}: hardening changed its input");
+    }
+}
+
+#[test]
+fn hardening_in_place_leaves_every_clone_of_its_input_alone() {
+    let presets = haft::corpus::presets();
+    for (pname, module) in haft::corpus::programs() {
+        let before = print_module(&module);
+        for (cname, cfg) in &presets {
+            // `twin` shares every body with `module` until a pass takes
+            // one to rewrite it.
+            let mut twin = module.clone();
+            assert!(module.funcs.iter().zip(&twin.funcs).all(|(a, b)| Arc::ptr_eq(a, b)));
+            let (copied, _) = PassManager::from_config(cfg).run_on(&module);
+            PassManager::from_config(cfg).run(&mut twin);
+            assert_eq!(print_module(&module), before, "{pname} {cname}: the input moved");
+            assert_eq!(print_module(&twin), print_module(&copied), "{pname} {cname}");
+        }
+    }
 }
