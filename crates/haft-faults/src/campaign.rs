@@ -8,28 +8,31 @@
 //! order, is [forked](Vm::fork) just short of each, and only the fork —
 //! from the flip on — runs per injection. The pilot need not walk the
 //! whole prefix either: the reference run, which the campaign makes
-//! anyway to size the plan, leaves up to `CHECKPOINTS` evenly spaced
+//! anyway to size the plan, leaves up to `CHECKPOINTS` evenly spread
 //! [checkpoints](Vm::checkpoint) of itself behind, and the pilot jumps
-//! to the latest one at or before each occurrence. A fork then stops
-//! where it settles ([`Vm::run_to_settlement`]): once the transaction
-//! attempt its flip landed in has aborted, or once the taint its flip
-//! seeded has drained (a TMR copy outvoted and then rewritten), the rest
-//! is the fault-free run, and the verdict is known ([`classify_settled`]).
-//! A campaign of `n` injections costs the reference run; the pilot, at
-//! most the gap between two checkpoints per injection (a quarter to a
-//! ninth of a run once the run is `CHECKPOINTS × FIRST_STRIDE` writes
-//! long) and never more than the walk from op 0 to the last occurrence,
-//! `n/(n+1)` of a run on average (`hotspots`' six-injection campaigns:
-//! 17–60 % of a run, where the walk took 62–98 %); and per injection its
-//! window — flip to rollback or drain — when it settles and its suffix
-//! when it does not (a flip outside a transaction that never drains, say
-//! because it decided a branch; the drain is watched op by op for at
-//! most a fixed window, so a fork that does not settle pays little more
-//! than its suffix).
+//! to the latest one at or before each occurrence. A checkpoint costs
+//! what it holds — the pages the run has written, its tables' live
+//! entries — so the reference run can afford twenty of them. A fork then
+//! stops where it settles ([`Vm::run_to_settlement`]): once the
+//! transaction attempt its flip landed in has aborted, or once the taint
+//! its flip seeded has drained (a TMR copy outvoted and then rewritten),
+//! the rest is the fault-free run, and the verdict is known
+//! ([`classify_settled`]). A campaign of `n` injections costs the
+//! reference run, checkpoints included; the pilot, at most the gap
+//! between two checkpoints per injection (under a fourteenth of a run once
+//! the run is `CHECKPOINTS × FIRST_STRIDE` writes long) and never more
+//! than the walk from op 0 to the last occurrence, `n/(n+1)` of a run on
+//! average (`hotspots`' six-injection campaigns: 4–22 % of a run, where
+//! the walk took 62–98 %); and per injection its window — flip to
+//! rollback or drain — when it settles and its suffix when it does not (a
+//! flip outside a transaction that never drains, say because it decided
+//! a branch; the drain is watched op by op for at most a fixed window, so
+//! a fork that does not settle pays little more than its suffix).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use haft_ir::module::Module;
 use haft_ir::rng::Prng;
@@ -65,21 +68,48 @@ pub fn settle_counts() -> SettleCounts {
     }
 }
 
-/// What the pilots of every campaign run in this process did.
+/// What the pilots of every campaign run in this process did, and the
+/// checkpoints their reference runs left them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PilotCounts {
     /// Times a pilot jumped ahead to a checkpoint of the reference run.
     pub resumes: u64,
     /// Instructions the pilots executed.
     pub instructions: u64,
+    /// Checkpoints the reference runs took.
+    pub checkpoints: u64,
+    /// Of those, the ones left for the pilots, at most `CHECKPOINTS` (20)
+    /// per reference run.
+    pub kept: u64,
+    /// Heap bytes the kept checkpoints held ([`Checkpoint::held_bytes`]).
+    pub kept_bytes: u64,
+    /// Host nanoseconds spent taking checkpoints.
+    pub checkpoint_ns: u64,
 }
 
-static RESUMES: AtomicU64 = AtomicU64::new(0);
-static PILOT_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
+impl PilotCounts {
+    fn add(&mut self, c: &PilotCounts) {
+        self.resumes += c.resumes;
+        self.instructions += c.instructions;
+        self.checkpoints += c.checkpoints;
+        self.kept += c.kept;
+        self.kept_bytes += c.kept_bytes;
+        self.checkpoint_ns += c.checkpoint_ns;
+    }
+}
+
+static PILOTS: Mutex<PilotCounts> = Mutex::new(PilotCounts {
+    resumes: 0,
+    instructions: 0,
+    checkpoints: 0,
+    kept: 0,
+    kept_bytes: 0,
+    checkpoint_ns: 0,
+});
 
 /// The process-wide [`PilotCounts`] so far.
 pub fn pilot_counts() -> PilotCounts {
-    PilotCounts { resumes: RESUMES.load(Relaxed), instructions: PILOT_INSTRUCTIONS.load(Relaxed) }
+    *PILOTS.lock().expect("a campaign panicked while adding its pilot counts")
 }
 
 /// Campaign parameters: how many plans, drawn how, run on how many
@@ -145,37 +175,47 @@ fn run_budget(vm: &VmConfig, golden: &RunResult) -> u64 {
     vm.max_instructions.min(HANG_RUNS.saturating_mul(golden.instructions))
 }
 
-/// Most checkpoints the reference run keeps live ([`reference_run`]).
-/// Chosen on data: see ROADMAP item 9.
-const CHECKPOINTS: usize = 8;
+/// Most checkpoints the reference run keeps ([`reference_run`]); it
+/// holds one more for a moment, while it picks the one to drop. Chosen on
+/// data: see ROADMAP item 9.
+const CHECKPOINTS: usize = 20;
 
-/// Register writes between the reference run's first checkpoints, before
-/// any thinning doubles the stride. Chosen on data with [`CHECKPOINTS`].
+/// Register writes before the reference run's first checkpoint, and the
+/// least it ever leaves between two. Chosen on data with [`CHECKPOINTS`].
 const FIRST_STRIDE: u64 = 2048;
 
 /// The fault-free reference run of a campaign, run to its end from
 /// `image`, and the checkpoints it left behind, each with the register
-/// write it was taken at, in ascending order. It pauses every `stride`
-/// writes and keeps a checkpoint there; whenever [`CHECKPOINTS`] are live
-/// it drops every other one and doubles the stride, so that at most
-/// [`CHECKPOINTS`] are left, spread evenly over the run however long it
-/// is. A run shorter than [`FIRST_STRIDE`] writes leaves none.
-fn reference_run<'m>(start: Vm<'m>, image: &'m Memory) -> (RunResult, Vec<(u64, Checkpoint<'m>)>) {
-    let (mut run, mut kept, mut stride) = (start, Vec::new(), FIRST_STRIDE);
+/// write it was taken at, in ascending order; `counts` gets what they
+/// cost. Each checkpoint comes [`FIRST_STRIDE`] writes after the one
+/// before, or half again the mean gap of [`CHECKPOINTS`] even ones over
+/// the run so far, whichever is more. Once [`CHECKPOINTS`] are kept, each
+/// new one pushes out the older one whose neighbours are closest (the
+/// earliest of equals), so the kept ones stay spread evenly over the run
+/// however long it is. A run shorter than [`FIRST_STRIDE`] writes leaves
+/// none.
+fn reference_run<'m>(
+    start: Vm<'m>,
+    image: &'m Memory,
+    counts: &mut PilotCounts,
+) -> (RunResult, Vec<(u64, Checkpoint<'m>)>) {
+    let (mut run, mut kept) = (start, Vec::<(u64, Checkpoint<'m>)>::new());
     loop {
-        if kept.len() == CHECKPOINTS {
-            // Keep the second, fourth, ...: multiples of the new stride.
-            let mut n = 0;
-            kept.retain(|_| {
-                n += 1;
-                n % 2 == 0
-            });
-            stride *= 2;
-        }
-        run.advance_to((kept.len() as u64 + 1) * stride);
+        let last = kept.last().map_or(0, |&(at, _)| at);
+        run.advance_to(last + FIRST_STRIDE.max(last * 3 / (2 * CHECKPOINTS as u64)));
+        let taken = Instant::now();
         let Some(checkpoint) = run.checkpoint(image) else { break };
+        counts.checkpoint_ns += taken.elapsed().as_nanos() as u64;
+        counts.checkpoints += 1;
         kept.push((run.register_writes(), checkpoint));
+        if kept.len() > CHECKPOINTS {
+            let gap = |j: usize| kept[j + 1].0 - j.checked_sub(1).map_or(0, |i| kept[i].0);
+            let j = (0..CHECKPOINTS).min_by_key(|&j| gap(j)).expect("CHECKPOINTS > 0");
+            kept.remove(j);
+        }
     }
+    counts.kept = kept.len() as u64;
+    counts.kept_bytes = kept.iter().map(|(_, c)| c.held_bytes() as u64).sum();
     (run.run_to_end(), kept)
 }
 
@@ -195,13 +235,26 @@ pub fn run_campaign(
     vm: &VmConfig,
     cfg: &CampaignConfig,
 ) -> (RunResult, CampaignReport) {
+    let (golden, report, counts) = campaign(module, spec, vm, cfg);
+    PILOTS.lock().expect("a campaign panicked while adding its pilot counts").add(&counts);
+    (golden, report)
+}
+
+/// [`run_campaign`], with what its pilots and checkpoints did.
+fn campaign(
+    module: &Module,
+    spec: RunSpec<'_>,
+    vm: &VmConfig,
+    cfg: &CampaignConfig,
+) -> (RunResult, CampaignReport, PilotCounts) {
     // Step 1: reference run — trace size and golden output — against the
     // decoded code and the initial arena every run of the campaign
     // shares, leaving checkpoints behind for the pilot.
     let prepared = Prepared::new(module);
     let image = Memory::new(module, vm.mem_bytes);
     let start = Vm::start_in(module, &prepared, vm.clone(), spec, image.clone());
-    let (golden, checkpoints) = reference_run(start, &image);
+    let mut counts = PilotCounts::default();
+    let (golden, checkpoints) = reference_run(start, &image, &mut counts);
     assert_eq!(golden.outcome, RunOutcome::Completed, "reference run must complete cleanly");
     let population = golden.register_writes.max(1);
 
@@ -217,8 +270,8 @@ pub fn run_campaign(
     // Forks inherit the pilot's configuration, and with it the budget;
     // a pilot resumed from a checkpoint takes the budget then.
     let budget = run_budget(vm, &golden);
-    let pilot_cfg = VmConfig { max_instructions: budget, ..vm.clone() };
-    let mut pilot = Vm::start_in(module, &prepared, pilot_cfg, spec, image.clone());
+    // Built at op 0 only for a plan short of the first checkpoint.
+    let mut pilot: Option<Vm<'_>> = None;
     let mut checkpoints = checkpoints.into_iter().peekable();
     // A fork settles only with a whole reference run's worth of budget
     // left, so that settling never hides a hang.
@@ -264,13 +317,22 @@ pub fn run_campaign(
             let occurrence = plans[i].occurrence;
             let mut ahead = None;
             while let Some((at, c)) = checkpoints.next_if(|&(at, _)| at <= occurrence) {
-                ahead = (at > pilot.register_writes()).then_some(c);
+                ahead = (at > pilot.as_ref().map_or(0, Vm::register_writes)).then_some(c);
             }
-            if let Some(c) = ahead {
-                pilot = c.resume(budget);
-                RESUMES.fetch_add(1, Relaxed);
-            }
-            PILOT_INSTRUCTIONS.fetch_add(pilot.advance_to(occurrence), Relaxed);
+            let pilot = match ahead {
+                Some(c) => {
+                    counts.resumes += 1;
+                    // The pilot left behind goes first: its arena is freed
+                    // before the resumed one is built.
+                    pilot.take();
+                    pilot.insert(c.resume(budget))
+                }
+                None => pilot.get_or_insert_with(|| {
+                    let cfg = VmConfig { max_instructions: budget, ..vm.clone() };
+                    Vm::start_in(module, &prepared, cfg, spec, image.clone())
+                }),
+            };
+            counts.instructions += pilot.advance_to(occurrence);
             match forks.try_send((i, pilot.fork(plans[i], cfg.forensics))) {
                 Ok(()) => {}
                 Err(TrySendError::Full((i, fork)) | TrySendError::Disconnected((i, fork))) => {
@@ -295,7 +357,7 @@ pub fn run_campaign(
             report.record_forensics(*o, fx);
         }
     }
-    (golden, report)
+    (golden, report, counts)
 }
 
 /// Draws the injection plans: occurrences uniform over the dynamic
@@ -704,6 +766,32 @@ mod tests {
             }
         }
         assert!(pilot_counts().resumes > before.resumes, "no pilot resumed from a checkpoint");
+    }
+
+    /// Six-injection campaigns' pilots execute at most a fifth of their
+    /// reference runs' instructions, over ten seeds of one program long
+    /// enough to keep every checkpoint: six plans over 21 gaps walk about
+    /// half a gap each, some 15 % of a run (16 % here). Counted per
+    /// campaign: other tests in this binary move the process-wide
+    /// [`pilot_counts`]. The
+    /// checkpoints thinned away are counted too, and the report is still
+    /// the per-plan reference loop's.
+    #[test]
+    fn a_campaigns_pilots_walk_a_small_share_of_its_reference_run() {
+        let m = harden(&program_of(6_000), &HardenConfig::haft());
+        let (mut pilots, mut references) = (0, 0);
+        for seed in 1..=10 {
+            let cfg = CampaignConfig { seed, ..campaign(6) };
+            let (golden, report, counts) = super::campaign(&m, spec(), &vm(), &cfg);
+            if seed == 1 {
+                assert_eq!(report, reference_campaign(&m, spec(), &vm(), &cfg));
+            }
+            assert_eq!(counts.kept, CHECKPOINTS as u64, "{counts:?}");
+            assert!(counts.checkpoints > counts.kept && counts.resumes > 0, "{counts:?}");
+            (pilots, references) = (pilots + counts.instructions, references + golden.instructions);
+        }
+        let share = pilots as f64 / references as f64;
+        assert!(share <= 0.2, "pilots ran {:.1} % of the reference runs", share * 100.0);
     }
 
     #[test]

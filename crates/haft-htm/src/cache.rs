@@ -53,6 +53,11 @@ impl L1Model {
         (false, Some(evicted))
     }
 
+    /// Heap bytes the model holds (diagnostics).
+    pub fn held_bytes(&self) -> usize {
+        self.tags.len() * 8 + self.fill.len() * 4
+    }
+
     /// Returns true if `line` is currently resident in `set`.
     pub fn resident(&self, set: usize, line: u64) -> bool {
         self.tags[set * self.ways..][..self.fill[set] as usize].contains(&line)

@@ -311,6 +311,21 @@ impl Htm {
     pub fn set_sizes(&self, tid: usize) -> (usize, usize) {
         (self.threads[tid].n_read, self.threads[tid].n_written)
     }
+
+    /// Lines in the line table and the slots it has for them (tests and
+    /// diagnostics: a clone has the fewest slots that hold its lines).
+    pub fn line_table(&self) -> (usize, usize) {
+        (self.lines.len(), self.lines.capacity())
+    }
+
+    /// Heap bytes this system holds: the line table's slots, the L1
+    /// models and each thread's line list (diagnostics: what a copy of
+    /// it costs).
+    pub fn held_bytes(&self) -> usize {
+        let l1 = self.cores.iter().map(L1Model::held_bytes).sum::<usize>();
+        let listed = self.threads.iter().map(|t| t.lines.len()).sum::<usize>();
+        self.lines.capacity() * std::mem::size_of::<(u64, LineUsers)>() + l1 + listed * 8
+    }
 }
 
 fn iter_bits(mut mask: u64) -> impl Iterator<Item = usize> {

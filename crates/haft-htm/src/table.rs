@@ -20,13 +20,20 @@
 //!   shift, which leaves no tombstone: the table never outgrows twice the
 //!   largest number of keys live at once, however many pass through.
 //!
+//! A clone holds the live keys, not the capacity: its slots are the
+//! fewest that keep the load at most three quarters, so copying a table
+//! that once held many keys costs what it holds now, and a copy that is
+//! only kept (a checkpoint's) holds little more. Its first insert grows
+//! it back to at most one half, as any insert past one half does. A
+//! `LOG` table's clone keeps the keys' insertion order.
+//!
 //! Deterministic by construction (no per-process seed), which the
 //! simulator wants; the keys come from the simulated program, not from
 //! outside the process.
 
 /// The table; see the module docs. `V::default()` is the value a key has
 /// when [`entry`](OpenTable::entry) first inserts it.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct OpenTable<V, const LOG: bool> {
     /// `(key + 1, value)`; key 0 marks an empty slot. Length zero or a
     /// power of two.
@@ -124,13 +131,56 @@ impl<V: Copy + Default, const LOG: bool> OpenTable<V, LOG> {
         let old = std::mem::replace(&mut self.slots, vec![(0, V::default()); cap]);
         self.shift = 64 - cap.trailing_zeros();
         self.used.clear();
-        for (k, v) in old.into_iter().filter(|(k, _)| *k != 0) {
+        self.refill(old.into_iter().filter(|(k, _)| *k != 0));
+    }
+
+    /// Puts `entries` (stored keys, `key + 1`) into the empty slots of a
+    /// table with room for them all, logging each slot in that order.
+    fn refill(&mut self, entries: impl Iterator<Item = (u64, V)>) {
+        for (k, v) in entries {
             let i = self.slot_for(k - 1);
             self.slots[i] = (k, v);
             if LOG {
                 self.used.push(i as u32);
             }
         }
+    }
+}
+
+impl<V: Copy + Default, const LOG: bool> OpenTable<V, LOG> {
+    /// A copy holding the keys `keep` accepts, in the fewest slots that
+    /// keep the load at most three quarters (none when it keeps no key);
+    /// a `LOG` table's copy keeps their insertion order.
+    pub fn retained(&self, mut keep: impl FnMut(u64, V) -> bool) -> Self {
+        // Occupied slots: the log's, in order, or every nonempty one.
+        let n = if LOG { self.used.len() } else { self.slots.len() };
+        let entries = || {
+            (0..n)
+                .map(|j| self.slots[if LOG { self.used[j] as usize } else { j }])
+                .filter(|(k, _)| *k != 0)
+        };
+        let live = entries().filter(|&(k, v)| keep(k - 1, v)).count();
+        let cap = if live == 0 { 0 } else { (live + live / 3 + 1).next_power_of_two() };
+        if live == self.live && cap == self.slots.len() {
+            let (slots, used) = (self.slots.clone(), self.used.clone());
+            return OpenTable { slots, shift: self.shift, live, used };
+        }
+        let mut t = OpenTable {
+            slots: vec![(0, V::default()); cap],
+            shift: 64 - cap.trailing_zeros(),
+            live,
+            used: Vec::with_capacity(if LOG { live } else { 0 }),
+        };
+        t.refill(entries().filter(|&(k, v)| keep(k - 1, v)));
+        t
+    }
+}
+
+impl<V: Copy + Default, const LOG: bool> Clone for OpenTable<V, LOG> {
+    /// The live keys in the fewest slots that keep the load at most three
+    /// quarters; see the module docs.
+    fn clone(&self) -> Self {
+        self.retained(|_, _| true)
     }
 }
 
@@ -231,6 +281,52 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..100u64).map(|i| (i * 7, i)).collect::<Vec<_>>());
         assert!(t.is_empty());
+    }
+
+    /// A clone of a table that once held many more keys has the fewest
+    /// slots its live keys need, finds each of them, keeps a `LOG`
+    /// table's insertion order, and grows and shrinks on like the table.
+    #[test]
+    fn a_clone_holds_the_live_keys_not_the_capacity() {
+        let mut logged: OpenTable<u64, true> = OpenTable::new();
+        let mut shifted: OpenTable<u64, false> = OpenTable::new();
+        for i in 0..1_000u64 {
+            *logged.entry(i) = i;
+            *shifted.entry(i) = i;
+        }
+        logged.clear();
+        (0..1_000).filter(|i| i % 20 != 0).for_each(|i| shifted.remove(i));
+        for i in [17u64, 3, 999, 40] {
+            *logged.entry(i) = i + 1;
+        }
+        assert_eq!((logged.capacity(), shifted.capacity()), (2048, 2048));
+        let (mut a, mut b) = (logged.clone(), shifted.clone());
+        assert_eq!((a.len(), a.capacity()), (4, 8));
+        assert_eq!((b.len(), b.capacity()), (50, 128));
+        let c = {
+            let mut t = b.clone();
+            (0..200).for_each(|i| t.remove(i));
+            t.clone()
+        };
+        assert_eq!((c.len(), c.capacity()), (40, 64), "at most three quarters full");
+        assert!((200..1_000).step_by(20).all(|i| c.get(i) == Some(i)));
+        assert!((0..1_000u64).all(|i| b.get(i) == shifted.get(i) && a.get(i) == logged.get(i)));
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        logged.clone().drain(|k, v| want.push((k, v)));
+        a.clone().drain(|k, v| got.push((k, v)));
+        assert_eq!(got, [(17, 18), (3, 4), (999, 1000), (40, 41)]);
+        assert_eq!(got, want, "insertion order");
+        for i in 2_000..2_100u64 {
+            *a.entry(i) = i;
+            *b.entry(i) = i;
+        }
+        (0..1_000).for_each(|i| b.remove(i));
+        assert!((2_000..2_100u64).all(|i| a.get(i) == Some(i) && b.get(i) == Some(i)));
+        assert_eq!((a.len(), b.len()), (104, 100));
+        let empty: OpenTable<u64, true> = OpenTable::new();
+        assert_eq!(empty.clone().capacity(), 0);
+        logged.clear();
+        assert_eq!(logged.clone().capacity(), 0, "an emptied table's clone allocates nothing");
     }
 
     #[test]

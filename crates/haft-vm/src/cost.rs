@@ -115,7 +115,7 @@ const RING: usize = ROB.next_power_of_two();
 
 /// Per-thread issue/completion clock of a [`WIDTH`]-wide core with a
 /// [`ROB`]-deep reorder window.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Scoreboard {
     /// Instructions issued so far.
     pub issued: u64,
@@ -176,6 +176,14 @@ impl Scoreboard {
         *slot = done;
         self.clock = self.clock.max(done);
         done
+    }
+
+    /// The earliest time any instruction can issue from now on: its
+    /// structural issue time and the floor only rise, until [`reset`].
+    ///
+    /// [`reset`]: Scoreboard::reset
+    pub fn horizon(&self) -> u64 {
+        self.q.max(self.floor)
     }
 
     /// Raises the floor (pipeline flush) to `t`.

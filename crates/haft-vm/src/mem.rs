@@ -50,6 +50,12 @@ pub struct Memory {
     /// because zeroing the full address space on every `Vm::run` costs
     /// more than short workloads themselves.
     bytes: Vec<u8>,
+    /// One flag per [`PAGE`] of `bytes`, set by every store into the page
+    /// (a plain store, no read-modify-write on the store path): the pages
+    /// written since [`Memory::new`], which a clone inherits. So an arena
+    /// cloned from an image differs from it only in pages flagged here,
+    /// and a checkpoint copies those ([`Memory::diff_from`]).
+    written: Vec<bool>,
     /// Logical size: the bounds-check limit.
     size: u64,
     heap_next: u64,
@@ -82,7 +88,8 @@ impl Memory {
                 bytes[base as usize..base as usize + init.len()].copy_from_slice(init);
             }
         }
-        Memory { bytes, size, heap_next: next, global_bases }
+        let written = vec![false; bytes.len().div_ceil(PAGE)];
+        Memory { bytes, written, size, heap_next: next, global_bases }
     }
 
     /// Where [`Memory::new`] places the module's globals: the base
@@ -112,6 +119,15 @@ impl Memory {
         // amortized cost O(high-water mark).
         let target = (self.bytes.len() * 2).clamp(end, self.size as usize).max(end);
         self.bytes.resize(target, 0);
+        self.written.resize(target.div_ceil(PAGE), false);
+    }
+
+    /// Marks the pages holding bytes `first` and `last` written (an
+    /// access is at most 8 bytes, so it touches no page between them).
+    #[inline(always)]
+    fn mark(&mut self, first: usize, last: usize) {
+        self.written[first / PAGE] = true;
+        self.written[last / PAGE] = true;
     }
 
     /// Where the next allocation starts: the heap's bump pointer.
@@ -184,6 +200,7 @@ impl Memory {
         if a + len as usize > self.bytes.len() {
             self.grow_to(a + len as usize);
         }
+        self.mark(a, a + len as usize - 1);
         match len {
             8 => self.bytes[a..a + 8].copy_from_slice(&val.to_le_bytes()),
             4 => self.bytes[a..a + 4].copy_from_slice(&(val as u32).to_le_bytes()),
@@ -210,37 +227,45 @@ impl Memory {
         if a >= self.bytes.len() {
             self.grow_to(a + 1);
         }
+        self.mark(a, a);
         self.bytes[a] = val;
         Ok(())
     }
 
     /// This arena in two parts: itself without its backing bytes, and
-    /// those bytes as the [`PAGE`]-byte pages in which they differ from
-    /// `base`'s. [`Memory::restored`] puts the two back together over the
-    /// same `base`. Keeping only the pages a run has written since `base`
-    /// is what makes a checkpoint cheap.
+    /// the [`PAGE`]-byte pages of those bytes it has written
+    /// ([`Memory::store`], [`Memory::store_byte`]). [`Memory::restored`]
+    /// puts the two back together over `base`, which must be the arena
+    /// this one was cloned from before those writes: every other page is
+    /// `base`'s, or zero past its end. Copying the written pages, found
+    /// without reading the others, is what makes a checkpoint cheap.
     ///
     /// # Panics
     ///
-    /// Panics if `base` has another size or global layout.
+    /// Panics if `base` has another size or global layout, and in debug
+    /// builds if a page not written differs from `base`'s.
     pub(crate) fn diff_from(&self, base: &Memory) -> (Memory, PageDiff) {
         assert!(
             self.size == base.size && self.global_bases == base.global_bases,
             "a page diff against an arena of another size or layout"
         );
-        let pages = self
-            .bytes
-            .chunks(PAGE)
-            .enumerate()
-            .filter(|&(i, page)| {
-                let theirs = base.bytes.get(i * PAGE..).unwrap_or(&[]);
-                let (same, past) = page.split_at(page.len().min(theirs.len()));
-                *same != theirs[..same.len()] || past.iter().any(|&b| b != 0)
-            })
-            .map(|(i, page)| (i, Box::from(page)))
-            .collect();
-        let hollow = Memory { bytes: Vec::new(), global_bases: self.global_bases.clone(), ..*self };
-        (hollow, PageDiff { len: self.bytes.len(), pages })
+        let at: Vec<usize> = (0..self.written.len()).filter(|&i| self.written[i]).collect();
+        let mut bytes = Vec::with_capacity(at.len() * PAGE);
+        for &i in &at {
+            bytes.extend_from_slice(&self.bytes[i * PAGE..self.bytes.len().min((i + 1) * PAGE)]);
+        }
+        let hollow = Memory {
+            bytes: Vec::new(),
+            written: self.written.clone(),
+            global_bases: self.global_bases.clone(),
+            ..*self
+        };
+        let diff = PageDiff { len: self.bytes.len(), at, bytes };
+        debug_assert!(
+            hollow.restored(base, &diff).bytes == self.bytes,
+            "an unwritten page differs from the base: not the arena the run started from"
+        );
+        (hollow, diff)
     }
 
     /// The arena [`Memory::diff_from`] split into `self` and `diff`:
@@ -250,24 +275,44 @@ impl Memory {
         let mut bytes = Vec::with_capacity(diff.len);
         bytes.extend_from_slice(&base.bytes[..base.bytes.len().min(diff.len)]);
         bytes.resize(diff.len, 0);
-        for (i, page) in &diff.pages {
+        for (&i, page) in diff.at.iter().zip(diff.bytes.chunks(PAGE)) {
             bytes[i * PAGE..][..page.len()].copy_from_slice(page);
         }
-        Memory { bytes, global_bases: self.global_bases.clone(), ..*self }
+        Memory {
+            bytes,
+            written: self.written.clone(),
+            global_bases: self.global_bases.clone(),
+            ..*self
+        }
     }
 }
 
 /// Bytes per page of a [`PageDiff`].
 const PAGE: usize = 4096;
 
-/// An arena's backing bytes as the pages in which they differ from a
-/// base arena's ([`Memory::diff_from`]).
+/// The pages an arena has written, apart from the rest of it
+/// ([`Memory::diff_from`]).
 #[derive(Clone, Debug)]
 pub(crate) struct PageDiff {
     /// The backing's length.
     len: usize,
-    /// Each differing page by index; the last page may be short.
-    pages: Vec<(usize, Box<[u8]>)>,
+    /// Each written page's index, ascending.
+    at: Vec<usize>,
+    /// Those pages' bytes, one after another; the last may be short.
+    bytes: Vec<u8>,
+}
+
+impl PageDiff {
+    /// The indices of the pages kept, ascending.
+    #[cfg(test)]
+    pub(crate) fn pages(&self) -> &[usize] {
+        &self.at
+    }
+
+    /// Bytes the kept pages take.
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.bytes.len()
+    }
 }
 
 #[cfg(test)]
@@ -346,11 +391,13 @@ mod tests {
         assert!(matches!(mem.alloc(100_000), Err(Trap::OutOfMemory)));
     }
 
-    /// A page diff keeps the pages that differ and nothing else, and
-    /// restores the arena byte for byte: a grown backing, a page written
-    /// back to what the base holds, and a store past the base's end.
+    /// A page diff keeps exactly the pages written since the clone —
+    /// one written back to what the base holds included, both pages of a
+    /// store across a page boundary — and restores the arena byte for
+    /// byte, its marks included: a grown backing, a store past the base's
+    /// end, a byte store.
     #[test]
-    fn a_page_diff_restores_the_arena_exactly() {
+    fn a_page_diff_keeps_the_written_pages_and_restores_the_arena() {
         let m = module_with_globals();
         let base = Memory::new(&m, 1 << 20);
         let mut mem = base.clone();
@@ -358,15 +405,31 @@ mod tests {
         mem.store(b, 2, 0x1234).unwrap();
         mem.store(b, 2, 0xbbaa).unwrap();
         mem.store(3 * 4096 + 8, 8, 7).unwrap();
-        mem.store(9 * 4096 - 4, 4, 1).unwrap();
+        mem.store(6 * 4096 - 4, 8, u64::MAX).unwrap();
+        mem.store_byte(9 * 4096 - 1, 1).unwrap();
         mem.alloc(100).unwrap();
         let (hollow, diff) = mem.diff_from(&base);
         assert!(hollow.bytes.is_empty());
-        assert_eq!(diff.pages.iter().map(|p| p.0).collect::<Vec<_>>(), [3, 8]);
+        assert_eq!(diff.pages(), [0, 3, 5, 6, 8]);
+        assert_eq!(diff.held_bytes(), 5 * 4096);
         let back = hollow.restored(&base, &diff);
         assert_eq!(back.bytes, mem.bytes);
         assert_eq!((back.size, back.heap_next), (mem.size, mem.heap_next));
-        assert_eq!(back.global_bases, mem.global_bases);
+        assert_eq!((&back.global_bases, &back.written), (&mem.global_bases, &mem.written));
+        assert_eq!(base.diff_from(&base).1.pages(), [] as [usize; 0], "the image wrote nothing");
+    }
+
+    /// A diff against an arena the run did not start from is caught in
+    /// debug builds: an unwritten page would be restored from the wrong
+    /// bytes.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an unwritten page differs from the base")]
+    fn a_page_diff_against_another_base_is_refused() {
+        let m = module_with_globals();
+        let mut other = Memory::new(&m, 1 << 20);
+        other.bytes[100] = 1;
+        Memory::new(&m, 1 << 20).diff_from(&other);
     }
 
     #[test]

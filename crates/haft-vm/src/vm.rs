@@ -224,7 +224,7 @@ struct Reg {
 
 /// One activation: where it executes and its register window, one
 /// [`Reg`] per IR value of the function.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Frame {
     func: FuncId,
     block: BlockId,
@@ -234,6 +234,21 @@ struct Frame {
     return_to: Option<ValueId>,
 }
 
+impl Clone for Frame {
+    fn clone(&self) -> Self {
+        Frame { regs: self.regs.clone(), ..*self }
+    }
+
+    /// Copies `src` into this frame's register window, reallocating only
+    /// if `src`'s is larger: what lets a [`TxSnapshot`] be taken and
+    /// restored without allocating.
+    fn clone_from(&mut self, src: &Self) {
+        self.regs.clone_from(&src.regs);
+        let Frame { func, block, idx, return_to, .. } = *src;
+        (self.func, self.block, self.idx, self.return_to) = (func, block, idx, return_to);
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ThreadState {
     Ready,
@@ -241,10 +256,23 @@ enum ThreadState {
     Done,
 }
 
-#[derive(Clone, Debug)]
+/// The frame stack an XBEGIN saved, for an abort to restore while `live`.
+/// Its frames stay allocated once the transaction ends, so the next begin
+/// and abort copy into register windows that are already there
+/// ([`Frame::clone_from`]); a clone copies them only while live.
+#[derive(Debug, Default)]
 struct TxSnapshot {
     frames: Vec<Frame>,
-    counter: u64,
+    live: bool,
+}
+
+impl Clone for TxSnapshot {
+    fn clone(&self) -> Self {
+        match self.live {
+            true => TxSnapshot { frames: self.frames.clone(), live: true },
+            false => TxSnapshot::default(),
+        }
+    }
 }
 
 /// The run's single-event upset, in the slot the register-write hook
@@ -318,7 +346,7 @@ pub struct Settlement {
 /// One simulated thread: its frame stack, its [`Scoreboard`] (reset per
 /// phase), its transaction state, and each engine's memory-ordering side
 /// structures.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Thread {
     frames: Vec<Frame>,
     state: ThreadState,
@@ -338,7 +366,7 @@ struct Thread {
     /// Register writes retired and the heap bump pointer when the open
     /// transaction attempt began (its outermost begin or its last retry).
     attempt: (u64, u64),
-    snapshot: Option<TxSnapshot>,
+    snapshot: TxSnapshot,
     /// Speculative write buffer (byte overlay) of the open transaction.
     overlay: HashMap<u64, u8>,
     /// Addresses of currently elided locks.
@@ -376,7 +404,7 @@ impl Thread {
             retries: 0,
             fallback: false,
             attempt: (0, 0),
-            snapshot: None,
+            snapshot: TxSnapshot::default(),
             overlay: HashMap::new(),
             elided: Vec::new(),
             tx_start_clock: 0,
@@ -391,6 +419,28 @@ impl Thread {
 
     fn in_tx(&self) -> bool {
         self.tx_depth > 0
+    }
+}
+
+impl Clone for Thread {
+    /// The thread with what can still change a later op: the fused
+    /// engine's store-forwarding cells that complete past the scoreboard's
+    /// horizon ([`engine::CellMap::after`]), and its tables as their live
+    /// entries, not their high-water marks.
+    fn clone(&self) -> Self {
+        Thread {
+            frames: self.frames.clone(),
+            store_done: self.store_done.clone(),
+            snapshot: self.snapshot.clone(),
+            overlay: self.overlay.clone(),
+            elided: self.elided.clone(),
+            bp: self.bp.clone(),
+            emitted: self.emitted.clone(),
+            fovl: self.fovl.clone(),
+            store_done_fast: self.store_done_fast.after(self.sb.horizon()),
+            bp_dense: self.bp_dense.clone(),
+            ..*self
+        }
     }
 }
 
@@ -748,16 +798,20 @@ impl<'m> Vm<'m> {
     /// start at the one nearest each planned occurrence instead of at
     /// op 0.
     ///
-    /// The arena is kept as the 4 KiB pages in which it differs from
-    /// `image`, which must be laid out as this run's arena is; resuming
-    /// writes them back into a copy of `image`. Pass the arena the run
-    /// started from ([`Vm::start_in`]), and a checkpoint holds only the
-    /// pages the run has written.
+    /// `image` must be the arena the run started from ([`Vm::start_in`]).
+    /// The checkpoint keeps the 4 KiB pages the run has written since,
+    /// which the arena marks as it stores, not the rest: resuming writes
+    /// them back into a copy of `image`. Each thread's store-forwarding
+    /// table and the HTM's line table are copied as their live entries
+    /// ([`haft_htm::table::OpenTable`]'s clone), so a checkpoint costs
+    /// what it holds, not the high-water marks the run reached.
     ///
     /// # Panics
     ///
     /// Panics if this run is a fork, is traced or profiled (as
-    /// [`Vm::fork`] does), or if `image` has another size or layout.
+    /// [`Vm::fork`] does), or if `image` has another size or layout; in
+    /// debug builds, also if a page the run has not written differs from
+    /// `image`'s (not the arena the run started from).
     pub fn checkpoint(&self, image: &'m Memory) -> Option<Checkpoint<'m>> {
         assert!(self.is_bare(), "checkpoint needs a fault-free, uninstrumented run");
         self.cursor.ended.is_none().then(|| {
@@ -1011,7 +1065,7 @@ impl<'m> Vm<'m> {
         t.tx_depth = 0;
         t.retries = 0;
         t.fallback = false;
-        t.snapshot = None;
+        t.snapshot.live = false;
         t.overlay.clear();
         t.elided.clear();
         t.last_poll_clock = 0;
@@ -1178,7 +1232,8 @@ impl<'m> Vm<'m> {
         t.counter = 0;
         t.tx_start_clock = clock;
         t.last_poll_clock = clock;
-        t.snapshot = Some(TxSnapshot { frames: t.frames.clone(), counter: 0 });
+        t.snapshot.frames.clone_from(&t.frames);
+        t.snapshot.live = true;
     }
 
     fn tx_commit(&mut self, tid: usize) -> Result<(), AbortCause> {
@@ -1198,7 +1253,7 @@ impl<'m> Vm<'m> {
         let adaptive = self.cfg.adaptive_threshold;
         let t = &mut self.threads[tid];
         t.tx_depth = 0;
-        t.snapshot = None;
+        t.snapshot.live = false;
         t.elided.clear();
         t.retries = 0;
         if adaptive {
@@ -1231,9 +1286,10 @@ impl<'m> Vm<'m> {
             t.threshold = (t.threshold / 2).max(250);
         }
         self.htm.stats.tx_cycles += t.sb.clock.saturating_sub(t.tx_start_clock);
-        let snap = t.snapshot.as_ref().expect("abort without snapshot");
-        t.frames = snap.frames.clone();
-        t.counter = snap.counter;
+        assert!(t.snapshot.live, "abort without snapshot");
+        t.frames.clone_from(&t.snapshot.frames);
+        // The counter restarts with the attempt, as at the begin.
+        t.counter = 0;
         t.overlay.clear();
         t.fovl.clear();
         t.elided.clear();
@@ -1282,7 +1338,7 @@ impl<'m> Vm<'m> {
         } else {
             // Fall back to non-transactional execution until the next
             // begin (paper §3: best-effort recovery).
-            t.snapshot = None;
+            t.snapshot.live = false;
             t.fallback = true;
             self.htm.note_fallback();
         }

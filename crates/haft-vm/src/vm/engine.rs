@@ -870,6 +870,11 @@ impl FastOverlay {
         self.cells.clear();
     }
 
+    /// Cells buffered and the slots the buffer has for them.
+    pub fn table(&self) -> (usize, usize) {
+        (self.cells.len(), self.cells.capacity())
+    }
+
     /// Buffers the low `len` bytes of `val` at `addr` (little-endian),
     /// overwriting previously buffered bytes in the range.
     pub fn buffer_store(&mut self, addr: u64, len: u32, val: u64) {
@@ -948,6 +953,21 @@ impl CellMap {
 
     pub fn clear(&mut self) {
         self.cells.clear();
+    }
+
+    /// Cells in the map and the slots it has for them.
+    pub fn table(&self) -> (usize, usize) {
+        (self.cells.len(), self.cells.capacity())
+    }
+
+    /// A copy without the cells whose last store completed by `horizon`,
+    /// the earliest its thread can issue again ([`Scoreboard::horizon`]):
+    /// [`CellMap::ready`] only ever feeds a `max` with that issue time, so
+    /// those cells change no later op, and the copy behaves as the map.
+    ///
+    /// [`Scoreboard::horizon`]: crate::cost::Scoreboard::horizon
+    pub fn after(&self, horizon: u64) -> CellMap {
+        CellMap { cells: self.cells.retained(|_, done| done > horizon) }
     }
 
     /// Ready time contributed by earlier stores covering

@@ -1698,40 +1698,170 @@ fn start_over<'m>(m: &'m Module, prepared: &'m Prepared, cfg: VmConfig, image: &
     Vm::start_in(m, prepared, cfg, FINI, image.clone())
 }
 
-/// A checkpoint of a run paused mid-way, resumed (three times, from the
-/// one checkpoint) and run to its end, returns the whole result of a
-/// plain run, on both engines: for a run whose state is in registers and
-/// transactions, and for one whose state is in memory. The budget it
-/// resumes under is the one that counts: the plain run's instruction
-/// count still completes, one less hangs, as a run under that budget
-/// from op 0 does. A run that has ended leaves no checkpoint.
+/// A three-phase program on two threads, its state in memory and in
+/// transactions: `init` fills `data` (1 024 cells, three pages); each
+/// `worker(tid, n)` adds `ro[i]` into `rounds` cells `i = tid, tid + n,
+/// ...` of `data`, one transaction per cell that also bumps the shared
+/// `hits` (where the two threads conflict), and records its round in
+/// `done[tid]` outside the transaction; `fini` emits the sum of `data`
+/// and `hits`. `ro`, two initialised pages before `data`, is only read.
+fn phased_program(rounds: i64) -> Module {
+    let mut m = Module::new("phased");
+    let ro = Operand::GlobalAddr(m.add_global_init("ro", (0..8192).map(|i| i as u8 | 1).collect()));
+    let data = Operand::GlobalAddr(m.add_global("data", 8192));
+    let hits = Operand::GlobalAddr(m.add_global("hits", 8));
+    let done = Operand::GlobalAddr(m.add_global("done", 16));
+    let total = Operand::GlobalAddr(m.add_global("total", 8));
+    let cell = |b: &mut FunctionBuilder, base: Operand, i: ValueId| {
+        let off = b.mul(Ty::I64, i, b.iconst(Ty::I64, 8));
+        b.add(Ty::Ptr, base, off)
+    };
+    let mut init = FunctionBuilder::new("init", &[], None);
+    init.set_non_local();
+    init.counted_loop(init.iconst(Ty::I64, 0), init.iconst(Ty::I64, 1024), |b, i| {
+        let v = b.add(Ty::I64, i, b.iconst(Ty::I64, 7));
+        let p = cell(b, data, i);
+        b.store(Ty::I64, v, p);
+    });
+    init.ret(None);
+    m.push_func(init.finish());
+    let mut w = FunctionBuilder::new("worker", &[Ty::I64, Ty::I64], None);
+    w.set_non_local();
+    let (tid, n) = (w.param(0), w.param(1));
+    let mine = cell(&mut w, done, tid);
+    w.counted_loop(w.iconst(Ty::I64, 0), w.iconst(Ty::I64, rounds), |b, r| {
+        let past = b.mul(Ty::I64, r, n);
+        let i = b.add(Ty::I64, past, tid);
+        b.emit_op(Op::TxBegin);
+        let q = cell(b, ro, i);
+        let x = b.load(Ty::I64, q);
+        let p = cell(b, data, i);
+        let d = b.load(Ty::I64, p);
+        let d = b.add(Ty::I64, d, x);
+        b.store(Ty::I64, d, p);
+        let h = b.load(Ty::I64, hits);
+        let h = b.add(Ty::I64, h, b.iconst(Ty::I64, 1));
+        b.store(Ty::I64, h, hits);
+        b.emit_op(Op::TxEnd);
+        b.store(Ty::I64, r, mine);
+    });
+    w.ret(None);
+    m.push_func(w.finish());
+    let mut fini = FunctionBuilder::new("fini", &[], None);
+    fini.set_non_local();
+    fini.counted_loop(fini.iconst(Ty::I64, 0), fini.iconst(Ty::I64, 1024), |b, i| {
+        let p = cell(b, data, i);
+        let v = b.load(Ty::I64, p);
+        let t = b.load(Ty::I64, total);
+        let t = b.add(Ty::I64, t, v);
+        b.store(Ty::I64, t, total);
+    });
+    for g in [total, hits] {
+        let v = fini.load(Ty::I64, g);
+        fini.emit_out(Ty::I64, v);
+    }
+    fini.ret(None);
+    m.push_func(fini.finish());
+    m
+}
+
+/// [`phased_program`]'s three phases.
+const PHASES: RunSpec<'static> =
+    RunSpec { init: Some("init"), worker: Some("worker"), fini: Some("fini") };
+
+/// Checkpoints of a run, one every twelfth of it, each resumed (three
+/// times) and run to its end, return the whole result of the plain run,
+/// and each forked just past where it was taken returns that fork of a
+/// run from op 0, on both engines: for a run whose state is in registers
+/// and transactions, one whose state is in memory, and a two-thread,
+/// three-phase run with checkpoints in every phase, inside transactions
+/// and outside. The budget a checkpoint resumes under is the one that
+/// counts: the plain run's instruction count still completes, one less
+/// hangs, as a run under that budget from op 0 does. A run that has
+/// ended leaves no checkpoint.
 #[test]
 fn a_resumed_checkpoint_returns_the_plain_run() {
-    for (m, engine) in [observed_program(300), global_sum(300)]
-        .iter()
-        .flat_map(|m| [Engine::Interp, Engine::Fused].map(|e| (m, e)))
+    let programs = [(observed_program(300), FINI, 1), (global_sum(300), FINI, 1)]
+        .into_iter()
+        .chain([(phased_program(150), PHASES, 2)]);
+    for ((m, spec, n_threads), engine) in
+        programs.flat_map(|p| [Engine::Interp, Engine::Fused].map(|e| (p.clone(), e)))
     {
         let case = format!("{} {engine:?}", m.name);
-        let prepared = Prepared::new(m);
-        let cfg = VmConfig { engine, ..Default::default() };
-        let clean = run(m, cfg.clone(), FINI);
+        let prepared = Prepared::new(&m);
+        let cfg = VmConfig { engine, n_threads, ..Default::default() };
+        let clean = run(&m, cfg.clone(), spec);
         let short = VmConfig { max_instructions: clean.instructions - 1, ..cfg.clone() };
-        let hang = run(m, short, FINI);
+        let hang = run(&m, short, spec);
         assert_eq!(hang.outcome, RunOutcome::Hang, "{case}");
-        let image = Memory::new(m, cfg.mem_bytes);
-        let mut vm = start_over(m, &prepared, cfg.clone(), &image);
-        for k in [0, 1, clean.register_writes / 3, clean.register_writes - 1] {
+        let image = Memory::new(&m, cfg.mem_bytes);
+        let mut vm = Vm::start_in(&m, &prepared, cfg.clone(), spec, image.clone());
+        let (writes, mut phases, mut in_tx) = (clean.register_writes, [false; 3], [false; 2]);
+        for k in [0, 1].into_iter().chain((1..12).map(|i| i * writes / 12)).chain([writes - 1]) {
             vm.advance_to(k);
             let c = vm.checkpoint(&image).expect("the run is paused, not ended");
-            assert_eq!(c.resume(cfg.max_instructions).run_to_end(), clean, "{case}, write {k}");
-            assert_eq!(c.resume(clean.instructions).run_to_end(), clean, "{case}, write {k}");
-            assert_eq!(c.resume(clean.instructions - 1).run_to_end(), hang, "{case}, write {k}");
+            phases[vm.cursor.phase] = true;
+            in_tx[vm.threads.iter().any(Thread::in_tx) as usize] = true;
+            let at = format!("{case}, write {}", vm.register_writes());
+            assert_eq!(c.resume(cfg.max_instructions).run_to_end(), clean, "{at}");
+            assert_eq!(c.resume(clean.instructions).run_to_end(), clean, "{at}");
+            assert_eq!(c.resume(clean.instructions - 1).run_to_end(), hang, "{at}");
+            let plan = FaultPlan { occurrence: vm.register_writes() + 3, xor_mask: 1 << 2 };
+            let from_scratch = Vm::start(&m, &prepared, cfg.clone(), spec).fork(plan, false);
+            let want = from_scratch.run_to_end();
+            assert_eq!(c.resume(cfg.max_instructions).fork(plan, false).run_to_end(), want, "{at}");
         }
         assert_eq!(vm.run_to_end(), clean, "{case}: taking checkpoints changed the run");
-        let mut ended = start_over(m, &prepared, cfg, &image);
+        if n_threads == 2 {
+            assert_eq!((phases, in_tx), ([true; 3], [true; 2]), "{case}: phases, outside/inside");
+        }
+        let mut ended = Vm::start_in(&m, &prepared, cfg, spec, image.clone());
         ended.advance_to(u64::MAX);
         assert!(ended.checkpoint(&image).is_none(), "{case}");
     }
+}
+
+/// A checkpoint holds what its run still needs, not what the run once
+/// held: each thread's store-forwarding map without the cells no later
+/// op can wait on, and it and the HTM's line table in at most twice
+/// their live entries (rounded up to a power of two); and the arena as
+/// exactly the pages the run has written, not those it only read.
+#[test]
+fn a_checkpoint_holds_its_live_entries_and_its_written_pages() {
+    let m = phased_program(150);
+    let prepared = Prepared::new(&m);
+    let cfg = VmConfig { n_threads: 2, ..Default::default() };
+    let image = Memory::new(&m, cfg.mem_bytes);
+    let mut vm = Vm::start_in(&m, &prepared, cfg.clone(), PHASES, image.clone());
+    // Half way through the run, in the worker phase, inside a
+    // transaction that has touched a line.
+    vm.advance_to(run(&m, cfg.clone(), PHASES).register_writes / 2);
+    for _ in 0..100 {
+        if vm.threads.iter().any(Thread::in_tx) && vm.htm.line_table().0 > 0 {
+            break;
+        }
+        vm.advance_to(vm.register_writes() + vm.pause_slack + 1);
+    }
+    assert!(vm.threads.iter().any(Thread::in_tx) && vm.htm.line_table().0 > 0);
+    assert_eq!(vm.cursor.phase, 1);
+    let c = vm.checkpoint(&image).expect("paused");
+    let fits = |(live, slots): (usize, usize)| slots <= (2 * live).next_power_of_two();
+    for (t, kept) in vm.threads.iter().zip(&c.vm.threads) {
+        let (run, held) = (t.store_done_fast.table(), kept.store_done_fast.table());
+        assert!(fits(held) && held.0 < run.0, "{held:?} of {run:?}");
+        assert!(fits(kept.fovl.table()) && kept.fovl.table().0 == t.fovl.table().0);
+    }
+    assert!(fits(c.vm.htm.line_table()) && c.vm.htm.line_table().0 == vm.htm.line_table().0);
+    let page = |g: &str| {
+        let (id, global) = m.globals.iter().enumerate().find(|(_, x)| x.name == g).expect(g);
+        let base = image.global_bases[id] as usize;
+        base / 4096..=(base + global.size as usize - 1) / 4096
+    };
+    // `data`, and `hits` and `done` in its last page; `ro`'s own pages not.
+    let written: Vec<usize> = page("data").collect();
+    assert_eq!(c.arena.pages(), written);
+    assert!(page("hits").chain(page("done")).all(|p| written.contains(&p)));
+    assert!(page("ro").any(|p| !written.contains(&p)));
 }
 
 /// A fork of a resumed checkpoint returns the whole result of the same

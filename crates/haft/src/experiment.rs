@@ -282,10 +282,13 @@ impl<'a> Experiment<'a> {
     /// it settles ([`haft_vm::Vm::run_to_settlement`]): where the
     /// transaction its flip landed in rolls back, or where the taint its
     /// flip seeded drains, under any backend. So `n` injections cost the
-    /// reference run, which leaves evenly spaced checkpoints of itself
-    /// behind ([`haft_vm::Vm::checkpoint`]); plus the pilot, which jumps to
-    /// the latest checkpoint at or before each occurrence and so runs at
-    /// most the gap between two checkpoints per injection; plus per
+    /// reference run, which leaves up to twenty evenly spread checkpoints
+    /// of itself behind ([`haft_vm::Vm::checkpoint`]), each costing what
+    /// it holds (the pages the run has written, its tables' live
+    /// entries); plus the pilot, which jumps to the latest checkpoint at
+    /// or before each occurrence and so runs at most the gap between two
+    /// checkpoints per injection (under a fourteenth of a long run, about
+    /// 15 % of a run over six injections); plus per
     /// injection its window from flip to rollback or drain, or its suffix
     /// where neither comes (plus at most a fixed window watched op by
     /// op), all against one decode of the module. The report is identical

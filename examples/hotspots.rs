@@ -47,7 +47,9 @@
 //!   drained, or ran to their end (`haft::faults::settle_counts`), and
 //!   the instructions their pilots executed as a share of the reference
 //!   run's, with how often a pilot resumed from one of the reference
-//!   run's checkpoints (`haft::faults::pilot_counts`);
+//!   run's checkpoints, and per reference run the checkpoints it took and
+//!   kept, KiB per kept checkpoint and µs per checkpoint taken
+//!   (`haft::faults::pilot_counts`);
 //! * the process's peak resident set (`VmHWM`) after the `batch-exec`
 //!   cells and at exit, so a footprint regression shows beside a slowdown.
 //!
@@ -631,11 +633,16 @@ fn main() {
         let reference = (runs.get() * exp.run().run.instructions) as f64;
         let pilot = (piloted.instructions - pilots.instructions) as f64 / reference;
         let resumes = piloted.resumes - pilots.resumes;
+        let (taken, kept) = (piloted.checkpoints - pilots.checkpoints, piloted.kept - pilots.kept);
+        let kib = (piloted.kept_bytes - pilots.kept_bytes) as f64 / 1024.0 / kept.max(1) as f64;
+        let us = (piloted.checkpoint_ns - pilots.checkpoint_ns) as f64 / 1e3 / taken.max(1) as f64;
+        let (taken, kept) = (taken / runs.get(), kept / runs.get());
         let name = format!("{}.{label}", small.name);
         println!(
             "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}  \
              forks: rollback {rollback} / drain {drain} / ended {ended}  \
-             pilot: {:.0} % of the reference run / resumes {resumes}",
+             pilot: {:.0} % of the reference run / resumes {resumes}  \
+             checkpoints: taken {taken} / kept {kept}, {kib:.1} KiB kept each, {us:.2} us each",
             on / off,
             pilot * 100.0
         );
