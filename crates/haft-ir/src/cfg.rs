@@ -1,67 +1,104 @@
 //! Control-flow-graph utilities: predecessors, reachability, orderings.
+//!
+//! One [`Cfg`] is a handful of flat tables indexed by block id: the
+//! successor and predecessor lists in compressed-sparse-row form (one
+//! offset table and one id array each) beside the reverse postorder, so
+//! computing it allocates the same few buffers whatever the block count.
 
 use crate::function::{BlockId, Function};
 
-/// Predecessor lists and traversal orders for one function.
+/// Successor and predecessor lists and traversal orders for one function.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    /// Predecessors of each block, in deterministic discovery order.
-    pub preds: Vec<Vec<BlockId>>,
-    /// Successors of each block (cached from terminators).
-    pub succs: Vec<Vec<BlockId>>,
+    /// `succ[succ_at[b]..succ_at[b + 1]]` are `b`'s successor slots, as
+    /// its terminator lists them (a `condbr` to one block twice lists it
+    /// twice).
+    succ_at: Vec<u32>,
+    succ: Vec<BlockId>,
+    /// `pred[pred_at[b]..pred_at[b + 1]]` are `b`'s distinct
+    /// predecessors, in ascending block order.
+    pred_at: Vec<u32>,
+    pred: Vec<BlockId>,
     /// Reverse postorder over reachable blocks, starting at the entry.
     pub rpo: Vec<BlockId>,
-    /// Position of each block in `rpo`; `usize::MAX` for unreachable blocks.
-    pub rpo_index: Vec<usize>,
+    /// Position of each block in `rpo`; `u32::MAX` for unreachable blocks.
+    pub rpo_index: Vec<u32>,
 }
 
 impl Cfg {
     /// Computes the CFG of `f`.
     pub fn compute(f: &Function) -> Self {
         let n = f.blocks.len();
-        let succs: Vec<Vec<BlockId>> = (0..n).map(|i| f.successors(BlockId(i as u32))).collect();
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (b, ss) in succs.iter().enumerate() {
-            for s in ss {
-                let from = BlockId(b as u32);
-                if !preds[s.0 as usize].contains(&from) {
-                    preds[s.0 as usize].push(from);
-                }
+        let (mut succ_at, mut succ) = (Vec::with_capacity(n + 1), Vec::with_capacity(2 * n));
+        succ_at.push(0);
+        for b in 0..n {
+            succ.extend(f.successors(BlockId(b as u32)).into_iter().flatten());
+            succ_at.push(succ.len() as u32);
+        }
+        // A block's edges: its successors, a `condbr` to one block twice
+        // counted once.
+        let edges = |b: usize| {
+            let ss = &succ[succ_at[b] as usize..succ_at[b + 1] as usize];
+            ss.iter().enumerate().filter(move |&(i, s)| i == 0 || *s != ss[0]).map(|(_, s)| *s)
+        };
+        // Count each target's edges, sum them into range ends, then fill
+        // each range backwards from the last block: every list ascends.
+        let mut pred_at = vec![0u32; n + 1];
+        for s in (0..n).flat_map(edges) {
+            pred_at[s.0 as usize] += 1;
+        }
+        for b in 1..=n {
+            pred_at[b] += pred_at[b - 1];
+        }
+        let mut pred = vec![BlockId(0); pred_at[n] as usize];
+        for b in (0..n).rev() {
+            for s in edges(b) {
+                pred_at[s.0 as usize] -= 1;
+                pred[pred_at[s.0 as usize] as usize] = BlockId(b as u32);
             }
         }
 
         // Iterative DFS postorder.
-        let mut post = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        // Stack entries: (block, next-successor-index).
+        let (rpo, rpo_index) = (Vec::with_capacity(n), vec![u32::MAX; n]);
+        let mut cfg = Cfg { succ_at, succ, pred_at, pred, rpo, rpo_index };
+        // Stack entries: (block, next-successor-index). A block is marked
+        // visited by a provisional `rpo_index` of 0.
         let mut stack: Vec<(BlockId, usize)> = vec![(f.entry(), 0)];
-        visited[f.entry().0 as usize] = true;
+        cfg.rpo_index[f.entry().0 as usize] = 0;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let ss = &succs[b.0 as usize];
-            if *i < ss.len() {
-                let s = ss[*i];
+            if let Some(&s) = cfg.succs(b).get(*i) {
                 *i += 1;
-                if !visited[s.0 as usize] {
-                    visited[s.0 as usize] = true;
+                if !cfg.is_reachable(s) {
+                    cfg.rpo_index[s.0 as usize] = 0;
                     stack.push((s, 0));
                 }
             } else {
-                post.push(b);
+                cfg.rpo.push(b);
                 stack.pop();
             }
         }
-        post.reverse();
-        let rpo = post;
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_index[b.0 as usize] = i;
+        cfg.rpo.reverse();
+        for (i, b) in cfg.rpo.iter().enumerate() {
+            cfg.rpo_index[b.0 as usize] = i as u32;
         }
-        Cfg { preds, succs, rpo, rpo_index }
+        cfg
+    }
+
+    /// The successors of `b`, one per successor slot of its terminator.
+    pub fn succs(&self, b: BlockId) -> &[BlockId] {
+        let b = b.0 as usize;
+        &self.succ[self.succ_at[b] as usize..self.succ_at[b + 1] as usize]
+    }
+
+    /// The distinct predecessors of `b`, in ascending block order.
+    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+        let b = b.0 as usize;
+        &self.pred[self.pred_at[b] as usize..self.pred_at[b + 1] as usize]
     }
 
     /// Returns true if `b` is reachable from the entry.
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_index[b.0 as usize] != usize::MAX
+        self.rpo_index[b.0 as usize] != u32::MAX
     }
 }
 
@@ -96,14 +133,13 @@ mod tests {
     fn preds_are_inverse_of_succs() {
         let f = loop_func();
         let cfg = Cfg::compute(&f);
-        for (b, ss) in cfg.succs.iter().enumerate() {
-            for s in ss {
-                assert!(cfg.preds[s.0 as usize].contains(&BlockId(b as u32)));
+        for b in (0..f.blocks.len() as u32).map(BlockId) {
+            for s in cfg.succs(b) {
+                assert!(cfg.preds(*s).contains(&b));
             }
         }
         // The loop header has two preds: entry and the latch.
-        let header = BlockId(1);
-        assert_eq!(cfg.preds[header.0 as usize].len(), 2);
+        assert_eq!(cfg.preds(BlockId(1)), [BlockId(0), BlockId(2)]);
     }
 
     #[test]

@@ -3,75 +3,60 @@
 use crate::cfg::Cfg;
 use crate::function::{BlockId, Function};
 
-/// Immediate-dominator tree over the reachable blocks of one function.
+/// `idom` entry of a block with no immediate dominator (unreachable).
+const NONE: u32 = u32::MAX;
+
+/// Immediate-dominator tree over the reachable blocks of one function: one
+/// flat table of block ids.
 #[derive(Clone, Debug)]
 pub struct DomTree {
     /// `idom[b]` is the immediate dominator of block `b`; the entry's idom
-    /// is itself; unreachable blocks map to `None`.
-    pub idom: Vec<Option<BlockId>>,
+    /// is itself; unreachable blocks hold `NONE`.
+    idom: Vec<u32>,
 }
 
 impl DomTree {
     /// Computes the dominator tree using the Cooper–Harvey–Kennedy
     /// iterative algorithm over reverse postorder.
     pub fn compute(f: &Function, cfg: &Cfg) -> Self {
-        let n = f.blocks.len();
-        let entry = f.entry();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[entry.0 as usize] = Some(entry);
-
+        let mut idom = vec![NONE; f.blocks.len()];
+        idom[f.entry().0 as usize] = f.entry().0;
         let mut changed = true;
         while changed {
             changed = false;
             for &b in cfg.rpo.iter().skip(1) {
-                // First processed predecessor (must already have an idom).
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &cfg.preds[b.0 as usize] {
-                    if idom[p.0 as usize].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => Self::intersect(&idom, &cfg.rpo_index, p, cur),
-                    });
+                // Meet of the processed predecessors (those with an idom).
+                let mut new_idom = NONE;
+                for &p in cfg.preds(b).iter().filter(|p| idom[p.0 as usize] != NONE) {
+                    new_idom = match new_idom {
+                        NONE => p.0,
+                        cur => intersect(&idom, &cfg.rpo_index, p.0, cur),
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom[b.0 as usize] != Some(ni) {
-                        idom[b.0 as usize] = Some(ni);
-                        changed = true;
-                    }
+                if new_idom != NONE && idom[b.0 as usize] != new_idom {
+                    idom[b.0 as usize] = new_idom;
+                    changed = true;
                 }
             }
         }
         DomTree { idom }
     }
 
-    fn intersect(
-        idom: &[Option<BlockId>],
-        rpo_index: &[usize],
-        mut a: BlockId,
-        mut b: BlockId,
-    ) -> BlockId {
-        while a != b {
-            while rpo_index[a.0 as usize] > rpo_index[b.0 as usize] {
-                a = idom[a.0 as usize].expect("processed block has idom");
-            }
-            while rpo_index[b.0 as usize] > rpo_index[a.0 as usize] {
-                b = idom[b.0 as usize].expect("processed block has idom");
-            }
-        }
-        a
+    /// The immediate dominator of `b` (the entry's is itself), or `None`
+    /// if `b` is unreachable.
+    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
+        Some(self.idom[b.0 as usize]).filter(|&i| i != NONE).map(BlockId)
     }
 
     /// Returns true if `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
+        let mut cur = b.0;
         loop {
-            if cur == a {
+            if cur == a.0 {
                 return true;
             }
-            match self.idom[cur.0 as usize] {
-                Some(i) if i != cur => cur = i,
+            match self.idom[cur as usize] {
+                i if i != cur && i != NONE => cur = i,
                 _ => return false,
             }
         }
@@ -81,6 +66,20 @@ impl DomTree {
     pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
         a != b && self.dominates(a, b)
     }
+}
+
+/// The nearest common dominator of two processed blocks: walk the one
+/// later in reverse postorder up its idom chain until the two meet.
+fn intersect(idom: &[u32], rpo_index: &[u32], mut a: u32, mut b: u32) -> u32 {
+    while a != b {
+        while rpo_index[a as usize] > rpo_index[b as usize] {
+            a = idom[a as usize];
+        }
+        while rpo_index[b as usize] > rpo_index[a as usize] {
+            b = idom[b as usize];
+        }
+    }
+    a
 }
 
 #[cfg(test)]
@@ -112,7 +111,7 @@ mod tests {
         assert!(dt.dominates(entry, then_b));
         assert!(!dt.dominates(then_b, join), "join has two preds");
         assert!(!dt.dominates(else_b, join));
-        assert_eq!(dt.idom[join.0 as usize], Some(entry));
+        assert_eq!(dt.idom(join), Some(entry));
         assert!(dt.strictly_dominates(entry, join));
         assert!(!dt.strictly_dominates(entry, entry));
     }
@@ -139,6 +138,6 @@ mod tests {
         let f = diamond();
         let cfg = Cfg::compute(&f);
         let dt = DomTree::compute(&f, &cfg);
-        assert_eq!(dt.idom[0], Some(BlockId(0)));
+        assert_eq!(dt.idom(BlockId(0)), Some(BlockId(0)));
     }
 }

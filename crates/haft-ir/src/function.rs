@@ -244,12 +244,10 @@ impl Function {
         self.inst(last).op.is_terminator().then_some(last)
     }
 
-    /// Returns the successors of a block (empty for `ret`/`tx_abort`).
-    pub fn successors(&self, b: BlockId) -> Vec<BlockId> {
-        match self.terminator(b) {
-            Some(t) => self.inst(t).op.successors(),
-            None => vec![],
-        }
+    /// Returns the successor slots of a block ([`Op::successors`]; both
+    /// empty for `ret`/`tx_abort` or a block without a terminator).
+    pub fn successors(&self, b: BlockId) -> [Option<BlockId>; 2] {
+        self.terminator(b).map_or([None, None], |t| self.inst(t).op.successors())
     }
 
     /// Iterates over `(BlockId, &Block)` pairs.
@@ -307,7 +305,7 @@ mod tests {
     fn terminator_detection() {
         let f = sample();
         assert_eq!(f.terminator(f.entry()), Some(InstId(1)));
-        assert!(f.successors(f.entry()).is_empty());
+        assert_eq!(f.successors(f.entry()), [None, None]);
     }
 
     #[test]

@@ -507,12 +507,13 @@ impl Op {
         }
     }
 
-    /// Returns the blocks this terminator may transfer control to.
-    pub fn successors(&self) -> Vec<BlockId> {
+    /// Returns the blocks this terminator may transfer control to, in
+    /// its two successor slots (`t` then `f`; a `br` fills only the first).
+    pub fn successors(&self) -> [Option<BlockId>; 2] {
         match self {
-            Op::Br { dest } => vec![*dest],
-            Op::CondBr { t, f, .. } => vec![*t, *f],
-            _ => vec![],
+            Op::Br { dest } => [Some(*dest), None],
+            Op::CondBr { t, f, .. } => [Some(*t), Some(*f)],
+            _ => [None, None],
         }
     }
 }
@@ -623,8 +624,9 @@ mod tests {
     #[test]
     fn successors_of_branches() {
         let op = Op::CondBr { cond: v(0), t: BlockId(1), f: BlockId(2) };
-        assert_eq!(op.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Op::Br { dest: BlockId(3) }.successors(), vec![BlockId(3)]);
+        assert_eq!(op.successors(), [Some(BlockId(1)), Some(BlockId(2))]);
+        assert_eq!(Op::Br { dest: BlockId(3) }.successors(), [Some(BlockId(3)), None]);
+        assert_eq!(Op::Ret { val: None }.successors(), [None, None]);
     }
 
     #[test]

@@ -8,12 +8,9 @@
 //! (§3.3) additionally needs loop nesting to identify *innermost* loops and
 //! their header phis (induction variables).
 
-use std::collections::BTreeSet;
-
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BlockId, Function};
-use crate::inst::Op;
 
 /// One natural loop.
 #[derive(Clone, Debug)]
@@ -22,12 +19,19 @@ pub struct Loop {
     pub header: BlockId,
     /// Blocks with a back edge to the header.
     pub latches: Vec<BlockId>,
-    /// All blocks of the loop, including the header.
-    pub body: BTreeSet<BlockId>,
+    /// All blocks of the loop, including the header, in ascending order.
+    pub body: Vec<BlockId>,
     /// Index of the enclosing loop in [`LoopForest::loops`], if nested.
     pub parent: Option<usize>,
     /// Nesting depth (outermost = 1).
     pub depth: u32,
+}
+
+impl Loop {
+    /// Returns true if `b` is a block of the loop.
+    pub fn contains(&self, b: BlockId) -> bool {
+        self.body.binary_search(&b).is_ok()
+    }
 }
 
 /// All natural loops of one function.
@@ -41,56 +45,56 @@ impl LoopForest {
     ///
     /// Back edges are edges `latch -> header` where `header` dominates
     /// `latch`; loops sharing a header are merged (as LLVM does).
-    pub fn compute(_f: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
+    pub fn compute(f: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
         // Collect back edges grouped by header.
         let mut by_header: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for &b in &cfg.rpo {
-            for s in &cfg.succs[b.0 as usize] {
-                if dom.dominates(*s, b) {
-                    match by_header.iter_mut().find(|(h, _)| h == s) {
+            for &s in cfg.succs(b) {
+                if dom.dominates(s, b) {
+                    match by_header.iter_mut().find(|(h, _)| *h == s) {
                         Some((_, latches)) => latches.push(b),
-                        None => by_header.push((*s, vec![b])),
+                        None => by_header.push((s, vec![b])),
                     }
                 }
             }
         }
 
         // Natural loop body: header plus reverse-reachable blocks from the
-        // latches that do not pass through the header.
-        let mut loops: Vec<Loop> = by_header
-            .into_iter()
-            .map(|(header, latches)| {
-                let mut body: BTreeSet<BlockId> = BTreeSet::new();
-                body.insert(header);
-                let mut stack: Vec<BlockId> = latches.clone();
-                while let Some(b) = stack.pop() {
-                    if body.insert(b) {
-                        for &p in &cfg.preds[b.0 as usize] {
-                            stack.push(p);
-                        }
-                    }
+        // latches that do not pass through the header. `mark[b]` is the
+        // number of the last loop (from 1) that took `b`.
+        let mut mark = vec![0u32; f.blocks.len()];
+        let mut loops: Vec<Loop> = Vec::with_capacity(by_header.len());
+        for (i, (header, latches)) in by_header.into_iter().enumerate() {
+            let stamp = i as u32 + 1;
+            mark[header.0 as usize] = stamp;
+            let mut body = vec![header];
+            let mut stack: Vec<BlockId> = latches.clone();
+            while let Some(b) = stack.pop() {
+                if mark[b.0 as usize] != stamp {
+                    mark[b.0 as usize] = stamp;
+                    body.push(b);
+                    stack.extend_from_slice(cfg.preds(b));
                 }
-                Loop { header, latches, body, parent: None, depth: 1 }
-            })
-            .collect();
+            }
+            body.sort_unstable();
+            loops.push(Loop { header, latches, body, parent: None, depth: 1 });
+        }
 
         // Establish nesting: the parent of loop L is the smallest loop
         // strictly containing L's header (other than L itself).
-        let snapshots: Vec<(BlockId, BTreeSet<BlockId>)> =
-            loops.iter().map(|l| (l.header, l.body.clone())).collect();
-        for (i, l) in loops.iter_mut().enumerate() {
+        for i in 0..loops.len() {
             let mut best: Option<usize> = None;
-            for (j, (hj, bodyj)) in snapshots.iter().enumerate() {
-                if i == j || !bodyj.contains(&l.header) || *hj == l.header {
+            for (j, lj) in loops.iter().enumerate() {
+                if i == j || !lj.contains(loops[i].header) || lj.header == loops[i].header {
                     continue;
                 }
                 best = match best {
                     None => Some(j),
-                    Some(cur) if bodyj.len() < snapshots[cur].1.len() => Some(j),
+                    Some(cur) if lj.body.len() < loops[cur].body.len() => Some(j),
                     keep => keep,
                 };
             }
-            l.parent = best;
+            loops[i].parent = best;
         }
         // Depths.
         for i in 0..loops.len() {
@@ -120,11 +124,7 @@ impl LoopForest {
 /// edge, and every loop header is the target of one. The walk counts the
 /// retreating edges and lists their distinct targets.
 pub fn retreating_edges(f: &Function) -> (usize, Vec<BlockId>) {
-    let succ = |b: BlockId, i: usize| match f.terminator(b).map(|t| &f.inst(t).op) {
-        Some(Op::Br { dest }) => (i == 0).then_some(*dest),
-        Some(Op::CondBr { t, f: e, .. }) => [*t, *e].get(i).copied(),
-        _ => None,
-    };
+    let succ = |b: BlockId, i: usize| f.successors(b).get(i).copied().flatten();
     let (mut edges, mut headers) = (0, Vec::new());
     // 0: not reached yet, 1: on the walk's stack, 2: finished.
     let mut state = vec![0u8; f.blocks.len()];
@@ -162,50 +162,54 @@ pub fn retreating_edges(f: &Function) -> (usize, Vec<BlockId>) {
 /// bound on the instructions executed in one iteration (shadow instructions
 /// included, since TX runs after ILR).
 pub fn longest_paths_to_latches(f: &Function, cfg: &Cfg, l: &Loop) -> Vec<(BlockId, u32)> {
-    // Longest path in a DAG via memoized DFS from the header. Edges into
-    // the header are ignored (they are the back edges), which makes the
-    // subgraph acyclic for natural loops with a single header. Inner-loop
-    // back edges are handled by skipping edges to already-on-stack nodes
-    // (conservative: the longest *acyclic* path is what we bound).
-    fn weight(f: &Function, b: BlockId) -> u32 {
-        f.blocks[b.0 as usize].insts.len() as u32
-    }
-
-    fn dfs(
-        f: &Function,
-        cfg: &Cfg,
-        l: &Loop,
-        b: BlockId,
-        memo: &mut Vec<Option<u32>>,
-        on_stack: &mut Vec<bool>,
-    ) -> u32 {
-        if let Some(w) = memo[b.0 as usize] {
-            return w;
-        }
-        on_stack[b.0 as usize] = true;
-        let mut best = 0;
-        for &s in &cfg.succs[b.0 as usize] {
-            if s == l.header || !l.body.contains(&s) || on_stack[s.0 as usize] {
-                continue;
-            }
-            best = best.max(dfs(f, cfg, l, s, memo, on_stack));
-        }
-        on_stack[b.0 as usize] = false;
-        let w = weight(f, b) + best;
-        memo[b.0 as usize] = Some(w);
-        w
-    }
-
     // Longest path from header to a specific latch: compute longest path
     // *ending* at the latch by DFS over reversed edges is more direct, but
     // for counter purposes the paper uses the longest path through the body
     // leading to the latch; we approximate per-latch with the total longest
     // path from the header (a safe upper bound, and exact for single-latch
     // loops, which is what the builder produces).
-    let mut memo = vec![None; f.blocks.len()];
-    let mut on_stack = vec![false; f.blocks.len()];
-    let total = dfs(f, cfg, l, l.header, &mut memo, &mut on_stack);
+    let total = longest_path(f, cfg, l.header, &|b| l.contains(b));
     l.latches.iter().map(|&latch| (latch, total)).collect()
+}
+
+/// The longest acyclic instruction path from `from` through the blocks
+/// `inside` accepts (the loop body, or the whole function for TX's
+/// local-call charge).
+///
+/// A longest path in a DAG via memoized DFS from `from`. Edges into a
+/// block on the walk's stack are skipped: `from`'s own back edges (it
+/// stays on the stack throughout), which makes a natural loop's body
+/// acyclic, and inner loops' back edges (conservative: the longest
+/// *acyclic* path is what we bound).
+pub fn longest_path(
+    f: &Function,
+    cfg: &Cfg,
+    from: BlockId,
+    inside: &dyn Fn(BlockId) -> bool,
+) -> u32 {
+    fn dfs(
+        (f, cfg, inside): (&Function, &Cfg, &dyn Fn(BlockId) -> bool),
+        b: BlockId,
+        memo: &mut [Option<u32>],
+        on_stack: &mut [bool],
+    ) -> u32 {
+        if let Some(w) = memo[b.0 as usize] {
+            return w;
+        }
+        on_stack[b.0 as usize] = true;
+        let mut best = 0;
+        for &s in cfg.succs(b) {
+            if inside(s) && !on_stack[s.0 as usize] {
+                best = best.max(dfs((f, cfg, inside), s, memo, on_stack));
+            }
+        }
+        on_stack[b.0 as usize] = false;
+        let w = f.blocks[b.0 as usize].insts.len() as u32 + best;
+        memo[b.0 as usize] = Some(w);
+        w
+    }
+    let (mut memo, mut on_stack) = (vec![None; f.blocks.len()], vec![false; f.blocks.len()]);
+    dfs((f, cfg, inside), from, &mut memo, &mut on_stack)
 }
 
 #[cfg(test)]
@@ -235,7 +239,7 @@ mod tests {
         let l = &lf.loops[0];
         assert_eq!(l.header, BlockId(1));
         assert_eq!(l.latches, vec![BlockId(2)]);
-        assert!(l.body.contains(&BlockId(1)) && l.body.contains(&BlockId(2)));
+        assert!(l.contains(BlockId(1)) && l.contains(BlockId(2)));
         assert_eq!(l.depth, 1);
         assert!(lf.is_innermost(0));
     }
@@ -259,7 +263,7 @@ mod tests {
         assert!(lf.is_innermost(inner));
         assert!(!lf.is_innermost(outer));
         // The inner loop's body is a subset of the outer's.
-        assert!(lf.loops[inner].body.is_subset(&lf.loops[outer].body));
+        assert!(lf.loops[inner].body.iter().all(|&b| lf.loops[outer].contains(b)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::function::{BlockId, Function, InstId, ValueDef, ValueId};
+use crate::function::{BlockId, Function, ValueDef};
 use crate::inst::{Callee, Op, Operand};
 use crate::module::{Global, GlobalInit, Module};
 use crate::types::Ty;
@@ -48,55 +48,55 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<String>> {
     }
 }
 
+/// `at` entry of an instruction no block lists.
+const UNPLACED: (BlockId, u32) = (BlockId(u32::MAX), u32::MAX);
+
 /// Verifies one function against the module's signatures and globals.
+///
+/// Two walks. The first checks each block's shape and records where each
+/// instruction sits; the second visits every reachable instruction once,
+/// on the function's flat CFG and dominator tree, and each of its
+/// operands once: its global, its type, and its definition's dominance
+/// over the use.
 pub fn verify_func(f: &Function, sigs: &[FnSig], globals: &[Global]) -> Result<(), Vec<String>> {
     let mut errs = Vec::new();
     let name = &f.name;
 
-    // Locate every placed instruction.
-    let mut location: Vec<Option<(BlockId, usize)>> = vec![None; f.insts.len()];
+    // Walk 1: one trailing terminator, phis first, branches to real
+    // blocks; and each placed instruction's (block, index). A bogus inst
+    // id counts for its position, not for its (absent) op.
+    let mut at = vec![UNPLACED; f.insts.len()];
     for (bid, b) in f.iter_blocks() {
-        for (pos, &iid) in b.insts.iter().enumerate() {
-            if iid.0 as usize >= f.insts.len() {
-                errs.push(format!("{name}: block {bid:?} references bogus inst {iid:?}"));
-                continue;
-            }
-            if location[iid.0 as usize].is_some() {
-                errs.push(format!("{name}: inst {iid:?} placed more than once"));
-            }
-            location[iid.0 as usize] = Some((bid, pos));
-        }
-    }
-
-    // Structural checks per block: one trailing terminator, phis first.
-    // A bogus inst id is reported above; its position counts here, its
-    // (absent) op does not.
-    let op_of = |iid: InstId| f.insts.get(iid.0 as usize).map(|inst| &inst.op);
-    for (bid, b) in f.iter_blocks() {
-        let Some(&last) = b.insts.last() else {
+        if b.insts.is_empty() {
             errs.push(format!("{name}: block {bid:?} is empty"));
-            continue;
-        };
-        if op_of(last).is_some_and(|op| !op.is_terminator()) {
-            errs.push(format!("{name}: block {bid:?} does not end in a terminator"));
         }
         let mut seen_non_phi = false;
         for (pos, &iid) in b.insts.iter().enumerate() {
-            let Some(op) = op_of(iid) else { continue };
-            if op.is_terminator() && pos + 1 != b.insts.len() {
-                errs.push(format!("{name}: terminator in the middle of block {bid:?}"));
+            let Some(inst) = f.insts.get(iid.0 as usize) else {
+                errs.push(format!("{name}: block {bid:?} references bogus inst {iid:?}"));
+                continue;
+            };
+            if at[iid.0 as usize] != UNPLACED {
+                errs.push(format!("{name}: inst {iid:?} placed more than once"));
             }
-            if op.is_phi() {
-                if seen_non_phi {
-                    errs.push(format!("{name}: phi after non-phi in block {bid:?}"));
+            at[iid.0 as usize] = (bid, pos as u32);
+            let (op, last) = (&inst.op, pos + 1 == b.insts.len());
+            if op.is_terminator() {
+                if !last {
+                    errs.push(format!("{name}: terminator in the middle of block {bid:?}"));
                 }
-            } else {
+                for succ in op.successors().into_iter().flatten() {
+                    if succ.0 as usize >= f.blocks.len() {
+                        errs.push(format!("{name}: branch to bogus block {succ:?}"));
+                    }
+                }
+            } else if last {
+                errs.push(format!("{name}: block {bid:?} does not end in a terminator"));
+            }
+            if !op.is_phi() {
                 seen_non_phi = true;
-            }
-            for succ in op.successors() {
-                if succ.0 as usize >= f.blocks.len() {
-                    errs.push(format!("{name}: branch to bogus block {succ:?}"));
-                }
+            } else if seen_non_phi {
+                errs.push(format!("{name}: phi after non-phi in block {bid:?}"));
             }
         }
     }
@@ -105,172 +105,95 @@ pub fn verify_func(f: &Function, sigs: &[FnSig], globals: &[Global]) -> Result<(
         return Err(errs);
     }
 
+    // Walk 2, over the reachable blocks.
     let cfg = Cfg::compute(f);
     let dom = DomTree::compute(f, &cfg);
-
-    // Returns the defining location of a value, or None for params.
-    let def_loc = |v: ValueId| -> Result<Option<(BlockId, usize)>, String> {
-        match f.values.get(v.0 as usize) {
-            None => Err(format!("{name}: use of bogus value {v:?}")),
-            Some(info) => match info.def {
-                ValueDef::Param(_) => Ok(None),
-                ValueDef::Inst(iid) => match location.get(iid.0 as usize) {
-                    Some(Some(loc)) => Ok(Some(*loc)),
-                    Some(None) => Err(format!("{name}: use of unplaced def {v:?}")),
-                    None => Err(format!("{name}: {v:?} is defined by bogus inst {iid:?}")),
-                },
-            },
-        }
-    };
-
-    // Dominance + type checks per placed instruction.
-    for (bid, b) in f.iter_blocks() {
-        if !cfg.is_reachable(bid) {
-            continue;
-        }
-        for (pos, &iid) in b.insts.iter().enumerate() {
-            let op = &f.inst(iid).op;
-
-            // Dominance of operands (phis handled separately).
-            if !op.is_phi() {
-                let mut check = |o: &Operand| {
-                    if let Operand::Value(v) = o {
-                        match def_loc(*v) {
-                            Err(e) => errs.push(e),
-                            Ok(None) => {}
-                            Ok(Some((db, dpos))) => {
-                                let ok = if db == bid {
-                                    dpos < pos
-                                } else {
-                                    dom.strictly_dominates(db, bid)
-                                };
-                                if !ok {
-                                    errs.push(format!(
-                                        "{name}: {v:?} used in {bid:?}#{pos} does not dominate use"
-                                    ));
-                                }
-                            }
-                        }
-                    }
+    // Checks one operand's global and its type against `want`, where its
+    // slot has one, and returns its value and where that is defined:
+    // `None` for a parameter or a non-value, or once why it names no
+    // placed instruction is recorded (a bogus value has no type to check).
+    let operand = |o: &Operand, want: Option<Ty>, errs: &mut Vec<String>| {
+        let (got, def) = match *o {
+            Operand::Value(v) => {
+                let Some(info) = f.values.get(v.0 as usize) else {
+                    errs.push(format!("{name}: use of bogus value {v:?}"));
+                    return None;
                 };
-                op.for_each_operand(&mut check);
-            }
-
-            // Type and shape checks.
-            match op {
-                Op::Bin { ty, a, b, .. } => {
-                    expect_ty(f, name, a, *ty, &mut errs);
-                    expect_ty(f, name, b, *ty, &mut errs);
-                }
-                Op::Cmp { ty, a, b, .. } => {
-                    expect_ty(f, name, a, *ty, &mut errs);
-                    expect_ty(f, name, b, *ty, &mut errs);
-                }
-                Op::Un { ty, a, .. } | Op::Move { ty, a } => {
-                    expect_ty(f, name, a, *ty, &mut errs);
-                }
-                Op::Select { ty, c, t, f: fv } => {
-                    expect_ty(f, name, c, Ty::I1, &mut errs);
-                    expect_ty(f, name, t, *ty, &mut errs);
-                    expect_ty(f, name, fv, *ty, &mut errs);
-                }
-                Op::Gep { base, .. } => {
-                    expect_ty(f, name, base, Ty::Ptr, &mut errs);
-                }
-                Op::Load { addr, .. } => expect_ty(f, name, addr, Ty::Ptr, &mut errs),
-                Op::Store { ty, val, addr, .. } => {
-                    expect_ty(f, name, val, *ty, &mut errs);
-                    expect_ty(f, name, addr, Ty::Ptr, &mut errs);
-                }
-                Op::Rmw { ty, addr, val, .. } => {
-                    expect_ty(f, name, addr, Ty::Ptr, &mut errs);
-                    expect_ty(f, name, val, *ty, &mut errs);
-                }
-                Op::CmpXchg { ty, addr, expected, new } => {
-                    expect_ty(f, name, addr, Ty::Ptr, &mut errs);
-                    expect_ty(f, name, expected, *ty, &mut errs);
-                    expect_ty(f, name, new, *ty, &mut errs);
-                }
-                Op::CondBr { cond, .. } => expect_ty(f, name, cond, Ty::I1, &mut errs),
-                Op::Call { callee: Callee::Direct(fid), args, ret_ty } => {
-                    match sigs.get(fid.0 as usize) {
-                        None => errs.push(format!("{name}: call to bogus function {fid:?}")),
-                        Some(sig) => {
-                            if sig.params.len() != args.len() {
-                                errs.push(format!(
-                                    "{name}: call to #{} with {} args, expected {}",
-                                    fid.0,
-                                    args.len(),
-                                    sig.params.len()
-                                ));
-                            } else {
-                                for (a, ty) in args.iter().zip(&sig.params) {
-                                    expect_ty(f, name, a, *ty, &mut errs);
-                                }
-                            }
-                            if sig.ret_ty != *ret_ty {
-                                errs.push(format!(
-                                    "{name}: call to #{} return-type mismatch",
-                                    fid.0
-                                ));
-                            }
+                let def = match info.def {
+                    ValueDef::Param(_) => None,
+                    ValueDef::Inst(iid) => match at.get(iid.0 as usize) {
+                        Some(&UNPLACED) => {
+                            errs.push(format!("{name}: use of unplaced def {v:?}"));
+                            None
                         }
-                    }
+                        Some(&(db, dpos)) => Some((v, db, dpos)),
+                        None => {
+                            errs.push(format!("{name}: {v:?} is defined by bogus inst {iid:?}"));
+                            None
+                        }
+                    },
+                };
+                (info.ty, def)
+            }
+            Operand::GlobalAddr(g) => {
+                if g.0 as usize >= globals.len() {
+                    errs.push(format!("{name}: reference to bogus global {g:?}"));
                 }
-                Op::Ret { val } => match (val, f.ret_ty) {
-                    (Some(v), Some(ty)) => expect_ty(f, name, v, ty, &mut errs),
-                    (None, None) => {}
-                    _ => errs.push(format!("{name}: ret arity mismatch")),
-                },
-                Op::Phi { ty, incomings } => {
-                    // Incoming blocks must be exactly the CFG predecessors.
-                    let mut preds = cfg.preds[bid.0 as usize].clone();
-                    preds.sort();
-                    let mut inc: Vec<BlockId> = incomings.iter().map(|(_, b)| *b).collect();
-                    inc.sort();
-                    if preds != inc {
+                (Ty::Ptr, None)
+            }
+            _ => (f.operand_ty(o), None),
+        };
+        // Pointer/integer immediates interoperate: an `i64` immediate may
+        // feed a `ptr` slot and vice versa (address arithmetic).
+        if let Some(want) = want
+            .filter(|&w| w != got && !matches!((got, w), (Ty::Ptr, Ty::I64) | (Ty::I64, Ty::Ptr)))
+        {
+            errs.push(format!("{name}: operand {o:?} has type {got}, expected {want}"));
+        }
+        def
+    };
+    // `seen[b] == phis` marks a block already matched to an incoming of
+    // the `phis`-th phi.
+    let (mut seen, mut phis) = (vec![0u32; f.blocks.len()], 0);
+    for (bid, b) in f.iter_blocks().filter(|&(bid, _)| cfg.is_reachable(bid)) {
+        for (pos, &iid) in b.insts.iter().enumerate() {
+            let Op::Phi { ty, incomings } = &f.inst(iid).op else {
+                let mut used = |o: &Operand, want: Option<Ty>, errs: &mut Vec<String>| {
+                    let Some((v, db, dpos)) = operand(o, want, errs) else { return };
+                    let ok =
+                        if db == bid { dpos < pos as u32 } else { dom.strictly_dominates(db, bid) };
+                    if !ok {
                         errs.push(format!(
-                            "{name}: phi in {bid:?} incomings {inc:?} != preds {preds:?}"
+                            "{name}: {v:?} used in {bid:?}#{pos} does not dominate use"
                         ));
                     }
-                    for (v, from) in incomings {
-                        expect_ty(f, name, v, *ty, &mut errs);
-                        if let Operand::Value(val) = v {
-                            match def_loc(*val) {
-                                Err(e) => errs.push(e),
-                                Ok(None) => {}
-                                Ok(Some((db, _))) => {
-                                    if !dom.dominates(db, *from) {
-                                        errs.push(format!(
-                                            "{name}: phi incoming {val:?} does not dominate edge from {from:?}"
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Op::Vote { ty, a, b, c } | Op::ChkCorrect { ty, a, b, c } => {
-                    expect_ty(f, name, a, *ty, &mut errs);
-                    expect_ty(f, name, b, *ty, &mut errs);
-                    expect_ty(f, name, c, *ty, &mut errs);
-                }
-                Op::Emit { ty, val } => expect_ty(f, name, val, *ty, &mut errs),
-                Op::Lock { addr } | Op::Unlock { addr } => {
-                    expect_ty(f, name, addr, Ty::Ptr, &mut errs)
-                }
-                Op::Alloc { size } => expect_ty(f, name, size, Ty::I64, &mut errs),
-                _ => {}
+                };
+                visit_operands(f, &f.inst(iid).op, sigs, &mut used, &mut errs);
+                continue;
+            };
+            // Incoming blocks must be exactly the CFG predecessors: as
+            // many, each a predecessor (those are distinct), none twice.
+            let preds = cfg.preds(bid);
+            phis += 1;
+            let same = incomings.len() == preds.len()
+                && incomings.iter().all(|&(_, from)| {
+                    preds.binary_search(&from).is_ok()
+                        && std::mem::replace(&mut seen[from.0 as usize], phis) != phis
+                });
+            if !same {
+                let mut inc: Vec<BlockId> = incomings.iter().map(|(_, b)| *b).collect();
+                inc.sort();
+                errs.push(format!("{name}: phi in {bid:?} incomings {inc:?} != preds {preds:?}"));
             }
-
-            // Global references must exist.
-            op.for_each_operand(|o| {
-                if let Operand::GlobalAddr(g) = o {
-                    if g.0 as usize >= globals.len() {
-                        errs.push(format!("{name}: reference to bogus global {g:?}"));
-                    }
+            for (o, from) in incomings {
+                // An incoming from a bogus block is named by the mismatch.
+                let Some((v, db, _)) = operand(o, Some(*ty), &mut errs) else { continue };
+                if (from.0 as usize) < f.blocks.len() && !dom.dominates(db, *from) {
+                    errs.push(format!(
+                        "{name}: phi incoming {v:?} does not dominate edge from {from:?}"
+                    ));
                 }
-            });
+            }
         }
     }
 
@@ -281,14 +204,113 @@ pub fn verify_func(f: &Function, sigs: &[FnSig], globals: &[Global]) -> Result<(
     }
 }
 
-fn expect_ty(f: &Function, name: &str, o: &Operand, want: Ty, errs: &mut Vec<String>) {
-    let got = f.operand_ty(o);
-    // Pointer/integer immediates interoperate: an `i64` immediate may feed
-    // a `ptr` slot and vice versa (address arithmetic).
-    let compatible =
-        got == want || (got == Ty::Ptr && want == Ty::I64) || (got == Ty::I64 && want == Ty::Ptr);
-    if !compatible {
-        errs.push(format!("{name}: operand {o:?} has type {got}, expected {want}"));
+/// Hands each operand of a non-phi `op` to `operand`, with the type its
+/// slot wants (`None`: any), and checks the call and return shapes. The
+/// match lists every opcode, so a new one cannot skip the check.
+fn visit_operands(
+    f: &Function,
+    op: &Op,
+    sigs: &[FnSig],
+    operand: &mut impl FnMut(&Operand, Option<Ty>, &mut Vec<String>),
+    errs: &mut Vec<String>,
+) {
+    let name = &f.name;
+    let mut typed = |o: &Operand, ty: Ty, errs: &mut Vec<String>| operand(o, Some(ty), errs);
+    match op {
+        Op::Bin { ty, a, b, .. } | Op::Cmp { ty, a, b, .. } => {
+            typed(a, *ty, errs);
+            typed(b, *ty, errs);
+        }
+        Op::Un { ty, a, .. } | Op::Move { ty, a } => typed(a, *ty, errs),
+        Op::Select { ty, c, t, f: fv } => {
+            typed(c, Ty::I1, errs);
+            typed(t, *ty, errs);
+            typed(fv, *ty, errs);
+        }
+        Op::Load { addr, .. } | Op::Lock { addr } | Op::Unlock { addr } => {
+            typed(addr, Ty::Ptr, errs)
+        }
+        Op::Store { ty, val, addr, .. } => {
+            typed(val, *ty, errs);
+            typed(addr, Ty::Ptr, errs);
+        }
+        Op::Rmw { ty, addr, val, .. } => {
+            typed(addr, Ty::Ptr, errs);
+            typed(val, *ty, errs);
+        }
+        Op::CmpXchg { ty, addr, expected, new } => {
+            typed(addr, Ty::Ptr, errs);
+            typed(expected, *ty, errs);
+            typed(new, *ty, errs);
+        }
+        Op::Vote { ty, a, b, c } | Op::ChkCorrect { ty, a, b, c } => {
+            typed(a, *ty, errs);
+            typed(b, *ty, errs);
+            typed(c, *ty, errs);
+        }
+        Op::Emit { ty, val } => typed(val, *ty, errs),
+        Op::Alloc { size } => typed(size, Ty::I64, errs),
+        Op::CondBr { cond, .. } => typed(cond, Ty::I1, errs),
+        Op::Cast { a, .. } => operand(a, None, errs),
+        Op::Gep { base, index, .. } => {
+            operand(base, Some(Ty::Ptr), errs);
+            operand(index, None, errs);
+        }
+        Op::Call { callee, args, ret_ty } => {
+            let params = match callee {
+                Callee::Indirect(v) => {
+                    operand(v, None, errs);
+                    None
+                }
+                Callee::Direct(fid) => match sigs.get(fid.0 as usize) {
+                    None => {
+                        errs.push(format!("{name}: call to bogus function {fid:?}"));
+                        None
+                    }
+                    Some(sig) => {
+                        let arity = sig.params.len() == args.len();
+                        if !arity {
+                            errs.push(format!(
+                                "{name}: call to #{} with {} args, expected {}",
+                                fid.0,
+                                args.len(),
+                                sig.params.len()
+                            ));
+                        }
+                        if sig.ret_ty != *ret_ty {
+                            errs.push(format!("{name}: call to #{} return-type mismatch", fid.0));
+                        }
+                        arity.then_some(&sig.params)
+                    }
+                },
+            };
+            for (i, a) in args.iter().enumerate() {
+                operand(a, params.map(|p| p[i]), errs);
+            }
+        }
+        Op::Ret { val } => {
+            let want = match (val, f.ret_ty) {
+                (Some(_), Some(ty)) => Some(ty),
+                (None, None) => None,
+                _ => {
+                    errs.push(format!("{name}: ret arity mismatch"));
+                    None
+                }
+            };
+            if let Some(v) = val {
+                operand(v, want, errs);
+            }
+        }
+        Op::Phi { .. }
+        | Op::Br { .. }
+        | Op::TxBegin
+        | Op::TxEnd
+        | Op::TxCondSplit
+        | Op::TxCounterInc { .. }
+        | Op::TxAbort { .. }
+        | Op::ThreadId
+        | Op::NumThreads
+        | Op::Nop => {}
     }
 }
 
@@ -296,6 +318,7 @@ fn expect_ty(f: &Function, name: &str, o: &Operand, want: Ty, errs: &mut Vec<Str
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::function::{InstId, ValueId};
     use crate::inst::{BinOp, CmpOp};
 
     #[test]
@@ -333,6 +356,66 @@ mod tests {
         f.push_to_block(f.entry(), ret);
         let errs = verify_func(&f, &[], &[]).unwrap_err();
         assert_eq!(errs, [format!("f: {v:?} is defined by bogus inst InstId(999)")]);
+    }
+
+    #[test]
+    fn operand_past_the_value_table_is_diagnosed_not_a_panic() {
+        let mut fb = FunctionBuilder::new("f", &[Ty::I64], Some(Ty::I64));
+        let p = fb.param(0);
+        let x = fb.add(Ty::I64, ValueId(999), p);
+        let join = fb.new_block();
+        fb.br(join);
+        fb.switch_to(join);
+        let phi = fb.phi(Ty::I64);
+        fb.phi_incoming(phi, ValueId(998), fb.entry());
+        fb.ret(Some(x.into()));
+        let errs = verify_func(&fb.finish(), &[], &[]).unwrap_err();
+        assert_eq!(
+            errs,
+            ["f: use of bogus value ValueId(999)", "f: use of bogus value ValueId(998)"]
+        );
+    }
+
+    #[test]
+    fn phi_incoming_from_a_block_past_the_function_is_diagnosed_not_a_panic() {
+        let mut fb = FunctionBuilder::new("f", &[Ty::I64], Some(Ty::I64));
+        let p = fb.param(0);
+        let x = fb.add(Ty::I64, p, fb.iconst(Ty::I64, 1));
+        let join = fb.new_block();
+        fb.br(join);
+        fb.switch_to(join);
+        let phi = fb.phi(Ty::I64);
+        fb.phi_incoming(phi, x, BlockId(99));
+        fb.ret(Some(phi.into()));
+        let mut f = fb.finish();
+        let want = ["f: phi in BlockId(1) incomings [BlockId(99)] != preds [BlockId(0)]"];
+        assert_eq!(verify_func(&f, &[], &[]).unwrap_err(), want);
+        // The same phi with a parameter's value: the same diagnostic.
+        let Op::Phi { incomings, .. } = &mut f.insts[f.blocks[1].insts[0].0 as usize].op else {
+            panic!("join starts with the phi")
+        };
+        incomings[0].0 = p.into();
+        assert_eq!(verify_func(&f, &[], &[]).unwrap_err(), want);
+    }
+
+    #[test]
+    fn duplicated_phi_incoming_is_rejected() {
+        let mut fb = FunctionBuilder::new("f", &[Ty::I64], Some(Ty::I64));
+        let n = fb.param(0);
+        let cmp = fb.cmp(CmpOp::SGt, Ty::I64, n, fb.iconst(Ty::I64, 0));
+        let (other, join) = (fb.new_block(), fb.new_block());
+        fb.condbr(cmp, join, other);
+        fb.switch_to(other);
+        fb.br(join);
+        fb.switch_to(join);
+        let phi = fb.phi(Ty::I64);
+        // As many incomings as preds, but entry twice and `other` never.
+        fb.phi_incoming(phi, n, fb.entry());
+        fb.phi_incoming(phi, n, fb.entry());
+        fb.ret(Some(phi.into()));
+        let errs = verify_func(&fb.finish(), &[], &[]).unwrap_err();
+        let want = "f: phi in BlockId(2) incomings [BlockId(0), BlockId(0)] != preds [BlockId(0), BlockId(1)]";
+        assert_eq!(errs, [want]);
     }
 
     #[test]

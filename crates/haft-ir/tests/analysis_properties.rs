@@ -74,9 +74,9 @@ proptest! {
         for &b in &cfg.rpo {
             prop_assert!(dom.dominates(f.entry(), b));
             if b != f.entry() {
-                let idom = dom.idom[b.0 as usize].unwrap();
+                let idom = dom.idom(b).unwrap();
                 prop_assert!(dom.strictly_dominates(idom, b));
-                for &p in &cfg.preds[b.0 as usize] {
+                for &p in cfg.preds(b) {
                     if cfg.is_reachable(p) {
                         prop_assert!(dom.dominates(idom, p) || idom == b,
                             "idom {idom:?} of {b:?} must dominate pred {p:?}");
@@ -108,13 +108,13 @@ proptest! {
                     "header {:?} must dominate body block {b:?}", l.header);
             }
             for latch in &l.latches {
-                prop_assert!(l.body.contains(latch));
+                prop_assert!(l.contains(*latch));
             }
         }
         for (i, l) in forest.loops.iter().enumerate() {
             if let Some(parent) = l.parent {
                 prop_assert_eq!(l.depth, forest.loops[parent].depth + 1);
-                prop_assert!(forest.loops[parent].body.contains(&l.header));
+                prop_assert!(forest.loops[parent].contains(l.header));
                 prop_assert!(i != parent);
             } else {
                 prop_assert_eq!(l.depth, 1);

@@ -284,7 +284,7 @@ impl IlrPass {
                     if let Some(r) = f.inst_result(iid) {
                         self.lanes.replicate_by_moves(f, &mut seg.insts, r);
                     }
-                    for succ in op.successors() {
+                    for succ in op.successors().into_iter().flatten() {
                         self.fix_edge(succ, b, seg.block);
                     }
                 }

@@ -14,7 +14,7 @@ use haft_ir::cfg::Cfg;
 use haft_ir::dom::DomTree;
 use haft_ir::function::{BlockId, Function, InstId, Room};
 use haft_ir::inst::{Callee, Op};
-use haft_ir::loops::{longest_paths_to_latches, retreating_edges, LoopForest};
+use haft_ir::loops::{longest_path, longest_paths_to_latches, retreating_edges, LoopForest};
 use haft_ir::module::Module;
 
 /// TX configuration.
@@ -104,7 +104,9 @@ pub fn run_tx(f: &mut Function, cfg: &TxConfig, kinds: &[CalleeKind]) {
     // Phase 2: linear rewrite for entries, returns, calls, and unfriendly
     // instructions.
     let use_local_opt = cfg.local_calls_opt && f.attrs.local;
-    let fn_len = acyclic_len(f, &graph);
+    // The counter increment charged when a local function returns: the
+    // longest acyclic instruction path through it (back edges ignored).
+    let fn_len = longest_path(f, &graph, f.entry(), &|_| true);
     for b in 0..f.blocks.len() {
         let old = std::mem::take(&mut f.blocks[b].insts);
         let mut new: Vec<InstId> = Vec::with_capacity(old.len() + 4);
@@ -228,38 +230,6 @@ fn split_insert_point(f: &Function, header: BlockId) -> (BlockId, usize) {
         }
         return (b, phi_end);
     }
-}
-
-/// The longest acyclic instruction path through the whole function
-/// (back edges ignored) — the counter increment charged when a local
-/// function returns.
-fn acyclic_len(f: &Function, cfg: &Cfg) -> u32 {
-    fn dfs(
-        f: &Function,
-        cfg: &Cfg,
-        b: BlockId,
-        memo: &mut [Option<u32>],
-        on_stack: &mut Vec<bool>,
-    ) -> u32 {
-        if let Some(w) = memo[b.0 as usize] {
-            return w;
-        }
-        on_stack[b.0 as usize] = true;
-        let mut best = 0;
-        for &s in &cfg.succs[b.0 as usize] {
-            if on_stack[s.0 as usize] {
-                continue;
-            }
-            best = best.max(dfs(f, cfg, s, memo, on_stack));
-        }
-        on_stack[b.0 as usize] = false;
-        let w = f.blocks[b.0 as usize].insts.len() as u32 + best;
-        memo[b.0 as usize] = Some(w);
-        w
-    }
-    let mut memo = vec![None; f.blocks.len()];
-    let mut on_stack = vec![false; f.blocks.len()];
-    dfs(f, cfg, f.entry(), &mut memo, &mut on_stack)
 }
 
 /// Removes `tx_begin` immediately followed by `tx_end` (dead transactions
