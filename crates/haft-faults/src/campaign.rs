@@ -29,7 +29,6 @@
 //! a branch; the drain is watched op by op for at most a fixed window, so
 //! a fork that does not settle pays little more than its suffix).
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,72 +43,29 @@ use haft_vm::{
 use crate::classify::{classify, classify_settled, Outcome};
 use crate::report::CampaignReport;
 
-/// What became of the forks of every campaign run in this process.
+/// What one campaign cost: how its forks ended, what its pilot did and
+/// the checkpoints its reference run took. Every field but
+/// `checkpoint_ns` is the same at every [`CampaignConfig::parallelism`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SettleCounts {
+pub struct CampaignCost {
     /// Forks stopped at the rollback that erased their fault.
     pub settled: u64,
     /// Forks stopped where their taint drained.
     pub drained: u64,
     /// Forks run to their end.
     pub ended: u64,
-}
-
-static SETTLED: AtomicU64 = AtomicU64::new(0);
-static DRAINED: AtomicU64 = AtomicU64::new(0);
-static ENDED: AtomicU64 = AtomicU64::new(0);
-
-/// The process-wide [`SettleCounts`] so far.
-pub fn settle_counts() -> SettleCounts {
-    SettleCounts {
-        settled: SETTLED.load(Relaxed),
-        drained: DRAINED.load(Relaxed),
-        ended: ENDED.load(Relaxed),
-    }
-}
-
-/// What the pilots of every campaign run in this process did, and the
-/// checkpoints their reference runs left them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PilotCounts {
-    /// Times a pilot jumped ahead to a checkpoint of the reference run.
+    /// Times the pilot jumped ahead to a checkpoint of the reference run.
     pub resumes: u64,
-    /// Instructions the pilots executed.
+    /// Instructions the pilot executed.
     pub instructions: u64,
-    /// Checkpoints the reference runs took.
-    pub checkpoints: u64,
-    /// Of those, the ones left for the pilots, at most `CHECKPOINTS` (20)
-    /// per reference run.
+    /// Checkpoints the reference run took.
+    pub taken: u64,
+    /// Of those, the ones left for the pilot, at most `CHECKPOINTS` (20).
     pub kept: u64,
     /// Heap bytes the kept checkpoints held ([`Checkpoint::held_bytes`]).
     pub kept_bytes: u64,
     /// Host nanoseconds spent taking checkpoints.
     pub checkpoint_ns: u64,
-}
-
-impl PilotCounts {
-    fn add(&mut self, c: &PilotCounts) {
-        self.resumes += c.resumes;
-        self.instructions += c.instructions;
-        self.checkpoints += c.checkpoints;
-        self.kept += c.kept;
-        self.kept_bytes += c.kept_bytes;
-        self.checkpoint_ns += c.checkpoint_ns;
-    }
-}
-
-static PILOTS: Mutex<PilotCounts> = Mutex::new(PilotCounts {
-    resumes: 0,
-    instructions: 0,
-    checkpoints: 0,
-    kept: 0,
-    kept_bytes: 0,
-    checkpoint_ns: 0,
-});
-
-/// The process-wide [`PilotCounts`] so far.
-pub fn pilot_counts() -> PilotCounts {
-    *PILOTS.lock().expect("a campaign panicked while adding its pilot counts")
 }
 
 /// Campaign parameters: how many plans, drawn how, run on how many
@@ -151,8 +107,17 @@ impl Default for CampaignConfig {
     }
 }
 
-/// What one injection run contributes to the report.
-type Verdict = (Outcome, Option<Forensics>);
+/// What one injection run contributes to the report, and how its fork
+/// ended.
+type Verdict = (Outcome, Option<Forensics>, End);
+
+/// How a fork ended, as [`CampaignCost`] counts it.
+#[derive(Clone, Copy)]
+enum End {
+    Settled,
+    Drained,
+    Ended,
+}
 
 /// How many reference runs' worth of instructions an injection run may
 /// execute before it counts as a hang, as `MAX_TX_RETRIES` bounds a
@@ -186,7 +151,7 @@ const FIRST_STRIDE: u64 = 2048;
 
 /// The fault-free reference run of a campaign, run to its end from
 /// `image`, and the checkpoints it left behind, each with the register
-/// write it was taken at, in ascending order; `counts` gets what they
+/// write it was taken at, in ascending order; `cost` gets what they
 /// cost. Each checkpoint comes [`FIRST_STRIDE`] writes after the one
 /// before, or half again the mean gap of [`CHECKPOINTS`] even ones over
 /// the run so far, whichever is more. Once [`CHECKPOINTS`] are kept, each
@@ -197,7 +162,7 @@ const FIRST_STRIDE: u64 = 2048;
 fn reference_run<'m>(
     start: Vm<'m>,
     image: &'m Memory,
-    counts: &mut PilotCounts,
+    cost: &mut CampaignCost,
 ) -> (RunResult, Vec<(u64, Checkpoint<'m>)>) {
     let (mut run, mut kept) = (start, Vec::<(u64, Checkpoint<'m>)>::new());
     loop {
@@ -205,8 +170,8 @@ fn reference_run<'m>(
         run.advance_to(last + FIRST_STRIDE.max(last * 3 / (2 * CHECKPOINTS as u64)));
         let taken = Instant::now();
         let Some(checkpoint) = run.checkpoint(image) else { break };
-        counts.checkpoint_ns += taken.elapsed().as_nanos() as u64;
-        counts.checkpoints += 1;
+        cost.checkpoint_ns += taken.elapsed().as_nanos() as u64;
+        cost.taken += 1;
         kept.push((run.register_writes(), checkpoint));
         if kept.len() > CHECKPOINTS {
             let gap = |j: usize| kept[j + 1].0 - j.checked_sub(1).map_or(0, |i| kept[i].0);
@@ -214,16 +179,16 @@ fn reference_run<'m>(
             kept.remove(j);
         }
     }
-    counts.kept = kept.len() as u64;
-    counts.kept_bytes = kept.iter().map(|(_, c)| c.held_bytes() as u64).sum();
+    cost.kept = kept.len() as u64;
+    cost.kept_bytes = kept.iter().map(|(_, c)| c.held_bytes() as u64).sum();
     (run.run_to_end(), kept)
 }
 
 /// Runs a full campaign against `module` under `vm` and returns the
-/// fault-free reference run and the aggregated report. Every run
-/// executes against one decode of `module`; an injection run's
-/// instruction budget is `vm.max_instructions` or a fixed multiple of
-/// the reference run's instructions (`HANG_RUNS`), whichever is less.
+/// fault-free reference run, the aggregated report and what the campaign
+/// cost. Every run executes against one decode of `module`; an injection
+/// run's instruction budget is `vm.max_instructions` or a fixed multiple
+/// of the reference run's instructions (`HANG_RUNS`), whichever is less.
 ///
 /// # Panics
 ///
@@ -234,27 +199,15 @@ pub fn run_campaign(
     spec: RunSpec<'_>,
     vm: &VmConfig,
     cfg: &CampaignConfig,
-) -> (RunResult, CampaignReport) {
-    let (golden, report, counts) = campaign(module, spec, vm, cfg);
-    PILOTS.lock().expect("a campaign panicked while adding its pilot counts").add(&counts);
-    (golden, report)
-}
-
-/// [`run_campaign`], with what its pilots and checkpoints did.
-fn campaign(
-    module: &Module,
-    spec: RunSpec<'_>,
-    vm: &VmConfig,
-    cfg: &CampaignConfig,
-) -> (RunResult, CampaignReport, PilotCounts) {
+) -> (RunResult, CampaignReport, CampaignCost) {
     // Step 1: reference run — trace size and golden output — against the
     // decoded code and the initial arena every run of the campaign
     // shares, leaving checkpoints behind for the pilot.
     let prepared = Prepared::new(module);
     let image = Memory::new(module, vm.mem_bytes);
     let start = Vm::start_in(module, &prepared, vm.clone(), spec, image.clone());
-    let mut counts = PilotCounts::default();
-    let (golden, checkpoints) = reference_run(start, &image, &mut counts);
+    let mut cost = CampaignCost::default();
+    let (golden, checkpoints) = reference_run(start, &image, &mut cost);
     assert_eq!(golden.outcome, RunOutcome::Completed, "reference run must complete cleanly");
     let population = golden.register_writes.max(1);
 
@@ -277,13 +230,10 @@ fn campaign(
     // left, so that settling never hides a hang.
     let conclude = |fork: Vm<'_>| -> Verdict {
         match fork.run_to_settlement(golden.instructions) {
-            ForkEnd::Ended(r) => {
-                ENDED.fetch_add(1, Relaxed);
-                (classify(&r, &golden.output), r.forensics)
-            }
+            ForkEnd::Ended(r) => (classify(&r, &golden.output), r.forensics, End::Ended),
             ForkEnd::Settled(s) => {
-                (if s.drained { &DRAINED } else { &SETTLED }).fetch_add(1, Relaxed);
-                (classify_settled(&s), s.forensics)
+                let end = if s.drained { End::Drained } else { End::Settled };
+                (classify_settled(&s), s.forensics, end)
             }
         }
     };
@@ -321,7 +271,7 @@ fn campaign(
             }
             let pilot = match ahead {
                 Some(c) => {
-                    counts.resumes += 1;
+                    cost.resumes += 1;
                     // The pilot left behind goes first: its arena is freed
                     // before the resumed one is built.
                     pilot.take();
@@ -332,7 +282,7 @@ fn campaign(
                     Vm::start_in(module, &prepared, cfg, spec, image.clone())
                 }),
             };
-            counts.instructions += pilot.advance_to(occurrence);
+            cost.instructions += pilot.advance_to(occurrence);
             match forks.try_send((i, pilot.fork(plans[i], cfg.forensics))) {
                 Ok(()) => {}
                 Err(TrySendError::Full((i, fork)) | TrySendError::Disconnected((i, fork))) => {
@@ -351,13 +301,18 @@ fn campaign(
     verdicts.sort_by_key(|&(i, _)| i);
     assert_eq!(verdicts.len(), plans.len(), "every plan is run exactly once");
     let mut report = CampaignReport::default();
-    for (_, (o, fx)) in &verdicts {
+    for (_, (o, fx, end)) in &verdicts {
         report.record(*o);
         if let Some(fx) = fx {
             report.record_forensics(*o, fx);
         }
+        *match end {
+            End::Settled => &mut cost.settled,
+            End::Drained => &mut cost.drained,
+            End::Ended => &mut cost.ended,
+        } += 1;
     }
-    (golden, report, counts)
+    (golden, report, cost)
 }
 
 /// Draws the injection plans: occurrences uniform over the dynamic
@@ -484,6 +439,17 @@ mod tests {
         report
     }
 
+    /// What every campaign's cost holds, over `costs` from one campaign
+    /// run at several parallelisms: each fork is counted exactly once, and
+    /// every field but the host time is the same at every parallelism.
+    fn assert_costs_agree(costs: &[CampaignCost], injections: u64) {
+        let counts = |c: &CampaignCost| CampaignCost { checkpoint_ns: 0, ..*c };
+        for c in costs {
+            assert_eq!(c.settled + c.drained + c.ended, injections, "{c:?}");
+            assert_eq!(counts(c), counts(&costs[0]));
+        }
+    }
+
     #[test]
     fn campaign_is_deterministic() {
         let m = program();
@@ -495,12 +461,16 @@ mod tests {
         // per-plan reference loop's, on real worker threads and without.
         assert_eq!(a, reference_campaign(&m, spec(), &vm(), &campaign(60)));
         let hardened = harden(&m, &HardenConfig::haft());
+        let mut costs = Vec::new();
         for parallelism in [1, 2, 3] {
             let cfg = CampaignConfig { parallelism, forensics: true, ..campaign(60) };
             let want = reference_campaign(&hardened, spec(), &vm(), &cfg);
             assert!(want.forensics.as_ref().is_some_and(|s| s.fired > 0));
-            assert_eq!(report(&hardened, &cfg), want, "parallelism {parallelism}");
+            let (_, r, cost) = run_campaign(&hardened, spec(), &vm(), &cfg);
+            assert_eq!(r, want, "parallelism {parallelism}");
+            costs.push(cost);
         }
+        assert_costs_agree(&costs, 60);
     }
 
     #[test]
@@ -570,7 +540,7 @@ mod tests {
                     && r.instructions > budget
             });
         assert!(late, "no planned run at or past write {late_from} ends past the budget");
-        let (reference, r) = run_campaign(&m, spec(), &vm, &cfg);
+        let (reference, r, _) = run_campaign(&m, spec(), &vm, &cfg);
         assert_eq!(reference, golden);
         assert!(r.counts.get(&Outcome::Hang).is_some_and(|&n| n > 0), "{}", r.summary());
         assert_eq!(r, reference_campaign(&m, spec(), &vm, &cfg));
@@ -714,7 +684,7 @@ mod tests {
             HardenConfig::tmr(),
             HardenConfig::abft(),
         ];
-        let (before, pilots) = (settle_counts(), pilot_counts());
+        let mut costs = Vec::new();
         for (i, w) in all_workloads(Scale::Small).iter().enumerate() {
             let (seed, n_threads) = [(7, 2), (11, 4), (5, 1)][i % 3];
             for hc in &configs {
@@ -724,24 +694,22 @@ mod tests {
                 let vm = VmConfig { max_instructions: 4 * golden.instructions, ..vm };
                 for forensics in [false, true] {
                     let cfg = CampaignConfig { injections: 8, seed, parallelism: 2, forensics };
+                    let (_, r, cost) = run_campaign(&hardened, w.run_spec(), &vm, &cfg);
                     assert_eq!(
-                        run_campaign(&hardened, w.run_spec(), &vm, &cfg).1,
+                        r,
                         reference_campaign(&hardened, w.run_spec(), &vm, &cfg),
                         "{} {} forensics={forensics}",
                         w.name,
                         hc.label()
                     );
+                    costs.push(cost);
                 }
             }
         }
-        let after = settle_counts();
-        assert!(
-            after.settled > before.settled
-                && after.drained > before.drained
-                && after.ended > before.ended,
-            "{after:?}"
-        );
-        assert!(pilot_counts().resumes > pilots.resumes, "no pilot resumed from a checkpoint");
+        let sum = |f: fn(&CampaignCost) -> u64| costs.iter().map(f).sum::<u64>();
+        let (settled, drained, ended) = (sum(|c| c.settled), sum(|c| c.drained), sum(|c| c.ended));
+        assert!(settled > 0 && drained > 0 && ended > 0, "{settled} / {drained} / {ended}");
+        assert!(sum(|c| c.resumes) > 0, "no pilot resumed from a checkpoint");
     }
 
     /// A reference run long enough to leave checkpoints behind: pilots
@@ -752,43 +720,45 @@ mod tests {
     /// checkpoint kept in memory; HAFT forks roll back and settle.
     #[test]
     fn pilots_resumed_from_checkpoints_give_the_reference_report() {
-        let before = pilot_counts();
+        let mut resumes = 0;
         for hc in [HardenConfig::native(), HardenConfig::haft()] {
             let m = harden(&program_of(1_000), &hc);
             let golden = Vm::run(&m, vm(), spec());
             assert!(golden.register_writes > 4 * FIRST_STRIDE, "{}", golden.register_writes);
+            let mut costs = Vec::new();
             for parallelism in [1, 2, 3] {
                 let cfg = CampaignConfig { parallelism, forensics: true, ..campaign(60) };
-                let (reference, r) = run_campaign(&m, spec(), &vm(), &cfg);
+                let (reference, r, cost) = run_campaign(&m, spec(), &vm(), &cfg);
                 let case = format!("{} parallelism {parallelism}", hc.label());
                 assert_eq!(reference, golden, "{case}");
                 assert_eq!(r, reference_campaign(&m, spec(), &vm(), &cfg), "{case}");
+                costs.push(cost);
             }
+            assert_costs_agree(&costs, 60);
+            resumes += costs.iter().map(|c| c.resumes).sum::<u64>();
         }
-        assert!(pilot_counts().resumes > before.resumes, "no pilot resumed from a checkpoint");
+        assert!(resumes > 0, "no pilot resumed from a checkpoint");
     }
 
     /// Six-injection campaigns' pilots execute at most a fifth of their
     /// reference runs' instructions, over ten seeds of one program long
     /// enough to keep every checkpoint: six plans over 21 gaps walk about
-    /// half a gap each, some 15 % of a run (16 % here). Counted per
-    /// campaign: other tests in this binary move the process-wide
-    /// [`pilot_counts`]. The
-    /// checkpoints thinned away are counted too, and the report is still
-    /// the per-plan reference loop's.
+    /// half a gap each, some 15 % of a run (16 % here). The checkpoints
+    /// thinned away are counted too, and the report is still the per-plan
+    /// reference loop's.
     #[test]
     fn a_campaigns_pilots_walk_a_small_share_of_its_reference_run() {
         let m = harden(&program_of(6_000), &HardenConfig::haft());
         let (mut pilots, mut references) = (0, 0);
         for seed in 1..=10 {
             let cfg = CampaignConfig { seed, ..campaign(6) };
-            let (golden, report, counts) = super::campaign(&m, spec(), &vm(), &cfg);
+            let (golden, report, cost) = run_campaign(&m, spec(), &vm(), &cfg);
             if seed == 1 {
                 assert_eq!(report, reference_campaign(&m, spec(), &vm(), &cfg));
             }
-            assert_eq!(counts.kept, CHECKPOINTS as u64, "{counts:?}");
-            assert!(counts.checkpoints > counts.kept && counts.resumes > 0, "{counts:?}");
-            (pilots, references) = (pilots + counts.instructions, references + golden.instructions);
+            assert_eq!(cost.kept, CHECKPOINTS as u64, "{cost:?}");
+            assert!(cost.taken > cost.kept && cost.resumes > 0, "{cost:?}");
+            (pilots, references) = (pilots + cost.instructions, references + golden.instructions);
         }
         let share = pilots as f64 / references as f64;
         assert!(share <= 0.2, "pilots ran {:.1} % of the reference runs", share * 100.0);

@@ -26,9 +26,7 @@ pub mod classify;
 pub mod forensics;
 pub mod report;
 
-pub use campaign::{
-    pilot_counts, run_campaign, settle_counts, CampaignConfig, PilotCounts, SettleCounts,
-};
+pub use campaign::{run_campaign, CampaignConfig, CampaignCost};
 pub use classify::{
     classify, classify_requests, classify_settled, Group, Outcome, RequestCounts, RequestOutcome,
 };

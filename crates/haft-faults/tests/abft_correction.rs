@@ -126,7 +126,7 @@ proptest! {
 fn campaign_counts_sum_to_plan_total_and_include_corrections() {
     let hardened = harden_abft(&covered_module());
     let cfg = CampaignConfig { injections: 150, seed: 7, parallelism: 2, forensics: false };
-    let (_, r) = run_campaign(hardened, spec(), &vm(), &cfg);
+    let (_, r, _) = run_campaign(hardened, spec(), &vm(), &cfg);
     assert_eq!(r.runs, 150);
     assert_eq!(r.counts.values().sum::<u64>(), 150, "counts must sum to the plan total");
     assert!(
@@ -142,7 +142,7 @@ fn campaign_counts_sum_to_plan_total_and_include_corrections() {
 fn fallback_campaign_recovers_like_haft() {
     let hardened = harden_abft(&fallback_module());
     let cfg = CampaignConfig { injections: 150, seed: 7, parallelism: 2, forensics: false };
-    let (_, r) = run_campaign(hardened, spec(), &vm(), &cfg);
+    let (_, r, _) = run_campaign(hardened, spec(), &vm(), &cfg);
     assert_eq!(r.counts.values().sum::<u64>(), 150);
     assert_eq!(r.pct(Outcome::ChecksumCorrected), 0.0, "{}", r.summary());
     assert!(

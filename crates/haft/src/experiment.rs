@@ -299,7 +299,7 @@ impl<'a> Experiment<'a> {
     /// Panics if the reference run does not complete (the program under
     /// test must be correct before injecting faults into it).
     pub fn campaign(&self, cfg: CampaignConfig) -> VariantReport {
-        let (golden, report) = run_campaign(&self.built().0, self.spec, &self.vm, &cfg);
+        let (golden, report, _) = run_campaign(&self.built().0, self.spec, &self.vm, &cfg);
         self.report(golden, Some(report))
     }
 

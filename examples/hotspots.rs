@@ -45,12 +45,12 @@
 //!   forensics on and off (the same simulated work either way, so the
 //!   ratio of the times is the ratio of ns per instruction), how many
 //!   of their forks settled at a rollback, settled where their taint
-//!   drained, or ran to their end (`haft::faults::settle_counts`), and
-//!   the instructions their pilots executed as a share of the reference
-//!   run's, with how often a pilot resumed from one of the reference
-//!   run's checkpoints, and per reference run the checkpoints it took and
-//!   kept, KiB per kept checkpoint and µs per checkpoint taken
-//!   (`haft::faults::pilot_counts`);
+//!   drained, or ran to their end, and the instructions their pilots
+//!   executed as a share of the reference run's, with how often a pilot
+//!   resumed from one of the reference run's checkpoints, and per
+//!   reference run the checkpoints it took and kept, KiB per kept
+//!   checkpoint and µs per checkpoint taken, all summed from the
+//!   `CampaignCost` each `haft::faults::run_campaign` returns;
 //! * the process's peak resident set (`VmHWM`) after the `batch-exec`
 //!   cells and at exit, so a footprint regression shows beside a slowdown.
 //!
@@ -290,7 +290,7 @@ fn print_peak_rss(when: &str) {
 fn main() {
     use haft::apps::{kv_shard, KvSync, WorkloadMix};
     use haft::eval::{perf_vm, recommended_threshold};
-    use haft::faults::{pilot_counts, settle_counts};
+    use haft::faults::CampaignCost;
     use haft::prelude::*;
     use std::time::{Duration, Instant};
 
@@ -615,30 +615,27 @@ fn main() {
     let smalls = ["linearreg", "histogram"]
         .map(|name| workload_by_name(name, Scale::Small).expect("a Phoenix workload"));
     for (small, (label, cfg)) in smalls.iter().flat_map(|w| configs.iter().map(move |c| (w, c))) {
-        let exp = Experiment::workload(small)
-            .vm(perf_vm(2, recommended_threshold(small.name)))
-            .seed(1)
-            .harden(cfg.clone());
-        let (exp, runs) = (&exp, &std::cell::Cell::new(0u64));
+        let module = Experiment::workload(small).harden(cfg.clone()).build().0;
+        let vm = VmConfig { seed: 1, ..perf_vm(2, recommended_threshold(small.name)) };
+        let (module, vm, runs) = (&module, &vm, &std::cell::RefCell::new(Vec::new()));
         let campaign = |forensics| {
             let cfg = CampaignConfig { injections: 6, seed: 1, parallelism: 1, forensics };
             move || {
-                runs.set(runs.get() + 1);
-                exp.campaign(cfg.clone())
+                let (golden, _, cost) = run_campaign(module, small.run_spec(), vm, &cfg);
+                runs.borrow_mut().push((golden.instructions, cost));
             }
         };
-        let (before, pilots) = (settle_counts(), pilot_counts());
         let (off, on) = best_pair_ms(campaign(false), campaign(true));
-        let (after, piloted) = (settle_counts(), pilot_counts());
-        let (rollback, drain) = (after.settled - before.settled, after.drained - before.drained);
-        let ended = after.ended - before.ended;
-        let reference = (runs.get() * exp.run().run.instructions) as f64;
-        let pilot = (piloted.instructions - pilots.instructions) as f64 / reference;
-        let resumes = piloted.resumes - pilots.resumes;
-        let (taken, kept) = (piloted.checkpoints - pilots.checkpoints, piloted.kept - pilots.kept);
-        let kib = (piloted.kept_bytes - pilots.kept_bytes) as f64 / 1024.0 / kept.max(1) as f64;
-        let us = (piloted.checkpoint_ns - pilots.checkpoint_ns) as f64 / 1e3 / taken.max(1) as f64;
-        let (taken, kept) = (taken / runs.get(), kept / runs.get());
+        let runs = runs.take();
+        let sum = |f: fn(&CampaignCost) -> u64| runs.iter().map(|(_, c)| f(c)).sum::<u64>();
+        let (rollback, drain, ended) = (sum(|c| c.settled), sum(|c| c.drained), sum(|c| c.ended));
+        let reference = runs.iter().map(|&(insts, _)| insts).sum::<u64>() as f64;
+        let pilot = sum(|c| c.instructions) as f64 / reference;
+        let resumes = sum(|c| c.resumes);
+        let (taken, kept) = (sum(|c| c.taken), sum(|c| c.kept));
+        let kib = sum(|c| c.kept_bytes) as f64 / 1024.0 / kept.max(1) as f64;
+        let us = sum(|c| c.checkpoint_ns) as f64 / 1e3 / taken.max(1) as f64;
+        let (taken, kept) = (taken / runs.len() as u64, kept / runs.len() as u64);
         let name = format!("{}.{label}", small.name);
         println!(
             "  {name:<18} campaign, forensics {on:8.2} ms, without {off:8.2} ms      x{:.2}  \

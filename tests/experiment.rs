@@ -77,7 +77,7 @@ fn experiment_campaign_matches_run_campaign() {
         Experiment::workload(&w).harden(HardenConfig::haft()).vm(vm.clone()).campaign(cfg.clone());
 
     let hardened = PassManager::from_config(&HardenConfig::haft()).run_on(&w.module).0;
-    let (reference, manual) = run_campaign(&hardened, w.run_spec(), &vm, &cfg);
+    let (reference, manual, _) = run_campaign(&hardened, w.run_spec(), &vm, &cfg);
 
     assert_eq!(v.run, reference);
     assert_eq!(v.campaign, Some(manual));

@@ -10,20 +10,54 @@
 //! it never changes its input or a clone sharing the input's bodies.
 //! On every hardened function it holds the CFG and dominator analyses to
 //! their brute-force definitions, and it pins the verifier's diagnostics
-//! on mutants of a few hardened cells.
+//! on mutants of a few hardened cells. The corpus is hardened once, on
+//! first use, and every test reads that one hardening.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use haft::apps::kvstore::{kv_shard, patch_requests, KvSync, KV_KEYSPACE};
 use haft::apps::{WorkloadMix, YcsbGen};
 use haft::ir::cfg::Cfg;
 use haft::ir::dom::DomTree;
-use haft::ir::module::{GlobalId, GlobalInit};
+use haft::ir::module::{GlobalId, GlobalInit, Module};
 use haft::ir::printer::print_module;
 use haft::ir::verify::{verify_func, FnSig};
 use haft::ir::{BlockId, Callee, Function, Op, Operand};
-use haft::passes::{HardenConfig, PassManager};
+use haft::passes::{HardenConfig, PassManager, PassStats};
+
+/// One corpus program and its hardening under every preset.
+struct Program {
+    name: String,
+    source: Module,
+    /// `source` printed before any preset hardened it.
+    before: String,
+    /// Per preset, in corpus order: its name, the preset, and `source`
+    /// hardened by it, with its stats.
+    cells: Vec<(String, HardenConfig, Module, PassStats)>,
+}
+
+/// The whole corpus, hardened on first use.
+fn corpus() -> &'static [Program] {
+    static CORPUS: OnceLock<Vec<Program>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let presets = haft::corpus::presets();
+        let harden = |source: &Module| {
+            let cells = presets.iter().map(|(cname, cfg)| {
+                let (hardened, stats) = PassManager::from_config(cfg).run_on(source);
+                (cname.clone(), cfg.clone(), hardened, stats)
+            });
+            cells.collect()
+        };
+        let programs = haft::corpus::programs().into_iter();
+        programs
+            .map(|(name, source)| {
+                let before = print_module(&source);
+                Program { name, cells: harden(&source), source, before }
+            })
+            .collect()
+    })
+}
 
 /// Keys a digest line by its cell, `<program> <preset>`.
 fn by_cell(lines: &[&str]) -> BTreeMap<String, String> {
@@ -38,7 +72,12 @@ fn by_cell(lines: &[&str]) -> BTreeMap<String, String> {
 
 #[test]
 fn every_hardened_module_matches_its_digest() {
-    let actual = haft::corpus::digest();
+    let mut actual = Vec::new();
+    for p in corpus() {
+        for (cname, _, hardened, stats) in &p.cells {
+            actual.push(haft::corpus::digest_line(&p.name, cname, hardened, stats));
+        }
+    }
     let expected: Vec<&str> = include_str!("hardened.digest").lines().collect();
     let actual_refs: Vec<&str> = actual.iter().map(String::as_str).collect();
     if actual_refs == expected {
@@ -79,10 +118,8 @@ fn same_init(a: &GlobalInit, b: &GlobalInit) -> bool {
 
 #[test]
 fn hardening_shares_every_initialiser_with_its_source() {
-    let presets = haft::corpus::presets();
-    for (pname, module) in haft::corpus::programs() {
-        for (cname, cfg) in &presets {
-            let (hardened, _) = PassManager::from_config(cfg).run_on(&module);
+    for Program { name: pname, source: module, cells, .. } in corpus() {
+        for (cname, _, hardened, _) in cells {
             assert_eq!(hardened.globals.len(), module.globals.len(), "{pname} {cname}");
             for (src, g) in module.globals.iter().zip(&hardened.globals) {
                 assert!(same_init(&src.init, &g.init), "{pname} {cname}: `{}` copied", g.name);
@@ -109,12 +146,9 @@ fn patching_requests_replaces_only_the_request_buffers() {
 
 #[test]
 fn hardening_copies_only_the_bodies_it_rewrites() {
-    let presets = haft::corpus::presets();
-    for (pname, module) in haft::corpus::programs() {
-        let before = print_module(&module);
-        for (cname, cfg) in &presets {
+    for Program { name: pname, source: module, before, cells } in corpus() {
+        for (cname, cfg, hardened, stats) in cells {
             let pm = PassManager::from_config(cfg);
-            let (hardened, stats) = pm.run_on(&module);
             for (src, out) in module.funcs.iter().zip(&hardened.funcs) {
                 let at = format!("{pname} {cname} `{}`", src.name);
                 if stats.records.is_empty() || (src.attrs.external && out.attrs == src.attrs) {
@@ -133,24 +167,21 @@ fn hardening_copies_only_the_bodies_it_rewrites() {
                 assert!(out.blocks.capacity() <= src.blocks.len() + room.blocks, "{at}: blocks");
             }
         }
-        assert_eq!(print_module(&module), before, "{pname}: hardening changed its input");
+        assert_eq!(&print_module(module), before, "{pname}: hardening changed its input");
     }
 }
 
 #[test]
 fn hardening_in_place_leaves_every_clone_of_its_input_alone() {
-    let presets = haft::corpus::presets();
-    for (pname, module) in haft::corpus::programs() {
-        let before = print_module(&module);
-        for (cname, cfg) in &presets {
+    for Program { name: pname, source: module, before, cells } in corpus() {
+        for (cname, cfg, copied, _) in cells {
             // `twin` shares every body with `module` until a pass takes
             // one to rewrite it.
             let mut twin = module.clone();
             assert!(module.funcs.iter().zip(&twin.funcs).all(|(a, b)| Arc::ptr_eq(a, b)));
-            let (copied, _) = PassManager::from_config(cfg).run_on(&module);
             PassManager::from_config(cfg).run(&mut twin);
-            assert_eq!(print_module(&module), before, "{pname} {cname}: the input moved");
-            assert_eq!(print_module(&twin), print_module(&copied), "{pname} {cname}");
+            assert_eq!(&print_module(module), before, "{pname} {cname}: the input moved");
+            assert_eq!(print_module(&twin), print_module(copied), "{pname} {cname}");
         }
     }
 }
@@ -170,10 +201,8 @@ fn reached(f: &Function, cut: Option<BlockId>) -> Vec<bool> {
 
 #[test]
 fn analyses_match_their_definitions_on_every_hardened_function() {
-    let presets = haft::corpus::presets();
-    for (pname, module) in haft::corpus::programs() {
-        for (cname, cfg) in &presets {
-            let (hardened, _) = PassManager::from_config(cfg).run_on(&module);
+    for Program { name: pname, cells, .. } in corpus() {
+        for (cname, _, hardened, _) in cells {
             for f in hardened.funcs.iter().filter(|f| !f.attrs.external) {
                 let at = format!("{pname} {cname} `{}`", f.name);
                 let (cfg, blocks) = (Cfg::compute(f), (0..f.blocks.len() as u32).map(BlockId));
@@ -225,8 +254,6 @@ fn placed(f: &Function) -> impl Iterator<Item = (BlockId, usize, &Op)> {
 #[test]
 fn verifier_diagnostics_are_pinned_on_hardened_mutants() {
     let cells = [("kv_shard", "haft"), ("sqlite-a", "tmr"), ("vips", "abft")];
-    let programs = haft::corpus::programs();
-    let presets = haft::corpus::presets();
     let mutants: [(&str, Mutator); 7] = [
         ("a use moved above its def", &|f| {
             // A non-phi def whose next instruction uses it, swapped.
@@ -341,9 +368,8 @@ fn verifier_diagnostics_are_pinned_on_hardened_mutants() {
     ];
     let mut found = [0; 7];
     for (pname, cname) in cells {
-        let module = &programs.iter().find(|(n, _)| n == pname).expect("a corpus program").1;
-        let cfg = &presets.iter().find(|(n, _)| n == cname).expect("a corpus preset").1;
-        let (m, _) = PassManager::from_config(cfg).run_on(module);
+        let program = corpus().iter().find(|p| p.name == pname).expect("a corpus program");
+        let (_, _, m, _) = program.cells.iter().find(|c| c.0 == cname).expect("a corpus preset");
         let sigs: Vec<FnSig> =
             m.funcs.iter().map(|f| FnSig { params: f.params.clone(), ret_ty: f.ret_ty }).collect();
         for ((kind, mutate), found) in mutants.iter().zip(&mut found) {
