@@ -125,8 +125,10 @@ impl<'a> Parser<'a> {
         let rest = rest.trim();
         let open =
             rest.find('(').ok_or(ParseError { line: ln, msg: "expected parameter list".into() })?;
-        let close =
-            rest.find(')').ok_or(ParseError { line: ln, msg: "unclosed parameter list".into() })?;
+        let close = rest[open..]
+            .find(')')
+            .map(|at| open + at)
+            .ok_or(ParseError { line: ln, msg: "unclosed parameter list".into() })?;
         let params: Vec<Ty> = rest[open + 1..close]
             .split(',')
             .map(str::trim)
@@ -741,6 +743,13 @@ mod tests {
         let err = parse_module(text).unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.msg.contains("frobnicate"));
+    }
+
+    #[test]
+    fn a_close_paren_before_the_open_one_is_an_unclosed_list() {
+        let err = parse_module("module \"m\"\nfunc \"f\" )( {\n}\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.msg, "unclosed parameter list");
     }
 
     #[test]

@@ -19,8 +19,15 @@ pub fn print_module(m: &Module) -> String {
                 let _ = writeln!(s, "global \"{}\" {} zero", g.name, g.size);
             }
             GlobalInit::Bytes(b) => {
-                let hex: String = b.iter().map(|x| format!("{x:02x}")).collect();
-                let _ = writeln!(s, "global \"{}\" {} bytes {}", g.name, g.size, hex);
+                // Pushed digit by digit: initialisers run to hundreds of
+                // KiB, and a `format!` per byte dominated printing them.
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let _ = write!(s, "global \"{}\" {} bytes ", g.name, g.size);
+                for x in b.iter() {
+                    s.push(char::from(HEX[usize::from(x >> 4)]));
+                    s.push(char::from(HEX[usize::from(x & 15)]));
+                }
+                s.push('\n');
             }
         }
     }

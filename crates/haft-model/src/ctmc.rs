@@ -1,5 +1,7 @@
-//! Dense continuous-time Markov chains with a uniformization-based
-//! transient solver.
+//! Dense continuous-time Markov chains with an exact transient solver:
+//! the expected occupancy over a horizon is read off one matrix
+//! exponential of a block matrix (Van Loan's construction), computed by
+//! scaling and squaring a Taylor polynomial.
 
 /// A CTMC over `n` states given by its generator matrix `Q` (row-major):
 /// `q[i][j]` is the transition rate `i -> j` for `i != j`, and each
@@ -49,95 +51,76 @@ impl Ctmc {
     }
 
     /// Expected fraction of `[0, horizon]` spent in each state, starting
-    /// from distribution `pi0`, via uniformization:
+    /// from distribution `pi0`: `π₀ · ∫₀ᵀ e^{Qt} dt / T`.
     ///
-    /// `∫₀ᵀ π(t) dt = (1/Λ) Σ_k π₀ Pᵏ · Pr[Poisson(ΛT) > k]`
-    ///
-    /// with `P = I + Q/Λ`. The series is truncated once the remaining
-    /// Poisson tail mass is below `1e-10`.
+    /// The integral is the top-right block of `exp(T·[[Q, I], [0, 0]])`
+    /// (Van Loan, "Computing integrals involving the matrix exponential",
+    /// IEEE TAC 1978). Its cost grows with the logarithm of the largest
+    /// rate times the horizon, not with their product.
     pub fn occupancy(&self, pi0: &[f64], horizon: f64) -> Vec<f64> {
         assert_eq!(pi0.len(), self.n);
         assert!(horizon > 0.0);
-        let lambda =
-            (0..self.n).map(|i| -self.q[i * self.n + i]).fold(0.0f64, f64::max).max(1e-12) * 1.0001;
-        let lt = lambda * horizon;
-
-        // P = I + Q/Λ.
-        let mut p = vec![0.0; self.n * self.n];
-        for i in 0..self.n {
-            for j in 0..self.n {
-                p[i * self.n + j] =
-                    self.q[i * self.n + j] / lambda + if i == j { 1.0 } else { 0.0 };
+        let (n, dim) = (self.n, 2 * self.n);
+        let mut a = vec![0.0; dim * dim];
+        for i in 0..n {
+            for j in 0..n {
+                a[i * dim + j] = horizon * self.q[i * n + j];
             }
+            a[i * dim + n + i] = horizon;
         }
-
-        // Iterate v_k = π₀ Pᵏ while accumulating tail weights.
-        // poisson(k) computed iteratively in log space via scaling.
-        let mut v = pi0.to_vec();
-        let mut acc = vec![0.0; self.n];
-        // Start with Pr[N > -1] = 1; tail_k = Pr[N > k] = tail_{k-1} - pmf(k).
-        // pmf(0) = exp(-lt); use stable iterative pmf with renormalizing
-        // for very large lt via the normal-approximation starting point.
-        let mut tail = 1.0f64;
-        let mut log_pmf = -lt; // ln pmf(0).
-        let max_iter = (lt + 12.0 * lt.sqrt() + 64.0) as usize;
-        for k in 0..max_iter {
-            let pmf = log_pmf.exp();
-            tail -= pmf;
-            let w = tail.max(0.0);
-            for (a, x) in acc.iter_mut().zip(&v) {
-                *a += x * w;
-            }
-            if w < 1e-10 && k as f64 > lt {
-                break;
-            }
-            // v <- v P.
-            let mut next = vec![0.0; self.n];
-            for i in 0..self.n {
-                let vi = v[i];
-                if vi == 0.0 {
-                    continue;
-                }
-                for j in 0..self.n {
-                    next[j] += vi * p[i * self.n + j];
-                }
-            }
-            v = next;
-            // pmf(k+1) = pmf(k) * lt / (k+1).
-            log_pmf += (lt / (k as f64 + 1.0)).ln();
-        }
-        // Normalize: ∫ dt / (Λ·T) gives fractions.
-        for a in &mut acc {
-            *a /= lt / lambda * lambda; // = lt; kept explicit for clarity.
-        }
-        acc
+        let e = expm(&a, n);
+        (0..n).map(|j| (0..n).map(|i| pi0[i] * e[i * dim + n + j]).sum::<f64>() / horizon).collect()
     }
+}
 
-    /// Steady-state distribution via power iteration on the uniformized
-    /// chain.
-    pub fn steady_state(&self) -> Vec<f64> {
-        let lambda =
-            (0..self.n).map(|i| -self.q[i * self.n + i]).fold(0.0f64, f64::max).max(1e-12) * 1.0001;
-        let mut v = vec![1.0 / self.n as f64; self.n];
-        for _ in 0..200_000 {
-            let mut next = vec![0.0; self.n];
-            for (i, vi) in v.iter().enumerate() {
-                for (j, nj) in next.iter_mut().enumerate() {
-                    let p = self.q[i * self.n + j] / lambda + if i == j { 1.0 } else { 0.0 };
-                    *nj += vi * p;
-                }
-            }
-            let mut diff = 0.0;
-            for (a, b) in v.iter().zip(&next) {
-                diff += (a - b).abs();
-            }
-            v = next;
-            if diff < 1e-13 {
-                break;
+/// `exp(a)` for `a = T·[[Q, I], [0, 0]]`, row-major `2n × 2n`, by scaling
+/// and squaring: halve `a` until `‖a‖∞ ≤ ½`, sum its degree-18 Taylor
+/// polynomial (the first omitted term is below `½¹⁹/19! ≈ 1.6·10⁻²³`),
+/// and square the sum back up.
+fn expm(a: &[f64], n: usize) -> Vec<f64> {
+    let dim = 2 * n;
+    let norm =
+        a.chunks(dim).map(|row| row.iter().map(|x| x.abs()).sum::<f64>()).fold(0.0, f64::max);
+    let (mut scale, mut squarings) = (1.0, 0);
+    while norm * scale > 0.5 {
+        scale /= 2.0;
+        squarings += 1;
+    }
+    let a: Vec<f64> = a.iter().map(|x| x * scale).collect();
+    let identity: Vec<f64> = (0..dim * dim).map(|k| f64::from(k % (dim + 1) == 0)).collect();
+    // Horner: I + a(I + a/2(I + … (I + a/18))).
+    let mut e = identity.clone();
+    for k in (1..=18).rev() {
+        e = matmul(&a, &e, dim);
+        for (x, id) in e.iter_mut().zip(&identity) {
+            *x = *x / f64::from(k) + id;
+        }
+    }
+    for _ in 0..squarings {
+        e = matmul(&e, &e, dim);
+        // The top-left block is e^{Qt}, whose rows sum to exactly 1
+        // because Q's rows sum to 0. A stiff chain squares some 30 times,
+        // and rounding would move each row's sum by ~2^squarings·ε; set
+        // the diagonal again from the off-diagonal entries.
+        for i in 0..n {
+            let off: f64 = (0..n).filter(|&j| j != i).map(|j| e[i * dim + j]).sum();
+            e[i * dim + i] = 1.0 - off;
+        }
+    }
+    e
+}
+
+/// The product of two row-major `dim × dim` matrices.
+fn matmul(x: &[f64], y: &[f64], dim: usize) -> Vec<f64> {
+    let mut z = vec![0.0; dim * dim];
+    for (zrow, xrow) in z.chunks_mut(dim).zip(x.chunks(dim)) {
+        for (xik, yrow) in xrow.iter().zip(y.chunks(dim)) {
+            for (zij, ykj) in zrow.iter_mut().zip(yrow) {
+                *zij += xik * ykj;
             }
         }
-        v
     }
+    z
 }
 
 #[cfg(test)]
@@ -157,20 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_matches_closed_form() {
-        let c = updown(0.5, 2.0);
-        let ss = c.steady_state();
-        // up = repair / (fail + repair) = 0.8.
-        assert!((ss[0] - 0.8).abs() < 1e-6, "{ss:?}");
-        assert!((ss[1] - 0.2).abs() < 1e-6);
-    }
-
-    #[test]
     fn long_horizon_occupancy_approaches_steady_state() {
         let c = updown(0.5, 2.0);
         let occ = c.occupancy(&[1.0, 0.0], 1000.0);
         assert!((occ[0] - 0.8).abs() < 0.01, "{occ:?}");
-        assert!((occ.iter().sum::<f64>() - 1.0).abs() < 1e-6);
+        assert!((occ.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -193,7 +167,7 @@ mod tests {
         for t in [0.1, 1.0, 10.0, 500.0] {
             let occ = c.occupancy(&[1.0, 0.0, 0.0], t);
             let sum: f64 = occ.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6, "t={t}: {occ:?}");
+            assert!((sum - 1.0).abs() < 1e-12, "t={t}: {occ:?}");
         }
     }
 
@@ -201,14 +175,16 @@ mod tests {
     fn transient_matches_analytic_two_state() {
         // For an up/down chain starting up, expected up-occupancy over
         // [0,T] is a/(a+b) + b/(a+b)^2/T * (1 - exp(-(a+b)T)) with
-        // a=repair, b=fail.
-        let (fail, repair) = (0.7, 1.3);
-        let c = updown(fail, repair);
-        let t = 3.0;
-        let s = fail + repair;
-        let expected = repair / s + fail / (s * s * t) * (1.0 - (-s * t).exp());
-        let occ = c.occupancy(&[1.0, 0.0], t);
-        assert!((occ[0] - expected).abs() < 1e-6, "{} vs {}", occ[0], expected);
+        // a=repair, b=fail. The second case is HAFT's stiffest: repair
+        // in 2.5 µs over an hour.
+        for (fail, repair, t) in [(0.7, 1.3, 3.0), (0.67, 4e5, 3600.0)] {
+            let c = updown(fail, repair);
+            let s = fail + repair;
+            let expected = repair / s + fail / (s * s * t) * (1.0 - (-s * t).exp());
+            let occ = c.occupancy(&[1.0, 0.0], t);
+            assert!((occ[0] - expected).abs() < 1e-12, "{} vs {}", occ[0], expected);
+            assert!((occ[1] - (1.0 - expected)).abs() < 1e-12, "{occ:?}");
+        }
     }
 
     #[test]

@@ -96,22 +96,16 @@ impl HaftChain {
 
     /// The CTMC for a given fault rate λ (faults/second). Masked faults
     /// are self-loops and do not appear as transitions.
-    ///
-    /// The transactional-recovery rate is capped at 10²/s to keep
-    /// uniformization tractable over hour-long horizons; the state's
-    /// occupancy stays ≤ λ·p/10² < 1 % either way, so the curves are
-    /// unaffected at plotting resolution.
     pub fn ctmc(&self, fault_rate: f64) -> Ctmc {
         let p = &self.probs;
         let r = &self.rates;
-        let tx = r.tx.min(1e2);
         #[rustfmt::skip]
         let rates = [
             // Correct ->            Crashed                 Corrupted             Correctable
             0.0,                     fault_rate * p.crashed, fault_rate * p.sdc,   fault_rate * p.haft_correctable,
             r.reboot,                0.0,                    0.0,                  0.0,
             r.manual,                0.0,                    0.0,                  0.0,
-            tx,                      0.0,                    0.0,                  0.0,
+            r.tx,                    0.0,                    0.0,                  0.0,
         ];
         Ctmc::from_rates(4, &rates)
     }
@@ -122,8 +116,8 @@ impl HaftChain {
         let occ = self.ctmc(fault_rate).occupancy(&[1.0, 0.0, 0.0, 0.0], horizon);
         AvailabilityPoint {
             fault_rate,
-            // Clamp sub-1e-6 numerical overshoot from the truncated
-            // uniformization series.
+            // The occupancies are exact up to rounding; clamp so that a
+            // sum of 1 + 1 ulp does not print as 100.00000000000001 %.
             availability: (occ[CORRECT] + occ[CORRECTABLE]).clamp(0.0, 1.0),
             corruption: occ[CORRUPTED].clamp(0.0, 1.0),
         }
@@ -212,5 +206,44 @@ mod tests {
         assert!((pts[0].fault_rate - 0.00028).abs() < 1e-9);
         assert!((pts[4].fault_rate - 1.0).abs() < 1e-9);
         assert!(pts[1].fault_rate / pts[0].fault_rate > 2.0);
+    }
+
+    #[test]
+    fn capped_recovery_reproduces_the_uniformized_fig10() {
+        // The fast-mode `fig10-paper` rows of `report/availability-model.json`
+        // as uniformization computed them, which needed transactional
+        // recovery capped at 10²/s: per fault rate, available % then
+        // corrupted %, each for native, ILR and HAFT.
+        #[rustfmt::skip]
+        const UNIFORMIZED: [[f64; 6]; 3] = [
+            [88.47624507243155, 99.41189710207328, 99.45576903598372,
+             11.49286463186781, 0.3799157420478906, 0.5228476139097757],
+            [7.246332148378672, 73.11061446798593, 73.7212918862219,
+             92.6021606452155, 17.735070510036415, 25.330907198394453],
+            [0.12360112806991427, 3.613906550769063, 2.92512907323285,
+             99.72195879652797, 69.30010980546521, 94.83840536729423],
+        ];
+        let rates = RecoveryRates { tx: 1e2, ..Default::default() };
+        let sweeps = [SystemKind::Native, SystemKind::Ilr, SystemKind::Haft]
+            .map(|kind| HaftChain { rates, ..HaftChain::paper(kind) }.sweep(0.00028, 1.0, 3, HOUR));
+        for (i, want) in UNIFORMIZED.iter().enumerate() {
+            let available = sweeps.iter().map(|s| s[i].availability);
+            let got = available.chain(sweeps.iter().map(|s| s[i].corruption));
+            for (k, (g, w)) in got.zip(want).enumerate() {
+                assert!((100.0 * g - w).abs() < 1e-7, "row {i} column {k}: {} vs {w}", 100.0 * g);
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_sums_to_one_at_every_sweep_point() {
+        for kind in [SystemKind::Native, SystemKind::Ilr, SystemKind::Haft] {
+            let chain = HaftChain::paper(kind);
+            for pt in chain.sweep(0.00028, 1.0, 12, HOUR) {
+                let occ = chain.ctmc(pt.fault_rate).occupancy(&[1.0, 0.0, 0.0, 0.0], HOUR);
+                let sum: f64 = occ.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-12, "{kind:?} at {}: {occ:?}", pt.fault_rate);
+            }
+        }
     }
 }

@@ -8,9 +8,12 @@
 //! Figure 10 plots the expected fraction of one hour spent available or
 //! corrupted as the fault rate sweeps from once an hour to once a second.
 //!
-//! This crate implements a small dense-CTMC library with a
-//! uniformization-based transient solver (expected state occupancy over a
-//! finite horizon) and the four-state HAFT chain on top of it.
+//! This crate implements a small dense-CTMC library with an exact
+//! transient solver — the expected state occupancy over a finite horizon,
+//! read off one matrix exponential of a block matrix (Van Loan) — and the
+//! four-state HAFT chain on top of it. The solve's cost grows only with
+//! the logarithm of the rates, so the chain keeps the paper's 2.5 µs
+//! transactional recovery beside its 6 h manual one.
 
 pub mod ctmc;
 pub mod haft_chain;

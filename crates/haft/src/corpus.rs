@@ -59,11 +59,18 @@ pub fn presets() -> Vec<(String, HardenConfig)> {
     out
 }
 
-/// One cell's digest line: `<program> <preset>`, the 64-bit FNV-1a of the
-/// printed hardened module, its instruction count, each pass's
-/// instruction delta and each pass-published counter.
-pub fn digest_line(program: &str, preset: &str, hardened: &Module, stats: &PassStats) -> String {
-    let hash = print_module(hardened)
+/// One cell's digest line, and the printed hardened module it hashes.
+/// The line is `<program> <preset>`, the 64-bit FNV-1a of that text, the
+/// module's instruction count, each pass's instruction delta and each
+/// pass-published counter.
+pub fn digest_cell(
+    program: &str,
+    preset: &str,
+    hardened: &Module,
+    stats: &PassStats,
+) -> (String, String) {
+    let text = print_module(hardened);
+    let hash = text
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
     let mut line = format!("{program} {preset} {hash:016x} insts={}", hardened.total_inst_count());
@@ -73,7 +80,7 @@ pub fn digest_line(program: &str, preset: &str, hardened: &Module, stats: &PassS
     for (name, n) in &stats.counters {
         line.push_str(&format!(" {name}={n}"));
     }
-    line
+    (line, text)
 }
 
 /// The digest of the whole corpus, one line per program × preset in
@@ -84,7 +91,7 @@ pub fn digest() -> Vec<String> {
     for (pname, module) in programs() {
         for (cname, cfg) in &presets {
             let (hardened, stats) = PassManager::from_config(cfg).run_on(&module);
-            lines.push(digest_line(&pname, cname, &hardened, &stats));
+            lines.push(digest_cell(&pname, cname, &hardened, &stats).0);
         }
     }
     lines

@@ -10,8 +10,8 @@
 //! it never changes its input or a clone sharing the input's bodies.
 //! On every hardened function it holds the CFG and dominator analyses to
 //! their brute-force definitions, and it pins the verifier's diagnostics
-//! on mutants of a few hardened cells. The corpus is hardened once, on
-//! first use, and every test reads that one hardening.
+//! on mutants of a few hardened cells. The corpus is hardened and printed
+//! once, on first use, and every test reads that one hardening and text.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -32,9 +32,19 @@ struct Program {
     source: Module,
     /// `source` printed before any preset hardened it.
     before: String,
-    /// Per preset, in corpus order: its name, the preset, and `source`
-    /// hardened by it, with its stats.
-    cells: Vec<(String, HardenConfig, Module, PassStats)>,
+    /// One per preset, in corpus order.
+    cells: Vec<Cell>,
+}
+
+/// A program hardened by one preset.
+struct Cell {
+    preset: String,
+    cfg: HardenConfig,
+    hardened: Module,
+    stats: PassStats,
+    /// `hardened`'s digest line, and `hardened` printed: the text it hashes.
+    digest: String,
+    text: String,
 }
 
 /// The whole corpus, hardened on first use.
@@ -42,10 +52,11 @@ fn corpus() -> &'static [Program] {
     static CORPUS: OnceLock<Vec<Program>> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let presets = haft::corpus::presets();
-        let harden = |source: &Module| {
-            let cells = presets.iter().map(|(cname, cfg)| {
+        let harden = |name: &str, source: &Module| {
+            let cells = presets.iter().map(|(preset, cfg)| {
                 let (hardened, stats) = PassManager::from_config(cfg).run_on(source);
-                (cname.clone(), cfg.clone(), hardened, stats)
+                let (digest, text) = haft::corpus::digest_cell(name, preset, &hardened, &stats);
+                Cell { preset: preset.clone(), cfg: cfg.clone(), hardened, stats, digest, text }
             });
             cells.collect()
         };
@@ -53,7 +64,7 @@ fn corpus() -> &'static [Program] {
         programs
             .map(|(name, source)| {
                 let before = print_module(&source);
-                Program { name, cells: harden(&source), source, before }
+                Program { cells: harden(&name, &source), name, source, before }
             })
             .collect()
     })
@@ -72,14 +83,9 @@ fn by_cell(lines: &[&str]) -> BTreeMap<String, String> {
 
 #[test]
 fn every_hardened_module_matches_its_digest() {
-    let mut actual = Vec::new();
-    for p in corpus() {
-        for (cname, _, hardened, stats) in &p.cells {
-            actual.push(haft::corpus::digest_line(&p.name, cname, hardened, stats));
-        }
-    }
+    let cells = corpus().iter().flat_map(|p| &p.cells);
+    let actual_refs: Vec<&str> = cells.map(|c| c.digest.as_str()).collect();
     let expected: Vec<&str> = include_str!("hardened.digest").lines().collect();
-    let actual_refs: Vec<&str> = actual.iter().map(String::as_str).collect();
     if actual_refs == expected {
         return;
     }
@@ -119,7 +125,7 @@ fn same_init(a: &GlobalInit, b: &GlobalInit) -> bool {
 #[test]
 fn hardening_shares_every_initialiser_with_its_source() {
     for Program { name: pname, source: module, cells, .. } in corpus() {
-        for (cname, _, hardened, _) in cells {
+        for Cell { preset: cname, hardened, .. } in cells {
             assert_eq!(hardened.globals.len(), module.globals.len(), "{pname} {cname}");
             for (src, g) in module.globals.iter().zip(&hardened.globals) {
                 assert!(same_init(&src.init, &g.init), "{pname} {cname}: `{}` copied", g.name);
@@ -147,7 +153,7 @@ fn patching_requests_replaces_only_the_request_buffers() {
 #[test]
 fn hardening_copies_only_the_bodies_it_rewrites() {
     for Program { name: pname, source: module, before, cells } in corpus() {
-        for (cname, cfg, hardened, stats) in cells {
+        for Cell { preset: cname, cfg, hardened, stats, .. } in cells {
             let pm = PassManager::from_config(cfg);
             for (src, out) in module.funcs.iter().zip(&hardened.funcs) {
                 let at = format!("{pname} {cname} `{}`", src.name);
@@ -174,14 +180,14 @@ fn hardening_copies_only_the_bodies_it_rewrites() {
 #[test]
 fn hardening_in_place_leaves_every_clone_of_its_input_alone() {
     for Program { name: pname, source: module, before, cells } in corpus() {
-        for (cname, cfg, copied, _) in cells {
+        for Cell { preset: cname, cfg, text: copied, .. } in cells {
             // `twin` shares every body with `module` until a pass takes
             // one to rewrite it.
             let mut twin = module.clone();
             assert!(module.funcs.iter().zip(&twin.funcs).all(|(a, b)| Arc::ptr_eq(a, b)));
             PassManager::from_config(cfg).run(&mut twin);
             assert_eq!(&print_module(module), before, "{pname} {cname}: the input moved");
-            assert_eq!(print_module(&twin), print_module(copied), "{pname} {cname}");
+            assert_eq!(&print_module(&twin), copied, "{pname} {cname}");
         }
     }
 }
@@ -202,7 +208,7 @@ fn reached(f: &Function, cut: Option<BlockId>) -> Vec<bool> {
 #[test]
 fn analyses_match_their_definitions_on_every_hardened_function() {
     for Program { name: pname, cells, .. } in corpus() {
-        for (cname, _, hardened, _) in cells {
+        for Cell { preset: cname, hardened, .. } in cells {
             for f in hardened.funcs.iter().filter(|f| !f.attrs.external) {
                 let at = format!("{pname} {cname} `{}`", f.name);
                 let (cfg, blocks) = (Cfg::compute(f), (0..f.blocks.len() as u32).map(BlockId));
@@ -369,7 +375,8 @@ fn verifier_diagnostics_are_pinned_on_hardened_mutants() {
     let mut found = [0; 7];
     for (pname, cname) in cells {
         let program = corpus().iter().find(|p| p.name == pname).expect("a corpus program");
-        let (_, _, m, _) = program.cells.iter().find(|c| c.0 == cname).expect("a corpus preset");
+        let cell = program.cells.iter().find(|c| c.preset == cname).expect("a corpus preset");
+        let m = &cell.hardened;
         let sigs: Vec<FnSig> =
             m.funcs.iter().map(|f| FnSig { params: f.params.clone(), ret_ty: f.ret_ty }).collect();
         for ((kind, mutate), found) in mutants.iter().zip(&mut found) {
